@@ -232,13 +232,14 @@ def _read_labels(path) -> dict[str, tuple[CommitCategory, bool]]:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            raw = json.loads(line)
             try:
+                raw = json.loads(line)
                 labels[raw["sha"]] = (
                     CommitCategory(raw["category"]),
                     bool(raw["pair_programming"]),
                 )
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
+                # json.JSONDecodeError is a ValueError
                 raise DataError(f"{path} line {line_no}: {exc}") from None
     return labels
 
@@ -615,13 +616,13 @@ def cmd_predict(args) -> int:
     labeled_teams = _load_labeled_dataset(data)
     build = teamfeat.build_matrix(labeled_teams)
     model = teamstyle.TeamStyleModel.from_dict(load_model(args.model, "teamstyle"))
+    predictions = teamstyle.predict_style_with_confidence(model, build.raw)
     outdir = _outdir(args, str(data))
     predictions_path = outdir / "predictions.csv"
     with open(predictions_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["team_id", "style", "confidence"])
-        for team_id, row in zip(build.team_ids, build.raw):
-            style, confidence = teamstyle.predict_style_with_confidence(model, row)
+        for team_id, (style, confidence) in zip(build.team_ids, predictions):
             writer.writerow([team_id, style.value, repr(confidence)])
     _write_manifest(
         outdir,

@@ -72,6 +72,8 @@ def mean_report(folds: Sequence[EvalReport]) -> EvalReport:
 def stratified_kfold(labels: Sequence, k: int, seed: int = 0) -> list[list[int]]:
     """Split indices into k folds with per-class counts balanced within 1.
 
+    Raises DataError when there are fewer items than folds.
+
     Deterministic per seed: classes are dealt round-robin in sorted order
     after a seeded shuffle, with the starting fold rotating so fold sizes
     stay balanced too.
@@ -79,6 +81,9 @@ def stratified_kfold(labels: Sequence, k: int, seed: int = 0) -> list[list[int]]
     if k < 2:
         raise ValueError("k must be >= 2")
     labels = list(labels)
+    if k > len(labels):
+        # some folds would be empty and score F1 = 0 in every fold average
+        raise DataError(f"cannot split {len(labels)} items into {k} folds")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed) & _U64]))
     folds: list[list[int]] = [[] for _ in range(k)]
     offset = 0

@@ -1,9 +1,11 @@
 """Versioned JSON envelopes for fitted models.
 
-Every model file is ``{"format": "teamscope-model", "version": 1, "kind":
+Every model file is ``{"format": "teamscope-model", "version": 2, "kind":
 <kind>, "model": <payload>}`` dumped with sorted keys, so identical models
 serialize to identical bytes and reloading reproduces bit-identical
-predictions (JSON round-trips Python floats exactly).
+predictions (JSON round-trips Python floats exactly). Version 2 stores each
+forest tree as parallel node arrays; files of any other version are refused
+and must be produced again by retraining.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 from ..errors import SchemaError
 
 FORMAT_NAME = "teamscope-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def canonical_json(payload) -> str:
@@ -43,7 +45,10 @@ def load_model(path, expected_kind: str) -> dict:
     if not isinstance(raw, dict) or raw.get("format") != FORMAT_NAME:
         raise SchemaError(f"{path}: not a {FORMAT_NAME} file")
     if raw.get("version") != FORMAT_VERSION:
-        raise SchemaError(f"{path}: unsupported model version {raw.get('version')!r}")
+        raise SchemaError(
+            f"{path}: unsupported model version {raw.get('version')!r} "
+            f"(this teamscope reads version {FORMAT_VERSION}); retrain the model"
+        )
     if raw.get("kind") != expected_kind:
         raise SchemaError(
             f"{path}: expected a {expected_kind!r} model, found {raw.get('kind')!r}"

@@ -27,8 +27,7 @@ from .mlcore import (
     ForestModel,
     LogisticModel,
     feature_importances,
-    forest_predict,
-    forest_vote_share,
+    forest_votes,
     mean_report,
     predict_proba,
     prf1,
@@ -139,17 +138,24 @@ class StyleStage:
     selected: list[int]
     model: ForestModel | LogisticModel
 
-    def score(self, z: np.ndarray) -> float:
-        x = z[self.selected]
-        if isinstance(self.model, ForestModel):
-            return forest_vote_share(self.model, x, 1) if 1 in self.model.classes else 0.0
-        return predict_proba(self.model, x)
+    def fires(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Whether the stage fires on each standardized row of Z, and its score.
 
-    def fires(self, z: np.ndarray) -> bool:
-        x = z[self.selected]
+        The score is the positive class's vote share (forest) or probability
+        (logistic). A forest fires when the positive class wins the vote, ties
+        going to the smaller class, so both come from one vote per row.
+        """
         if isinstance(self.model, ForestModel):
-            return forest_predict(self.model, x) == 1
-        return predict_proba(self.model, x) >= 0.5
+            if 1 not in self.model.classes:
+                return np.zeros(len(Z), dtype=bool), np.zeros(len(Z))
+            positive = self.model.classes.index(1)
+            votes = forest_votes(self.model, Z[:, self.selected])
+            return votes.argmax(axis=1) == positive, votes[:, positive] / self.model.n_trees
+        # row by row on a fresh contiguous vector: a matrix product, or a dot
+        # product over a strided row, sums in another order and would change
+        # the last bits of the scores
+        scores = np.array([predict_proba(self.model, z[self.selected]) for z in Z])
+        return scores >= 0.5, scores
 
 
 @dataclass
@@ -162,7 +168,13 @@ class TeamStyleModel:
     fallback: TeamStyle = FALLBACK_STYLE
 
     def standardize(self, x_raw: np.ndarray) -> np.ndarray:
-        return standardize_apply(np.asarray(x_raw, dtype=np.float64), self.means, self.stds)
+        x_raw = np.asarray(x_raw, dtype=np.float64)
+        if x_raw.shape[-1] != len(self.means):
+            raise DataError(
+                f"the model was trained on {len(self.means)} feature columns, "
+                f"the data has {x_raw.shape[-1]}; retrain the model"
+            )
+        return standardize_apply(x_raw, self.means, self.stds)
 
     def to_dict(self) -> dict:
         return {
@@ -184,6 +196,12 @@ class TeamStyleModel:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TeamStyleModel":
+        if raw["registry_version"] != REGISTRY_VERSION:
+            raise DataError(
+                f"the model was trained on feature registry version "
+                f"{raw['registry_version']!r}, this teamscope extracts version "
+                f"{REGISTRY_VERSION!r}; retrain the model"
+            )
         stages = []
         for s in raw["stages"]:
             model_cls = ForestModel if s["model_type"] == "forest" else LogisticModel
@@ -282,19 +300,32 @@ def train_team_model(
 
 
 def predict_style(model: TeamStyleModel, x_raw) -> TeamStyle:
-    """First stage that fires wins; none firing falls back to the majority class."""
+    """Style of one raw feature vector: the first stage that fires wins, and
+    none firing falls back to the majority class."""
     return predict_style_with_confidence(model, x_raw)[0]
 
 
-def predict_style_with_confidence(model: TeamStyleModel, x_raw) -> tuple[TeamStyle, float]:
-    z = model.standardize(x_raw)
-    scores = []
+def predict_style_with_confidence(model: TeamStyleModel, x_raw):
+    """(style, confidence) for one raw feature vector, or a list of them for a matrix.
+
+    The first stage that fires wins, with its score as the confidence. A row
+    no stage fires on gets the fallback style and one minus its highest stage
+    score. Each stage scores all rows in one call.
+    """
+    x_raw = np.asarray(x_raw, dtype=np.float64)
+    Z = model.standardize(x_raw.reshape(1, -1) if x_raw.ndim == 1 else x_raw)
+    results: list = [None] * len(Z)
+    pending = np.ones(len(Z), dtype=bool)
+    top_score = np.full(len(Z), -np.inf)
     for stage in model.stages:
-        score = stage.score(z)
-        if stage.fires(z):
-            return stage.style, score
-        scores.append(score)
-    return model.fallback, (1.0 - max(scores)) if scores else 1.0
+        fired, scores = stage.fires(Z)
+        for i in np.flatnonzero(pending & fired):
+            results[i] = (stage.style, float(scores[i]))
+        pending &= ~fired
+        top_score = np.maximum(top_score, scores)
+    for i in np.flatnonzero(pending):
+        results[i] = (model.fallback, 1.0 - float(top_score[i]) if model.stages else 1.0)
+    return results[0] if x_raw.ndim == 1 else results
 
 
 @dataclass
@@ -335,7 +366,7 @@ def evaluate_team_model(
             config=config,
         )
         y_true = [labels[i] for i in test_idx]
-        y_pred = [predict_style(fold_model, X_raw[i]) for i in test_idx]
+        y_pred = [style for style, _ in predict_style_with_confidence(fold_model, X_raw[test_idx])]
         for style in STYLES:
             per_style[style].append(prf1(y_true, y_pred, style))
 
@@ -376,15 +407,17 @@ def flag_solo_submitters(
     solo_stage = next(
         (s for s in model.stages if s.style == TeamStyle.SOLO_SUBMIT), None
     )
+    if not vectors:
+        return []
+    X_raw = np.array([vec.values for vec in vectors], dtype=np.float64)
+    predictions = predict_style_with_confidence(model, X_raw)
+    solo = [i for i, (style, _) in enumerate(predictions) if style == TeamStyle.SOLO_SUBMIT]
+    selected = solo_stage.selected if solo_stage else []
     flags = []
-    for vec in vectors:
-        style, confidence = predict_style_with_confidence(model, vec.values)
-        if style != TeamStyle.SOLO_SUBMIT:
-            continue
-        z = model.standardize(vec.values)
-        features = [
-            (vec.registry[i], float(z[i])) for i in (solo_stage.selected if solo_stage else [])
-        ]
+    for i, z in zip(solo, model.standardize(X_raw[solo])):
+        vec = vectors[i]
+        style, confidence = predictions[i]
+        features = [(vec.registry[j], float(z[j])) for j in selected]
         flags.append(
             SoloFlag(team_id=vec.team_id, style=style, confidence=confidence, features=features)
         )

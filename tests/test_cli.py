@@ -290,3 +290,78 @@ def test_train_commits_with_lexicon_override(tmp_path):
     assert "zzcustom" in payload["model"]["lexicon"]["domain"]
     manifest = json.loads((models / "manifest_train-commits.json").read_text())
     assert "domain_words" in manifest["inputs"]
+
+
+# --- predict / flag refuse models that do not fit the data ------------------
+
+
+def _write_truth_labels(corpus: Path) -> None:
+    rows = (corpus / "truth_commits.csv").read_text().splitlines()[1:]
+    with open(corpus / "labels.jsonl", "w", encoding="utf-8") as fh:
+        for row in rows:
+            sha, category = row.split(",", 1)
+            fh.write(json.dumps({"sha": sha, "category": category, "pair_programming": False}) + "\n")
+
+
+@pytest.fixture(scope="module")
+def team_model(tmp_path_factory):
+    """A labeled 14-team corpus and the forest team model trained on it."""
+    corpus = _synth(tmp_path_factory.mktemp("team_model"), teams=14, seed=5)
+    _write_truth_labels(corpus)
+    styles = str(corpus / "truth_teams.csv")
+    assert main(["train-teams", "--data", str(corpus), "--styles", styles, "--seed", "9"]) == 0
+    return corpus, corpus / "models" / "teams_forest.json"
+
+
+def _altered_model(team_model, tmp_path, alter) -> str:
+    _, model_path = team_model
+    raw = json.loads(model_path.read_text())
+    alter(raw)
+    return _write(tmp_path / "altered.json", json.dumps(raw))
+
+
+def _narrow(raw):
+    for key in ("means", "stds"):
+        raw["model"][key] = raw["model"][key][:100]
+
+
+@pytest.mark.parametrize(
+    "alter, message",
+    [
+        (lambda raw: raw.update(version=1), "retrain"),
+        (lambda raw: raw["model"].update(registry_version="0-other"), "registry version"),
+        (_narrow, "100 feature columns"),
+    ],
+    ids=["format-v1", "foreign-registry", "narrow-means"],
+)
+@pytest.mark.parametrize("command", ["predict", "flag"])
+def test_unfit_model_is_data_error(team_model, tmp_path, capsys, command, alter, message):
+    corpus, _ = team_model
+    model = _altered_model(team_model, tmp_path, alter)
+    out = tmp_path / "out"
+    assert main([command, "--model", model, "--data", str(corpus), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_predict_batches_match_flags(team_model, tmp_path):
+    corpus, model_path = team_model
+    out = str(tmp_path)
+    assert main(["predict", "--model", str(model_path), "--data", str(corpus), "--out", out]) == 0
+    assert main(["flag", "--model", str(model_path), "--data", str(corpus), "--out", out]) == 0
+    with open(tmp_path / "predictions.csv", newline="", encoding="utf-8") as fh:
+        predictions = list(csv.DictReader(fh))
+    assert len(predictions) == 14
+    solo = [(float(r["confidence"]), r["team_id"]) for r in predictions if r["style"] == "SoloSubmit"]
+    flags = json.loads((tmp_path / "flags.json").read_text())
+    assert [(f["confidence"], f["team_id"]) for f in flags] == sorted(solo, key=lambda c: (-c[0], c[1]))
+
+
+def test_non_json_label_line_is_data_error(tmp_path, capsys):
+    corpus = _synth(tmp_path, teams=4, seed=2)
+    _write_truth_labels(corpus)
+    lines = (corpus / "labels.jsonl").read_text().splitlines()
+    lines[2] = "not json"
+    (corpus / "labels.jsonl").write_text("\n".join(lines) + "\n")
+    assert main(["features", "--data", str(corpus)]) == 2
+    assert "labels.jsonl line 3" in capsys.readouterr().err

@@ -49,6 +49,12 @@ def test_kfold_rejects_k_below_two():
         stratified_kfold(["a", "b"], k=1)
 
 
+def test_kfold_rejects_more_folds_than_items():
+    with pytest.raises(DataError, match="3 items into 5 folds"):
+        stratified_kfold(["a", "b", "a"], k=5)
+    assert all(stratified_kfold(["a", "b", "a"], k=3))  # k == n: one item per fold
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     labels=st.lists(st.sampled_from(["a", "b", "c"]), min_size=6, max_size=60),

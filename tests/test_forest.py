@@ -1,14 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from teamscope.errors import DataError
+import oracle_forest
+from teamscope.errors import DataError, SchemaError
 from teamscope.mlcore import (
     dumps_model,
     feature_importances,
     forest_predict,
     forest_vote_share,
+    forest_votes,
     train_forest,
 )
+from teamscope.mlcore.forest import ForestModel, Tree
+
+
+def _leaf(counts) -> Tree:
+    """A one-node tree that votes for the largest of ``counts``."""
+    return Tree(
+        feature=np.array([-1]),
+        threshold=np.array([0.0]),
+        left=np.array([-1]),
+        right=np.array([-1]),
+        counts=np.array([counts]),
+    )
 
 
 def test_pure_single_class_input_predicts_that_class():
@@ -47,6 +63,13 @@ def test_empty_input_errors():
         train_forest(np.zeros((0, 3)), [])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_errors(bad):
+    X = np.array([[0.0], [1.0], [bad]])
+    with pytest.raises(DataError, match="NaN or infinite"):
+        train_forest(X, [0, 1, 1])
+
+
 def test_importances_all_on_single_split_feature():
     # feature 3 is the only informative column; stumps must all use it
     rng = np.random.default_rng(0)
@@ -76,12 +99,10 @@ def test_importances_rank_informative_over_noise():
 
 
 def test_majority_vote_tie_goes_to_smaller_class_index():
-    # force two stumps that disagree by training on opposite labelings
+    # two single-leaf trees that disagree
     X = np.array([[0.0], [1.0]])
-    a = train_forest(X, [0, 1], n_trees=1, seed=1, max_depth=1)
-    b = train_forest(X, [1, 0], n_trees=1, seed=1, max_depth=1)
     combined = train_forest(X, [0, 1], n_trees=2, seed=1, max_depth=1)
-    combined.trees = [a.trees[0], b.trees[0]]
+    combined.trees = [_leaf([1, 0]), _leaf([0, 1])]
     # votes split 1-1 for class indices 0 and 1 -> class 0 wins
     assert forest_predict(combined, np.array([0.0])) == 0
     assert forest_vote_share(combined, np.array([0.0]), 1) == pytest.approx(0.5)
@@ -91,16 +112,9 @@ def test_min_leaf_respected():
     X = np.arange(10.0).reshape(-1, 1)
     y = [0, 0, 0, 0, 0, 1, 1, 1, 1, 1]
     model = train_forest(X, y, n_trees=5, seed=4, min_leaf=3)
-
-    def leaves(node):
-        if "counts" in node:
-            yield sum(node["counts"])
-        else:
-            yield from leaves(node["l"])
-            yield from leaves(node["r"])
-
     for tree in model.trees:
-        assert all(n >= 3 for n in leaves(tree))
+        leaf_sizes = tree.counts[tree.feature < 0].sum(axis=1)
+        assert np.all(leaf_sizes >= 3)
 
 
 def test_bootstrap_per_tree_differs():
@@ -128,3 +142,83 @@ def test_string_labels_round_trip():
     model = train_forest(X, y, n_trees=3, seed=0)
     assert set(forest_predict(model, X)) <= {"no", "yes"}
     assert model.classes == ["no", "yes"]
+
+
+# --- equivalence with the per-feature, dict-tree reference forest ----------
+
+_X_VALUES = st.sampled_from([-1.5, -0.25, 0.0, 0.25, 1.0, 2.0])
+
+
+@st.composite
+def _forest_inputs(draw):
+    n = draw(st.integers(2, 24))
+    d = draw(st.integers(1, 9))
+    X = np.array(draw(st.lists(_X_VALUES, min_size=n * d, max_size=n * d))).reshape(n, d)
+    for col in draw(st.lists(st.integers(0, d - 1), max_size=2)):
+        X[:, col] = X[0, col]  # constant columns
+    if d > 1 and draw(st.booleans()):
+        # a mirrored column splits as well as its source at another cut: a tie
+        source, target = draw(st.permutations(range(d)))[:2]
+        X[:, target] = -X[:, source]
+    labels = draw(st.sampled_from([[0, 1], [0, 1, 2], ["no", "yes"], ["a", "b", "c"]]))
+    y = draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n))
+    return X, y
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    data=_forest_inputs(),
+    min_leaf=st.sampled_from([1, 2, 3]),
+    max_depth=st.sampled_from([None, 1, 3]),
+    seed=st.integers(0, 2**32),
+)
+def test_matches_reference_forest(data, min_leaf, max_depth, seed):
+    X, y = data
+    model = train_forest(X, y, n_trees=4, seed=seed, max_depth=max_depth, min_leaf=min_leaf)
+    trees, classes, importances = oracle_forest.train_forest(X, y, 4, seed, max_depth, min_leaf)
+    assert model.classes == classes
+    expected = [
+        Tree.from_dict(oracle_forest.flatten(t), X.shape[1], len(classes)) for t in trees
+    ]
+    assert model.trees == expected
+    assert np.array_equal(model.importances_raw, importances)
+
+    batch = forest_votes(model, X)
+    assert batch.shape == (len(X), len(classes))
+    for row, votes in zip(X, batch):
+        assert np.array_equal(votes, forest_votes(model, row))
+        assert np.array_equal(votes, oracle_forest.forest_votes(trees, len(classes), row))
+
+
+def test_votes_of_no_rows():
+    X = np.array([[0.0], [1.0]])
+    model = train_forest(X, [0, 1], n_trees=3, seed=1)
+    assert forest_votes(model, np.zeros((0, 1))).shape == (0, 2)
+
+
+def test_tree_arrays_round_trip_through_dict():
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(30, 4))
+    model = train_forest(X, (X[:, 1] > 0).astype(int), n_trees=3, seed=5)
+    clone = ForestModel.from_dict(model.to_dict())
+    assert clone.trees == model.trees
+    assert np.array_equal(forest_votes(clone, X), forest_votes(model, X))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"left": [0, -1, -1]},  # a child that points back at its parent
+        {"right": [3, -1, -1]},  # a child past the last node
+        {"feature": [7, -1, -1]},  # beyond the model's columns
+        {"counts": [[1, 1], [1, 0]]},  # fewer count rows than nodes
+        {"threshold": "x"},
+    ],
+)
+def test_malformed_tree_is_schema_error(change):
+    X = np.array([[0.0], [1.0]])
+    raw = train_forest(X, [0, 1], n_trees=1, seed=1, max_depth=1).to_dict()
+    assert raw["trees"][0]["feature"] == [0, -1, -1]
+    raw["trees"][0].update(change)
+    with pytest.raises(SchemaError):
+        ForestModel.from_dict(raw)

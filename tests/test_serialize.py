@@ -15,6 +15,7 @@ from teamscope.mlcore import (
     train_logreg,
 )
 from teamscope.mlcore.forest import ForestModel
+from teamscope.mlcore.serialize import FORMAT_VERSION
 
 
 def test_save_load_round_trip(tmp_path):
@@ -40,10 +41,19 @@ def test_load_rejects_foreign_json(tmp_path):
 def test_load_rejects_wrong_version(tmp_path):
     path = tmp_path / "m.json"
     save_model(path, "demo", {})
-    raw = path.read_text().replace('"version": 1', '"version": 99')
+    raw = path.read_text().replace(f'"version": {FORMAT_VERSION}', '"version": 99')
     path.write_text(raw)
     with pytest.raises(SchemaError, match="version"):
         load_model(path, "demo")
+
+
+def test_load_rejects_version_1_and_asks_for_retraining(tmp_path):
+    path = tmp_path / "m.json"
+    save_model(path, "forest", {})
+    raw = path.read_text().replace(f'"version": {FORMAT_VERSION}', '"version": 1')
+    path.write_text(raw)
+    with pytest.raises(SchemaError, match="retrain"):
+        load_model(path, "forest")
 
 
 def test_logistic_reload_bit_identical_predictions(tmp_path):

@@ -1,9 +1,17 @@
+import numpy as np
 import pytest
 
 from teamscope.commitcls import CommitCategory, LabeledCommit
 from teamscope.errors import DataError, InsufficientActivityError
 from teamscope.ingest import CommitRecord, FileStat, RosterMember, TeamRecord
-from teamscope.mlcore import dumps_model
+from teamscope.mlcore import (
+    ForestModel,
+    dumps_model,
+    forest_predict,
+    forest_vote_share,
+    predict_proba,
+)
+from teamscope.mlcore.forest import Tree
 from teamscope.synthgen import GenConfig, generate_corpus, truth_labeled_commits
 from teamscope.teamfeat import REGISTRY, build_matrix, extract_features
 from teamscope.teamstyle import (
@@ -16,6 +24,17 @@ from teamscope.teamstyle import (
     predict_style_with_confidence,
     train_team_model,
 )
+
+
+def _leaf(counts) -> Tree:
+    """A one-node tree that votes for the largest of ``counts``."""
+    return Tree(
+        feature=np.array([-1]),
+        threshold=np.array([0.0]),
+        left=np.array([-1]),
+        right=np.array([-1]),
+        counts=np.array([counts]),
+    )
 
 
 def _team():
@@ -166,7 +185,7 @@ def test_predict_cascade_precedence_and_fallback(corpus):
     # force every stage negative: prediction falls back to Collaborative
     silent = TeamStyleModel.from_dict(model.to_dict())
     for stage in silent.stages:
-        stage.model.trees = [{"counts": [1, 0]}] * stage.model.n_trees  # all vote 0
+        stage.model.trees = [_leaf([1, 0])] * stage.model.n_trees  # all vote 0
     style, confidence = predict_style_with_confidence(silent, build.raw[0])
     assert style == TeamStyle.COLLABORATIVE
     assert 0.0 <= confidence <= 1.0
@@ -174,7 +193,7 @@ def test_predict_cascade_precedence_and_fallback(corpus):
     # force the solo stage positive: precedence wins even if others would fire
     loud = TeamStyleModel.from_dict(model.to_dict())
     for stage in loud.stages:
-        stage.model.trees = [{"counts": [0, 1]}] * stage.model.n_trees  # all vote 1
+        stage.model.trees = [_leaf([0, 1])] * stage.model.n_trees  # all vote 1
     assert predict_style(loud, build.raw[0]) == TeamStyle.SOLO_SUBMIT
 
 
@@ -283,3 +302,49 @@ def test_model_serialization_round_trip(corpus):
     clone = TeamStyleModel.from_dict(model.to_dict())
     for row in build.raw:
         assert predict_style_with_confidence(clone, row) == predict_style_with_confidence(model, row)
+
+
+def _predict_one_row(model, x_raw):
+    """Reference cascade: score and decide each stage on one row, in order."""
+    z = model.standardize(x_raw)
+    scores = []
+    for stage in model.stages:
+        x = z[stage.selected]
+        if isinstance(stage.model, ForestModel):
+            score = forest_vote_share(stage.model, x, 1)
+            fires = forest_predict(stage.model, x) == 1
+        else:
+            score = predict_proba(stage.model, x)
+            fires = score >= 0.5
+        if fires:
+            return stage.style, score
+        scores.append(score)
+    return model.fallback, 1.0 - max(scores)
+
+
+@pytest.mark.parametrize("algorithm", ["forest", "logistic_rfe"])
+def test_batched_prediction_equals_per_row(corpus, algorithm):
+    _, _, styles, build = corpus
+    model = train_team_model(build.raw, styles, algorithm=algorithm, k_features=8, seed=12)
+    batch = predict_style_with_confidence(model, build.raw)
+    assert len(batch) == len(build.raw)
+    for row, (style, confidence) in zip(build.raw, batch):
+        assert type(confidence) is float
+        assert (style, confidence) == predict_style_with_confidence(model, row)
+        assert (style, confidence) == _predict_one_row(model, row)
+    assert predict_style_with_confidence(model, build.raw[:0]) == []
+
+
+def test_prediction_rejects_other_column_count(corpus):
+    _, _, styles, build = corpus
+    model = train_team_model(build.raw, styles, algorithm="forest", seed=13)
+    with pytest.raises(DataError, match="feature columns"):
+        predict_style_with_confidence(model, build.raw[:, :-1])
+
+
+def test_model_of_other_registry_version_is_refused(corpus):
+    _, _, styles, build = corpus
+    raw = train_team_model(build.raw, styles, algorithm="forest", seed=14).to_dict()
+    raw["registry_version"] = "0-other"
+    with pytest.raises(DataError, match="registry version"):
+        TeamStyleModel.from_dict(raw)
