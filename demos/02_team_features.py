@@ -5,6 +5,7 @@ per-scope counts, churn, shares, message lengths, plus grades, risk flags,
 pair-programming counts, and the selection method.
 """
 
+from teamscope.mlcore import standardize_apply, standardize_fit
 from teamscope.synthgen import GenConfig, generate_corpus, truth_labeled_commits
 from teamscope.teamfeat import REGISTRY, build_matrix, extract_features, order_users
 
@@ -45,4 +46,6 @@ print(f"\nchurn share identity: {s0:.4f} + {s1:.4f} = {s0 + s1}")
 labeled_teams = [(t, truth_labeled_commits(t, truth)) for t in teams]
 build = build_matrix(labeled_teams)
 print(f"\nmatrix: {build.raw.shape[0]} teams x {build.raw.shape[1]} features")
-print(f"standardized column means ~ 0: max |mean| = {abs(build.standardized.mean(0)).max():.2e}")
+means, stds = standardize_fit(build.raw)
+standardized = standardize_apply(build.raw, means, stds)
+print(f"standardized column means ~ 0: max |mean| = {abs(standardized.mean(0)).max():.2e}")

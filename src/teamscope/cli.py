@@ -7,6 +7,12 @@ its outputs recording the effective configuration, seed, and content
 digests of inputs and outputs; reruns with identical inputs and seed
 produce byte-identical files. Exit codes: 0 success, 1 usage error, 2 data
 error, 3 internal error.
+
+``main`` is the one driver: it parses the command line, applies
+``--config``, creates the output directory and writes the manifest. A
+``cmd_*`` function computes and writes its own files, then returns its
+manifest's command-specific config, inputs and outputs (or ``None`` when it
+writes nothing).
 """
 
 from __future__ import annotations
@@ -41,7 +47,12 @@ def main(argv=None) -> int:
         # argparse exits 0 for --help, 2 for usage problems; we use 1 for usage
         return 0 if exc.code == 0 else 1
     try:
-        return args.func(args)
+        _apply_config(args)
+        outdir = _outdir(args)
+        manifest = args.func(args, outdir)
+        if manifest is not None:
+            _write_manifest(outdir, args, *manifest)
+        return 0
     except (DataError, OSError) as exc:
         # bad content and unreadable/missing inputs are both data problems
         print(f"error: {exc}", file=sys.stderr)
@@ -49,6 +60,19 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - last-resort boundary
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+
+
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a ValueError as "invalid int value"
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,126 +83,125 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"teamscope {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
-        return sub.add_parser(
-            name, help=help_text, formatter_class=argparse.ArgumentDefaultsHelpFormatter
-        )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+    common.add_argument(
+        "--config",
+        help="JSON (or TOML on 3.11+) file of option values; wins over matching flags",
+    )
+    dataset = argparse.ArgumentParser(add_help=False)
+    dataset.add_argument("--data", required=True, help="dataset directory")
+    tagged = argparse.ArgumentParser(add_help=False)
+    tagged.add_argument("--tagged", required=True, help="CSV of message,category")
+    evaluation = argparse.ArgumentParser(add_help=False)
+    evaluation.add_argument("--folds", type=_int_at_least(2), default=5, help="cross-validation folds")
+    evaluation.add_argument("--format", choices=["csv", "json"], default="json", help="report file format")
+    style_model = argparse.ArgumentParser(add_help=False)
+    style_model.add_argument("--algorithm", choices=["forest", "logistic_rfe"], default="forest")
+    style_model.add_argument(
+        "--k-features",
+        type=_int_at_least(1),
+        default=None,
+        help="features per stage (12 forest / 26 logistic)",
+    )
+    style_model.add_argument("--styles", help="CSV team_id,style (default: rubric oracle labels)")
 
-    p = add("synth", "generate a synthetic corpus")
-    _common(p)
+    def add(name, help_text, func, *parents, out=None):
+        """A subcommand; ``out`` is its default output directory, or a function of its args."""
+        p = sub.add_parser(
+            name,
+            help=help_text,
+            parents=[common, *parents],
+            formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        )
+        if out is not None:
+            p.add_argument("--out", help="output directory (defaults per command)")
+        p.set_defaults(func=func, default_out=out, subparser=p)
+        return p
+
+    p = add("synth", "generate a synthetic corpus", cmd_synth, out="synth_corpus")
     p.add_argument("--teams", type=int, default=150, help="number of teams")
     p.add_argument("--noise", type=float, default=0.1, help="message perturbation rate")
     p.add_argument("--mix", default="0.57,0.29,0.14", help="collaborative,cooperative,solo")
     p.add_argument("--commits", default="35,75", help="per-team commit count range LO,HI")
     p.add_argument("--pair-rate", type=float, default=0.05, help="pair-programming mention rate")
-    p.set_defaults(func=cmd_synth)
 
-    p = add("ingest", "normalize a git log or jsonl export into a dataset")
-    _common(p)
+    p = add("ingest", "normalize a git log or jsonl export into a dataset", cmd_ingest, out="dataset")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--gitlog", help="output of the fixed git log export command")
     src.add_argument("--jsonl", help="commit interchange file")
     p.add_argument("--roster", required=True, help="roster CSV path")
-    p.set_defaults(func=cmd_ingest)
 
-    p = add("train-commits", "train the commit classification cascade")
-    _common(p)
-    p.add_argument("--tagged", required=True, help="CSV of message,category")
+    p = add("train-commits", "train the commit classification cascade", cmd_train_commits,
+            tagged, out="models")
     p.add_argument("--english-words", help="override the bundled English word list")
     p.add_argument("--domain-words", help="override the bundled domain word list")
     p.add_argument("--stopwords", help="override the bundled stopword list")
-    p.set_defaults(func=cmd_train_commits)
 
-    p = add("eval-commits", "cross-validate the cascade on tagged messages")
-    _common(p)
-    p.add_argument("--tagged", required=True, help="CSV of message,category")
-    p.add_argument("--folds", type=int, default=5, help="cross-validation folds")
-    p.set_defaults(func=cmd_eval_commits)
+    add("eval-commits", "cross-validate the cascade on tagged messages", cmd_eval_commits,
+        tagged, evaluation, out="reports")
 
-    p = add("label-commits", "label a dataset's commits with a trained cascade")
-    _common(p)
+    p = add("label-commits", "label a dataset's commits with a trained cascade", cmd_label_commits,
+            dataset, out=lambda args: args.data)
     p.add_argument("--model", required=True, help="cascade model file")
-    p.add_argument("--data", required=True, help="dataset directory")
-    p.set_defaults(func=cmd_label_commits)
 
-    p = add("features", "compute the per-team feature matrix")
-    _common(p)
-    p.add_argument("--data", required=True, help="dataset directory")
-    p.set_defaults(func=cmd_features)
+    add("features", "compute the per-team feature matrix", cmd_features, dataset, out=lambda args: args.data)
+    add("train-teams", "train the team-style classifier cascade", cmd_train_teams,
+        dataset, style_model, out=lambda args: Path(args.data) / "models")
+    add("eval-teams", "cross-validate team-style prediction", cmd_eval_teams,
+        dataset, style_model, evaluation, out="reports")
 
-    p = add("train-teams", "train the team-style classifier cascade")
-    _common(p)
-    p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--algorithm", choices=["forest", "logistic_rfe"], default="forest")
-    p.add_argument("--k-features", type=int, default=None, help="features per stage (12 forest / 26 logistic)")
-    p.add_argument("--styles", help="CSV team_id,style (default: rubric oracle labels)")
-    p.set_defaults(func=cmd_train_teams)
-
-    p = add("eval-teams", "cross-validate team-style prediction")
-    _common(p)
-    p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--algorithm", choices=["forest", "logistic_rfe"], default="forest")
-    p.add_argument("--k-features", type=int, default=None, help="features per stage (12 forest / 26 logistic)")
-    p.add_argument("--styles", help="CSV team_id,style (default: rubric oracle labels)")
-    p.add_argument("--folds", type=int, default=5, help="cross-validation folds")
-    p.set_defaults(func=cmd_eval_teams)
-
-    p = add("predict", "predict styles for a dataset's teams")
-    _common(p)
+    p = add("predict", "predict styles for a dataset's teams", cmd_predict,
+            dataset, out=lambda args: args.data)
     p.add_argument("--model", required=True, help="team-style model file")
-    p.add_argument("--data", required=True, help="dataset directory")
-    p.set_defaults(func=cmd_predict)
 
-    p = add("flag", "report teams predicted solo-submit")
-    _common(p)
+    p = add("flag", "report teams predicted solo-submit", cmd_flag,
+            dataset, out=lambda args: args.data)
     p.add_argument("--model", required=True, help="team-style model file")
-    p.add_argument("--data", required=True, help="dataset directory")
-    p.set_defaults(func=cmd_flag)
 
-    p = add("kappa", "Cohen's kappa between two label CSVs")
-    _common(p)
+    p = add("kappa", "Cohen's kappa between two label CSVs", cmd_kappa)
     p.add_argument("--a", required=True, help="first labeling (id,label CSV)")
     p.add_argument("--b", required=True, help="second labeling (id,label CSV)")
-    p.set_defaults(func=cmd_kappa)
 
-    p = add("registry", "dump the feature registry")
-    _common(p)
-    p.set_defaults(func=cmd_registry)
+    p = add("registry", "dump the feature registry", cmd_registry)
+    p.add_argument("--out", help="write registry.json and a manifest here instead of printing")
 
     return parser
 
 
-def _common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    p.add_argument(
-        "--config",
-        help="JSON (or TOML on 3.11+) file of option values; wins over matching flags",
-    )
-    p.add_argument("--format", choices=["csv", "json"], default="json", help="report file format")
-    p.add_argument("--out", help="output directory (defaults per command)")
-
-
-def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
+def _apply_config(args: argparse.Namespace) -> None:
+    """Override options from ``--config``; each value must be one its flag would give."""
     if not args.config:
-        return args
+        return
     path = Path(args.config)
-    text = path.read_text(encoding="utf-8")
-    if path.suffix == ".toml":
-        try:
-            import tomllib
-        except ModuleNotFoundError:
-            raise DataError("TOML config requires Python 3.11+; use JSON instead")
-        overrides = tomllib.loads(text)
-    else:
-        overrides = json.loads(text)
+    try:
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".toml":
+            try:
+                import tomllib
+            except ModuleNotFoundError:
+                raise DataError("TOML config requires Python 3.11+; use JSON instead")
+            overrides = tomllib.loads(text)
+        else:
+            overrides = json.loads(text)
+    except ValueError as exc:
+        # undecodable text, JSON and TOML syntax errors
+        raise DataError(f"{path}: {exc}") from None
     if not isinstance(overrides, dict):
         raise DataError(f"{path}: config must be a mapping")
+    actions = {a.dest: a for a in args.subparser._actions if a.dest not in ("help", "config")}
     for key, value in overrides.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise DataError(f"{path}: unknown option {key!r}")
-        setattr(args, attr, value)
-    return args
+        # the flag's own type and choices must read the value's spelling back as the value
+        try:
+            valid = (action.type or str)(str(value)) == value
+        except (ValueError, argparse.ArgumentTypeError):
+            valid = False
+        if not valid or (action.choices is not None and value not in action.choices):
+            raise DataError(f"{path}: invalid value {value!r} for option {key!r}")
+        setattr(args, action.dest, value)
 
 
 # ---------------------------------------------------------------------------
@@ -189,38 +212,71 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(outdir: Path, command: str, config: dict, inputs: dict, outputs: list[Path]) -> None:
+def _outdir(args) -> Path | None:
+    """The command's output directory, created; ``None`` when it has none."""
+    out = getattr(args, "out", None) or args.default_out
+    if callable(out):
+        out = out(args)
+    if out is None:
+        return None
+    outdir = Path(out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir
+
+
+def _write_manifest(outdir: Path, args, config: dict, inputs: dict, outputs: list[Path]) -> None:
     manifest = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
-        "config": config,
+        "config": {"seed": args.seed, **config},
         "inputs": {name: _sha256(Path(p)) for name, p in sorted(inputs.items())},
         "outputs": {p.name: _sha256(p) for p in sorted(outputs)},
     }
-    path = outdir / f"manifest_{command}.json"
+    path = outdir / f"manifest_{args.command}.json"
     path.write_text(canonical_json(manifest) + "\n", encoding="utf-8")
 
 
-def _outdir(args, default: str | None = None) -> Path:
-    out = Path(args.out) if args.out else Path(default) if default else Path.cwd()
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _write_report(outdir: Path, stem: str, fmt: str, payload, label: str, reports) -> Path:
+    """Print a per-class score table, then save it as ``stem.csv`` or ``payload`` as ``stem.json``.
+
+    ``reports`` is the table's (name, EvalReport) rows in order.
+    """
+    rows = [
+        [name] + [f"{getattr(r, m):.2f}" for m in ("f1", "precision", "recall")] + [str(r.support)]
+        for name, r in reports
+    ]
+    print(_report_table([label, "F1", "precision", "recall", "support"], rows))
+    path = outdir / f"{stem}.{fmt}"
+    if fmt == "json":
+        path.write_text(canonical_json(payload) + "\n", encoding="utf-8")
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([label, "f1", "precision", "recall", "support"])
+            for name, r in reports:
+                writer.writerow([name, repr(r.f1), repr(r.precision), repr(r.recall), r.support])
+    return path
+
+
+def _read_enum_csv(path, key: str, column: str, enum) -> list[tuple]:
+    """(key, enum value) per row of a CSV with the two columns ``key`` and ``column``."""
+    rows = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or set(reader.fieldnames) != {key, column}:
+            raise DataError(f"{path}: expected header {key},{column}")
+        for line_no, row in enumerate(reader, start=2):
+            try:
+                rows.append((row[key], enum(row[column])))
+            except ValueError:
+                raise DataError(
+                    f"{path} line {line_no}: unknown {column} {row[column]!r}"
+                ) from None
+    return rows
 
 
 def _read_tagged(path) -> list[tuple[str, CommitCategory]]:
-    tagged = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(reader.fieldnames) != {"message", "category"}:
-            raise DataError(f"{path}: expected header message,category")
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                category = CommitCategory(row["category"])
-            except ValueError:
-                raise DataError(
-                    f"{path} line {line_no}: unknown category {row['category']!r}"
-                ) from None
-            tagged.append((row["message"], category))
+    tagged = _read_enum_csv(path, "message", "category", CommitCategory)
     if not tagged:
         raise DataError(f"{path}: no tagged messages")
     return tagged
@@ -244,28 +300,17 @@ def _read_labels(path) -> dict[str, tuple[CommitCategory, bool]]:
     return labels
 
 
-def _read_styles_csv(path) -> dict[str, TeamStyle]:
-    styles = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or list(reader.fieldnames) != ["team_id", "style"]:
-            raise DataError(f"{path}: expected header team_id,style")
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                styles[row["team_id"]] = TeamStyle(row["style"])
-            except ValueError:
-                raise DataError(
-                    f"{path} line {line_no}: unknown style {row['style']!r}"
-                ) from None
-    return styles
-
-
-def _load_labeled_dataset(data_dir) -> list[tuple]:
-    """Teams with their labeled commits from a dataset directory."""
+def _load_dataset(data_dir):
+    """Labeled teams, their feature matrix, and the dataset files read by manifest name."""
     data = Path(data_dir)
-    commits = load_commits_jsonl(data / "commits.jsonl")
-    roster = load_roster(data / "roster.csv")
-    labels = _read_labels(data / "labels.jsonl")
+    inputs = {
+        "commits": data / "commits.jsonl",
+        "roster": data / "roster.csv",
+        "labels": data / "labels.jsonl",
+    }
+    commits = load_commits_jsonl(inputs["commits"])
+    roster = load_roster(inputs["roster"])
+    labels = _read_labels(inputs["labels"])
     assembly = build_teams(commits, roster)
     labeled_teams = []
     for team in assembly.teams:
@@ -278,17 +323,19 @@ def _load_labeled_dataset(data_dir) -> list[tuple]:
                 commitcls.LabeledCommit(commit=commit, category=category, pair_programming=pair)
             )
         labeled_teams.append((team, labeled))
-    return labeled_teams
+    return labeled_teams, teamfeat.build_matrix(labeled_teams), inputs
 
 
-def _team_styles(labeled_teams, styles_path) -> list[TeamStyle]:
-    if styles_path:
-        styles = _read_styles_csv(styles_path)
-        missing = [t.team_id for t, _ in labeled_teams if t.team_id not in styles]
-        if missing:
-            raise DataError(f"styles file lacks entries for teams: {missing[:5]}")
-        return [styles[t.team_id] for t, _ in labeled_teams]
-    return [teamstyle.oracle_label(team, labeled) for team, labeled in labeled_teams]
+def _load_styled_dataset(args):
+    """The feature matrix, each team's style (``--styles`` or the rubric oracle), and the inputs read."""
+    labeled_teams, build, inputs = _load_dataset(args.data)
+    if not args.styles:
+        return build, [teamstyle.oracle_label(team, labeled) for team, labeled in labeled_teams], inputs
+    styles = dict(_read_enum_csv(args.styles, "team_id", "style", TeamStyle))
+    missing = [t.team_id for t, _ in labeled_teams if t.team_id not in styles]
+    if missing:
+        raise DataError(f"styles file lacks entries for teams: {missing[:5]}")
+    return build, [styles[t.team_id] for t, _ in labeled_teams], {**inputs, "styles": args.styles}
 
 
 def _report_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -299,16 +346,24 @@ def _report_table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
+def _numbers(option: str, text, convert, count: int) -> list:
+    """Exactly ``count`` comma-separated numbers from an option value."""
+    try:
+        values = [convert(x) for x in str(text).split(",")]
+    except ValueError:
+        values = []
+    if len(values) != count:
+        raise DataError(f"{option} needs {count} comma-separated numbers, got {text!r}")
+    return values
+
+
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_synth(args) -> int:
-    _apply_config(args)
-    mix = tuple(float(x) for x in str(args.mix).split(","))
-    if len(mix) != 3:
-        raise DataError(f"--mix needs three comma-separated numbers, got {args.mix!r}")
-    lo, hi = (int(x) for x in str(args.commits).split(","))
+def cmd_synth(args, outdir):
+    mix = tuple(_numbers("--mix", args.mix, float, 3))
+    lo, hi = _numbers("--commits", args.commits, int, 2)
     try:
         config = synthgen.GenConfig(
             seed=args.seed,
@@ -320,15 +375,12 @@ def cmd_synth(args) -> int:
         )
     except ValueError as exc:
         raise DataError(str(exc)) from None
-    outdir = _outdir(args, "synth_corpus")
     teams, truth = synthgen.generate_corpus(config)
     synthgen.write_corpus(teams, truth, outdir)
-    outputs = [outdir / n for n in ("commits.jsonl", "roster.csv", "truth_commits.csv", "truth_teams.csv")]
-    _write_manifest(
-        outdir,
-        "synth",
+    n_commits = sum(len(t.commits) for t in teams)
+    print(f"wrote {len(teams)} teams / {n_commits} commits to {outdir}")
+    return (
         {
-            "seed": args.seed,
             "teams": args.teams,
             "noise": args.noise,
             "mix": list(mix),
@@ -336,16 +388,11 @@ def cmd_synth(args) -> int:
             "pair_rate": args.pair_rate,
         },
         {},
-        outputs,
+        [outdir / n for n in ("commits.jsonl", "roster.csv", "truth_commits.csv", "truth_teams.csv")],
     )
-    n_commits = sum(len(t.commits) for t in teams)
-    print(f"wrote {len(teams)} teams / {n_commits} commits to {outdir}")
-    return 0
 
 
-def cmd_ingest(args) -> int:
-    _apply_config(args)
-    outdir = _outdir(args, "dataset")
+def cmd_ingest(args, outdir):
     if args.gitlog:
         commits = parse_git_log_file(args.gitlog)
         source = {"gitlog": args.gitlog}
@@ -357,24 +404,19 @@ def cmd_ingest(args) -> int:
 
     dump_commits_jsonl(commits, outdir / "commits.jsonl")
     dump_roster(roster, outdir / "roster.csv")
-    _write_manifest(
-        outdir,
-        "ingest",
-        {"seed": args.seed, "unmatched": assembly.unmatched},
-        {**source, "roster": args.roster},
-        [outdir / "commits.jsonl", outdir / "roster.csv"],
-    )
     print(
         f"normalized {len(commits)} commits across {len(roster)} teams "
         f"({assembly.unmatched} unmatched authors) into {outdir}"
     )
-    return 0
+    return (
+        {"unmatched": assembly.unmatched},
+        {**source, "roster": args.roster},
+        [outdir / "commits.jsonl", outdir / "roster.csv"],
+    )
 
 
-def cmd_train_commits(args) -> int:
-    _apply_config(args)
+def cmd_train_commits(args, outdir):
     tagged = _read_tagged(args.tagged)
-    outdir = _outdir(args, "models")
     lexicon = None
     if args.english_words or args.domain_words or args.stopwords:
         from .textnorm import load_lexicon
@@ -387,15 +429,8 @@ def cmd_train_commits(args) -> int:
     for name in ("english_words", "domain_words", "stopwords"):
         if getattr(args, name):
             inputs[name] = getattr(args, name)
-    _write_manifest(
-        outdir,
-        "train-commits",
-        {"seed": args.seed, "messages": len(tagged)},
-        inputs,
-        [model_path],
-    )
     print(f"trained cascade on {len(tagged)} messages -> {model_path}")
-    return 0
+    return {"messages": len(tagged)}, inputs, [model_path]
 
 
 _CASCADE_REPORT_ORDER = [
@@ -410,46 +445,22 @@ _CASCADE_REPORT_ORDER = [
 ]
 
 
-def cmd_eval_commits(args) -> int:
-    _apply_config(args)
+def cmd_eval_commits(args, outdir):
     tagged = _read_tagged(args.tagged)
     reports = commitcls.evaluate_cascade(tagged, k=args.folds, seed=args.seed)
-    rows = [
-        [key]
-        + [f"{getattr(reports[key], m):.2f}" for m in ("f1", "precision", "recall")]
-        + [str(reports[key].support)]
-        for key in _CASCADE_REPORT_ORDER
-        if key in reports
-    ]
-    print(_report_table(["category", "F1", "precision", "recall", "support"], rows))
-
-    outdir = _outdir(args, "reports")
-    report_path = outdir / f"commit_eval.{args.format}"
-    if args.format == "json":
-        payload = {key: reports[key].to_dict() for key in reports}
-        report_path.write_text(canonical_json(payload) + "\n", encoding="utf-8")
-    else:
-        with open(report_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["category", "f1", "precision", "recall", "support"])
-            for key in _CASCADE_REPORT_ORDER:
-                if key in reports:
-                    r = reports[key]
-                    writer.writerow([key, repr(r.f1), repr(r.precision), repr(r.recall), r.support])
-    _write_manifest(
+    report_path = _write_report(
         outdir,
-        "eval-commits",
-        {"seed": args.seed, "folds": args.folds, "format": args.format},
-        {"tagged": args.tagged},
-        [report_path],
+        "commit_eval",
+        args.format,
+        {key: reports[key].to_dict() for key in reports},
+        "category",
+        [(key, reports[key]) for key in _CASCADE_REPORT_ORDER if key in reports],
     )
-    return 0
+    return {"folds": args.folds, "format": args.format}, {"tagged": args.tagged}, [report_path]
 
 
-def cmd_label_commits(args) -> int:
-    _apply_config(args)
+def cmd_label_commits(args, outdir):
     data = Path(args.data)
-    outdir = _outdir(args, str(data))
     cascade = CascadeModel.from_dict(load_model(args.model, "cascade"))
     commits = load_commits_jsonl(data / "commits.jsonl")
     labeled = commitcls.label_commits(cascade, commits)
@@ -472,23 +483,11 @@ def cmd_label_commits(args) -> int:
     distribution = commitcls.category_distribution(labeled)
     rows = [[name, str(count), f"{ratio:.2f}"] for name, (count, ratio) in distribution.items()]
     print(_report_table(["category", "count", "ratio"], rows))
-    _write_manifest(
-        outdir,
-        "label-commits",
-        {"seed": args.seed},
-        {"model": args.model, "commits": str(data / "commits.jsonl")},
-        [labels_path],
-    )
-    return 0
+    return {}, {"model": args.model, "commits": data / "commits.jsonl"}, [labels_path]
 
 
-def cmd_features(args) -> int:
-    _apply_config(args)
-    data = Path(args.data)
-    outdir = _outdir(args, str(data))
-    labeled_teams = _load_labeled_dataset(data)
-    build = teamfeat.build_matrix(labeled_teams)
-
+def cmd_features(args, outdir):
+    _, build, inputs = _load_dataset(args.data)
     features_path = outdir / "features.csv"
     with open(features_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -500,57 +499,27 @@ def cmd_features(args) -> int:
         canonical_json({"version": teamfeat.REGISTRY_VERSION, "names": build.registry}) + "\n",
         encoding="utf-8",
     )
-    _write_manifest(
-        outdir,
-        "features",
-        {"seed": args.seed, "teams": len(build.team_ids), "columns": len(build.registry)},
-        {
-            "commits": str(data / "commits.jsonl"),
-            "roster": str(data / "roster.csv"),
-            "labels": str(data / "labels.jsonl"),
-        },
+    print(f"wrote {len(build.team_ids)}x{len(build.registry)} feature matrix to {features_path}")
+    return (
+        {"teams": len(build.team_ids), "columns": len(build.registry)},
+        inputs,
         [features_path, registry_path],
     )
-    print(f"wrote {len(build.team_ids)}x{len(build.registry)} feature matrix to {features_path}")
-    return 0
 
 
-def cmd_train_teams(args) -> int:
-    _apply_config(args)
-    data = Path(args.data)
-    labeled_teams = _load_labeled_dataset(data)
-    styles = _team_styles(labeled_teams, args.styles)
-    build = teamfeat.build_matrix(labeled_teams)
+def cmd_train_teams(args, outdir):
+    build, styles, inputs = _load_styled_dataset(args)
     model = teamstyle.train_team_model(
         build.raw, styles, algorithm=args.algorithm, k_features=args.k_features, seed=args.seed
     )
-    outdir = _outdir(args, str(data / "models"))
     model_path = outdir / f"teams_{args.algorithm}.json"
     save_model(model_path, "teamstyle", model.to_dict())
-    inputs = {
-        "commits": str(data / "commits.jsonl"),
-        "roster": str(data / "roster.csv"),
-        "labels": str(data / "labels.jsonl"),
-    }
-    if args.styles:
-        inputs["styles"] = args.styles
-    _write_manifest(
-        outdir,
-        "train-teams",
-        {"seed": args.seed, "algorithm": args.algorithm, "k_features": args.k_features},
-        inputs,
-        [model_path],
-    )
     print(f"trained {args.algorithm} team-style model -> {model_path}")
-    return 0
+    return {"algorithm": args.algorithm, "k_features": args.k_features}, inputs, [model_path]
 
 
-def cmd_eval_teams(args) -> int:
-    _apply_config(args)
-    data = Path(args.data)
-    labeled_teams = _load_labeled_dataset(data)
-    styles = _team_styles(labeled_teams, args.styles)
-    build = teamfeat.build_matrix(labeled_teams)
+def cmd_eval_teams(args, outdir):
+    build, styles, inputs = _load_styled_dataset(args)
     result = teamstyle.evaluate_team_model(
         build.raw,
         styles,
@@ -560,89 +529,52 @@ def cmd_eval_teams(args) -> int:
         k_features=args.k_features,
         registry=build.registry,
     )
-    order = [s.value for s in teamstyle.STYLES]
-    rows = [
-        [name]
-        + [f"{getattr(result.reports[name], m):.2f}" for m in ("f1", "precision", "recall")]
-        + [str(result.reports[name].support)]
-        for name in order
-    ]
-    print(_report_table(["style", "F1", "precision", "recall", "support"], rows))
-    print(f"macro-F1 {result.macro_f1:.3f} ({result.algorithm})")
-
-    outdir = _outdir(args, "reports")
-    report_path = outdir / f"team_eval_{args.algorithm}.{args.format}"
-    if args.format == "json":
-        payload = {
-            "algorithm": result.algorithm,
-            "macro_f1": result.macro_f1,
-            "styles": {k: v.to_dict() for k, v in result.reports.items()},
-            "selected_features": result.selected_features,
-        }
-        report_path.write_text(canonical_json(payload) + "\n", encoding="utf-8")
-    else:
-        with open(report_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["style", "f1", "precision", "recall", "support"])
-            for name in order:
-                r = result.reports[name]
-                writer.writerow([name, repr(r.f1), repr(r.precision), repr(r.recall), r.support])
-    inputs = {
-        "commits": str(data / "commits.jsonl"),
-        "roster": str(data / "roster.csv"),
-        "labels": str(data / "labels.jsonl"),
+    payload = {
+        "algorithm": result.algorithm,
+        "macro_f1": result.macro_f1,
+        "styles": {k: v.to_dict() for k, v in result.reports.items()},
+        "selected_features": result.selected_features,
     }
-    if args.styles:
-        inputs["styles"] = args.styles
-    _write_manifest(
+    report_path = _write_report(
         outdir,
-        "eval-teams",
-        {
-            "seed": args.seed,
-            "algorithm": args.algorithm,
-            "folds": args.folds,
-            "k_features": args.k_features,
-            "format": args.format,
-        },
-        inputs,
-        [report_path],
+        f"team_eval_{args.algorithm}",
+        args.format,
+        payload,
+        "style",
+        [(s.value, result.reports[s.value]) for s in teamstyle.STYLES],
     )
-    return 0
+    print(f"macro-F1 {result.macro_f1:.3f} ({result.algorithm})")
+    config = {
+        "algorithm": args.algorithm,
+        "folds": args.folds,
+        "k_features": args.k_features,
+        "format": args.format,
+    }
+    return config, inputs, [report_path]
 
 
-def cmd_predict(args) -> int:
-    _apply_config(args)
-    data = Path(args.data)
-    labeled_teams = _load_labeled_dataset(data)
-    build = teamfeat.build_matrix(labeled_teams)
+def cmd_predict(args, outdir):
+    _, build, inputs = _load_dataset(args.data)
     model = teamstyle.TeamStyleModel.from_dict(load_model(args.model, "teamstyle"))
     predictions = teamstyle.predict_style_with_confidence(model, build.raw)
-    outdir = _outdir(args, str(data))
     predictions_path = outdir / "predictions.csv"
     with open(predictions_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["team_id", "style", "confidence"])
         for team_id, (style, confidence) in zip(build.team_ids, predictions):
             writer.writerow([team_id, style.value, repr(confidence)])
-    _write_manifest(
-        outdir,
-        "predict",
-        {"seed": args.seed},
-        {"model": args.model, "commits": str(data / "commits.jsonl")},
-        [predictions_path],
-    )
     print(f"wrote predictions for {len(build.team_ids)} teams to {predictions_path}")
-    return 0
+    return {}, {"model": args.model, **inputs}, [predictions_path]
 
 
-def cmd_flag(args) -> int:
-    _apply_config(args)
-    data = Path(args.data)
-    labeled_teams = _load_labeled_dataset(data)
+def cmd_flag(args, outdir):
+    _, build, inputs = _load_dataset(args.data)
     model = teamstyle.TeamStyleModel.from_dict(load_model(args.model, "teamstyle"))
-    vectors = [teamfeat.extract_features(team, labeled) for team, labeled in labeled_teams]
+    vectors = [
+        teamfeat.TeamFeatureVector(team_id=team_id, values=row, registry=build.registry)
+        for team_id, row in zip(build.team_ids, build.raw)
+    ]
     flags = teamstyle.flag_solo_submitters(model, vectors)
-    outdir = _outdir(args, str(data))
     flags_path = outdir / "flags.json"
     payload = [
         {
@@ -654,15 +586,8 @@ def cmd_flag(args) -> int:
         for f in flags
     ]
     flags_path.write_text(canonical_json(payload) + "\n", encoding="utf-8")
-    _write_manifest(
-        outdir,
-        "flag",
-        {"seed": args.seed},
-        {"model": args.model, "commits": str(data / "commits.jsonl")},
-        [flags_path],
-    )
     print(f"flagged {len(flags)} team(s) as solo-submit -> {flags_path}")
-    return 0
+    return {}, {"model": args.model, **inputs}, [flags_path]
 
 
 def _read_label_csv(path) -> dict[str, str]:
@@ -674,8 +599,7 @@ def _read_label_csv(path) -> dict[str, str]:
     return {row[0]: row[1] for row in rows[1:] if row}
 
 
-def cmd_kappa(args) -> int:
-    _apply_config(args)
+def cmd_kappa(args, outdir) -> None:
     a = _read_label_csv(args.a)
     b = _read_label_csv(args.b)
     if set(a) != set(b):
@@ -685,21 +609,17 @@ def cmd_kappa(args) -> int:
     ids = sorted(a)
     value = cohens_kappa([a[i] for i in ids], [b[i] for i in ids])
     print(f"{value:.4f}")
-    return 0
 
 
-def cmd_registry(args) -> int:
-    _apply_config(args)
+def cmd_registry(args, outdir):
     payload = {"version": teamfeat.REGISTRY_VERSION, "names": teamfeat.REGISTRY}
-    if args.out:
-        outdir = _outdir(args)
-        path = outdir / "registry.json"
-        path.write_text(canonical_json(payload) + "\n", encoding="utf-8")
-        _write_manifest(outdir, "registry", {"seed": args.seed}, {}, [path])
-        print(f"wrote {len(teamfeat.REGISTRY)} feature names to {path}")
-    else:
+    if outdir is None:
         print(canonical_json(payload))
-    return 0
+        return None
+    path = outdir / "registry.json"
+    path.write_text(canonical_json(payload) + "\n", encoding="utf-8")
+    print(f"wrote {len(teamfeat.REGISTRY)} feature names to {path}")
+    return {}, {}, [path]
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from .logreg import (
 )
 from .rfe import rfe_select
 from .serialize import canonical_json, dumps_model, load_model, save_model
-from .tfidf import TfidfModel, fit_tfidf, iter_ngrams, tfidf_transform, tfidf_transform_many
+from .tfidf import TfidfModel, fit_tfidf, iter_ngrams, tfidf_transform
 
 __all__ = [
     "EvalReport",
@@ -56,7 +56,6 @@ __all__ = [
     "standardize_fit",
     "stratified_kfold",
     "tfidf_transform",
-    "tfidf_transform_many",
     "train_forest",
     "train_logreg",
 ]

@@ -107,10 +107,3 @@ def tfidf_transform(model: TfidfModel, doc: Sequence[str]) -> np.ndarray:
     if norm > 0.0:
         vec /= norm
     return vec
-
-
-def tfidf_transform_many(model: TfidfModel, docs: Sequence[Sequence[str]]) -> np.ndarray:
-    out = np.zeros((len(docs), model.dim), dtype=np.float64)
-    for i, doc in enumerate(docs):
-        out[i] = tfidf_transform(model, doc)
-    return out

@@ -18,7 +18,6 @@ import numpy as np
 from .commitcls import CATEGORIES, LabeledCommit
 from .errors import DataError
 from .ingest import TeamRecord
-from .mlcore import standardize_apply, standardize_fit
 
 REGISTRY_VERSION = "1"
 RISK_GRADE_CUTOFF = 60.0
@@ -211,30 +210,22 @@ def _share(mine: int, theirs: int, user_idx: int) -> float:
 
 @dataclass
 class MatrixBuild:
-    """Raw and standardized feature matrices plus the fitting parameters."""
+    """The raw feature matrix, one row per team."""
 
     team_ids: list[str]
     registry: list[str]
     raw: np.ndarray
-    standardized: np.ndarray
-    means: np.ndarray
-    stds: np.ndarray
 
 
 def build_matrix(
     labeled_teams: Sequence[tuple[TeamRecord, Sequence[LabeledCommit]]],
 ) -> MatrixBuild:
-    """Stack per-team vectors into a matrix and z-score each column."""
+    """Stack per-team vectors into a matrix."""
     if not labeled_teams:
         raise DataError("no teams to build a feature matrix from")
     vectors = [extract_features(team, labeled) for team, labeled in labeled_teams]
-    raw = np.vstack([v.values for v in vectors])
-    means, stds = standardize_fit(raw)
     return MatrixBuild(
         team_ids=[v.team_id for v in vectors],
         registry=REGISTRY,
-        raw=raw,
-        standardized=standardize_apply(raw, means, stds),
-        means=means,
-        stds=stds,
+        raw=np.vstack([v.values for v in vectors]),
     )

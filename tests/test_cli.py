@@ -355,6 +355,9 @@ def test_predict_batches_match_flags(team_model, tmp_path):
     solo = [(float(r["confidence"]), r["team_id"]) for r in predictions if r["style"] == "SoloSubmit"]
     flags = json.loads((tmp_path / "flags.json").read_text())
     assert [(f["confidence"], f["team_id"]) for f in flags] == sorted(solo, key=lambda c: (-c[0], c[1]))
+    for command in ("predict", "flag"):
+        manifest = json.loads((tmp_path / f"manifest_{command}.json").read_text())
+        assert set(manifest["inputs"]) == {"model", "commits", "roster", "labels"}
 
 
 def test_non_json_label_line_is_data_error(tmp_path, capsys):
@@ -365,3 +368,44 @@ def test_non_json_label_line_is_data_error(tmp_path, capsys):
     (corpus / "labels.jsonl").write_text("\n".join(lines) + "\n")
     assert main(["features", "--data", str(corpus)]) == 2
     assert "labels.jsonl line 3" in capsys.readouterr().err
+
+
+# --- bad input exits 1 (usage) or 2 (data), never 3 (internal) ---------------
+
+BAD_INPUT = [
+    # argv ({data}/{tagged}: a labeled corpus and its tagged CSV), config file, exit code, stderr
+    (["synth", "--commits", "abc"], None, 2, "--commits"),
+    (["synth", "--mix", "a,b,c"], None, 2, "--mix"),
+    (["eval-commits", "--tagged", "{tagged}", "--folds", "0"], None, 1, "at least 2"),
+    (["eval-commits", "--tagged", "{tagged}", "--folds", "1"], None, 1, "at least 2"),
+    (["eval-teams", "--data", "{data}", "--folds", "1"], None, 1, "at least 2"),
+    (["train-teams", "--data", "{data}", "--k-features", "0"], None, 1, "at least 1"),
+    (["features", "--data", "{data}", "--format", "csv"], None, 1, "--format"),
+    (["kappa", "--a", "{tagged}", "--b", "{tagged}", "--out", "x"], None, 1, "--out"),
+    (["eval-commits", "--tagged", "{tagged}"], ("cfg.json", '{"folds": '), 2, "cfg.json"),
+    (["eval-commits", "--tagged", "{tagged}"], ("cfg.toml", "folds = "), 2, "cfg.toml"),
+    (["eval-commits", "--tagged", "{tagged}"], ("cfg.json", '{"folds": "3"}'), 2, "'folds'"),
+    (["eval-commits", "--tagged", "{tagged}"], ("cfg.json", '{"folds": 1}'), 2, "'folds'"),
+    (["eval-commits", "--tagged", "{tagged}"], ("cfg.json", '{"format": "xml"}'), 2, "'format'"),
+    (["synth"], ("cfg.json", '{"teams": "4"}'), 2, "'teams'"),
+    (["synth"], ("cfg.toml", "teams = 4.0"), 2, "'teams'"),
+    (["train-teams", "--data", "{data}"], ("cfg.json", '{"k_features": 0}'), 2, "'k_features'"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, config, code, message",
+    BAD_INPUT,
+    ids=[" ".join(a[:1] + a[-2:] if c is None else a[:1] + [c[1]]) for a, c, _, _ in BAD_INPUT],
+)
+def test_bad_input_is_usage_or_data_error(team_model, tmp_path, capsys, argv, config, code, message):
+    corpus, _ = team_model
+    tagged = _tagged_csv_from(corpus, tmp_path / "tagged.csv")
+    argv = [arg.format(data=corpus, tagged=tagged) for arg in argv]
+    if argv[0] != "kappa":
+        argv += ["--out", str(tmp_path / "out")]
+    if config is not None:
+        name, text = config
+        argv += ["--config", _write(tmp_path / name, text)]
+    assert main(argv) == code
+    assert message in capsys.readouterr().err
