@@ -75,6 +75,15 @@ def _int_at_least(minimum: int):
     return parse
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Append "(default: X)" to an option's help unless its default is None."""
+
+    def _get_help_string(self, action):
+        if action.default is None:
+            return action.help
+        return super()._get_help_string(action)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="teamscope",
@@ -107,15 +116,16 @@ def _build_parser() -> argparse.ArgumentParser:
     style_model.add_argument("--styles", help="CSV team_id,style (default: rubric oracle labels)")
 
     def add(name, help_text, func, *parents, out=None):
-        """A subcommand; ``out`` is its default output directory, or a function of its args."""
+        """A subcommand; ``out`` is its default output directory, where "{data}" stands for --data."""
         p = sub.add_parser(
             name,
             help=help_text,
             parents=[common, *parents],
-            formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+            formatter_class=_HelpFormatter,
         )
         if out is not None:
-            p.add_argument("--out", help="output directory (defaults per command)")
+            shown = out.replace("{data}", "DATA")
+            p.add_argument("--out", help=f"output directory (default: {shown})")
         p.set_defaults(func=func, default_out=out, subparser=p)
         return p
 
@@ -142,21 +152,21 @@ def _build_parser() -> argparse.ArgumentParser:
         tagged, evaluation, out="reports")
 
     p = add("label-commits", "label a dataset's commits with a trained cascade", cmd_label_commits,
-            dataset, out=lambda args: args.data)
+            dataset, out="{data}")
     p.add_argument("--model", required=True, help="cascade model file")
 
-    add("features", "compute the per-team feature matrix", cmd_features, dataset, out=lambda args: args.data)
+    add("features", "compute the per-team feature matrix", cmd_features, dataset, out="{data}")
     add("train-teams", "train the team-style classifier cascade", cmd_train_teams,
-        dataset, style_model, out=lambda args: Path(args.data) / "models")
+        dataset, style_model, out="{data}/models")
     add("eval-teams", "cross-validate team-style prediction", cmd_eval_teams,
         dataset, style_model, evaluation, out="reports")
 
     p = add("predict", "predict styles for a dataset's teams", cmd_predict,
-            dataset, out=lambda args: args.data)
+            dataset, out="{data}")
     p.add_argument("--model", required=True, help="team-style model file")
 
     p = add("flag", "report teams predicted solo-submit", cmd_flag,
-            dataset, out=lambda args: args.data)
+            dataset, out="{data}")
     p.add_argument("--model", required=True, help="team-style model file")
 
     p = add("kappa", "Cohen's kappa between two label CSVs", cmd_kappa)
@@ -214,11 +224,11 @@ def _sha256(path: Path) -> str:
 
 def _outdir(args) -> Path | None:
     """The command's output directory, created; ``None`` when it has none."""
-    out = getattr(args, "out", None) or args.default_out
-    if callable(out):
-        out = out(args)
+    out = getattr(args, "out", None)
     if out is None:
-        return None
+        if args.default_out is None:
+            return None
+        out = args.default_out.format(data=getattr(args, "data", None))
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
     return outdir

@@ -21,6 +21,8 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import textnorm
 from .errors import DataError
 from .ingest import CommitRecord
@@ -109,9 +111,6 @@ class CascadeConfig:
     ngram_range: tuple[int, int] = DEFAULT_NGRAM_RANGE
     gibberish_threshold: float = DEFAULT_GIBBERISH_THRESHOLD
     l2_lambda: float = 1.0
-    learning_rate: float = 0.1
-    max_iters: int = 1000
-    tol: float = 1e-6
 
 
 @dataclass
@@ -267,19 +266,12 @@ def train_cascade(
             )
         docs = [tokens for tokens, _ in survivors]
         tfidf = fit_tfidf(docs, config.max_features, config.ngram_range)
-        X = [tfidf_transform(tfidf, d) for d in docs]
+        X = np.array([tfidf_transform(tfidf, d) for d in docs])
         y = [cat == stage_category for _, cat in survivors]
-        logreg = train_logreg(
-            X,
-            y,
-            l2_lambda=config.l2_lambda,
-            learning_rate=config.learning_rate,
-            max_iters=config.max_iters,
-            tol=config.tol,
-        )
-        stage = MlStage(category=stage_category, tfidf=tfidf, logreg=logreg)
-        cascade.stages.append(stage)
-        survivors = [(t, c) for t, c in survivors if not stage.fires(t)]
+        logreg = train_logreg(X, y, l2_lambda=config.l2_lambda)
+        cascade.stages.append(MlStage(category=stage_category, tfidf=tfidf, logreg=logreg))
+        fired = predict_proba(logreg, X) >= 0.5
+        survivors = [row for row, f in zip(survivors, fired) if not f]
 
     return cascade
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -72,7 +73,9 @@ def mean_report(folds: Sequence[EvalReport]) -> EvalReport:
 def stratified_kfold(labels: Sequence, k: int, seed: int = 0) -> list[list[int]]:
     """Split indices into k folds with per-class counts balanced within 1.
 
-    Raises DataError when there are fewer items than folds.
+    Raises DataError when there are fewer items than folds, and warns when a
+    class has fewer members than folds: the folds without it score F1 = 0
+    for it, and ``mean_report`` averages those zeros in.
 
     Deterministic per seed: classes are dealt round-robin in sorted order
     after a seeded shuffle, with the starting fold rotating so fold sizes
@@ -84,10 +87,19 @@ def stratified_kfold(labels: Sequence, k: int, seed: int = 0) -> list[list[int]]
     if k > len(labels):
         # some folds would be empty and score F1 = 0 in every fold average
         raise DataError(f"cannot split {len(labels)} items into {k} folds")
+    classes = sorted(set(labels), key=repr)
+    sizes = {cls: labels.count(cls) for cls in classes}
+    scarce = [f"{cls} ({sizes[cls]})" for cls in classes if sizes[cls] < k]
+    if scarce:
+        warnings.warn(
+            f"fewer members than the {k} folds, so some folds score F1 = 0 for: "
+            + ", ".join(scarce),
+            stacklevel=2,
+        )
     rng = np.random.default_rng(np.random.SeedSequence([int(seed) & _U64]))
     folds: list[list[int]] = [[] for _ in range(k)]
     offset = 0
-    for cls in sorted(set(labels), key=repr):
+    for cls in classes:
         indices = np.array([i for i, l in enumerate(labels) if l == cls])
         rng.shuffle(indices)
         for j, idx in enumerate(indices):

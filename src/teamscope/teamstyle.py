@@ -122,12 +122,6 @@ class TeamStyleConfig:
     max_depth: int | None = None
     min_leaf: int = 1
     l2_lambda: float = 1.0
-    learning_rate: float = 0.1
-    max_iters: int = 1000
-    tol: float = 1e-6
-    # RFE only ranks weights, so its interim fits get a smaller budget than
-    # the final stage model (which trains with max_iters above)
-    selection_max_iters: int = 250
     stage_order: tuple[TeamStyle, ...] = DEFAULT_STAGE_ORDER
     fallback: TeamStyle = FALLBACK_STYLE
 
@@ -151,10 +145,7 @@ class StyleStage:
             positive = self.model.classes.index(1)
             votes = forest_votes(self.model, Z[:, self.selected])
             return votes.argmax(axis=1) == positive, votes[:, positive] / self.model.n_trees
-        # row by row on a fresh contiguous vector: a matrix product, or a dot
-        # product over a strided row, sums in another order and would change
-        # the last bits of the scores
-        scores = np.array([predict_proba(self.model, z[self.selected]) for z in Z])
+        scores = predict_proba(self.model, Z[:, self.selected])
         return scores >= 0.5, scores
 
 
@@ -281,16 +272,8 @@ def train_team_model(
                 max_depth=config.max_depth, min_leaf=config.min_leaf,
             )
         else:
-            selected = rfe_select(
-                Xs, y, k_features,
-                l2_lambda=config.l2_lambda, learning_rate=config.learning_rate,
-                max_iters=config.selection_max_iters, tol=config.tol,
-            )
-            model = train_logreg(
-                Xs[:, selected], y,
-                l2_lambda=config.l2_lambda, learning_rate=config.learning_rate,
-                max_iters=config.max_iters, tol=config.tol,
-            )
+            selected = rfe_select(Xs, y, k_features, l2_lambda=config.l2_lambda)
+            model = train_logreg(Xs[:, selected], y, l2_lambda=config.l2_lambda)
         stages.append(StyleStage(style=style, selected=selected, model=model))
 
     return TeamStyleModel(

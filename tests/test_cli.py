@@ -74,6 +74,31 @@ def test_help_exits_zero(capsys):
     assert "teamscope" in capsys.readouterr().out
 
 
+_OUT_DEFAULTS = {
+    "synth": "synth_corpus",
+    "ingest": "dataset",
+    "train-commits": "models",
+    "eval-commits": "reports",
+    "label-commits": "DATA",
+    "features": "DATA",
+    "train-teams": "DATA/models",
+    "eval-teams": "reports",
+    "predict": "DATA",
+    "flag": "DATA",
+    "kappa": None,
+    "registry": None,
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OUT_DEFAULTS))
+def test_subcommand_help_shows_real_defaults(command, capsys):
+    assert main([command, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "default: None" not in text
+    if _OUT_DEFAULTS[command] is not None:
+        assert f"--out OUT output directory (default: {_OUT_DEFAULTS[command]})" in text
+
+
 def test_kappa_identical_files_prints_one(tmp_path, capsys):
     a = _write(tmp_path / "a.csv", "team_id,style\nt1,Collaborative\nt2,SoloSubmit\n")
     b = _write(tmp_path / "b.csv", "team_id,style\nt1,Collaborative\nt2,SoloSubmit\n")

@@ -22,9 +22,16 @@ from teamscope.commitcls import (
     match_style,
     train_cascade,
 )
+from teamscope.commitcls import _static_category
 from teamscope.errors import DataError
 from teamscope.ingest import CommitRecord
-from teamscope.mlcore import LogisticModel, TfidfModel
+from teamscope.mlcore import (
+    LogisticModel,
+    TfidfModel,
+    logistic_loss_and_grad,
+    predict_proba,
+    tfidf_transform,
+)
 
 KW = default_keywords()
 
@@ -256,3 +263,16 @@ def test_four_hundred_message_benchmark_per_category():
     reports = evaluate_cascade(tagged, k=5, seed=7)
     for key in ("Merge", "Style", "Documentation", "Implementation", "Test", "Bugfix"):
         assert reports[key].f1 >= 0.9, f"{key}: {reports[key].f1:.3f}"
+
+
+def test_ml_stages_are_at_their_optimum(trained_cascade, tagged_sample):
+    # each stage trained on the messages the static and earlier ML stages left
+    prepared = [(trained_cascade.prepare(msg), cat) for msg, cat in tagged_sample]
+    survivors = [row for row in prepared if _static_category(trained_cascade, row[0]) is None]
+    for stage in trained_cascade.stages:
+        X = np.array([tfidf_transform(stage.tfidf, tokens) for tokens, _ in survivors])
+        y = np.array([cat == stage.category for _, cat in survivors], dtype=float)
+        model = stage.logreg
+        _, grad_w, grad_b = logistic_loss_and_grad(model.weights, model.bias, X, y, model.l2_lambda)
+        assert max(np.max(np.abs(grad_w)), abs(grad_b)) <= 1e-8
+        survivors = [row for row, p in zip(survivors, predict_proba(model, X)) if p < 0.5]

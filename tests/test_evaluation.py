@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,8 @@ from teamscope.mlcore import (
     standardize_fit,
     stratified_kfold,
 )
+from teamscope.synthgen import GenConfig, generate_corpus, truth_labeled_commits
+from teamscope.teamstyle import oracle_label
 
 
 # --- stratified k-fold ----------------------------------------------------
@@ -53,6 +57,28 @@ def test_kfold_rejects_more_folds_than_items():
     with pytest.raises(DataError, match="3 items into 5 folds"):
         stratified_kfold(["a", "b", "a"], k=5)
     assert all(stratified_kfold(["a", "b", "a"], k=3))  # k == n: one item per fold
+
+
+def test_kfold_warns_when_a_class_has_fewer_members_than_folds():
+    labels = ["a"] * 10 + ["rare"] * 3
+    with pytest.warns(UserWarning, match=r"fewer members than the 5 folds.*rare \(3\)"):
+        folds = stratified_kfold(labels, k=5, seed=0)
+    assert sum(1 for fold in folds if not any(labels[i] == "rare" for i in fold)) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stratified_kfold(labels, k=3, seed=0)
+
+
+def test_kfold_reference_corpus_does_not_warn():
+    # the 150-team seed-7 corpus: its styles and commit categories all fill 5 folds
+    config = GenConfig(seed=7, n_teams=150, style_mix=(0.57, 0.29, 0.14), noise_rate=0.1)
+    teams, truth = generate_corpus(config)
+    styles = [oracle_label(t, truth_labeled_commits(t, truth)) for t in teams]
+    categories = [truth.commit_categories[c.sha] for t in teams for c in t.commits]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stratified_kfold(styles, k=5, seed=7)
+        stratified_kfold(categories, k=5, seed=7)
 
 
 @settings(max_examples=60, deadline=None)

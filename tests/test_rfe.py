@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teamscope.mlcore import rfe_select
 
@@ -52,6 +54,27 @@ def test_tie_breaks_drop_larger_index():
     # first and the k=2 survivors are exactly the two duplicates
     X, y = _duplicated_informative_fixture()
     assert rfe_select(X, y, target_k=2) == [0, 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(12, 60),
+    d=st.integers(2, 7),
+    seed=st.integers(0, 2**32 - 1),
+    l2=st.floats(0.1, 2.0),
+)
+def test_duplicate_column_never_outlives_its_original(n, d, seed, l2):
+    # a copy fits the same |weight| as its original, up to rounding in the
+    # solve, so the tie rule always drops the copy (larger index) first
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d + 1))
+    original, copy = sorted(rng.choice(d + 1, size=2, replace=False))
+    X[:, copy] = X[:, original]
+    y = (X[:, original] + rng.normal(size=n) > 0).astype(float)
+    y[0], y[-1] = 0.0, 1.0
+    for k in range(1, d + 1):
+        survivors = rfe_select(X, y, target_k=k, l2_lambda=l2)
+        assert copy not in survivors or original in survivors
 
 
 def test_selection_deterministic_for_identical_data():

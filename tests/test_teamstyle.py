@@ -9,6 +9,7 @@ from teamscope.mlcore import (
     dumps_model,
     forest_predict,
     forest_vote_share,
+    logistic_loss_and_grad,
     predict_proba,
 )
 from teamscope.mlcore.forest import Tree
@@ -330,9 +331,25 @@ def test_batched_prediction_equals_per_row(corpus, algorithm):
     assert len(batch) == len(build.raw)
     for row, (style, confidence) in zip(build.raw, batch):
         assert type(confidence) is float
-        assert (style, confidence) == predict_style_with_confidence(model, row)
-        assert (style, confidence) == _predict_one_row(model, row)
+        for one_row in (predict_style_with_confidence(model, row), _predict_one_row(model, row)):
+            if algorithm == "forest":
+                assert one_row == (style, confidence)
+            else:
+                # a matrix product sums in another order than a dot product per row
+                assert one_row[0] == style
+                assert one_row[1] == pytest.approx(confidence, rel=1e-12, abs=1e-15)
     assert predict_style_with_confidence(model, build.raw[:0]) == []
+
+
+def test_logistic_stages_are_at_their_optimum(corpus):
+    _, _, styles, build = corpus
+    model = train_team_model(build.raw, styles, algorithm="logistic_rfe", k_features=8, seed=12)
+    Z = model.standardize(build.raw)
+    for stage in model.stages:
+        y = np.array([style == stage.style for style in styles], dtype=float)
+        w, b, l2 = stage.model.weights, stage.model.bias, stage.model.l2_lambda
+        _, grad_w, grad_b = logistic_loss_and_grad(w, b, Z[:, stage.selected], y, l2)
+        assert max(np.max(np.abs(grad_w)), abs(grad_b)) <= 1e-8
 
 
 def test_prediction_rejects_other_column_count(corpus):
