@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import __version__, commitcls, synthgen, teamfeat, teamstyle
 from .commitcls import CascadeConfig, CascadeModel, CommitCategory
-from .errors import DataError
+from .errors import DataError, SchemaError, open_text
 from .ingest import (
     build_teams,
     dump_commits_jsonl,
@@ -268,10 +268,22 @@ def _write_report(outdir: Path, stem: str, fmt: str, payload, label: str, report
     return path
 
 
+def _read_model(path, kind: str, model_cls):
+    """The ``kind`` model in a model file, as ``model_cls``; a payload that lacks
+    a key or holds a value of the wrong type is a SchemaError naming the file."""
+    payload = load_model(path, kind)
+    try:
+        return model_cls.from_dict(payload)
+    except KeyError as exc:
+        raise SchemaError(f"{path}: the model has no key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: malformed model ({exc})") from None
+
+
 def _read_enum_csv(path, key: str, column: str, enum) -> list[tuple]:
     """(key, enum value) per row of a CSV with the two columns ``key`` and ``column``."""
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or set(reader.fieldnames) != {key, column}:
             raise DataError(f"{path}: expected header {key},{column}")
@@ -294,7 +306,7 @@ def _read_tagged(path) -> list[tuple[str, CommitCategory]]:
 
 def _read_labels(path) -> dict[str, tuple[CommitCategory, bool]]:
     labels = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -471,7 +483,7 @@ def cmd_eval_commits(args, outdir):
 
 def cmd_label_commits(args, outdir):
     data = Path(args.data)
-    cascade = CascadeModel.from_dict(load_model(args.model, "cascade"))
+    cascade = _read_model(args.model, "cascade", CascadeModel)
     commits = load_commits_jsonl(data / "commits.jsonl")
     labeled = commitcls.label_commits(cascade, commits)
 
@@ -565,7 +577,7 @@ def cmd_eval_teams(args, outdir):
 
 def cmd_predict(args, outdir):
     _, build, inputs = _load_dataset(args.data)
-    model = teamstyle.TeamStyleModel.from_dict(load_model(args.model, "teamstyle"))
+    model = _read_model(args.model, "teamstyle", teamstyle.TeamStyleModel)
     predictions = teamstyle.predict_style_with_confidence(model, build.raw)
     predictions_path = outdir / "predictions.csv"
     with open(predictions_path, "w", encoding="utf-8", newline="") as fh:
@@ -579,7 +591,7 @@ def cmd_predict(args, outdir):
 
 def cmd_flag(args, outdir):
     _, build, inputs = _load_dataset(args.data)
-    model = teamstyle.TeamStyleModel.from_dict(load_model(args.model, "teamstyle"))
+    model = _read_model(args.model, "teamstyle", teamstyle.TeamStyleModel)
     vectors = [
         teamfeat.TeamFeatureVector(team_id=team_id, values=row, registry=build.registry)
         for team_id, row in zip(build.team_ids, build.raw)
@@ -601,7 +613,7 @@ def cmd_flag(args, outdir):
 
 
 def _read_label_csv(path) -> dict[str, str]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         rows = list(reader)
     if not rows or len(rows[0]) != 2:

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import textnorm
-from .errors import DataError
+from .errors import DataError, SchemaError
 from .ingest import CommitRecord
 from .mlcore import (
     EvalReport,
@@ -159,7 +159,7 @@ class CascadeModel:
     @classmethod
     def from_dict(cls, raw: dict) -> "CascadeModel":
         lex = raw["lexicon"]
-        return cls(
+        model = cls(
             lexicon=Lexicon(
                 english_words=frozenset(lex["english"]),
                 domain_words=frozenset(lex["domain"]),
@@ -177,6 +177,15 @@ class CascadeModel:
                 for s in raw["stages"]
             ],
         )
+        if not all(isinstance(w, str) for item in model.lemma_exceptions.items() for w in item):
+            raise SchemaError("lemma exceptions must map words to words")
+        missing = set(default_keywords()) - set(model.keywords)
+        if missing:
+            raise SchemaError(f"no keyword lists for {sorted(missing)}")
+        for stage in model.stages:
+            if stage.logreg.weights.shape != (stage.tfidf.dim,):
+                raise SchemaError(f"the {stage.category.value} stage needs one weight per term")
+        return model
 
 
 def _static_category(cascade: CascadeModel, tokens: Sequence[str]) -> CommitCategory | None:

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import AmbiguousAuthorError, ParseError, SchemaError
+from .errors import AmbiguousAuthorError, ParseError, SchemaError, open_text
 
 COMMIT_HEADER_MARK = "\x01"
 GIT_LOG_COMMAND = (
@@ -243,7 +243,7 @@ def load_commits_jsonl(path) -> list[CommitRecord]:
     """
     records: list[CommitRecord] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -260,6 +260,8 @@ def load_commits_jsonl(path) -> list[CommitRecord]:
 
 
 def _commit_from_json(raw: dict, line_no: int) -> CommitRecord:
+    if not isinstance(raw, dict):
+        raise SchemaError(f"line {line_no}: not a JSON object")
     for key in ("sha", "author", "ts", "msg", "files"):
         if key not in raw:
             raise SchemaError(f"line {line_no}: missing {key!r} field")
@@ -269,9 +271,14 @@ def _commit_from_json(raw: dict, line_no: int) -> CommitRecord:
     ts = raw["ts"]
     if not isinstance(ts, int) or ts <= 0:
         raise SchemaError(f"line {line_no}: ts must be a positive integer")
+    for key in ("author", "msg"):
+        if not isinstance(raw[key], str):
+            raise SchemaError(f"line {line_no}: {key} must be a string, got {raw[key]!r}")
+    if not isinstance(raw["files"], list):
+        raise SchemaError(f"line {line_no}: files must be a list")
     files = []
     for fraw in raw["files"]:
-        if not isinstance(fraw, dict) or "path" not in fraw:
+        if not isinstance(fraw, dict) or not isinstance(fraw.get("path"), str):
             raise SchemaError(f"line {line_no}: malformed file entry {fraw!r}")
         add, dele = fraw.get("add"), fraw.get("del")
         if add is None and dele is None:
@@ -284,9 +291,9 @@ def _commit_from_json(raw: dict, line_no: int) -> CommitRecord:
             )
     return CommitRecord(
         sha=sha.lower(),
-        author_key=str(raw["author"]),
+        author_key=raw["author"],
         timestamp=ts,
-        message=str(raw["msg"]),
+        message=raw["msg"],
         files=tuple(files),
         is_merge_shape=not files,
     )
@@ -340,7 +347,7 @@ def load_roster(path) -> list[TeamRecord]:
     (team_id, project_id); anything but exactly two members per group, or an
     inconsistent ``selected`` flag, is a :class:`SchemaError`.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         return parse_roster(fh)
 
 
@@ -354,6 +361,8 @@ def parse_roster(fh) -> list[TeamRecord]:
     groups: dict[tuple[str, str], list[tuple[RosterMember, bool]]] = {}
     order: list[tuple[str, str]] = []
     for line_no, row in enumerate(reader, start=2):
+        if None in row.values():  # a short row
+            raise SchemaError(f"roster line {line_no}: expected {len(ROSTER_COLUMNS)} fields")
         try:
             member = RosterMember(
                 member_id=row["member_id"],
@@ -462,7 +471,7 @@ def build_teams(
 
 
 def parse_git_log_file(path) -> list[CommitRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return parse_git_log(fh.read())
 
 

@@ -2,11 +2,16 @@
 
 Every tree draws its bootstrap sample and per-node feature subsets from a
 generator seeded by (seed, tree index), so forests are pure functions of
-(X, y, hyperparameters, seed) and trees could be built in parallel without
-changing the result. A tree is a set of parallel per-node arrays (the layout
-of scikit-learn's ``Tree``), used as is for fitting, prediction and the model
-file. Leaves store class counts; tree and forest predictions are majority
-votes with ties going to the smaller class index.
+(X, y, hyperparameters, seed) and no tree depends on another. All trees of a
+forest grow in lockstep: each step takes the next depth-first split
+candidate of every unfinished tree and scores them together, in batched
+split searches of at most ``_CELL_BUDGET`` (feature, sample) cells each. A
+tree's draws come in the order it would make them growing alone, so neither
+the lockstep nor the batching changes a tree. A tree is a set of parallel
+per-node arrays (the layout of scikit-learn's ``Tree``), used as is for
+fitting, prediction and the model file. Leaves store class counts; tree and
+forest predictions are majority votes with ties going to the smaller class
+index.
 """
 
 from __future__ import annotations
@@ -21,6 +26,10 @@ from ..errors import DataError, SchemaError
 
 _U64 = 2**64 - 1
 _TREE_ARRAYS = ("feature", "threshold", "left", "right", "counts")
+# Most cells (candidate feature x node sample) one batched split search holds.
+# It bounds the search's working memory (about 50 bytes a cell) whatever the
+# number of trees, and is large enough that numpy's per-call cost is small.
+_CELL_BUDGET = 1 << 14
 
 
 @dataclass(eq=False)
@@ -105,8 +114,10 @@ class ForestModel:
     def from_dict(cls, raw: dict) -> "ForestModel":
         n_features = int(raw["n_features"])
         classes = raw["classes"]
+        if not isinstance(classes, list):
+            raise SchemaError("forest classes must be a list")
         trees = [Tree.from_dict(t, n_features, len(classes)) for t in raw["trees"]]
-        if not trees:
+        if not trees or int(raw["n_trees"]) < 1:
             raise SchemaError("forest has no trees")
         return cls(
             trees=trees,
@@ -120,102 +131,266 @@ class ForestModel:
         )
 
 
-def _gini(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return float(1.0 - (p * p).sum())
+def _class_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 of a (classes, n) array, added in the order numpy adds
+    one contiguous row of class values (two rows skip that reduce's per-row cost)."""
+    return a[0] + a[1] if len(a) == 2 else np.ascontiguousarray(a.T).sum(axis=1)
 
 
-def _best_split(X, y_onehot, samples, features, node_counts, min_leaf):
-    """Best (feature, threshold, prefix class counts) over the given features.
+def _weighted_gini(counts: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """``size`` times the Gini impurity of each column of (classes, n) counts,
+    where ``size`` (float) holds the columns' totals, none of them 0."""
+    p = counts / size
+    p *= p
+    return size * (1.0 - _class_sum(p))
 
-    All candidate features are scored in one pass over a (features x cuts)
-    grid, where cut i puts a feature's i+1 smallest samples on the left. The
-    argmin runs in feature-major order, so ties resolve to the lowest feature
-    index, then the lowest threshold. The prefix counts are the class counts
-    of the first j+1 samples in the chosen feature's sorted order, row j.
-    Returns None when no feature has a valid cut.
+
+def _gini(counts: np.ndarray) -> np.ndarray:
+    """Gini impurity of each column of (classes, nodes) counts; 0 for an empty column."""
+    total = counts.sum(axis=0)
+    with np.errstate(invalid="ignore"):
+        p = counts / total
+    return np.where(total > 0, 1.0 - _class_sum(p * p), 0.0)
+
+
+def _value_codes(X: np.ndarray, shift: int, dtype) -> np.ndarray:
+    """``rank << shift | row`` for every value of X, as a (features, rows) array.
+
+    A rank is the value's dense rank within its column: equal values share
+    one and ranks follow the values' order, so sorting a node's codes sorts
+    its values and keeps each sample's row. Columns go in blocks of at most
+    ``_CELL_BUDGET`` values.
     """
-    n = len(samples)
-    rows = np.arange(len(features))[:, None]
-    vals = X[samples[None, :], features[:, None]]  # features x samples
-    order = np.argsort(vals, axis=1, kind="stable")
-    sorted_vals = vals[rows, order]
-    sizes_left = np.arange(1, n, dtype=np.float64)
-    sizes_right = n - sizes_left
-    valid = sorted_vals[:, 1:] != sorted_vals[:, :-1]
+    n, d = X.shape
+    codes = np.empty((d, n), dtype=dtype)
+    step = max(1, _CELL_BUDGET // n)
+    for lo in range(0, d, step):
+        columns = X[:, lo : lo + step].T
+        order = np.argsort(columns, axis=1)
+        values = np.take_along_axis(columns, order, axis=1)
+        rank = np.zeros(order.shape, dtype=dtype)
+        np.cumsum(values[:, 1:] != values[:, :-1], axis=1, out=rank[:, 1:])
+        rank <<= shift
+        rank |= order
+        np.put_along_axis(codes[lo : lo + step], order, rank, axis=1)
+    return codes
+
+
+def _range_counts(prefix: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Class counts (classes x ranges) of the cell ranges [lo, hi), from the
+    prefix counts of classes 1 and up; class 0 has the rest of each range."""
+    upper = prefix.take(hi, axis=1) - prefix.take(lo, axis=1)
+    return np.vstack([hi - lo - upper.sum(axis=0), upper])
+
+
+def _split_nodes(X, codes, shift, y_hot, rows, sizes, features, node_counts, min_leaf):
+    """Best split of every node of a batch, all scored in one pass.
+
+    Node j owns the next ``sizes[j]`` entries of ``rows`` (bootstrap row
+    indices, repeats allowed), the class counts ``node_counts[:, j]`` and the
+    sorted candidate features ``features[j]``; ``y_hot[c - 1, row]`` is 1
+    where a row is of class c >= 1. Each (node, feature) pair is a segment
+    with one cell per sample, and one sort of the keys ``segment << 2 shift
+    | code`` orders every segment by value. Cut i of a segment puts its
+    first i+1 samples on the left. It is valid between two distinct values
+    with at least ``min_leaf`` samples on each side, and only valid cuts are
+    scored. A node takes its lowest-scoring cut, the first in (feature, cut)
+    order on ties: the lowest feature index, then the lowest threshold. The
+    order within a run of equal values moves only invalid cuts, so the sort
+    need not be stable.
+
+    Returns, for the nodes that have a valid cut (their indices ``split``),
+    the feature, threshold, left child size and left child class counts
+    (classes x nodes), and their rows concatenated, each node's ordered by
+    its chosen feature so that the left child's rows come first.
+    """
+    n = X.shape[0]
+    n_classes = len(node_counts)
+    m, k = features.shape
+    seg_sizes = np.repeat(sizes, k)
+    seg_ends = np.cumsum(seg_sizes)
+    seg_starts = seg_ends - seg_sizes
+    n_cells = int(seg_ends[-1])
+    node_starts = np.cumsum(sizes) - sizes
+    at = np.repeat(np.repeat(node_starts, k) - seg_starts, seg_sizes)
+    at += np.arange(n_cells)
+    at = rows[at]  # the row of every cell
+    at += np.repeat(features.ravel() * n, seg_sizes)
+    key = np.repeat(np.arange(m * k, dtype=codes.dtype) << (2 * shift), seg_sizes)
+    key |= codes.take(at)
+    del at
+    key.sort()
+    cell_rows = key & ((1 << shift) - 1)
+    key >>= shift  # now segment << shift | rank: equal exactly where values are
+
+    changes = key[1:] != key[:-1]
+    changes[seg_ends[:-1] - 1] = False  # no cut between two segments
+    cut = np.flatnonzero(changes)
+    cut_seg = key[cut] >> shift
+    n_left = cut + 1 - seg_starts.take(cut_seg)
     if min_leaf > 1:
-        valid &= (sizes_left >= min_leaf) & (sizes_right >= min_leaf)
-    if not valid.any():
-        return None
-    left = np.cumsum(y_onehot[samples[order[:, :-1]]], axis=1)
-    right = node_counts - left
-    gini_left = 1.0 - ((left / sizes_left[:, None]) ** 2).sum(axis=2)
-    gini_right = 1.0 - ((right / sizes_right[:, None]) ** 2).sum(axis=2)
-    score = np.where(valid, (sizes_left * gini_left + sizes_right * gini_right) / n, np.inf)
-    f, cut = np.unravel_index(int(np.argmin(score)), score.shape)
-    threshold = float((sorted_vals[f, cut] + sorted_vals[f, cut + 1]) / 2.0)
-    return int(features[f]), threshold, left[f]
+        keep = np.flatnonzero((n_left >= min_leaf) & (seg_sizes.take(cut_seg) - n_left >= min_leaf))
+        cut, cut_seg, n_left = cut[keep], cut_seg[keep], n_left[keep]
+    if cut.size == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, np.zeros(0), empty, np.zeros((n_classes, 0), dtype=np.int64), empty
+
+    # prefix[c - 1, i]: cells of class c >= 1 before cell i
+    prefix = np.zeros((len(y_hot), n_cells + 1), dtype=y_hot.dtype)
+    np.cumsum(y_hot.take(cell_rows, axis=1), axis=1, out=prefix[:, 1:])
+    node = cut_seg // k
+    size_left = n_left.astype(np.float64)
+    size_right = sizes.take(node) - size_left
+    left = _range_counts(prefix, seg_starts.take(cut_seg), cut + 1)
+    score = _weighted_gini(left, size_left)
+    score += _weighted_gini(node_counts.take(node, axis=1) - left, size_right)
+    score /= size_left + size_right
+
+    # the first lowest score of each node, in cell order
+    first = np.ones(len(node), dtype=bool)
+    np.not_equal(node[1:], node[:-1], out=first[1:])
+    first = np.flatnonzero(first)
+    lowest = np.zeros(m)
+    lowest[node[first]] = np.minimum.reduceat(score, first)
+    ties = np.flatnonzero(score == lowest.take(node))
+    best = ties[np.searchsorted(ties, first)]
+
+    split = node[best]
+    at = cut[best]
+    best_seg = cut_seg[best]
+    feature = features.ravel()[best_seg]
+    above = X[cell_rows[at + 1], feature]
+    threshold = (X[cell_rows[at], feature] + above) / 2.0
+    n_left = n_left[best]
+    # a midpoint can round up onto the next value, whose samples then go left too
+    up = np.flatnonzero(threshold == above)
+    n_left[up] = np.searchsorted(key, key[at[up] + 1], side="right") - seg_starts[best_seg[up]]
+    starts = seg_starts[best_seg]
+    left_counts = _range_counts(prefix, starts, starts + n_left)
+
+    split_sizes = sizes[split]
+    out_starts = np.cumsum(split_sizes) - split_sizes
+    ordered = cell_rows[np.arange(split_sizes.sum()) + np.repeat(starts - out_starts, split_sizes)]
+    return split, feature, threshold, n_left, left_counts, ordered
 
 
-def _build_tree(X, y_onehot, samples, max_depth, min_leaf, k_features, rng, imp) -> Tree:
-    """Grow one tree depth first, left subtree before right, as the node arrays."""
-    d = X.shape[1]
-    n_root = len(samples)
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    counts: list[np.ndarray] = []
-    root_counts = y_onehot[samples].sum(axis=0)
-    # (samples, their class counts and Gini, depth, child list of the parent, parent)
-    stack = [(samples, root_counts, _gini(root_counts), 0, None, -1)]
-    while stack:
-        samples, node_counts, node_gini, depth, link, parent = stack.pop()
-        node = len(feature)
-        if link is not None:
-            link[parent] = node
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        counts.append(node_counts)
-        n = len(samples)
-        if (
-            node_gini == 0.0
-            or (max_depth is not None and depth >= max_depth)
-            or n < 2 * min_leaf
-        ):
-            continue
-        candidates = np.sort(rng.choice(d, size=k_features, replace=False))
-        best = _best_split(X, y_onehot, samples, candidates, node_counts, min_leaf)
-        if best is None:
-            continue
+def _chunks(batch, k_features):
+    """Consecutive runs of ``batch`` holding at most ``_CELL_BUDGET`` cells each
+    (a node larger than the budget runs alone)."""
+    chunk, cells = [], 0
+    for item in batch:
+        size = (item[3] - item[2]) * k_features
+        if chunk and cells + size > _CELL_BUDGET:
+            yield chunk
+            chunk, cells = [], 0
+        chunk.append(item)
+        cells += size
+    if chunk:
+        yield chunk
 
-        feat, cut_value, prefix_counts = best
-        mask = X[samples, feat] <= cut_value
-        # the left child is a prefix of the sorted order; its length comes
-        # from the mask because a midpoint threshold can round onto the next value
-        n_left = int(mask.sum())
-        left_counts = prefix_counts[n_left - 1] if n_left < n else node_counts
-        right_counts = node_counts - left_counts
-        left_gini = _gini(left_counts)
-        right_gini = _gini(right_counts)
-        imp[feat] += (n * node_gini - n_left * left_gini - (n - n_left) * right_gini) / n_root
-        feature[node] = feat
-        threshold[node] = cut_value
-        stack.append((samples[~mask], right_counts, right_gini, depth + 1, right, node))
-        stack.append((samples[mask], left_counts, left_gini, depth + 1, left, node))
 
-    return Tree(
-        feature=np.array(feature, dtype=np.int64),
-        threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int64),
-        right=np.array(right, dtype=np.int64),
-        counts=np.array(counts, dtype=np.int64),
-    )
+def _grow_trees(X, y_index, n_classes, rngs, max_depth, min_leaf):
+    """One tree per generator, all grown in lockstep, and for each tree the
+    weighted Gini decrease of every node (0 at leaves).
+
+    Every tree grows depth first, left subtree before right, so its nodes
+    come out in pre-order. Each step takes the next split candidate of every
+    unfinished tree, draws its candidate features from that tree's
+    generator, and scores the step's nodes in batched split searches. A
+    tree's draws thus come in the same order as when it grows alone: its
+    bootstrap, then one feature subset per split candidate in pre-order.
+    """
+    n, d = X.shape
+    k_features = max(1, math.isqrt(d))
+    shift = max(1, (n - 1).bit_length())
+    # a batch has at most budget / 2 segments (split candidates hold two or
+    # more samples), or k_features when one node exceeds the budget alone
+    segments = max(_CELL_BUDGET // 2, k_features)
+    key_bits = segments.bit_length() + 2 * shift
+    if key_bits > 63:
+        raise DataError(f"{n} rows are more than a forest's 63-bit sort keys can order")
+    key_type = np.int32 if key_bits < 32 else np.int64
+    codes = _value_codes(X, shift, key_type)
+    y_hot = (y_index == np.arange(1, n_classes)[:, None]).astype(np.int32)
+    # tree t's bootstrap rows fill flat[t * n : (t + 1) * n]; each node owns a
+    # range of them, and a split reorders its range so the left child's come first
+    flat = np.concatenate([rng.integers(0, n, size=n) for rng in rngs])
+    root_counts = np.bincount(
+        np.repeat(np.arange(len(rngs)) * n_classes, n) + y_index[flat],
+        minlength=len(rngs) * n_classes,
+    ).reshape(len(rngs), n_classes)
+    root_gini = _gini(root_counts.T)
+    # per tree: node records [feature, threshold, left, right, counts, decrease] in pre-order
+    nodes: list[list[list]] = [[] for _ in rngs]
+    # per tree: pending nodes (start, end, counts, gini, depth, parent, slot of the parent's link)
+    stacks = [[(t * n, (t + 1) * n, root_counts[t], root_gini[t], 0, -1, 0)] for t in range(len(rngs))]
+
+    growing = range(len(rngs))
+    while growing:
+        batch = []
+        for t in growing:
+            stack, tree = stacks[t], nodes[t]
+            while stack:
+                start, end, counts, gini, depth, parent, slot = stack.pop()
+                node = len(tree)
+                if parent >= 0:
+                    tree[parent][slot] = node
+                tree.append([-1, 0.0, -1, -1, counts, 0.0])
+                if (
+                    gini == 0.0
+                    or (max_depth is not None and depth >= max_depth)
+                    or end - start < 2 * min_leaf
+                ):
+                    continue
+                candidates = rngs[t].choice(d, size=k_features, replace=False)
+                batch.append((t, node, start, end, gini, depth, candidates))
+                break
+        growing = [item[0] for item in batch]
+
+        for chunk in _chunks(batch, k_features):
+            _, _, starts, ends, ginis, _, candidates = (np.array(v) for v in zip(*chunk))
+            sizes = ends - starts
+            span = np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+            node_counts = np.array([nodes[t][node][4] for t, node, *_ in chunk], dtype=np.int64).T
+            split, feature, threshold, n_left, left_counts, ordered = _split_nodes(
+                X, codes, shift, y_hot, flat[span], sizes,
+                np.sort(candidates, axis=1), node_counts, min_leaf,
+            )
+            is_split = np.zeros(len(chunk), dtype=bool)
+            is_split[split] = True
+            flat[span[np.repeat(is_split, sizes)]] = ordered
+            right_counts = node_counts.take(split, axis=1) - left_counts
+            left_gini = _gini(left_counts)
+            right_gini = _gini(right_counts)
+            size = sizes[split]
+            decrease = (size * ginis[split] - n_left * left_gini - (size - n_left) * right_gini) / n
+            for j, f, cut_value, n_l, l_counts, r_counts, l_gini, r_gini, drop in zip(
+                split.tolist(), feature.tolist(), threshold.tolist(), n_left.tolist(),
+                left_counts.T, right_counts.T, left_gini.tolist(), right_gini.tolist(),
+                decrease.tolist(),
+            ):
+                t, node, start, end, _, depth, _ = chunk[j]
+                record = nodes[t][node]
+                record[0] = f
+                record[1] = cut_value
+                record[5] = drop
+                stacks[t].append((start + n_l, end, r_counts, r_gini, depth + 1, node, 3))
+                stacks[t].append((start, start + n_l, l_counts, l_gini, depth + 1, node, 2))
+
+    trees, decreases = [], []
+    for tree in nodes:
+        feature, threshold, left, right, counts, decrease = zip(*tree)
+        decreases.append(np.array(decrease))
+        trees.append(
+            Tree(
+                feature=np.array(feature, dtype=np.int64),
+                threshold=np.array(threshold, dtype=np.float64),
+                left=np.array(left, dtype=np.int64),
+                right=np.array(right, dtype=np.int64),
+                counts=np.array(counts, dtype=np.int64),
+            )
+        )
+    return trees, decreases
 
 
 def train_forest(
@@ -241,21 +416,16 @@ def train_forest(
 
     classes = sorted(set(y))
     class_index = {c: i for i, c in enumerate(classes)}
-    y_onehot = np.zeros((len(y), len(classes)), dtype=np.int64)
-    for i, label in enumerate(y):
-        y_onehot[i, class_index[label]] = 1
-
-    n, d = X.shape
-    k_features = max(1, int(math.isqrt(d)))
+    y_index = np.array([class_index[label] for label in y], dtype=np.int64)
     seed_entropy = int(seed) & _U64
+    rngs = [np.random.default_rng(np.random.SeedSequence([seed_entropy, t])) for t in range(n_trees)]
+    trees, decreases = _grow_trees(X, y_index, len(classes), rngs, max_depth, min_leaf)
 
-    trees = []
-    importance_sum = np.zeros(d, dtype=np.float64)
-    for t in range(n_trees):
-        rng = np.random.default_rng(np.random.SeedSequence([seed_entropy, t]))
-        samples = rng.integers(0, n, size=n)
-        imp = np.zeros(d, dtype=np.float64)
-        trees.append(_build_tree(X, y_onehot, samples, max_depth, min_leaf, k_features, rng, imp))
+    importance_sum = np.zeros(X.shape[1], dtype=np.float64)
+    for tree, decrease in zip(trees, decreases):
+        imp = np.zeros(X.shape[1], dtype=np.float64)
+        split = tree.feature >= 0
+        np.add.at(imp, tree.feature[split], decrease[split])  # in pre-order, as grown
         total = imp.sum()
         if total > 0:
             importance_sum += imp / total
@@ -267,7 +437,7 @@ def train_forest(
         seed=int(seed),
         max_depth=max_depth,
         min_leaf=min_leaf,
-        n_features=d,
+        n_features=X.shape[1],
         importances_raw=importance_sum / n_trees,
     )
 

@@ -40,8 +40,12 @@ def save_model(path, kind: str, payload: dict) -> None:
 
 
 def load_model(path, expected_kind: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except ValueError as exc:
+        # undecodable bytes, and JSON syntax errors such as a truncated file
+        raise SchemaError(f"{path}: not a {FORMAT_NAME} file ({exc})") from None
     if not isinstance(raw, dict) or raw.get("format") != FORMAT_NAME:
         raise SchemaError(f"{path}: not a {FORMAT_NAME} file")
     if raw.get("version") != FORMAT_VERSION:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import DataError, SchemaError
 
 
 @dataclass
@@ -43,9 +43,13 @@ class TfidfModel:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TfidfModel":
+        terms = raw["terms"]
+        idf = np.asarray(raw["idf"], dtype=np.float64)
+        if not isinstance(terms, list) or len(set(terms)) != len(terms) or idf.shape != (len(terms),):
+            raise SchemaError("a tfidf model needs distinct terms and one idf value per term")
         return cls(
-            vocabulary={t: i for i, t in enumerate(raw["terms"])},
-            idf=np.asarray(raw["idf"], dtype=np.float64),
+            vocabulary={t: i for i, t in enumerate(terms)},
+            idf=idf,
             max_features=int(raw["max_features"]),
             ngram_min=int(raw["ngram_min"]),
             ngram_max=int(raw["ngram_max"]),

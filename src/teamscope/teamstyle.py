@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .commitcls import CommitCategory, LabeledCommit
-from .errors import DataError, InsufficientActivityError
+from .errors import DataError, InsufficientActivityError, SchemaError
 from .ingest import TeamRecord
 from .mlcore import (
     EvalReport,
@@ -203,11 +203,23 @@ class TeamStyleModel:
                     model=model_cls.from_dict(s["model"]),
                 )
             )
+        means = np.asarray(raw["means"], dtype=np.float64)
+        stds = np.asarray(raw["stds"], dtype=np.float64)
+        if means.ndim != 1 or stds.shape != means.shape:
+            raise SchemaError("means and stds must be lists of numbers of one length")
+        for stage in stages:
+            model = stage.model
+            shape = (model.n_features,) if isinstance(model, ForestModel) else model.weights.shape
+            if shape != (len(stage.selected),) or not all(0 <= i < len(means) for i in stage.selected):
+                raise SchemaError(
+                    f"the {stage.style.value} stage's selected columns do not fit "
+                    f"its model or the {len(means)} feature columns"
+                )
         return cls(
             algorithm=raw["algorithm"],
             stages=stages,
-            means=np.asarray(raw["means"], dtype=np.float64),
-            stds=np.asarray(raw["stds"], dtype=np.float64),
+            means=means,
+            stds=stds,
             registry_version=raw["registry_version"],
             fallback=TeamStyle(raw["fallback"]),
         )
@@ -223,21 +235,12 @@ def _select_forest(Xs, y, k, seed, config) -> list[int]:
     return sorted(ranked[:k])
 
 
-def train_team_model(
-    X_raw,
-    labels: Sequence[TeamStyle],
-    algorithm: str = "forest",
-    k_features: int | None = None,
-    seed: int = 0,
-    config: TeamStyleConfig | None = None,
-) -> TeamStyleModel:
-    """Fit one binary one-vs-rest stage per style on selected features.
+def _select_stages(X_raw, labels, algorithm, k_features, seed, config):
+    """Check a training set, standardize it and select every stage's features.
 
-    The forest path picks the top-k features by impurity importance; the
-    logistic path selects by recursive feature elimination. Standardization
-    parameters are fit here and stored for inference.
+    Returns (means, stds, standardized X, and per stage in order its style,
+    its one-vs-rest targets and its selected columns).
     """
-    config = config or TeamStyleConfig()
     if algorithm not in ("forest", "logistic_rfe"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if len(set(config.stage_order)) != len(config.stage_order):
@@ -259,20 +262,44 @@ def train_team_model(
     means, stds = standardize_fit(X_raw)
     Xs = standardize_apply(X_raw, means, stds)
     seed_entropy = int(seed) & _U64
-
     stages = []
     for stage_idx, style in enumerate(config.stage_order):
         y = np.array([1 if l == style else 0 for l in labels], dtype=np.int64)
         if algorithm == "forest":
             select_seed = np.random.SeedSequence([seed_entropy, stage_idx, 0]).generate_state(1)[0]
-            fit_seed = np.random.SeedSequence([seed_entropy, stage_idx, 1]).generate_state(1)[0]
             selected = _select_forest(Xs, y, k_features, int(select_seed), config)
+        else:
+            selected = rfe_select(Xs, y, k_features, l2_lambda=config.l2_lambda)
+        stages.append((style, y, selected))
+    return means, stds, Xs, stages
+
+
+def train_team_model(
+    X_raw,
+    labels: Sequence[TeamStyle],
+    algorithm: str = "forest",
+    k_features: int | None = None,
+    seed: int = 0,
+    config: TeamStyleConfig | None = None,
+) -> TeamStyleModel:
+    """Fit one binary one-vs-rest stage per style on selected features.
+
+    The forest path picks the top-k features by impurity importance; the
+    logistic path selects by recursive feature elimination. Standardization
+    parameters are fit here and stored for inference.
+    """
+    config = config or TeamStyleConfig()
+    means, stds, Xs, selections = _select_stages(X_raw, labels, algorithm, k_features, seed, config)
+    seed_entropy = int(seed) & _U64
+    stages = []
+    for stage_idx, (style, y, selected) in enumerate(selections):
+        if algorithm == "forest":
+            fit_seed = np.random.SeedSequence([seed_entropy, stage_idx, 1]).generate_state(1)[0]
             model = train_forest(
                 Xs[:, selected], y, n_trees=config.n_trees, seed=int(fit_seed),
                 max_depth=config.max_depth, min_leaf=config.min_leaf,
             )
         else:
-            selected = rfe_select(Xs, y, k_features, l2_lambda=config.l2_lambda)
             model = train_logreg(Xs[:, selected], y, l2_lambda=config.l2_lambda)
         stages.append(StyleStage(style=style, selected=selected, model=model))
 
@@ -313,7 +340,7 @@ def predict_style_with_confidence(model: TeamStyleModel, x_raw):
 
 @dataclass
 class TeamEvalResult:
-    """Per-style fold-averaged metrics plus the full-data model's features."""
+    """Per-style fold-averaged metrics plus the features a model trained on all rows selects."""
 
     reports: dict[str, EvalReport]
     macro_f1: float
@@ -359,13 +386,14 @@ def evaluate_team_model(
     }
     macro_f1 = sum(r.f1 for r in reports.values()) / len(reports)
 
-    full_model = train_team_model(
-        X_raw, labels, algorithm=algorithm, k_features=k_features, seed=seed, config=config
+    # the features a model trained on all rows would use, without fitting it
+    *_, selections = _select_stages(
+        X_raw, labels, algorithm, k_features, seed, config or TeamStyleConfig()
     )
     names = list(registry) if registry is not None else None
     selected_features = {
-        stage.style.value: [names[i] if names else str(i) for i in stage.selected]
-        for stage in full_model.stages
+        style.value: [names[i] if names else str(i) for i in selected]
+        for style, _, selected in selections
     }
     return TeamEvalResult(
         reports=reports,

@@ -16,6 +16,8 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
+from .errors import open_text
+
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
 REQUIRED_DOMAIN_WORDS = frozenset(
@@ -104,7 +106,9 @@ def normalize(message: str, lexicon: Lexicon, exceptions: dict[str, str] | None 
 
 def _read_words(path: Path) -> frozenset[str]:
     out = set()
-    for line in path.read_text(encoding="utf-8").splitlines():
+    with open_text(path) as fh:
+        text = fh.read()
+    for line in text.splitlines():
         word = line.strip()
         if word and not word.startswith("#"):
             out.add(word)

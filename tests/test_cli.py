@@ -1,8 +1,14 @@
+import contextlib
 import csv
+import io
 import json
+import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from teamscope.cli import main
 from teamscope.ingest import load_commits_jsonl
@@ -434,3 +440,164 @@ def test_bad_input_is_usage_or_data_error(team_model, tmp_path, capsys, argv, co
         argv += ["--config", _write(tmp_path / name, text)]
     assert main(argv) == code
     assert message in capsys.readouterr().err
+
+
+# --- undecodable, truncated and mistyped input files exit 2, never 3 ----------
+
+
+def _insert_ff(data: bytes) -> bytes:
+    return data[:40] + b"\xff" + data[40:]
+
+
+def _truncate(data: bytes) -> bytes:
+    return data[: len(data) // 2]
+
+
+def _model_without(*path):
+    def alter(data: bytes) -> bytes:
+        raw = json.loads(data)
+        node = raw["model"]
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        return json.dumps(raw).encode()
+
+    return alter
+
+
+def _first_commit(**fields):
+    def alter(data: bytes) -> bytes:
+        first, rest = data.split(b"\n", 1)
+        return json.dumps({**json.loads(first), **fields}).encode() + b"\n" + rest
+
+    return alter
+
+
+@pytest.fixture
+def work(team_model, tmp_path):
+    """A copy of the labeled corpus with its models, a tagged CSV and a git log."""
+    corpus, _ = team_model
+    data = tmp_path / "corpus"
+    shutil.copytree(corpus, data)
+    _tagged_csv_from(data, tmp_path / "tagged.csv")
+    _write(tmp_path / "history.gitlog", GIT_LOG)
+    _write(tmp_path / "roster.csv", ROSTER)
+    return tmp_path
+
+
+_FEATURES = ["features", "--data", "{work}/corpus"]
+_PREDICT = ["predict", "--model", "{work}/corpus/models/teams_forest.json", "--data", "{work}/corpus"]
+UNREADABLE = {
+    # id: (file under the work directory, its alteration, argv, a part of the message)
+    "commits-not-utf8": ("corpus/commits.jsonl", _insert_ff, _FEATURES, "commits.jsonl: not UTF-8"),
+    "roster-not-utf8": ("corpus/roster.csv", _insert_ff, _FEATURES, "roster.csv: not UTF-8"),
+    "labels-not-utf8": ("corpus/labels.jsonl", _insert_ff, _FEATURES, "labels.jsonl: not UTF-8"),
+    "tagged-not-utf8": ("tagged.csv", _insert_ff, ["train-commits", "--tagged", "{work}/tagged.csv"],
+                        "tagged.csv: not UTF-8"),
+    "gitlog-not-utf8": ("history.gitlog", _insert_ff, ["ingest", "--gitlog", "{work}/history.gitlog",
+                                                       "--roster", "{work}/roster.csv"],
+                        "history.gitlog: not UTF-8"),
+    "model-not-utf8": ("corpus/models/teams_forest.json", _insert_ff, _PREDICT, "teams_forest.json: not a"),
+    "model-truncated": ("corpus/models/teams_forest.json", _truncate, _PREDICT, "teams_forest.json: not a"),
+    "model-no-means": ("corpus/models/teams_forest.json", _model_without("means"), _PREDICT,
+                       "no key 'means'"),
+    "model-no-stages": ("corpus/models/teams_forest.json", _model_without("stages"), _PREDICT,
+                        "no key 'stages'"),
+    "model-no-fallback": ("corpus/models/teams_forest.json", _model_without("fallback"), _PREDICT,
+                          "no key 'fallback'"),
+    "model-no-n_trees": ("corpus/models/teams_forest.json", _model_without("stages", 0, "model", "n_trees"),
+                         _PREDICT, "no key 'n_trees'"),
+    "commit-msg-null": ("corpus/commits.jsonl", _first_commit(msg=None), _FEATURES,
+                        "line 1: msg must be a string"),
+    "commit-author-int": ("corpus/commits.jsonl", _first_commit(author=5), _FEATURES,
+                          "line 1: author must be a string"),
+}
+
+
+@pytest.mark.parametrize("name, alter, argv, message", UNREADABLE.values(), ids=UNREADABLE.keys())
+def test_unreadable_input_is_data_error(work, capsys, name, alter, argv, message):
+    path = work / name
+    path.write_bytes(alter(path.read_bytes()))
+    argv = [arg.format(work=work) for arg in argv] + ["--out", str(work / "out")]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def cascade_model(team_model, tmp_path_factory):
+    """The commit cascade trained on the team_model corpus's true categories."""
+    corpus, _ = team_model
+    out = tmp_path_factory.mktemp("cascade")
+    tagged = _tagged_csv_from(corpus, out / "tagged.csv")
+    assert main(["train-commits", "--tagged", tagged, "--out", str(out)]) == 0
+    return out / "cascade.json"
+
+
+_JUNK = st.sampled_from([None, True, -3, 1.5, "x", [], {}, [1, "a"]])
+_CSV_JUNK = st.sampled_from(["", "abc", "-5", "1e999", "nan", ";", "true"])
+
+
+def _replace_somewhere(value, data):
+    """``value`` with the element at a drawn path replaced by a drawn junk value."""
+    if isinstance(value, dict) and value and data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(sorted(value)))
+        return {**value, key: _replace_somewhere(value[key], data)}
+    if isinstance(value, list) and value and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(value) - 1))
+        return value[:i] + [_replace_somewhere(value[i], data)] + value[i + 1 :]
+    return data.draw(_JUNK)
+
+
+def _wrong_type(name: str, text: str, data) -> str:
+    if name.endswith(".csv"):
+        rows = list(csv.reader(io.StringIO(text)))
+        row = data.draw(st.integers(0, len(rows) - 1))
+        col = data.draw(st.integers(0, len(rows[row]) - 1))
+        rows[row][col] = data.draw(_CSV_JUNK)
+        out = io.StringIO()
+        csv.writer(out).writerows(rows)
+        return out.getvalue()
+    if name.endswith(".jsonl"):
+        lines = text.splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1))
+        lines[i] = json.dumps(_replace_somewhere(json.loads(lines[i]), data))
+        return "\n".join(lines) + "\n"
+    return json.dumps(_replace_somewhere(json.loads(text), data))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    name=st.sampled_from(["commits.jsonl", "roster.csv", "labels.jsonl", "teams.json", "cascade.json"]),
+    kind=st.sampled_from(["truncate", "0xff", "delete line", "wrong type"]),
+    data=st.data(),
+)
+def test_corrupted_inputs_never_exit_internal_error(team_model, cascade_model, name, kind, data):
+    corpus, team_path = team_model
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        shutil.copytree(corpus, work / "corpus")
+        shutil.copy(team_path, work / "teams.json")
+        shutil.copy(cascade_model, work / "cascade.json")
+        path = work / name if name.endswith(".json") else work / "corpus" / name
+        raw = path.read_bytes()
+        if kind == "truncate":
+            raw = raw[: data.draw(st.integers(0, len(raw) - 1))]
+        elif kind == "0xff":
+            at = data.draw(st.integers(0, len(raw)))
+            raw = raw[:at] + b"\xff" + raw[at:]
+        elif kind == "delete line":
+            lines = raw.split(b"\n")
+            del lines[data.draw(st.integers(0, len(lines) - 1))]
+            raw = b"\n".join(lines)
+        else:
+            raw = _wrong_type(name, raw.decode("utf-8"), data).encode("utf-8")
+        path.write_bytes(raw)
+
+        if name == "cascade.json":
+            argv = ["label-commits", "--model", str(work / name)]
+        else:
+            argv = ["predict", "--model", str(work / "teams.json")]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv + ["--data", str(work / "corpus"), "--out", str(work / "out")])
+        assert code in (0, 2), stderr.getvalue()

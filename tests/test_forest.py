@@ -13,6 +13,7 @@ from teamscope.mlcore import (
     forest_votes,
     train_forest,
 )
+from teamscope.mlcore import forest as forest_module
 from teamscope.mlcore.forest import ForestModel, Tree
 
 
@@ -165,17 +166,9 @@ def _forest_inputs(draw):
     return X, y
 
 
-@settings(max_examples=120, deadline=None)
-@given(
-    data=_forest_inputs(),
-    min_leaf=st.sampled_from([1, 2, 3]),
-    max_depth=st.sampled_from([None, 1, 3]),
-    seed=st.integers(0, 2**32),
-)
-def test_matches_reference_forest(data, min_leaf, max_depth, seed):
-    X, y = data
-    model = train_forest(X, y, n_trees=4, seed=seed, max_depth=max_depth, min_leaf=min_leaf)
-    trees, classes, importances = oracle_forest.train_forest(X, y, 4, seed, max_depth, min_leaf)
+def _assert_matches_reference(X, y, n_trees, seed, max_depth=None, min_leaf=1):
+    model = train_forest(X, y, n_trees=n_trees, seed=seed, max_depth=max_depth, min_leaf=min_leaf)
+    trees, classes, importances = oracle_forest.train_forest(X, y, n_trees, seed, max_depth, min_leaf)
     assert model.classes == classes
     expected = [
         Tree.from_dict(oracle_forest.flatten(t), X.shape[1], len(classes)) for t in trees
@@ -188,6 +181,43 @@ def test_matches_reference_forest(data, min_leaf, max_depth, seed):
     for row, votes in zip(X, batch):
         assert np.array_equal(votes, forest_votes(model, row))
         assert np.array_equal(votes, oracle_forest.forest_votes(trees, len(classes), row))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    data=_forest_inputs(),
+    n_trees=st.integers(1, 40),
+    min_leaf=st.sampled_from([1, 2, 3]),
+    max_depth=st.sampled_from([None, 1, 3]),
+    seed=st.integers(0, 2**32),
+)
+def test_matches_reference_forest(data, n_trees, min_leaf, max_depth, seed):
+    # trees finish after different numbers of lockstep steps: ragged batches
+    X, y = data
+    _assert_matches_reference(X, y, n_trees, seed, max_depth, min_leaf)
+
+
+@pytest.mark.parametrize("n_rows", [150, 300])  # 300 rows need 64-bit sort keys
+def test_matches_reference_forest_beyond_one_batch(n_rows):
+    # the first lockstep step (40 roots x n_rows samples x 6 features) is
+    # split into several batched split searches
+    rng = np.random.default_rng(21)
+    X = rng.integers(0, 6, size=(n_rows, 40)).astype(np.float64)  # integer ties
+    X[:, [4, 19, 33]] = 2.0  # constant columns
+    y = ((X[:, 0] + X[:, 7] + rng.integers(0, 3, size=n_rows)) % 3).tolist()
+    assert 40 * n_rows * 6 > forest_module._CELL_BUDGET
+    _assert_matches_reference(X, y, n_trees=40, seed=8)
+
+
+def test_midpoint_rounding_onto_the_next_value_matches_reference():
+    # (a + b) / 2 rounds to b for adjacent floats a < b, so b's samples go left
+    # too; max_depth stops the left child, which re-splits into itself
+    a = np.nextafter(1.0, 2.0)
+    b = np.nextafter(a, 2.0)
+    assert (a + b) / 2.0 == b
+    X = np.array([[a], [a], [a], [b], [b], [3.0], [3.0], [3.0]])
+    y = [0, 0, 0, 1, 1, 1, 1, 1]
+    _assert_matches_reference(X, y, n_trees=5, seed=2, max_depth=3)
 
 
 def test_votes_of_no_rows():

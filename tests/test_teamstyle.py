@@ -237,19 +237,26 @@ def test_evaluation_fits_folds_on_training_rows_only(corpus, monkeypatch):
     _, _, styles, build = corpus
     n = len(styles)
     seen_rows = []
-    original = ts.train_team_model
+    selected_rows = []
+    train, select = ts.train_team_model, ts._select_stages
 
-    def recording(X_raw, labels, **kwargs):
+    def recording_train(X_raw, labels, **kwargs):
         seen_rows.append(len(labels))
-        return original(X_raw, labels, **kwargs)
+        return train(X_raw, labels, **kwargs)
 
-    monkeypatch.setattr(ts, "train_team_model", recording)
+    def recording_select(X_raw, labels, *args):
+        selected_rows.append(len(labels))
+        return select(X_raw, labels, *args)
+
+    monkeypatch.setattr(ts, "train_team_model", recording_train)
+    monkeypatch.setattr(ts, "_select_stages", recording_select)
     ts.evaluate_team_model(build.raw, styles, algorithm="forest", k=4, seed=2)
-    # four fold models on strict subsets, then one full-data model for features
-    assert len(seen_rows) == 5
-    assert all(count < n for count in seen_rows[:4])
-    assert sum(n - count for count in seen_rows[:4]) == n
-    assert seen_rows[4] == n
+    # four fold models on strict subsets; the reported features are selected
+    # on all rows, and no model is fitted on them
+    assert len(seen_rows) == 4
+    assert all(count < n for count in seen_rows)
+    assert sum(n - count for count in seen_rows) == n
+    assert selected_rows == seen_rows + [n]
 
 
 def test_flag_solo_submitters_ranks_extreme_first(corpus):
