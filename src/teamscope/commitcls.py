@@ -11,6 +11,11 @@ compares the meaningful-word ratio against a threshold. Each ML stage is a
 binary classifier trained only on the messages earlier stages left behind,
 and applying the trained stage removes its positives before the next stage
 is trained, mirroring how the cascade is evaluated and applied.
+
+Classification is a funnel over a batch: each message is normalized and run
+through the static rules once, then each ML stage scores the rows still
+unlabelled as one TF-IDF matrix. ``classify`` is a one-row batch;
+``label_commits`` takes 2,048 commits per batch to bound the matrices' size.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress, islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -32,7 +38,7 @@ from .mlcore import (
     TfidfModel,
     fit_tfidf,
     mean_report,
-    predict_proba,
+    predict,
     prf1,
     stratified_kfold,
     tfidf_transform,
@@ -68,24 +74,17 @@ def _load_keywords(name: str) -> frozenset[str]:
     return textnorm._read_words(path)
 
 
+# the keyword stages in cascade order: (keyword list, category it assigns)
+_KEYWORD_RULES = (
+    ("merge", CommitCategory.MERGE),
+    ("documentation", CommitCategory.DOCUMENTATION),
+    ("style", CommitCategory.STYLE),
+)
+_LABEL_BLOCK = 2048
+
+
 def default_keywords() -> dict[str, frozenset[str]]:
-    return {name: _load_keywords(name) for name in ("merge", "documentation", "style")}
-
-
-def match_merge(tokens: Sequence[str], keywords: frozenset[str] | None = None) -> bool:
-    """True iff a merge keyword (the token "merge" by default) is present."""
-    kw = keywords if keywords is not None else _load_keywords("merge")
-    return any(t in kw for t in tokens)
-
-
-def match_documentation(tokens: Sequence[str], keywords: frozenset[str] | None = None) -> bool:
-    kw = keywords if keywords is not None else _load_keywords("documentation")
-    return any(t in kw for t in tokens)
-
-
-def match_style(tokens: Sequence[str], keywords: frozenset[str] | None = None) -> bool:
-    kw = keywords if keywords is not None else _load_keywords("style")
-    return any(t in kw for t in tokens)
+    return {name: _load_keywords(name) for name, _ in _KEYWORD_RULES}
 
 
 def is_gibberish(
@@ -119,8 +118,8 @@ class MlStage:
     tfidf: TfidfModel
     logreg: LogisticModel
 
-    def fires(self, tokens: Sequence[str]) -> bool:
-        return predict_proba(self.logreg, tfidf_transform(self.tfidf, tokens)) >= 0.5
+    def fires(self, docs: Sequence[Sequence[str]]) -> np.ndarray:
+        return predict(self.logreg, tfidf_transform(self.tfidf, docs))
 
 
 @dataclass
@@ -190,30 +189,34 @@ class CascadeModel:
 
 def _static_category(cascade: CascadeModel, tokens: Sequence[str]) -> CommitCategory | None:
     """Keyword and gibberish stages only; None when the message falls through."""
-    if match_merge(tokens, cascade.keywords["merge"]):
-        return CommitCategory.MERGE
-    if match_documentation(tokens, cascade.keywords["documentation"]):
-        return CommitCategory.DOCUMENTATION
-    if match_style(tokens, cascade.keywords["style"]):
-        return CommitCategory.STYLE
+    for name, category in _KEYWORD_RULES:
+        if not cascade.keywords[name].isdisjoint(tokens):
+            return category
     if is_gibberish(tokens, cascade.lexicon, cascade.gibberish_threshold):
         return CommitCategory.OTHER
     return None
 
 
-def classify_tokens(cascade: CascadeModel, tokens: Sequence[str]) -> CommitCategory:
-    static = _static_category(cascade, tokens)
-    if static is not None:
-        return static
-    for stage in cascade.stages:
-        if stage.fires(tokens):
-            return stage.category
-    return CommitCategory.OTHER
+def _funnel(stages: Sequence[MlStage], docs: Sequence[Sequence[str]], static: list) -> list:
+    """Complete the static labels: each ML stage scores the rows still None."""
+    labels = list(static)
+    left = [i for i, label in enumerate(labels) if label is None]
+    for stage in stages:
+        fired = stage.fires([docs[i] for i in left])
+        for i in compress(left, fired):
+            labels[i] = stage.category
+        left = list(compress(left, ~fired))
+    return [CommitCategory.OTHER if label is None else label for label in labels]
+
+
+def classify_tokens(cascade: CascadeModel, docs: Sequence[Sequence[str]]) -> list[CommitCategory]:
+    """The cascade category of each normalized message."""
+    return _funnel(cascade.stages, docs, [_static_category(cascade, d) for d in docs])
 
 
 def classify(cascade: CascadeModel, message: str) -> CommitCategory:
     """Assign the single cascade category for one raw message."""
-    return classify_tokens(cascade, cascade.prepare(message))
+    return classify_tokens(cascade, [cascade.prepare(message)])[0]
 
 
 @dataclass(frozen=True)
@@ -223,17 +226,13 @@ class LabeledCommit:
     pair_programming: bool
 
 
-def label_commit(cascade: CascadeModel, commit: CommitRecord) -> LabeledCommit:
-    tokens = cascade.prepare(commit.message)
-    return LabeledCommit(
-        commit=commit,
-        category=classify_tokens(cascade, tokens),
-        pair_programming=detect_pair_programming(tokens),
-    )
-
-
 def label_commits(cascade: CascadeModel, commits: Iterable[CommitRecord]) -> list[LabeledCommit]:
-    return [label_commit(cascade, c) for c in commits]
+    labeled, commits = [], iter(commits)
+    while block := list(islice(commits, _LABEL_BLOCK)):
+        docs = [cascade.prepare(c.message) for c in block]
+        categories = classify_tokens(cascade, docs)
+        labeled += map(LabeledCommit, block, categories, map(detect_pair_programming, docs))
+    return labeled
 
 
 def train_cascade(
@@ -250,39 +249,43 @@ def train_cascade(
     category; a stage with no surviving positives is an error.
     """
     config = config or CascadeConfig()
-    if len(set(config.ml_order)) != len(config.ml_order):
-        raise ValueError(f"duplicate ML stage in {config.ml_order}")
+    cascade, docs, static = _prepare_tagged(tagged, config, lexicon, lemma_exceptions, keywords)
+    survivors = [(d, cat) for d, s, (_, cat) in zip(docs, static, tagged) if s is None]
+    cascade.stages = _fit_stages(survivors, config)
+    return cascade
+
+
+def _prepare_tagged(tagged, config, lexicon=None, lemma_exceptions=None, keywords=None):
+    """A cascade without ML stages, and the tagged messages' token lists and static categories."""
     cascade = CascadeModel(
         lexicon=lexicon or textnorm.default_lexicon(),
         lemma_exceptions=lemma_exceptions or textnorm.default_lemma_exceptions(),
         keywords=keywords or default_keywords(),
         gibberish_threshold=config.gibberish_threshold,
     )
+    docs = [cascade.prepare(message) for message, _ in tagged]
+    return cascade, docs, [_static_category(cascade, d) for d in docs]
 
-    survivors = []
-    for message, category in tagged:
-        tokens = cascade.prepare(message)
-        if _static_category(cascade, tokens) is None:
-            survivors.append((tokens, category))
 
+def _fit_stages(survivors: list, config: CascadeConfig) -> list[MlStage]:
+    """Train the ML stages in order on the (tokens, tag) pairs the static stages left."""
+    if len(set(config.ml_order)) != len(config.ml_order):
+        raise ValueError(f"duplicate ML stage in {config.ml_order}")
+    stages = []
     for stage_category in config.ml_order:
         if stage_category not in ML_CATEGORIES:
             raise ValueError(f"{stage_category} cannot be an ML stage")
-        positives = sum(1 for _, cat in survivors if cat == stage_category)
-        if positives == 0:
-            raise DataError(
-                f"no surviving positive examples for ML stage {stage_category.value}"
-            )
+        if not any(cat == stage_category for _, cat in survivors):
+            raise DataError(f"no surviving positive examples for ML stage {stage_category.value}")
         docs = [tokens for tokens, _ in survivors]
         tfidf = fit_tfidf(docs, config.max_features, config.ngram_range)
-        X = np.array([tfidf_transform(tfidf, d) for d in docs])
+        X = tfidf_transform(tfidf, docs)
         y = [cat == stage_category for _, cat in survivors]
         logreg = train_logreg(X, y, l2_lambda=config.l2_lambda)
-        cascade.stages.append(MlStage(category=stage_category, tfidf=tfidf, logreg=logreg))
-        fired = predict_proba(logreg, X) >= 0.5
+        stages.append(MlStage(category=stage_category, tfidf=tfidf, logreg=logreg))
+        fired = predict(logreg, X)
         survivors = [row for row, f in zip(survivors, fired) if not f]
-
-    return cascade
+    return stages
 
 
 # report keys for the two Other measurements
@@ -302,30 +305,25 @@ def evaluate_cascade(
     rows; Other is scored twice, once as the static gibberish rule alone and
     once after residual assignment picks up everything the ML stages left.
     """
+    config = config or CascadeConfig()
+    _, docs, static = _prepare_tagged(tagged, config)
     labels = [cat for _, cat in tagged]
+    falls_through = [i for i, s in enumerate(static) if s is None]
     folds = stratified_kfold(labels, k, seed)
     per_key: dict[str, list[EvalReport]] = {}
 
-    for fold_idx, test_idx in enumerate(folds):
+    for test_idx in folds:
         test_set = set(test_idx)
-        train_rows = [row for i, row in enumerate(tagged) if i not in test_set]
-        test_rows = [tagged[i] for i in test_idx]
-        cascade = train_cascade(train_rows, config)
+        train = [(docs[i], labels[i]) for i in falls_through if i not in test_set]
+        y_true = [labels[i] for i in test_idx]
+        static_pred = [static[i] for i in test_idx]
+        y_pred = _funnel(_fit_stages(train, config), [docs[i] for i in test_idx], static_pred)
 
-        y_true = [cat for _, cat in test_rows]
-        tokens = [cascade.prepare(msg) for msg, _ in test_rows]
-        y_pred = [classify_tokens(cascade, t) for t in tokens]
-        static_pred = [_static_category(cascade, t) for t in tokens]
-
-        for category in CATEGORIES:
-            if category == CommitCategory.OTHER:
-                continue
-            per_key.setdefault(category.value, []).append(
-                prf1(y_true, y_pred, category)
-            )
         other = CommitCategory.OTHER
-        per_key.setdefault(OTHER_STATIC, []).append(prf1(y_true, static_pred, other))
-        per_key.setdefault(OTHER_RESIDUAL, []).append(prf1(y_true, y_pred, other))
+        scored = [(c.value, y_pred, c) for c in CATEGORIES if c != other]
+        scored += [(OTHER_STATIC, static_pred, other), (OTHER_RESIDUAL, y_pred, other)]
+        for key, pred, category in scored:
+            per_key.setdefault(key, []).append(prf1(y_true, pred, category))
 
     return {key: mean_report(reports) for key, reports in per_key.items()}
 

@@ -269,7 +269,7 @@ def _commit_from_json(raw: dict, line_no: int) -> CommitRecord:
     if not isinstance(sha, str) or not _SHA_RE.match(sha):
         raise SchemaError(f"line {line_no}: {sha!r} is not a 40-hex sha")
     ts = raw["ts"]
-    if not isinstance(ts, int) or ts <= 0:
+    if type(ts) is not int or ts <= 0:  # JSON true is a bool, an int subclass
         raise SchemaError(f"line {line_no}: ts must be a positive integer")
     for key in ("author", "msg"):
         if not isinstance(raw[key], str):
@@ -283,7 +283,7 @@ def _commit_from_json(raw: dict, line_no: int) -> CommitRecord:
         add, dele = fraw.get("add"), fraw.get("del")
         if add is None and dele is None:
             files.append(FileStat(path=fraw["path"], additions=0, deletions=0, binary=True))
-        elif isinstance(add, int) and isinstance(dele, int):
+        elif type(add) is int and type(dele) is int:
             files.append(FileStat(path=fraw["path"], additions=add, deletions=dele))
         else:
             raise SchemaError(

@@ -3,7 +3,7 @@
 Vocabulary selection ranks candidate n-grams by document frequency with
 lexicographic tie-breaking so that fitting is fully deterministic. IDF uses
 the smoothed form ``ln((1 + N) / (1 + df)) + 1`` and transformed vectors are
-L2-normalized (zero vectors stay zero).
+L2-normalized (zero vectors stay zero), one row per document of a batch.
 """
 
 from __future__ import annotations
@@ -98,16 +98,17 @@ def fit_tfidf(
     )
 
 
-def tfidf_transform(model: TfidfModel, doc: Sequence[str]) -> np.ndarray:
-    """Raw term counts times IDF, L2-normalized; all-zero stays all-zero."""
-    vec = np.zeros(model.dim, dtype=np.float64)
+def tfidf_transform(model: TfidfModel, docs: Sequence[Sequence[str]]) -> np.ndarray:
+    """One row per document: raw term counts times IDF, each row L2-normalized."""
+    X = np.zeros((len(docs), model.dim), dtype=np.float64)
     vocab = model.vocabulary
-    for gram in iter_ngrams(doc, model.ngram_min, model.ngram_max):
-        col = vocab.get(gram)
-        if col is not None:
-            vec[col] += 1.0
-    vec *= model.idf
-    norm = math.sqrt(float(vec @ vec))
-    if norm > 0.0:
-        vec /= norm
-    return vec
+    for vec, doc in zip(X, docs):
+        for gram in iter_ngrams(doc, model.ngram_min, model.ngram_max):
+            col = vocab.get(gram)
+            if col is not None:
+                vec[col] += 1.0
+        vec *= model.idf
+        norm = math.sqrt(float(vec @ vec))
+        if norm > 0.0:
+            vec /= norm
+    return X

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -43,7 +43,7 @@ class Lexicon:
             if bad:
                 raise ValueError(f"{name} must be non-empty lowercase: {bad[:5]}")
 
-    @property
+    @cached_property
     def meaningful_words(self) -> frozenset[str]:
         return self.english_words | self.domain_words
 

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from teamscope.cli import main
+from teamscope.errors import SchemaError
 from teamscope.ingest import load_commits_jsonl
 
 SHA_A = "a" * 40
@@ -473,6 +474,16 @@ def _first_commit(**fields):
     return alter
 
 
+def _first_file(**fields):
+    def alter(data: bytes) -> bytes:
+        first, rest = data.split(b"\n", 1)
+        commit = json.loads(first)
+        commit["files"][0].update(fields)
+        return json.dumps(commit).encode() + b"\n" + rest
+
+    return alter
+
+
 @pytest.fixture
 def work(team_model, tmp_path):
     """A copy of the labeled corpus with its models, a tagged CSV and a git log."""
@@ -511,6 +522,12 @@ UNREADABLE = {
                         "line 1: msg must be a string"),
     "commit-author-int": ("corpus/commits.jsonl", _first_commit(author=5), _FEATURES,
                           "line 1: author must be a string"),
+    "commit-ts-true": ("corpus/commits.jsonl", _first_commit(ts=True), _FEATURES,
+                       "line 1: ts must be a positive integer"),
+    "commit-add-true": ("corpus/commits.jsonl", _first_file(add=True), _FEATURES,
+                        "line 1: file add/del must both be ints or both null"),
+    "commit-del-false": ("corpus/commits.jsonl", _first_file(**{"del": False}), _FEATURES,
+                         "line 1: file add/del must both be ints or both null"),
 }
 
 
@@ -533,7 +550,7 @@ def cascade_model(team_model, tmp_path_factory):
     return out / "cascade.json"
 
 
-_JUNK = st.sampled_from([None, True, -3, 1.5, "x", [], {}, [1, "a"]])
+_JUNK = st.sampled_from([None, True, False, -3, 1.5, "x", [], {}, [1, "a"]])
 _CSV_JUNK = st.sampled_from(["", "abc", "-5", "1e999", "nan", ";", "true"])
 
 
@@ -601,3 +618,24 @@ def test_corrupted_inputs_never_exit_internal_error(team_model, cascade_model, n
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             code = main(argv + ["--data", str(work / "corpus"), "--out", str(work / "out")])
         assert code in (0, 2), stderr.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=st.sampled_from(["ts", "add", "del"]), flag=st.booleans(), data=st.data())
+def test_boolean_timestamp_or_line_count_is_a_schema_error(team_model, field, flag, data):
+    # JSON true/false pass isinstance(x, int); a count or a timestamp must still refuse them
+    corpus, _ = team_model
+    lines = (corpus / "commits.jsonl").read_text(encoding="utf-8").splitlines()
+    with_files = [i for i, line in enumerate(lines) if json.loads(line)["files"]]
+    i = data.draw(st.sampled_from(with_files))
+    commit = json.loads(lines[i])
+    if field == "ts":
+        commit["ts"] = flag
+    else:
+        commit["files"][data.draw(st.integers(0, len(commit["files"]) - 1))][field] = flag
+    lines[i] = json.dumps(commit)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "commits.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=f"line {i + 1}: "):
+            load_commits_jsonl(path)

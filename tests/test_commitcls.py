@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teamscope import textnorm
+from teamscope import commitcls, textnorm
 from teamscope.commitcls import (
     CascadeConfig,
     CascadeModel,
@@ -12,14 +12,12 @@ from teamscope.commitcls import (
     MlStage,
     category_distribution,
     classify,
+    classify_tokens,
     default_keywords,
     detect_pair_programming,
     evaluate_cascade,
     is_gibberish,
-    label_commit,
-    match_documentation,
-    match_merge,
-    match_style,
+    label_commits,
     train_cascade,
 )
 from teamscope.commitcls import _static_category
@@ -56,22 +54,36 @@ def tagged_sample():
     ]
 
 
-def test_match_merge_examples():
-    assert match_merge(["merge", "branch", "master", "of"], KW["merge"])
-    assert match_merge(["fix", "merge", "conflict"], KW["merge"])
-    assert not match_merge(["fix", "logout"], KW["merge"])
+# the keyword stages of _static_category, each with its positive and negative examples
 
 
-def test_match_documentation_examples():
-    assert match_documentation(["add", "javadoc", "class"], KW["documentation"])
-    assert match_documentation(["update", "documentation"], KW["documentation"])
-    assert not match_documentation(["more", "test", "case"], KW["documentation"])
+def test_match_merge_examples(lexicon):
+    cascade = _stub_cascade(lexicon)
+    assert _static_category(cascade, ["merge", "branch", "master", "of"]) == CommitCategory.MERGE
+    assert _static_category(cascade, ["fix", "merge", "conflict"]) == CommitCategory.MERGE
+    assert _static_category(cascade, ["fix", "logout"]) != CommitCategory.MERGE
 
 
-def test_match_style_examples():
-    assert match_style(["fix", "pmd", "error"], KW["style"])
-    assert match_style(["checkstyle"], KW["style"])
-    assert not match_style(["add", "constructor"], KW["style"])
+def test_match_documentation_examples(lexicon):
+    cascade = _stub_cascade(lexicon)
+    doc = CommitCategory.DOCUMENTATION
+    assert _static_category(cascade, ["add", "javadoc", "class"]) == doc
+    assert _static_category(cascade, ["update", "documentation"]) == doc
+    assert _static_category(cascade, ["more", "test", "case"]) != doc
+
+
+def test_match_style_examples(lexicon):
+    cascade = _stub_cascade(lexicon)
+    assert _static_category(cascade, ["fix", "pmd", "error"]) == CommitCategory.STYLE
+    assert _static_category(cascade, ["checkstyle"]) == CommitCategory.STYLE
+    assert _static_category(cascade, ["add", "constructor"]) != CommitCategory.STYLE
+
+
+def test_static_category_keyword_order(lexicon):
+    # merge beats documentation beats style, whatever the token order
+    cascade = _stub_cascade(lexicon)
+    assert _static_category(cascade, ["pmd", "javadoc", "merge"]) == CommitCategory.MERGE
+    assert _static_category(cascade, ["pmd", "javadoc"]) == CommitCategory.DOCUMENTATION
 
 
 def test_is_gibberish_examples(lexicon):
@@ -193,7 +205,7 @@ def test_label_commit_carries_pair_flag(trained_cascade):
         files=(),
         is_merge_shape=True,
     )
-    labeled = label_commit(trained_cascade, record)
+    labeled = label_commits(trained_cascade, [record])[0]
     assert labeled.pair_programming
     assert labeled.category == CommitCategory.BUGFIX
 
@@ -270,9 +282,55 @@ def test_ml_stages_are_at_their_optimum(trained_cascade, tagged_sample):
     prepared = [(trained_cascade.prepare(msg), cat) for msg, cat in tagged_sample]
     survivors = [row for row in prepared if _static_category(trained_cascade, row[0]) is None]
     for stage in trained_cascade.stages:
-        X = np.array([tfidf_transform(stage.tfidf, tokens) for tokens, _ in survivors])
+        X = tfidf_transform(stage.tfidf, [tokens for tokens, _ in survivors])
         y = np.array([cat == stage.category for _, cat in survivors], dtype=float)
         model = stage.logreg
         _, grad_w, grad_b = logistic_loss_and_grad(model.weights, model.bias, X, y, model.l2_lambda)
         assert max(np.max(np.abs(grad_w)), abs(grad_b)) <= 1e-8
         survivors = [row for row, p in zip(survivors, predict_proba(model, X)) if p < 0.5]
+
+
+_WORDS = ["fix", "bug", "test", "case", "add", "menu", "logout", "roster", "merge", "pmd", "zzq"]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(_WORDS), max_size=6), max_size=12), st.data())
+def test_batch_classification_equals_one_row_calls(trained_cascade, docs, data):
+    labels = classify_tokens(trained_cascade, docs)
+    assert labels == [classify_tokens(trained_cascade, [d])[0] for d in docs]
+    for stage in trained_cascade.stages:
+        X = tfidf_transform(stage.tfidf, docs)
+        assert X.shape == (len(docs), stage.tfidf.dim)
+        for row, doc in zip(X, docs):
+            assert row.tobytes() == tfidf_transform(stage.tfidf, [doc])[0].tobytes()
+        assert stage.fires(docs).tolist() == [bool(stage.fires([d])[0]) for d in docs]
+
+
+def test_label_commits_in_blocks_equals_per_message(monkeypatch, trained_cascade, tagged_sample):
+    monkeypatch.setattr(commitcls, "_LABEL_BLOCK", 5)  # 42 commits: 8 full blocks and a partial one
+    messages = [m for m, _ in tagged_sample[:40]] + ["pair programmed the menu", "pp: fix logout"]
+    records = [
+        CommitRecord(sha=f"{i:040x}", author_key="a", timestamp=i + 1, message=m, files=())
+        for i, m in enumerate(messages)
+    ]
+    labeled = label_commits(trained_cascade, iter(records))
+    assert [item.commit for item in labeled] == records
+    for item in labeled:
+        assert item.category == classify(trained_cascade, item.commit.message)
+        tokens = trained_cascade.prepare(item.commit.message)
+        assert item.pair_programming == detect_pair_programming(tokens)
+    assert sum(item.pair_programming for item in labeled) >= 2
+    assert label_commits(trained_cascade, []) == []
+
+
+def test_evaluate_cascade_normalizes_each_message_once(monkeypatch, tagged_sample):
+    calls = []
+    normalize = textnorm.normalize
+
+    def counting(message, *args, **kwargs):
+        calls.append(message)
+        return normalize(message, *args, **kwargs)
+
+    monkeypatch.setattr(textnorm, "normalize", counting)
+    evaluate_cascade(tagged_sample, k=3, seed=5)
+    assert len(calls) == len(tagged_sample)

@@ -87,8 +87,11 @@ def test_tfidf_reload_bit_identical_vectors(tmp_path):
     path = tmp_path / "tfidf.json"
     save_model(path, "tfidf", model.to_dict())
     clone = TfidfModel.from_dict(load_model(path, "tfidf"))
-    for doc in docs:
-        assert np.array_equal(tfidf_transform(clone, doc), tfidf_transform(model, doc))
+    X = tfidf_transform(model, docs)
+    assert X.shape == (len(docs), model.dim) and np.count_nonzero(X) > 0
+    assert np.array_equal(tfidf_transform(clone, docs), X)
+    for doc, row in zip(docs, X):
+        assert np.array_equal(tfidf_transform(clone, [doc])[0], row)
 
 
 def test_serialized_form_is_stable_bytes(tmp_path):
