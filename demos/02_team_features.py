@@ -15,11 +15,11 @@ labeled = truth_labeled_commits(team, truth)
 
 # User 0 is always the member with fewer total added lines, so the vector
 # does not depend on roster row order.
-ordering = order_users(team, labeled)
-print(f"team {team.team_id}: user0={ordering.user0}  user1={ordering.user1}")
+user0, user1 = order_users(team, labeled)
+print(f"team {team.team_id}: user0={user0}  user1={user1}")
 print(f"style (ground truth): {truth.team_styles[team.team_id].value}\n")
 
-vec = extract_features(team, labeled, ordering)
+vec = extract_features(team, labeled)
 print(f"registry has {len(REGISTRY)} named features; a sample:")
 for name in [
     "u0_commits_whole",
@@ -42,7 +42,8 @@ s0 = vec["u0_churn_share_whole"]
 s1 = vec["u1_churn_share_whole"]
 print(f"\nchurn share identity: {s0:.4f} + {s1:.4f} = {s0 + s1}")
 
-# Dataset-level: one row per team, z-scored columns for the classifiers.
+# Dataset-level: one pass over every team's commits gives one row per team
+# (extract_features above is the one-team call), then z-scored columns.
 labeled_teams = [(t, truth_labeled_commits(t, truth)) for t in teams]
 build = build_matrix(labeled_teams)
 print(f"\nmatrix: {build.raw.shape[0]} teams x {build.raw.shape[1]} features")

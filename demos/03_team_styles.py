@@ -6,11 +6,12 @@ evaluation, and the intervention-facing solo-submit flag report.
 """
 
 from teamscope.synthgen import GenConfig, generate_corpus, truth_labeled_commits
-from teamscope.teamfeat import build_matrix, extract_features
+from teamscope.teamfeat import build_matrix
 from teamscope.teamstyle import (
+    TeamStyle,
     evaluate_team_model,
     flag_solo_submitters,
-    oracle_label,
+    oracle_labels,
     train_team_model,
 )
 
@@ -18,13 +19,12 @@ config = GenConfig(seed=99, n_teams=100, style_mix=(0.5, 0.3, 0.2), noise_rate=0
 teams, truth = generate_corpus(config)
 labeled_teams = [(t, truth_labeled_commits(t, truth)) for t in teams]
 
-# The rubric: Collaborative when both members hold a 30-70% churn share in
-# at least two active parts; Solo-submit when user 0's overall share is
-# tiny; Cooperative otherwise.
-styles = [oracle_label(team, labeled) for team, labeled in labeled_teams]
-print("oracle label counts:", {s.value: styles.count(s) for s in set(styles)})
-
+# The rubric reads the feature matrix: Collaborative when both members hold
+# a 30-70% churn share in at least two active parts; Solo-submit when user
+# 0's overall share is tiny; Cooperative otherwise.
 build = build_matrix(labeled_teams)
+styles = oracle_labels(build)
+print("oracle label counts:", {s.value: styles.count(s) for s in TeamStyle})
 
 for algorithm in ("forest", "logistic_rfe"):
     result = evaluate_team_model(
@@ -39,8 +39,7 @@ for algorithm in ("forest", "logistic_rfe"):
 # Train on everything and flag the teams the solo stage fires on, ranked by
 # vote share, each with its standardized evidence features.
 model = train_team_model(build.raw, styles, algorithm="forest", seed=99)
-vectors = [extract_features(team, labeled) for team, labeled in labeled_teams]
-flags = flag_solo_submitters(model, vectors)
+flags = flag_solo_submitters(model, build.raw, build.team_ids)
 print(f"\nflagged {len(flags)} teams as solo-submit; most confident first:")
 for flag in flags[:5]:
     strongest = sorted(flag.features, key=lambda nv: abs(nv[1]), reverse=True)[:3]

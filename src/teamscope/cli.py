@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, commitcls, synthgen, teamfeat, teamstyle
-from .commitcls import CascadeConfig, CascadeModel, CommitCategory
+from .commitcls import CascadeModel, CommitCategory
 from .errors import DataError, SchemaError, open_text
 from .ingest import (
     build_teams,
@@ -323,7 +323,7 @@ def _read_labels(path) -> dict[str, tuple[CommitCategory, bool]]:
 
 
 def _load_dataset(data_dir):
-    """Labeled teams, their feature matrix, and the dataset files read by manifest name."""
+    """The dataset's feature matrix and the dataset files read, by manifest name."""
     data = Path(data_dir)
     inputs = {
         "commits": data / "commits.jsonl",
@@ -345,19 +345,19 @@ def _load_dataset(data_dir):
                 commitcls.LabeledCommit(commit=commit, category=category, pair_programming=pair)
             )
         labeled_teams.append((team, labeled))
-    return labeled_teams, teamfeat.build_matrix(labeled_teams), inputs
+    return teamfeat.build_matrix(labeled_teams), inputs
 
 
 def _load_styled_dataset(args):
     """The feature matrix, each team's style (``--styles`` or the rubric oracle), and the inputs read."""
-    labeled_teams, build, inputs = _load_dataset(args.data)
+    build, inputs = _load_dataset(args.data)
     if not args.styles:
-        return build, [teamstyle.oracle_label(team, labeled) for team, labeled in labeled_teams], inputs
+        return build, teamstyle.oracle_labels(build), inputs
     styles = dict(_read_enum_csv(args.styles, "team_id", "style", TeamStyle))
-    missing = [t.team_id for t, _ in labeled_teams if t.team_id not in styles]
+    missing = [t for t in build.team_ids if t not in styles]
     if missing:
         raise DataError(f"styles file lacks entries for teams: {missing[:5]}")
-    return build, [styles[t.team_id] for t, _ in labeled_teams], {**inputs, "styles": args.styles}
+    return build, [styles[t] for t in build.team_ids], {**inputs, "styles": args.styles}
 
 
 def _report_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -444,7 +444,7 @@ def cmd_train_commits(args, outdir):
         from .textnorm import load_lexicon
 
         lexicon = load_lexicon(args.english_words, args.domain_words, args.stopwords)
-    cascade = commitcls.train_cascade(tagged, CascadeConfig(), lexicon=lexicon)
+    cascade = commitcls.train_cascade(tagged, lexicon=lexicon)
     model_path = outdir / "cascade.json"
     save_model(model_path, "cascade", cascade.to_dict())
     inputs = {"tagged": args.tagged}
@@ -509,7 +509,7 @@ def cmd_label_commits(args, outdir):
 
 
 def cmd_features(args, outdir):
-    _, build, inputs = _load_dataset(args.data)
+    build, inputs = _load_dataset(args.data)
     features_path = outdir / "features.csv"
     with open(features_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -576,7 +576,7 @@ def cmd_eval_teams(args, outdir):
 
 
 def cmd_predict(args, outdir):
-    _, build, inputs = _load_dataset(args.data)
+    build, inputs = _load_dataset(args.data)
     model = _read_model(args.model, "teamstyle", teamstyle.TeamStyleModel)
     predictions = teamstyle.predict_style_with_confidence(model, build.raw)
     predictions_path = outdir / "predictions.csv"
@@ -590,13 +590,9 @@ def cmd_predict(args, outdir):
 
 
 def cmd_flag(args, outdir):
-    _, build, inputs = _load_dataset(args.data)
+    build, inputs = _load_dataset(args.data)
     model = _read_model(args.model, "teamstyle", teamstyle.TeamStyleModel)
-    vectors = [
-        teamfeat.TeamFeatureVector(team_id=team_id, values=row, registry=build.registry)
-        for team_id, row in zip(build.team_ids, build.raw)
-    ]
-    flags = teamstyle.flag_solo_submitters(model, vectors)
+    flags = teamstyle.flag_solo_submitters(model, build.raw, build.team_ids)
     flags_path = outdir / "flags.json"
     payload = [
         {

@@ -3,7 +3,7 @@
 The cascade assigns exactly one category per message, first stage wins:
 
     Merge -> Documentation -> Style -> gibberish Other
-          -> ML stages (TF-IDF + logistic regression, default order
+          -> ML stages (TF-IDF + logistic regression, in the order
              Implementation, Test, Bugfix) -> residual Other
 
 Static stages are keyword rules over normalized tokens; the gibberish check
@@ -101,15 +101,6 @@ def is_gibberish(
 def detect_pair_programming(tokens: Sequence[str]) -> bool:
     """Whole-token match of "pair" (any lemma) or the abbreviation "pp"."""
     return any(t in ("pair", "pp") for t in tokens)
-
-
-@dataclass
-class CascadeConfig:
-    ml_order: tuple[CommitCategory, ...] = ML_CATEGORIES
-    max_features: int = DEFAULT_MAX_FEATURES
-    ngram_range: tuple[int, int] = DEFAULT_NGRAM_RANGE
-    gibberish_threshold: float = DEFAULT_GIBBERISH_THRESHOLD
-    l2_lambda: float = 1.0
 
 
 @dataclass
@@ -237,7 +228,6 @@ def label_commits(cascade: CascadeModel, commits: Iterable[CommitRecord]) -> lis
 
 def train_cascade(
     tagged: Sequence[tuple[str, CommitCategory]],
-    config: CascadeConfig | None = None,
     lexicon: Lexicon | None = None,
     lemma_exceptions: dict[str, str] | None = None,
     keywords: dict[str, frozenset[str]] | None = None,
@@ -248,40 +238,35 @@ def train_cascade(
     by stages 1..k-1, with positives being the messages tagged as stage k's
     category; a stage with no surviving positives is an error.
     """
-    config = config or CascadeConfig()
-    cascade, docs, static = _prepare_tagged(tagged, config, lexicon, lemma_exceptions, keywords)
+    cascade, docs, static = _prepare_tagged(tagged, lexicon, lemma_exceptions, keywords)
     survivors = [(d, cat) for d, s, (_, cat) in zip(docs, static, tagged) if s is None]
-    cascade.stages = _fit_stages(survivors, config)
+    cascade.stages = _fit_stages(survivors)
     return cascade
 
 
-def _prepare_tagged(tagged, config, lexicon=None, lemma_exceptions=None, keywords=None):
+def _prepare_tagged(tagged, lexicon=None, lemma_exceptions=None, keywords=None):
     """A cascade without ML stages, and the tagged messages' token lists and static categories."""
     cascade = CascadeModel(
         lexicon=lexicon or textnorm.default_lexicon(),
         lemma_exceptions=lemma_exceptions or textnorm.default_lemma_exceptions(),
         keywords=keywords or default_keywords(),
-        gibberish_threshold=config.gibberish_threshold,
+        gibberish_threshold=DEFAULT_GIBBERISH_THRESHOLD,
     )
     docs = [cascade.prepare(message) for message, _ in tagged]
     return cascade, docs, [_static_category(cascade, d) for d in docs]
 
 
-def _fit_stages(survivors: list, config: CascadeConfig) -> list[MlStage]:
+def _fit_stages(survivors: list) -> list[MlStage]:
     """Train the ML stages in order on the (tokens, tag) pairs the static stages left."""
-    if len(set(config.ml_order)) != len(config.ml_order):
-        raise ValueError(f"duplicate ML stage in {config.ml_order}")
     stages = []
-    for stage_category in config.ml_order:
-        if stage_category not in ML_CATEGORIES:
-            raise ValueError(f"{stage_category} cannot be an ML stage")
+    for stage_category in ML_CATEGORIES:
         if not any(cat == stage_category for _, cat in survivors):
             raise DataError(f"no surviving positive examples for ML stage {stage_category.value}")
         docs = [tokens for tokens, _ in survivors]
-        tfidf = fit_tfidf(docs, config.max_features, config.ngram_range)
+        tfidf = fit_tfidf(docs, DEFAULT_MAX_FEATURES, DEFAULT_NGRAM_RANGE)
         X = tfidf_transform(tfidf, docs)
         y = [cat == stage_category for _, cat in survivors]
-        logreg = train_logreg(X, y, l2_lambda=config.l2_lambda)
+        logreg = train_logreg(X, y)
         stages.append(MlStage(category=stage_category, tfidf=tfidf, logreg=logreg))
         fired = predict(logreg, X)
         survivors = [row for row, f in zip(survivors, fired) if not f]
@@ -297,7 +282,6 @@ def evaluate_cascade(
     tagged: Sequence[tuple[str, CommitCategory]],
     k: int = 5,
     seed: int = 0,
-    config: CascadeConfig | None = None,
 ) -> dict[str, EvalReport]:
     """Stratified k-fold evaluation of the full cascade.
 
@@ -305,8 +289,7 @@ def evaluate_cascade(
     rows; Other is scored twice, once as the static gibberish rule alone and
     once after residual assignment picks up everything the ML stages left.
     """
-    config = config or CascadeConfig()
-    _, docs, static = _prepare_tagged(tagged, config)
+    _, docs, static = _prepare_tagged(tagged)
     labels = [cat for _, cat in tagged]
     falls_through = [i for i, s in enumerate(static) if s is None]
     folds = stratified_kfold(labels, k, seed)
@@ -317,7 +300,7 @@ def evaluate_cascade(
         train = [(docs[i], labels[i]) for i in falls_through if i not in test_set]
         y_true = [labels[i] for i in test_idx]
         static_pred = [static[i] for i in test_idx]
-        y_pred = _funnel(_fit_stages(train, config), [docs[i] for i in test_idx], static_pred)
+        y_pred = _funnel(_fit_stages(train), [docs[i] for i in test_idx], static_pred)
 
         other = CommitCategory.OTHER
         scored = [(c.value, y_pred, c) for c in CATEGORIES if c != other]

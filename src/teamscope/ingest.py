@@ -69,7 +69,11 @@ class CommitRecord:
     message: str
     files: tuple[FileStat, ...] = ()
     author_id: str | None = None
-    is_merge_shape: bool = False
+
+    @property
+    def is_merge_shape(self) -> bool:
+        """No numstat lines: what a pure merge looks like in the export."""
+        return not self.files
 
     @property
     def additions(self) -> int:
@@ -141,7 +145,7 @@ def parse_git_log(text: str) -> list[CommitRecord]:
     Each 0x01-prefixed block yields one record, in input order. Binary
     numstat entries (``-\\t-\\tPATH``) contribute zero lines; commits with no
     numstat lines at all (pure merges under this command) get an empty file
-    list and are flagged ``is_merge_shape``.
+    list, so ``is_merge_shape`` holds for them.
     """
     text = text.replace("\r\n", "\n")  # tolerate CRLF exports
     if not text.strip(COMMIT_HEADER_MARK + " \t\r\n"):
@@ -191,7 +195,6 @@ def _parse_commit_block(lines: list[str], start_line: int) -> CommitRecord:
         timestamp=timestamp,
         message=subject,
         files=tuple(files),
-        is_merge_shape=not files,
     )
 
 
@@ -295,7 +298,6 @@ def _commit_from_json(raw: dict, line_no: int) -> CommitRecord:
         timestamp=ts,
         message=raw["msg"],
         files=tuple(files),
-        is_merge_shape=not files,
     )
 
 

@@ -259,12 +259,11 @@ def _split_nodes(X, codes, shift, y_hot, rows, sizes, features, node_counts, min
     at = cut[best]
     best_seg = cut_seg[best]
     feature = features.ravel()[best_seg]
-    above = X[cell_rows[at + 1], feature]
-    threshold = (X[cell_rows[at], feature] + above) / 2.0
+    below, above = X[cell_rows[at], feature], X[cell_rows[at + 1], feature]
+    threshold = (below + above) / 2.0
+    # a midpoint can round up onto the next value; the lower value keeps that value's samples right
+    threshold = np.where(threshold == above, below, threshold)
     n_left = n_left[best]
-    # a midpoint can round up onto the next value, whose samples then go left too
-    up = np.flatnonzero(threshold == above)
-    n_left[up] = np.searchsorted(key, key[at[up] + 1], side="right") - seg_starts[best_seg[up]]
     starts = seg_starts[best_seg]
     left_counts = _range_counts(prefix, starts, starts + n_left)
 

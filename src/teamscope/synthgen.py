@@ -291,7 +291,6 @@ def _generate_team(config, pools, veto, rng, team_idx, attempt, intended):
                 timestamp=timestamp,
                 message=message,
                 files=_render_files(rng, cat, add, dele),
-                is_merge_shape=cat == CommitCategory.MERGE,
             )
         )
         categories[sha] = cat

@@ -6,6 +6,9 @@ averages, team shares, and message lengths; team-level entries add pair
 programming totals, prior grades, at-risk flags, and the selection method.
 Users are canonically ordered so that user 0 is the member with fewer total
 added lines, making vectors independent of roster row order.
+
+``build_matrix`` computes every team's row in one batched pass;
+``extract_features`` and ``order_users`` are its one-team calls.
 """
 
 from __future__ import annotations
@@ -74,12 +77,7 @@ def feature_registry() -> list[str]:
 
 REGISTRY = feature_registry()
 _REGISTRY_INDEX = {name: i for i, name in enumerate(REGISTRY)}
-
-
-@dataclass(frozen=True)
-class UserOrdering:
-    user0: str
-    user1: str
+_SCOPE_INDEX = {category: i for i, category in enumerate(CATEGORIES, start=1)}
 
 
 @dataclass
@@ -92,140 +90,119 @@ class TeamFeatureVector:
         return float(self.values[_REGISTRY_INDEX[name]])
 
 
-def order_users(team: TeamRecord, labeled: Sequence[LabeledCommit]) -> UserOrdering:
-    """User 0 is the member with fewer total added lines.
-
-    Ties fall back to fewer commits, then lexicographic member id.
-    """
-    ids = team.member_ids()
-    additions = {m: 0 for m in ids}
-    counts = {m: 0 for m in ids}
-    for item in labeled:
-        who = _commit_owner(item, team)
-        additions[who] += item.commit.additions
-        counts[who] += 1
-    first, second = sorted(ids, key=lambda m: (additions[m], counts[m], m))
-    return UserOrdering(user0=first, user1=second)
-
-
-def _commit_owner(item: LabeledCommit, team: TeamRecord) -> str:
-    owner = item.commit.author_id
-    if owner is None or owner not in team.member_ids():
-        raise DataError(
-            f"commit {item.commit.sha} is not resolved to a member of "
-            f"team {team.team_id!r}"
-        )
-    return owner
-
-
-def extract_features(
-    team: TeamRecord,
-    labeled: Sequence[LabeledCommit],
-    ordering: UserOrdering | None = None,
-) -> TeamFeatureVector:
-    """Compute the full registry for one team; all commits must be resolved."""
-    if ordering is None:
-        ordering = order_users(team, labeled)
-    users = (ordering.user0, ordering.user1)
-
-    # accumulators[user][scope] = [commits, add, del, files, churn, msg_len]
-    acc = {
-        u: {scope: [0, 0, 0, 0, 0, 0] for scope in SCOPES} for u in users
-    }
-    pair_counts = {u: 0 for u in users}
-    for item in labeled:
-        who = _commit_owner(item, team)
-        c = item.commit
-        row = (1, c.additions, c.deletions, c.files_changed, c.churn, len(c.message))
-        for scope in ("whole", item.category.value.lower()):
-            bucket = acc[who][scope]
-            for i, v in enumerate(row):
-                bucket[i] += v
-        if item.pair_programming:
-            pair_counts[who] += 1
-
-    values = np.zeros(len(REGISTRY), dtype=np.float64)
-    pos = 0
-    for user_idx, user in enumerate(users):
-        for scope in SCOPES:
-            mine = acc[user][scope]
-            theirs = acc[users[1 - user_idx]][scope]
-            commits, adds, dels, files, churn, msg_len = mine
-            block = [
-                float(commits),
-                float(adds),
-                float(dels),
-                float(files),
-                float(churn),
-                adds / commits if commits else 0.0,
-                dels / commits if commits else 0.0,
-                files / commits if commits else 0.0,
-                churn / commits if commits else 0.0,
-                _share(commits, theirs[0], user_idx),
-                _share(adds, theirs[1], user_idx),
-                _share(dels, theirs[2], user_idx),
-                _share(files, theirs[3], user_idx),
-                _share(churn, theirs[4], user_idx),
-                float(msg_len),
-                msg_len / commits if commits else 0.0,
-            ]
-            values[pos : pos + len(block)] = block
-            pos += len(block)
-
-    members = {m.member_id: m for m in team.members}
-    u0, u1 = members[users[0]], members[users[1]]
-    team_level = [
-        float(pair_counts[users[0]]),
-        float(pair_counts[users[1]]),
-        float(pair_counts[users[0]] + pair_counts[users[1]]),
-        u0.exam1_grade,
-        u0.project1_grade,
-        u1.exam1_grade,
-        u1.project1_grade,
-        float(u0.exam1_grade < RISK_GRADE_CUTOFF),
-        float(u0.project1_grade < RISK_GRADE_CUTOFF),
-        float(u1.exam1_grade < RISK_GRADE_CUTOFF),
-        float(u1.project1_grade < RISK_GRADE_CUTOFF),
-        float(
-            u0.exam1_grade < RISK_GRADE_CUTOFF
-            or u0.project1_grade < RISK_GRADE_CUTOFF
-            or u1.exam1_grade < RISK_GRADE_CUTOFF
-            or u1.project1_grade < RISK_GRADE_CUTOFF
-        ),
-        float(team.selected),
-    ]
-    values[pos:] = team_level
-    return TeamFeatureVector(team_id=team.team_id, values=values, registry=REGISTRY)
-
-
-def _share(mine: int, theirs: int, user_idx: int) -> float:
-    """User share of a team total; user 1 gets 1 - share(user 0) exactly."""
-    total = mine + theirs
-    if total == 0:
-        return 0.0
-    if user_idx == 0:
-        return mine / total
-    return 1.0 - theirs / total
-
-
 @dataclass
 class MatrixBuild:
-    """The raw feature matrix, one row per team."""
+    """The raw feature matrix, one row per team, and each row's (user 0, user 1)."""
 
     team_ids: list[str]
     registry: list[str]
     raw: np.ndarray
+    users: list[tuple[str, str]]
 
 
 def build_matrix(
     labeled_teams: Sequence[tuple[TeamRecord, Sequence[LabeledCommit]]],
 ) -> MatrixBuild:
-    """Stack per-team vectors into a matrix."""
+    """Compute the full registry for every team; all commits must be resolved.
+
+    One loop collects each commit's integer columns, ``np.add.at`` sums them
+    per (team, member, scope), and every registry column is then computed
+    elementwise. Integer sums are exact, so a row does not depend on commit
+    order, and each average or share is one IEEE division.
+    """
     if not labeled_teams:
         raise DataError("no teams to build a feature matrix from")
-    vectors = [extract_features(team, labeled) for team, labeled in labeled_teams]
-    return MatrixBuild(
-        team_ids=[v.team_id for v in vectors],
-        registry=REGISTRY,
-        raw=np.vstack([v.values for v in vectors]),
+    n = len(labeled_teams)
+    sums, pairs = _member_sums(labeled_teams)
+
+    # user 0 has fewer added lines, then fewer commits, then the smaller member id
+    ids = [team.member_ids() for team, _ in labeled_teams]
+    totals = sums[:, :, 0, 1::-1].tolist()  # per team and slot: [additions, commits]
+    order = np.array([
+        sorted((0, 1), key=lambda s: (*totals[t][s], ids[t][s])) for t in range(n)
+    ])
+    rows = np.arange(n)[:, None]
+    sums, pairs = sums[rows, order], pairs[rows, order]
+    grades = np.array(
+        [[(m.exam1_grade, m.project1_grade) for m in team.members] for team, _ in labeled_teams],
+        dtype=np.float64,
+    )[rows, order]
+
+    # sums[team, user, scope]: commits, additions, deletions, files, churn, message length
+    counts = sums.astype(np.float64)  # exact: far below 2**53
+    avg = _ratio(counts[..., 1:], counts[..., :1])  # per commit: add, del, files, churn, msg_len
+    total = counts[:, 0, :, :5] + counts[:, 1, :, :5]
+    share0 = _ratio(counts[:, 0, :, :5], total)
+    # user 1 gets 1 - share(user 0) exactly
+    share = np.stack([share0, np.where(total > 0, 1.0 - share0, 0.0)], axis=1)
+    scoped = np.concatenate(
+        [counts[..., :5], avg[..., :4], share, counts[..., 5:], avg[..., 4:]],
+        axis=-1,
     )
+
+    risk = grades < RISK_GRADE_CUTOFF
+    team_level = np.column_stack([
+        pairs,
+        pairs.sum(axis=1),
+        grades.reshape(n, 4),
+        risk.reshape(n, 4),
+        risk.any(axis=(1, 2)),
+        [team.selected for team, _ in labeled_teams],
+    ])
+    return MatrixBuild(
+        team_ids=[team.team_id for team, _ in labeled_teams],
+        registry=REGISTRY,
+        raw=np.hstack([scoped.reshape(n, -1), team_level]),
+        users=[(ids[t][o0], ids[t][o1]) for t, (o0, o1) in enumerate(order.tolist())],
+    )
+
+
+def _member_sums(labeled_teams) -> tuple[np.ndarray, np.ndarray]:
+    """Per team and member slot (roster order), the int64 sums[team, slot, scope]
+    of commits, additions, deletions, files, churn and message length, and the
+    pair-programming commits. A function of its own so that the per-commit
+    columns are freed before ``build_matrix`` builds its float columns."""
+    # per commit: team row, member slot, scope, pair flag, then the summed columns
+    columns = np.empty((sum(len(labeled) for _, labeled in labeled_teams), 10), dtype=np.int64)
+    i = 0
+    for row, (team, labeled) in enumerate(labeled_teams):
+        slots = {member: slot for slot, member in enumerate(team.member_ids())}
+        for item in labeled:
+            c = item.commit
+            slot = slots.get(c.author_id)
+            if slot is None:
+                raise DataError(
+                    f"commit {c.sha} is not resolved to a member of "
+                    f"team {team.team_id!r}"
+                )
+            adds, dels = c.additions, c.deletions
+            columns[i] = (
+                row, slot, _SCOPE_INDEX[item.category], item.pair_programming,
+                1, adds, dels, len(c.files), adds + dels, len(c.message),
+            )
+            i += 1
+    team_row, slot, scope, pair = columns[:, :4].T
+    sums = np.zeros((len(labeled_teams), 2, len(SCOPES), 6), dtype=np.int64)
+    np.add.at(sums, (team_row, slot, scope), columns[:, 4:])
+    sums[:, :, 0] = sums[:, :, 1:].sum(axis=2)
+    pairs = np.zeros((len(labeled_teams), 2), dtype=np.int64)
+    np.add.at(pairs, (team_row, slot), pair)
+    return sums, pairs
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den elementwise, 0 where den is 0."""
+    out = np.zeros(np.broadcast_shapes(num.shape, den.shape))
+    return np.divide(num, den, out=out, where=den != 0)
+
+
+def extract_features(team: TeamRecord, labeled: Sequence[LabeledCommit]) -> TeamFeatureVector:
+    """The registry for one team: a one-team ``build_matrix``."""
+    build = build_matrix([(team, labeled)])
+    return TeamFeatureVector(team_id=team.team_id, values=build.raw[0], registry=build.registry)
+
+
+def order_users(team: TeamRecord, labeled: Sequence[LabeledCommit]) -> tuple[str, str]:
+    """(user 0, user 1) member ids, as ``build_matrix`` orders them: user 0 is
+    the member with fewer added lines, then fewer commits, then the smaller id."""
+    return build_matrix([(team, labeled)]).users[0]

@@ -38,7 +38,7 @@ from .mlcore import (
     train_forest,
     train_logreg,
 )
-from .teamfeat import REGISTRY_VERSION, TeamFeatureVector, order_users
+from .teamfeat import REGISTRY, REGISTRY_VERSION, MatrixBuild, build_matrix
 
 _U64 = 2**64 - 1
 
@@ -74,56 +74,39 @@ FOREST_DEFAULT_K = 12
 LOGISTIC_DEFAULT_K = 26
 
 
-def oracle_label(
-    team: TeamRecord,
-    labeled: Sequence[LabeledCommit],
-    min_part_churn: int = DEFAULT_MIN_PART_CHURN,
-    collab_band: tuple[float, float] = DEFAULT_COLLAB_BAND,
-    solo_share: float = DEFAULT_SOLO_SHARE,
-) -> TeamStyle:
-    """Apply the contribution-share rubric to one team's labeled commits."""
-    ordering = order_users(team, labeled)
-    part_churn = {part: {0: 0, 1: 0} for part in RUBRIC_PARTS}
-    whole = {0: 0, 1: 0}
-    for item in labeled:
-        user = 0 if item.commit.author_id == ordering.user0 else 1
-        whole[user] += item.commit.churn
-        if item.category in part_churn:
-            part_churn[item.category][user] += item.commit.churn
+def oracle_labels(build: MatrixBuild) -> list[TeamStyle]:
+    """Apply the contribution-share rubric to every row of a feature matrix.
 
-    active = {
-        part: churn
-        for part, churn in part_churn.items()
-        if churn[0] + churn[1] >= min_part_churn
-    }
-    if not active:
-        raise InsufficientActivityError(
-            f"team {team.team_id!r}: no project part reaches {min_part_churn} "
-            "churned lines; the style rubric does not apply"
-        )
-
-    low, high = collab_band
-    balanced = sum(
-        1
-        for churn in active.values()
-        if low <= churn[0] / (churn[0] + churn[1]) <= high
+    A rubric part is active when both users together churned at least
+    ``DEFAULT_MIN_PART_CHURN`` lines in it; a team with no active part is an
+    InsufficientActivityError naming the team.
+    """
+    col = build.registry.index
+    parts = [part.value.lower() for part in RUBRIC_PARTS]
+    u0, u1, share = (
+        build.raw[:, [col(f"{column}_{p}") for p in parts]]
+        for column in ("u0_churn", "u1_churn", "u0_churn_share")
     )
-    if balanced >= 2:
-        return TeamStyle.COLLABORATIVE
-    whole_total = whole[0] + whole[1]
-    if whole_total > 0 and whole[0] / whole_total < solo_share:
-        return TeamStyle.SOLO_SUBMIT
-    return TeamStyle.COOPERATIVE
+    active = u0 + u1 >= DEFAULT_MIN_PART_CHURN
+    idle = np.flatnonzero(~active.any(axis=1))
+    if idle.size:
+        raise InsufficientActivityError(
+            f"team {build.team_ids[idle[0]]!r}: no project part reaches "
+            f"{DEFAULT_MIN_PART_CHURN} churned lines; the style rubric does not apply"
+        )
+    low, high = DEFAULT_COLLAB_BAND
+    balanced = (active & (low <= share) & (share <= high)).sum(axis=1)
+    # an active part has churn, so the whole-project share is never 0 / 0
+    solo = build.raw[:, col("u0_churn_share_whole")] < DEFAULT_SOLO_SHARE
+    return [
+        TeamStyle.COLLABORATIVE if b >= 2 else TeamStyle.SOLO_SUBMIT if s else TeamStyle.COOPERATIVE
+        for b, s in zip(balanced, solo)
+    ]
 
 
-@dataclass
-class TeamStyleConfig:
-    n_trees: int = 100
-    max_depth: int | None = None
-    min_leaf: int = 1
-    l2_lambda: float = 1.0
-    stage_order: tuple[TeamStyle, ...] = DEFAULT_STAGE_ORDER
-    fallback: TeamStyle = FALLBACK_STYLE
+def oracle_label(team: TeamRecord, labeled: Sequence[LabeledCommit]) -> TeamStyle:
+    """The rubric style of one team's labeled commits: a one-team ``oracle_labels``."""
+    return oracle_labels(build_matrix([(team, labeled)]))[0]
 
 
 @dataclass
@@ -225,17 +208,14 @@ class TeamStyleModel:
         )
 
 
-def _select_forest(Xs, y, k, seed, config) -> list[int]:
-    selector = train_forest(
-        Xs, y, n_trees=config.n_trees, seed=seed,
-        max_depth=config.max_depth, min_leaf=config.min_leaf,
-    )
+def _select_forest(Xs, y, k, seed) -> list[int]:
+    selector = train_forest(Xs, y, seed=seed)
     importances = feature_importances(selector)
     ranked = sorted(range(len(importances)), key=lambda i: (-importances[i], i))
     return sorted(ranked[:k])
 
 
-def _select_stages(X_raw, labels, algorithm, k_features, seed, config):
+def _select_stages(X_raw, labels, algorithm, k_features, seed):
     """Check a training set, standardize it and select every stage's features.
 
     Returns (means, stds, standardized X, and per stage in order its style,
@@ -243,8 +223,6 @@ def _select_stages(X_raw, labels, algorithm, k_features, seed, config):
     """
     if algorithm not in ("forest", "logistic_rfe"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if len(set(config.stage_order)) != len(config.stage_order):
-        raise ValueError(f"duplicate style in stage order {config.stage_order}")
     X_raw = np.asarray(X_raw, dtype=np.float64)
     labels = list(labels)
     if X_raw.shape[0] != len(labels):
@@ -263,13 +241,13 @@ def _select_stages(X_raw, labels, algorithm, k_features, seed, config):
     Xs = standardize_apply(X_raw, means, stds)
     seed_entropy = int(seed) & _U64
     stages = []
-    for stage_idx, style in enumerate(config.stage_order):
+    for stage_idx, style in enumerate(DEFAULT_STAGE_ORDER):
         y = np.array([1 if l == style else 0 for l in labels], dtype=np.int64)
         if algorithm == "forest":
             select_seed = np.random.SeedSequence([seed_entropy, stage_idx, 0]).generate_state(1)[0]
-            selected = _select_forest(Xs, y, k_features, int(select_seed), config)
+            selected = _select_forest(Xs, y, k_features, int(select_seed))
         else:
-            selected = rfe_select(Xs, y, k_features, l2_lambda=config.l2_lambda)
+            selected = rfe_select(Xs, y, k_features)
         stages.append((style, y, selected))
     return means, stds, Xs, stages
 
@@ -280,7 +258,6 @@ def train_team_model(
     algorithm: str = "forest",
     k_features: int | None = None,
     seed: int = 0,
-    config: TeamStyleConfig | None = None,
 ) -> TeamStyleModel:
     """Fit one binary one-vs-rest stage per style on selected features.
 
@@ -288,25 +265,18 @@ def train_team_model(
     logistic path selects by recursive feature elimination. Standardization
     parameters are fit here and stored for inference.
     """
-    config = config or TeamStyleConfig()
-    means, stds, Xs, selections = _select_stages(X_raw, labels, algorithm, k_features, seed, config)
+    means, stds, Xs, selections = _select_stages(X_raw, labels, algorithm, k_features, seed)
     seed_entropy = int(seed) & _U64
     stages = []
     for stage_idx, (style, y, selected) in enumerate(selections):
         if algorithm == "forest":
             fit_seed = np.random.SeedSequence([seed_entropy, stage_idx, 1]).generate_state(1)[0]
-            model = train_forest(
-                Xs[:, selected], y, n_trees=config.n_trees, seed=int(fit_seed),
-                max_depth=config.max_depth, min_leaf=config.min_leaf,
-            )
+            model = train_forest(Xs[:, selected], y, seed=int(fit_seed))
         else:
-            model = train_logreg(Xs[:, selected], y, l2_lambda=config.l2_lambda)
+            model = train_logreg(Xs[:, selected], y)
         stages.append(StyleStage(style=style, selected=selected, model=model))
 
-    return TeamStyleModel(
-        algorithm=algorithm, stages=stages, means=means, stds=stds,
-        fallback=config.fallback,
-    )
+    return TeamStyleModel(algorithm=algorithm, stages=stages, means=means, stds=stds)
 
 
 def predict_style(model: TeamStyleModel, x_raw) -> TeamStyle:
@@ -356,7 +326,6 @@ def evaluate_team_model(
     seed: int = 0,
     k_features: int | None = None,
     registry: Sequence[str] | None = None,
-    config: TeamStyleConfig | None = None,
 ) -> TeamEvalResult:
     """Stratified k-fold evaluation with fold-internal selection and scaling."""
     X_raw = np.asarray(X_raw, dtype=np.float64)
@@ -373,7 +342,6 @@ def evaluate_team_model(
             algorithm=algorithm,
             k_features=k_features,
             seed=seed,
-            config=config,
         )
         y_true = [labels[i] for i in test_idx]
         y_pred = [style for style, _ in predict_style_with_confidence(fold_model, X_raw[test_idx])]
@@ -387,9 +355,7 @@ def evaluate_team_model(
     macro_f1 = sum(r.f1 for r in reports.values()) / len(reports)
 
     # the features a model trained on all rows would use, without fitting it
-    *_, selections = _select_stages(
-        X_raw, labels, algorithm, k_features, seed, config or TeamStyleConfig()
-    )
+    *_, selections = _select_stages(X_raw, labels, algorithm, k_features, seed)
     names = list(registry) if registry is not None else None
     selected_features = {
         style.value: [names[i] if names else str(i) for i in selected]
@@ -412,25 +378,27 @@ class SoloFlag:
 
 
 def flag_solo_submitters(
-    model: TeamStyleModel, vectors: Sequence[TeamFeatureVector]
+    model: TeamStyleModel, X_raw, team_ids: Sequence[str]
 ) -> list[SoloFlag]:
-    """Teams predicted Solo-submit, most confident first, with stage features."""
+    """Teams predicted Solo-submit, most confident first, with stage features.
+
+    Row i of ``X_raw`` is the raw registry vector of team ``team_ids[i]``.
+    """
+    if not len(team_ids):
+        return []
     solo_stage = next(
         (s for s in model.stages if s.style == TeamStyle.SOLO_SUBMIT), None
     )
-    if not vectors:
-        return []
-    X_raw = np.array([vec.values for vec in vectors], dtype=np.float64)
+    X_raw = np.asarray(X_raw, dtype=np.float64)
     predictions = predict_style_with_confidence(model, X_raw)
     solo = [i for i, (style, _) in enumerate(predictions) if style == TeamStyle.SOLO_SUBMIT]
     selected = solo_stage.selected if solo_stage else []
     flags = []
     for i, z in zip(solo, model.standardize(X_raw[solo])):
-        vec = vectors[i]
         style, confidence = predictions[i]
-        features = [(vec.registry[j], float(z[j])) for j in selected]
+        features = [(REGISTRY[j], float(z[j])) for j in selected]
         flags.append(
-            SoloFlag(team_id=vec.team_id, style=style, confidence=confidence, features=features)
+            SoloFlag(team_id=team_ids[i], style=style, confidence=confidence, features=features)
         )
     flags.sort(key=lambda f: (-f.confidence, f.team_id))
     return flags

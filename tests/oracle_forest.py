@@ -51,6 +51,8 @@ def _best_split(X, y_onehot, samples, features, min_leaf):
         cut_score = float(score[cut])
         if np.isfinite(cut_score) and (best is None or cut_score < best[0]):
             threshold = float((sorted_vals[cut] + sorted_vals[cut + 1]) / 2.0)
+            if threshold == sorted_vals[cut + 1]:  # the midpoint rounded up onto the next value
+                threshold = float(sorted_vals[cut])
             best = (cut_score, int(f), threshold)
     return best
 

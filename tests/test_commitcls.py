@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from teamscope import commitcls, textnorm
 from teamscope.commitcls import (
-    CascadeConfig,
     CascadeModel,
     CommitCategory,
     LabeledCommit,
@@ -188,14 +187,6 @@ def test_train_cascade_test_stage_vocabulary_contains_test(trained_cascade):
     assert "test" in test_stage.tfidf.vocabulary
 
 
-def test_train_cascade_stage_order_configurable(tagged_sample):
-    config = CascadeConfig(
-        ml_order=(CommitCategory.BUGFIX, CommitCategory.TEST, CommitCategory.IMPLEMENTATION)
-    )
-    cascade = train_cascade(tagged_sample, config)
-    assert [s.category for s in cascade.stages] == list(config.ml_order)
-
-
 def test_label_commit_carries_pair_flag(trained_cascade):
     record = CommitRecord(
         sha="e" * 40,
@@ -203,7 +194,6 @@ def test_label_commit_carries_pair_flag(trained_cascade):
         timestamp=10,
         message="fixed logout pp",
         files=(),
-        is_merge_shape=True,
     )
     labeled = label_commits(trained_cascade, [record])[0]
     assert labeled.pair_programming

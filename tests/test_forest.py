@@ -210,14 +210,17 @@ def test_matches_reference_forest_beyond_one_batch(n_rows):
 
 
 def test_midpoint_rounding_onto_the_next_value_matches_reference():
-    # (a + b) / 2 rounds to b for adjacent floats a < b, so b's samples go left
-    # too; max_depth stops the left child, which re-splits into itself
+    # (a + b) / 2 rounds to b for adjacent floats a < b; the cut falls back to
+    # a so that b's samples go right, and an unbounded tree ends
     a = np.nextafter(1.0, 2.0)
     b = np.nextafter(a, 2.0)
     assert (a + b) / 2.0 == b
     X = np.array([[a], [a], [a], [b], [b], [3.0], [3.0], [3.0]])
     y = [0, 0, 0, 1, 1, 1, 1, 1]
-    _assert_matches_reference(X, y, n_trees=5, seed=2, max_depth=3)
+    _assert_matches_reference(X, y, n_trees=5, seed=2, max_depth=None)
+    model = train_forest(X, y, n_trees=5, seed=2)
+    thresholds = [t for tree in model.trees for t in tree.threshold[tree.feature >= 0]]
+    assert a in thresholds and b not in thresholds
 
 
 def test_votes_of_no_rows():

@@ -127,7 +127,6 @@ def _commit(sha=SHA_A, files=(), **kw):
         timestamp=100,
         message="msg",
         files=tuple(files),
-        is_merge_shape=not files,
     )
     defaults.update(kw)
     return CommitRecord(**defaults)

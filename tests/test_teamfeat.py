@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracle_features import brute_force_vector
-from teamscope.commitcls import CommitCategory, LabeledCommit
+from teamscope.commitcls import CATEGORIES, CommitCategory, LabeledCommit
 from teamscope.errors import DataError
 from teamscope.ingest import CommitRecord, FileStat, RosterMember, TeamRecord
 from teamscope.mlcore import standardize_apply, standardize_fit
@@ -46,7 +48,6 @@ def _labeled(author, category, add=0, dele=0, message="m", pair=False, sha=None)
         timestamp=100,
         message=message,
         files=files,
-        is_merge_shape=not files,
     )
     return LabeledCommit(commit=record, category=category, pair_programming=pair)
 
@@ -65,8 +66,7 @@ def test_order_users_fewer_added_lines_first():
         _labeled("amy", CommitCategory.IMPLEMENTATION, add=120),
         _labeled("ben", CommitCategory.IMPLEMENTATION, add=300),
     ]
-    ordering = order_users(team, labeled)
-    assert (ordering.user0, ordering.user1) == ("amy", "ben")
+    assert order_users(team, labeled) == ("amy", "ben")
 
 
 def test_order_users_commit_count_tiebreak():
@@ -78,8 +78,7 @@ def test_order_users_commit_count_tiebreak():
         _labeled("ben", CommitCategory.OTHER, message="d"),
         _labeled("ben", CommitCategory.OTHER, message="e"),
     ]
-    ordering = order_users(team, labeled)
-    assert ordering.user0 == "amy"  # 0 additions each; amy has 2 commits vs 3
+    assert order_users(team, labeled)[0] == "amy"  # 0 additions each; amy has 2 commits vs 3
 
 
 def test_order_users_invariant_to_member_order():
@@ -199,6 +198,83 @@ def test_brute_force_oracle_equivalence_on_synthetic_teams():
                 assert got == pytest.approx(want, abs=1e-9), name
             else:
                 assert got == want, name
+
+
+# a drawn team: (member ids, (exam1, project1) per member, selected, commits),
+# each commit (member slot, category index, ((additions, deletions), ...), message, pair)
+_GRADES = st.tuples(st.sampled_from([0.0, 59.5, 60.0, 88.25]), st.sampled_from([12.0, 60.0, 100.0]))
+_COMMITS = st.lists(
+    st.tuples(
+        st.integers(0, 1),
+        st.integers(0, len(CATEGORIES) - 1),
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=2).map(tuple),
+        st.sampled_from(["", "x", "fix it"]),
+        st.booleans(),
+    ),
+    max_size=8,
+)
+_TEAM_SPECS = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(["amy", "ben", "cal", "dee"]), min_size=2, max_size=2, unique=True),
+        st.tuples(_GRADES, _GRADES),
+        st.booleans(),
+        _COMMITS,
+    ),
+    min_size=1,
+    max_size=4,
+)
+_TIE = [(0, 0, ((2, 1),), "x", True), (1, 2, ((2, 3),), "fix it", False)]
+
+
+def _drawn_team(spec, index, swap=False):
+    ids, grades, selected, commits = spec
+    members = [RosterMember(m, *g, (m,)) for m, g in zip(ids, grades)]
+    if swap:
+        members.reverse()
+    team = TeamRecord(f"t{index}", "P2", tuple(members), selected)
+    labeled = [
+        LabeledCommit(
+            commit=CommitRecord(
+                sha=f"{index:020x}{n:020x}",
+                author_key=ids[slot],
+                author_id=ids[slot],
+                timestamp=n,
+                message=message,
+                files=tuple(FileStat(f"f{k}.java", a, d) for k, (a, d) in enumerate(files)),
+            ),
+            category=CATEGORIES[category],
+            pair_programming=pair,
+        )
+        for n, (slot, category, files, message, pair) in enumerate(commits)
+    ]
+    return team, labeled
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs=_TEAM_SPECS)
+# a team with no commits, a member with no commits, a tie on additions and commits
+@example(specs=[(["amy", "ben"], ((70.0, 80.0), (59.5, 60.0)), False, [])])
+@example(specs=[(["ben", "amy"], ((70.0, 80.0), (0.0, 12.0)), True, _TIE[:1] * 3)])
+@example(specs=[(["ben", "amy"], ((70.0, 80.0), (88.25, 100.0)), False, _TIE)])
+def test_build_matrix_rows_equal_one_team_extraction(specs):
+    # every team also appears with its roster rows swapped
+    labeled_teams = [_drawn_team(spec, i) for i, spec in enumerate(specs)]
+    labeled_teams += [_drawn_team(spec, i, swap=True) for i, spec in enumerate(specs)]
+    build = build_matrix(labeled_teams)
+    assert build.raw.shape == (len(labeled_teams), len(REGISTRY))
+    assert build.team_ids == [team.team_id for team, _ in labeled_teams]
+    for row, users, (team, labeled) in zip(build.raw, build.users, labeled_teams):
+        assert np.array_equal(row, extract_features(team, labeled).values)
+        assert users == order_users(team, labeled)
+        want = brute_force_vector(team, labeled, REGISTRY)
+        for name, got, expected in zip(REGISTRY, row, want):
+            if "share" in name or "avg" in name:
+                assert abs(got - expected) <= 1e-9, name
+            else:
+                assert got == expected, name
+    half = len(specs)
+    assert np.array_equal(build.raw[:half], build.raw[half:])
+    assert build.users[:half] == build.users[half:]
 
 
 def _zscore(raw):

@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from teamscope.commitcls import CommitCategory, LabeledCommit
+from teamscope.commitcls import CATEGORIES, CommitCategory, LabeledCommit
 from teamscope.errors import DataError, InsufficientActivityError
 from teamscope.ingest import CommitRecord, FileStat, RosterMember, TeamRecord
 from teamscope.mlcore import (
@@ -14,13 +18,15 @@ from teamscope.mlcore import (
 )
 from teamscope.mlcore.forest import Tree
 from teamscope.synthgen import GenConfig, generate_corpus, truth_labeled_commits
-from teamscope.teamfeat import REGISTRY, build_matrix, extract_features
+from teamscope.teamfeat import REGISTRY, build_matrix, order_users
 from teamscope.teamstyle import (
+    RUBRIC_PARTS,
     TeamStyle,
     TeamStyleModel,
     evaluate_team_model,
     flag_solo_submitters,
     oracle_label,
+    oracle_labels,
     predict_style,
     predict_style_with_confidence,
     train_team_model,
@@ -63,7 +69,6 @@ def _commit(author, category, add, dele=0, message="m"):
         timestamp=100 + _counter,
         message=message,
         files=(FileStat(path="f.java", additions=add, deletions=dele),) if add or dele else (),
-        is_merge_shape=False,
     )
     return LabeledCommit(commit=record, category=category, pair_programming=False)
 
@@ -121,6 +126,63 @@ def test_oracle_merge_and_other_excluded_from_parts():
     # a huge lopsided "other" dump must not flip the label
     labeled.append(_commit("ben", CommitCategory.OTHER, add=5000))
     assert oracle_label(_team(), labeled) == TeamStyle.COLLABORATIVE
+
+
+def test_batched_rubric_names_the_idle_team():
+    busy = _labeled_split(impl_amy=50, impl_ben=50, test_amy=40, test_ben=40)
+    idle = _labeled_split(impl_amy=3, impl_ben=4, test_amy=2, test_ben=1)
+    idle_team = dataclasses.replace(_team(), team_id="t-idle")
+    build = build_matrix([(_team(), busy), (idle_team, idle), (_team(), busy)])
+    with pytest.raises(InsufficientActivityError, match="team 't-idle'"):
+        oracle_labels(build)
+
+
+def _rubric_reference(team, labeled):
+    """The rubric by one loop over the commits; None where no part is active."""
+    user0 = order_users(team, labeled)[0]
+    parts = {part: [0, 0] for part in RUBRIC_PARTS}
+    whole = [0, 0]
+    for item in labeled:
+        user = 0 if item.commit.author_id == user0 else 1
+        whole[user] += item.commit.churn
+        if item.category in parts:
+            parts[item.category][user] += item.commit.churn
+    active = [churn for churn in parts.values() if sum(churn) >= 30]
+    if not active:
+        return None
+    if sum(0.30 <= churn[0] / sum(churn) <= 0.70 for churn in active) >= 2:
+        return TeamStyle.COLLABORATIVE
+    if whole[0] / sum(whole) < 0.20:
+        return TeamStyle.SOLO_SUBMIT
+    return TeamStyle.COOPERATIVE
+
+
+_RUBRIC_COMMITS = st.lists(
+    st.tuples(
+        st.sampled_from(["amy", "ben"]),
+        st.sampled_from(CATEGORIES),
+        st.integers(0, 40),
+        st.integers(0, 10),
+    ),
+    max_size=10,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(teams=st.lists(_RUBRIC_COMMITS, min_size=1, max_size=5))
+def test_batched_rubric_matches_one_loop_reference(teams):
+    labeled_teams = []
+    for i, commits in enumerate(teams):
+        team = dataclasses.replace(_team(), team_id=f"t{i}")
+        labeled_teams.append((team, [_commit(*commit) for commit in commits]))
+    want = [_rubric_reference(team, labeled) for team, labeled in labeled_teams]
+    build = build_matrix(labeled_teams)
+    if None in want:
+        with pytest.raises(InsufficientActivityError, match=f"team 't{want.index(None)}'"):
+            oracle_labels(build)
+    else:
+        assert oracle_labels(build) == want
+        assert [oracle_label(team, labeled) for team, labeled in labeled_teams] == want
 
 
 @pytest.fixture(scope="module")
@@ -260,10 +322,9 @@ def test_evaluation_fits_folds_on_training_rows_only(corpus, monkeypatch):
 
 
 def test_flag_solo_submitters_ranks_extreme_first(corpus):
-    teams, labeled_teams, styles, build = corpus
+    teams, _, styles, build = corpus
     model = train_team_model(build.raw, styles, algorithm="forest", seed=8)
-    vectors = [extract_features(t, l) for t, l in labeled_teams]
-    flags = flag_solo_submitters(model, vectors)
+    flags = flag_solo_submitters(model, build.raw, build.team_ids)
     solo_ids = {t.team_id for t, s in zip(teams, styles) if s == TeamStyle.SOLO_SUBMIT}
     assert flags, "expected at least one flagged team"
     assert {f.team_id for f in flags} <= set(build.team_ids)
@@ -283,7 +344,7 @@ def test_flag_empty_inputs():
     styles = [truth.team_styles[t.team_id] for t in teams]
     build = build_matrix(labeled_teams)
     model = train_team_model(build.raw, styles, algorithm="forest", seed=9)
-    assert flag_solo_submitters(model, []) == []
+    assert flag_solo_submitters(model, np.zeros((0, len(REGISTRY))), []) == []
 
 
 def test_all_collaborative_corpus_produces_no_flags():
@@ -300,8 +361,7 @@ def test_all_collaborative_corpus_produces_no_flags():
     mixed_styles = [mixed_truth.team_styles[t.team_id] for t in mixed_teams]
     mixed_build = build_matrix(mixed_labeled)
     model = train_team_model(mixed_build.raw, mixed_styles, algorithm="forest", seed=10)
-    vectors = [extract_features(t, l) for t, l in labeled_teams]
-    assert flag_solo_submitters(model, vectors) == []
+    assert flag_solo_submitters(model, build.raw, build.team_ids) == []
 
 
 def test_model_serialization_round_trip(corpus):
