@@ -24,15 +24,18 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, commitcls, synthgen, teamfeat, teamstyle
 from .commitcls import CascadeModel, CommitCategory
 from .errors import DataError, SchemaError, open_text
 from .ingest import (
-    build_teams,
     dump_commits_jsonl,
     dump_roster,
+    load_commit_table,
     load_commits_jsonl,
     load_roster,
+    locate_authors,
     parse_git_log_file,
 )
 from .mlcore import canonical_json, cohens_kappa, load_model, save_model
@@ -304,7 +307,8 @@ def _read_tagged(path) -> list[tuple[str, CommitCategory]]:
     return tagged
 
 
-def _read_labels(path) -> dict[str, tuple[CommitCategory, bool]]:
+def _read_labels(path) -> dict[str, tuple[int, bool]]:
+    """Each labelled sha's (scope code, pair-programming flag)."""
     labels = {}
     with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -312,40 +316,59 @@ def _read_labels(path) -> dict[str, tuple[CommitCategory, bool]]:
                 continue
             try:
                 raw = json.loads(line)
-                labels[raw["sha"]] = (
-                    CommitCategory(raw["category"]),
-                    bool(raw["pair_programming"]),
-                )
+                scope = teamfeat.SCOPE_CODE[CommitCategory(raw["category"])]
+                pair, sha = raw["pair_programming"], raw["sha"]
+                duplicate = sha in labels
             except (KeyError, TypeError, ValueError) as exc:
                 # json.JSONDecodeError is a ValueError
                 raise DataError(f"{path} line {line_no}: {exc}") from None
+            if type(pair) is not bool:
+                raise DataError(
+                    f"{path} line {line_no}: pair_programming must be true or false, got {pair!r}"
+                )
+            if duplicate:
+                raise DataError(f"{path} line {line_no}: duplicate sha {sha}")
+            labels[sha] = (scope, pair)
     return labels
 
 
 def _load_dataset(data_dir):
-    """The dataset's feature matrix and the dataset files read, by manifest name."""
+    """The dataset's feature matrix and the dataset files read, by manifest name.
+
+    Each file is read once: the commits into a column table, whose authors
+    locate each commit's team row and member slot, and the labels joined to
+    the commits on a team by sha.
+    """
     data = Path(data_dir)
     inputs = {
         "commits": data / "commits.jsonl",
         "roster": data / "roster.csv",
         "labels": data / "labels.jsonl",
     }
-    commits = load_commits_jsonl(inputs["commits"])
+    table = load_commit_table(inputs["commits"])
     roster = load_roster(inputs["roster"])
     labels = _read_labels(inputs["labels"])
-    assembly = build_teams(commits, roster)
-    labeled_teams = []
-    for team in assembly.teams:
-        labeled = []
-        for commit in team.commits:
-            if commit.sha not in labels:
-                raise DataError(f"commit {commit.sha} has no label in labels.jsonl")
-            category, pair = labels[commit.sha]
-            labeled.append(
-                commitcls.LabeledCommit(commit=commit, category=category, pair_programming=pair)
-            )
-        labeled_teams.append((team, labeled))
-    return teamfeat.build_matrix(labeled_teams), inputs
+    team_row, slot = locate_authors(table.author, roster)
+    on_team = np.flatnonzero(team_row >= 0)
+    joined = [labels.get(table.sha[i]) for i in on_team.tolist()]
+    if None in joined:
+        # name the first unlabelled commit in roster order, then file order
+        missing = [i for i, label in zip(on_team.tolist(), joined) if label is None]
+        first = min(missing, key=lambda i: (team_row[i], i))
+        raise DataError(f"commit {table.sha[first]} has no label in labels.jsonl")
+    scope, pair = np.array(joined, dtype=np.int64).reshape(-1, 2).T
+    build = teamfeat.matrix_from_columns(
+        roster,
+        team_row[on_team],
+        slot[on_team],
+        scope,
+        pair,
+        table.additions[on_team],
+        table.deletions[on_team],
+        table.files[on_team],
+        table.msg_len[on_team],
+    )
+    return build, inputs
 
 
 def _load_styled_dataset(args):
@@ -422,16 +445,17 @@ def cmd_ingest(args, outdir):
         commits = load_commits_jsonl(args.jsonl)
         source = {"jsonl": args.jsonl}
     roster = load_roster(args.roster)
-    assembly = build_teams(commits, roster)
+    team_row, _ = locate_authors([c.author_key for c in commits], roster)
+    unmatched = int((team_row < 0).sum())
 
     dump_commits_jsonl(commits, outdir / "commits.jsonl")
     dump_roster(roster, outdir / "roster.csv")
     print(
         f"normalized {len(commits)} commits across {len(roster)} teams "
-        f"({assembly.unmatched} unmatched authors) into {outdir}"
+        f"({unmatched} unmatched authors) into {outdir}"
     )
     return (
-        {"unmatched": assembly.unmatched},
+        {"unmatched": unmatched},
         {**source, "roster": args.roster},
         [outdir / "commits.jsonl", outdir / "roster.csv"],
     )
@@ -484,25 +508,21 @@ def cmd_eval_commits(args, outdir):
 def cmd_label_commits(args, outdir):
     data = Path(args.data)
     cascade = _read_model(args.model, "cascade", CascadeModel)
-    commits = load_commits_jsonl(data / "commits.jsonl")
-    labeled = commitcls.label_commits(cascade, commits)
+    table = load_commit_table(data / "commits.jsonl")
+    categories, pairs = commitcls.label_messages(cascade, table.msg)
 
     labels_path = outdir / "labels.jsonl"
     with open(labels_path, "w", encoding="utf-8") as fh:
-        for item in labeled:
+        for sha, category, pair in zip(table.sha, categories, pairs):
             fh.write(
                 json.dumps(
-                    {
-                        "sha": item.commit.sha,
-                        "category": item.category.value,
-                        "pair_programming": item.pair_programming,
-                    },
+                    {"sha": sha, "category": category.value, "pair_programming": pair},
                     sort_keys=True,
                 )
             )
             fh.write("\n")
 
-    distribution = commitcls.category_distribution(labeled)
+    distribution = commitcls.category_distribution(categories)
     rows = [[name, str(count), f"{ratio:.2f}"] for name, (count, ratio) in distribution.items()]
     print(_report_table(["category", "count", "ratio"], rows))
     return {}, {"model": args.model, "commits": data / "commits.jsonl"}, [labels_path]

@@ -15,7 +15,7 @@ is trained, mirroring how the cascade is evaluated and applied.
 Classification is a funnel over a batch: each message is normalized and run
 through the static rules once, then each ML stage scores the rows still
 unlabelled as one TF-IDF matrix. ``classify`` is a one-row batch;
-``label_commits`` takes 2,048 commits per batch to bound the matrices' size.
+``label_messages`` takes 2,048 messages per batch to bound the matrices' size.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress, islice
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -217,13 +217,23 @@ class LabeledCommit:
     pair_programming: bool
 
 
+def label_messages(
+    cascade: CascadeModel, messages: Sequence[str]
+) -> tuple[list[CommitCategory], list[bool]]:
+    """Each raw message's cascade category and pair-programming flag."""
+    categories: list[CommitCategory] = []
+    pairs: list[bool] = []
+    for start in range(0, len(messages), _LABEL_BLOCK):
+        docs = [cascade.prepare(m) for m in messages[start : start + _LABEL_BLOCK]]
+        categories += classify_tokens(cascade, docs)
+        pairs += map(detect_pair_programming, docs)
+    return categories, pairs
+
+
 def label_commits(cascade: CascadeModel, commits: Iterable[CommitRecord]) -> list[LabeledCommit]:
-    labeled, commits = [], iter(commits)
-    while block := list(islice(commits, _LABEL_BLOCK)):
-        docs = [cascade.prepare(c.message) for c in block]
-        categories = classify_tokens(cascade, docs)
-        labeled += map(LabeledCommit, block, categories, map(detect_pair_programming, docs))
-    return labeled
+    commits = list(commits)
+    categories, pairs = label_messages(cascade, [c.message for c in commits])
+    return list(map(LabeledCommit, commits, categories, pairs))
 
 
 def train_cascade(
@@ -311,12 +321,12 @@ def evaluate_cascade(
     return {key: mean_report(reports) for key, reports in per_key.items()}
 
 
-def category_distribution(labeled: Sequence[LabeledCommit]) -> dict[str, tuple[int, float]]:
+def category_distribution(categories: Sequence[CommitCategory]) -> dict[str, tuple[int, float]]:
     """Count and ratio per category, in canonical category order."""
     counts = {c: 0 for c in CATEGORIES}
-    for item in labeled:
-        counts[item.category] += 1
-    total = len(labeled)
+    for category in categories:
+        counts[category] += 1
+    total = len(categories)
     return {
         c.value: (counts[c], counts[c] / total if total else 0.0) for c in CATEGORIES
     }

@@ -9,6 +9,11 @@ so every commit block starts with a 0x01 byte followed by a pipe-separated
 header line, then zero or more ``ADD\\tDEL\\tPATH`` numstat lines. Normalized
 commits round-trip through a JSONL interchange format, and rosters arrive as
 CSV with one row per team member.
+
+A JSONL file is validated line by line by one function and read either into
+``CommitRecord`` objects or into a :class:`CommitTable` of columns. Author
+keys resolve through one map, :func:`author_map`, whichever form the
+commits take.
 """
 
 from __future__ import annotations
@@ -19,7 +24,9 @@ import io
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import AmbiguousAuthorError, ParseError, SchemaError, open_text
 
@@ -39,6 +46,7 @@ ROSTER_COLUMNS = [
 
 _SHA_RE = re.compile(r"^[0-9a-fA-F]{40}$")
 _NUMSTAT_RE = re.compile(r"^(\d+|-)\t(\d+|-)\t(.+)$")
+_INT64_LIMIT = 2**63
 
 
 @dataclass(frozen=True)
@@ -244,7 +252,54 @@ def load_commits_jsonl(path) -> list[CommitRecord]:
     Schema violations and duplicate shas raise :class:`SchemaError` naming
     the offending line (or sha).
     """
-    records: list[CommitRecord] = []
+    return [
+        CommitRecord(
+            sha=sha,
+            author_key=author,
+            timestamp=ts,
+            message=msg,
+            files=tuple(FileStat(*f) for f in files),
+        )
+        for sha, author, ts, msg, files, _, _ in _read_jsonl_commits(path)
+    ]
+
+
+@dataclass(frozen=True)
+class CommitTable:
+    """The commits of a JSONL interchange file as columns, in file order.
+
+    Entry ``i`` of every column is commit ``i``: the idea of the Apache Arrow
+    columnar layout, without per-commit or per-file objects. Shas are
+    lower-cased; line counts and file counts include binary files as zero
+    lines, one file.
+    """
+
+    sha: list[str]
+    author: list[str]
+    msg: list[str]
+    ts: np.ndarray  # int64, like the other columns below
+    additions: np.ndarray
+    deletions: np.ndarray
+    files: np.ndarray
+    msg_len: np.ndarray
+
+
+def load_commit_table(path) -> CommitTable:
+    """Load a JSONL interchange file into a :class:`CommitTable`, with the
+    same validation and errors as :func:`load_commits_jsonl`."""
+    sha, author, msg, numbers = [], [], [], []
+    for c_sha, c_author, ts, c_msg, files, additions, deletions in _read_jsonl_commits(path):
+        sha.append(c_sha)
+        author.append(c_author)
+        msg.append(c_msg)
+        numbers.append((ts, additions, deletions, len(files), len(c_msg)))
+    columns = np.array(numbers, dtype=np.int64).reshape(-1, 5).T
+    return CommitTable(sha, author, msg, *columns)
+
+
+def _read_jsonl_commits(path) -> Iterator[tuple]:
+    """Each commit of a JSONL interchange file, validated, in file order (see
+    :func:`_commit_from_json`); a repeated sha is a :class:`SchemaError`."""
     seen: set[str] = set()
     with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -254,15 +309,18 @@ def load_commits_jsonl(path) -> list[CommitRecord]:
                 raw = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"line {line_no}: invalid JSON: {exc}") from None
-            records.append(_commit_from_json(raw, line_no))
-            sha = records[-1].sha
-            if sha in seen:
-                raise SchemaError(f"line {line_no}: duplicate sha {sha}")
-            seen.add(sha)
-    return records
+            commit = _commit_from_json(raw, line_no)
+            if commit[0] in seen:
+                raise SchemaError(f"line {line_no}: duplicate sha {commit[0]}")
+            seen.add(commit[0])
+            yield commit
 
 
-def _commit_from_json(raw: dict, line_no: int) -> CommitRecord:
+def _commit_from_json(raw, line_no: int) -> tuple:
+    """The one check of an interchange record. Returns (sha, author, ts, msg,
+    files, additions, deletions): the sha lower-cased, each file as
+    ``FileStat`` fields (path, additions, deletions, binary) and the line
+    totals over the files. Every number fits in an int64 column."""
     if not isinstance(raw, dict):
         raise SchemaError(f"line {line_no}: not a JSON object")
     for key in ("sha", "author", "ts", "msg", "files"):
@@ -274,31 +332,33 @@ def _commit_from_json(raw: dict, line_no: int) -> CommitRecord:
     ts = raw["ts"]
     if type(ts) is not int or ts <= 0:  # JSON true is a bool, an int subclass
         raise SchemaError(f"line {line_no}: ts must be a positive integer")
+    if ts >= _INT64_LIMIT:
+        raise SchemaError(f"line {line_no}: ts must be below 2**63")
     for key in ("author", "msg"):
         if not isinstance(raw[key], str):
             raise SchemaError(f"line {line_no}: {key} must be a string, got {raw[key]!r}")
     if not isinstance(raw["files"], list):
         raise SchemaError(f"line {line_no}: files must be a list")
-    files = []
+    files, additions, deletions = [], 0, 0
     for fraw in raw["files"]:
         if not isinstance(fraw, dict) or not isinstance(fraw.get("path"), str):
             raise SchemaError(f"line {line_no}: malformed file entry {fraw!r}")
         add, dele = fraw.get("add"), fraw.get("del")
         if add is None and dele is None:
-            files.append(FileStat(path=fraw["path"], additions=0, deletions=0, binary=True))
+            files.append((fraw["path"], 0, 0, True))
         elif type(add) is int and type(dele) is int:
-            files.append(FileStat(path=fraw["path"], additions=add, deletions=dele))
+            if add < 0 or dele < 0:
+                raise SchemaError(f"line {line_no}: negative line counts for {fraw['path']!r}")
+            files.append((fraw["path"], add, dele, False))
+            additions += add
+            deletions += dele
         else:
             raise SchemaError(
                 f"line {line_no}: file add/del must both be ints or both null"
             )
-    return CommitRecord(
-        sha=sha.lower(),
-        author_key=raw["author"],
-        timestamp=ts,
-        message=raw["msg"],
-        files=tuple(files),
-    )
+    if additions + deletions >= _INT64_LIMIT:
+        raise SchemaError(f"line {line_no}: line counts must total below 2**63")
+    return sha.lower(), raw["author"], ts, raw["msg"], files, additions, deletions
 
 
 @dataclass
@@ -316,18 +376,8 @@ def resolve_authors(
     no matching roster key keep ``author_id`` unset and are tallied. A key
     claimed by two members raises :class:`AmbiguousAuthorError`.
     """
-    key_owner: dict[str, str] = {}
-    for team in roster:
-        for member in team.members:
-            for key in member.author_keys:
-                lowered = key.lower()
-                owner = key_owner.get(lowered)
-                if owner is not None and owner != member.member_id:
-                    raise AmbiguousAuthorError(
-                        f"author key {key!r} claimed by both {owner!r} "
-                        f"and {member.member_id!r}"
-                    )
-                key_owner[lowered] = member.member_id
+    owners = author_map(roster)
+    key_owner = {key: roster[row].members[slot].member_id for key, (row, slot) in owners.items()}
 
     resolved: list[CommitRecord] = []
     unmatched = 0
@@ -339,6 +389,53 @@ def resolve_authors(
         else:
             resolved.append(dataclasses.replace(commit, author_id=member_id))
     return ResolveResult(commits=resolved, unmatched=unmatched)
+
+
+def author_map(roster: Sequence[TeamRecord]) -> dict[str, tuple[int, int]]:
+    """Each lower-cased roster author key's (team row, member slot).
+
+    Author keys match case-insensitively. A key claimed by two members raises
+    :class:`AmbiguousAuthorError`; a member listed in two teams keeps the last.
+    """
+    owners: dict[str, tuple[int, int]] = {}
+    for row, team in enumerate(roster):
+        for slot, member in enumerate(team.members):
+            for key in member.author_keys:
+                lowered = key.lower()
+                owner = owners.get(lowered)
+                if owner is not None:
+                    other = roster[owner[0]].members[owner[1]].member_id
+                    if other != member.member_id:
+                        raise AmbiguousAuthorError(
+                            f"author key {key!r} claimed by both {other!r} "
+                            f"and {member.member_id!r}"
+                        )
+                owners[lowered] = (row, slot)
+    return owners
+
+
+def locate_authors(
+    author_keys: Sequence[str], roster: Sequence[TeamRecord]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 (team row, member slot) of each author key in ``roster``,
+    both -1 for a key no member claims.
+
+    Besides :func:`author_map`'s check, a member listed in more than one team
+    is a :class:`SchemaError`.
+    """
+    owners = author_map(roster)
+    members: set[str] = set()
+    for team in roster:
+        for member in team.members:
+            if member.member_id in members:
+                raise SchemaError(
+                    f"member {member.member_id!r} appears in more than one team"
+                )
+            members.add(member.member_id)
+    rows_slots = np.array(
+        [owners.get(key.lower(), (-1, -1)) for key in author_keys], dtype=np.int64
+    ).reshape(-1, 2)
+    return rows_slots[:, 0], rows_slots[:, 1]
 
 
 def load_roster(path) -> list[TeamRecord]:
@@ -449,27 +546,17 @@ def build_teams(
     Commits whose author matches no roster key are left out of every team
     and reported in the ``unmatched`` tally.
     """
-    result = resolve_authors(commits, roster)
-    member_team: dict[str, int] = {}
-    for i, team in enumerate(roster):
-        for member in team.members:
-            if member.member_id in member_team:
-                raise SchemaError(
-                    f"member {member.member_id!r} appears in more than one team"
-                )
-            member_team[member.member_id] = i
-
+    team_row, slot = locate_authors([c.author_key for c in commits], roster)
     per_team: list[list[CommitRecord]] = [[] for _ in roster]
-    for commit in result.commits:
-        if commit.author_id is None:
-            continue
-        per_team[member_team[commit.author_id]].append(commit)
-
+    for commit, row, member in zip(commits, team_row.tolist(), slot.tolist()):
+        if row >= 0:
+            member_id = roster[row].members[member].member_id
+            per_team[row].append(dataclasses.replace(commit, author_id=member_id))
     teams = [
         dataclasses.replace(team, commits=tuple(team_commits))
         for team, team_commits in zip(roster, per_team)
     ]
-    return TeamAssembly(teams=teams, unmatched=result.unmatched)
+    return TeamAssembly(teams=teams, unmatched=int((team_row < 0).sum()))
 
 
 def parse_git_log_file(path) -> list[CommitRecord]:

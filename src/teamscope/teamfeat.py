@@ -7,8 +7,9 @@ programming totals, prior grades, at-risk flags, and the selection method.
 Users are canonically ordered so that user 0 is the member with fewer total
 added lines, making vectors independent of roster row order.
 
-``build_matrix`` computes every team's row in one batched pass;
-``extract_features`` and ``order_users`` are its one-team calls.
+``matrix_from_columns`` computes every team's row in one batched pass from
+per-commit integer columns. ``build_matrix`` feeds it labeled commit
+records; ``extract_features`` and ``order_users`` are its one-team calls.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ def feature_registry() -> list[str]:
 
 REGISTRY = feature_registry()
 _REGISTRY_INDEX = {name: i for i, name in enumerate(REGISTRY)}
-_SCOPE_INDEX = {category: i for i, category in enumerate(CATEGORIES, start=1)}
+# a commit category's scope index; scope 0 is the whole project
+SCOPE_CODE = {category: i for i, category in enumerate(CATEGORIES, start=1)}
 
 
 @dataclass
@@ -105,18 +107,57 @@ def build_matrix(
 ) -> MatrixBuild:
     """Compute the full registry for every team; all commits must be resolved.
 
-    One loop collects each commit's integer columns, ``np.add.at`` sums them
-    per (team, member, scope), and every registry column is then computed
-    elementwise. Integer sums are exact, so a row does not depend on commit
-    order, and each average or share is one IEEE division.
+    The commits become :func:`matrix_from_columns`' columns, one row each.
     """
-    if not labeled_teams:
+    columns = []
+    for row, (team, labeled) in enumerate(labeled_teams):
+        slots = {member: slot for slot, member in enumerate(team.member_ids())}
+        for item in labeled:
+            c = item.commit
+            slot = slots.get(c.author_id)
+            if slot is None:
+                raise DataError(
+                    f"commit {c.sha} is not resolved to a member of "
+                    f"team {team.team_id!r}"
+                )
+            columns.append((
+                row, slot, SCOPE_CODE[item.category], item.pair_programming,
+                c.additions, c.deletions, len(c.files), len(c.message),
+            ))
+    return matrix_from_columns(
+        [team for team, _ in labeled_teams],
+        *np.array(columns, dtype=np.int64).reshape(-1, 8).T,
+    )
+
+
+def matrix_from_columns(
+    teams: Sequence[TeamRecord],
+    team_row: np.ndarray,
+    slot: np.ndarray,
+    scope: np.ndarray,
+    pair: np.ndarray,
+    additions: np.ndarray,
+    deletions: np.ndarray,
+    files: np.ndarray,
+    msg_len: np.ndarray,
+) -> MatrixBuild:
+    """Compute the full registry for every team from per-commit columns.
+
+    Entry ``i`` of each column describes one commit on a team: its row in
+    ``teams``, its author's member slot there (roster order), its scope
+    (``SCOPE_CODE``), its pair-programming flag, its line counts, its file
+    count and its message length. ``np.add.at`` sums them per (team, member,
+    scope), and every registry column is then computed elementwise. Integer
+    sums are exact, so a row does not depend on commit order, and each
+    average or share is one IEEE division.
+    """
+    if not teams:
         raise DataError("no teams to build a feature matrix from")
-    n = len(labeled_teams)
-    sums, pairs = _member_sums(labeled_teams)
+    n = len(teams)
+    sums, pairs = _member_sums(n, team_row, slot, scope, pair, additions, deletions, files, msg_len)
 
     # user 0 has fewer added lines, then fewer commits, then the smaller member id
-    ids = [team.member_ids() for team, _ in labeled_teams]
+    ids = [team.member_ids() for team in teams]
     totals = sums[:, :, 0, 1::-1].tolist()  # per team and slot: [additions, commits]
     order = np.array([
         sorted((0, 1), key=lambda s: (*totals[t][s], ids[t][s])) for t in range(n)
@@ -124,7 +165,7 @@ def build_matrix(
     rows = np.arange(n)[:, None]
     sums, pairs = sums[rows, order], pairs[rows, order]
     grades = np.array(
-        [[(m.exam1_grade, m.project1_grade) for m in team.members] for team, _ in labeled_teams],
+        [[(m.exam1_grade, m.project1_grade) for m in team.members] for team in teams],
         dtype=np.float64,
     )[rows, order]
 
@@ -147,45 +188,28 @@ def build_matrix(
         grades.reshape(n, 4),
         risk.reshape(n, 4),
         risk.any(axis=(1, 2)),
-        [team.selected for team, _ in labeled_teams],
+        [team.selected for team in teams],
     ])
     return MatrixBuild(
-        team_ids=[team.team_id for team, _ in labeled_teams],
+        team_ids=[team.team_id for team in teams],
         registry=REGISTRY,
         raw=np.hstack([scoped.reshape(n, -1), team_level]),
         users=[(ids[t][o0], ids[t][o1]) for t, (o0, o1) in enumerate(order.tolist())],
     )
 
 
-def _member_sums(labeled_teams) -> tuple[np.ndarray, np.ndarray]:
+def _member_sums(n, team_row, slot, scope, pair, additions, deletions, files, msg_len):
     """Per team and member slot (roster order), the int64 sums[team, slot, scope]
     of commits, additions, deletions, files, churn and message length, and the
-    pair-programming commits. A function of its own so that the per-commit
-    columns are freed before ``build_matrix`` builds its float columns."""
-    # per commit: team row, member slot, scope, pair flag, then the summed columns
-    columns = np.empty((sum(len(labeled) for _, labeled in labeled_teams), 10), dtype=np.int64)
-    i = 0
-    for row, (team, labeled) in enumerate(labeled_teams):
-        slots = {member: slot for slot, member in enumerate(team.member_ids())}
-        for item in labeled:
-            c = item.commit
-            slot = slots.get(c.author_id)
-            if slot is None:
-                raise DataError(
-                    f"commit {c.sha} is not resolved to a member of "
-                    f"team {team.team_id!r}"
-                )
-            adds, dels = c.additions, c.deletions
-            columns[i] = (
-                row, slot, _SCOPE_INDEX[item.category], item.pair_programming,
-                1, adds, dels, len(c.files), adds + dels, len(c.message),
-            )
-            i += 1
-    team_row, slot, scope, pair = columns[:, :4].T
-    sums = np.zeros((len(labeled_teams), 2, len(SCOPES), 6), dtype=np.int64)
-    np.add.at(sums, (team_row, slot, scope), columns[:, 4:])
+    pair-programming commits. A function of its own so that the stacked
+    per-commit values are freed before the float columns are built."""
+    stacked = np.column_stack(
+        [np.ones_like(additions), additions, deletions, files, additions + deletions, msg_len]
+    )
+    sums = np.zeros((n, 2, len(SCOPES), 6), dtype=np.int64)
+    np.add.at(sums, (team_row, slot, scope), stacked)
     sums[:, :, 0] = sums[:, :, 1:].sum(axis=2)
-    pairs = np.zeros((len(labeled_teams), 2), dtype=np.int64)
+    pairs = np.zeros((n, 2), dtype=np.int64)
     np.add.at(pairs, (team_row, slot), pair)
     return sums, pairs
 

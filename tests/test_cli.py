@@ -484,6 +484,10 @@ def _first_file(**fields):
     return alter
 
 
+def _repeat_first_line(data: bytes) -> bytes:
+    return data.split(b"\n", 1)[0] + b"\n" + data
+
+
 @pytest.fixture
 def work(team_model, tmp_path):
     """A copy of the labeled corpus with its models, a tagged CSV and a git log."""
@@ -528,6 +532,16 @@ UNREADABLE = {
                         "line 1: file add/del must both be ints or both null"),
     "commit-del-false": ("corpus/commits.jsonl", _first_file(**{"del": False}), _FEATURES,
                          "line 1: file add/del must both be ints or both null"),
+    "commit-add-negative": ("corpus/commits.jsonl", _first_file(add=-1), _FEATURES,
+                            "line 1: negative line counts for"),
+    "commit-ts-too-large": ("corpus/commits.jsonl", _first_commit(ts=2**63), _FEATURES,
+                            "line 1: ts must be below 2**63"),
+    "commit-add-too-large": ("corpus/commits.jsonl", _first_file(add=2**63), _FEATURES,
+                             "line 1: line counts must total below 2**63"),
+    "labels-pair-string": ("corpus/labels.jsonl", _first_commit(pair_programming="false"), _FEATURES,
+                           "labels.jsonl line 1: pair_programming must be true or false, got 'false'"),
+    "labels-duplicate-sha": ("corpus/labels.jsonl", _repeat_first_line, _FEATURES,
+                             "labels.jsonl line 2: duplicate sha"),
 }
 
 

@@ -7,7 +7,6 @@ from teamscope import commitcls, textnorm
 from teamscope.commitcls import (
     CascadeModel,
     CommitCategory,
-    LabeledCommit,
     MlStage,
     category_distribution,
     classify,
@@ -225,14 +224,8 @@ def test_residual_other_recall_one_on_static_only_corpus():
 
 
 def test_category_distribution_counts_and_ratios(trained_cascade):
-    record = CommitRecord(sha="f" * 40, author_key="a", timestamp=5, message="x", files=())
-    labeled = [
-        LabeledCommit(record, CommitCategory.MERGE, False),
-        LabeledCommit(record, CommitCategory.MERGE, False),
-        LabeledCommit(record, CommitCategory.OTHER, False),
-        LabeledCommit(record, CommitCategory.TEST, True),
-    ]
-    dist = category_distribution(labeled)
+    categories = [CommitCategory.MERGE, CommitCategory.MERGE, CommitCategory.OTHER, CommitCategory.TEST]
+    dist = category_distribution(categories)
     assert dist["Merge"] == (2, 0.5)
     assert dist["Test"] == (1, 0.25)
     assert dist["Implementation"] == (0, 0.0)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,9 @@ from teamscope.ingest import (
     build_teams,
     commit_to_json,
     dump_commits_jsonl,
+    load_commit_table,
     load_commits_jsonl,
+    locate_authors,
     parse_git_log,
     resolve_authors,
     roster_from_string,
@@ -192,6 +195,18 @@ def test_jsonl_round_trip_property(tmp_path_factory, shas, files, message, ts):
     path = tmp_path_factory.mktemp("rt") / "c.jsonl"
     dump_commits_jsonl(commits, path)
     assert load_commits_jsonl(path) == commits
+    table = load_commit_table(path)
+    assert (table.sha, table.author, table.msg) == tuple(
+        [getattr(c, name) for c in commits] for name in ("sha", "author_key", "message")
+    )
+    for column, values in (
+        (table.ts, [c.timestamp for c in commits]),
+        (table.additions, [c.additions for c in commits]),
+        (table.deletions, [c.deletions for c in commits]),
+        (table.files, [len(c.files) for c in commits]),
+        (table.msg_len, [len(c.message) for c in commits]),
+    ):
+        assert column.dtype == np.int64 and column.tolist() == values
 
 
 # --- roster and author resolution ----------------------------------------
@@ -272,6 +287,26 @@ def test_build_teams_attaches_resolved_commits():
     (team,) = assembly.teams
     assert [c.sha for c in team.commits] == [SHA_A, SHA_B]
     assert assembly.unmatched == 1
+
+
+def test_locate_authors_gives_team_row_and_member_slot():
+    roster = roster_from_string(
+        ROSTER_CSV + "t2,P2,cara,60,70,false,cara\n" + "t2,P2,dan,75,80,false,dan;D@Y\n"
+    )
+    team_row, slot = locate_authors(["d@y", "ALICE", "stranger", "cara", "b@x"], roster)
+    assert team_row.tolist() == [1, 0, -1, 1, 0]
+    assert slot.tolist() == [1, 0, -1, 0, 1]
+
+
+def test_member_in_two_teams_is_refused_after_ambiguous_keys():
+    two_teams = ROSTER_CSV + "t2,P3,alice,80,90,true,alice\n" + "t2,P3,cara,60,70,true,cara\n"
+    with pytest.raises(SchemaError, match="member 'alice' appears in more than one team"):
+        build_teams([], roster_from_string(two_teams))
+    with pytest.raises(SchemaError, match="member 'alice' appears in more than one team"):
+        locate_authors([], roster_from_string(two_teams))
+    ambiguous = two_teams.replace("cara\n", "cara;b@x\n")
+    with pytest.raises(AmbiguousAuthorError, match="'b@x' claimed by both 'bob' and 'cara'"):
+        build_teams([], roster_from_string(ambiguous))
 
 
 def test_team_record_requires_two_members():

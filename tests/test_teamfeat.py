@@ -1,12 +1,27 @@
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle_features import brute_force_vector
+from teamscope.cli import _load_dataset
 from teamscope.commitcls import CATEGORIES, CommitCategory, LabeledCommit
 from teamscope.errors import DataError
-from teamscope.ingest import CommitRecord, FileStat, RosterMember, TeamRecord
+from teamscope.ingest import (
+    CommitRecord,
+    FileStat,
+    RosterMember,
+    TeamRecord,
+    build_teams,
+    dump_roster,
+    load_commits_jsonl,
+    load_roster,
+)
 from teamscope.mlcore import standardize_apply, standardize_fit
 from teamscope.synthgen import GenConfig, generate_corpus, truth_labeled_commits
 from teamscope.teamfeat import (
@@ -320,3 +335,90 @@ def test_vector_getitem_matches_registry_order():
     idx = REGISTRY.index("u1_commits_style")
     assert vec.values[idx] == vec["u1_commits_style"] == 1.0
     assert vec["u0_commits_style"] == 0.0
+
+
+# a drawn dataset on disk: the number of teams and its commits, each
+# (author, files, message, category index, pair, sha upper-cased); an author
+# is (team, member slot, key spelling) or None for a key no member claims, and
+# a file is (additions, deletions) or None for a binary file
+_DISK_COMMITS = st.lists(
+    st.tuples(
+        st.one_of(st.none(), st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 2))),
+        st.lists(st.one_of(st.none(), st.tuples(st.integers(0, 40), st.integers(0, 40))), max_size=3),
+        st.sampled_from(["", "x", "fix it", "wrote tests"]),
+        st.integers(0, len(CATEGORIES) - 1),
+        st.booleans(),
+        st.booleans(),
+    ),
+    max_size=12,
+)
+
+
+def _write_dataset(data: Path, n_teams: int, commits) -> None:
+    """roster.csv, commits.jsonl and labels.jsonl of a drawn dataset; commits
+    of unclaimed authors get no label."""
+    teams = [
+        TeamRecord(
+            f"t{t}", "P2",
+            tuple(RosterMember(f"m{t}{k}", 40.0 + 15 * k, 75.0 - 10 * t, (f"m{t}{k}", f"m{t}{k}@x.edu"))
+                  for k in (0, 1)),
+            t % 2 == 0,
+        )
+        for t in range(n_teams)
+    ]
+    dump_roster(teams, data / "roster.csv")
+    with open(data / "commits.jsonl", "w", encoding="utf-8") as commits_fh, \
+            open(data / "labels.jsonl", "w", encoding="utf-8") as labels_fh:
+        for i, (author, files, message, category, pair, upper) in enumerate(commits):
+            sha = hashlib.sha1(str(i).encode()).hexdigest()
+            if author is None or author[0] >= n_teams:
+                key = f"stranger{i}"
+            else:
+                t, k, spelling = author
+                key = [f"m{t}{k}", f"M{t}{k}", f"m{t}{k}@X.edu"][spelling]
+                labels_fh.write(json.dumps({
+                    "sha": sha, "category": CATEGORIES[category].value, "pair_programming": pair,
+                }) + "\n")
+            commits_fh.write(json.dumps({
+                "sha": sha.upper() if upper else sha,
+                "author": key,
+                "ts": 1443657600 + i,
+                "msg": message,
+                "files": [
+                    {"path": f"f{j}.java", "add": None if f is None else f[0], "del": None if f is None else f[1]}
+                    for j, f in enumerate(files)
+                ],
+            }) + "\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_teams=st.integers(1, 3), commits=_DISK_COMMITS)
+# a team without commits, and a member without commits beside a binary-only commit
+@example(n_teams=2, commits=[((0, 0, 0), [(3, 1)], "x", 0, False, True)])
+@example(n_teams=1, commits=[((0, 1, 2), [None], "", 5, True, False), (None, [], "x", 1, False, False)])
+def test_loaded_dataset_matrix_equals_record_path_and_oracle(n_teams, commits):
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp)
+        _write_dataset(data, n_teams, commits)
+        build, _ = _load_dataset(data)
+        labels = {}
+        with open(data / "labels.jsonl", encoding="utf-8") as fh:
+            for line in fh:
+                raw = json.loads(line)
+                labels[raw["sha"]] = (CommitCategory(raw["category"]), raw["pair_programming"])
+        assembly = build_teams(load_commits_jsonl(data / "commits.jsonl"), load_roster(data / "roster.csv"))
+    claimed = sum(author is not None and author[0] < n_teams for author, *_ in commits)
+    assert sum(len(team.commits) for team in assembly.teams) == claimed
+    assert assembly.unmatched == len(commits) - claimed
+    labeled_teams = [
+        (team, [LabeledCommit(c, *labels[c.sha]) for c in team.commits]) for team in assembly.teams
+    ]
+    want = build_matrix(labeled_teams)
+    assert build.team_ids == want.team_ids and build.users == want.users
+    assert np.array_equal(build.raw, want.raw)
+    for row, (team, labeled) in zip(build.raw, labeled_teams):
+        for name, got, expected in zip(REGISTRY, row, brute_force_vector(team, labeled, REGISTRY)):
+            if "share" in name or "avg" in name:
+                assert abs(got - expected) <= 1e-9, name
+            else:
+                assert got == expected, name
