@@ -109,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     evaluation.add_argument("--folds", type=_int_at_least(2), default=5, help="cross-validation folds")
     evaluation.add_argument("--format", choices=["csv", "json"], default="json", help="report file format")
     style_model = argparse.ArgumentParser(add_help=False)
-    style_model.add_argument("--algorithm", choices=["forest", "logistic_rfe"], default="forest")
+    style_model.add_argument("--algorithm", choices=list(teamstyle.STAGE_MODELS), default="forest")
     style_model.add_argument(
         "--k-features",
         type=_int_at_least(1),
@@ -133,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("synth", "generate a synthetic corpus", cmd_synth, out="synth_corpus")
-    p.add_argument("--teams", type=int, default=150, help="number of teams")
+    p.add_argument("--teams", type=_int_at_least(1), default=150, help="number of teams")
     p.add_argument("--noise", type=float, default=0.1, help="message perturbation rate")
     p.add_argument("--mix", default="0.57,0.29,0.14", help="collaborative,cooperative,solo")
     p.add_argument("--commits", default="35,75", help="per-team commit count range LO,HI")
@@ -273,7 +273,8 @@ def _write_report(outdir: Path, stem: str, fmt: str, payload, label: str, report
 
 def _read_model(path, kind: str, model_cls):
     """The ``kind`` model in a model file, as ``model_cls``; a payload that lacks
-    a key or holds a value of the wrong type is a SchemaError naming the file."""
+    a key, holds a value of the wrong type or is refused by ``from_dict`` is a
+    DataError naming the file."""
     payload = load_model(path, kind)
     try:
         return model_cls.from_dict(payload)
@@ -281,27 +282,46 @@ def _read_model(path, kind: str, model_cls):
         raise SchemaError(f"{path}: the model has no key {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed model ({exc})") from None
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
-def _read_enum_csv(path, key: str, column: str, enum) -> list[tuple]:
-    """(key, enum value) per row of a CSV with the two columns ``key`` and ``column``."""
-    rows = []
+def _read_pairs(path, names=None, convert=str, keyed=True) -> list[tuple]:
+    """(key, value) per row of a CSV file of two columns, in file order.
+
+    The header must be ``names`` in either order, or any two names when None;
+    the first name's column holds the key, and ``convert`` reads the other.
+    Every row must have exactly two fields, and in a ``keyed`` file a key may
+    appear once; blank lines are skipped. A refusal names the file and line.
+    """
     with open_text(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(reader.fieldnames) != {key, column}:
-            raise DataError(f"{path}: expected header {key},{column}")
-        for line_no, row in enumerate(reader, start=2):
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if len(header) != 2 or (names is not None and set(header) != set(names)):
+            expected = ",".join(names) if names else "of two columns (id,label)"
+            raise DataError(f"{path}: expected header {expected}")
+        key_name, value_name = names or header
+        pairs, seen = [], set()
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 2:
+                raise DataError(f"{path} line {reader.line_num}: expected 2 fields, got {len(row)}")
+            key, text = row if header[0] == key_name else row[::-1]
+            if keyed and key in seen:
+                raise DataError(f"{path} line {reader.line_num}: repeated {key_name} {key!r}")
+            seen.add(key)
             try:
-                rows.append((row[key], enum(row[column])))
+                pairs.append((key, convert(text)))
             except ValueError:
                 raise DataError(
-                    f"{path} line {line_no}: unknown {column} {row[column]!r}"
+                    f"{path} line {reader.line_num}: unknown {value_name} {text!r}"
                 ) from None
-    return rows
+    return pairs
 
 
 def _read_tagged(path) -> list[tuple[str, CommitCategory]]:
-    tagged = _read_enum_csv(path, "message", "category", CommitCategory)
+    tagged = _read_pairs(path, ("message", "category"), CommitCategory, keyed=False)
     if not tagged:
         raise DataError(f"{path}: no tagged messages")
     return tagged
@@ -376,7 +396,7 @@ def _load_styled_dataset(args):
     build, inputs = _load_dataset(args.data)
     if not args.styles:
         return build, teamstyle.oracle_labels(build), inputs
-    styles = dict(_read_enum_csv(args.styles, "team_id", "style", TeamStyle))
+    styles = dict(_read_pairs(args.styles, ("team_id", "style"), TeamStyle))
     missing = [t for t in build.team_ids if t not in styles]
     if missing:
         raise DataError(f"styles file lacks entries for teams: {missing[:5]}")
@@ -537,10 +557,7 @@ def cmd_features(args, outdir):
         for team_id, row in zip(build.team_ids, build.raw):
             writer.writerow([team_id] + [repr(float(v)) for v in row])
     registry_path = outdir / "registry.json"
-    registry_path.write_text(
-        canonical_json({"version": teamfeat.REGISTRY_VERSION, "names": build.registry}) + "\n",
-        encoding="utf-8",
-    )
+    registry_path.write_text(_registry_json() + "\n", encoding="utf-8")
     print(f"wrote {len(build.team_ids)}x{len(build.registry)} feature matrix to {features_path}")
     return (
         {"teams": len(build.team_ids), "columns": len(build.registry)},
@@ -628,18 +645,9 @@ def cmd_flag(args, outdir):
     return {}, {"model": args.model, **inputs}, [flags_path]
 
 
-def _read_label_csv(path) -> dict[str, str]:
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows or len(rows[0]) != 2:
-        raise DataError(f"{path}: expected two columns (id,label)")
-    return {row[0]: row[1] for row in rows[1:] if row}
-
-
 def cmd_kappa(args, outdir) -> None:
-    a = _read_label_csv(args.a)
-    b = _read_label_csv(args.b)
+    a = dict(_read_pairs(args.a))
+    b = dict(_read_pairs(args.b))
     if set(a) != set(b):
         only_a = sorted(set(a) - set(b))[:3]
         only_b = sorted(set(b) - set(a))[:3]
@@ -649,13 +657,17 @@ def cmd_kappa(args, outdir) -> None:
     print(f"{value:.4f}")
 
 
+def _registry_json() -> str:
+    """The text of ``registry.json``: the feature registry's version and column names."""
+    return canonical_json({"version": teamfeat.REGISTRY_VERSION, "names": teamfeat.REGISTRY})
+
+
 def cmd_registry(args, outdir):
-    payload = {"version": teamfeat.REGISTRY_VERSION, "names": teamfeat.REGISTRY}
     if outdir is None:
-        print(canonical_json(payload))
+        print(_registry_json())
         return None
     path = outdir / "registry.json"
-    path.write_text(canonical_json(payload) + "\n", encoding="utf-8")
+    path.write_text(_registry_json() + "\n", encoding="utf-8")
     print(f"wrote {len(teamfeat.REGISTRY)} feature names to {path}")
     return {}, {}, [path]
 

@@ -24,7 +24,6 @@ import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -70,8 +69,7 @@ DEFAULT_NGRAM_RANGE = (1, 4)
 
 @lru_cache(maxsize=None)
 def _load_keywords(name: str) -> frozenset[str]:
-    path = Path(textnorm._data_dir()) / f"keywords_{name}.txt"
-    return textnorm._read_words(path)
+    return frozenset(textnorm.read_entries(textnorm._data_dir() / f"keywords_{name}.txt"))
 
 
 # the keyword stages in cascade order: (keyword list, category it assigns)

@@ -361,41 +361,12 @@ def _commit_from_json(raw, line_no: int) -> tuple:
     return sha.lower(), raw["author"], ts, raw["msg"], files, additions, deletions
 
 
-@dataclass
-class ResolveResult:
-    commits: list[CommitRecord]
-    unmatched: int
-
-
-def resolve_authors(
-    commits: Sequence[CommitRecord], roster: Sequence[TeamRecord]
-) -> ResolveResult:
-    """Attach roster ``author_id`` to each commit by exact key match.
-
-    Matching is case-insensitive on the commit's raw author key; commits with
-    no matching roster key keep ``author_id`` unset and are tallied. A key
-    claimed by two members raises :class:`AmbiguousAuthorError`.
-    """
-    owners = author_map(roster)
-    key_owner = {key: roster[row].members[slot].member_id for key, (row, slot) in owners.items()}
-
-    resolved: list[CommitRecord] = []
-    unmatched = 0
-    for commit in commits:
-        member_id = key_owner.get(commit.author_key.lower())
-        if member_id is None:
-            unmatched += 1
-            resolved.append(commit)
-        else:
-            resolved.append(dataclasses.replace(commit, author_id=member_id))
-    return ResolveResult(commits=resolved, unmatched=unmatched)
-
-
 def author_map(roster: Sequence[TeamRecord]) -> dict[str, tuple[int, int]]:
     """Each lower-cased roster author key's (team row, member slot).
 
     Author keys match case-insensitively. A key claimed by two members raises
-    :class:`AmbiguousAuthorError`; a member listed in two teams keeps the last.
+    :class:`AmbiguousAuthorError`; then a member listed in more than one team
+    is a :class:`SchemaError`.
     """
     owners: dict[str, tuple[int, int]] = {}
     for row, team in enumerate(roster):
@@ -411,19 +382,6 @@ def author_map(roster: Sequence[TeamRecord]) -> dict[str, tuple[int, int]]:
                             f"and {member.member_id!r}"
                         )
                 owners[lowered] = (row, slot)
-    return owners
-
-
-def locate_authors(
-    author_keys: Sequence[str], roster: Sequence[TeamRecord]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The int64 (team row, member slot) of each author key in ``roster``,
-    both -1 for a key no member claims.
-
-    Besides :func:`author_map`'s check, a member listed in more than one team
-    is a :class:`SchemaError`.
-    """
-    owners = author_map(roster)
     members: set[str] = set()
     for team in roster:
         for member in team.members:
@@ -432,6 +390,16 @@ def locate_authors(
                     f"member {member.member_id!r} appears in more than one team"
                 )
             members.add(member.member_id)
+    return owners
+
+
+def locate_authors(
+    author_keys: Sequence[str], roster: Sequence[TeamRecord]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 (team row, member slot) of each author key in ``roster``,
+    both -1 for a key no member claims; the roster is checked by
+    :func:`author_map`."""
+    owners = author_map(roster)
     rows_slots = np.array(
         [owners.get(key.lower(), (-1, -1)) for key in author_keys], dtype=np.int64
     ).reshape(-1, 2)

@@ -5,6 +5,7 @@ from .evaluation import (
     cohens_kappa,
     mean_report,
     prf1,
+    seed_sequence,
     standardize_apply,
     standardize_fit,
     stratified_kfold,
@@ -12,8 +13,6 @@ from .evaluation import (
 from .forest import (
     ForestModel,
     feature_importances,
-    forest_predict,
-    forest_vote_share,
     forest_votes,
     train_forest,
 )
@@ -39,8 +38,6 @@ __all__ = [
     "dumps_model",
     "feature_importances",
     "fit_tfidf",
-    "forest_predict",
-    "forest_vote_share",
     "forest_votes",
     "iter_ngrams",
     "load_model",
@@ -51,6 +48,7 @@ __all__ = [
     "prf1",
     "rfe_select",
     "save_model",
+    "seed_sequence",
     "sigmoid",
     "standardize_apply",
     "standardize_fit",

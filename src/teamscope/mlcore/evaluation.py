@@ -1,4 +1,4 @@
-"""Cross-validation folds, precision/recall/F1, Cohen's kappa, z-scoring."""
+"""Seed sequences, cross-validation folds, precision/recall/F1, Cohen's kappa, z-scoring."""
 
 from __future__ import annotations
 
@@ -12,6 +12,12 @@ from ..errors import DataError
 
 _U64 = 2**64 - 1
 STD_EPS = 1e-12
+
+
+def seed_sequence(seed, *path: int) -> np.random.SeedSequence:
+    """The random stream of a seed and a path of indices under it (a tree, a
+    stage, a team). A seed enters as its low 64 bits, so a negative one works."""
+    return np.random.SeedSequence([int(seed) & _U64, *path])
 
 
 @dataclass
@@ -96,7 +102,7 @@ def stratified_kfold(labels: Sequence, k: int, seed: int = 0) -> list[list[int]]
             + ", ".join(scarce),
             stacklevel=2,
         )
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & _U64]))
+    rng = np.random.default_rng(seed_sequence(seed))
     folds: list[list[int]] = [[] for _ in range(k)]
     offset = 0
     for cls in classes:

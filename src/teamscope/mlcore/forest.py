@@ -23,8 +23,8 @@ from typing import Any, Sequence
 import numpy as np
 
 from ..errors import DataError, SchemaError
+from .evaluation import seed_sequence
 
-_U64 = 2**64 - 1
 _TREE_ARRAYS = ("feature", "threshold", "left", "right", "counts")
 # Most cells (candidate feature x node sample) one batched split search holds.
 # It bounds the search's working memory (about 50 bytes a cell) whatever the
@@ -91,7 +91,6 @@ class Tree:
 class ForestModel:
     trees: list[Tree]
     classes: list[Any]
-    n_trees: int
     seed: int
     max_depth: int | None
     min_leaf: int
@@ -102,7 +101,7 @@ class ForestModel:
         return {
             "trees": [tree.to_dict() for tree in self.trees],
             "classes": list(self.classes),
-            "n_trees": self.n_trees,
+            "n_trees": len(self.trees),
             "seed": self.seed,
             "max_depth": self.max_depth,
             "min_leaf": self.min_leaf,
@@ -117,12 +116,13 @@ class ForestModel:
         if not isinstance(classes, list):
             raise SchemaError("forest classes must be a list")
         trees = [Tree.from_dict(t, n_features, len(classes)) for t in raw["trees"]]
-        if not trees or int(raw["n_trees"]) < 1:
+        if not trees:
             raise SchemaError("forest has no trees")
+        if int(raw["n_trees"]) != len(trees):
+            raise SchemaError(f"forest says n_trees {raw['n_trees']!r} but holds {len(trees)} trees")
         return cls(
             trees=trees,
             classes=classes,
-            n_trees=int(raw["n_trees"]),
             seed=int(raw["seed"]),
             max_depth=raw["max_depth"],
             min_leaf=int(raw["min_leaf"]),
@@ -416,8 +416,7 @@ def train_forest(
     classes = sorted(set(y))
     class_index = {c: i for i, c in enumerate(classes)}
     y_index = np.array([class_index[label] for label in y], dtype=np.int64)
-    seed_entropy = int(seed) & _U64
-    rngs = [np.random.default_rng(np.random.SeedSequence([seed_entropy, t])) for t in range(n_trees)]
+    rngs = [np.random.default_rng(seed_sequence(seed, t)) for t in range(n_trees)]
     trees, decreases = _grow_trees(X, y_index, len(classes), rngs, max_depth, min_leaf)
 
     importance_sum = np.zeros(X.shape[1], dtype=np.float64)
@@ -432,7 +431,6 @@ def train_forest(
     return ForestModel(
         trees=trees,
         classes=classes,
-        n_trees=n_trees,
         seed=int(seed),
         max_depth=max_depth,
         min_leaf=min_leaf,
@@ -441,14 +439,13 @@ def train_forest(
     )
 
 
-def forest_votes(model: ForestModel, x) -> np.ndarray:
-    """Per-class vote counts across trees: shape (classes,) for one feature
-    vector, (rows, classes) for a matrix.
+def forest_votes(model: ForestModel, X) -> np.ndarray:
+    """Per-class vote counts across trees, shape (rows, classes), for a
+    matrix of feature rows.
 
     Every row descends every tree at once, one depth level per step.
     """
-    x = np.asarray(x, dtype=np.float64)
-    X = x.reshape(1, -1) if x.ndim == 1 else x
+    X = np.asarray(X, dtype=np.float64)
     m = X.shape[0]
     trees = model.trees
     offsets = np.cumsum([0] + [len(t.feature) for t in trees[:-1]])
@@ -470,22 +467,7 @@ def forest_votes(model: ForestModel, x) -> np.ndarray:
 
     n_classes = len(model.classes)
     votes = np.bincount(row * n_classes + leaf_vote[node], minlength=m * n_classes)
-    votes = votes.reshape(m, n_classes).astype(np.int64, copy=False)
-    return votes[0] if x.ndim == 1 else votes
-
-
-def forest_predict(model: ForestModel, x):
-    """Majority-vote class label (tie -> smaller class index); a list for a matrix."""
-    winners = forest_votes(model, x).argmax(axis=-1)
-    if winners.ndim == 1:
-        return [model.classes[int(i)] for i in winners]
-    return model.classes[int(winners)]
-
-
-def forest_vote_share(model: ForestModel, x, label) -> float:
-    """Fraction of trees voting for ``label`` on one feature vector."""
-    votes = forest_votes(model, x)
-    return float(votes[model.classes.index(label)]) / model.n_trees
+    return votes.reshape(m, n_classes).astype(np.int64, copy=False)
 
 
 def feature_importances(model: ForestModel) -> np.ndarray:

@@ -26,17 +26,8 @@ from . import textnorm
 from .commitcls import CommitCategory, LabeledCommit, detect_pair_programming
 from .errors import DataError
 from .ingest import CommitRecord, FileStat, RosterMember, TeamRecord, dump_commits_jsonl, dump_roster
-from .teamstyle import TeamStyle, oracle_label
-
-_U64 = 2**64 - 1
-
-RUBRIC_CATEGORIES = (
-    CommitCategory.IMPLEMENTATION,
-    CommitCategory.TEST,
-    CommitCategory.BUGFIX,
-    CommitCategory.DOCUMENTATION,
-    CommitCategory.STYLE,
-)
+from .mlcore import seed_sequence
+from .teamstyle import RUBRIC_PARTS, TeamStyle, oracle_label
 
 # fraction of a team's commits per category, loosely shaped like real course data
 CATEGORY_MIX = {
@@ -111,8 +102,12 @@ class GenConfig:
         lo, hi = self.commits_per_team
         if not (0 < lo <= hi):
             raise ValueError(f"empty commits_per_team range {self.commits_per_team}")
+        if self.n_teams < 1:
+            raise ValueError(f"n_teams must be at least 1, got {self.n_teams}")
         if not 0.0 <= self.noise_rate <= 1.0:
             raise ValueError("noise_rate must be within [0, 1]")
+        if not 0.0 <= self.pair_rate <= 1.0:
+            raise ValueError("pair_rate must be within [0, 1]")
         merged = dict(DEFAULT_CHURN_RANGES)
         merged.update(self.churn_ranges)
         self.churn_ranges = merged
@@ -145,22 +140,12 @@ class _TemplatePools:
 
     @classmethod
     def load(cls) -> "_TemplatePools":
-        data = Path(textnorm._data_dir())
-        by_category = {}
-        for cat in CommitCategory:
-            lines = [
-                l
-                for l in (data / f"templates_{cat.value.lower()}.txt")
-                .read_text(encoding="utf-8")
-                .splitlines()
-                if l.strip() and not l.startswith("#")
-            ]
-            by_category[cat] = lines
-        fillers = [
-            l
-            for l in (data / "noise_fillers.txt").read_text(encoding="utf-8").splitlines()
-            if l.strip() and not l.startswith("#")
-        ]
+        data = textnorm._data_dir()
+        by_category = {
+            cat: textnorm.read_entries(data / f"templates_{cat.value.lower()}.txt")
+            for cat in CommitCategory
+        }
+        fillers = textnorm.read_entries(data / "noise_fillers.txt")
         return cls(by_category=by_category, fillers=fillers)
 
 
@@ -191,7 +176,6 @@ def generate_corpus(config: GenConfig) -> tuple[list[TeamRecord], GroundTruth]:
     pools = _TemplatePools.load()
     lexicon = textnorm.default_lexicon()
     veto = lexicon.meaningful_words | lexicon.stopwords
-    seed_entropy = int(config.seed) & _U64
 
     style_counts = _largest_remainder(config.style_mix, config.n_teams)
     styles = (
@@ -199,7 +183,7 @@ def generate_corpus(config: GenConfig) -> tuple[list[TeamRecord], GroundTruth]:
         + [TeamStyle.COOPERATIVE] * style_counts[1]
         + [TeamStyle.SOLO_SUBMIT] * style_counts[2]
     )
-    corpus_rng = np.random.default_rng(np.random.SeedSequence([seed_entropy]))
+    corpus_rng = np.random.default_rng(seed_sequence(config.seed))
     styles = [styles[i] for i in corpus_rng.permutation(len(styles))]
 
     teams: list[TeamRecord] = []
@@ -208,9 +192,7 @@ def generate_corpus(config: GenConfig) -> tuple[list[TeamRecord], GroundTruth]:
 
     for team_idx, intended in enumerate(styles):
         for attempt in range(config.max_retries):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([seed_entropy, team_idx, attempt])
-            )
+            rng = np.random.default_rng(seed_sequence(config.seed, team_idx, attempt))
             try:
                 team, categories = _generate_team(
                     config, pools, veto, rng, team_idx, attempt, intended
@@ -247,7 +229,7 @@ def _generate_team(config, pools, veto, rng, team_idx, attempt, intended):
     n_commits = int(rng.integers(config.commits_per_team[0], config.commits_per_team[1] + 1))
     cats = list(CATEGORY_MIX)
     counts = dict(zip(cats, _largest_remainder([CATEGORY_MIX[c] for c in cats], n_commits)))
-    for cat in RUBRIC_CATEGORIES[:3]:  # implementation/test/bugfix always present
+    for cat in RUBRIC_PARTS[:3]:  # implementation/test/bugfix always present
         if counts[cat] < 2:
             counts[cat] += 2
 
@@ -255,7 +237,7 @@ def _generate_team(config, pools, veto, rng, team_idx, attempt, intended):
 
     # user index -> list of (category, additions, deletions)
     commit_specs: list[tuple[int, CommitCategory, int, int]] = []
-    for cat in RUBRIC_CATEGORIES:
+    for cat in RUBRIC_PARTS:
         specs = _sized_commits(rng, config.churn_ranges[cat], counts[cat])
         commit_specs.extend(
             (user, cat, add, dele)
@@ -318,7 +300,7 @@ def _generate_team(config, pools, veto, rng, team_idx, attempt, intended):
 
 def _plan_shares(rng, intended) -> dict[CommitCategory, float]:
     """Target user-0 churn share per rubric part for the intended style."""
-    parts = list(RUBRIC_CATEGORIES)
+    parts = list(RUBRIC_PARTS)
     if intended == TeamStyle.COLLABORATIVE:
         n_common = int(rng.integers(2, 5))
         common = set(int(i) for i in rng.choice(len(parts), size=n_common, replace=False))

@@ -32,6 +32,7 @@ from .mlcore import (
     predict_proba,
     prf1,
     rfe_select,
+    seed_sequence,
     standardize_apply,
     standardize_fit,
     stratified_kfold,
@@ -39,8 +40,6 @@ from .mlcore import (
     train_logreg,
 )
 from .teamfeat import REGISTRY, REGISTRY_VERSION, MatrixBuild, build_matrix
-
-_U64 = 2**64 - 1
 
 
 class TeamStyle(str, enum.Enum):
@@ -72,6 +71,8 @@ FALLBACK_STYLE = TeamStyle.COLLABORATIVE
 
 FOREST_DEFAULT_K = 12
 LOGISTIC_DEFAULT_K = 26
+# each algorithm's stage model: its model_type in a model file, and its class
+STAGE_MODELS = {"forest": ("forest", ForestModel), "logistic_rfe": ("logistic", LogisticModel)}
 
 
 def oracle_labels(build: MatrixBuild) -> list[TeamStyle]:
@@ -127,19 +128,21 @@ class StyleStage:
                 return np.zeros(len(Z), dtype=bool), np.zeros(len(Z))
             positive = self.model.classes.index(1)
             votes = forest_votes(self.model, Z[:, self.selected])
-            return votes.argmax(axis=1) == positive, votes[:, positive] / self.model.n_trees
+            return votes.argmax(axis=1) == positive, votes[:, positive] / len(self.model.trees)
         scores = predict_proba(self.model, Z[:, self.selected])
         return scores >= 0.5, scores
 
 
 @dataclass
 class TeamStyleModel:
-    algorithm: str  # "forest" | "logistic_rfe"
+    """Style stages over standardized features, for this teamscope's feature
+    registry (``REGISTRY_VERSION``) and with ``FALLBACK_STYLE`` where no stage
+    fires; ``algorithm`` (a key of ``STAGE_MODELS``) names every stage's model."""
+
+    algorithm: str
     stages: list[StyleStage]
     means: np.ndarray
     stds: np.ndarray
-    registry_version: str = REGISTRY_VERSION
-    fallback: TeamStyle = FALLBACK_STYLE
 
     def standardize(self, x_raw: np.ndarray) -> np.ndarray:
         x_raw = np.asarray(x_raw, dtype=np.float64)
@@ -153,15 +156,15 @@ class TeamStyleModel:
     def to_dict(self) -> dict:
         return {
             "algorithm": self.algorithm,
-            "registry_version": self.registry_version,
-            "fallback": self.fallback.value,
+            "registry_version": REGISTRY_VERSION,
+            "fallback": FALLBACK_STYLE.value,
             "means": [float(v) for v in self.means],
             "stds": [float(v) for v in self.stds],
             "stages": [
                 {
                     "style": s.style.value,
                     "selected": list(s.selected),
-                    "model_type": "forest" if isinstance(s.model, ForestModel) else "logistic",
+                    "model_type": STAGE_MODELS[self.algorithm][0],
                     "model": s.model.to_dict(),
                 }
                 for s in self.stages
@@ -176,9 +179,20 @@ class TeamStyleModel:
                 f"{raw['registry_version']!r}, this teamscope extracts version "
                 f"{REGISTRY_VERSION!r}; retrain the model"
             )
+        if raw["fallback"] != FALLBACK_STYLE.value:
+            raise SchemaError(
+                f"the model falls back to {raw['fallback']!r}; this teamscope's "
+                f"fallback style is {FALLBACK_STYLE.value!r}"
+            )
+        if raw["algorithm"] not in STAGE_MODELS:
+            raise SchemaError(f"unknown algorithm {raw['algorithm']!r}")
+        model_type, model_cls = STAGE_MODELS[raw["algorithm"]]
         stages = []
         for s in raw["stages"]:
-            model_cls = ForestModel if s["model_type"] == "forest" else LogisticModel
+            if s["model_type"] != model_type:
+                raise SchemaError(
+                    f"a {raw['algorithm']} model has a stage of model_type {s['model_type']!r}"
+                )
             stages.append(
                 StyleStage(
                     style=TeamStyle(s["style"]),
@@ -203,8 +217,6 @@ class TeamStyleModel:
             stages=stages,
             means=means,
             stds=stds,
-            registry_version=raw["registry_version"],
-            fallback=TeamStyle(raw["fallback"]),
         )
 
 
@@ -221,7 +233,7 @@ def _select_stages(X_raw, labels, algorithm, k_features, seed):
     Returns (means, stds, standardized X, and per stage in order its style,
     its one-vs-rest targets and its selected columns).
     """
-    if algorithm not in ("forest", "logistic_rfe"):
+    if algorithm not in STAGE_MODELS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     X_raw = np.asarray(X_raw, dtype=np.float64)
     labels = list(labels)
@@ -239,12 +251,11 @@ def _select_stages(X_raw, labels, algorithm, k_features, seed):
 
     means, stds = standardize_fit(X_raw)
     Xs = standardize_apply(X_raw, means, stds)
-    seed_entropy = int(seed) & _U64
     stages = []
     for stage_idx, style in enumerate(DEFAULT_STAGE_ORDER):
         y = np.array([1 if l == style else 0 for l in labels], dtype=np.int64)
         if algorithm == "forest":
-            select_seed = np.random.SeedSequence([seed_entropy, stage_idx, 0]).generate_state(1)[0]
+            select_seed = seed_sequence(seed, stage_idx, 0).generate_state(1)[0]
             selected = _select_forest(Xs, y, k_features, int(select_seed))
         else:
             selected = rfe_select(Xs, y, k_features)
@@ -266,11 +277,10 @@ def train_team_model(
     parameters are fit here and stored for inference.
     """
     means, stds, Xs, selections = _select_stages(X_raw, labels, algorithm, k_features, seed)
-    seed_entropy = int(seed) & _U64
     stages = []
     for stage_idx, (style, y, selected) in enumerate(selections):
         if algorithm == "forest":
-            fit_seed = np.random.SeedSequence([seed_entropy, stage_idx, 1]).generate_state(1)[0]
+            fit_seed = seed_sequence(seed, stage_idx, 1).generate_state(1)[0]
             model = train_forest(Xs[:, selected], y, seed=int(fit_seed))
         else:
             model = train_logreg(Xs[:, selected], y)
@@ -279,21 +289,14 @@ def train_team_model(
     return TeamStyleModel(algorithm=algorithm, stages=stages, means=means, stds=stds)
 
 
-def predict_style(model: TeamStyleModel, x_raw) -> TeamStyle:
-    """Style of one raw feature vector: the first stage that fires wins, and
-    none firing falls back to the majority class."""
-    return predict_style_with_confidence(model, x_raw)[0]
-
-
-def predict_style_with_confidence(model: TeamStyleModel, x_raw):
-    """(style, confidence) for one raw feature vector, or a list of them for a matrix.
+def predict_style_with_confidence(model: TeamStyleModel, X_raw) -> list[tuple[TeamStyle, float]]:
+    """(style, confidence) for each raw feature row of the matrix ``X_raw``.
 
     The first stage that fires wins, with its score as the confidence. A row
     no stage fires on gets the fallback style and one minus its highest stage
     score. Each stage scores all rows in one call.
     """
-    x_raw = np.asarray(x_raw, dtype=np.float64)
-    Z = model.standardize(x_raw.reshape(1, -1) if x_raw.ndim == 1 else x_raw)
+    Z = model.standardize(X_raw)
     results: list = [None] * len(Z)
     pending = np.ones(len(Z), dtype=bool)
     top_score = np.full(len(Z), -np.inf)
@@ -304,8 +307,8 @@ def predict_style_with_confidence(model: TeamStyleModel, x_raw):
         pending &= ~fired
         top_score = np.maximum(top_score, scores)
     for i in np.flatnonzero(pending):
-        results[i] = (model.fallback, 1.0 - float(top_score[i]) if model.stages else 1.0)
-    return results[0] if x_raw.ndim == 1 else results
+        results[i] = (FALLBACK_STYLE, 1.0 - float(top_score[i]) if model.stages else 1.0)
+    return results
 
 
 @dataclass

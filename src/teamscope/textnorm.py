@@ -104,15 +104,12 @@ def normalize(message: str, lexicon: Lexicon, exceptions: dict[str, str] | None 
 # bundled word lists
 
 
-def _read_words(path: Path) -> frozenset[str]:
-    out = set()
+def read_entries(path) -> list[str]:
+    """The entries of a data file (word list, keyword list, template pool), in
+    file order: one per line, stripped, skipping blank lines and ``#`` lines."""
     with open_text(path) as fh:
-        text = fh.read()
-    for line in text.splitlines():
-        word = line.strip()
-        if word and not word.startswith("#"):
-            out.add(word)
-    return frozenset(out)
+        lines = [line.strip() for line in fh]
+    return [line for line in lines if line and not line.startswith("#")]
 
 
 def _data_dir() -> Path:
@@ -125,9 +122,9 @@ def load_lexicon(
     """Build a lexicon from word-list files, bundled ones by default."""
     data = _data_dir()
     return Lexicon(
-        english_words=_read_words(Path(english_path) if english_path else data / "english_words.txt"),
-        domain_words=_read_words(Path(domain_path) if domain_path else data / "domain_words.txt"),
-        stopwords=_read_words(Path(stopword_path) if stopword_path else data / "stopwords.txt"),
+        english_words=frozenset(read_entries(english_path or data / "english_words.txt")),
+        domain_words=frozenset(read_entries(domain_path or data / "domain_words.txt")),
+        stopwords=frozenset(read_entries(stopword_path or data / "stopwords.txt")),
     )
 
 
@@ -138,15 +135,12 @@ def default_lexicon() -> Lexicon:
 
 def load_lemma_exceptions(path=None) -> dict[str, str]:
     """Read the surface-form -> lemma table (two words per line)."""
-    target = Path(path) if path else _data_dir() / "lemma_exceptions.txt"
+    target = path or _data_dir() / "lemma_exceptions.txt"
     table: dict[str, str] = {}
-    for line_no, line in enumerate(target.read_text(encoding="utf-8").splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
+    for entry in read_entries(target):
+        parts = entry.split()
         if len(parts) != 2:
-            raise ValueError(f"{target}:{line_no}: expected 'surface lemma', got {line!r}")
+            raise ValueError(f"{target}: expected 'surface lemma', got {entry!r}")
         table[parts[0]] = parts[1]
     return table
 

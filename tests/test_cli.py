@@ -357,14 +357,25 @@ def _narrow(raw):
         raw["model"][key] = raw["model"][key][:100]
 
 
+def _one_tree_claimed(raw):
+    raw["model"]["stages"][0]["model"]["n_trees"] = 1
+
+
 @pytest.mark.parametrize(
     "alter, message",
     [
         (lambda raw: raw.update(version=1), "retrain"),
         (lambda raw: raw["model"].update(registry_version="0-other"), "registry version"),
         (_narrow, "100 feature columns"),
+        (_one_tree_claimed, "altered.json: forest says n_trees 1 but holds 100 trees"),
+        (lambda raw: raw["model"].update(fallback="SoloSubmit"),
+         "altered.json: the model falls back to 'SoloSubmit'"),
+        (lambda raw: raw["model"].update(algorithm="svm"), "altered.json: unknown algorithm 'svm'"),
+        (lambda raw: raw["model"].update(algorithm="logistic_rfe"),
+         "altered.json: a logistic_rfe model has a stage of model_type 'forest'"),
     ],
-    ids=["format-v1", "foreign-registry", "narrow-means"],
+    ids=["format-v1", "foreign-registry", "narrow-means", "n_trees-mismatch", "other-fallback",
+         "unknown-algorithm", "algorithm-model_type-mismatch"],
 )
 @pytest.mark.parametrize("command", ["predict", "flag"])
 def test_unfit_model_is_data_error(team_model, tmp_path, capsys, command, alter, message):
@@ -405,7 +416,8 @@ def test_non_json_label_line_is_data_error(tmp_path, capsys):
 # --- bad input exits 1 (usage) or 2 (data), never 3 (internal) ---------------
 
 BAD_INPUT = [
-    # argv ({data}/{tagged}: a labeled corpus and its tagged CSV), config file, exit code, stderr
+    # argv ({data}/{tagged}: a labeled corpus and its tagged CSV), a file written for the
+    # run (passed as --config, or where {file} stands), exit code, stderr
     (["synth", "--commits", "abc"], None, 2, "--commits"),
     (["synth", "--mix", "a,b,c"], None, 2, "--mix"),
     (["eval-commits", "--tagged", "{tagged}", "--folds", "0"], None, 1, "at least 2"),
@@ -422,24 +434,45 @@ BAD_INPUT = [
     (["synth"], ("cfg.json", '{"teams": "4"}'), 2, "'teams'"),
     (["synth"], ("cfg.toml", "teams = 4.0"), 2, "'teams'"),
     (["train-teams", "--data", "{data}"], ("cfg.json", '{"k_features": 0}'), 2, "'k_features'"),
+    (["synth", "--teams", "-3"], None, 1, "at least 1"),
+    (["synth", "--pair-rate", "7"], None, 2, "pair_rate must be within [0, 1]"),
+    (["kappa", "--a", "{file}", "--b", "{tagged}"], ("short-row.csv", "id,label\na,x\nb\n"), 2,
+     "short-row.csv line 3: expected 2 fields, got 1"),
+    (["kappa", "--a", "{file}", "--b", "{tagged}"], ("extra-field.csv", "id,label\na,x,zzz\n"), 2,
+     "extra-field.csv line 2: expected 2 fields, got 3"),
+    (["kappa", "--a", "{file}", "--b", "{tagged}"], ("repeated-id.csv", "id,label\na,x\na,y\n"), 2,
+     "repeated-id.csv line 3: repeated id 'a'"),
+    (["train-teams", "--data", "{data}", "--styles", "{file}"],
+     ("repeated-team.csv", "team_id,style\nt000,Collaborative\nt000,SoloSubmit\n"), 2,
+     "repeated-team.csv line 3: repeated team_id 't000'"),
+    (["train-commits", "--tagged", "{file}"], ("short-row.csv", "message,category\nfix bug\n"), 2,
+     "short-row.csv line 2: expected 2 fields, got 1"),
+    (["train-commits", "--tagged", "{file}"], ("extra-field.csv", "message,category\nfix,Bugfix,x\n"), 2,
+     "extra-field.csv line 2: expected 2 fields, got 3"),
 ]
 
 
+def _bad_input_id(argv, file) -> str:
+    if file is None:
+        return " ".join(argv[:1] + argv[-2:])
+    return " ".join(argv[:1] + [file[0] if "{file}" in argv else file[1]])
+
+
 @pytest.mark.parametrize(
-    "argv, config, code, message",
+    "argv, file, code, message",
     BAD_INPUT,
-    ids=[" ".join(a[:1] + a[-2:] if c is None else a[:1] + [c[1]]) for a, c, _, _ in BAD_INPUT],
+    ids=[_bad_input_id(argv, file) for argv, file, _, _ in BAD_INPUT],
 )
-def test_bad_input_is_usage_or_data_error(team_model, tmp_path, capsys, argv, config, code, message):
+def test_bad_input_is_usage_or_data_error(team_model, tmp_path, capsys, argv, file, code, message):
     corpus, _ = team_model
     tagged = _tagged_csv_from(corpus, tmp_path / "tagged.csv")
-    argv = [arg.format(data=corpus, tagged=tagged) for arg in argv]
+    path = _write(tmp_path / file[0], file[1]) if file is not None else None
+    args = [arg.format(data=corpus, tagged=tagged, file=path) for arg in argv]
+    if file is not None and "{file}" not in argv:
+        args += ["--config", path]
     if argv[0] != "kappa":
-        argv += ["--out", str(tmp_path / "out")]
-    if config is not None:
-        name, text = config
-        argv += ["--config", _write(tmp_path / name, text)]
-    assert main(argv) == code
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == code
     assert message in capsys.readouterr().err
 
 

@@ -1,7 +1,7 @@
-"""The quick demos and the README's library example run and print what they say.
+"""The quick demos, the CLI walkthrough and the README's library example run
+and print what they say.
 
-Demos 03 (about 13 s) and 04 (the CLI walkthrough, which needs the
-``teamscope`` script installed) are left to be run by hand.
+Demo 03 (about 13 s) is left to be run by hand.
 """
 
 import os
@@ -15,12 +15,14 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run(args):
+def _run(command, bin_dir=None):
+    """Standard output of ``command`` run from the repository root with the
+    package importable and ``bin_dir``, if given, first on PATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
-    )
+    if bin_dir is not None:
+        env["PATH"] = os.pathsep.join([str(bin_dir), env.get("PATH", "")])
+    done = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -41,9 +43,18 @@ DEMOS = {
 
 @pytest.mark.parametrize("script", sorted(DEMOS))
 def test_demo_runs(script):
-    assert DEMOS[script] in _run([str(ROOT / "demos" / script)])
+    assert DEMOS[script] in _run([sys.executable, str(ROOT / "demos" / script)])
+
+
+def test_cli_walkthrough_runs(tmp_path):
+    # the demo calls the installed ``teamscope`` script; a wrapper on PATH stands in for it
+    wrapper = tmp_path / "teamscope"
+    wrapper.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m teamscope "$@"\n', encoding="utf-8")
+    wrapper.chmod(0o755)
+    out = _run(["bash", str(ROOT / "demos" / "04_cli_pipeline.sh")], bin_dir=tmp_path)
+    assert "./corpus/manifest_flag.json" in out.splitlines()
 
 
 def test_readme_library_example_runs():
-    out = _run(["-c", _readme_library_block()])
+    out = _run([sys.executable, "-c", _readme_library_block()])
     assert out.splitlines()[0] == "Bugfix"

@@ -8,8 +8,6 @@ from teamscope.errors import DataError, SchemaError
 from teamscope.mlcore import (
     dumps_model,
     feature_importances,
-    forest_predict,
-    forest_vote_share,
     forest_votes,
     train_forest,
 )
@@ -28,17 +26,22 @@ def _leaf(counts) -> Tree:
     )
 
 
+def _winners(model, X) -> list:
+    """Each row's majority class."""
+    return [model.classes[i] for i in forest_votes(model, X).argmax(axis=1)]
+
+
 def test_pure_single_class_input_predicts_that_class():
     X = np.arange(12.0).reshape(6, 2)
     model = train_forest(X, ["only"] * 6, n_trees=5, seed=1)
-    assert forest_predict(model, X) == ["only"] * 6
+    assert _winners(model, X) == ["only"] * 6
 
 
 def test_separable_1d_single_stump_is_perfect():
     X = np.array([[-2.0], [-1.5], [-1.0], [1.0], [1.5], [2.0]])
     y = [0, 0, 0, 1, 1, 1]
     model = train_forest(X, y, n_trees=1, seed=3, max_depth=1)
-    assert forest_predict(model, X) == y
+    assert _winners(model, X) == y
 
 
 def test_same_seed_serializes_byte_equal():
@@ -100,13 +103,12 @@ def test_importances_rank_informative_over_noise():
 
 
 def test_majority_vote_tie_goes_to_smaller_class_index():
-    # two single-leaf trees that disagree
+    # single-leaf trees: two that disagree and one whose leaf counts tie
     X = np.array([[0.0], [1.0]])
     combined = train_forest(X, [0, 1], n_trees=2, seed=1, max_depth=1)
-    combined.trees = [_leaf([1, 0]), _leaf([0, 1])]
-    # votes split 1-1 for class indices 0 and 1 -> class 0 wins
-    assert forest_predict(combined, np.array([0.0])) == 0
-    assert forest_vote_share(combined, np.array([0.0]), 1) == pytest.approx(0.5)
+    combined.trees = [_leaf([1, 0]), _leaf([0, 1]), _leaf([2, 2])]
+    # the tied leaf votes for class index 0
+    assert forest_votes(combined, np.array([[0.0]])).tolist() == [[2, 1]]
 
 
 def test_min_leaf_respected():
@@ -141,8 +143,8 @@ def test_string_labels_round_trip():
     X = np.array([[-1.0], [-0.5], [0.5], [1.0]])
     y = ["no", "no", "yes", "yes"]
     model = train_forest(X, y, n_trees=3, seed=0)
-    assert set(forest_predict(model, X)) <= {"no", "yes"}
     assert model.classes == ["no", "yes"]
+    assert set(_winners(model, X)) <= {"no", "yes"}
 
 
 # --- equivalence with the per-feature, dict-tree reference forest ----------
@@ -179,7 +181,7 @@ def _assert_matches_reference(X, y, n_trees, seed, max_depth=None, min_leaf=1):
     batch = forest_votes(model, X)
     assert batch.shape == (len(X), len(classes))
     for row, votes in zip(X, batch):
-        assert np.array_equal(votes, forest_votes(model, row))
+        assert np.array_equal(votes, forest_votes(model, row[None])[0])
         assert np.array_equal(votes, oracle_forest.forest_votes(trees, len(classes), row))
 
 
@@ -227,6 +229,15 @@ def test_votes_of_no_rows():
     X = np.array([[0.0], [1.0]])
     model = train_forest(X, [0, 1], n_trees=3, seed=1)
     assert forest_votes(model, np.zeros((0, 1))).shape == (0, 2)
+
+
+def test_tree_count_must_match_n_trees():
+    X = np.array([[0.0], [1.0]])
+    raw = train_forest(X, [0, 1], n_trees=3, seed=1).to_dict()
+    assert raw["n_trees"] == 3
+    raw["n_trees"] = 1
+    with pytest.raises(SchemaError, match="n_trees 1 but holds 3 trees"):
+        ForestModel.from_dict(raw)
 
 
 def test_tree_arrays_round_trip_through_dict():

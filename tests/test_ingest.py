@@ -12,6 +12,7 @@ from teamscope.ingest import (
     FileStat,
     RosterMember,
     TeamRecord,
+    author_map,
     build_teams,
     commit_to_json,
     dump_commits_jsonl,
@@ -19,7 +20,6 @@ from teamscope.ingest import (
     load_commits_jsonl,
     locate_authors,
     parse_git_log,
-    resolve_authors,
     roster_from_string,
 )
 
@@ -244,21 +244,21 @@ def test_roster_grade_out_of_range():
         RosterMember(member_id="x", exam1_grade=101, project1_grade=50, author_keys=("x",))
 
 
-def test_resolve_authors_exact_and_case_insensitive():
+def test_build_teams_matches_keys_exactly_and_case_insensitively():
     roster = roster_from_string(ROSTER_CSV)
     commits = [
         _commit(sha=SHA_A, author_key="alice"),
         _commit(sha=SHA_B, author_key="ALICE"),
         _commit(sha="c" * 40, author_key="bot"),
+        _commit(sha="d" * 40, author_key="alic"),
     ]
-    result = resolve_authors(commits, roster)
-    assert result.commits[0].author_id == "alice"
-    assert result.commits[1].author_id == "alice"
-    assert result.commits[2].author_id is None
-    assert result.unmatched == 1
+    assembly = build_teams(commits, roster)
+    (team,) = assembly.teams
+    assert [(c.sha, c.author_id) for c in team.commits] == [(SHA_A, "alice"), (SHA_B, "alice")]
+    assert assembly.unmatched == 2
 
 
-def test_resolve_authors_ambiguous_key():
+def test_build_teams_refuses_ambiguous_key():
     csv_text = (
         "team_id,project_id,member_id,exam1,project1,selected,author_keys\n"
         "t1,P2,alice,80,90,true,shared\n"
@@ -266,13 +266,14 @@ def test_resolve_authors_ambiguous_key():
     )
     roster = roster_from_string(csv_text)
     with pytest.raises(AmbiguousAuthorError, match="shared"):
-        resolve_authors([_commit(author_key="shared")], roster)
+        build_teams([_commit(author_key="shared")], roster)
 
 
-def test_resolve_authors_only_touches_author_id():
+def test_build_teams_only_touches_author_id():
     roster = roster_from_string(ROSTER_CSV)
     commit = _commit(author_key="a@x")
-    (resolved,) = resolve_authors([commit], roster).commits
+    (team,) = build_teams([commit], roster).teams
+    (resolved,) = team.commits
     assert dataclasses.replace(resolved, author_id=None) == commit
 
 
@@ -307,6 +308,12 @@ def test_member_in_two_teams_is_refused_after_ambiguous_keys():
     ambiguous = two_teams.replace("cara\n", "cara;b@x\n")
     with pytest.raises(AmbiguousAuthorError, match="'b@x' claimed by both 'bob' and 'cara'"):
         build_teams([], roster_from_string(ambiguous))
+
+
+def test_author_map_refuses_member_in_two_teams():
+    two_teams = ROSTER_CSV + "t2,P3,cara,60,70,true,cara\n" + "t2,P3,bob,70,65,true,bob2\n"
+    with pytest.raises(SchemaError, match="member 'bob' appears in more than one team"):
+        author_map(roster_from_string(two_teams))
 
 
 def test_team_record_requires_two_members():

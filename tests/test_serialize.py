@@ -6,7 +6,7 @@ from teamscope.mlcore import (
     LogisticModel,
     TfidfModel,
     fit_tfidf,
-    forest_predict,
+    forest_votes,
     load_model,
     predict_proba,
     save_model,
@@ -77,7 +77,7 @@ def test_forest_reload_bit_identical_predictions(tmp_path):
     path = tmp_path / "rf.json"
     save_model(path, "forest", model.to_dict())
     clone = ForestModel.from_dict(load_model(path, "forest"))
-    assert forest_predict(clone, X) == forest_predict(model, X)
+    assert np.array_equal(forest_votes(clone, X), forest_votes(model, X))
     assert np.array_equal(clone.importances_raw, model.importances_raw)
 
 

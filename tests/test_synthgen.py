@@ -120,6 +120,10 @@ def test_config_validation():
         GenConfig(commits_per_team=(10, 5))
     with pytest.raises(ValueError, match="noise_rate"):
         GenConfig(noise_rate=1.5)
+    with pytest.raises(ValueError, match="pair_rate"):
+        GenConfig(pair_rate=-0.1)
+    with pytest.raises(ValueError, match="n_teams"):
+        GenConfig(n_teams=0)
     with pytest.raises(ValueError, match="churn range"):
         GenConfig(churn_ranges={CommitCategory.TEST: (5, 1, 0, 0)})
 

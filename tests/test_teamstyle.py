@@ -11,8 +11,7 @@ from teamscope.ingest import CommitRecord, FileStat, RosterMember, TeamRecord
 from teamscope.mlcore import (
     ForestModel,
     dumps_model,
-    forest_predict,
-    forest_vote_share,
+    forest_votes,
     logistic_loss_and_grad,
     predict_proba,
 )
@@ -20,14 +19,15 @@ from teamscope.mlcore.forest import Tree
 from teamscope.synthgen import GenConfig, generate_corpus, truth_labeled_commits
 from teamscope.teamfeat import REGISTRY, build_matrix, order_users
 from teamscope.teamstyle import (
+    FALLBACK_STYLE,
     RUBRIC_PARTS,
+    StyleStage,
     TeamStyle,
     TeamStyleModel,
     evaluate_team_model,
     flag_solo_submitters,
     oracle_label,
     oracle_labels,
-    predict_style,
     predict_style_with_confidence,
     train_team_model,
 )
@@ -248,23 +248,39 @@ def test_predict_cascade_precedence_and_fallback(corpus):
     # force every stage negative: prediction falls back to Collaborative
     silent = TeamStyleModel.from_dict(model.to_dict())
     for stage in silent.stages:
-        stage.model.trees = [_leaf([1, 0])] * stage.model.n_trees  # all vote 0
-    style, confidence = predict_style_with_confidence(silent, build.raw[0])
+        stage.model.trees = [_leaf([1, 0])] * len(stage.model.trees)  # all vote 0
+    ((style, confidence),) = predict_style_with_confidence(silent, build.raw[:1])
     assert style == TeamStyle.COLLABORATIVE
     assert 0.0 <= confidence <= 1.0
 
     # force the solo stage positive: precedence wins even if others would fire
     loud = TeamStyleModel.from_dict(model.to_dict())
     for stage in loud.stages:
-        stage.model.trees = [_leaf([0, 1])] * stage.model.n_trees  # all vote 1
-    assert predict_style(loud, build.raw[0]) == TeamStyle.SOLO_SUBMIT
+        stage.model.trees = [_leaf([0, 1])] * len(stage.model.trees)  # all vote 1
+    assert predict_style_with_confidence(loud, build.raw[:1])[0][0] == TeamStyle.SOLO_SUBMIT
+
+
+def test_forest_stage_vote_tie_does_not_fire():
+    # a 1-1 vote goes to the smaller class index, 0, so the stage stays silent
+    forest = ForestModel(
+        trees=[_leaf([1, 0]), _leaf([0, 1])],
+        classes=[0, 1],
+        seed=0,
+        max_depth=None,
+        min_leaf=1,
+        n_features=1,
+    )
+    stage = StyleStage(style=TeamStyle.SOLO_SUBMIT, selected=[0], model=forest)
+    fired, scores = stage.fires(np.zeros((1, 1)))
+    assert fired.tolist() == [False]
+    assert scores.tolist() == [0.5]
 
 
 def test_predict_deterministic(corpus):
     _, _, styles, build = corpus
     model = train_team_model(build.raw, styles, algorithm="forest", seed=4)
-    first = [predict_style(model, row) for row in build.raw]
-    second = [predict_style(model, row) for row in build.raw]
+    first = predict_style_with_confidence(model, build.raw)
+    second = predict_style_with_confidence(model, build.raw)
     assert first == second
 
 
@@ -275,7 +291,7 @@ def test_logistic_path_trains_and_predicts(corpus):
     )
     for stage in model.stages:
         assert len(stage.selected) == 8
-    predictions = [predict_style(model, row) for row in build.raw]
+    predictions = [style for style, _ in predict_style_with_confidence(model, build.raw)]
     agreement = sum(p == s for p, s in zip(predictions, styles)) / len(styles)
     assert agreement > 0.8
 
@@ -368,8 +384,7 @@ def test_model_serialization_round_trip(corpus):
     _, _, styles, build = corpus
     model = train_team_model(build.raw, styles, algorithm="forest", seed=11)
     clone = TeamStyleModel.from_dict(model.to_dict())
-    for row in build.raw:
-        assert predict_style_with_confidence(clone, row) == predict_style_with_confidence(model, row)
+    assert predict_style_with_confidence(clone, build.raw) == predict_style_with_confidence(model, build.raw)
 
 
 def _predict_one_row(model, x_raw):
@@ -379,15 +394,16 @@ def _predict_one_row(model, x_raw):
     for stage in model.stages:
         x = z[stage.selected]
         if isinstance(stage.model, ForestModel):
-            score = forest_vote_share(stage.model, x, 1)
-            fires = forest_predict(stage.model, x) == 1
+            votes = forest_votes(stage.model, x[None])[0]
+            score = votes[stage.model.classes.index(1)] / len(stage.model.trees)
+            fires = stage.model.classes[votes.argmax()] == 1
         else:
             score = predict_proba(stage.model, x)
             fires = score >= 0.5
         if fires:
             return stage.style, score
         scores.append(score)
-    return model.fallback, 1.0 - max(scores)
+    return FALLBACK_STYLE, 1.0 - max(scores)
 
 
 @pytest.mark.parametrize("algorithm", ["forest", "logistic_rfe"])
@@ -398,7 +414,7 @@ def test_batched_prediction_equals_per_row(corpus, algorithm):
     assert len(batch) == len(build.raw)
     for row, (style, confidence) in zip(build.raw, batch):
         assert type(confidence) is float
-        for one_row in (predict_style_with_confidence(model, row), _predict_one_row(model, row)):
+        for one_row in (predict_style_with_confidence(model, row[None])[0], _predict_one_row(model, row)):
             if algorithm == "forest":
                 assert one_row == (style, confidence)
             else:
