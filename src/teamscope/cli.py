@@ -114,7 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--k-features",
         type=_int_at_least(1),
         default=None,
-        help="features per stage (12 forest / 26 logistic)",
+        help=f"features per stage ({teamstyle.FOREST_DEFAULT_K} forest / "
+        f"{teamstyle.LOGISTIC_DEFAULT_K} logistic)",
     )
     style_model.add_argument("--styles", help="CSV team_id,style (default: rubric oracle labels)")
 
@@ -296,27 +297,32 @@ def _read_pairs(path, names=None, convert=str, keyed=True) -> list[tuple]:
     """
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        if len(header) != 2 or (names is not None and set(header) != set(names)):
-            expected = ",".join(names) if names else "of two columns (id,label)"
-            raise DataError(f"{path}: expected header {expected}")
-        key_name, value_name = names or header
-        pairs, seen = [], set()
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path} line {reader.line_num}: expected 2 fields, got {len(row)}")
-            key, text = row if header[0] == key_name else row[::-1]
-            if keyed and key in seen:
-                raise DataError(f"{path} line {reader.line_num}: repeated {key_name} {key!r}")
-            seen.add(key)
-            try:
-                pairs.append((key, convert(text)))
-            except ValueError:
-                raise DataError(
-                    f"{path} line {reader.line_num}: unknown {value_name} {text!r}"
-                ) from None
+        try:
+            return _pairs_of(reader, path, names, convert, keyed)
+        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+            raise DataError(f"{path} line {reader.line_num}: {exc}") from None
+
+
+def _pairs_of(reader, path, names, convert, keyed) -> list[tuple]:
+    header = next(reader, [])
+    if len(header) != 2 or (names is not None and set(header) != set(names)):
+        expected = ",".join(names) if names else "of two columns (id,label)"
+        raise DataError(f"{path}: expected header {expected}")
+    key_name, value_name = names or header
+    pairs, seen = [], set()
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != 2:
+            raise DataError(f"{path} line {reader.line_num}: expected 2 fields, got {len(row)}")
+        key, text = row if header[0] == key_name else row[::-1]
+        if keyed and key in seen:
+            raise DataError(f"{path} line {reader.line_num}: repeated {key_name} {key!r}")
+        seen.add(key)
+        try:
+            pairs.append((key, convert(text)))
+        except ValueError:
+            raise DataError(f"{path} line {reader.line_num}: unknown {value_name} {text!r}") from None
     return pairs
 
 

@@ -235,10 +235,7 @@ def label_commits(cascade: CascadeModel, commits: Iterable[CommitRecord]) -> lis
 
 
 def train_cascade(
-    tagged: Sequence[tuple[str, CommitCategory]],
-    lexicon: Lexicon | None = None,
-    lemma_exceptions: dict[str, str] | None = None,
-    keywords: dict[str, frozenset[str]] | None = None,
+    tagged: Sequence[tuple[str, CommitCategory]], lexicon: Lexicon | None = None
 ) -> CascadeModel:
     """Fit the ML stages on whatever the static stages leave behind.
 
@@ -246,18 +243,19 @@ def train_cascade(
     by stages 1..k-1, with positives being the messages tagged as stage k's
     category; a stage with no surviving positives is an error.
     """
-    cascade, docs, static = _prepare_tagged(tagged, lexicon, lemma_exceptions, keywords)
+    cascade, docs, static = _prepare_tagged(tagged, lexicon)
     survivors = [(d, cat) for d, s, (_, cat) in zip(docs, static, tagged) if s is None]
     cascade.stages = _fit_stages(survivors)
     return cascade
 
 
-def _prepare_tagged(tagged, lexicon=None, lemma_exceptions=None, keywords=None):
-    """A cascade without ML stages, and the tagged messages' token lists and static categories."""
+def _prepare_tagged(tagged, lexicon=None):
+    """A cascade without ML stages, with the bundled lemma exceptions and
+    keywords, and the tagged messages' token lists and static categories."""
     cascade = CascadeModel(
         lexicon=lexicon or textnorm.default_lexicon(),
-        lemma_exceptions=lemma_exceptions or textnorm.default_lemma_exceptions(),
-        keywords=keywords or default_keywords(),
+        lemma_exceptions=textnorm.default_lemma_exceptions(),
+        keywords=default_keywords(),
         gibberish_threshold=DEFAULT_GIBBERISH_THRESHOLD,
     )
     docs = [cascade.prepare(message) for message, _ in tagged]

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import AmbiguousAuthorError, ParseError, SchemaError, open_text
+from .errors import AmbiguousAuthorError, DataError, ParseError, SchemaError, open_text
 
 COMMIT_HEADER_MARK = "\x01"
 GIT_LOG_COMMAND = (
@@ -412,14 +412,26 @@ def load_roster(path) -> list[TeamRecord]:
     Expected header: ``team_id,project_id,member_id,exam1,project1,selected,
     author_keys`` with author keys semicolon-separated. Rows are grouped by
     (team_id, project_id); anything but exactly two members per group, or an
-    inconsistent ``selected`` flag, is a :class:`SchemaError`.
+    inconsistent ``selected`` flag, is a :class:`SchemaError`. A refusal
+    names the file.
     """
     with open_text(path, newline="") as fh:
-        return parse_roster(fh)
+        try:
+            return parse_roster(fh)
+        except DataError as exc:
+            raise type(exc)(f"{path}: {exc}") from None
 
 
 def parse_roster(fh) -> list[TeamRecord]:
     reader = csv.DictReader(fh)
+    try:
+        return _roster_teams(reader)
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        # DictReader counts only the lines of the rows it returned; its reader counts them all
+        raise SchemaError(f"roster line {reader.reader.line_num}: {exc}") from None
+
+
+def _roster_teams(reader: csv.DictReader) -> list[TeamRecord]:
     if reader.fieldnames is None or list(reader.fieldnames) != ROSTER_COLUMNS:
         raise SchemaError(
             f"roster header must be {','.join(ROSTER_COLUMNS)!r}, "

@@ -1,4 +1,5 @@
-"""Seed sequences, cross-validation folds, precision/recall/F1, Cohen's kappa, z-scoring."""
+"""Seed sequences, the binary training-set check, cross-validation folds,
+precision/recall/F1, Cohen's kappa, z-scoring."""
 
 from __future__ import annotations
 
@@ -18,6 +19,23 @@ def seed_sequence(seed, *path: int) -> np.random.SeedSequence:
     """The random stream of a seed and a path of indices under it (a tree, a
     stage, a team). A seed enters as its low 64 bits, so a negative one works."""
     return np.random.SeedSequence([int(seed) & _U64, *path])
+
+
+def check_training_set(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """(X, y) as float64 arrays, once they form a binary training set: X is a
+    finite 2-D matrix with at least one row, and y holds one label per row,
+    each 0 or 1 (booleans count as 0/1)."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise DataError(f"X must be a non-empty 2-D matrix, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise DataError("X contains NaN or infinite values")
+    y = np.asarray(y).ravel()
+    if len(y) != X.shape[0]:
+        raise DataError(f"{X.shape[0]} rows of X but {len(y)} labels")
+    if y.dtype.kind not in "biuf" or not np.all((y == 0) | (y == 1)):
+        raise DataError("labels must be boolean (0/1)")
+    return X, y.astype(np.float64)
 
 
 @dataclass

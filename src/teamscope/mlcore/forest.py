@@ -1,29 +1,31 @@
-"""Random forest of Gini-split decision trees, deterministic per seed.
+"""Random forest of full-depth Gini-split trees for 0/1 labels, deterministic per seed.
 
 Every tree draws its bootstrap sample and per-node feature subsets from a
 generator seeded by (seed, tree index), so forests are pure functions of
-(X, y, hyperparameters, seed) and no tree depends on another. All trees of a
-forest grow in lockstep: each step takes the next depth-first split
-candidate of every unfinished tree and scores them together, in batched
-split searches of at most ``_CELL_BUDGET`` (feature, sample) cells each. A
-tree's draws come in the order it would make them growing alone, so neither
-the lockstep nor the batching changes a tree. A tree is a set of parallel
+(X, y, n_trees, seed) and no tree depends on another. A tree grows until
+each leaf is pure or holds one sample, without pruning (Breiman, "Random
+Forests", Machine Learning 45, 2001). All trees of a forest grow in
+lockstep: each step takes the next depth-first split candidate of every
+unfinished tree and scores them together, in batched split searches of at
+most ``_CELL_BUDGET`` (feature, sample) cells each. A tree's draws come in
+the order it would make them growing alone, so neither the lockstep nor the
+batching changes a tree. A tree is a set of parallel
 per-node arrays (the layout of scikit-learn's ``Tree``), used as is for
-fitting, prediction and the model file. Leaves store class counts; tree and
-forest predictions are majority votes with ties going to the smaller class
-index.
+fitting, prediction and the model file. Leaves store the counts of classes
+0 and 1; tree and forest predictions are majority votes with ties going to
+class 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import DataError, SchemaError
-from .evaluation import seed_sequence
+from .evaluation import check_training_set, seed_sequence
 
 _TREE_ARRAYS = ("feature", "threshold", "left", "right", "counts")
 # Most cells (candidate feature x node sample) one batched split search holds.
@@ -39,15 +41,15 @@ class Tree:
     ``feature[i]`` is -1 at a leaf. At a split node, rows with
     ``x[feature[i]] <= threshold[i]`` continue at ``left[i]`` and the others
     at ``right[i]``; both children come after their parent. ``counts[i]`` holds
-    the class counts of the bootstrap samples that reached node i, and a leaf
-    votes for its largest count.
+    the counts of classes 0 and 1 among the bootstrap samples that reached
+    node i, and a leaf votes for the larger, class 0 on a tie.
     """
 
     feature: np.ndarray  # int64, -1 at leaves
     threshold: np.ndarray  # float64, 0.0 at leaves
     left: np.ndarray  # int64, -1 at leaves
     right: np.ndarray  # int64, -1 at leaves
-    counts: np.ndarray  # int64, nodes x classes
+    counts: np.ndarray  # int64, nodes x 2
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tree):
@@ -58,7 +60,7 @@ class Tree:
         return {k: getattr(self, k).tolist() for k in _TREE_ARRAYS}
 
     @classmethod
-    def from_dict(cls, raw: dict, n_features: int, n_classes: int) -> "Tree":
+    def from_dict(cls, raw: dict, n_features: int) -> "Tree":
         try:
             tree = cls(
                 feature=np.asarray(raw["feature"], dtype=np.int64),
@@ -76,7 +78,7 @@ class Tree:
         if (
             n == 0
             or any(getattr(tree, k).shape[:1] != (n,) for k in _TREE_ARRAYS)
-            or tree.counts.shape != (n, n_classes)
+            or tree.counts.shape != (n, 2)
             or np.any(tree.feature >= n_features)
             or np.any(tree.left[split] <= nodes[split])
             or np.any(tree.right[split] <= nodes[split])
@@ -90,21 +92,20 @@ class Tree:
 @dataclass
 class ForestModel:
     trees: list[Tree]
-    classes: list[Any]
     seed: int
-    max_depth: int | None
-    min_leaf: int
     n_features: int
     importances_raw: np.ndarray = field(repr=False, default_factory=lambda: np.zeros(0))
 
     def to_dict(self) -> dict:
+        # format 2 keeps its class list, depth limit and leaf floor keys, now
+        # constants: every forest is binary and grown to full depth
         return {
             "trees": [tree.to_dict() for tree in self.trees],
-            "classes": list(self.classes),
+            "classes": [0, 1],
             "n_trees": len(self.trees),
             "seed": self.seed,
-            "max_depth": self.max_depth,
-            "min_leaf": self.min_leaf,
+            "max_depth": None,
+            "min_leaf": 1,
             "n_features": self.n_features,
             "importances_raw": [float(v) for v in self.importances_raw],
         }
@@ -113,44 +114,37 @@ class ForestModel:
     def from_dict(cls, raw: dict) -> "ForestModel":
         n_features = int(raw["n_features"])
         classes = raw["classes"]
-        if not isinstance(classes, list):
-            raise SchemaError("forest classes must be a list")
-        trees = [Tree.from_dict(t, n_features, len(classes)) for t in raw["trees"]]
+        # JSON false/true equal 0/1 in Python, so the types are compared too
+        if classes != [0, 1] or any(type(c) is not int for c in classes):
+            raise SchemaError(f"forest classes must be [0, 1], got {classes!r}")
+        trees = [Tree.from_dict(t, n_features) for t in raw["trees"]]
         if not trees:
             raise SchemaError("forest has no trees")
         if int(raw["n_trees"]) != len(trees):
             raise SchemaError(f"forest says n_trees {raw['n_trees']!r} but holds {len(trees)} trees")
         return cls(
             trees=trees,
-            classes=classes,
             seed=int(raw["seed"]),
-            max_depth=raw["max_depth"],
-            min_leaf=int(raw["min_leaf"]),
             n_features=n_features,
             importances_raw=np.asarray(raw["importances_raw"], dtype=np.float64),
         )
 
 
-def _class_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 of a (classes, n) array, added in the order numpy adds
-    one contiguous row of class values (two rows skip that reduce's per-row cost)."""
-    return a[0] + a[1] if len(a) == 2 else np.ascontiguousarray(a.T).sum(axis=1)
-
-
 def _weighted_gini(counts: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """``size`` times the Gini impurity of each column of (classes, n) counts,
+    """``size`` times the Gini impurity of each column of (2, n) counts,
     where ``size`` (float) holds the columns' totals, none of them 0."""
     p = counts / size
     p *= p
-    return size * (1.0 - _class_sum(p))
+    return size * (1.0 - (p[0] + p[1]))
 
 
 def _gini(counts: np.ndarray) -> np.ndarray:
-    """Gini impurity of each column of (classes, nodes) counts; 0 for an empty column."""
+    """Gini impurity of each column of (2, nodes) counts; 0 for an empty column."""
     total = counts.sum(axis=0)
     with np.errstate(invalid="ignore"):
         p = counts / total
-    return np.where(total > 0, 1.0 - _class_sum(p * p), 0.0)
+    p *= p
+    return np.where(total > 0, 1.0 - (p[0] + p[1]), 0.0)
 
 
 def _value_codes(X: np.ndarray, shift: int, dtype) -> np.ndarray:
@@ -177,23 +171,22 @@ def _value_codes(X: np.ndarray, shift: int, dtype) -> np.ndarray:
 
 
 def _range_counts(prefix: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Class counts (classes x ranges) of the cell ranges [lo, hi), from the
-    prefix counts of classes 1 and up; class 0 has the rest of each range."""
-    upper = prefix.take(hi, axis=1) - prefix.take(lo, axis=1)
-    return np.vstack([hi - lo - upper.sum(axis=0), upper])
+    """Class counts (2 x ranges) of the cell ranges [lo, hi), from the prefix
+    counts of class 1; class 0 has the rest of each range."""
+    ones = prefix.take(hi) - prefix.take(lo)
+    return np.vstack([hi - lo - ones, ones])
 
 
-def _split_nodes(X, codes, shift, y_hot, rows, sizes, features, node_counts, min_leaf):
+def _split_nodes(X, codes, shift, y, rows, sizes, features, node_counts):
     """Best split of every node of a batch, all scored in one pass.
 
     Node j owns the next ``sizes[j]`` entries of ``rows`` (bootstrap row
     indices, repeats allowed), the class counts ``node_counts[:, j]`` and the
-    sorted candidate features ``features[j]``; ``y_hot[c - 1, row]`` is 1
-    where a row is of class c >= 1. Each (node, feature) pair is a segment
-    with one cell per sample, and one sort of the keys ``segment << 2 shift
-    | code`` orders every segment by value. Cut i of a segment puts its
-    first i+1 samples on the left. It is valid between two distinct values
-    with at least ``min_leaf`` samples on each side, and only valid cuts are
+    sorted candidate features ``features[j]``; ``y[row]`` is a row's 0/1
+    label. Each (node, feature) pair is a segment with one cell per sample,
+    and one sort of the keys ``segment << 2 shift | code`` orders every
+    segment by value. Cut i of a segment puts its first i+1 samples on the
+    left. It is valid between two distinct values, and only valid cuts are
     scored. A node takes its lowest-scoring cut, the first in (feature, cut)
     order on ties: the lowest feature index, then the lowest threshold. The
     order within a run of equal values moves only invalid cuts, so the sort
@@ -201,11 +194,10 @@ def _split_nodes(X, codes, shift, y_hot, rows, sizes, features, node_counts, min
 
     Returns, for the nodes that have a valid cut (their indices ``split``),
     the feature, threshold, left child size and left child class counts
-    (classes x nodes), and their rows concatenated, each node's ordered by
+    (2 x nodes), and their rows concatenated, each node's ordered by
     its chosen feature so that the left child's rows come first.
     """
     n = X.shape[0]
-    n_classes = len(node_counts)
     m, k = features.shape
     seg_sizes = np.repeat(sizes, k)
     seg_ends = np.cumsum(seg_sizes)
@@ -228,16 +220,13 @@ def _split_nodes(X, codes, shift, y_hot, rows, sizes, features, node_counts, min
     cut = np.flatnonzero(changes)
     cut_seg = key[cut] >> shift
     n_left = cut + 1 - seg_starts.take(cut_seg)
-    if min_leaf > 1:
-        keep = np.flatnonzero((n_left >= min_leaf) & (seg_sizes.take(cut_seg) - n_left >= min_leaf))
-        cut, cut_seg, n_left = cut[keep], cut_seg[keep], n_left[keep]
     if cut.size == 0:
         empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, np.zeros(0), empty, np.zeros((n_classes, 0), dtype=np.int64), empty
+        return empty, empty, np.zeros(0), empty, np.zeros((2, 0), dtype=np.int64), empty
 
-    # prefix[c - 1, i]: cells of class c >= 1 before cell i
-    prefix = np.zeros((len(y_hot), n_cells + 1), dtype=y_hot.dtype)
-    np.cumsum(y_hot.take(cell_rows, axis=1), axis=1, out=prefix[:, 1:])
+    # prefix[i]: cells of class 1 before cell i
+    prefix = np.zeros(n_cells + 1, dtype=y.dtype)
+    np.cumsum(y.take(cell_rows), out=prefix[1:])
     node = cut_seg // k
     size_left = n_left.astype(np.float64)
     size_right = sizes.take(node) - size_left
@@ -288,7 +277,7 @@ def _chunks(batch, k_features):
         yield chunk
 
 
-def _grow_trees(X, y_index, n_classes, rngs, max_depth, min_leaf):
+def _grow_trees(X, y, rngs):
     """One tree per generator, all grown in lockstep, and for each tree the
     weighted Gini decrease of every node (0 at leaves).
 
@@ -310,19 +299,17 @@ def _grow_trees(X, y_index, n_classes, rngs, max_depth, min_leaf):
         raise DataError(f"{n} rows are more than a forest's 63-bit sort keys can order")
     key_type = np.int32 if key_bits < 32 else np.int64
     codes = _value_codes(X, shift, key_type)
-    y_hot = (y_index == np.arange(1, n_classes)[:, None]).astype(np.int32)
     # tree t's bootstrap rows fill flat[t * n : (t + 1) * n]; each node owns a
     # range of them, and a split reorders its range so the left child's come first
     flat = np.concatenate([rng.integers(0, n, size=n) for rng in rngs])
     root_counts = np.bincount(
-        np.repeat(np.arange(len(rngs)) * n_classes, n) + y_index[flat],
-        minlength=len(rngs) * n_classes,
-    ).reshape(len(rngs), n_classes)
+        np.repeat(np.arange(len(rngs)) * 2, n) + y[flat], minlength=len(rngs) * 2
+    ).reshape(len(rngs), 2)
     root_gini = _gini(root_counts.T)
     # per tree: node records [feature, threshold, left, right, counts, decrease] in pre-order
     nodes: list[list[list]] = [[] for _ in rngs]
-    # per tree: pending nodes (start, end, counts, gini, depth, parent, slot of the parent's link)
-    stacks = [[(t * n, (t + 1) * n, root_counts[t], root_gini[t], 0, -1, 0)] for t in range(len(rngs))]
+    # per tree: pending nodes (start, end, counts, gini, parent, slot of the parent's link)
+    stacks = [[(t * n, (t + 1) * n, root_counts[t], root_gini[t], -1, 0)] for t in range(len(rngs))]
 
     growing = range(len(rngs))
     while growing:
@@ -330,30 +317,25 @@ def _grow_trees(X, y_index, n_classes, rngs, max_depth, min_leaf):
         for t in growing:
             stack, tree = stacks[t], nodes[t]
             while stack:
-                start, end, counts, gini, depth, parent, slot = stack.pop()
+                start, end, counts, gini, parent, slot = stack.pop()
                 node = len(tree)
                 if parent >= 0:
                     tree[parent][slot] = node
                 tree.append([-1, 0.0, -1, -1, counts, 0.0])
-                if (
-                    gini == 0.0
-                    or (max_depth is not None and depth >= max_depth)
-                    or end - start < 2 * min_leaf
-                ):
+                if gini == 0.0:  # pure, as is every one-sample node
                     continue
                 candidates = rngs[t].choice(d, size=k_features, replace=False)
-                batch.append((t, node, start, end, gini, depth, candidates))
+                batch.append((t, node, start, end, gini, candidates))
                 break
         growing = [item[0] for item in batch]
 
         for chunk in _chunks(batch, k_features):
-            _, _, starts, ends, ginis, _, candidates = (np.array(v) for v in zip(*chunk))
+            _, _, starts, ends, ginis, candidates = (np.array(v) for v in zip(*chunk))
             sizes = ends - starts
             span = np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
             node_counts = np.array([nodes[t][node][4] for t, node, *_ in chunk], dtype=np.int64).T
             split, feature, threshold, n_left, left_counts, ordered = _split_nodes(
-                X, codes, shift, y_hot, flat[span], sizes,
-                np.sort(candidates, axis=1), node_counts, min_leaf,
+                X, codes, shift, y, flat[span], sizes, np.sort(candidates, axis=1), node_counts
             )
             is_split = np.zeros(len(chunk), dtype=bool)
             is_split[split] = True
@@ -368,13 +350,13 @@ def _grow_trees(X, y_index, n_classes, rngs, max_depth, min_leaf):
                 left_counts.T, right_counts.T, left_gini.tolist(), right_gini.tolist(),
                 decrease.tolist(),
             ):
-                t, node, start, end, _, depth, _ = chunk[j]
+                t, node, start, end, _, _ = chunk[j]
                 record = nodes[t][node]
                 record[0] = f
                 record[1] = cut_value
                 record[5] = drop
-                stacks[t].append((start + n_l, end, r_counts, r_gini, depth + 1, node, 3))
-                stacks[t].append((start, start + n_l, l_counts, l_gini, depth + 1, node, 2))
+                stacks[t].append((start + n_l, end, r_counts, r_gini, node, 3))
+                stacks[t].append((start, start + n_l, l_counts, l_gini, node, 2))
 
     trees, decreases = [], []
     for tree in nodes:
@@ -392,32 +374,19 @@ def _grow_trees(X, y_index, n_classes, rngs, max_depth, min_leaf):
     return trees, decreases
 
 
-def train_forest(
-    X,
-    y: Sequence,
-    n_trees: int = 100,
-    seed: int = 0,
-    max_depth: int | None = None,
-    min_leaf: int = 1,
-) -> ForestModel:
-    """Fit ``n_trees`` trees on bootstrap samples of (X, y)."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise DataError(f"X must be a non-empty 2-D matrix, got shape {X.shape}")
-    if not np.isfinite(X).all():
-        # split thresholds are midpoints, and node sizes follow from them
-        raise DataError("X contains NaN or infinite values")
-    y = [label.item() if isinstance(label, np.generic) else label for label in y]
-    if len(y) != X.shape[0]:
-        raise DataError(f"{X.shape[0]} rows of X but {len(y)} labels")
+def train_forest(X, y: Sequence, n_trees: int = 100, seed: int = 0) -> ForestModel:
+    """Fit ``n_trees`` full-depth trees on bootstrap samples of (X, y), y of 0/1 labels.
+
+    One class alone is a legal training set: every tree is then one leaf.
+    """
+    # split thresholds are midpoints, and node sizes follow from them: X must be finite
+    X, y = check_training_set(X, y)
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
 
-    classes = sorted(set(y))
-    class_index = {c: i for i, c in enumerate(classes)}
-    y_index = np.array([class_index[label] for label in y], dtype=np.int64)
     rngs = [np.random.default_rng(seed_sequence(seed, t)) for t in range(n_trees)]
-    trees, decreases = _grow_trees(X, y_index, len(classes), rngs, max_depth, min_leaf)
+    # int32 labels keep the split search's prefix sums int32
+    trees, decreases = _grow_trees(X, y.astype(np.int32), rngs)
 
     importance_sum = np.zeros(X.shape[1], dtype=np.float64)
     for tree, decrease in zip(trees, decreases):
@@ -430,18 +399,15 @@ def train_forest(
 
     return ForestModel(
         trees=trees,
-        classes=classes,
         seed=int(seed),
-        max_depth=max_depth,
-        min_leaf=min_leaf,
         n_features=X.shape[1],
         importances_raw=importance_sum / n_trees,
     )
 
 
 def forest_votes(model: ForestModel, X) -> np.ndarray:
-    """Per-class vote counts across trees, shape (rows, classes), for a
-    matrix of feature rows.
+    """Votes for classes 0 and 1 across trees, shape (rows, 2), for a matrix
+    of feature rows.
 
     Every row descends every tree at once, one depth level per step.
     """
@@ -453,7 +419,7 @@ def forest_votes(model: ForestModel, X) -> np.ndarray:
     threshold = np.concatenate([t.threshold for t in trees])
     left = np.concatenate([t.left + off for t, off in zip(trees, offsets)])
     right = np.concatenate([t.right + off for t, off in zip(trees, offsets)])
-    # argmax takes the first max: ties go to the smaller class index
+    # argmax takes the first max: ties go to class 0
     leaf_vote = np.concatenate([t.counts for t in trees]).argmax(axis=1)
 
     node = np.repeat(offsets, m)  # tree-major: entry t*m + r is row r in tree t
@@ -465,9 +431,8 @@ def forest_votes(model: ForestModel, X) -> np.ndarray:
         node[active] = np.where(goes_left, left[at], right[at])
         active = active[feature[node[active]] >= 0]
 
-    n_classes = len(model.classes)
-    votes = np.bincount(row * n_classes + leaf_vote[node], minlength=m * n_classes)
-    return votes.reshape(m, n_classes).astype(np.int64, copy=False)
+    votes = np.bincount(row * 2 + leaf_vote[node], minlength=m * 2)
+    return votes.reshape(m, 2).astype(np.int64, copy=False)
 
 
 def feature_importances(model: ForestModel) -> np.ndarray:

@@ -37,7 +37,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..errors import DataError
+from .evaluation import check_training_set
 
 GRAD_TOL = 1e-12
 _ARMIJO = 1e-4
@@ -186,18 +186,7 @@ def train_logreg(
     The steps start from zero weights, or from the weights and bias of
     ``start``; the optimum is the same either way.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if X.ndim != 2:
-        raise DataError(f"X must be 2-D, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise DataError("X contains NaN or infinite values")
-    if X.shape[0] != y.shape[0]:
-        raise DataError(f"{X.shape[0]} rows of X but {y.shape[0]} labels")
-    if X.shape[0] == 0:
-        raise DataError("cannot train on zero samples")
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise DataError("labels must be boolean (0/1)")
+    X, y = check_training_set(X, y)
     if len(np.unique(y)) < 2:
         warnings.warn("training labels contain a single class", stacklevel=2)
     if start is None:

@@ -16,7 +16,7 @@ merge/documentation/style templates statically recoverable).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -41,7 +41,7 @@ CATEGORY_MIX = {
 }
 
 # (add_lo, add_hi, del_lo, del_hi) lines per commit
-DEFAULT_CHURN_RANGES = {
+CHURN_RANGES = {
     CommitCategory.IMPLEMENTATION: (20, 120, 0, 30),
     CommitCategory.TEST: (15, 80, 0, 20),
     CommitCategory.BUGFIX: (2, 30, 1, 20),
@@ -50,6 +50,9 @@ DEFAULT_CHURN_RANGES = {
     CommitCategory.MERGE: (0, 0, 0, 0),
     CommitCategory.OTHER: (0, 8, 0, 4),
 }
+PROJECT_ID = "P2"
+# attempts per team at a plan that passes the rubric re-check
+MAX_RETRIES = 50
 
 _PATH_POOLS = {
     "src": [
@@ -88,11 +91,8 @@ class GenConfig:
     n_teams: int = 150
     style_mix: tuple[float, float, float] = (0.57, 0.29, 0.14)  # collab, coop, solo
     commits_per_team: tuple[int, int] = (35, 75)
-    churn_ranges: dict = field(default_factory=lambda: dict(DEFAULT_CHURN_RANGES))
     noise_rate: float = 0.1
     pair_rate: float = 0.05
-    project_id: str = "P2"
-    max_retries: int = 50
 
     def __post_init__(self):
         if abs(sum(self.style_mix) - 1.0) > 1e-9:
@@ -108,13 +108,6 @@ class GenConfig:
             raise ValueError("noise_rate must be within [0, 1]")
         if not 0.0 <= self.pair_rate <= 1.0:
             raise ValueError("pair_rate must be within [0, 1]")
-        merged = dict(DEFAULT_CHURN_RANGES)
-        merged.update(self.churn_ranges)
-        self.churn_ranges = merged
-        for cat, rng_tuple in self.churn_ranges.items():
-            add_lo, add_hi, del_lo, del_hi = rng_tuple
-            if add_lo > add_hi or del_lo > del_hi:
-                raise ValueError(f"empty churn range for {cat}")
 
 
 @dataclass
@@ -191,7 +184,7 @@ def generate_corpus(config: GenConfig) -> tuple[list[TeamRecord], GroundTruth]:
     truth_categories: dict[str, CommitCategory] = {}
 
     for team_idx, intended in enumerate(styles):
-        for attempt in range(config.max_retries):
+        for attempt in range(MAX_RETRIES):
             rng = np.random.default_rng(seed_sequence(config.seed, team_idx, attempt))
             try:
                 team, categories = _generate_team(
@@ -205,7 +198,7 @@ def generate_corpus(config: GenConfig) -> tuple[list[TeamRecord], GroundTruth]:
             break
         else:
             raise DataError(
-                f"team {team_idx}: {config.max_retries} attempts failed to "
+                f"team {team_idx}: {MAX_RETRIES} attempts failed to "
                 f"satisfy the {intended.value} rubric"
             )
 
@@ -238,14 +231,14 @@ def _generate_team(config, pools, veto, rng, team_idx, attempt, intended):
     # user index -> list of (category, additions, deletions)
     commit_specs: list[tuple[int, CommitCategory, int, int]] = []
     for cat in RUBRIC_PARTS:
-        specs = _sized_commits(rng, config.churn_ranges[cat], counts[cat])
+        specs = _sized_commits(rng, CHURN_RANGES[cat], counts[cat])
         commit_specs.extend(
             (user, cat, add, dele)
             for user, (add, dele) in _deal_to_users(specs, shares[cat])
         )
     solo = intended == TeamStyle.SOLO_SUBMIT
     for cat in (CommitCategory.MERGE, CommitCategory.OTHER):
-        for add, dele in _sized_commits(rng, config.churn_ranges[cat], counts[cat]):
+        for add, dele in _sized_commits(rng, CHURN_RANGES[cat], counts[cat]):
             user = 0 if rng.random() < (0.05 if solo else 0.5) else 1
             commit_specs.append((user, cat, add, dele))
     if solo and not any(user == 0 for user, *_ in commit_specs):
@@ -279,7 +272,7 @@ def _generate_team(config, pools, veto, rng, team_idx, attempt, intended):
 
     team = TeamRecord(
         team_id=team_id,
-        project_id=config.project_id,
+        project_id=PROJECT_ID,
         members=members,
         selected=selected,
         commits=tuple(commits),

@@ -119,16 +119,13 @@ class StyleStage:
     def fires(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Whether the stage fires on each standardized row of Z, and its score.
 
-        The score is the positive class's vote share (forest) or probability
-        (logistic). A forest fires when the positive class wins the vote, ties
-        going to the smaller class, so both come from one vote per row.
+        The score is class 1's vote share (forest) or probability (logistic).
+        A forest fires when class 1 wins the vote, a tie going to class 0, so
+        both come from one vote per row.
         """
         if isinstance(self.model, ForestModel):
-            if 1 not in self.model.classes:
-                return np.zeros(len(Z), dtype=bool), np.zeros(len(Z))
-            positive = self.model.classes.index(1)
             votes = forest_votes(self.model, Z[:, self.selected])
-            return votes.argmax(axis=1) == positive, votes[:, positive] / len(self.model.trees)
+            return votes[:, 1] > votes[:, 0], votes[:, 1] / len(self.model.trees)
         scores = predict_proba(self.model, Z[:, self.selected])
         return scores >= 0.5, scores
 

@@ -361,6 +361,13 @@ def _one_tree_claimed(raw):
     raw["model"]["stages"][0]["model"]["n_trees"] = 1
 
 
+def _forest_classes(classes):
+    def alter(raw):
+        raw["model"]["stages"][0]["model"]["classes"] = classes
+
+    return alter
+
+
 @pytest.mark.parametrize(
     "alter, message",
     [
@@ -373,9 +380,13 @@ def _one_tree_claimed(raw):
         (lambda raw: raw["model"].update(algorithm="svm"), "altered.json: unknown algorithm 'svm'"),
         (lambda raw: raw["model"].update(algorithm="logistic_rfe"),
          "altered.json: a logistic_rfe model has a stage of model_type 'forest'"),
+        (_forest_classes([0, 1, 2]), "altered.json: forest classes must be [0, 1], got [0, 1, 2]"),
+        (_forest_classes(["no", "yes"]), "altered.json: forest classes must be [0, 1], got ['no', 'yes']"),
+        (_forest_classes([False, True]), "altered.json: forest classes must be [0, 1], got [False, True]"),
     ],
     ids=["format-v1", "foreign-registry", "narrow-means", "n_trees-mismatch", "other-fallback",
-         "unknown-algorithm", "algorithm-model_type-mismatch"],
+         "unknown-algorithm", "algorithm-model_type-mismatch", "classes-0-1-2", "classes-strings",
+         "classes-booleans"],
 )
 @pytest.mark.parametrize("command", ["predict", "flag"])
 def test_unfit_model_is_data_error(team_model, tmp_path, capsys, command, alter, message):
@@ -415,6 +426,8 @@ def test_non_json_label_line_is_data_error(tmp_path, capsys):
 
 # --- bad input exits 1 (usage) or 2 (data), never 3 (internal) ---------------
 
+# a field over the csv module's limit of 131,072 characters
+_LONG = "x" * 200_000
 BAD_INPUT = [
     # argv ({data}/{tagged}: a labeled corpus and its tagged CSV), a file written for the
     # run (passed as --config, or where {file} stands), exit code, stderr
@@ -449,6 +462,14 @@ BAD_INPUT = [
      "short-row.csv line 2: expected 2 fields, got 1"),
     (["train-commits", "--tagged", "{file}"], ("extra-field.csv", "message,category\nfix,Bugfix,x\n"), 2,
      "extra-field.csv line 2: expected 2 fields, got 3"),
+    (["kappa", "--a", "{file}", "--b", "{tagged}"], ("long-field.csv", f"id,label\na,{_LONG}\n"), 2,
+     "long-field.csv line 2: field larger than field limit"),
+    (["train-teams", "--data", "{data}", "--styles", "{file}"],
+     ("long-style.csv", f"team_id,style\nt000,{_LONG}\n"), 2,
+     "long-style.csv line 2: field larger than field limit"),
+    (["ingest", "--jsonl", "{data}/commits.jsonl", "--roster", "{file}"],
+     ("long-roster.csv", ROSTER.replace("alice;a@x", _LONG)), 2,
+     "long-roster.csv: roster line 2: field larger than field limit"),
 ]
 
 

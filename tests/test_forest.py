@@ -28,19 +28,20 @@ def _leaf(counts) -> Tree:
 
 def _winners(model, X) -> list:
     """Each row's majority class."""
-    return [model.classes[i] for i in forest_votes(model, X).argmax(axis=1)]
+    return forest_votes(model, X).argmax(axis=1).tolist()
 
 
 def test_pure_single_class_input_predicts_that_class():
     X = np.arange(12.0).reshape(6, 2)
-    model = train_forest(X, ["only"] * 6, n_trees=5, seed=1)
-    assert _winners(model, X) == ["only"] * 6
+    model = train_forest(X, [0] * 6, n_trees=5, seed=1)
+    assert all(len(tree.feature) == 1 for tree in model.trees)  # one leaf each
+    assert _winners(model, X) == [0] * 6
 
 
 def test_separable_1d_single_stump_is_perfect():
     X = np.array([[-2.0], [-1.5], [-1.0], [1.0], [1.5], [2.0]])
     y = [0, 0, 0, 1, 1, 1]
-    model = train_forest(X, y, n_trees=1, seed=3, max_depth=1)
+    model = train_forest(X, y, n_trees=1, seed=3)
     assert _winners(model, X) == y
 
 
@@ -80,7 +81,7 @@ def test_importances_all_on_single_split_feature():
     X = np.zeros((50, 5))
     X[:, 3] = np.linspace(-1, 1, 50)
     y = (X[:, 3] > 0).astype(int)
-    model = train_forest(X, y, n_trees=20, seed=5, max_depth=1)
+    model = train_forest(X, y, n_trees=20, seed=5)
     imp = feature_importances(model)
     assert imp[3] == pytest.approx(1.0)
     assert np.sum(imp) == pytest.approx(1.0, abs=1e-9)
@@ -105,19 +106,10 @@ def test_importances_rank_informative_over_noise():
 def test_majority_vote_tie_goes_to_smaller_class_index():
     # single-leaf trees: two that disagree and one whose leaf counts tie
     X = np.array([[0.0], [1.0]])
-    combined = train_forest(X, [0, 1], n_trees=2, seed=1, max_depth=1)
+    combined = train_forest(X, [0, 1], n_trees=2, seed=1)
     combined.trees = [_leaf([1, 0]), _leaf([0, 1]), _leaf([2, 2])]
     # the tied leaf votes for class index 0
     assert forest_votes(combined, np.array([[0.0]])).tolist() == [[2, 1]]
-
-
-def test_min_leaf_respected():
-    X = np.arange(10.0).reshape(-1, 1)
-    y = [0, 0, 0, 0, 0, 1, 1, 1, 1, 1]
-    model = train_forest(X, y, n_trees=5, seed=4, min_leaf=3)
-    for tree in model.trees:
-        leaf_sizes = tree.counts[tree.feature < 0].sum(axis=1)
-        assert np.all(leaf_sizes >= 3)
 
 
 def test_bootstrap_per_tree_differs():
@@ -139,12 +131,42 @@ def test_tree_randomness_is_per_tree_not_sequential():
     assert large.trees[:3] == small.trees
 
 
-def test_string_labels_round_trip():
+def test_non_binary_labels_are_data_error():
     X = np.array([[-1.0], [-0.5], [0.5], [1.0]])
-    y = ["no", "no", "yes", "yes"]
-    model = train_forest(X, y, n_trees=3, seed=0)
-    assert model.classes == ["no", "yes"]
-    assert set(_winners(model, X)) <= {"no", "yes"}
+    for y in (["no", "no", "yes", "yes"], [0, 1, 2, 1], [0, 0.5, 1, 1], [0, None, 1, 1]):
+        with pytest.raises(DataError, match="boolean"):
+            train_forest(X, y, n_trees=3, seed=0)
+    with pytest.raises(DataError, match="4 rows of X but 3 labels"):
+        train_forest(X, [0, 1, 1], n_trees=3, seed=0)
+
+
+def test_boolean_labels_grow_the_forest_of_0_1_labels():
+    X = np.array([[-1.0], [-0.5], [0.5], [1.0]])
+    y = [False, True, False, True]
+    as_bools = train_forest(X, y, n_trees=3, seed=0)
+    assert as_bools.to_dict() == train_forest(X, np.array(y, dtype=int), n_trees=3, seed=0).to_dict()
+
+
+def test_model_dict_keeps_format_2_keys():
+    # a binary, full-depth forest still writes the keys of format 2, as constants
+    X = np.array([[0.0], [1.0], [2.0]])
+    raw = train_forest(X, [0, 1, 1], n_trees=2, seed=1).to_dict()
+    assert set(raw) == {
+        "trees", "classes", "n_trees", "seed", "max_depth", "min_leaf", "n_features", "importances_raw",
+    }
+    assert raw["classes"] == [0, 1] and all(type(c) is int for c in raw["classes"])
+    assert raw["max_depth"] is None
+    assert raw["min_leaf"] == 1
+    assert set(raw["trees"][0]) == {"feature", "threshold", "left", "right", "counts"}
+
+
+@pytest.mark.parametrize("classes", [[0.0, 1.0], [1, 0], [0], "01"])
+def test_model_classes_other_than_0_1_are_schema_error(classes):
+    X = np.array([[0.0], [1.0]])
+    raw = train_forest(X, [0, 1], n_trees=1, seed=1).to_dict()
+    raw["classes"] = classes
+    with pytest.raises(SchemaError, match="classes must be"):
+        ForestModel.from_dict(raw)
 
 
 # --- equivalence with the per-feature, dict-tree reference forest ----------
@@ -163,18 +185,17 @@ def _forest_inputs(draw):
         # a mirrored column splits as well as its source at another cut: a tie
         source, target = draw(st.permutations(range(d)))[:2]
         X[:, target] = -X[:, source]
-    labels = draw(st.sampled_from([[0, 1], [0, 1, 2], ["no", "yes"], ["a", "b", "c"]]))
-    y = draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n))
+    # both classes, so that the reference's one-hot labels have two columns
+    rest = draw(st.lists(st.sampled_from([0, 1]), min_size=n - 2, max_size=n - 2))
+    y = draw(st.permutations([0, 1] + rest))
     return X, y
 
 
-def _assert_matches_reference(X, y, n_trees, seed, max_depth=None, min_leaf=1):
-    model = train_forest(X, y, n_trees=n_trees, seed=seed, max_depth=max_depth, min_leaf=min_leaf)
-    trees, classes, importances = oracle_forest.train_forest(X, y, n_trees, seed, max_depth, min_leaf)
-    assert model.classes == classes
-    expected = [
-        Tree.from_dict(oracle_forest.flatten(t), X.shape[1], len(classes)) for t in trees
-    ]
+def _assert_matches_reference(X, y, n_trees, seed):
+    model = train_forest(X, y, n_trees=n_trees, seed=seed)
+    trees, classes, importances = oracle_forest.train_forest(X, y, n_trees, seed)
+    assert classes == [0, 1]
+    expected = [Tree.from_dict(oracle_forest.flatten(t), X.shape[1]) for t in trees]
     assert model.trees == expected
     assert np.array_equal(model.importances_raw, importances)
 
@@ -186,17 +207,11 @@ def _assert_matches_reference(X, y, n_trees, seed, max_depth=None, min_leaf=1):
 
 
 @settings(max_examples=120, deadline=None)
-@given(
-    data=_forest_inputs(),
-    n_trees=st.integers(1, 40),
-    min_leaf=st.sampled_from([1, 2, 3]),
-    max_depth=st.sampled_from([None, 1, 3]),
-    seed=st.integers(0, 2**32),
-)
-def test_matches_reference_forest(data, n_trees, min_leaf, max_depth, seed):
+@given(data=_forest_inputs(), n_trees=st.integers(1, 40), seed=st.integers(0, 2**32))
+def test_matches_reference_forest(data, n_trees, seed):
     # trees finish after different numbers of lockstep steps: ragged batches
     X, y = data
-    _assert_matches_reference(X, y, n_trees, seed, max_depth, min_leaf)
+    _assert_matches_reference(X, y, n_trees, seed)
 
 
 @pytest.mark.parametrize("n_rows", [150, 300])  # 300 rows need 64-bit sort keys
@@ -206,7 +221,7 @@ def test_matches_reference_forest_beyond_one_batch(n_rows):
     rng = np.random.default_rng(21)
     X = rng.integers(0, 6, size=(n_rows, 40)).astype(np.float64)  # integer ties
     X[:, [4, 19, 33]] = 2.0  # constant columns
-    y = ((X[:, 0] + X[:, 7] + rng.integers(0, 3, size=n_rows)) % 3).tolist()
+    y = ((X[:, 0] + X[:, 7] + rng.integers(0, 3, size=n_rows)) % 2).tolist()
     assert 40 * n_rows * 6 > forest_module._CELL_BUDGET
     _assert_matches_reference(X, y, n_trees=40, seed=8)
 
@@ -219,7 +234,7 @@ def test_midpoint_rounding_onto_the_next_value_matches_reference():
     assert (a + b) / 2.0 == b
     X = np.array([[a], [a], [a], [b], [b], [3.0], [3.0], [3.0]])
     y = [0, 0, 0, 1, 1, 1, 1, 1]
-    _assert_matches_reference(X, y, n_trees=5, seed=2, max_depth=None)
+    _assert_matches_reference(X, y, n_trees=5, seed=2)
     model = train_forest(X, y, n_trees=5, seed=2)
     thresholds = [t for tree in model.trees for t in tree.threshold[tree.feature >= 0]]
     assert a in thresholds and b not in thresholds
@@ -261,7 +276,7 @@ def test_tree_arrays_round_trip_through_dict():
 )
 def test_malformed_tree_is_schema_error(change):
     X = np.array([[0.0], [1.0]])
-    raw = train_forest(X, [0, 1], n_trees=1, seed=1, max_depth=1).to_dict()
+    raw = train_forest(X, [0, 1], n_trees=1, seed=1).to_dict()
     assert raw["trees"][0]["feature"] == [0, -1, -1]
     raw["trees"][0].update(change)
     with pytest.raises(SchemaError):

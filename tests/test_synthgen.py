@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from teamscope import textnorm
+from teamscope import synthgen, textnorm
 from teamscope.commitcls import CommitCategory, default_keywords
 from teamscope.errors import DataError
 from teamscope.ingest import build_teams, load_commits_jsonl, load_roster
@@ -124,8 +124,6 @@ def test_config_validation():
         GenConfig(pair_rate=-0.1)
     with pytest.raises(ValueError, match="n_teams"):
         GenConfig(n_teams=0)
-    with pytest.raises(ValueError, match="churn range"):
-        GenConfig(churn_ranges={CommitCategory.TEST: (5, 1, 0, 0)})
 
 
 def test_written_corpus_round_trips_through_ingest(tmp_path):
@@ -153,12 +151,12 @@ def test_written_corpus_round_trips_through_ingest(tmp_path):
     assert len(commit_rows) == 1 + sum(len(t.commits) for t in teams)
 
 
-def test_unsatisfiable_config_raises_data_error():
+def test_unsatisfiable_config_raises_data_error(monkeypatch):
     # zero-churn everything makes every style plan fail its rubric re-check
-    ranges = {cat: (0, 0, 0, 0) for cat in CommitCategory}
-    config = GenConfig(seed=19, n_teams=2, churn_ranges=ranges, max_retries=3)
-    with pytest.raises(DataError, match="attempts"):
-        generate_corpus(config)
+    monkeypatch.setattr(synthgen, "CHURN_RANGES", {cat: (0, 0, 0, 0) for cat in CommitCategory})
+    monkeypatch.setattr(synthgen, "MAX_RETRIES", 3)
+    with pytest.raises(DataError, match="3 attempts"):
+        generate_corpus(GenConfig(seed=19, n_teams=2))
 
 
 def test_pair_programming_mentions_appear_with_noise():

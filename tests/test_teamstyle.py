@@ -262,14 +262,7 @@ def test_predict_cascade_precedence_and_fallback(corpus):
 
 def test_forest_stage_vote_tie_does_not_fire():
     # a 1-1 vote goes to the smaller class index, 0, so the stage stays silent
-    forest = ForestModel(
-        trees=[_leaf([1, 0]), _leaf([0, 1])],
-        classes=[0, 1],
-        seed=0,
-        max_depth=None,
-        min_leaf=1,
-        n_features=1,
-    )
+    forest = ForestModel(trees=[_leaf([1, 0]), _leaf([0, 1])], seed=0, n_features=1)
     stage = StyleStage(style=TeamStyle.SOLO_SUBMIT, selected=[0], model=forest)
     fired, scores = stage.fires(np.zeros((1, 1)))
     assert fired.tolist() == [False]
@@ -395,8 +388,8 @@ def _predict_one_row(model, x_raw):
         x = z[stage.selected]
         if isinstance(stage.model, ForestModel):
             votes = forest_votes(stage.model, x[None])[0]
-            score = votes[stage.model.classes.index(1)] / len(stage.model.trees)
-            fires = stage.model.classes[votes.argmax()] == 1
+            score = votes[1] / len(stage.model.trees)
+            fires = votes.argmax() == 1
         else:
             score = predict_proba(stage.model, x)
             fires = score >= 0.5
