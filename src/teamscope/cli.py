@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__, commitcls, synthgen, teamfeat, teamstyle
 from .commitcls import CascadeModel, CommitCategory
-from .errors import DataError, SchemaError, open_text
+from .errors import DataError, SchemaError, csv_rows, in_file, jsonl_values, open_text
 from .ingest import (
     dump_commits_jsonl,
     dump_roster,
@@ -36,7 +36,7 @@ from .ingest import (
     load_commits_jsonl,
     load_roster,
     locate_authors,
-    parse_git_log_file,
+    parse_git_log,
 )
 from .mlcore import canonical_json, cohens_kappa, load_model, save_model
 from .teamstyle import TeamStyle
@@ -188,34 +188,34 @@ def _apply_config(args: argparse.Namespace) -> None:
     if not args.config:
         return
     path = Path(args.config)
-    try:
-        text = path.read_text(encoding="utf-8")
-        if path.suffix == ".toml":
-            try:
-                import tomllib
-            except ModuleNotFoundError:
-                raise DataError("TOML config requires Python 3.11+; use JSON instead")
-            overrides = tomllib.loads(text)
-        else:
-            overrides = json.loads(text)
-    except ValueError as exc:
-        # undecodable text, JSON and TOML syntax errors
-        raise DataError(f"{path}: {exc}") from None
-    if not isinstance(overrides, dict):
-        raise DataError(f"{path}: config must be a mapping")
-    actions = {a.dest: a for a in args.subparser._actions if a.dest not in ("help", "config")}
-    for key, value in overrides.items():
-        action = actions.get(key.replace("-", "_"))
-        if action is None:
-            raise DataError(f"{path}: unknown option {key!r}")
-        # the flag's own type and choices must read the value's spelling back as the value
+    with open_text(path) as fh:
         try:
-            valid = (action.type or str)(str(value)) == value
-        except (ValueError, argparse.ArgumentTypeError):
-            valid = False
-        if not valid or (action.choices is not None and value not in action.choices):
-            raise DataError(f"{path}: invalid value {value!r} for option {key!r}")
-        setattr(args, action.dest, value)
+            if path.suffix == ".toml":
+                try:
+                    import tomllib
+                except ModuleNotFoundError:
+                    raise DataError("TOML config requires Python 3.11+; use JSON instead")
+                overrides = tomllib.loads(fh.read())
+            else:
+                overrides = json.load(fh)
+        except ValueError as exc:
+            # undecodable text, JSON and TOML syntax errors
+            raise DataError(str(exc)) from None
+        if not isinstance(overrides, dict):
+            raise DataError("config must be a mapping")
+        actions = {a.dest: a for a in args.subparser._actions if a.dest not in ("help", "config")}
+        for key, value in overrides.items():
+            action = actions.get(key.replace("-", "_"))
+            if action is None:
+                raise DataError(f"unknown option {key!r}")
+            # the flag's own type and choices must read the value's spelling back as the value
+            try:
+                valid = (action.type or str)(str(value)) == value
+            except (ValueError, argparse.ArgumentTypeError):
+                valid = False
+            if not valid or (action.choices is not None and value not in action.choices):
+                raise DataError(f"invalid value {value!r} for option {key!r}")
+            setattr(args, action.dest, value)
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +277,13 @@ def _read_model(path, kind: str, model_cls):
     a key, holds a value of the wrong type or is refused by ``from_dict`` is a
     DataError naming the file."""
     payload = load_model(path, kind)
-    try:
-        return model_cls.from_dict(payload)
-    except KeyError as exc:
-        raise SchemaError(f"{path}: the model has no key {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: malformed model ({exc})") from None
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    with in_file(path):
+        try:
+            return model_cls.from_dict(payload)
+        except KeyError as exc:
+            raise SchemaError(f"the model has no key {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed model ({exc})") from None
 
 
 def _read_pairs(path, names=None, convert=str, keyed=True) -> list[tuple]:
@@ -292,68 +291,52 @@ def _read_pairs(path, names=None, convert=str, keyed=True) -> list[tuple]:
 
     The header must be ``names`` in either order, or any two names when None;
     the first name's column holds the key, and ``convert`` reads the other.
-    Every row must have exactly two fields, and in a ``keyed`` file a key may
-    appear once; blank lines are skipped. A refusal names the file and line.
+    There must be a row, every row must have exactly two fields, and in a
+    ``keyed`` file a key may appear once.
     """
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            return _pairs_of(reader, path, names, convert, keyed)
-        except csv.Error as exc:  # e.g. a field over the csv module's size limit
-            raise DataError(f"{path} line {reader.line_num}: {exc}") from None
-
-
-def _pairs_of(reader, path, names, convert, keyed) -> list[tuple]:
-    header = next(reader, [])
-    if len(header) != 2 or (names is not None and set(header) != set(names)):
-        expected = ",".join(names) if names else "of two columns (id,label)"
-        raise DataError(f"{path}: expected header {expected}")
-    key_name, value_name = names or header
     pairs, seen = [], set()
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 2:
-            raise DataError(f"{path} line {reader.line_num}: expected 2 fields, got {len(row)}")
-        key, text = row if header[0] == key_name else row[::-1]
-        if keyed and key in seen:
-            raise DataError(f"{path} line {reader.line_num}: repeated {key_name} {key!r}")
-        seen.add(key)
-        try:
-            pairs.append((key, convert(text)))
-        except ValueError:
-            raise DataError(f"{path} line {reader.line_num}: unknown {value_name} {text!r}") from None
+    with open_text(path, newline="") as fh:
+        rows = csv_rows(fh)
+        line, header = next(rows, (None, []))
+        if len(header) != 2 or (names is not None and set(header) != set(names)):
+            expected = ",".join(names) if names else "of two columns (id,label)"
+            raise DataError(f"expected header {expected}", line=line)
+        key_name, value_name = names or header
+        for line, row in rows:
+            if len(row) != 2:
+                raise DataError(f"expected 2 fields, got {len(row)}", line=line)
+            key, text = row if header[0] == key_name else row[::-1]
+            if keyed and key in seen:
+                raise DataError(f"repeated {key_name} {key!r}", line=line)
+            seen.add(key)
+            try:
+                pairs.append((key, convert(text)))
+            except ValueError:
+                raise DataError(f"unknown {value_name} {text!r}", line=line) from None
+        if not pairs:
+            raise DataError("no rows below the header")
     return pairs
 
 
 def _read_tagged(path) -> list[tuple[str, CommitCategory]]:
-    tagged = _read_pairs(path, ("message", "category"), CommitCategory, keyed=False)
-    if not tagged:
-        raise DataError(f"{path}: no tagged messages")
-    return tagged
+    return _read_pairs(path, ("message", "category"), CommitCategory, keyed=False)
 
 
 def _read_labels(path) -> dict[str, tuple[int, bool]]:
     """Each labelled sha's (scope code, pair-programming flag)."""
     labels = {}
     with open_text(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+        for line, raw in jsonl_values(fh):
             try:
-                raw = json.loads(line)
                 scope = teamfeat.SCOPE_CODE[CommitCategory(raw["category"])]
                 pair, sha = raw["pair_programming"], raw["sha"]
                 duplicate = sha in labels
             except (KeyError, TypeError, ValueError) as exc:
-                # json.JSONDecodeError is a ValueError
-                raise DataError(f"{path} line {line_no}: {exc}") from None
+                raise DataError(str(exc), line=line) from None
             if type(pair) is not bool:
-                raise DataError(
-                    f"{path} line {line_no}: pair_programming must be true or false, got {pair!r}"
-                )
+                raise DataError(f"pair_programming must be true or false, got {pair!r}", line=line)
             if duplicate:
-                raise DataError(f"{path} line {line_no}: duplicate sha {sha}")
+                raise DataError(f"duplicate sha {sha}", line=line)
             labels[sha] = (scope, pair)
     return labels
 
@@ -402,10 +385,11 @@ def _load_styled_dataset(args):
     build, inputs = _load_dataset(args.data)
     if not args.styles:
         return build, teamstyle.oracle_labels(build), inputs
-    styles = dict(_read_pairs(args.styles, ("team_id", "style"), TeamStyle))
-    missing = [t for t in build.team_ids if t not in styles]
-    if missing:
-        raise DataError(f"styles file lacks entries for teams: {missing[:5]}")
+    with in_file(args.styles):
+        styles = dict(_read_pairs(args.styles, ("team_id", "style"), TeamStyle))
+        missing = [t for t in build.team_ids if t not in styles]
+        if missing:
+            raise DataError(f"styles file lacks entries for teams: {missing[:5]}")
     return build, [styles[t] for t in build.team_ids], {**inputs, "styles": args.styles}
 
 
@@ -465,7 +449,8 @@ def cmd_synth(args, outdir):
 
 def cmd_ingest(args, outdir):
     if args.gitlog:
-        commits = parse_git_log_file(args.gitlog)
+        with open_text(args.gitlog) as fh:
+            commits = parse_git_log(fh.read())
         source = {"gitlog": args.gitlog}
     else:
         commits = load_commits_jsonl(args.jsonl)

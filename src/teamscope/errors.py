@@ -1,19 +1,35 @@
-"""Exception types shared across the toolchain, and the opener of input text.
+"""Exception types shared across the toolchain, and the readers of input text.
 
 ``DataError`` covers everything caused by bad input data (malformed logs,
 schema violations, inconsistent rosters); callers that need a process exit
-code map it to 2, leaving other exceptions as internal errors (3).
+code map it to 2, leaving other exceptions as internal errors (3). Its
+message says where: ``FILE line N: what``.
 """
 
+import csv
+import json
 from contextlib import contextmanager
 
 
 class DataError(Exception):
-    """Input data violates a documented contract."""
+    """Input data violates a documented contract, at ``line`` (the physical
+    line on which the offending record ends) of file ``path`` when known."""
+
+    def __init__(self, what: str, *, line: int | None = None):
+        super().__init__(what)
+        self.what = what
+        self.line = line
+        self.path = None
+
+    def __str__(self) -> str:
+        where = "" if self.path is None else str(self.path)
+        if self.line is not None:
+            where = f"{where} line {self.line}".lstrip()
+        return f"{where}: {self.what}" if where else self.what
 
 
 class ParseError(DataError):
-    """Raw text input could not be parsed; message names the offending line."""
+    """Raw text input could not be parsed."""
 
 
 class SchemaError(DataError):
@@ -29,11 +45,46 @@ class InsufficientActivityError(DataError):
 
 
 @contextmanager
+def in_file(path):
+    """Make ``path`` the file of a DataError raised in the block that names none."""
+    try:
+        yield
+    except DataError as exc:
+        if exc.path is None:
+            exc.path = path
+        raise
+
+
+@contextmanager
 def open_text(path, newline=None):
-    """Open an input file as UTF-8 text; bytes that do not decode raise a
-    DataError naming the file."""
-    with open(path, "r", encoding="utf-8", newline=newline) as fh:
+    """Open an input file as UTF-8 text; a DataError raised in the block names
+    the file (see :func:`in_file`), and bytes that do not decode raise one."""
+    with in_file(path), open(path, "r", encoding="utf-8", newline=newline) as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+            raise DataError(f"not UTF-8 text ({exc.reason})") from None
+
+
+def jsonl_values(fh):
+    """(line, value) for each non-blank line of JSON Lines text."""
+    for line, text in enumerate(fh, start=1):
+        if not text.strip():
+            continue
+        try:
+            value = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc}", line=line) from None
+        yield line, value
+
+
+def csv_rows(fh):
+    """(line, row) for each non-blank row of CSV text; ``line`` is the physical
+    line on which the row ends, after any quoted field that spans lines."""
+    reader = csv.reader(fh)
+    try:
+        for row in reader:
+            if row:
+                yield reader.line_num, row
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise ParseError(str(exc), line=reader.line_num) from None

@@ -14,6 +14,10 @@ A JSONL file is validated line by line by one function and read either into
 ``CommitRecord`` objects or into a :class:`CommitTable` of columns. Author
 keys resolve through one map, :func:`author_map`, whichever form the
 commits take.
+
+A refusal says ``line N: what``, N being the line on which the offending
+record ends; read from a file opened by :func:`teamscope.errors.open_text`,
+it says ``FILE line N: what``.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import AmbiguousAuthorError, DataError, ParseError, SchemaError, open_text
+from .errors import AmbiguousAuthorError, ParseError, SchemaError, csv_rows, jsonl_values, open_text
 
 COMMIT_HEADER_MARK = "\x01"
 GIT_LOG_COMMAND = (
@@ -44,6 +48,8 @@ ROSTER_COLUMNS = [
     "author_keys",
 ]
 
+# the spellings of the roster's selected flag
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 _SHA_RE = re.compile(r"^[0-9a-fA-F]{40}$")
 _NUMSTAT_RE = re.compile(r"^(\d+|-)\t(\d+|-)\t(.+)$")
 _INT64_LIMIT = 2**63
@@ -159,11 +165,10 @@ def parse_git_log(text: str) -> list[CommitRecord]:
     if not text.strip(COMMIT_HEADER_MARK + " \t\r\n"):
         return []
     records: list[CommitRecord] = []
-    line_no = 1
     first, *blocks = text.split(COMMIT_HEADER_MARK)
     if first.strip():
-        raise ParseError(f"line {line_no}: content before first commit header")
-    line_no += first.count("\n")
+        raise ParseError("content before first commit header", line=1)
+    line_no = 1 + first.count("\n")
     for block in blocks:
         lines = block.split("\n")
         records.append(_parse_commit_block(lines, line_no))
@@ -176,20 +181,18 @@ def _parse_commit_block(lines: list[str], start_line: int) -> CommitRecord:
     parts = header.split("|", 4)
     if len(parts) != 5:
         raise ParseError(
-            f"line {start_line}: malformed commit header "
-            f"(expected sha|name|email|timestamp|subject): {header!r}"
+            f"malformed commit header (expected sha|name|email|timestamp|subject): {header!r}",
+            line=start_line,
         )
     sha, name, email, raw_ts, subject = parts
     if not _SHA_RE.match(sha):
-        raise ParseError(f"line {start_line}: {sha!r} is not a 40-hex sha")
+        raise ParseError(f"{sha!r} is not a 40-hex sha", line=start_line)
     try:
         timestamp = int(raw_ts)
     except ValueError:
-        raise ParseError(
-            f"line {start_line}: timestamp {raw_ts!r} is not an integer"
-        ) from None
+        raise ParseError(f"timestamp {raw_ts!r} is not an integer", line=start_line) from None
     if timestamp <= 0:
-        raise ParseError(f"line {start_line}: timestamp must be positive, got {timestamp}")
+        raise ParseError(f"timestamp must be positive, got {timestamp}", line=start_line)
 
     files = []
     for offset, line in enumerate(lines[1:], start=1):
@@ -209,12 +212,10 @@ def _parse_commit_block(lines: list[str], start_line: int) -> CommitRecord:
 def _parse_numstat_line(line: str, line_no: int) -> FileStat:
     m = _NUMSTAT_RE.match(line)
     if not m:
-        raise ParseError(f"line {line_no}: malformed numstat line: {line!r}")
+        raise ParseError(f"malformed numstat line: {line!r}", line=line_no)
     add, dele, path = m.groups()
     if (add == "-") != (dele == "-"):
-        raise ParseError(
-            f"line {line_no}: numstat mixes '-' and counts: {line!r}"
-        )
+        raise ParseError(f"numstat mixes '-' and counts: {line!r}", line=line_no)
     if add == "-":
         return FileStat(path=path, additions=0, deletions=0, binary=True)
     return FileStat(path=path, additions=int(add), deletions=int(dele), binary=False)
@@ -302,62 +303,54 @@ def _read_jsonl_commits(path) -> Iterator[tuple]:
     :func:`_commit_from_json`); a repeated sha is a :class:`SchemaError`."""
     seen: set[str] = set()
     with open_text(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"line {line_no}: invalid JSON: {exc}") from None
-            commit = _commit_from_json(raw, line_no)
+        for line, raw in jsonl_values(fh):
+            commit = _commit_from_json(raw, line)
             if commit[0] in seen:
-                raise SchemaError(f"line {line_no}: duplicate sha {commit[0]}")
+                raise SchemaError(f"duplicate sha {commit[0]}", line=line)
             seen.add(commit[0])
             yield commit
 
 
-def _commit_from_json(raw, line_no: int) -> tuple:
+def _commit_from_json(raw, line: int) -> tuple:
     """The one check of an interchange record. Returns (sha, author, ts, msg,
     files, additions, deletions): the sha lower-cased, each file as
     ``FileStat`` fields (path, additions, deletions, binary) and the line
     totals over the files. Every number fits in an int64 column."""
     if not isinstance(raw, dict):
-        raise SchemaError(f"line {line_no}: not a JSON object")
+        raise SchemaError("not a JSON object", line=line)
     for key in ("sha", "author", "ts", "msg", "files"):
         if key not in raw:
-            raise SchemaError(f"line {line_no}: missing {key!r} field")
+            raise SchemaError(f"missing {key!r} field", line=line)
     sha = raw["sha"]
     if not isinstance(sha, str) or not _SHA_RE.match(sha):
-        raise SchemaError(f"line {line_no}: {sha!r} is not a 40-hex sha")
+        raise SchemaError(f"{sha!r} is not a 40-hex sha", line=line)
     ts = raw["ts"]
     if type(ts) is not int or ts <= 0:  # JSON true is a bool, an int subclass
-        raise SchemaError(f"line {line_no}: ts must be a positive integer")
+        raise SchemaError("ts must be a positive integer", line=line)
     if ts >= _INT64_LIMIT:
-        raise SchemaError(f"line {line_no}: ts must be below 2**63")
+        raise SchemaError("ts must be below 2**63", line=line)
     for key in ("author", "msg"):
         if not isinstance(raw[key], str):
-            raise SchemaError(f"line {line_no}: {key} must be a string, got {raw[key]!r}")
+            raise SchemaError(f"{key} must be a string, got {raw[key]!r}", line=line)
     if not isinstance(raw["files"], list):
-        raise SchemaError(f"line {line_no}: files must be a list")
+        raise SchemaError("files must be a list", line=line)
     files, additions, deletions = [], 0, 0
     for fraw in raw["files"]:
         if not isinstance(fraw, dict) or not isinstance(fraw.get("path"), str):
-            raise SchemaError(f"line {line_no}: malformed file entry {fraw!r}")
+            raise SchemaError(f"malformed file entry {fraw!r}", line=line)
         add, dele = fraw.get("add"), fraw.get("del")
         if add is None and dele is None:
             files.append((fraw["path"], 0, 0, True))
         elif type(add) is int and type(dele) is int:
             if add < 0 or dele < 0:
-                raise SchemaError(f"line {line_no}: negative line counts for {fraw['path']!r}")
+                raise SchemaError(f"negative line counts for {fraw['path']!r}", line=line)
             files.append((fraw["path"], add, dele, False))
             additions += add
             deletions += dele
         else:
-            raise SchemaError(
-                f"line {line_no}: file add/del must both be ints or both null"
-            )
+            raise SchemaError("file add/del must both be ints or both null", line=line)
     if additions + deletions >= _INT64_LIMIT:
-        raise SchemaError(f"line {line_no}: line counts must total below 2**63")
+        raise SchemaError("line counts must total below 2**63", line=line)
     return sha.lower(), raw["author"], ts, raw["msg"], files, additions, deletions
 
 
@@ -412,84 +405,46 @@ def load_roster(path) -> list[TeamRecord]:
     Expected header: ``team_id,project_id,member_id,exam1,project1,selected,
     author_keys`` with author keys semicolon-separated. Rows are grouped by
     (team_id, project_id); anything but exactly two members per group, or an
-    inconsistent ``selected`` flag, is a :class:`SchemaError`. A refusal
-    names the file.
+    inconsistent ``selected`` flag, is a :class:`SchemaError`.
     """
     with open_text(path, newline="") as fh:
-        try:
-            return parse_roster(fh)
-        except DataError as exc:
-            raise type(exc)(f"{path}: {exc}") from None
+        return _roster_teams(fh)
 
 
-def parse_roster(fh) -> list[TeamRecord]:
-    reader = csv.DictReader(fh)
-    try:
-        return _roster_teams(reader)
-    except csv.Error as exc:  # e.g. a field over the csv module's size limit
-        # DictReader counts only the lines of the rows it returned; its reader counts them all
-        raise SchemaError(f"roster line {reader.reader.line_num}: {exc}") from None
-
-
-def _roster_teams(reader: csv.DictReader) -> list[TeamRecord]:
-    if reader.fieldnames is None or list(reader.fieldnames) != ROSTER_COLUMNS:
+def _roster_teams(fh) -> list[TeamRecord]:
+    rows = csv_rows(fh)
+    line, header = next(rows, (None, None))
+    if header != ROSTER_COLUMNS:
         raise SchemaError(
-            f"roster header must be {','.join(ROSTER_COLUMNS)!r}, "
-            f"got {reader.fieldnames!r}"
+            f"roster header must be {','.join(ROSTER_COLUMNS)!r}, got {header!r}", line=line
         )
-    groups: dict[tuple[str, str], list[tuple[RosterMember, bool]]] = {}
-    order: list[tuple[str, str]] = []
-    for line_no, row in enumerate(reader, start=2):
-        if None in row.values():  # a short row
-            raise SchemaError(f"roster line {line_no}: expected {len(ROSTER_COLUMNS)} fields")
+    groups: dict[tuple[str, str], list[tuple[RosterMember, bool]]] = {}  # in file order
+    for line, row in rows:
+        if len(row) != len(ROSTER_COLUMNS):
+            raise SchemaError(f"expected {len(ROSTER_COLUMNS)} fields, got {len(row)}", line=line)
+        team_id, project_id, member_id, exam1, project1, selected, author_keys = row
         try:
             member = RosterMember(
-                member_id=row["member_id"],
-                exam1_grade=float(row["exam1"]),
-                project1_grade=float(row["project1"]),
-                author_keys=tuple(
-                    k.strip() for k in row["author_keys"].split(";") if k.strip()
-                ),
+                member_id=member_id,
+                exam1_grade=float(exam1),
+                project1_grade=float(project1),
+                author_keys=tuple(k.strip() for k in author_keys.split(";") if k.strip()),
             )
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"roster line {line_no}: {exc}") from None
-        key = (row["team_id"], row["project_id"])
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append((member, _parse_bool(row["selected"], line_no)))
+            flag = _BOOLEANS[selected.strip().lower()]
+        except KeyError:
+            raise SchemaError(f"bad boolean {selected!r}", line=line) from None
+        except (ValueError, SchemaError) as exc:
+            raise SchemaError(str(exc), line=line) from None
+        groups.setdefault((team_id, project_id), []).append((member, flag))
 
     teams = []
-    for team_id, project_id in order:
-        entries = groups[(team_id, project_id)]
-        if len(entries) != 2:
-            raise SchemaError(
-                f"team {team_id!r} project {project_id!r} has {len(entries)} "
-                "members; exactly two are required"
-            )
-        (m0, sel0), (m1, sel1) = entries
-        if sel0 != sel1:
-            raise SchemaError(
-                f"team {team_id!r}: members disagree on the selected flag"
-            )
-        teams.append(
-            TeamRecord(
-                team_id=team_id,
-                project_id=project_id,
-                members=(m0, m1),
-                selected=sel0,
-            )
-        )
+    for (team_id, project_id), entries in groups.items():
+        members, flags = zip(*entries)
+        team = TeamRecord(team_id, project_id, members, selected=flags[0])  # two members or a refusal
+        if len(set(flags)) > 1:
+            raise SchemaError(f"team {team_id!r}: members disagree on the selected flag")
+        teams.append(team)
     return teams
-
-
-def _parse_bool(value: str, line_no: int) -> bool:
-    lowered = value.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise SchemaError(f"roster line {line_no}: bad boolean {value!r}")
 
 
 def dump_roster(teams: Sequence[TeamRecord], path) -> None:
@@ -539,10 +494,5 @@ def build_teams(
     return TeamAssembly(teams=teams, unmatched=int((team_row < 0).sum()))
 
 
-def parse_git_log_file(path) -> list[CommitRecord]:
-    with open_text(path) as fh:
-        return parse_git_log(fh.read())
-
-
 def roster_from_string(text: str) -> list[TeamRecord]:
-    return parse_roster(io.StringIO(text))
+    return _roster_teams(io.StringIO(text))

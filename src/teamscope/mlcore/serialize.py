@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 
-from ..errors import SchemaError
+from ..errors import SchemaError, open_text
 
 FORMAT_NAME = "teamscope-model"
 FORMAT_VERSION = 2
@@ -40,21 +40,19 @@ def save_model(path, kind: str, payload: dict) -> None:
 
 
 def load_model(path, expected_kind: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
+        try:
             raw = json.load(fh)
-    except ValueError as exc:
-        # undecodable bytes, and JSON syntax errors such as a truncated file
-        raise SchemaError(f"{path}: not a {FORMAT_NAME} file ({exc})") from None
-    if not isinstance(raw, dict) or raw.get("format") != FORMAT_NAME:
-        raise SchemaError(f"{path}: not a {FORMAT_NAME} file")
-    if raw.get("version") != FORMAT_VERSION:
-        raise SchemaError(
-            f"{path}: unsupported model version {raw.get('version')!r} "
-            f"(this teamscope reads version {FORMAT_VERSION}); retrain the model"
-        )
-    if raw.get("kind") != expected_kind:
-        raise SchemaError(
-            f"{path}: expected a {expected_kind!r} model, found {raw.get('kind')!r}"
-        )
+        except ValueError as exc:
+            # undecodable bytes, and JSON syntax errors such as a truncated file
+            raise SchemaError(f"not a {FORMAT_NAME} file ({exc})") from None
+        if not isinstance(raw, dict) or raw.get("format") != FORMAT_NAME:
+            raise SchemaError(f"not a {FORMAT_NAME} file")
+        if raw.get("version") != FORMAT_VERSION:
+            raise SchemaError(
+                f"unsupported model version {raw.get('version')!r} "
+                f"(this teamscope reads version {FORMAT_VERSION}); retrain the model"
+            )
+        if raw.get("kind") != expected_kind:
+            raise SchemaError(f"expected a {expected_kind!r} model, found {raw.get('kind')!r}")
     return raw["model"]

@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .errors import open_text
+from .errors import DataError, open_text
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
@@ -108,8 +108,30 @@ def read_entries(path) -> list[str]:
     """The entries of a data file (word list, keyword list, template pool), in
     file order: one per line, stripped, skipping blank lines and ``#`` lines."""
     with open_text(path) as fh:
-        lines = [line.strip() for line in fh]
-    return [line for line in lines if line and not line.startswith("#")]
+        return [entry for _, entry in _entries(fh)]
+
+
+def _entries(fh):
+    """(line, entry) for each entry of an open data file (see :func:`read_entries`)."""
+    for line, text in enumerate(fh, start=1):
+        entry = text.strip()
+        if entry and not entry.startswith("#"):
+            yield line, entry
+
+
+def _read_words(path, required=frozenset()) -> frozenset[str]:
+    """A word-list file's words: a word that is not lowercase, or a missing
+    ``required`` word, would fail :class:`Lexicon`'s checks, so it is refused."""
+    words = set()
+    with open_text(path) as fh:
+        for line, word in _entries(fh):
+            if word != word.lower():
+                raise DataError(f"word {word!r} is not lowercase", line=line)
+            words.add(word)
+        missing = required - words
+        if missing:
+            raise DataError(f"domain word list is missing {sorted(missing)}")
+    return frozenset(words)
 
 
 def _data_dir() -> Path:
@@ -122,9 +144,9 @@ def load_lexicon(
     """Build a lexicon from word-list files, bundled ones by default."""
     data = _data_dir()
     return Lexicon(
-        english_words=frozenset(read_entries(english_path or data / "english_words.txt")),
-        domain_words=frozenset(read_entries(domain_path or data / "domain_words.txt")),
-        stopwords=frozenset(read_entries(stopword_path or data / "stopwords.txt")),
+        english_words=_read_words(english_path or data / "english_words.txt"),
+        domain_words=_read_words(domain_path or data / "domain_words.txt", REQUIRED_DOMAIN_WORDS),
+        stopwords=_read_words(stopword_path or data / "stopwords.txt"),
     )
 
 
@@ -133,18 +155,11 @@ def default_lexicon() -> Lexicon:
     return load_lexicon()
 
 
-def load_lemma_exceptions(path=None) -> dict[str, str]:
-    """Read the surface-form -> lemma table (two words per line)."""
-    target = path or _data_dir() / "lemma_exceptions.txt"
-    table: dict[str, str] = {}
-    for entry in read_entries(target):
-        parts = entry.split()
-        if len(parts) != 2:
-            raise ValueError(f"{target}: expected 'surface lemma', got {entry!r}")
-        table[parts[0]] = parts[1]
-    return table
-
-
 @lru_cache(maxsize=1)
 def default_lemma_exceptions() -> dict[str, str]:
-    return load_lemma_exceptions()
+    """The bundled surface-form -> lemma table (two words per line)."""
+    table: dict[str, str] = {}
+    for entry in read_entries(_data_dir() / "lemma_exceptions.txt"):
+        surface, lemma = entry.split()
+        table[surface] = lemma
+    return table

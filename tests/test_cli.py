@@ -458,6 +458,8 @@ BAD_INPUT = [
     (["train-teams", "--data", "{data}", "--styles", "{file}"],
      ("repeated-team.csv", "team_id,style\nt000,Collaborative\nt000,SoloSubmit\n"), 2,
      "repeated-team.csv line 3: repeated team_id 't000'"),
+    (["kappa", "--a", "{file}", "--b", "{tagged}"], ("header-only.csv", "id,label\n\n"), 2,
+     "header-only.csv: no rows below the header"),
     (["train-commits", "--tagged", "{file}"], ("short-row.csv", "message,category\nfix bug\n"), 2,
      "short-row.csv line 2: expected 2 fields, got 1"),
     (["train-commits", "--tagged", "{file}"], ("extra-field.csv", "message,category\nfix,Bugfix,x\n"), 2,
@@ -469,7 +471,16 @@ BAD_INPUT = [
      "long-style.csv line 2: field larger than field limit"),
     (["ingest", "--jsonl", "{data}/commits.jsonl", "--roster", "{file}"],
      ("long-roster.csv", ROSTER.replace("alice;a@x", _LONG)), 2,
-     "long-roster.csv: roster line 2: field larger than field limit"),
+     "long-roster.csv line 2: field larger than field limit"),
+    (["train-teams", "--data", "{data}", "--styles", "{file}"],
+     ("partial-styles.csv", "team_id,style\nt000,Collaborative\n"), 2,
+     "partial-styles.csv: styles file lacks entries for teams: ['t001'"),
+    (["train-commits", "--tagged", "{tagged}", "--domain-words", "{file}"], ("domain.txt", "pmd\ngui\n"), 2,
+     "domain.txt: domain word list is missing ['bbtp', 'checkstyle', 'javadoc', 'spotbugs', 'todo', 'ts']"),
+    (["train-commits", "--tagged", "{tagged}", "--stopwords", "{file}"], ("stopwords.txt", "the\n\nFoo\n"), 2,
+     "stopwords.txt line 3: word 'Foo' is not lowercase"),
+    (["train-commits", "--tagged", "{tagged}", "--english-words", "{file}"], ("english.txt", "# words\nFix\n"), 2,
+     "english.txt line 2: word 'Fix' is not lowercase"),
 ]
 
 
@@ -555,6 +566,7 @@ def work(team_model, tmp_path):
 
 
 _FEATURES = ["features", "--data", "{work}/corpus"]
+_GITLOG = ["ingest", "--gitlog", "{work}/history.gitlog", "--roster", "{work}/roster.csv"]
 _PREDICT = ["predict", "--model", "{work}/corpus/models/teams_forest.json", "--data", "{work}/corpus"]
 UNREADABLE = {
     # id: (file under the work directory, its alteration, argv, a part of the message)
@@ -563,9 +575,7 @@ UNREADABLE = {
     "labels-not-utf8": ("corpus/labels.jsonl", _insert_ff, _FEATURES, "labels.jsonl: not UTF-8"),
     "tagged-not-utf8": ("tagged.csv", _insert_ff, ["train-commits", "--tagged", "{work}/tagged.csv"],
                         "tagged.csv: not UTF-8"),
-    "gitlog-not-utf8": ("history.gitlog", _insert_ff, ["ingest", "--gitlog", "{work}/history.gitlog",
-                                                       "--roster", "{work}/roster.csv"],
-                        "history.gitlog: not UTF-8"),
+    "gitlog-not-utf8": ("history.gitlog", _insert_ff, _GITLOG, "history.gitlog: not UTF-8"),
     "model-not-utf8": ("corpus/models/teams_forest.json", _insert_ff, _PREDICT, "teams_forest.json: not a"),
     "model-truncated": ("corpus/models/teams_forest.json", _truncate, _PREDICT, "teams_forest.json: not a"),
     "model-no-means": ("corpus/models/teams_forest.json", _model_without("means"), _PREDICT,
@@ -577,25 +587,33 @@ UNREADABLE = {
     "model-no-n_trees": ("corpus/models/teams_forest.json", _model_without("stages", 0, "model", "n_trees"),
                          _PREDICT, "no key 'n_trees'"),
     "commit-msg-null": ("corpus/commits.jsonl", _first_commit(msg=None), _FEATURES,
-                        "line 1: msg must be a string"),
+                        "commits.jsonl line 1: msg must be a string"),
     "commit-author-int": ("corpus/commits.jsonl", _first_commit(author=5), _FEATURES,
-                          "line 1: author must be a string"),
+                          "commits.jsonl line 1: author must be a string"),
     "commit-ts-true": ("corpus/commits.jsonl", _first_commit(ts=True), _FEATURES,
-                       "line 1: ts must be a positive integer"),
+                       "commits.jsonl line 1: ts must be a positive integer"),
     "commit-add-true": ("corpus/commits.jsonl", _first_file(add=True), _FEATURES,
-                        "line 1: file add/del must both be ints or both null"),
+                        "commits.jsonl line 1: file add/del must both be ints or both null"),
     "commit-del-false": ("corpus/commits.jsonl", _first_file(**{"del": False}), _FEATURES,
-                         "line 1: file add/del must both be ints or both null"),
+                         "commits.jsonl line 1: file add/del must both be ints or both null"),
     "commit-add-negative": ("corpus/commits.jsonl", _first_file(add=-1), _FEATURES,
-                            "line 1: negative line counts for"),
+                            "commits.jsonl line 1: negative line counts for"),
     "commit-ts-too-large": ("corpus/commits.jsonl", _first_commit(ts=2**63), _FEATURES,
-                            "line 1: ts must be below 2**63"),
+                            "commits.jsonl line 1: ts must be below 2**63"),
     "commit-add-too-large": ("corpus/commits.jsonl", _first_file(add=2**63), _FEATURES,
-                             "line 1: line counts must total below 2**63"),
+                             "commits.jsonl line 1: line counts must total below 2**63"),
     "labels-pair-string": ("corpus/labels.jsonl", _first_commit(pair_programming="false"), _FEATURES,
                            "labels.jsonl line 1: pair_programming must be true or false, got 'false'"),
     "labels-duplicate-sha": ("corpus/labels.jsonl", _repeat_first_line, _FEATURES,
                              "labels.jsonl line 2: duplicate sha"),
+    "commit-not-object": ("corpus/commits.jsonl", lambda data: b"[1, 2]\n" + data, _FEATURES,
+                          "commits.jsonl line 1: not a JSON object"),
+    "commit-not-json": ("corpus/commits.jsonl", lambda data: b"\n\n{oops\n" + data, _FEATURES,
+                        "commits.jsonl line 3: invalid JSON: "),
+    "gitlog-before-header": ("history.gitlog", lambda data: b"stray text\n" + data, _GITLOG,
+                             "history.gitlog line 1: content before first commit header"),
+    "gitlog-bad-numstat": ("history.gitlog", lambda data: data + b"x\t1\tsrc/B.java\n", _GITLOG,
+                           "history.gitlog line 3: malformed numstat line: 'x\\t1\\tsrc/B.java'"),
 }
 
 

@@ -18,6 +18,7 @@ from teamscope.ingest import (
     dump_commits_jsonl,
     load_commit_table,
     load_commits_jsonl,
+    load_roster,
     locate_authors,
     parse_git_log,
     roster_from_string,
@@ -237,6 +238,39 @@ def test_load_roster_rejects_selected_disagreement():
     )
     with pytest.raises(SchemaError, match="selected"):
         roster_from_string(csv_text)
+
+
+@pytest.mark.parametrize(
+    "first_member",
+    ["t1,P2,alice,80,90,true,alice\n\n", 't1,P2,alice,80,90,true,"alice;\na@x"\n'],
+    ids=["blank-line", "quoted-field-over-two-lines"],
+)
+def test_roster_refusal_names_the_physical_line(tmp_path, first_member):
+    header, _, _ = ROSTER_CSV.partition("\n")
+    csv_text = f"{header}\n{first_member}t1,P2,bob,70,65,true,bob\nt2,P3,cara,60,70,maybe,cara\n"
+    with pytest.raises(SchemaError) as refused:
+        roster_from_string(csv_text)
+    assert str(refused.value) == "line 5: bad boolean 'maybe'"
+    path = tmp_path / "roster.csv"
+    path.write_text(csv_text, encoding="utf-8")
+    with pytest.raises(SchemaError) as refused:
+        load_roster(path)
+    assert str(refused.value) == f"{path} line 5: bad boolean 'maybe'"
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("t1,P2,alice,80,90,true,alice\nt1,P2,bob,70,65,true,bob,extra\n", "line 3: expected 7 fields, got 8"),
+        ("t1,P2,alice,80,90,true,;\n", "line 2: member 'alice' has no author keys"),
+        ("t1,P2,alice,80,ninety,true,alice\n", "line 2: could not convert string to float: 'ninety'"),
+    ],
+    ids=["extra-field", "no-author-keys", "bad-grade"],
+)
+def test_roster_row_refusals_name_their_line(rows, message):
+    with pytest.raises(SchemaError) as refused:
+        roster_from_string(ROSTER_CSV.partition("\n")[0] + "\n" + rows)
+    assert str(refused.value) == message
 
 
 def test_roster_grade_out_of_range():
