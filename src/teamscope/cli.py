@@ -282,7 +282,7 @@ def _read_model(path, kind: str, model_cls):
             return model_cls.from_dict(payload)
         except KeyError as exc:
             raise SchemaError(f"the model has no key {exc}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"malformed model ({exc})") from None
 
 
@@ -363,8 +363,9 @@ def _load_dataset(data_dir):
     if None in joined:
         # name the first unlabelled commit in roster order, then file order
         missing = [i for i, label in zip(on_team.tolist(), joined) if label is None]
-        first = min(missing, key=lambda i: (team_row[i], i))
-        raise DataError(f"commit {table.sha[first]} has no label in labels.jsonl")
+        row, first = min((team_row[i], i) for i in missing)
+        with in_file(inputs["labels"]):
+            raise DataError(f"no label for commit {table.sha[first]} (team {roster[row].team_id})")
     scope, pair = np.array(joined, dtype=np.int64).reshape(-1, 2).T
     build = teamfeat.matrix_from_columns(
         roster,
@@ -490,18 +491,6 @@ def cmd_train_commits(args, outdir):
     return {"messages": len(tagged)}, inputs, [model_path]
 
 
-_CASCADE_REPORT_ORDER = [
-    "Merge",
-    "Style",
-    "Documentation",
-    commitcls.OTHER_STATIC,
-    "Implementation",
-    "Bugfix",
-    "Test",
-    commitcls.OTHER_RESIDUAL,
-]
-
-
 def cmd_eval_commits(args, outdir):
     tagged = _read_tagged(args.tagged)
     reports = commitcls.evaluate_cascade(tagged, k=args.folds, seed=args.seed)
@@ -509,9 +498,9 @@ def cmd_eval_commits(args, outdir):
         outdir,
         "commit_eval",
         args.format,
-        {key: reports[key].to_dict() for key in reports},
+        {key: report.to_dict() for key, report in reports.items()},
         "category",
-        [(key, reports[key]) for key in _CASCADE_REPORT_ORDER if key in reports],
+        list(reports.items()),
     )
     return {"folds": args.folds, "format": args.format}, {"tagged": args.tagged}, [report_path]
 

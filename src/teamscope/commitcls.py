@@ -12,6 +12,9 @@ binary classifier trained only on the messages earlier stages left behind,
 and applying the trained stage removes its positives before the next stage
 is trained, mirroring how the cascade is evaluated and applied.
 
+The stage order (``ML_CATEGORIES``) and the threshold are constants, and a
+model file that stores another stage list or threshold is refused.
+
 Classification is a funnel over a batch: each message is normalized and run
 through the static rules once, then each ML stage scores the rows still
 unlabelled as one TF-IDF matrix. ``classify`` is a one-row batch;
@@ -85,15 +88,11 @@ def default_keywords() -> dict[str, frozenset[str]]:
     return {name: _load_keywords(name) for name, _ in _KEYWORD_RULES}
 
 
-def is_gibberish(
-    tokens: Sequence[str],
-    lexicon: Lexicon,
-    threshold: float = DEFAULT_GIBBERISH_THRESHOLD,
-) -> bool:
+def is_gibberish(tokens: Sequence[str], lexicon: Lexicon) -> bool:
     """True when too few tokens are recognizable words (or there are none)."""
     if not tokens:
         return True
-    return textnorm.meaningful_ratio(list(tokens), lexicon) < threshold
+    return textnorm.meaningful_ratio(list(tokens), lexicon) < DEFAULT_GIBBERISH_THRESHOLD
 
 
 def detect_pair_programming(tokens: Sequence[str]) -> bool:
@@ -103,7 +102,6 @@ def detect_pair_programming(tokens: Sequence[str]) -> bool:
 
 @dataclass
 class MlStage:
-    category: CommitCategory
     tfidf: TfidfModel
     logreg: LogisticModel
 
@@ -118,7 +116,6 @@ class CascadeModel:
     lexicon: Lexicon
     lemma_exceptions: dict[str, str]
     keywords: dict[str, frozenset[str]]
-    gibberish_threshold: float
     stages: list[MlStage] = field(default_factory=list)
 
     def prepare(self, message: str) -> list[str]:
@@ -133,19 +130,30 @@ class CascadeModel:
             },
             "lemma_exceptions": dict(sorted(self.lemma_exceptions.items())),
             "keywords": {k: sorted(v) for k, v in sorted(self.keywords.items())},
-            "gibberish_threshold": self.gibberish_threshold,
+            "gibberish_threshold": DEFAULT_GIBBERISH_THRESHOLD,
             "stages": [
                 {
-                    "category": stage.category.value,
+                    "category": category.value,
                     "tfidf": stage.tfidf.to_dict(),
                     "logreg": stage.logreg.to_dict(),
                 }
-                for stage in self.stages
+                for category, stage in zip(ML_CATEGORIES, self.stages)
             ],
         }
 
     @classmethod
     def from_dict(cls, raw: dict) -> "CascadeModel":
+        fixed = (raw["gibberish_threshold"], [s["category"] for s in raw["stages"]])
+        expected = (DEFAULT_GIBBERISH_THRESHOLD, [c.value for c in ML_CATEGORIES])
+        if fixed != expected:
+            raise SchemaError(f"the gibberish threshold and ML stages must be {expected}, got {fixed}")
+        stages = []
+        for category, s in zip(ML_CATEGORIES, raw["stages"]):
+            tfidf = TfidfModel.from_dict(s["tfidf"])
+            logreg = LogisticModel.from_dict(s["logreg"])
+            if logreg.weights.shape != (tfidf.dim,):
+                raise SchemaError(f"the {category.value} stage needs one weight per term")
+            stages.append(MlStage(tfidf=tfidf, logreg=logreg))
         lex = raw["lexicon"]
         model = cls(
             lexicon=Lexicon(
@@ -155,24 +163,13 @@ class CascadeModel:
             ),
             lemma_exceptions=dict(raw["lemma_exceptions"]),
             keywords={k: frozenset(v) for k, v in raw["keywords"].items()},
-            gibberish_threshold=float(raw["gibberish_threshold"]),
-            stages=[
-                MlStage(
-                    category=CommitCategory(s["category"]),
-                    tfidf=TfidfModel.from_dict(s["tfidf"]),
-                    logreg=LogisticModel.from_dict(s["logreg"]),
-                )
-                for s in raw["stages"]
-            ],
+            stages=stages,
         )
         if not all(isinstance(w, str) for item in model.lemma_exceptions.items() for w in item):
             raise SchemaError("lemma exceptions must map words to words")
         missing = set(default_keywords()) - set(model.keywords)
         if missing:
             raise SchemaError(f"no keyword lists for {sorted(missing)}")
-        for stage in model.stages:
-            if stage.logreg.weights.shape != (stage.tfidf.dim,):
-                raise SchemaError(f"the {stage.category.value} stage needs one weight per term")
         return model
 
 
@@ -181,7 +178,7 @@ def _static_category(cascade: CascadeModel, tokens: Sequence[str]) -> CommitCate
     for name, category in _KEYWORD_RULES:
         if not cascade.keywords[name].isdisjoint(tokens):
             return category
-    if is_gibberish(tokens, cascade.lexicon, cascade.gibberish_threshold):
+    if is_gibberish(tokens, cascade.lexicon):
         return CommitCategory.OTHER
     return None
 
@@ -190,10 +187,10 @@ def _funnel(stages: Sequence[MlStage], docs: Sequence[Sequence[str]], static: li
     """Complete the static labels: each ML stage scores the rows still None."""
     labels = list(static)
     left = [i for i, label in enumerate(labels) if label is None]
-    for stage in stages:
+    for category, stage in zip(ML_CATEGORIES, stages):
         fired = stage.fires([docs[i] for i in left])
         for i in compress(left, fired):
-            labels[i] = stage.category
+            labels[i] = category
         left = list(compress(left, ~fired))
     return [CommitCategory.OTHER if label is None else label for label in labels]
 
@@ -256,7 +253,6 @@ def _prepare_tagged(tagged, lexicon=None):
         lexicon=lexicon or textnorm.default_lexicon(),
         lemma_exceptions=textnorm.default_lemma_exceptions(),
         keywords=default_keywords(),
-        gibberish_threshold=DEFAULT_GIBBERISH_THRESHOLD,
     )
     docs = [cascade.prepare(message) for message, _ in tagged]
     return cascade, docs, [_static_category(cascade, d) for d in docs]
@@ -273,7 +269,7 @@ def _fit_stages(survivors: list) -> list[MlStage]:
         X = tfidf_transform(tfidf, docs)
         y = [cat == stage_category for _, cat in survivors]
         logreg = train_logreg(X, y)
-        stages.append(MlStage(category=stage_category, tfidf=tfidf, logreg=logreg))
+        stages.append(MlStage(tfidf=tfidf, logreg=logreg))
         fired = predict(logreg, X)
         survivors = [row for row, f in zip(survivors, fired) if not f]
     return stages
@@ -294,6 +290,7 @@ def evaluate_cascade(
     Static stages are fixed rules, so their scores only depend on the test
     rows; Other is scored twice, once as the static gibberish rule alone and
     once after residual assignment picks up everything the ML stages left.
+    The keys come in the report's row order.
     """
     _, docs, static = _prepare_tagged(tagged)
     labels = [cat for _, cat in tagged]
@@ -308,9 +305,11 @@ def evaluate_cascade(
         static_pred = [static[i] for i in test_idx]
         y_pred = _funnel(_fit_stages(train), [docs[i] for i in test_idx], static_pred)
 
-        other = CommitCategory.OTHER
-        scored = [(c.value, y_pred, c) for c in CATEGORIES if c != other]
-        scored += [(OTHER_STATIC, static_pred, other), (OTHER_RESIDUAL, y_pred, other)]
+        C = CommitCategory
+        scored = [(c.value, y_pred, c) for c in (C.MERGE, C.STYLE, C.DOCUMENTATION)]
+        scored.append((OTHER_STATIC, static_pred, C.OTHER))
+        scored += [(c.value, y_pred, c) for c in (C.IMPLEMENTATION, C.BUGFIX, C.TEST)]
+        scored.append((OTHER_RESIDUAL, y_pred, C.OTHER))
         for key, pred, category in scored:
             per_key.setdefault(key, []).append(prf1(y_true, pred, category))
 

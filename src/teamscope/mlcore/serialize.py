@@ -5,12 +5,14 @@ Every model file is ``{"format": "teamscope-model", "version": 2, "kind":
 serialize to identical bytes and reloading reproduces bit-identical
 predictions (JSON round-trips Python floats exactly). Version 2 stores each
 forest tree as parallel node arrays; files of any other version are refused
-and must be produced again by retraining.
+and must be produced again by retraining. Numbers that ``json`` would read
+as non-finite floats (``NaN``, ``Infinity``, ``1e999``) are refused.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 from ..errors import SchemaError, open_text
 
@@ -39,10 +41,17 @@ def save_model(path, kind: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise SchemaError(f"non-finite number {text}")
+    return value
+
+
 def load_model(path, expected_kind: str) -> dict:
     with open_text(path) as fh:
         try:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=_finite, parse_constant=_finite)
         except ValueError as exc:
             # undecodable bytes, and JSON syntax errors such as a truncated file
             raise SchemaError(f"not a {FORMAT_NAME} file ({exc})") from None

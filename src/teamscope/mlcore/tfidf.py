@@ -47,12 +47,16 @@ class TfidfModel:
         idf = np.asarray(raw["idf"], dtype=np.float64)
         if not isinstance(terms, list) or len(set(terms)) != len(terms) or idf.shape != (len(terms),):
             raise SchemaError("a tfidf model needs distinct terms and one idf value per term")
+        ngram_min, ngram_max = raw["ngram_min"], raw["ngram_max"]
+        # JSON true/false would pass as 1/0, so the types are compared
+        if type(ngram_min) is not int or type(ngram_max) is not int or not 1 <= ngram_min <= ngram_max:
+            raise SchemaError(f"bad ngram range ({ngram_min!r}, {ngram_max!r})")
         return cls(
             vocabulary={t: i for i, t in enumerate(terms)},
             idf=idf,
             max_features=int(raw["max_features"]),
-            ngram_min=int(raw["ngram_min"]),
-            ngram_max=int(raw["ngram_max"]),
+            ngram_min=ngram_min,
+            ngram_max=ngram_max,
         )
 
 

@@ -9,6 +9,9 @@ binary classifiers (random forest, or logistic regression with RFE feature
 selection) over the standardized team feature matrix; evaluation refits
 standardization and feature selection inside every fold so nothing leaks
 from test rows.
+
+The stage order (``STAGE_ORDER``: SoloSubmit, Cooperative, Collaborative) is
+a constant, and a model file that stores another stage list is refused.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ RUBRIC_PARTS = (
 DEFAULT_MIN_PART_CHURN = 30
 DEFAULT_COLLAB_BAND = (0.30, 0.70)
 DEFAULT_SOLO_SHARE = 0.20
-DEFAULT_STAGE_ORDER = (TeamStyle.SOLO_SUBMIT, TeamStyle.COOPERATIVE, TeamStyle.COLLABORATIVE)
+STAGE_ORDER = (TeamStyle.SOLO_SUBMIT, TeamStyle.COOPERATIVE, TeamStyle.COLLABORATIVE)
 FALLBACK_STYLE = TeamStyle.COLLABORATIVE
 
 FOREST_DEFAULT_K = 12
@@ -112,7 +115,6 @@ def oracle_label(team: TeamRecord, labeled: Sequence[LabeledCommit]) -> TeamStyl
 
 @dataclass
 class StyleStage:
-    style: TeamStyle
     selected: list[int]
     model: ForestModel | LogisticModel
 
@@ -159,12 +161,12 @@ class TeamStyleModel:
             "stds": [float(v) for v in self.stds],
             "stages": [
                 {
-                    "style": s.style.value,
+                    "style": style.value,
                     "selected": list(s.selected),
                     "model_type": STAGE_MODELS[self.algorithm][0],
                     "model": s.model.to_dict(),
                 }
-                for s in self.stages
+                for style, s in zip(STAGE_ORDER, self.stages)
             ],
         }
 
@@ -183,32 +185,31 @@ class TeamStyleModel:
             )
         if raw["algorithm"] not in STAGE_MODELS:
             raise SchemaError(f"unknown algorithm {raw['algorithm']!r}")
-        model_type, model_cls = STAGE_MODELS[raw["algorithm"]]
-        stages = []
-        for s in raw["stages"]:
-            if s["model_type"] != model_type:
-                raise SchemaError(
-                    f"a {raw['algorithm']} model has a stage of model_type {s['model_type']!r}"
-                )
-            stages.append(
-                StyleStage(
-                    style=TeamStyle(s["style"]),
-                    selected=[int(i) for i in s["selected"]],
-                    model=model_cls.from_dict(s["model"]),
-                )
-            )
+        styles = [s["style"] for s in raw["stages"]]
+        if styles != [s.value for s in STAGE_ORDER]:
+            raise SchemaError(f"the stages must be {[s.value for s in STAGE_ORDER]}, got {styles}")
         means = np.asarray(raw["means"], dtype=np.float64)
         stds = np.asarray(raw["stds"], dtype=np.float64)
         if means.ndim != 1 or stds.shape != means.shape:
             raise SchemaError("means and stds must be lists of numbers of one length")
-        for stage in stages:
-            model = stage.model
-            shape = (model.n_features,) if isinstance(model, ForestModel) else model.weights.shape
-            if shape != (len(stage.selected),) or not all(0 <= i < len(means) for i in stage.selected):
+        model_type, model_cls = STAGE_MODELS[raw["algorithm"]]
+        stages = []
+        for style, s in zip(STAGE_ORDER, raw["stages"]):
+            if s["model_type"] != model_type:
                 raise SchemaError(
-                    f"the {stage.style.value} stage's selected columns do not fit "
-                    f"its model or the {len(means)} feature columns"
+                    f"a {raw['algorithm']} model has a stage of model_type {s['model_type']!r}"
                 )
+            model = model_cls.from_dict(s["model"])
+            selected = s["selected"]
+            shape = (model.n_features,) if isinstance(model, ForestModel) else model.weights.shape
+            # JSON true/false would pass as columns 1/0, so the types are compared
+            columns = all(type(i) is int and 0 <= i < len(means) for i in selected)
+            if shape != (len(selected),) or not columns:
+                raise SchemaError(
+                    f"the {style.value} stage's selected columns are not integers that fit "
+                    f"its model and the {len(means)} feature columns"
+                )
+            stages.append(StyleStage(selected=selected, model=model))
         return cls(
             algorithm=raw["algorithm"],
             stages=stages,
@@ -227,8 +228,8 @@ def _select_forest(Xs, y, k, seed) -> list[int]:
 def _select_stages(X_raw, labels, algorithm, k_features, seed):
     """Check a training set, standardize it and select every stage's features.
 
-    Returns (means, stds, standardized X, and per stage in order its style,
-    its one-vs-rest targets and its selected columns).
+    Returns (means, stds, standardized X, and per stage of ``STAGE_ORDER`` its
+    one-vs-rest targets and its selected columns).
     """
     if algorithm not in STAGE_MODELS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -249,14 +250,14 @@ def _select_stages(X_raw, labels, algorithm, k_features, seed):
     means, stds = standardize_fit(X_raw)
     Xs = standardize_apply(X_raw, means, stds)
     stages = []
-    for stage_idx, style in enumerate(DEFAULT_STAGE_ORDER):
+    for stage_idx, style in enumerate(STAGE_ORDER):
         y = np.array([1 if l == style else 0 for l in labels], dtype=np.int64)
         if algorithm == "forest":
             select_seed = seed_sequence(seed, stage_idx, 0).generate_state(1)[0]
             selected = _select_forest(Xs, y, k_features, int(select_seed))
         else:
             selected = rfe_select(Xs, y, k_features)
-        stages.append((style, y, selected))
+        stages.append((y, selected))
     return means, stds, Xs, stages
 
 
@@ -275,13 +276,13 @@ def train_team_model(
     """
     means, stds, Xs, selections = _select_stages(X_raw, labels, algorithm, k_features, seed)
     stages = []
-    for stage_idx, (style, y, selected) in enumerate(selections):
+    for stage_idx, (y, selected) in enumerate(selections):
         if algorithm == "forest":
             fit_seed = seed_sequence(seed, stage_idx, 1).generate_state(1)[0]
             model = train_forest(Xs[:, selected], y, seed=int(fit_seed))
         else:
             model = train_logreg(Xs[:, selected], y)
-        stages.append(StyleStage(style=style, selected=selected, model=model))
+        stages.append(StyleStage(selected=selected, model=model))
 
     return TeamStyleModel(algorithm=algorithm, stages=stages, means=means, stds=stds)
 
@@ -297,14 +298,14 @@ def predict_style_with_confidence(model: TeamStyleModel, X_raw) -> list[tuple[Te
     results: list = [None] * len(Z)
     pending = np.ones(len(Z), dtype=bool)
     top_score = np.full(len(Z), -np.inf)
-    for stage in model.stages:
+    for style, stage in zip(STAGE_ORDER, model.stages):
         fired, scores = stage.fires(Z)
         for i in np.flatnonzero(pending & fired):
-            results[i] = (stage.style, float(scores[i]))
+            results[i] = (style, float(scores[i]))
         pending &= ~fired
         top_score = np.maximum(top_score, scores)
     for i in np.flatnonzero(pending):
-        results[i] = (FALLBACK_STYLE, 1.0 - float(top_score[i]) if model.stages else 1.0)
+        results[i] = (FALLBACK_STYLE, 1.0 - float(top_score[i]))
     return results
 
 
@@ -359,7 +360,7 @@ def evaluate_team_model(
     names = list(registry) if registry is not None else None
     selected_features = {
         style.value: [names[i] if names else str(i) for i in selected]
-        for style, _, selected in selections
+        for style, (_, selected) in zip(STAGE_ORDER, selections)
     }
     return TeamEvalResult(
         reports=reports,
@@ -386,13 +387,10 @@ def flag_solo_submitters(
     """
     if not len(team_ids):
         return []
-    solo_stage = next(
-        (s for s in model.stages if s.style == TeamStyle.SOLO_SUBMIT), None
-    )
     X_raw = np.asarray(X_raw, dtype=np.float64)
     predictions = predict_style_with_confidence(model, X_raw)
     solo = [i for i, (style, _) in enumerate(predictions) if style == TeamStyle.SOLO_SUBMIT]
-    selected = solo_stage.selected if solo_stage else []
+    selected = model.stages[STAGE_ORDER.index(TeamStyle.SOLO_SUBMIT)].selected
     flags = []
     for i, z in zip(solo, model.standardize(X_raw[solo])):
         style, confidence = predictions[i]

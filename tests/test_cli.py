@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -368,6 +369,26 @@ def _forest_classes(classes):
     return alter
 
 
+def _stages(pick):
+    """An alteration that replaces the model's stage list with ``pick(stages)``."""
+
+    def alter(raw):
+        raw["model"]["stages"] = pick(raw["model"]["stages"])
+
+    return alter
+
+
+def _nan_mean(raw):
+    raw["model"]["means"][3] = float("nan")
+
+
+def _boolean_column(raw):
+    raw["model"]["stages"][0]["selected"][0] = True
+
+
+_STAGE_ORDER = "the stages must be ['SoloSubmit', 'Cooperative', 'Collaborative'], got "
+
+
 @pytest.mark.parametrize(
     "alter, message",
     [
@@ -383,10 +404,18 @@ def _forest_classes(classes):
         (_forest_classes([0, 1, 2]), "altered.json: forest classes must be [0, 1], got [0, 1, 2]"),
         (_forest_classes(["no", "yes"]), "altered.json: forest classes must be [0, 1], got ['no', 'yes']"),
         (_forest_classes([False, True]), "altered.json: forest classes must be [0, 1], got [False, True]"),
+        (_stages(lambda s: []), f"altered.json: {_STAGE_ORDER}[]"),
+        (_stages(lambda s: s[:2]), f"altered.json: {_STAGE_ORDER}['SoloSubmit', 'Cooperative']"),
+        (_stages(lambda s: [s[0], s[0], s[2]]),
+         f"altered.json: {_STAGE_ORDER}['SoloSubmit', 'SoloSubmit', 'Collaborative']"),
+        (_stages(lambda s: s[::-1]), f"altered.json: {_STAGE_ORDER}['Collaborative', 'Cooperative', 'SoloSubmit']"),
+        (_nan_mean, "altered.json: non-finite number NaN"),
+        (_boolean_column, "altered.json: the SoloSubmit stage's selected columns are not integers"),
     ],
     ids=["format-v1", "foreign-registry", "narrow-means", "n_trees-mismatch", "other-fallback",
          "unknown-algorithm", "algorithm-model_type-mismatch", "classes-0-1-2", "classes-strings",
-         "classes-booleans"],
+         "classes-booleans", "no-stages", "two-stages", "repeated-stage", "reversed-stages", "nan-mean",
+         "boolean-column"],
 )
 @pytest.mark.parametrize("command", ["predict", "flag"])
 def test_unfit_model_is_data_error(team_model, tmp_path, capsys, command, alter, message):
@@ -395,6 +424,66 @@ def test_unfit_model_is_data_error(team_model, tmp_path, capsys, command, alter,
     out = tmp_path / "out"
     assert main([command, "--model", model, "--data", str(corpus), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def _relabel_first_stage(raw):
+    raw["model"]["stages"][0]["category"] = "Merge"
+
+
+def _threshold(value):
+    def alter(raw):
+        raw["model"]["gibberish_threshold"] = value
+
+    return alter
+
+
+def _first_stage(part, key, value, at=None):
+    """Set ``key`` (item ``at`` of the list under ``key``) of the first stage's ``part`` to ``value``."""
+
+    def alter(raw):
+        node = raw["model"]["stages"][0][part]
+        if at is None:
+            node[key] = value
+        else:
+            node[key][at] = value
+
+    return alter
+
+
+_FIXED = "the gibberish threshold and ML stages must be (0.34, ['Implementation', 'Test', 'Bugfix']), got "
+
+
+@pytest.mark.parametrize(
+    "alter, message",
+    [
+        (_stages(lambda s: s[:2]), f"{_FIXED}(0.34, ['Implementation', 'Test'])"),
+        (_stages(lambda s: [s[0]] * 3), f"{_FIXED}(0.34, ['Implementation', 'Implementation', 'Implementation'])"),
+        (_stages(lambda s: s[::-1]), f"{_FIXED}(0.34, ['Bugfix', 'Test', 'Implementation'])"),
+        (_relabel_first_stage, f"{_FIXED}(0.34, ['Merge', 'Test', 'Bugfix'])"),
+        (_stages(lambda s: []), f"{_FIXED}(0.34, [])"),
+        (_threshold(float("nan")), "non-finite number NaN"),
+        (_threshold(True), f"{_FIXED}(True, ['Implementation', 'Test', 'Bugfix'])"),
+        (_threshold(2.0), f"{_FIXED}(2.0, ['Implementation', 'Test', 'Bugfix'])"),
+        (_first_stage("tfidf", "idf", float("nan"), at=0), "non-finite number NaN"),
+        (_first_stage("logreg", "weights", float("-inf"), at=0), "non-finite number -Infinity"),
+        (_first_stage("logreg", "bias", float("inf")), "non-finite number Infinity"),
+        (_first_stage("tfidf", "ngram_min", 5), "bad ngram range (5, 4)"),
+        (_first_stage("tfidf", "ngram_max", 2.5), "bad ngram range (1, 2.5)"),
+        (_first_stage("tfidf", "ngram_min", True), "bad ngram range (True, 4)"),
+    ],
+    ids=["two-stages", "repeated-stage", "reversed-stages", "relabelled-stage", "no-stages",
+         "threshold-nan", "threshold-true", "threshold-2", "nan-idf", "minus-infinite-weight",
+         "infinite-bias", "ngram-min-above-max", "ngram-max-float", "ngram-min-boolean"],
+)
+def test_unfit_cascade_is_data_error(team_model, cascade_model, tmp_path, capsys, alter, message):
+    corpus, _ = team_model
+    raw = json.loads(cascade_model.read_text())
+    alter(raw)
+    model = _write(tmp_path / "altered.json", json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["label-commits", "--model", model, "--data", str(corpus), "--out", str(out)]) == 2
+    assert f"altered.json: {message}" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -553,6 +642,15 @@ def _repeat_first_line(data: bytes) -> bytes:
     return data.split(b"\n", 1)[0] + b"\n" + data
 
 
+def _first_mean(literal: bytes):
+    """An alteration that writes the model's first mean as the JSON number ``literal``."""
+
+    def alter(data: bytes) -> bytes:
+        return re.sub(rb'"means": \[\s*[^,\]\s]+', b'"means": [' + literal, data, count=1)
+
+    return alter
+
+
 @pytest.fixture
 def work(team_model, tmp_path):
     """A copy of the labeled corpus with its models, a tagged CSV and a git log."""
@@ -586,6 +684,10 @@ UNREADABLE = {
                           "no key 'fallback'"),
     "model-no-n_trees": ("corpus/models/teams_forest.json", _model_without("stages", 0, "model", "n_trees"),
                          _PREDICT, "no key 'n_trees'"),
+    "model-mean-overflows": ("corpus/models/teams_forest.json", _first_mean(b"1e999"), _PREDICT,
+                             "teams_forest.json: non-finite number 1e999"),
+    "model-mean-huge-int": ("corpus/models/teams_forest.json", _first_mean(b"1" + b"0" * 400), _PREDICT,
+                            "teams_forest.json: malformed model (int too large to convert to float)"),
     "commit-msg-null": ("corpus/commits.jsonl", _first_commit(msg=None), _FEATURES,
                         "commits.jsonl line 1: msg must be a string"),
     "commit-author-int": ("corpus/commits.jsonl", _first_commit(author=5), _FEATURES,
@@ -606,6 +708,8 @@ UNREADABLE = {
                            "labels.jsonl line 1: pair_programming must be true or false, got 'false'"),
     "labels-duplicate-sha": ("corpus/labels.jsonl", _repeat_first_line, _FEATURES,
                              "labels.jsonl line 2: duplicate sha"),
+    "labels-missing-commit": ("corpus/labels.jsonl", lambda data: data.split(b"\n", 1)[1], _FEATURES,
+                              "corpus/labels.jsonl: no label for commit "),
     "commit-not-object": ("corpus/commits.jsonl", lambda data: b"[1, 2]\n" + data, _FEATURES,
                           "commits.jsonl line 1: not a JSON object"),
     "commit-not-json": ("corpus/commits.jsonl", lambda data: b"\n\n{oops\n" + data, _FEATURES,

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from teamscope import commitcls, textnorm
 from teamscope.commitcls import (
+    ML_CATEGORIES,
     CascadeModel,
     CommitCategory,
     MlStage,
@@ -109,24 +110,25 @@ def test_pair_detection_through_lemmas(lexicon):
     assert detect_pair_programming(tokens)
 
 
-def _stub_cascade(lexicon, always_fire_category=None):
-    """Cascade whose single ML stage fires on everything (bias-only model)."""
+def _stub_cascade(lexicon, always_fire=False):
+    """Cascade without ML stages, or whose single ML stage, the first of
+    ``ML_CATEGORIES`` (Implementation), fires on everything (bias-only model)."""
     stages = []
-    if always_fire_category is not None:
+    if always_fire:
         tfidf = TfidfModel(vocabulary={"x": 0}, idf=np.ones(1), max_features=1, ngram_min=1, ngram_max=1)
         logreg = LogisticModel(weights=np.zeros(1), bias=5.0, l2_lambda=0.0)
-        stages = [MlStage(category=always_fire_category, tfidf=tfidf, logreg=logreg)]
+        stages = [MlStage(tfidf=tfidf, logreg=logreg)]
     return CascadeModel(
         lexicon=lexicon,
         lemma_exceptions=textnorm.default_lemma_exceptions(),
         keywords=KW,
-        gibberish_threshold=0.34,
         stages=stages,
     )
 
 
 def test_classify_static_precedence_beats_ml(lexicon):
-    cascade = _stub_cascade(lexicon, always_fire_category=CommitCategory.IMPLEMENTATION)
+    cascade = _stub_cascade(lexicon, always_fire=True)
+    assert classify(cascade, "added linked list methods") == CommitCategory.IMPLEMENTATION
     assert classify(cascade, "Added Javadoc to the class") == CommitCategory.DOCUMENTATION
     assert classify(cascade, "Merge branch 'master' of x") == CommitCategory.MERGE
     assert classify(cascade, "Fixing PMD errors") == CommitCategory.STYLE
@@ -139,7 +141,7 @@ def test_classify_residual_other_when_no_stage_fires(lexicon):
 
 
 def test_classify_merge_precedence_property(lexicon):
-    cascade = _stub_cascade(lexicon, always_fire_category=CommitCategory.TEST)
+    cascade = _stub_cascade(lexicon, always_fire=True)
     for message in ("merge it all", "before merge after", "test merge test"):
         assert classify(cascade, message) == CommitCategory.MERGE
 
@@ -162,7 +164,6 @@ def test_monotone_cascade_removing_later_stage(lexicon, trained_cascade):
         lexicon=trained_cascade.lexicon,
         lemma_exceptions=trained_cascade.lemma_exceptions,
         keywords=trained_cascade.keywords,
-        gibberish_threshold=trained_cascade.gibberish_threshold,
         stages=trained_cascade.stages[:1],
     )
     for message in ("Merge branch 'master'", "Added Javadoc to the class", "asdf"):
@@ -180,9 +181,7 @@ def test_train_cascade_errors_on_missing_positive_category():
 
 
 def test_train_cascade_test_stage_vocabulary_contains_test(trained_cascade):
-    test_stage = next(
-        s for s in trained_cascade.stages if s.category == CommitCategory.TEST
-    )
+    test_stage = trained_cascade.stages[ML_CATEGORIES.index(CommitCategory.TEST)]
     assert "test" in test_stage.tfidf.vocabulary
 
 
@@ -264,9 +263,9 @@ def test_ml_stages_are_at_their_optimum(trained_cascade, tagged_sample):
     # each stage trained on the messages the static and earlier ML stages left
     prepared = [(trained_cascade.prepare(msg), cat) for msg, cat in tagged_sample]
     survivors = [row for row in prepared if _static_category(trained_cascade, row[0]) is None]
-    for stage in trained_cascade.stages:
+    for category, stage in zip(ML_CATEGORIES, trained_cascade.stages, strict=True):
         X = tfidf_transform(stage.tfidf, [tokens for tokens, _ in survivors])
-        y = np.array([cat == stage.category for _, cat in survivors], dtype=float)
+        y = np.array([cat == category for _, cat in survivors], dtype=float)
         model = stage.logreg
         _, grad_w, grad_b = logistic_loss_and_grad(model.weights, model.bias, X, y, model.l2_lambda)
         assert max(np.max(np.abs(grad_w)), abs(grad_b)) <= 1e-8

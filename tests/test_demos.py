@@ -1,7 +1,6 @@
-"""The quick demos, the CLI walkthrough and the README's library example run
-and print what they say.
-
-Demo 03 (about 13 s) is left to be run by hand.
+"""The demos, the CLI walkthrough and the README's library example run and
+print what they say. Demo 03 is the slowest (about 12 s): it trains and
+evaluates both team-style models and flags solo-submitters.
 """
 
 import os
@@ -34,10 +33,11 @@ def _readme_library_block() -> str:
     return match.group(1)
 
 
-# each quick demo and a line of what it prints
+# each Python demo and a line of what it prints
 DEMOS = {
     "01_commit_classification.py": "'Fixed logout'",
     "02_team_features.py": "churn share identity",
+    "03_team_styles.py": "teams as solo-submit; most confident first:",
 }
 
 

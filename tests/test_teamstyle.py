@@ -21,6 +21,7 @@ from teamscope.teamfeat import REGISTRY, build_matrix, order_users
 from teamscope.teamstyle import (
     FALLBACK_STYLE,
     RUBRIC_PARTS,
+    STAGE_ORDER,
     StyleStage,
     TeamStyle,
     TeamStyleModel,
@@ -239,11 +240,8 @@ def test_same_seed_byte_identical_model(corpus):
 def test_predict_cascade_precedence_and_fallback(corpus):
     _, _, styles, build = corpus
     model = train_team_model(build.raw, styles, algorithm="forest", seed=3)
-    assert [s.style for s in model.stages] == [
-        TeamStyle.SOLO_SUBMIT,
-        TeamStyle.COOPERATIVE,
-        TeamStyle.COLLABORATIVE,
-    ]
+    assert STAGE_ORDER == (TeamStyle.SOLO_SUBMIT, TeamStyle.COOPERATIVE, TeamStyle.COLLABORATIVE)
+    assert [s["style"] for s in model.to_dict()["stages"]] == [s.value for s in STAGE_ORDER]
 
     # force every stage negative: prediction falls back to Collaborative
     silent = TeamStyleModel.from_dict(model.to_dict())
@@ -263,7 +261,7 @@ def test_predict_cascade_precedence_and_fallback(corpus):
 def test_forest_stage_vote_tie_does_not_fire():
     # a 1-1 vote goes to the smaller class index, 0, so the stage stays silent
     forest = ForestModel(trees=[_leaf([1, 0]), _leaf([0, 1])], seed=0, n_features=1)
-    stage = StyleStage(style=TeamStyle.SOLO_SUBMIT, selected=[0], model=forest)
+    stage = StyleStage(selected=[0], model=forest)
     fired, scores = stage.fires(np.zeros((1, 1)))
     assert fired.tolist() == [False]
     assert scores.tolist() == [0.5]
@@ -384,7 +382,7 @@ def _predict_one_row(model, x_raw):
     """Reference cascade: score and decide each stage on one row, in order."""
     z = model.standardize(x_raw)
     scores = []
-    for stage in model.stages:
+    for style, stage in zip(STAGE_ORDER, model.stages, strict=True):
         x = z[stage.selected]
         if isinstance(stage.model, ForestModel):
             votes = forest_votes(stage.model, x[None])[0]
@@ -394,7 +392,7 @@ def _predict_one_row(model, x_raw):
             score = predict_proba(stage.model, x)
             fires = score >= 0.5
         if fires:
-            return stage.style, score
+            return style, score
         scores.append(score)
     return FALLBACK_STYLE, 1.0 - max(scores)
 
@@ -421,8 +419,8 @@ def test_logistic_stages_are_at_their_optimum(corpus):
     _, _, styles, build = corpus
     model = train_team_model(build.raw, styles, algorithm="logistic_rfe", k_features=8, seed=12)
     Z = model.standardize(build.raw)
-    for stage in model.stages:
-        y = np.array([style == stage.style for style in styles], dtype=float)
+    for stage_style, stage in zip(STAGE_ORDER, model.stages, strict=True):
+        y = np.array([style == stage_style for style in styles], dtype=float)
         w, b, l2 = stage.model.weights, stage.model.bias, stage.model.l2_lambda
         _, grad_w, grad_b = logistic_loss_and_grad(w, b, Z[:, stage.selected], y, l2)
         assert max(np.max(np.abs(grad_w)), abs(grad_b)) <= 1e-8
