@@ -12,13 +12,18 @@ binary classifier trained only on the messages earlier stages left behind,
 and applying the trained stage removes its positives before the next stage
 is trained, mirroring how the cascade is evaluated and applied.
 
-The stage order (``ML_CATEGORIES``) and the threshold are constants, and a
-model file that stores another stage list or threshold is refused.
+The stage order (``ML_CATEGORIES``), the threshold and every stage's n-gram
+range (``NGRAM_RANGE``) are constants, and a model file that stores another
+stage list, threshold or range is refused.
 
 Classification is a funnel over a batch: each message is normalized and run
-through the static rules once, then each ML stage scores the rows still
-unlabelled as one TF-IDF matrix. ``classify`` is a one-row batch;
-``label_messages`` takes 2,048 messages per batch to bound the matrices' size.
+through the static rules once, and the n-grams of the messages the rules
+leave are enumerated once, into one ``NgramIndex`` for the batch. Each ML
+stage then scores the rows still unlabelled as one TF-IDF matrix taken from
+that index. ``classify`` is a one-row batch; ``label_messages`` takes 2,048
+messages per batch to bound the matrices' size. Training and cross-validation
+index the tagged messages once, and every fold and every stage's survivors
+are subsets of that index.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,8 +41,10 @@ from .ingest import CommitRecord
 from .mlcore import (
     EvalReport,
     LogisticModel,
+    NgramIndex,
     TfidfModel,
     fit_tfidf,
+    index_ngrams,
     mean_report,
     predict,
     prf1,
@@ -67,7 +73,7 @@ ML_CATEGORIES = (CommitCategory.IMPLEMENTATION, CommitCategory.TEST, CommitCateg
 
 DEFAULT_GIBBERISH_THRESHOLD = 0.34
 DEFAULT_MAX_FEATURES = 45
-DEFAULT_NGRAM_RANGE = (1, 4)
+NGRAM_RANGE = (1, 4)
 
 
 @lru_cache(maxsize=None)
@@ -105,7 +111,7 @@ class MlStage:
     tfidf: TfidfModel
     logreg: LogisticModel
 
-    def fires(self, docs: Sequence[Sequence[str]]) -> np.ndarray:
+    def fires(self, docs: Sequence[Sequence[str]] | NgramIndex) -> np.ndarray:
         return predict(self.logreg, tfidf_transform(self.tfidf, docs))
 
 
@@ -153,6 +159,11 @@ class CascadeModel:
             logreg = LogisticModel.from_dict(s["logreg"])
             if logreg.weights.shape != (tfidf.dim,):
                 raise SchemaError(f"the {category.value} stage needs one weight per term")
+            if (tfidf.ngram_min, tfidf.ngram_max) != NGRAM_RANGE:
+                raise SchemaError(
+                    f"the {category.value} stage's ngram range must be {NGRAM_RANGE}, "
+                    f"got {(tfidf.ngram_min, tfidf.ngram_max)}"
+                )
             stages.append(MlStage(tfidf=tfidf, logreg=logreg))
         lex = raw["lexicon"]
         model = cls(
@@ -183,21 +194,28 @@ def _static_category(cascade: CascadeModel, tokens: Sequence[str]) -> CommitCate
     return None
 
 
-def _funnel(stages: Sequence[MlStage], docs: Sequence[Sequence[str]], static: list) -> list:
-    """Complete the static labels: each ML stage scores the rows still None."""
-    labels = list(static)
-    left = [i for i, label in enumerate(labels) if label is None]
+def _index(docs: Sequence[Sequence[str]]) -> NgramIndex:
+    return index_ngrams(docs, *NGRAM_RANGE)
+
+
+def _funnel(stages: Sequence[MlStage], index: NgramIndex, static: list) -> list:
+    """Complete the static labels. ``index`` holds the n-grams of the rows
+    whose label is None, in row order; each ML stage scores those still unlabelled."""
+    ml_labels = [CommitCategory.OTHER] * index.n_docs
+    left = np.arange(index.n_docs)
     for category, stage in zip(ML_CATEGORIES, stages):
-        fired = stage.fires([docs[i] for i in left])
-        for i in compress(left, fired):
-            labels[i] = category
-        left = list(compress(left, ~fired))
-    return [CommitCategory.OTHER if label is None else label for label in labels]
+        fired = stage.fires(index.take(left))
+        for i in left[fired].tolist():
+            ml_labels[i] = category
+        left = left[~fired]
+    ml = iter(ml_labels)
+    return [next(ml) if label is None else label for label in static]
 
 
 def classify_tokens(cascade: CascadeModel, docs: Sequence[Sequence[str]]) -> list[CommitCategory]:
     """The cascade category of each normalized message."""
-    return _funnel(cascade.stages, docs, [_static_category(cascade, d) for d in docs])
+    static = [_static_category(cascade, d) for d in docs]
+    return _funnel(cascade.stages, _index([d for d, s in zip(docs, static) if s is None]), static)
 
 
 def classify(cascade: CascadeModel, message: str) -> CommitCategory:
@@ -241,8 +259,9 @@ def train_cascade(
     category; a stage with no surviving positives is an error.
     """
     cascade, docs, static = _prepare_tagged(tagged, lexicon)
-    survivors = [(d, cat) for d, s, (_, cat) in zip(docs, static, tagged) if s is None]
-    cascade.stages = _fit_stages(survivors)
+    survivors = [i for i, s in enumerate(static) if s is None]
+    index = _index([docs[i] for i in survivors])
+    cascade.stages = _fit_stages(index, [tagged[i][1] for i in survivors])
     return cascade
 
 
@@ -258,20 +277,20 @@ def _prepare_tagged(tagged, lexicon=None):
     return cascade, docs, [_static_category(cascade, d) for d in docs]
 
 
-def _fit_stages(survivors: list) -> list[MlStage]:
-    """Train the ML stages in order on the (tokens, tag) pairs the static stages left."""
+def _fit_stages(index: NgramIndex, tags: list) -> list[MlStage]:
+    """Train the ML stages in order on the messages the static stages left:
+    row i of ``index`` is a message tagged ``tags[i]``."""
     stages = []
     for stage_category in ML_CATEGORIES:
-        if not any(cat == stage_category for _, cat in survivors):
+        if stage_category not in tags:
             raise DataError(f"no surviving positive examples for ML stage {stage_category.value}")
-        docs = [tokens for tokens, _ in survivors]
-        tfidf = fit_tfidf(docs, DEFAULT_MAX_FEATURES, DEFAULT_NGRAM_RANGE)
-        X = tfidf_transform(tfidf, docs)
-        y = [cat == stage_category for _, cat in survivors]
-        logreg = train_logreg(X, y)
+        tfidf = fit_tfidf(index, DEFAULT_MAX_FEATURES, NGRAM_RANGE)
+        X = tfidf_transform(tfidf, index)
+        logreg = train_logreg(X, [cat == stage_category for cat in tags])
         stages.append(MlStage(tfidf=tfidf, logreg=logreg))
-        fired = predict(logreg, X)
-        survivors = [row for row, f in zip(survivors, fired) if not f]
+        left = np.flatnonzero(~predict(logreg, X))
+        index = index.take(left)
+        tags = [tags[i] for i in left.tolist()]
     return stages
 
 
@@ -294,16 +313,17 @@ def evaluate_cascade(
     """
     _, docs, static = _prepare_tagged(tagged)
     labels = [cat for _, cat in tagged]
-    falls_through = [i for i, s in enumerate(static) if s is None]
+    index = _index(docs)
     folds = stratified_kfold(labels, k, seed)
     per_key: dict[str, list[EvalReport]] = {}
 
     for test_idx in folds:
         test_set = set(test_idx)
-        train = [(docs[i], labels[i]) for i in falls_through if i not in test_set]
+        train = [i for i, s in enumerate(static) if s is None and i not in test_set]
+        stages = _fit_stages(index.take(train), [labels[i] for i in train])
         y_true = [labels[i] for i in test_idx]
         static_pred = [static[i] for i in test_idx]
-        y_pred = _funnel(_fit_stages(train), [docs[i] for i in test_idx], static_pred)
+        y_pred = _funnel(stages, index.take([i for i in test_idx if static[i] is None]), static_pred)
 
         C = CommitCategory
         scored = [(c.value, y_pred, c) for c in (C.MERGE, C.STYLE, C.DOCUMENTATION)]

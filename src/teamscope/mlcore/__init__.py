@@ -26,12 +26,13 @@ from .logreg import (
 )
 from .rfe import rfe_select
 from .serialize import canonical_json, dumps_model, load_model, save_model
-from .tfidf import TfidfModel, fit_tfidf, iter_ngrams, tfidf_transform
+from .tfidf import NgramIndex, TfidfModel, fit_tfidf, index_ngrams, iter_ngrams, tfidf_transform
 
 __all__ = [
     "EvalReport",
     "ForestModel",
     "LogisticModel",
+    "NgramIndex",
     "TfidfModel",
     "canonical_json",
     "cohens_kappa",
@@ -39,6 +40,7 @@ __all__ = [
     "feature_importances",
     "fit_tfidf",
     "forest_votes",
+    "index_ngrams",
     "iter_ngrams",
     "load_model",
     "logistic_loss_and_grad",

@@ -13,13 +13,15 @@ batching changes a tree. A tree is a set of parallel
 per-node arrays (the layout of scikit-learn's ``Tree``), used as is for
 fitting, prediction and the model file. Leaves store the counts of classes
 0 and 1; tree and forest predictions are majority votes with ties going to
-class 0.
+class 0. A model file's integer fields and node arrays must hold JSON
+integers: a float or a boolean there is refused, not truncated or read as 0/1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -62,6 +64,10 @@ class Tree:
     @classmethod
     def from_dict(cls, raw: dict, n_features: int) -> "Tree":
         try:
+            # JSON true/false and 1.5 would pass as 1/0 and 1, so the types are compared
+            ints = chain(raw["feature"], raw["left"], raw["right"], *raw["counts"])
+            if set(map(type, ints)) - {int}:
+                raise SchemaError("malformed tree: node arrays other than threshold must hold integers")
             tree = cls(
                 feature=np.asarray(raw["feature"], dtype=np.int64),
                 threshold=np.asarray(raw["threshold"], dtype=np.float64),
@@ -112,7 +118,10 @@ class ForestModel:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ForestModel":
-        n_features = int(raw["n_features"])
+        n_features, n_trees, seed = raw["n_features"], raw["n_trees"], raw["seed"]
+        if any(type(v) is not int for v in (n_features, n_trees, seed)):
+            raise SchemaError(f"forest n_features, n_trees and seed must be integers, "
+                              f"got {n_features!r}, {n_trees!r}, {seed!r}")
         classes = raw["classes"]
         # JSON false/true equal 0/1 in Python, so the types are compared too
         if classes != [0, 1] or any(type(c) is not int for c in classes):
@@ -120,11 +129,11 @@ class ForestModel:
         trees = [Tree.from_dict(t, n_features) for t in raw["trees"]]
         if not trees:
             raise SchemaError("forest has no trees")
-        if int(raw["n_trees"]) != len(trees):
-            raise SchemaError(f"forest says n_trees {raw['n_trees']!r} but holds {len(trees)} trees")
+        if n_trees != len(trees):
+            raise SchemaError(f"forest says n_trees {n_trees!r} but holds {len(trees)} trees")
         return cls(
             trees=trees,
-            seed=int(raw["seed"]),
+            seed=seed,
             n_features=n_features,
             importances_raw=np.asarray(raw["importances_raw"], dtype=np.float64),
         )

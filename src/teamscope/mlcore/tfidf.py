@@ -4,11 +4,25 @@ Vocabulary selection ranks candidate n-grams by document frequency with
 lexicographic tie-breaking so that fitting is fully deterministic. IDF uses
 the smoothed form ``ln((1 + N) / (1 + df)) + 1`` and transformed vectors are
 L2-normalized (zero vectors stay zero), one row per document of a batch.
+
+A corpus's n-grams are enumerated once, into an :class:`NgramIndex`: a
+term -> id dict and, for each document, one (row, id, count) entry per
+distinct n-gram, as int32 arrays (a document-term matrix in coordinate form,
+as behind scikit-learn's ``TfidfVectorizer``). Fitting and transforming work
+on those arrays, and ``take`` selects the documents of a fold or of a cascade
+stage's survivors without enumerating their n-grams again. Document
+frequencies are a ``bincount`` of the entries' ids, and a batch's counts
+are written into its matrix at (row, column) in one assignment. Each row's
+norm is the square root of its own dot product, taken as the stacked
+(1 x dim) @ (dim x 1) products of one ``matmul``: that is the kernel a
+row's ``vec @ vec`` uses, so a row's bytes do not depend on the batch it is
+in. Both functions also take token lists, which they index on entry.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -51,10 +65,13 @@ class TfidfModel:
         # JSON true/false would pass as 1/0, so the types are compared
         if type(ngram_min) is not int or type(ngram_max) is not int or not 1 <= ngram_min <= ngram_max:
             raise SchemaError(f"bad ngram range ({ngram_min!r}, {ngram_max!r})")
+        max_features = raw["max_features"]
+        if type(max_features) is not int:
+            raise SchemaError(f"max_features {max_features!r} is not an integer")
         return cls(
             vocabulary={t: i for i, t in enumerate(terms)},
             idf=idf,
-            max_features=int(raw["max_features"]),
+            max_features=max_features,
             ngram_min=ngram_min,
             ngram_max=ngram_max,
         )
@@ -67,29 +84,92 @@ def iter_ngrams(tokens: Sequence[str], ngram_min: int, ngram_max: int):
             yield " ".join(tokens[i : i + n])
 
 
+@dataclass(frozen=True, eq=False)
+class NgramIndex:
+    """The n-gram counts of a list of documents, as integer arrays.
+
+    Entry k says that term ``ids[k]`` occurs ``counts[k]`` times in document
+    ``rows[k]``; a (row, id) pair has one entry. ``terms`` maps each n-gram
+    to its id and may hold n-grams that no indexed document has.
+    """
+
+    terms: dict[str, int]
+    rows: np.ndarray  # int32
+    ids: np.ndarray  # int32
+    counts: np.ndarray  # int32
+    n_docs: int
+    ngram_min: int
+    ngram_max: int
+
+    def take(self, rows: Sequence[int]) -> "NgramIndex":
+        """The distinct documents ``rows``, in that order, as rows 0, 1, ..."""
+        renumber = np.full(self.n_docs, -1, dtype=np.int32)
+        renumber[np.asarray(rows, dtype=np.intp)] = np.arange(len(rows))
+        new_rows = renumber[self.rows]
+        kept = new_rows >= 0
+        return NgramIndex(
+            self.terms, new_rows[kept], self.ids[kept], self.counts[kept],
+            len(rows), self.ngram_min, self.ngram_max,
+        )
+
+
+def index_ngrams(docs: Sequence[Sequence[str]], ngram_min: int, ngram_max: int) -> NgramIndex:
+    """Enumerate each document's n-grams once, numbering terms as they first appear."""
+    terms: dict[str, int] = {}
+    ids: list[int] = []
+    counts: list[int] = []
+    lengths = []
+    for doc in docs:
+        grams = Counter(iter_ngrams(doc, ngram_min, ngram_max))
+        ids += [terms.setdefault(gram, len(terms)) for gram in grams]
+        counts += grams.values()
+        lengths.append(len(grams))
+    return NgramIndex(
+        terms,
+        np.repeat(np.arange(len(docs), dtype=np.int32), lengths),
+        np.array(ids, dtype=np.int32),
+        np.array(counts, dtype=np.int32),
+        len(docs),
+        ngram_min,
+        ngram_max,
+    )
+
+
+def _indexed(docs, ngram_min: int, ngram_max: int) -> NgramIndex:
+    """``docs`` as an index of the n-gram range; an index must already be of that range."""
+    if not isinstance(docs, NgramIndex):
+        return index_ngrams(docs, ngram_min, ngram_max)
+    if (docs.ngram_min, docs.ngram_max) != (ngram_min, ngram_max):
+        raise ValueError(
+            f"an index of ngram range ({docs.ngram_min}, {docs.ngram_max}), not ({ngram_min}, {ngram_max})"
+        )
+    return docs
+
+
 def fit_tfidf(
-    docs: Sequence[Sequence[str]],
+    docs: Sequence[Sequence[str]] | NgramIndex,
     max_features: int,
     ngram_range: tuple[int, int] = (1, 1),
 ) -> TfidfModel:
     """Fit a vocabulary of the ``max_features`` most document-frequent n-grams."""
     ngram_min, ngram_max = ngram_range
-    if not docs:
-        raise DataError("cannot fit tf-idf on an empty document list")
     if not (1 <= ngram_min <= ngram_max):
         raise ValueError(f"bad ngram range ({ngram_min}, {ngram_max})")
     if max_features < 1:
         raise ValueError("max_features must be >= 1")
+    index = _indexed(docs, ngram_min, ngram_max)
+    if index.n_docs == 0:
+        raise DataError("cannot fit tf-idf on an empty document list")
 
-    df: dict[str, int] = {}
-    for doc in docs:
-        for gram in set(iter_ngrams(doc, ngram_min, ngram_max)):
-            df[gram] = df.get(gram, 0) + 1
-    if not df:
+    doc_freq = np.bincount(index.ids, minlength=len(index.terms))
+    present = np.flatnonzero(doc_freq)
+    if not present.size:
         raise DataError("empty vocabulary: no document produced any n-gram")
+    names = list(index.terms)
+    df = {names[i]: n for i, n in zip(present.tolist(), doc_freq[present].tolist())}
 
     kept = sorted(df, key=lambda g: (-df[g], g))[:max_features]
-    n_docs = len(docs)
+    n_docs = index.n_docs
     idf = np.array(
         [math.log((1 + n_docs) / (1 + df[g])) + 1.0 for g in kept], dtype=np.float64
     )
@@ -102,17 +182,19 @@ def fit_tfidf(
     )
 
 
-def tfidf_transform(model: TfidfModel, docs: Sequence[Sequence[str]]) -> np.ndarray:
+def tfidf_transform(model: TfidfModel, docs: Sequence[Sequence[str]] | NgramIndex) -> np.ndarray:
     """One row per document: raw term counts times IDF, each row L2-normalized."""
-    X = np.zeros((len(docs), model.dim), dtype=np.float64)
-    vocab = model.vocabulary
-    for vec, doc in zip(X, docs):
-        for gram in iter_ngrams(doc, model.ngram_min, model.ngram_max):
-            col = vocab.get(gram)
-            if col is not None:
-                vec[col] += 1.0
-        vec *= model.idf
-        norm = math.sqrt(float(vec @ vec))
-        if norm > 0.0:
-            vec /= norm
+    index = _indexed(docs, model.ngram_min, model.ngram_max)
+    column = np.full(len(index.terms), -1, dtype=np.int32)
+    for term, col in model.vocabulary.items():
+        at = index.terms.get(term)
+        if at is not None:
+            column[at] = col
+    cols = column[index.ids]
+    hit = cols >= 0
+    X = np.zeros((index.n_docs, model.dim), dtype=np.float64)
+    X[index.rows[hit], cols[hit]] = index.counts[hit]
+    X *= model.idf
+    norms = np.sqrt(np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0])
+    np.divide(X, norms[:, None], out=X, where=(norms > 0.0)[:, None])
     return X

@@ -369,6 +369,31 @@ def _forest_classes(classes):
     return alter
 
 
+def _forest_field(key, value):
+    def alter(raw):
+        raw["model"]["stages"][0]["model"][key] = value
+
+    return alter
+
+
+def _first_split(key, value, column=None):
+    """Set ``key`` (item ``column`` of it, when given) of the first tree's first split node to ``value``."""
+
+    def alter(raw):
+        tree = raw["model"]["stages"][0]["model"]["trees"][0]
+        node = next(i for i, f in enumerate(tree["feature"]) if f >= 0)
+        if column is None:
+            tree[key][node] = value
+        else:
+            tree[key][node][column] = value
+
+    return alter
+
+
+_FOREST_INTS = "altered.json: forest n_features, n_trees and seed must be integers, got "
+_TREE_INTS = "altered.json: malformed tree: node arrays other than threshold must hold integers"
+
+
 def _stages(pick):
     """An alteration that replaces the model's stage list with ``pick(stages)``."""
 
@@ -411,11 +436,19 @@ _STAGE_ORDER = "the stages must be ['SoloSubmit', 'Cooperative', 'Collaborative'
         (_stages(lambda s: s[::-1]), f"altered.json: {_STAGE_ORDER}['Collaborative', 'Cooperative', 'SoloSubmit']"),
         (_nan_mean, "altered.json: non-finite number NaN"),
         (_boolean_column, "altered.json: the SoloSubmit stage's selected columns are not integers"),
+        (_forest_field("n_trees", 100.5), f"{_FOREST_INTS}12, 100.5, "),
+        (_forest_field("n_features", 12.0), f"{_FOREST_INTS}12.0, 100, "),
+        (_forest_field("seed", True), f"{_FOREST_INTS}12, 100, True"),
+        (_first_split("feature", True), _TREE_INTS),
+        (_first_split("feature", 0.5), _TREE_INTS),
+        (_first_split("right", 2.0), _TREE_INTS),
+        (_first_split("counts", False, column=0), _TREE_INTS),
     ],
     ids=["format-v1", "foreign-registry", "narrow-means", "n_trees-mismatch", "other-fallback",
          "unknown-algorithm", "algorithm-model_type-mismatch", "classes-0-1-2", "classes-strings",
          "classes-booleans", "no-stages", "two-stages", "repeated-stage", "reversed-stages", "nan-mean",
-         "boolean-column"],
+         "boolean-column", "n_trees-float", "n_features-float", "seed-boolean", "split-feature-boolean",
+         "split-feature-float", "split-right-float", "split-counts-boolean"],
 )
 @pytest.mark.parametrize("command", ["predict", "flag"])
 def test_unfit_model_is_data_error(team_model, tmp_path, capsys, command, alter, message):
@@ -471,10 +504,14 @@ _FIXED = "the gibberish threshold and ML stages must be (0.34, ['Implementation'
         (_first_stage("tfidf", "ngram_min", 5), "bad ngram range (5, 4)"),
         (_first_stage("tfidf", "ngram_max", 2.5), "bad ngram range (1, 2.5)"),
         (_first_stage("tfidf", "ngram_min", True), "bad ngram range (True, 4)"),
+        (_first_stage("tfidf", "ngram_max", 3), "the Implementation stage's ngram range must be (1, 4), got (1, 3)"),
+        (_first_stage("tfidf", "max_features", 45.5), "max_features 45.5 is not an integer"),
+        (_first_stage("tfidf", "max_features", True), "max_features True is not an integer"),
     ],
     ids=["two-stages", "repeated-stage", "reversed-stages", "relabelled-stage", "no-stages",
          "threshold-nan", "threshold-true", "threshold-2", "nan-idf", "minus-infinite-weight",
-         "infinite-bias", "ngram-min-above-max", "ngram-max-float", "ngram-min-boolean"],
+         "infinite-bias", "ngram-min-above-max", "ngram-max-float", "ngram-min-boolean",
+         "ngram-range-1-3", "max-features-float", "max-features-boolean"],
 )
 def test_unfit_cascade_is_data_error(team_model, cascade_model, tmp_path, capsys, alter, message):
     corpus, _ = team_model

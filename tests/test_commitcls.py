@@ -115,7 +115,7 @@ def _stub_cascade(lexicon, always_fire=False):
     ``ML_CATEGORIES`` (Implementation), fires on everything (bias-only model)."""
     stages = []
     if always_fire:
-        tfidf = TfidfModel(vocabulary={"x": 0}, idf=np.ones(1), max_features=1, ngram_min=1, ngram_max=1)
+        tfidf = TfidfModel(vocabulary={"x": 0}, idf=np.ones(1), max_features=1, ngram_min=1, ngram_max=4)
         logreg = LogisticModel(weights=np.zeros(1), bias=5.0, l2_lambda=0.0)
         stages = [MlStage(tfidf=tfidf, logreg=logreg)]
     return CascadeModel(

@@ -1,0 +1,84 @@
+"""The commit pipeline's decisions do not depend on the numeric environment.
+
+``train-commits``, ``eval-commits`` and ``label-commits`` run in fresh
+interpreters under one and two OpenBLAS threads, and with numpy's runtime
+SIMD dispatch turned off (``NPY_DISABLE_CPU_FEATURES`` naming every
+dispatched feature the CPU has). Model bytes may differ in the last bits of
+a logistic weight between these runs; the labels and the evaluation report
+must not.
+"""
+
+from __future__ import annotations
+
+import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import teamscope
+from teamscope.cli import main
+from teamscope.ingest import load_commits_jsonl
+
+_SRC = str(Path(teamscope.__file__).resolve().parents[1])
+
+
+def _dispatched_features() -> str:
+    """The runtime-dispatched numpy CPU features this CPU has, space-separated."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    return " ".join(f for f in __cpu_dispatch__ if __cpu_features__.get(f))
+
+
+def _environment(name: str) -> dict[str, str]:
+    if name == "2-threads":
+        return {"OPENBLAS_NUM_THREADS": "2"}
+    features = _dispatched_features()
+    if not features:
+        pytest.skip("numpy dispatches no CPU feature at run time on this CPU")
+    return {"OPENBLAS_NUM_THREADS": "1", "NPY_DISABLE_CPU_FEATURES": features}
+
+
+@pytest.fixture(scope="module")
+def course(tmp_path_factory):
+    """A 40-team corpus and its messages tagged with their true categories."""
+    root = tmp_path_factory.mktemp("numeric_environment")
+    corpus = root / "corpus"
+    assert main(["synth", "--seed", "3", "--teams", "40", "--out", str(corpus)]) == 0
+    with open(corpus / "truth_commits.csv", encoding="utf-8", newline="") as fh:
+        truth = {row["sha"]: row["category"] for row in csv.DictReader(fh)}
+    tagged = root / "tagged.csv"
+    with open(tagged, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["message", "category"])
+        for c in load_commits_jsonl(corpus / "commits.jsonl"):
+            writer.writerow([c.message, truth[c.sha]])
+    return corpus, tagged
+
+
+def _run_pipeline(course, out: Path, extra_env: dict[str, str]) -> tuple[bytes, bytes]:
+    corpus, tagged = course
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS") and k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    env.update(extra_env)
+    for argv in (
+        ["train-commits", "--tagged", str(tagged), "--out", str(out)],
+        ["eval-commits", "--tagged", str(tagged), "--folds", "5", "--out", str(out)],
+        ["label-commits", "--model", str(out / "cascade.json"), "--data", str(corpus), "--out", str(out)],
+    ):
+        subprocess.run([sys.executable, "-m", "teamscope", *argv], env=env, check=True, capture_output=True)
+    return (out / "labels.jsonl").read_bytes(), (out / "commit_eval.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def one_thread(course, tmp_path_factory):
+    return _run_pipeline(course, tmp_path_factory.mktemp("one_thread"), {"OPENBLAS_NUM_THREADS": "1"})
+
+
+@pytest.mark.parametrize("name", ["2-threads", "no-dispatch"])
+def test_commit_decisions_do_not_depend_on_the_numeric_environment(course, one_thread, tmp_path, name):
+    labels, report = _run_pipeline(course, tmp_path, _environment(name))
+    assert labels == one_thread[0]
+    assert report == one_thread[1]

@@ -1,12 +1,13 @@
 import math
 
 import numpy as np
+import oracle_tfidf
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teamscope.errors import DataError
-from teamscope.mlcore import fit_tfidf, iter_ngrams, tfidf_transform
+from teamscope.mlcore import fit_tfidf, index_ngrams, iter_ngrams, tfidf_transform
 
 
 def test_fit_two_docs_idf_of_shared_term():
@@ -81,17 +82,6 @@ def test_transform_norm_is_one_or_zero(doc):
     assert norm == 0.0 or abs(norm - 1.0) <= 1e-12
 
 
-def _reference_row(model, doc):
-    """The one-document transform: counts in a fresh vector, normed by its own dot."""
-    vec = np.zeros(model.dim)
-    for gram in iter_ngrams(doc, model.ngram_min, model.ngram_max):
-        if gram in model.vocabulary:
-            vec[model.vocabulary[gram]] += 1.0
-    vec *= model.idf
-    norm = math.sqrt(float(vec @ vec))
-    return vec / norm if norm > 0.0 else vec
-
-
 _WORDS = ["fix", "bug", "test", "case", "add", "zz", "menu", "gui", "login", "list"]
 
 
@@ -106,10 +96,71 @@ def test_batch_rows_equal_one_document_rows(corpus, docs):
     assert X.shape == (len(docs), model.dim) and X.dtype == np.float64
     for row, doc in zip(X, docs):
         assert row.tobytes() == tfidf_transform(model, [doc])[0].tobytes()
-        assert row.tobytes() == _reference_row(model, doc).tobytes()
+        expected = oracle_tfidf.transform(model.vocabulary, model.idf, (1, 4), [doc])[0]
+        assert row.tobytes() == expected.tobytes()
 
 
 def test_vocabulary_capped_at_max_features():
     docs = [[c] for c in "abcdefgh"]
     model = fit_tfidf(docs, max_features=3, ngram_range=(1, 1))
     assert len(model.vocabulary) == 3
+
+
+def test_index_counts_each_documents_distinct_grams():
+    index = index_ngrams([["a", "b", "a"], [], ["b", "b"]], 1, 2)
+    assert index.terms == {"a": 0, "b": 1, "a b": 2, "b a": 3, "b b": 4}
+    assert index.rows.tolist() == [0, 0, 0, 0, 2, 2]
+    assert index.ids.tolist() == [0, 1, 2, 3, 1, 4]
+    assert index.counts.tolist() == [2, 1, 1, 1, 2, 1]
+    assert index.n_docs == 3
+
+    sub = index.take([2, 0])
+    assert sub.terms is index.terms and sub.n_docs == 2
+    assert sub.rows.tolist() == [1, 1, 1, 1, 0, 0]
+    assert sub.ids.tolist() == index.ids.tolist() and sub.counts.tolist() == index.counts.tolist()
+    assert index.take([1]).rows.size == 0 and index.take([]).n_docs == 0
+
+
+def test_index_of_another_range_is_refused():
+    index = index_ngrams([["fix", "bug"]], 1, 2)
+    with pytest.raises(ValueError, match=r"ngram range \(1, 2\), not \(1, 1\)"):
+        fit_tfidf(index, max_features=2, ngram_range=(1, 1))
+    model = fit_tfidf([["fix", "bug"]], max_features=2, ngram_range=(1, 1))
+    with pytest.raises(ValueError, match=r"ngram range \(1, 2\), not \(1, 1\)"):
+        tfidf_transform(model, index)
+
+
+# a small alphabet so that n-grams repeat within and across documents
+_corpora = st.lists(st.lists(st.sampled_from("abcd"), max_size=9), min_size=1, max_size=25)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    docs=_corpora,
+    ngram_min=st.integers(1, 4),
+    extra=st.integers(0, 3),
+    max_features=st.integers(1, 30),
+    data=st.data(),
+)
+def test_index_fit_and_transform_equal_the_oracle(docs, ngram_min, extra, max_features, data):
+    ngram_range = (ngram_min, min(4, ngram_min + extra))
+    index = index_ngrams(docs, *ngram_range)
+    subset = data.draw(st.permutations(range(len(docs))).flatmap(
+        lambda order: st.integers(1, len(order)).map(lambda k: order[:k])
+    ))
+    for rows in (list(range(len(docs))), subset):
+        part = [docs[i] for i in rows]
+        taken = index.take(rows)
+        if not any(len(doc) >= ngram_range[0] for doc in part):
+            with pytest.raises(DataError, match="empty vocabulary"):
+                fit_tfidf(taken, max_features, ngram_range)
+            continue
+        model = fit_tfidf(taken, max_features, ngram_range)
+        vocabulary, idf = oracle_tfidf.fit(part, max_features, ngram_range)
+        assert model.vocabulary == vocabulary
+        assert list(model.vocabulary) == list(vocabulary)
+        assert model.idf.tobytes() == idf.tobytes()
+        expected = oracle_tfidf.transform(vocabulary, idf, ngram_range, docs)
+        assert tfidf_transform(model, index).tobytes() == expected.tobytes()
+        assert tfidf_transform(model, taken).tobytes() == expected[rows].tobytes()
+        assert tfidf_transform(model, part).tobytes() == expected[rows].tobytes()
