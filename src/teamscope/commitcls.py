@@ -12,9 +12,12 @@ binary classifier trained only on the messages earlier stages left behind,
 and applying the trained stage removes its positives before the next stage
 is trained, mirroring how the cascade is evaluated and applied.
 
-The stage order (``ML_CATEGORIES``), the threshold and every stage's n-gram
-range (``NGRAM_RANGE``) are constants, and a model file that stores another
-stage list, threshold or range is refused.
+The stage order (``ML_CATEGORIES``), the gibberish threshold, every stage's
+n-gram range (``NGRAM_RANGE``), the keyword lists and the lemma exceptions
+belong to the code, and a model file holds none of them. It holds the
+lexicon, which ``train-commits`` can take from word-list files, and each ML
+stage's terms, idf and logistic weights, in stage order. A file without
+exactly one stage per category in ``ML_CATEGORIES`` is refused.
 
 Classification is a funnel over a batch: each message is normalized and run
 through the static rules once, and the n-grams of the messages the rules
@@ -111,83 +114,59 @@ class MlStage:
     tfidf: TfidfModel
     logreg: LogisticModel
 
-    def fires(self, docs: Sequence[Sequence[str]] | NgramIndex) -> np.ndarray:
-        return predict(self.logreg, tfidf_transform(self.tfidf, docs))
+    def fires(self, index: NgramIndex) -> np.ndarray:
+        return predict(self.logreg, tfidf_transform(self.tfidf, index))
+
+
+# a model file's lexicon keys and the Lexicon fields they hold
+_LEXICON_KEYS = {"english": "english_words", "domain": "domain_words", "stopwords": "stopwords"}
 
 
 @dataclass
 class CascadeModel:
-    """Everything needed to classify a message, self-contained for reload."""
+    """The trained part of the cascade: its lexicon and ML stages, in
+    ``ML_CATEGORIES`` order; the rules and constants are the code's."""
 
     lexicon: Lexicon
-    lemma_exceptions: dict[str, str]
-    keywords: dict[str, frozenset[str]]
     stages: list[MlStage] = field(default_factory=list)
 
     def prepare(self, message: str) -> list[str]:
-        return textnorm.normalize(message, self.lexicon, self.lemma_exceptions)
+        return textnorm.normalize(message, self.lexicon)
 
     def to_dict(self) -> dict:
         return {
-            "lexicon": {
-                "english": sorted(self.lexicon.english_words),
-                "domain": sorted(self.lexicon.domain_words),
-                "stopwords": sorted(self.lexicon.stopwords),
-            },
-            "lemma_exceptions": dict(sorted(self.lemma_exceptions.items())),
-            "keywords": {k: sorted(v) for k, v in sorted(self.keywords.items())},
-            "gibberish_threshold": DEFAULT_GIBBERISH_THRESHOLD,
-            "stages": [
-                {
-                    "category": category.value,
-                    "tfidf": stage.tfidf.to_dict(),
-                    "logreg": stage.logreg.to_dict(),
-                }
-                for category, stage in zip(ML_CATEGORIES, self.stages)
-            ],
+            "lexicon": {key: sorted(getattr(self.lexicon, name)) for key, name in _LEXICON_KEYS.items()},
+            "stages": [{"tfidf": s.tfidf.to_dict(), "logreg": s.logreg.to_dict()} for s in self.stages],
         }
 
     @classmethod
     def from_dict(cls, raw: dict) -> "CascadeModel":
-        fixed = (raw["gibberish_threshold"], [s["category"] for s in raw["stages"]])
-        expected = (DEFAULT_GIBBERISH_THRESHOLD, [c.value for c in ML_CATEGORIES])
-        if fixed != expected:
-            raise SchemaError(f"the gibberish threshold and ML stages must be {expected}, got {fixed}")
+        if len(raw["stages"]) != len(ML_CATEGORIES):
+            raise SchemaError(
+                f"expected {len(ML_CATEGORIES)} ML stages ({', '.join(c.value for c in ML_CATEGORIES)}), "
+                f"found {len(raw['stages'])}"
+            )
         stages = []
         for category, s in zip(ML_CATEGORIES, raw["stages"]):
             tfidf = TfidfModel.from_dict(s["tfidf"])
             logreg = LogisticModel.from_dict(s["logreg"])
             if logreg.weights.shape != (tfidf.dim,):
                 raise SchemaError(f"the {category.value} stage needs one weight per term")
-            if (tfidf.ngram_min, tfidf.ngram_max) != NGRAM_RANGE:
-                raise SchemaError(
-                    f"the {category.value} stage's ngram range must be {NGRAM_RANGE}, "
-                    f"got {(tfidf.ngram_min, tfidf.ngram_max)}"
-                )
             stages.append(MlStage(tfidf=tfidf, logreg=logreg))
-        lex = raw["lexicon"]
-        model = cls(
-            lexicon=Lexicon(
-                english_words=frozenset(lex["english"]),
-                domain_words=frozenset(lex["domain"]),
-                stopwords=frozenset(lex["stopwords"]),
-            ),
-            lemma_exceptions=dict(raw["lemma_exceptions"]),
-            keywords={k: frozenset(v) for k, v in raw["keywords"].items()},
-            stages=stages,
-        )
-        if not all(isinstance(w, str) for item in model.lemma_exceptions.items() for w in item):
-            raise SchemaError("lemma exceptions must map words to words")
-        missing = set(default_keywords()) - set(model.keywords)
-        if missing:
-            raise SchemaError(f"no keyword lists for {sorted(missing)}")
-        return model
+        words = {}
+        for key, name in _LEXICON_KEYS.items():
+            listed = raw["lexicon"][key]
+            # frozenset() of a string would be a set of letters
+            if not isinstance(listed, list) or any(type(w) is not str for w in listed):
+                raise SchemaError(f"lexicon {key} must be a list of strings")
+            words[name] = frozenset(listed)
+        return cls(lexicon=Lexicon(**words), stages=stages)
 
 
 def _static_category(cascade: CascadeModel, tokens: Sequence[str]) -> CommitCategory | None:
     """Keyword and gibberish stages only; None when the message falls through."""
     for name, category in _KEYWORD_RULES:
-        if not cascade.keywords[name].isdisjoint(tokens):
+        if not _load_keywords(name).isdisjoint(tokens):
             return category
     if is_gibberish(tokens, cascade.lexicon):
         return CommitCategory.OTHER
@@ -266,13 +245,9 @@ def train_cascade(
 
 
 def _prepare_tagged(tagged, lexicon=None):
-    """A cascade without ML stages, with the bundled lemma exceptions and
-    keywords, and the tagged messages' token lists and static categories."""
-    cascade = CascadeModel(
-        lexicon=lexicon or textnorm.default_lexicon(),
-        lemma_exceptions=textnorm.default_lemma_exceptions(),
-        keywords=default_keywords(),
-    )
+    """A cascade without ML stages, and the tagged messages' token lists and
+    static categories."""
+    cascade = CascadeModel(lexicon=lexicon or textnorm.default_lexicon())
     docs = [cascade.prepare(message) for message, _ in tagged]
     return cascade, docs, [_static_category(cascade, d) for d in docs]
 
@@ -284,7 +259,7 @@ def _fit_stages(index: NgramIndex, tags: list) -> list[MlStage]:
     for stage_category in ML_CATEGORIES:
         if stage_category not in tags:
             raise DataError(f"no surviving positive examples for ML stage {stage_category.value}")
-        tfidf = fit_tfidf(index, DEFAULT_MAX_FEATURES, NGRAM_RANGE)
+        tfidf = fit_tfidf(index, DEFAULT_MAX_FEATURES)
         X = tfidf_transform(tfidf, index)
         logreg = train_logreg(X, [cat == stage_category for cat in tags])
         stages.append(MlStage(tfidf=tfidf, logreg=logreg))

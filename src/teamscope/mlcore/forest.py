@@ -13,14 +13,18 @@ batching changes a tree. A tree is a set of parallel
 per-node arrays (the layout of scikit-learn's ``Tree``), used as is for
 fitting, prediction and the model file. Leaves store the counts of classes
 0 and 1; tree and forest predictions are majority votes with ties going to
-class 0. A model file's integer fields and node arrays must hold JSON
-integers: a float or a boolean there is refused, not truncated or read as 0/1.
+class 0. Those counts are all a forest's importances need, so a model file
+holds only the trees and the number of feature columns: the class list, the
+depth rule and the tree count belong to the code or follow from the trees.
+A model file's ``n_features`` and node arrays other than ``threshold`` must
+hold JSON integers: a float or a boolean there is refused, not truncated or
+read as 0/1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
@@ -28,6 +32,7 @@ import numpy as np
 
 from ..errors import DataError, SchemaError
 from .evaluation import check_training_set, seed_sequence
+from .serialize import floats
 
 _TREE_ARRAYS = ("feature", "threshold", "left", "right", "counts")
 # Most cells (candidate feature x node sample) one batched split search holds.
@@ -70,7 +75,7 @@ class Tree:
                 raise SchemaError("malformed tree: node arrays other than threshold must hold integers")
             tree = cls(
                 feature=np.asarray(raw["feature"], dtype=np.int64),
-                threshold=np.asarray(raw["threshold"], dtype=np.float64),
+                threshold=floats(raw["threshold"], "threshold"),
                 left=np.asarray(raw["left"], dtype=np.int64),
                 right=np.asarray(raw["right"], dtype=np.int64),
                 counts=np.asarray(raw["counts"], dtype=np.int64),
@@ -98,45 +103,21 @@ class Tree:
 @dataclass
 class ForestModel:
     trees: list[Tree]
-    seed: int
     n_features: int
-    importances_raw: np.ndarray = field(repr=False, default_factory=lambda: np.zeros(0))
 
     def to_dict(self) -> dict:
-        # format 2 keeps its class list, depth limit and leaf floor keys, now
-        # constants: every forest is binary and grown to full depth
-        return {
-            "trees": [tree.to_dict() for tree in self.trees],
-            "classes": [0, 1],
-            "n_trees": len(self.trees),
-            "seed": self.seed,
-            "max_depth": None,
-            "min_leaf": 1,
-            "n_features": self.n_features,
-            "importances_raw": [float(v) for v in self.importances_raw],
-        }
+        return {"trees": [tree.to_dict() for tree in self.trees], "n_features": self.n_features}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ForestModel":
-        n_features, n_trees, seed = raw["n_features"], raw["n_trees"], raw["seed"]
-        if any(type(v) is not int for v in (n_features, n_trees, seed)):
-            raise SchemaError(f"forest n_features, n_trees and seed must be integers, "
-                              f"got {n_features!r}, {n_trees!r}, {seed!r}")
-        classes = raw["classes"]
-        # JSON false/true equal 0/1 in Python, so the types are compared too
-        if classes != [0, 1] or any(type(c) is not int for c in classes):
-            raise SchemaError(f"forest classes must be [0, 1], got {classes!r}")
+        n_features = raw["n_features"]
+        # JSON true/false would pass as 1/0, so the type is compared
+        if type(n_features) is not int:
+            raise SchemaError(f"forest n_features must be an integer, got {n_features!r}")
         trees = [Tree.from_dict(t, n_features) for t in raw["trees"]]
         if not trees:
             raise SchemaError("forest has no trees")
-        if n_trees != len(trees):
-            raise SchemaError(f"forest says n_trees {n_trees!r} but holds {len(trees)} trees")
-        return cls(
-            trees=trees,
-            seed=seed,
-            n_features=n_features,
-            importances_raw=np.asarray(raw["importances_raw"], dtype=np.float64),
-        )
+        return cls(trees=trees, n_features=n_features)
 
 
 def _weighted_gini(counts: np.ndarray, size: np.ndarray) -> np.ndarray:
@@ -287,8 +268,7 @@ def _chunks(batch, k_features):
 
 
 def _grow_trees(X, y, rngs):
-    """One tree per generator, all grown in lockstep, and for each tree the
-    weighted Gini decrease of every node (0 at leaves).
+    """One tree per generator, all grown in lockstep.
 
     Every tree grows depth first, left subtree before right, so its nodes
     come out in pre-order. Each step takes the next split candidate of every
@@ -315,7 +295,7 @@ def _grow_trees(X, y, rngs):
         np.repeat(np.arange(len(rngs)) * 2, n) + y[flat], minlength=len(rngs) * 2
     ).reshape(len(rngs), 2)
     root_gini = _gini(root_counts.T)
-    # per tree: node records [feature, threshold, left, right, counts, decrease] in pre-order
+    # per tree: node records [feature, threshold, left, right, counts] in pre-order
     nodes: list[list[list]] = [[] for _ in rngs]
     # per tree: pending nodes (start, end, counts, gini, parent, slot of the parent's link)
     stacks = [[(t * n, (t + 1) * n, root_counts[t], root_gini[t], -1, 0)] for t in range(len(rngs))]
@@ -330,16 +310,16 @@ def _grow_trees(X, y, rngs):
                 node = len(tree)
                 if parent >= 0:
                     tree[parent][slot] = node
-                tree.append([-1, 0.0, -1, -1, counts, 0.0])
+                tree.append([-1, 0.0, -1, -1, counts])
                 if gini == 0.0:  # pure, as is every one-sample node
                     continue
                 candidates = rngs[t].choice(d, size=k_features, replace=False)
-                batch.append((t, node, start, end, gini, candidates))
+                batch.append((t, node, start, end, candidates))
                 break
         growing = [item[0] for item in batch]
 
         for chunk in _chunks(batch, k_features):
-            _, _, starts, ends, ginis, candidates = (np.array(v) for v in zip(*chunk))
+            _, _, starts, ends, candidates = (np.array(v) for v in zip(*chunk))
             sizes = ends - starts
             span = np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
             node_counts = np.array([nodes[t][node][4] for t, node, *_ in chunk], dtype=np.int64).T
@@ -350,27 +330,20 @@ def _grow_trees(X, y, rngs):
             is_split[split] = True
             flat[span[np.repeat(is_split, sizes)]] = ordered
             right_counts = node_counts.take(split, axis=1) - left_counts
-            left_gini = _gini(left_counts)
-            right_gini = _gini(right_counts)
-            size = sizes[split]
-            decrease = (size * ginis[split] - n_left * left_gini - (size - n_left) * right_gini) / n
-            for j, f, cut_value, n_l, l_counts, r_counts, l_gini, r_gini, drop in zip(
+            for j, f, cut_value, n_l, l_counts, r_counts, l_gini, r_gini in zip(
                 split.tolist(), feature.tolist(), threshold.tolist(), n_left.tolist(),
-                left_counts.T, right_counts.T, left_gini.tolist(), right_gini.tolist(),
-                decrease.tolist(),
+                left_counts.T, right_counts.T, _gini(left_counts).tolist(), _gini(right_counts).tolist(),
             ):
-                t, node, start, end, _, _ = chunk[j]
+                t, node, start, end, _ = chunk[j]
                 record = nodes[t][node]
                 record[0] = f
                 record[1] = cut_value
-                record[5] = drop
                 stacks[t].append((start + n_l, end, r_counts, r_gini, node, 3))
                 stacks[t].append((start, start + n_l, l_counts, l_gini, node, 2))
 
-    trees, decreases = [], []
+    trees = []
     for tree in nodes:
-        feature, threshold, left, right, counts, decrease = zip(*tree)
-        decreases.append(np.array(decrease))
+        feature, threshold, left, right, counts = zip(*tree)
         trees.append(
             Tree(
                 feature=np.array(feature, dtype=np.int64),
@@ -380,7 +353,7 @@ def _grow_trees(X, y, rngs):
                 counts=np.array(counts, dtype=np.int64),
             )
         )
-    return trees, decreases
+    return trees
 
 
 def train_forest(X, y: Sequence, n_trees: int = 100, seed: int = 0) -> ForestModel:
@@ -395,23 +368,7 @@ def train_forest(X, y: Sequence, n_trees: int = 100, seed: int = 0) -> ForestMod
 
     rngs = [np.random.default_rng(seed_sequence(seed, t)) for t in range(n_trees)]
     # int32 labels keep the split search's prefix sums int32
-    trees, decreases = _grow_trees(X, y.astype(np.int32), rngs)
-
-    importance_sum = np.zeros(X.shape[1], dtype=np.float64)
-    for tree, decrease in zip(trees, decreases):
-        imp = np.zeros(X.shape[1], dtype=np.float64)
-        split = tree.feature >= 0
-        np.add.at(imp, tree.feature[split], decrease[split])  # in pre-order, as grown
-        total = imp.sum()
-        if total > 0:
-            importance_sum += imp / total
-
-    return ForestModel(
-        trees=trees,
-        seed=int(seed),
-        n_features=X.shape[1],
-        importances_raw=importance_sum / n_trees,
-    )
+    return ForestModel(trees=_grow_trees(X, y.astype(np.int32), rngs), n_features=X.shape[1])
 
 
 def forest_votes(model: ForestModel, X) -> np.ndarray:
@@ -445,8 +402,25 @@ def forest_votes(model: ForestModel, X) -> np.ndarray:
 
 
 def feature_importances(model: ForestModel) -> np.ndarray:
-    """Mean decrease in Gini impurity, normalized to sum to 1 (zeros if no splits)."""
-    raw = model.importances_raw
+    """Mean decrease in Gini impurity, normalized to sum to 1 (zeros if no splits).
+
+    A split's decrease is its node's size times its Gini impurity, less its
+    children's, over the tree's bootstrap size, all read from the node counts.
+    Each tree's decreases per feature are normalized to sum to 1 (a tree
+    without splits adds nothing), and the trees' shares are averaged.
+    """
+    importance_sum = np.zeros(model.n_features, dtype=np.float64)
+    for tree in model.trees:
+        size = tree.counts.sum(axis=1)
+        weighted = size * _gini(tree.counts.T)
+        split = np.flatnonzero(tree.feature >= 0)
+        decrease = (weighted[split] - weighted[tree.left[split]] - weighted[tree.right[split]]) / size[0]
+        imp = np.zeros(model.n_features, dtype=np.float64)
+        np.add.at(imp, tree.feature[split], decrease)  # in pre-order
+        total = imp.sum()
+        if total > 0:
+            importance_sum += imp / total
+    raw = importance_sum / len(model.trees)
     total = raw.sum()
     if total <= 0:
         return np.zeros_like(raw)

@@ -38,6 +38,7 @@ from typing import Iterator
 import numpy as np
 
 from .evaluation import check_training_set
+from .serialize import floats
 
 GRAD_TOL = 1e-12
 _ARMIJO = 1e-4
@@ -63,9 +64,9 @@ class LogisticModel:
     @classmethod
     def from_dict(cls, raw: dict) -> "LogisticModel":
         return cls(
-            weights=np.asarray(raw["weights"], dtype=np.float64),
-            bias=float(raw["bias"]),
-            l2_lambda=float(raw["l2_lambda"]),
+            weights=floats(raw["weights"], "weights"),
+            bias=floats(raw["bias"], "bias"),
+            l2_lambda=floats(raw["l2_lambda"], "l2_lambda"),
         )
 
 

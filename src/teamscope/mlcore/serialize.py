@@ -1,12 +1,16 @@
 """Versioned JSON envelopes for fitted models.
 
-Every model file is ``{"format": "teamscope-model", "version": 2, "kind":
+Every model file is ``{"format": "teamscope-model", "version": 3, "kind":
 <kind>, "model": <payload>}`` dumped with sorted keys, so identical models
 serialize to identical bytes and reloading reproduces bit-identical
-predictions (JSON round-trips Python floats exactly). Version 2 stores each
-forest tree as parallel node arrays; files of any other version are refused
-and must be produced again by retraining. Numbers that ``json`` would read
-as non-finite floats (``NaN``, ``Infinity``, ``1e999``) are refused.
+predictions (JSON round-trips Python floats exactly). A version 3 payload
+holds what fitting learned and what the training inputs chose: terms, idf,
+weights, trees, standardization, selected columns and the lexicon. What the
+code fixes (stage order, gibberish threshold, n-gram range, forest shape) is
+not written. Files of any other version are refused and must be produced
+again by retraining. Numbers that ``json`` would read as non-finite floats
+(``NaN``, ``Infinity``, ``1e999``) are refused, and :func:`floats` reads a
+model's real-valued fields as JSON numbers only.
 """
 
 from __future__ import annotations
@@ -14,10 +18,12 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
+
 from ..errors import SchemaError, open_text
 
 FORMAT_NAME = "teamscope-model"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def canonical_json(payload) -> str:
@@ -46,6 +52,19 @@ def _finite(text: str) -> float:
     if not math.isfinite(value):
         raise SchemaError(f"non-finite number {text}")
     return value
+
+
+def floats(value, name: str):
+    """A model's number, or list of numbers, as a float or a float64 array.
+
+    Only JSON integers and floats pass: ``float()`` and numpy would read
+    ``true`` as 1.0 and the string ``"1e3"`` as 1000.0.
+    """
+    items = value if isinstance(value, list) else [value]
+    bad = [v for v in items if type(v) not in (int, float)]
+    if bad:
+        raise SchemaError(f"{name} must hold JSON numbers, got {bad[0]!r}")
+    return np.array(value, dtype=np.float64) if isinstance(value, list) else float(value)
 
 
 def load_model(path, expected_kind: str) -> dict:

@@ -16,7 +16,11 @@ are written into its matrix at (row, column) in one assignment. Each row's
 norm is the square root of its own dot product, taken as the stacked
 (1 x dim) @ (dim x 1) products of one ``matmul``: that is the kernel a
 row's ``vec @ vec`` uses, so a row's bytes do not depend on the batch it is
-in. Both functions also take token lists, which they index on entry.
+in.
+
+An index does not record its n-gram range: the caller that builds it owns
+the range, and a model, fitted on one index, is applied to indexes of the
+same range. A model file holds the terms, in column order, and their idf.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import DataError, SchemaError
+from .serialize import floats
 
 
 @dataclass
@@ -37,9 +42,6 @@ class TfidfModel:
 
     vocabulary: dict[str, int]
     idf: np.ndarray
-    max_features: int
-    ngram_min: int
-    ngram_max: int
 
     @property
     def dim(self) -> int:
@@ -47,39 +49,25 @@ class TfidfModel:
 
     def to_dict(self) -> dict:
         terms = sorted(self.vocabulary, key=self.vocabulary.get)
-        return {
-            "terms": terms,
-            "idf": [float(v) for v in self.idf],
-            "max_features": self.max_features,
-            "ngram_min": self.ngram_min,
-            "ngram_max": self.ngram_max,
-        }
+        return {"terms": terms, "idf": [float(v) for v in self.idf]}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TfidfModel":
         terms = raw["terms"]
-        idf = np.asarray(raw["idf"], dtype=np.float64)
-        if not isinstance(terms, list) or len(set(terms)) != len(terms) or idf.shape != (len(terms),):
-            raise SchemaError("a tfidf model needs distinct terms and one idf value per term")
-        ngram_min, ngram_max = raw["ngram_min"], raw["ngram_max"]
-        # JSON true/false would pass as 1/0, so the types are compared
-        if type(ngram_min) is not int or type(ngram_max) is not int or not 1 <= ngram_min <= ngram_max:
-            raise SchemaError(f"bad ngram range ({ngram_min!r}, {ngram_max!r})")
-        max_features = raw["max_features"]
-        if type(max_features) is not int:
-            raise SchemaError(f"max_features {max_features!r} is not an integer")
-        return cls(
-            vocabulary={t: i for i, t in enumerate(terms)},
-            idf=idf,
-            max_features=max_features,
-            ngram_min=ngram_min,
-            ngram_max=ngram_max,
-        )
+        idf = floats(raw["idf"], "idf")
+        if (
+            not isinstance(terms, list)
+            or any(type(t) is not str for t in terms)
+            or len(set(terms)) != len(terms)
+            or idf.shape != (len(terms),)
+        ):
+            raise SchemaError("a tfidf model needs distinct string terms and one idf value per term")
+        return cls(vocabulary={t: i for i, t in enumerate(terms)}, idf=idf)
 
 
-def iter_ngrams(tokens: Sequence[str], ngram_min: int, ngram_max: int):
+def iter_ngrams(tokens: Sequence[str], n_min: int, n_max: int):
     """Yield space-joined n-grams of every size in the configured range."""
-    for n in range(ngram_min, ngram_max + 1):
+    for n in range(n_min, n_max + 1):
         for i in range(len(tokens) - n + 1):
             yield " ".join(tokens[i : i + n])
 
@@ -98,8 +86,6 @@ class NgramIndex:
     ids: np.ndarray  # int32
     counts: np.ndarray  # int32
     n_docs: int
-    ngram_min: int
-    ngram_max: int
 
     def take(self, rows: Sequence[int]) -> "NgramIndex":
         """The distinct documents ``rows``, in that order, as rows 0, 1, ..."""
@@ -107,20 +93,17 @@ class NgramIndex:
         renumber[np.asarray(rows, dtype=np.intp)] = np.arange(len(rows))
         new_rows = renumber[self.rows]
         kept = new_rows >= 0
-        return NgramIndex(
-            self.terms, new_rows[kept], self.ids[kept], self.counts[kept],
-            len(rows), self.ngram_min, self.ngram_max,
-        )
+        return NgramIndex(self.terms, new_rows[kept], self.ids[kept], self.counts[kept], len(rows))
 
 
-def index_ngrams(docs: Sequence[Sequence[str]], ngram_min: int, ngram_max: int) -> NgramIndex:
+def index_ngrams(docs: Sequence[Sequence[str]], n_min: int, n_max: int) -> NgramIndex:
     """Enumerate each document's n-grams once, numbering terms as they first appear."""
     terms: dict[str, int] = {}
     ids: list[int] = []
     counts: list[int] = []
     lengths = []
     for doc in docs:
-        grams = Counter(iter_ngrams(doc, ngram_min, ngram_max))
+        grams = Counter(iter_ngrams(doc, n_min, n_max))
         ids += [terms.setdefault(gram, len(terms)) for gram in grams]
         counts += grams.values()
         lengths.append(len(grams))
@@ -130,34 +113,13 @@ def index_ngrams(docs: Sequence[Sequence[str]], ngram_min: int, ngram_max: int) 
         np.array(ids, dtype=np.int32),
         np.array(counts, dtype=np.int32),
         len(docs),
-        ngram_min,
-        ngram_max,
     )
 
 
-def _indexed(docs, ngram_min: int, ngram_max: int) -> NgramIndex:
-    """``docs`` as an index of the n-gram range; an index must already be of that range."""
-    if not isinstance(docs, NgramIndex):
-        return index_ngrams(docs, ngram_min, ngram_max)
-    if (docs.ngram_min, docs.ngram_max) != (ngram_min, ngram_max):
-        raise ValueError(
-            f"an index of ngram range ({docs.ngram_min}, {docs.ngram_max}), not ({ngram_min}, {ngram_max})"
-        )
-    return docs
-
-
-def fit_tfidf(
-    docs: Sequence[Sequence[str]] | NgramIndex,
-    max_features: int,
-    ngram_range: tuple[int, int] = (1, 1),
-) -> TfidfModel:
-    """Fit a vocabulary of the ``max_features`` most document-frequent n-grams."""
-    ngram_min, ngram_max = ngram_range
-    if not (1 <= ngram_min <= ngram_max):
-        raise ValueError(f"bad ngram range ({ngram_min}, {ngram_max})")
+def fit_tfidf(index: NgramIndex, max_features: int) -> TfidfModel:
+    """Fit a vocabulary of the ``max_features`` most document-frequent n-grams of ``index``."""
     if max_features < 1:
         raise ValueError("max_features must be >= 1")
-    index = _indexed(docs, ngram_min, ngram_max)
     if index.n_docs == 0:
         raise DataError("cannot fit tf-idf on an empty document list")
 
@@ -173,18 +135,11 @@ def fit_tfidf(
     idf = np.array(
         [math.log((1 + n_docs) / (1 + df[g])) + 1.0 for g in kept], dtype=np.float64
     )
-    return TfidfModel(
-        vocabulary={g: i for i, g in enumerate(kept)},
-        idf=idf,
-        max_features=max_features,
-        ngram_min=ngram_min,
-        ngram_max=ngram_max,
-    )
+    return TfidfModel(vocabulary={g: i for i, g in enumerate(kept)}, idf=idf)
 
 
-def tfidf_transform(model: TfidfModel, docs: Sequence[Sequence[str]] | NgramIndex) -> np.ndarray:
-    """One row per document: raw term counts times IDF, each row L2-normalized."""
-    index = _indexed(docs, model.ngram_min, model.ngram_max)
+def tfidf_transform(model: TfidfModel, index: NgramIndex) -> np.ndarray:
+    """One row per document of ``index``: raw term counts times IDF, each row L2-normalized."""
     column = np.full(len(index.terms), -1, dtype=np.int32)
     for term, col in model.vocabulary.items():
         at = index.terms.get(term)

@@ -10,8 +10,12 @@ selection) over the standardized team feature matrix; evaluation refits
 standardization and feature selection inside every fold so nothing leaks
 from test rows.
 
-The stage order (``STAGE_ORDER``: SoloSubmit, Cooperative, Collaborative) is
-a constant, and a model file that stores another stage list is refused.
+The stage order (``STAGE_ORDER``: SoloSubmit, Cooperative, Collaborative),
+the fallback style and each algorithm's stage model (``STAGE_MODELS``)
+belong to the code. A model file holds the algorithm, the feature registry
+version, the standardization and, per stage in ``STAGE_ORDER``, its selected
+columns and fitted model; a file without exactly one stage per style is
+refused.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .mlcore import (
     train_forest,
     train_logreg,
 )
+from .mlcore.serialize import floats
 from .teamfeat import REGISTRY, REGISTRY_VERSION, MatrixBuild, build_matrix
 
 
@@ -74,8 +79,8 @@ FALLBACK_STYLE = TeamStyle.COLLABORATIVE
 
 FOREST_DEFAULT_K = 12
 LOGISTIC_DEFAULT_K = 26
-# each algorithm's stage model: its model_type in a model file, and its class
-STAGE_MODELS = {"forest": ("forest", ForestModel), "logistic_rfe": ("logistic", LogisticModel)}
+# each algorithm's stage model class
+STAGE_MODELS = {"forest": ForestModel, "logistic_rfe": LogisticModel}
 
 
 def oracle_labels(build: MatrixBuild) -> list[TeamStyle]:
@@ -156,18 +161,9 @@ class TeamStyleModel:
         return {
             "algorithm": self.algorithm,
             "registry_version": REGISTRY_VERSION,
-            "fallback": FALLBACK_STYLE.value,
             "means": [float(v) for v in self.means],
             "stds": [float(v) for v in self.stds],
-            "stages": [
-                {
-                    "style": style.value,
-                    "selected": list(s.selected),
-                    "model_type": STAGE_MODELS[self.algorithm][0],
-                    "model": s.model.to_dict(),
-                }
-                for style, s in zip(STAGE_ORDER, self.stages)
-            ],
+            "stages": [{"selected": list(s.selected), "model": s.model.to_dict()} for s in self.stages],
         }
 
     @classmethod
@@ -178,27 +174,20 @@ class TeamStyleModel:
                 f"{raw['registry_version']!r}, this teamscope extracts version "
                 f"{REGISTRY_VERSION!r}; retrain the model"
             )
-        if raw["fallback"] != FALLBACK_STYLE.value:
-            raise SchemaError(
-                f"the model falls back to {raw['fallback']!r}; this teamscope's "
-                f"fallback style is {FALLBACK_STYLE.value!r}"
-            )
         if raw["algorithm"] not in STAGE_MODELS:
             raise SchemaError(f"unknown algorithm {raw['algorithm']!r}")
-        styles = [s["style"] for s in raw["stages"]]
-        if styles != [s.value for s in STAGE_ORDER]:
-            raise SchemaError(f"the stages must be {[s.value for s in STAGE_ORDER]}, got {styles}")
-        means = np.asarray(raw["means"], dtype=np.float64)
-        stds = np.asarray(raw["stds"], dtype=np.float64)
-        if means.ndim != 1 or stds.shape != means.shape:
+        if len(raw["stages"]) != len(STAGE_ORDER):
+            raise SchemaError(
+                f"expected {len(STAGE_ORDER)} stages ({', '.join(s.value for s in STAGE_ORDER)}), "
+                f"found {len(raw['stages'])}"
+            )
+        means = floats(raw["means"], "means")
+        stds = floats(raw["stds"], "stds")
+        if stds.shape != means.shape:
             raise SchemaError("means and stds must be lists of numbers of one length")
-        model_type, model_cls = STAGE_MODELS[raw["algorithm"]]
+        model_cls = STAGE_MODELS[raw["algorithm"]]
         stages = []
         for style, s in zip(STAGE_ORDER, raw["stages"]):
-            if s["model_type"] != model_type:
-                raise SchemaError(
-                    f"a {raw['algorithm']} model has a stage of model_type {s['model_type']!r}"
-                )
             model = model_cls.from_dict(s["model"])
             selected = s["selected"]
             shape = (model.n_features,) if isinstance(model, ForestModel) else model.weights.shape

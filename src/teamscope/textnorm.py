@@ -4,8 +4,9 @@ Commit messages are short and full of course jargon, so normalization is a
 small rule table rather than a full NLP stack: lowercase alphanumeric
 tokens, a bundled stopword list, an exception-map-plus-suffix lemmatizer,
 and a meaningfulness test against an English-plus-domain lexicon. All word
-lists ship as plain-text data files (one lowercase word per line) and can be
-swapped out via :func:`load_lexicon`.
+lists ship as plain-text data files (one lowercase word per line); the
+lexicon's three can be swapped out via :func:`load_lexicon`, and the lemma
+exception table is always the bundled one.
 """
 
 from __future__ import annotations
@@ -57,16 +58,15 @@ def remove_stopwords(tokens: list[str], lexicon: Lexicon) -> list[str]:
     return [t for t in tokens if t not in lexicon.stopwords]
 
 
-def lemmatize(tokens: list[str], exceptions: dict[str, str] | None = None) -> list[str]:
-    """Map each token through the exception table, then one suffix rule.
+def lemmatize(tokens: list[str]) -> list[str]:
+    """Map each token through the bundled exception table, then one suffix rule.
 
     Suffix rules, in order: ``ies -> y``; ``sses -> ss``; ``ing`` dropped
     when the stem keeps >= 3 chars; ``ed`` dropped likewise; a trailing
     ``s`` dropped when the stem keeps >= 3 chars and the token does not end
     in ``ss``. At most one rule fires per token.
     """
-    if exceptions is None:
-        exceptions = default_lemma_exceptions()
+    exceptions = lemma_table()
     return [_lemma(t, exceptions) for t in tokens]
 
 
@@ -95,9 +95,9 @@ def meaningful_ratio(tokens: list[str], lexicon: Lexicon) -> float:
     return sum(1 for t in tokens if t in words) / len(tokens)
 
 
-def normalize(message: str, lexicon: Lexicon, exceptions: dict[str, str] | None = None) -> list[str]:
+def normalize(message: str, lexicon: Lexicon) -> list[str]:
     """Full preprocessing chain: tokenize, drop stopwords, lemmatize."""
-    return lemmatize(remove_stopwords(tokenize(message), lexicon), exceptions)
+    return lemmatize(remove_stopwords(tokenize(message), lexicon))
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +156,10 @@ def default_lexicon() -> Lexicon:
 
 
 @lru_cache(maxsize=1)
-def default_lemma_exceptions() -> dict[str, str]:
+def lemma_table() -> dict[str, str]:
     """The bundled surface-form -> lemma table (two words per line)."""
     table: dict[str, str] = {}
-    for entry in read_entries(_data_dir() / "lemma_exceptions.txt"):
+    for entry in read_entries(_data_dir() / "lemma_table.txt"):
         surface, lemma = entry.split()
         table[surface] = lemma
     return table

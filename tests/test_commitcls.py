@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 from teamscope import commitcls, textnorm
 from teamscope.commitcls import (
     ML_CATEGORIES,
+    NGRAM_RANGE,
     CascadeModel,
     CommitCategory,
     MlStage,
     category_distribution,
     classify,
     classify_tokens,
-    default_keywords,
     detect_pair_programming,
     evaluate_cascade,
     is_gibberish,
@@ -25,12 +25,11 @@ from teamscope.ingest import CommitRecord
 from teamscope.mlcore import (
     LogisticModel,
     TfidfModel,
+    index_ngrams,
     logistic_loss_and_grad,
     predict_proba,
     tfidf_transform,
 )
-
-KW = default_keywords()
 
 
 @pytest.fixture(scope="module")
@@ -115,15 +114,10 @@ def _stub_cascade(lexicon, always_fire=False):
     ``ML_CATEGORIES`` (Implementation), fires on everything (bias-only model)."""
     stages = []
     if always_fire:
-        tfidf = TfidfModel(vocabulary={"x": 0}, idf=np.ones(1), max_features=1, ngram_min=1, ngram_max=4)
+        tfidf = TfidfModel(vocabulary={"x": 0}, idf=np.ones(1))
         logreg = LogisticModel(weights=np.zeros(1), bias=5.0, l2_lambda=0.0)
         stages = [MlStage(tfidf=tfidf, logreg=logreg)]
-    return CascadeModel(
-        lexicon=lexicon,
-        lemma_exceptions=textnorm.default_lemma_exceptions(),
-        keywords=KW,
-        stages=stages,
-    )
+    return CascadeModel(lexicon=lexicon, stages=stages)
 
 
 def test_classify_static_precedence_beats_ml(lexicon):
@@ -160,12 +154,7 @@ def test_classify_partition_on_training_inputs(trained_cascade, tagged_sample):
 
 
 def test_monotone_cascade_removing_later_stage(lexicon, trained_cascade):
-    truncated = CascadeModel(
-        lexicon=trained_cascade.lexicon,
-        lemma_exceptions=trained_cascade.lemma_exceptions,
-        keywords=trained_cascade.keywords,
-        stages=trained_cascade.stages[:1],
-    )
+    truncated = CascadeModel(lexicon=trained_cascade.lexicon, stages=trained_cascade.stages[:1])
     for message in ("Merge branch 'master'", "Added Javadoc to the class", "asdf"):
         assert classify(truncated, message) == classify(trained_cascade, message)
 
@@ -264,7 +253,7 @@ def test_ml_stages_are_at_their_optimum(trained_cascade, tagged_sample):
     prepared = [(trained_cascade.prepare(msg), cat) for msg, cat in tagged_sample]
     survivors = [row for row in prepared if _static_category(trained_cascade, row[0]) is None]
     for category, stage in zip(ML_CATEGORIES, trained_cascade.stages, strict=True):
-        X = tfidf_transform(stage.tfidf, [tokens for tokens, _ in survivors])
+        X = tfidf_transform(stage.tfidf, index_ngrams([tokens for tokens, _ in survivors], *NGRAM_RANGE))
         y = np.array([cat == category for _, cat in survivors], dtype=float)
         model = stage.logreg
         _, grad_w, grad_b = logistic_loss_and_grad(model.weights, model.bias, X, y, model.l2_lambda)
@@ -280,12 +269,13 @@ _WORDS = ["fix", "bug", "test", "case", "add", "menu", "logout", "roster", "merg
 def test_batch_classification_equals_one_row_calls(trained_cascade, docs, data):
     labels = classify_tokens(trained_cascade, docs)
     assert labels == [classify_tokens(trained_cascade, [d])[0] for d in docs]
+    index = index_ngrams(docs, *NGRAM_RANGE)
     for stage in trained_cascade.stages:
-        X = tfidf_transform(stage.tfidf, docs)
+        X = tfidf_transform(stage.tfidf, index)
         assert X.shape == (len(docs), stage.tfidf.dim)
-        for row, doc in zip(X, docs):
-            assert row.tobytes() == tfidf_transform(stage.tfidf, [doc])[0].tobytes()
-        assert stage.fires(docs).tolist() == [bool(stage.fires([d])[0]) for d in docs]
+        for i, row in enumerate(X):
+            assert row.tobytes() == tfidf_transform(stage.tfidf, index.take([i]))[0].tobytes()
+        assert stage.fires(index).tolist() == [bool(stage.fires(index.take([i]))[0]) for i in range(len(docs))]
 
 
 def test_label_commits_in_blocks_equals_per_message(monkeypatch, trained_cascade, tagged_sample):

@@ -147,28 +147,6 @@ def test_boolean_labels_grow_the_forest_of_0_1_labels():
     assert as_bools.to_dict() == train_forest(X, np.array(y, dtype=int), n_trees=3, seed=0).to_dict()
 
 
-def test_model_dict_keeps_format_2_keys():
-    # a binary, full-depth forest still writes the keys of format 2, as constants
-    X = np.array([[0.0], [1.0], [2.0]])
-    raw = train_forest(X, [0, 1, 1], n_trees=2, seed=1).to_dict()
-    assert set(raw) == {
-        "trees", "classes", "n_trees", "seed", "max_depth", "min_leaf", "n_features", "importances_raw",
-    }
-    assert raw["classes"] == [0, 1] and all(type(c) is int for c in raw["classes"])
-    assert raw["max_depth"] is None
-    assert raw["min_leaf"] == 1
-    assert set(raw["trees"][0]) == {"feature", "threshold", "left", "right", "counts"}
-
-
-@pytest.mark.parametrize("classes", [[0.0, 1.0], [1, 0], [0], "01"])
-def test_model_classes_other_than_0_1_are_schema_error(classes):
-    X = np.array([[0.0], [1.0]])
-    raw = train_forest(X, [0, 1], n_trees=1, seed=1).to_dict()
-    raw["classes"] = classes
-    with pytest.raises(SchemaError, match="classes must be"):
-        ForestModel.from_dict(raw)
-
-
 # --- equivalence with the per-feature, dict-tree reference forest ----------
 
 _X_VALUES = st.sampled_from([-1.5, -0.25, 0.0, 0.25, 1.0, 2.0])
@@ -197,7 +175,9 @@ def _assert_matches_reference(X, y, n_trees, seed):
     assert classes == [0, 1]
     expected = [Tree.from_dict(oracle_forest.flatten(t), X.shape[1]) for t in trees]
     assert model.trees == expected
-    assert np.array_equal(model.importances_raw, importances)
+    # the oracle sums each split's decrease as it grows the tree; the model reads them from the counts
+    total = importances.sum()
+    assert np.array_equal(feature_importances(model), importances / total if total > 0 else importances)
 
     batch = forest_votes(model, X)
     assert batch.shape == (len(X), len(classes))
@@ -244,15 +224,6 @@ def test_votes_of_no_rows():
     X = np.array([[0.0], [1.0]])
     model = train_forest(X, [0, 1], n_trees=3, seed=1)
     assert forest_votes(model, np.zeros((0, 1))).shape == (0, 2)
-
-
-def test_tree_count_must_match_n_trees():
-    X = np.array([[0.0], [1.0]])
-    raw = train_forest(X, [0, 1], n_trees=3, seed=1).to_dict()
-    assert raw["n_trees"] == 3
-    raw["n_trees"] = 1
-    with pytest.raises(SchemaError, match="n_trees 1 but holds 3 trees"):
-        ForestModel.from_dict(raw)
 
 
 def test_tree_arrays_round_trip_through_dict():

@@ -1,17 +1,21 @@
-"""The commit pipeline's decisions do not depend on the numeric environment.
+"""The pipeline's decisions do not depend on the numeric environment.
 
-``train-commits``, ``eval-commits`` and ``label-commits`` run in fresh
-interpreters under one and two OpenBLAS threads, and with numpy's runtime
-SIMD dispatch turned off (``NPY_DISABLE_CPU_FEATURES`` naming every
-dispatched feature the CPU has). Model bytes may differ in the last bits of
-a logistic weight between these runs; the labels and the evaluation report
-must not.
+``train-commits``, ``eval-commits`` and ``label-commits``, then
+``train-teams`` with both algorithms on those labels, ``predict``, ``flag``
+and ``eval-teams`` run in fresh interpreters under one and two OpenBLAS
+threads, and with numpy's runtime SIMD dispatch turned off
+(``NPY_DISABLE_CPU_FEATURES`` naming every dispatched feature the CPU has).
+Model bytes may differ in the last bits of a logistic weight between these
+runs; the labels, the evaluation reports, the predictions, the flags and
+every team stage's selected columns must not.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -58,18 +62,33 @@ def course(tmp_path_factory):
     return corpus, tagged
 
 
-def _run_pipeline(course, out: Path, extra_env: dict[str, str]) -> tuple[bytes, bytes]:
+def _run_pipeline(course, out: Path, extra_env: dict[str, str]) -> dict:
+    """Each decision-bearing output of the pipeline run under ``extra_env``."""
     corpus, tagged = course
+    data = out / "corpus"  # the team commands read the labels label-commits writes
+    shutil.copytree(corpus, data)
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS") and k != "NPY_DISABLE_CPU_FEATURES"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     env.update(extra_env)
+    forest = str(out / "teams_forest.json")
     for argv in (
         ["train-commits", "--tagged", str(tagged), "--out", str(out)],
         ["eval-commits", "--tagged", str(tagged), "--folds", "5", "--out", str(out)],
-        ["label-commits", "--model", str(out / "cascade.json"), "--data", str(corpus), "--out", str(out)],
+        ["label-commits", "--model", str(out / "cascade.json"), "--data", str(data), "--out", str(data)],
+        ["train-teams", "--data", str(data), "--algorithm", "forest", "--out", str(out)],
+        ["train-teams", "--data", str(data), "--algorithm", "logistic_rfe", "--out", str(out)],
+        ["predict", "--model", forest, "--data", str(data), "--out", str(out)],
+        ["flag", "--model", forest, "--data", str(data), "--out", str(out)],
+        ["eval-teams", "--data", str(data), "--algorithm", "forest", "--folds", "3", "--out", str(out)],
     ):
         subprocess.run([sys.executable, "-m", "teamscope", *argv], env=env, check=True, capture_output=True)
-    return (out / "labels.jsonl").read_bytes(), (out / "commit_eval.json").read_bytes()
+    outputs = {name: (out / name).read_bytes() for name in (
+        "commit_eval.json", "predictions.csv", "flags.json", "team_eval_forest.json")}
+    outputs["labels.jsonl"] = (data / "labels.jsonl").read_bytes()
+    for algorithm in ("forest", "logistic_rfe"):
+        model = json.loads((out / f"teams_{algorithm}.json").read_text(encoding="utf-8"))["model"]
+        outputs[f"{algorithm} selected"] = [stage["selected"] for stage in model["stages"]]
+    return outputs
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +98,6 @@ def one_thread(course, tmp_path_factory):
 
 @pytest.mark.parametrize("name", ["2-threads", "no-dispatch"])
 def test_commit_decisions_do_not_depend_on_the_numeric_environment(course, one_thread, tmp_path, name):
-    labels, report = _run_pipeline(course, tmp_path, _environment(name))
-    assert labels == one_thread[0]
-    assert report == one_thread[1]
+    outputs = _run_pipeline(course, tmp_path, _environment(name))
+    for key, expected in one_thread.items():
+        assert outputs[key] == expected, key

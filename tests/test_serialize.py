@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from teamscope.commitcls import CascadeModel, MlStage
 from teamscope.errors import SchemaError
 from teamscope.mlcore import (
     LogisticModel,
     TfidfModel,
+    feature_importances,
     fit_tfidf,
     forest_votes,
+    index_ngrams,
     load_model,
     predict_proba,
     save_model,
@@ -16,6 +19,8 @@ from teamscope.mlcore import (
 )
 from teamscope.mlcore.forest import ForestModel
 from teamscope.mlcore.serialize import FORMAT_VERSION
+from teamscope.teamstyle import StyleStage, TeamStyleModel
+from teamscope.textnorm import default_lexicon
 
 
 def test_save_load_round_trip(tmp_path):
@@ -50,10 +55,31 @@ def test_load_rejects_wrong_version(tmp_path):
 def test_load_rejects_version_1_and_asks_for_retraining(tmp_path):
     path = tmp_path / "m.json"
     save_model(path, "forest", {})
-    raw = path.read_text().replace(f'"version": {FORMAT_VERSION}', '"version": 1')
-    path.write_text(raw)
-    with pytest.raises(SchemaError, match="retrain"):
-        load_model(path, "forest")
+    current = path.read_text()
+    for old in (1, 2):
+        path.write_text(current.replace(f'"version": {FORMAT_VERSION}', f'"version": {old}'))
+        with pytest.raises(SchemaError, match="retrain"):
+            load_model(path, "forest")
+
+
+def test_model_dicts_hold_the_format_3_keys():
+    # what fitting learned or the training inputs chose, and nothing the code fixes
+    X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0]])
+    forest = train_forest(X, [0, 1, 1], n_trees=2, seed=1)
+    logreg = train_logreg(X, [0, 1, 1])
+    tfidf = fit_tfidf(index_ngrams([["fix", "bug"], ["add", "test"]], 1, 4), max_features=3)
+    cascade = CascadeModel(default_lexicon(), [MlStage(tfidf, logreg)] * 3)
+    team = TeamStyleModel("forest", [StyleStage([0, 1], forest)] * 3, np.zeros(2), np.ones(2))
+
+    assert set(forest.to_dict()) == {"trees", "n_features"}
+    assert set(forest.to_dict()["trees"][0]) == {"feature", "threshold", "left", "right", "counts"}
+    assert set(tfidf.to_dict()) == {"terms", "idf"}
+    assert set(logreg.to_dict()) == {"weights", "bias", "l2_lambda"}
+    assert set(cascade.to_dict()) == {"lexicon", "stages"}
+    assert set(cascade.to_dict()["lexicon"]) == {"english", "domain", "stopwords"}
+    assert set(cascade.to_dict()["stages"][0]) == {"tfidf", "logreg"}
+    assert set(team.to_dict()) == {"algorithm", "registry_version", "means", "stds", "stages"}
+    assert set(team.to_dict()["stages"][0]) == {"selected", "model"}
 
 
 def test_logistic_reload_bit_identical_predictions(tmp_path):
@@ -78,20 +104,21 @@ def test_forest_reload_bit_identical_predictions(tmp_path):
     save_model(path, "forest", model.to_dict())
     clone = ForestModel.from_dict(load_model(path, "forest"))
     assert np.array_equal(forest_votes(clone, X), forest_votes(model, X))
-    assert np.array_equal(clone.importances_raw, model.importances_raw)
+    assert np.array_equal(feature_importances(clone), feature_importances(model))
 
 
 def test_tfidf_reload_bit_identical_vectors(tmp_path):
     docs = [["fix", "bug", "now"], ["add", "test", "case"], ["fix", "test"]]
-    model = fit_tfidf(docs, max_features=8, ngram_range=(1, 2))
+    index = index_ngrams(docs, 1, 2)
+    model = fit_tfidf(index, max_features=8)
     path = tmp_path / "tfidf.json"
     save_model(path, "tfidf", model.to_dict())
     clone = TfidfModel.from_dict(load_model(path, "tfidf"))
-    X = tfidf_transform(model, docs)
+    X = tfidf_transform(model, index)
     assert X.shape == (len(docs), model.dim) and np.count_nonzero(X) > 0
-    assert np.array_equal(tfidf_transform(clone, docs), X)
-    for doc, row in zip(docs, X):
-        assert np.array_equal(tfidf_transform(clone, [doc])[0], row)
+    assert np.array_equal(tfidf_transform(clone, index), X)
+    for i, row in enumerate(X):
+        assert np.array_equal(tfidf_transform(clone, index.take([i]))[0], row)
 
 
 def test_serialized_form_is_stable_bytes(tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from teamscope.textnorm import (
     REQUIRED_DOMAIN_WORDS,
     Lexicon,
-    default_lemma_exceptions,
+    lemma_table,
     default_lexicon,
     lemmatize,
     meaningful_ratio,
@@ -87,13 +87,13 @@ def test_lemmatize_single_rule_application():
 
 
 def test_lemmatize_idempotent_for_exceptions_and_s_rule_over_lexicon(lexicon):
-    exceptions = default_lemma_exceptions()
+    exceptions = lemma_table()
     for word in sorted(lexicon.english_words | lexicon.domain_words):
-        (first,) = lemmatize([word], exceptions)
+        (first,) = lemmatize([word])
         used_exception = word in exceptions
         used_s_rule = not used_exception and first != word and word == first + "s"
         if used_exception or used_s_rule:
-            assert lemmatize([first], exceptions) == [first], word
+            assert lemmatize([first]) == [first], word
 
 
 def test_meaningful_ratio_examples(lexicon):
