@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from teamscope.errors import DataError
@@ -12,7 +12,14 @@ from teamscope.mlcore import (
     sigmoid,
     train_logreg,
 )
-from teamscope.mlcore.logreg import _MAX_STEPS, GRAD_TOL, _newton_direction, _newton_iterates
+from teamscope.mlcore import logreg
+from teamscope.mlcore.logreg import (
+    _DUAL_BACKWARD_ERROR,
+    _MAX_STEPS,
+    GRAD_TOL,
+    _newton_direction,
+    _newton_iterates,
+)
 
 
 def numerical_gradient(weights, bias, X, y, l2, eps=1e-6):
@@ -81,9 +88,11 @@ def test_loss_decreases_over_damped_newton_iterates():
 
 @st.composite
 def _problems(draw):
-    """Random problems with both classes present; every d = 40 problem has n < d."""
+    """Random problems with both classes present: n from 2 to 40 rows and d
+    columns one of 1, 3, 8, 40, n - 1, n, n + 1 or 2n, so both forms of the
+    Newton direction run, on both sides of the d > n rule and at its edge."""
     n = draw(st.integers(2, 40))
-    d = draw(st.sampled_from([1, 3, 8, 40]))
+    d = draw(st.sampled_from([1, 3, 8, 40, n - 1, n, n + 1, 2 * n]))
     seed = draw(st.integers(0, 2**32 - 1))
     scale = draw(st.sampled_from([0.1, 1.0, 5.0]))
     rng = np.random.default_rng(seed)
@@ -119,6 +128,123 @@ def test_warm_start_reaches_the_cold_optimum(problem, seed):
         warm = train_logreg(X, y, l2_lambda=l2, start=start)
         assert np.max(np.abs(warm.weights - cold.weights)) <= 1e-8
         assert abs(warm.bias - cold.bias) <= 1e-8
+
+
+def _hessian(X, p, l2):
+    """n times the Hessian of the objective, with the bias as the last
+    coordinate, built from its definition (test oracle)."""
+    n, d = X.shape
+    with_bias = np.column_stack([X, np.ones(n)])
+    hessian = with_bias.T @ (with_bias * (p * (1.0 - p))[:, None])
+    hessian[:d, :d] += l2 * np.eye(d)
+    return hessian
+
+
+@st.composite
+def _wide_points(draw):
+    """A problem with more columns than rows (d > n, up to 2n + 1) and a point
+    on it. At feature scales 5 and 30 some margins exceed 37, where p rounds
+    to 1 and s = p (1 - p) is exactly 0."""
+    n = draw(st.integers(1, 20))
+    d = draw(st.integers(n + 1, 2 * n + 1))
+    scale = draw(st.sampled_from([0.1, 1.0, 5.0, 30.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, d)) * scale
+    y = rng.integers(0, 2, size=n).astype(float)
+    weights = rng.normal(size=d) * draw(st.sampled_from([0.0, 0.1, 1.0]))
+    return X, y, weights, float(rng.normal()), scale, draw(st.floats(0.1, 2.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide_points())
+def test_dual_direction_equals_the_primal_solve(point):
+    X, y, weights, bias, scale, l2 = point
+    n, d = X.shape
+    p = sigmoid(X @ weights + bias)
+    s = p * (1.0 - p)
+    assume(s.any())  # all saturated: see test_saturated_dual_direction_is_the_least_norm_one
+    _, grad_w, grad_b = logistic_loss_and_grad(weights, bias, X, y, l2)
+    rhs = -n * np.append(grad_w, grad_b)
+    hessian = _hessian(X, p, l2)
+    gram = X @ X.T
+    primal = _newton_direction(X, p, grad_w, grad_b, l2)
+    dual = _newton_direction(X, p, grad_w, grad_b, l2, gram)
+    assert np.all(np.isfinite(dual))
+    if scale <= 5.0:
+        # Woodbury stays within its backward-error bound here, so the dual form gave the step
+        assert logreg._dual_solve(X, s, rhs, l2, gram) is not None
+    for step in primal, dual:
+        residual = np.linalg.norm(hessian @ step - rhs)
+        assert residual <= _DUAL_BACKWARD_ERROR * (
+            np.linalg.norm(hessian) * np.linalg.norm(step) + np.linalg.norm(rhs)
+        )
+    # two solves that small in backward error agree to the accuracy the
+    # Hessian's conditioning leaves to any float64 solve
+    tolerance = 1e-12 * np.linalg.cond(hessian) * np.max(np.abs(primal))
+    assert np.max(np.abs(dual - primal)) <= tolerance
+
+
+def test_ill_conditioned_dual_step_is_left_to_the_primal_solve():
+    # with l2 this small against X^T S X, Woodbury's subtraction cancels to
+    # noise; the step must still be one the (d+1) solve would accept
+    X = np.random.default_rng(6).normal(size=(5, 12)) * 100.0
+    y = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
+    p = sigmoid(np.zeros(5))
+    _, grad_w, grad_b = logistic_loss_and_grad(np.zeros(12), 0.0, X, y, 1e-3)
+    rhs = -5 * np.append(grad_w, grad_b)
+    step = _newton_direction(X, p, grad_w, grad_b, 1e-3, X @ X.T)
+    hessian = _hessian(X, p, 1e-3)
+    residual = np.linalg.norm(hessian @ step - rhs)
+    assert residual <= _DUAL_BACKWARD_ERROR * (np.linalg.norm(hessian) * np.linalg.norm(step) + np.linalg.norm(rhs))
+    assert np.array_equal(step, _newton_direction(X, p, grad_w, grad_b, 1e-3))
+
+
+@pytest.mark.parametrize("d, dual", [(5, False), (6, True)])
+def test_direction_form_follows_the_shape(monkeypatch, d, dual):
+    calls = []
+    monkeypatch.setattr(logreg, "_dual_solve", lambda *a: calls.append(a) or None)
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(5, d))
+    train_logreg(X, np.array([0, 1, 0, 1, 1]))
+    assert bool(calls) is dual
+
+
+def test_saturated_dual_direction_is_the_least_norm_one():
+    # every p is exactly 0 or 1, so s = 0, the Hessian's bias row is 0 and the
+    # bias's Schur complement is 0: the dual form must not divide by it
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(3, 7))
+    p = np.array([1.0, 0.0, 1.0])
+    grad_w, grad_b = rng.normal(size=7), 0.4
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        dual = _newton_direction(X, p, grad_w, grad_b, 0.5, X @ X.T)
+    assert np.all(np.isfinite(dual))
+    assert np.array_equal(dual, _newton_direction(X, p, grad_w, grad_b, 0.5))
+    # the least-norm solution of [[0.5 I, 0], [0, 0]] step = -3 grad
+    assert np.allclose(dual, np.append(-3 * grad_w / 0.5, 0.0), rtol=1e-14, atol=0)
+
+
+def test_single_class_in_the_dual_form_stops_as_the_primal_does(monkeypatch):
+    # d > n: every step goes through the dual form, and the bias still grows
+    # until the gradient falls below GRAD_TOL
+    dual_steps = []
+    dual_solve = logreg._dual_solve
+
+    def recorded(*args):
+        dual_steps.append(dual_solve(*args))
+        return dual_steps[-1]
+
+    monkeypatch.setattr(logreg, "_dual_solve", recorded)
+    rng = np.random.default_rng(4)
+    X, y = rng.normal(size=(3, 8)), np.ones(3)
+    with pytest.warns(UserWarning, match="single class"):
+        model = train_logreg(X, y)
+    iterates = list(_newton_iterates(X, y, 1.0, np.zeros(8), 0.0))
+    weights, bias, _, gmax = iterates[-1]
+    assert dual_steps and all(step is not None for step in dual_steps)
+    assert len(iterates) < _MAX_STEPS and gmax <= GRAD_TOL
+    assert np.all(np.isfinite(weights)) and 27.0 < bias < 29.0
+    assert np.array_equal(model.weights, weights) and model.bias == bias
 
 
 def test_start_of_another_width_is_rejected():

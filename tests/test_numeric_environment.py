@@ -1,13 +1,17 @@
 """The pipeline's decisions do not depend on the numeric environment.
 
 ``train-commits``, ``eval-commits`` and ``label-commits``, then
-``train-teams`` with both algorithms on those labels, ``predict``, ``flag``
-and ``eval-teams`` run in fresh interpreters under one and two OpenBLAS
-threads, and with numpy's runtime SIMD dispatch turned off
-(``NPY_DISABLE_CPU_FEATURES`` naming every dispatched feature the CPU has).
-Model bytes may differ in the last bits of a logistic weight between these
-runs; the labels, the evaluation reports, the predictions, the flags and
-every team stage's selected columns must not.
+``train-teams`` and ``eval-teams`` with both algorithms on those labels,
+``predict`` and ``flag`` run in fresh interpreters under one and two OpenBLAS
+threads, with numpy's runtime SIMD dispatch turned off
+(``NPY_DISABLE_CPU_FEATURES`` naming every dispatched feature the CPU has),
+and with OpenBLAS held to its Haswell and Sandybridge kernels
+(``OPENBLAS_CORETYPE``; skipped when numpy is not built on OpenBLAS). On the
+40-team corpus most RFE rounds have more columns than training teams, so
+their Newton directions take the dual form. Model bytes may differ in the
+last bits of a logistic weight between these runs; the labels, the
+evaluation reports, the predictions, the flags and every team stage's
+selected columns must not.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy
 import pytest
 
 import teamscope
@@ -36,9 +41,21 @@ def _dispatched_features() -> str:
     return " ".join(f for f in __cpu_dispatch__ if __cpu_features__.get(f))
 
 
+def _numpy_uses_openblas() -> bool:
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy that cannot say
+        return False
+    return "openblas" in blas.get("name", "").lower()
+
+
 def _environment(name: str) -> dict[str, str]:
     if name == "2-threads":
         return {"OPENBLAS_NUM_THREADS": "2"}
+    if name in ("Haswell", "Sandybridge"):
+        if not _numpy_uses_openblas():
+            pytest.skip("numpy is not built on OpenBLAS")
+        return {"OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": name}
     features = _dispatched_features()
     if not features:
         pytest.skip("numpy dispatches no CPU feature at run time on this CPU")
@@ -67,7 +84,11 @@ def _run_pipeline(course, out: Path, extra_env: dict[str, str]) -> dict:
     corpus, tagged = course
     data = out / "corpus"  # the team commands read the labels label-commits writes
     shutil.copytree(corpus, data)
-    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS") and k != "NPY_DISABLE_CPU_FEATURES"}
+    env = {
+        k: v
+        for k, v in os.environ.items()
+        if not k.endswith("_NUM_THREADS") and k not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")
+    }
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     env.update(extra_env)
     forest = str(out / "teams_forest.json")
@@ -80,10 +101,12 @@ def _run_pipeline(course, out: Path, extra_env: dict[str, str]) -> dict:
         ["predict", "--model", forest, "--data", str(data), "--out", str(out)],
         ["flag", "--model", forest, "--data", str(data), "--out", str(out)],
         ["eval-teams", "--data", str(data), "--algorithm", "forest", "--folds", "3", "--out", str(out)],
+        ["eval-teams", "--data", str(data), "--algorithm", "logistic_rfe", "--folds", "3", "--out", str(out)],
     ):
         subprocess.run([sys.executable, "-m", "teamscope", *argv], env=env, check=True, capture_output=True)
     outputs = {name: (out / name).read_bytes() for name in (
-        "commit_eval.json", "predictions.csv", "flags.json", "team_eval_forest.json")}
+        "commit_eval.json", "predictions.csv", "flags.json", "team_eval_forest.json",
+        "team_eval_logistic_rfe.json")}
     outputs["labels.jsonl"] = (data / "labels.jsonl").read_bytes()
     for algorithm in ("forest", "logistic_rfe"):
         model = json.loads((out / f"teams_{algorithm}.json").read_text(encoding="utf-8"))["model"]
@@ -96,7 +119,7 @@ def one_thread(course, tmp_path_factory):
     return _run_pipeline(course, tmp_path_factory.mktemp("one_thread"), {"OPENBLAS_NUM_THREADS": "1"})
 
 
-@pytest.mark.parametrize("name", ["2-threads", "no-dispatch"])
+@pytest.mark.parametrize("name", ["2-threads", "no-dispatch", "Haswell", "Sandybridge"])
 def test_commit_decisions_do_not_depend_on_the_numeric_environment(course, one_thread, tmp_path, name):
     outputs = _run_pipeline(course, tmp_path, _environment(name))
     for key, expected in one_thread.items():

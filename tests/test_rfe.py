@@ -77,6 +77,28 @@ def test_duplicate_column_never_outlives_its_original(n, d, seed, l2):
         assert copy not in survivors or original in survivors
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(6, 20),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    l2=st.floats(0.1, 2.0),
+)
+def test_duplicate_column_never_outlives_its_original_with_more_columns_than_rows(n, data, seed, l2):
+    # n + 1 to 2n columns: the early rounds' weights come from the dual form
+    # of the Newton direction, and a copy still ties with its original
+    d = data.draw(st.integers(n, 2 * n - 1))
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d + 1))
+    original, copy = sorted(rng.choice(d + 1, size=2, replace=False))
+    X[:, copy] = X[:, original]
+    y = (X[:, original] + rng.normal(size=n) > 0).astype(float)
+    y[0], y[-1] = 0.0, 1.0
+    for k in range(1, d + 1):
+        survivors = rfe_select(X, y, target_k=k, l2_lambda=l2)
+        assert copy not in survivors or original in survivors
+
+
 def test_selection_deterministic_for_identical_data():
     X, y = _duplicated_informative_fixture(seed=7)
     assert rfe_select(X, y, target_k=1) == rfe_select(X, y, target_k=1)
