@@ -488,7 +488,8 @@ def cmd_train_commits(args, outdir):
         if getattr(args, name):
             inputs[name] = getattr(args, name)
     print(f"trained cascade on {len(tagged)} messages -> {model_path}")
-    return {"messages": len(tagged)}, inputs, [model_path]
+    config = {"messages": len(tagged), "distinct_messages": _count_distinct(m for m, _ in tagged)}
+    return config, inputs, [model_path]
 
 
 def cmd_eval_commits(args, outdir):
@@ -525,7 +526,12 @@ def cmd_label_commits(args, outdir):
     distribution = commitcls.category_distribution(categories)
     rows = [[name, str(count), f"{ratio:.2f}"] for name, (count, ratio) in distribution.items()]
     print(_report_table(["category", "count", "ratio"], rows))
-    return {}, {"model": args.model, "commits": data / "commits.jsonl"}, [labels_path]
+    config = {"messages": len(table.msg), "distinct_messages": _count_distinct(table.msg)}
+    return config, {"model": args.model, "commits": data / "commits.jsonl"}, [labels_path]
+
+
+def _count_distinct(messages) -> int:
+    return len(commitcls.distinct_messages(messages)[0])
 
 
 def cmd_features(args, outdir):

@@ -23,10 +23,18 @@ Classification is a funnel over a batch: each message is normalized and run
 through the static rules once, and the n-grams of the messages the rules
 leave are enumerated once, into one ``NgramIndex`` for the batch. Each ML
 stage then scores the rows still unlabelled as one TF-IDF matrix taken from
-that index. ``classify`` is a one-row batch; ``label_messages`` takes 2,048
-messages per batch to bound the matrices' size. Training and cross-validation
-index the tagged messages once, and every fold and every stage's survivors
-are subsets of that index.
+that index. ``classify`` is a one-row batch.
+
+A message's category and pair flag depend on its text alone, and course
+histories repeat messages. So each distinct message is normalized and run
+through the static rules once, and its result is mapped back to every commit
+that carries it. ``label_messages`` classifies the distinct messages in
+batches of 2,048, which bounds the matrices' size. Training and
+cross-validation index the n-grams of the distinct tagged messages once and
+take that index with a row per tagged message, so document frequencies count
+commits and the logistic loss sums over commits; every fold and every
+stage's survivors are subsets of it. ``distinct_messages`` alone says which
+messages are the same: equal strings.
 """
 
 from __future__ import annotations
@@ -209,17 +217,26 @@ class LabeledCommit:
     pair_programming: bool
 
 
+def distinct_messages(messages: Iterable[str]) -> tuple[list[str], list[int]]:
+    """The distinct messages, in order of first occurrence, and the position
+    of each message among them."""
+    position: dict[str, int] = {}
+    at = [position.setdefault(m, len(position)) for m in messages]
+    return list(position), at
+
+
 def label_messages(
     cascade: CascadeModel, messages: Sequence[str]
 ) -> tuple[list[CommitCategory], list[bool]]:
     """Each raw message's cascade category and pair-programming flag."""
+    distinct, at = distinct_messages(messages)
     categories: list[CommitCategory] = []
     pairs: list[bool] = []
-    for start in range(0, len(messages), _LABEL_BLOCK):
-        docs = [cascade.prepare(m) for m in messages[start : start + _LABEL_BLOCK]]
+    for start in range(0, len(distinct), _LABEL_BLOCK):
+        docs = [cascade.prepare(m) for m in distinct[start : start + _LABEL_BLOCK]]
         categories += classify_tokens(cascade, docs)
         pairs += map(detect_pair_programming, docs)
-    return categories, pairs
+    return [categories[i] for i in at], [pairs[i] for i in at]
 
 
 def label_commits(cascade: CascadeModel, commits: Iterable[CommitRecord]) -> list[LabeledCommit]:
@@ -237,19 +254,20 @@ def train_cascade(
     by stages 1..k-1, with positives being the messages tagged as stage k's
     category; a stage with no surviving positives is an error.
     """
-    cascade, docs, static = _prepare_tagged(tagged, lexicon)
+    cascade, index, static = _prepare_tagged(tagged, lexicon)
     survivors = [i for i, s in enumerate(static) if s is None]
-    index = _index([docs[i] for i in survivors])
-    cascade.stages = _fit_stages(index, [tagged[i][1] for i in survivors])
+    cascade.stages = _fit_stages(index.take(survivors), [tagged[i][1] for i in survivors])
     return cascade
 
 
-def _prepare_tagged(tagged, lexicon=None):
-    """A cascade without ML stages, and the tagged messages' token lists and
-    static categories."""
+def _prepare_tagged(tagged, lexicon=None) -> tuple[CascadeModel, NgramIndex, list]:
+    """A cascade without ML stages, and for the tagged messages, one row
+    each, their n-gram index and static categories."""
     cascade = CascadeModel(lexicon=lexicon or textnorm.default_lexicon())
-    docs = [cascade.prepare(message) for message, _ in tagged]
-    return cascade, docs, [_static_category(cascade, d) for d in docs]
+    distinct, at = distinct_messages(message for message, _ in tagged)
+    docs = [cascade.prepare(message) for message in distinct]
+    static = [_static_category(cascade, d) for d in docs]
+    return cascade, _index(docs).take(at), [static[i] for i in at]
 
 
 def _fit_stages(index: NgramIndex, tags: list) -> list[MlStage]:
@@ -286,9 +304,8 @@ def evaluate_cascade(
     once after residual assignment picks up everything the ML stages left.
     The keys come in the report's row order.
     """
-    _, docs, static = _prepare_tagged(tagged)
+    _, index, static = _prepare_tagged(tagged)
     labels = [cat for _, cat in tagged]
-    index = _index(docs)
     folds = stratified_kfold(labels, k, seed)
     per_key: dict[str, list[EvalReport]] = {}
 

@@ -278,8 +278,7 @@ class CommitTable:
     sha: list[str]
     author: list[str]
     msg: list[str]
-    ts: np.ndarray  # int64, like the other columns below
-    additions: np.ndarray
+    additions: np.ndarray  # int64, like the other columns below
     deletions: np.ndarray
     files: np.ndarray
     msg_len: np.ndarray
@@ -289,12 +288,12 @@ def load_commit_table(path) -> CommitTable:
     """Load a JSONL interchange file into a :class:`CommitTable`, with the
     same validation and errors as :func:`load_commits_jsonl`."""
     sha, author, msg, numbers = [], [], [], []
-    for c_sha, c_author, ts, c_msg, files, additions, deletions in _read_jsonl_commits(path):
+    for c_sha, c_author, _, c_msg, files, additions, deletions in _read_jsonl_commits(path):
         sha.append(c_sha)
         author.append(c_author)
         msg.append(c_msg)
-        numbers.append((ts, additions, deletions, len(files), len(c_msg)))
-    columns = np.array(numbers, dtype=np.int64).reshape(-1, 5).T
+        numbers.append((additions, deletions, len(files), len(c_msg)))
+    columns = np.array(numbers, dtype=np.int64).reshape(-1, 4).T
     return CommitTable(sha, author, msg, *columns)
 
 

@@ -88,12 +88,29 @@ class NgramIndex:
     n_docs: int
 
     def take(self, rows: Sequence[int]) -> "NgramIndex":
-        """The distinct documents ``rows``, in that order, as rows 0, 1, ..."""
-        renumber = np.full(self.n_docs, -1, dtype=np.int32)
-        renumber[np.asarray(rows, dtype=np.intp)] = np.arange(len(rows))
-        new_rows = renumber[self.rows]
-        kept = new_rows >= 0
-        return NgramIndex(self.terms, new_rows[kept], self.ids[kept], self.counts[kept], len(rows))
+        """The documents ``rows``, in that order, as rows 0, 1, ...
+
+        A row may repeat: each copy becomes its own document, with its own
+        entries, so an index of distinct documents gives every occurrence of
+        a repeated document a row. The entries keep their order here, the
+        copies of an entry side by side in the order of ``rows``.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.size and (rows.min() < 0 or rows.max() >= self.n_docs):
+            raise IndexError(f"rows must lie in [0, {self.n_docs})")
+        copies = np.bincount(rows, minlength=self.n_docs)
+        # the positions in ``rows`` of each document, grouped by document
+        by_doc = np.argsort(rows, kind="stable")
+        per_entry = copies[self.rows]
+        entry = np.repeat(np.arange(self.rows.size), per_entry)
+        # copy c of an entry of document d (the entry's copies start at out_k
+        # in the result) belongs to row by_doc[first[d] + c]
+        first = np.cumsum(copies) - copies
+        out_k = np.cumsum(per_entry) - per_entry
+        at = np.repeat(first[self.rows] - out_k, per_entry)
+        at += np.arange(entry.size)
+        new_rows = by_doc[at].astype(np.int32)
+        return NgramIndex(self.terms, new_rows, self.ids[entry], self.counts[entry], rows.size)
 
 
 def index_ngrams(docs: Sequence[Sequence[str]], n_min: int, n_max: int) -> NgramIndex:

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import random
 import re
 import shutil
 import tempfile
@@ -502,6 +503,31 @@ def test_predict_batches_match_flags(team_model, tmp_path):
     for command in ("predict", "flag"):
         manifest = json.loads((tmp_path / f"manifest_{command}.json").read_text())
         assert set(manifest["inputs"]) == {"model", "commits", "roster", "labels"}
+
+
+def test_label_lines_do_not_depend_on_commit_order(team_model, cascade_model, tmp_path):
+    corpus, _ = team_model
+    lines = (corpus / "commits.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    random.Random(4).shuffle(lines)
+    shuffled = tmp_path / "shuffled"
+    shuffled.mkdir()
+    (shuffled / "commits.jsonl").write_text("".join(lines), encoding="utf-8")
+    labels, configs = [], []
+    for data in (corpus, shuffled):
+        out = tmp_path / f"labels_{data.name}"
+        assert main(["label-commits", "--model", str(cascade_model), "--data", str(data), "--out", str(out)]) == 0
+        labels.append(set((out / "labels.jsonl").read_text(encoding="utf-8").splitlines()))
+        configs.append(json.loads((out / "manifest_label-commits.json").read_text())["config"])
+    assert labels[0] == labels[1] and len(labels[0]) == len(lines)
+    messages = {json.loads(line)["msg"] for line in lines}
+    assert configs[0] == configs[1] == {"seed": 0, "messages": len(lines), "distinct_messages": len(messages)}
+
+
+def test_train_commits_manifest_counts_distinct_messages(cascade_model):
+    with open(cascade_model.parent / "tagged.csv", newline="", encoding="utf-8") as fh:
+        messages = [row["message"] for row in csv.DictReader(fh)]
+    config = json.loads((cascade_model.parent / "manifest_train-commits.json").read_text())["config"]
+    assert config["messages"] == len(messages) > config["distinct_messages"] == len(set(messages))
 
 
 def test_non_json_label_line_is_data_error(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from teamscope.commitcls import (
     evaluate_cascade,
     is_gibberish,
     label_commits,
+    label_messages,
     train_cascade,
 )
 from teamscope.commitcls import _static_category
@@ -295,7 +298,10 @@ def test_label_commits_in_blocks_equals_per_message(monkeypatch, trained_cascade
     assert label_commits(trained_cascade, []) == []
 
 
-def test_evaluate_cascade_normalizes_each_message_once(monkeypatch, tagged_sample):
+def test_evaluate_cascade_normalizes_each_message_once(monkeypatch, trained_cascade, tagged_sample):
+    # and so do train_cascade and label_messages: once per distinct message
+    messages = [m for m, _ in tagged_sample]
+    assert len(set(messages)) < len(messages)  # the sample repeats messages
     calls = []
     normalize = textnorm.normalize
 
@@ -304,5 +310,39 @@ def test_evaluate_cascade_normalizes_each_message_once(monkeypatch, tagged_sampl
         return normalize(message, *args, **kwargs)
 
     monkeypatch.setattr(textnorm, "normalize", counting)
-    evaluate_cascade(tagged_sample, k=3, seed=5)
-    assert len(calls) == len(tagged_sample)
+    for run in (
+        lambda: evaluate_cascade(tagged_sample, k=3, seed=5),
+        lambda: train_cascade(tagged_sample),
+        lambda: label_messages(trained_cascade, messages),
+    ):
+        calls.clear()
+        run()
+        assert Counter(calls) == Counter(set(messages))
+
+
+_MESSAGES = [
+    "added linked list methods", "Added Javadoc to the class", "Merge branch 'master' of x",
+    "Fixing PMD errors", "asdf", "more test cases", "fixed logout bug", "pp: fix logout",
+    "pair programmed the menu", "", "fix the menu test",
+]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    messages=st.lists(st.sampled_from(_MESSAGES), max_size=14),
+    block=st.integers(1, 4),
+    data=st.data(),
+)
+def test_labels_depend_on_each_message_alone(trained_cascade, messages, block, data):
+    permuted = data.draw(st.permutations(messages))
+    copies = data.draw(st.lists(st.sampled_from(messages), max_size=4)) if messages else []
+    with pytest.MonkeyPatch.context() as patch:
+        # copies of one message fall into different blocks of distinct messages
+        patch.setattr(commitcls, "_LABEL_BLOCK", block)
+        categories, pairs = label_messages(trained_cascade, messages)
+        changed = label_messages(trained_cascade, permuted + copies)
+    for message, category, pair in zip(messages, categories, pairs, strict=True):
+        assert category == classify(trained_cascade, message)
+        assert pair == detect_pair_programming(trained_cascade.prepare(message))
+    label = dict(zip(messages, zip(categories, pairs)))
+    assert list(zip(*changed)) == [label[m] for m in permuted + copies]

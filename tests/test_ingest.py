@@ -201,7 +201,6 @@ def test_jsonl_round_trip_property(tmp_path_factory, shas, files, message, ts):
         [getattr(c, name) for c in commits] for name in ("sha", "author_key", "message")
     )
     for column, values in (
-        (table.ts, [c.timestamp for c in commits]),
         (table.additions, [c.additions for c in commits]),
         (table.deletions, [c.deletions for c in commits]),
         (table.files, [len(c.files) for c in commits]),

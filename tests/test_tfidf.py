@@ -129,6 +129,36 @@ def test_index_counts_each_documents_distinct_grams():
     assert index.take([1]).rows.size == 0 and index.take([]).n_docs == 0
 
 
+def _triples(index):
+    names = list(index.terms)
+    return [(r, names[i], c) for r, i, c in zip(index.rows.tolist(), index.ids.tolist(), index.counts.tolist())]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    docs=st.lists(st.lists(st.sampled_from("abc"), max_size=6), min_size=1, max_size=8),
+    data=st.data(),
+)
+def test_take_gives_each_copy_of_a_repeated_row_its_own_entries(docs, data):
+    rows = data.draw(st.one_of(
+        st.lists(st.integers(0, len(docs) - 1), max_size=20),
+        st.integers(0, len(docs) - 1).flatmap(lambda r: st.integers(2, 5).map(lambda k: [r] * k)),
+    ))
+    taken = index_ngrams(docs, 1, 2).take(rows)
+    expected = index_ngrams([docs[r] for r in rows], 1, 2)
+    assert taken.n_docs == expected.n_docs == len(rows)
+    assert {a.dtype for a in (taken.rows, taken.ids, taken.counts)} == {np.dtype(np.int32)}
+    got = _triples(taken)
+    assert len(got) == len(set(got)) and set(got) == set(_triples(expected))
+
+
+def test_take_refuses_rows_outside_the_index():
+    index = index_ngrams([["a"], ["b"]], 1, 1)
+    for rows in ([2], [0, -1]):
+        with pytest.raises(IndexError):
+            index.take(rows)
+
+
 # a small alphabet so that n-grams repeat within and across documents
 _corpora = st.lists(st.lists(st.sampled_from("abcd"), max_size=9), min_size=1, max_size=25)
 
