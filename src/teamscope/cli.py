@@ -216,6 +216,10 @@ def _apply_config(args: argparse.Namespace) -> None:
             if not valid or (action.choices is not None and value not in action.choices):
                 raise DataError(f"invalid value {value!r} for option {key!r}")
             setattr(args, action.dest, value)
+        for group in args.subparser._mutually_exclusive_groups:
+            given = [a.option_strings[0] for a in group._group_actions if getattr(args, a.dest) != a.default]
+            if len(given) > 1:
+                raise DataError(f"options {' and '.join(given)} cannot be combined")
 
 
 # ---------------------------------------------------------------------------

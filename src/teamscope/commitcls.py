@@ -63,6 +63,7 @@ from .mlcore import (
     tfidf_transform,
     train_logreg,
 )
+from .mlcore.serialize import strings
 from .textnorm import Lexicon
 
 
@@ -163,11 +164,7 @@ class CascadeModel:
             stages.append(MlStage(tfidf=tfidf, logreg=logreg))
         words = {}
         for key, name in _LEXICON_KEYS.items():
-            listed = raw["lexicon"][key]
-            # frozenset() of a string would be a set of letters
-            if not isinstance(listed, list) or any(type(w) is not str for w in listed):
-                raise SchemaError(f"lexicon {key} must be a list of strings")
-            words[name] = frozenset(listed)
+            words[name] = frozenset(strings(raw["lexicon"][key], f"lexicon {key}"))
         return cls(lexicon=Lexicon(**words), stages=stages)
 
 

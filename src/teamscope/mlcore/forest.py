@@ -16,23 +16,20 @@ fitting, prediction and the model file. Leaves store the counts of classes
 class 0. Those counts are all a forest's importances need, so a model file
 holds only the trees and the number of feature columns: the class list, the
 depth rule and the tree count belong to the code or follow from the trees.
-A model file's ``n_features`` and node arrays other than ``threshold`` must
-hold JSON integers: a float or a boolean there is refused, not truncated or
-read as 0/1.
+``from_dict`` reads them through :mod:`.serialize`'s readers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from ..errors import DataError, SchemaError
 from .evaluation import check_training_set, seed_sequence
-from .serialize import floats
+from .serialize import integer, integers, numbers
 
 _TREE_ARRAYS = ("feature", "threshold", "left", "right", "counts")
 # Most cells (candidate feature x node sample) one batched split search holds.
@@ -68,20 +65,13 @@ class Tree:
 
     @classmethod
     def from_dict(cls, raw: dict, n_features: int) -> "Tree":
-        try:
-            # JSON true/false and 1.5 would pass as 1/0 and 1, so the types are compared
-            ints = chain(raw["feature"], raw["left"], raw["right"], *raw["counts"])
-            if set(map(type, ints)) - {int}:
-                raise SchemaError("malformed tree: node arrays other than threshold must hold integers")
-            tree = cls(
-                feature=np.asarray(raw["feature"], dtype=np.int64),
-                threshold=floats(raw["threshold"], "threshold"),
-                left=np.asarray(raw["left"], dtype=np.int64),
-                right=np.asarray(raw["right"], dtype=np.int64),
-                counts=np.asarray(raw["counts"], dtype=np.int64),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed tree: {exc}") from None
+        tree = cls(
+            feature=integers(raw["feature"], "tree feature"),
+            threshold=numbers(raw["threshold"], "tree threshold"),
+            left=integers(raw["left"], "tree left"),
+            right=integers(raw["right"], "tree right"),
+            counts=integers(raw["counts"], "tree counts", pairs=True),
+        )
         # children after their parent keep every descent finite
         n = len(tree.feature)
         nodes = np.arange(n)
@@ -89,7 +79,6 @@ class Tree:
         if (
             n == 0
             or any(getattr(tree, k).shape[:1] != (n,) for k in _TREE_ARRAYS)
-            or tree.counts.shape != (n, 2)
             or np.any(tree.feature >= n_features)
             or np.any(tree.left[split] <= nodes[split])
             or np.any(tree.right[split] <= nodes[split])
@@ -110,10 +99,7 @@ class ForestModel:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ForestModel":
-        n_features = raw["n_features"]
-        # JSON true/false would pass as 1/0, so the type is compared
-        if type(n_features) is not int:
-            raise SchemaError(f"forest n_features must be an integer, got {n_features!r}")
+        n_features = integer(raw["n_features"], "forest n_features")
         trees = [Tree.from_dict(t, n_features) for t in raw["trees"]]
         if not trees:
             raise SchemaError("forest has no trees")

@@ -52,7 +52,7 @@ from typing import Iterator
 import numpy as np
 
 from .evaluation import check_training_set
-from .serialize import floats
+from .serialize import number, numbers
 
 GRAD_TOL = 1e-12
 _ARMIJO = 1e-4
@@ -81,9 +81,9 @@ class LogisticModel:
     @classmethod
     def from_dict(cls, raw: dict) -> "LogisticModel":
         return cls(
-            weights=floats(raw["weights"], "weights"),
-            bias=floats(raw["bias"], "bias"),
-            l2_lambda=floats(raw["l2_lambda"], "l2_lambda"),
+            weights=numbers(raw["weights"], "weights"),
+            bias=number(raw["bias"], "bias"),
+            l2_lambda=number(raw["l2_lambda"], "l2_lambda"),
         )
 
 

@@ -9,14 +9,16 @@ weights, trees, standardization, selected columns and the lexicon. What the
 code fixes (stage order, gibberish threshold, n-gram range, forest shape) is
 not written. Files of any other version are refused and must be produced
 again by retraining. Numbers that ``json`` would read as non-finite floats
-(``NaN``, ``Infinity``, ``1e999``) are refused, and :func:`floats` reads a
-model's real-valued fields as JSON numbers only.
+(``NaN``, ``Infinity``, ``1e999``) are refused, and every ``from_dict``
+reads each field through this module's reader of the field's kind.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import reprlib
+from itertools import chain
 
 import numpy as np
 
@@ -54,17 +56,50 @@ def _finite(text: str) -> float:
     return value
 
 
-def floats(value, name: str):
-    """A model's number, or list of numbers, as a float or a float64 array.
+# json reads true/false as bool, a subclass of int, so the readers compare
+# types exactly: a boolean is never read as 1/0, nor 1.5 as an integer
+_NUMBER, _INTEGER = frozenset((int, float)), frozenset((int,))
 
-    Only JSON integers and floats pass: ``float()`` and numpy would read
-    ``true`` as 1.0 and the string ``"1e3"`` as 1000.0.
-    """
-    items = value if isinstance(value, list) else [value]
-    bad = [v for v in items if type(v) not in (int, float)]
-    if bad:
-        raise SchemaError(f"{name} must hold JSON numbers, got {bad[0]!r}")
-    return np.array(value, dtype=np.float64) if isinstance(value, list) else float(value)
+
+def _listed(value, kinds, name: str, what: str) -> list:
+    """``value``, a JSON list whose items' types are all in ``kinds``, found in one C-level pass."""
+    if type(value) is not list:
+        raise SchemaError(f"{name} must be a list of {what}, got {reprlib.repr(value)}")
+    if not kinds.issuperset(map(type, value)):
+        bad = next(v for v in value if type(v) not in kinds)
+        raise SchemaError(f"{name} must hold {what}, got {reprlib.repr(bad)}")
+    return value
+
+
+def number(value, name: str) -> float:
+    """A field holding one JSON number, as a float."""
+    return float(_listed([value], _NUMBER, name, "one JSON number")[0])
+
+
+def integer(value, name: str) -> int:
+    """A field holding one JSON integer."""
+    return _listed([value], _INTEGER, name, "one JSON integer")[0]
+
+
+def numbers(value, name: str) -> np.ndarray:
+    """A field holding a list of JSON numbers, as a float64 array."""
+    return np.array(_listed(value, _NUMBER, name, "JSON numbers"), dtype=np.float64)
+
+
+def integers(value, name: str, pairs: bool = False) -> np.ndarray:
+    """A field holding a list of JSON integers, as an int64 array; with
+    ``pairs``, a list of two-integer lists, as an (n, 2) array."""
+    if not pairs:
+        return np.array(_listed(value, _INTEGER, name, "JSON integers"), dtype=np.int64)
+    rows = _listed(value, {list}, name, "pairs of JSON integers")
+    if not {2}.issuperset(map(len, rows)):
+        raise SchemaError(f"{name} must hold pairs of JSON integers")
+    return integers(list(chain.from_iterable(rows)), name).reshape(-1, 2)
+
+
+def strings(value, name: str) -> list[str]:
+    """A field holding a list of JSON strings."""
+    return _listed(value, {str}, name, "JSON strings")
 
 
 def load_model(path, expected_kind: str) -> dict:

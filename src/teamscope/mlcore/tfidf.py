@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import DataError, SchemaError
-from .serialize import floats
+from .serialize import numbers, strings
 
 
 @dataclass
@@ -53,15 +53,10 @@ class TfidfModel:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TfidfModel":
-        terms = raw["terms"]
-        idf = floats(raw["idf"], "idf")
-        if (
-            not isinstance(terms, list)
-            or any(type(t) is not str for t in terms)
-            or len(set(terms)) != len(terms)
-            or idf.shape != (len(terms),)
-        ):
-            raise SchemaError("a tfidf model needs distinct string terms and one idf value per term")
+        terms = strings(raw["terms"], "terms")
+        idf = numbers(raw["idf"], "idf")
+        if len(set(terms)) != len(terms) or idf.shape != (len(terms),):
+            raise SchemaError("a tfidf model needs distinct terms and one idf value per term")
         return cls(vocabulary={t: i for i, t in enumerate(terms)}, idf=idf)
 
 

@@ -95,7 +95,8 @@ class GenConfig:
     pair_rate: float = 0.05
 
     def __post_init__(self):
-        if abs(sum(self.style_mix) - 1.0) > 1e-9:
+        # "not <=" so that a NaN or infinite entry, which makes the sum NaN or infinite, fails too
+        if not abs(sum(self.style_mix) - 1.0) <= 1e-9:
             raise ValueError(f"style_mix must sum to 1, got {self.style_mix}")
         if any(m < 0 for m in self.style_mix):
             raise ValueError("style_mix entries must be non-negative")

@@ -46,7 +46,7 @@ from .mlcore import (
     train_forest,
     train_logreg,
 )
-from .mlcore.serialize import floats
+from .mlcore.serialize import integers, numbers
 from .teamfeat import REGISTRY, REGISTRY_VERSION, MatrixBuild, build_matrix
 
 
@@ -181,24 +181,22 @@ class TeamStyleModel:
                 f"expected {len(STAGE_ORDER)} stages ({', '.join(s.value for s in STAGE_ORDER)}), "
                 f"found {len(raw['stages'])}"
             )
-        means = floats(raw["means"], "means")
-        stds = floats(raw["stds"], "stds")
+        means = numbers(raw["means"], "means")
+        stds = numbers(raw["stds"], "stds")
         if stds.shape != means.shape:
             raise SchemaError("means and stds must be lists of numbers of one length")
         model_cls = STAGE_MODELS[raw["algorithm"]]
         stages = []
         for style, s in zip(STAGE_ORDER, raw["stages"]):
             model = model_cls.from_dict(s["model"])
-            selected = s["selected"]
+            selected = integers(s["selected"], f"{style.value} selected")
             shape = (model.n_features,) if isinstance(model, ForestModel) else model.weights.shape
-            # JSON true/false would pass as columns 1/0, so the types are compared
-            columns = all(type(i) is int and 0 <= i < len(means) for i in selected)
-            if shape != (len(selected),) or not columns:
+            if shape != selected.shape or np.any(selected < 0) or np.any(selected >= len(means)):
                 raise SchemaError(
-                    f"the {style.value} stage's selected columns are not integers that fit "
+                    f"the {style.value} stage's selected columns do not fit "
                     f"its model and the {len(means)} feature columns"
                 )
-            stages.append(StyleStage(selected=selected, model=model))
+            stages.append(StyleStage(selected=selected.tolist(), model=model))
         return cls(
             algorithm=raw["algorithm"],
             stages=stages,

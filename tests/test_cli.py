@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from teamscope.cli import main
@@ -380,9 +380,6 @@ def _first_split(key, value, column=None):
     return alter
 
 
-_TREE_INTS = "altered.json: malformed tree: node arrays other than threshold must hold integers"
-
-
 def _stages(pick):
     """An alteration that replaces the model's stage list with ``pick(stages)``."""
 
@@ -403,6 +400,18 @@ def _boolean_column(raw):
     raw["model"]["stages"][0]["selected"][0] = True
 
 
+def _logistic(bias):
+    """An alteration that makes every stage logistic, the first with ``bias``."""
+
+    def alter(raw):
+        raw["model"]["algorithm"] = "logistic_rfe"
+        for stage in raw["model"]["stages"]:
+            stage["model"] = {"weights": [0.0] * len(stage["selected"]), "bias": 0.0, "l2_lambda": 1.0}
+        raw["model"]["stages"][0]["model"]["bias"] = bias
+
+    return alter
+
+
 _STAGE_COUNT = "altered.json: expected 3 stages (SoloSubmit, Cooperative, Collaborative), found "
 
 
@@ -418,16 +427,21 @@ _STAGE_COUNT = "altered.json: expected 3 stages (SoloSubmit, Cooperative, Collab
         (_stages(lambda s: s[:2]), f"{_STAGE_COUNT}2"),
         (_mean(float("nan")), "altered.json: non-finite number NaN"),
         (_mean("0.5"), "altered.json: means must hold JSON numbers, got '0.5'"),
-        (_boolean_column, "altered.json: the SoloSubmit stage's selected columns are not integers"),
-        (_forest_field("n_features", 12.0), "altered.json: forest n_features must be an integer, got 12.0"),
-        (_first_split("feature", True), _TREE_INTS),
-        (_first_split("feature", 0.5), _TREE_INTS),
-        (_first_split("right", 2.0), _TREE_INTS),
-        (_first_split("counts", False, column=0), _TREE_INTS),
+        (_boolean_column, "altered.json: SoloSubmit selected must hold JSON integers, got True"),
+        (_stages(lambda s: [{**s[0], "selected": 3}, *s[1:]]),
+         "altered.json: SoloSubmit selected must be a list of JSON integers, got 3"),
+        (_forest_field("n_features", 12.0),
+         "altered.json: forest n_features must hold one JSON integer, got 12.0"),
+        (_first_split("feature", True), "altered.json: tree feature must hold JSON integers, got True"),
+        (_first_split("feature", 0.5), "altered.json: tree feature must hold JSON integers, got 0.5"),
+        (_first_split("right", 2.0), "altered.json: tree right must hold JSON integers, got 2.0"),
+        (_first_split("counts", False, column=0), "altered.json: tree counts must hold JSON integers, got False"),
+        (_logistic([0.1, 0.2]), "altered.json: bias must hold one JSON number, got [0.1, 0.2]"),
     ],
     ids=["format-v1", "foreign-registry", "narrow-means", "unknown-algorithm", "algorithm-model_type-mismatch",
-         "no-stages", "two-stages", "nan-mean", "string-mean", "boolean-column", "n_features-float",
-         "split-feature-boolean", "split-feature-float", "split-right-float", "split-counts-boolean"],
+         "no-stages", "two-stages", "nan-mean", "string-mean", "boolean-column", "number-selected",
+         "n_features-float", "split-feature-boolean", "split-feature-float", "split-right-float",
+         "split-counts-boolean", "logistic-list-bias"],
 )
 @pytest.mark.parametrize("command", ["predict", "flag"])
 def test_unfit_model_is_data_error(team_model, tmp_path, capsys, command, alter, message):
@@ -470,13 +484,19 @@ _ML_STAGE_COUNT = "expected 3 ML stages (Implementation, Test, Bugfix), found "
         (_first_stage("tfidf", "idf", float("nan"), at=0), "non-finite number NaN"),
         (_first_stage("logreg", "weights", float("-inf"), at=0), "non-finite number -Infinity"),
         (_first_stage("logreg", "bias", float("inf")), "non-finite number Infinity"),
-        (_first_stage("logreg", "bias", "0.5"), "bias must hold JSON numbers, got '0.5'"),
+        (_first_stage("logreg", "bias", "0.5"), "bias must hold one JSON number, got '0.5'"),
+        (_first_stage("logreg", "bias", [0.1, 0.2]), "bias must hold one JSON number, got [0.1, 0.2]"),
+        (_first_stage("logreg", "l2_lambda", [1, 2]), "l2_lambda must hold one JSON number, got [1, 2]"),
+        (_first_stage("logreg", "weights", 0.5), "weights must be a list of JSON numbers, got 0.5"),
+        (_first_stage("tfidf", "idf", 0.5), "idf must be a list of JSON numbers, got 0.5"),
+        (_first_stage("tfidf", "terms", 3), "terms must be a list of JSON strings, got 3"),
         (_first_stage("logreg", "weights", "1e3", at=0), "weights must hold JSON numbers, got '1e3'"),
         (_first_stage("tfidf", "idf", True, at=0), "idf must hold JSON numbers, got True"),
-        (_stopwords("fix"), "lexicon stopwords must be a list of strings"),
+        (_stopwords("fix"), "lexicon stopwords must be a list of JSON strings, got 'fix'"),
     ],
     ids=["two-stages", "no-stages", "nan-idf", "minus-infinite-weight", "infinite-bias", "string-bias",
-         "string-weight", "boolean-idf", "string-stopwords"],
+         "list-bias", "list-l2_lambda", "number-weights", "number-idf", "number-terms", "string-weight",
+         "boolean-idf", "string-stopwords"],
 )
 def test_unfit_cascade_is_data_error(team_model, cascade_model, tmp_path, capsys, alter, message):
     corpus, _ = team_model
@@ -523,6 +543,51 @@ def test_label_lines_do_not_depend_on_commit_order(team_model, cascade_model, tm
     assert configs[0] == configs[1] == {"seed": 0, "messages": len(lines), "distinct_messages": len(messages)}
 
 
+def _rows_by_team(path: Path) -> dict:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return {row["team_id"]: row for row in csv.DictReader(fh)}
+
+
+def _features_and_predictions(data: Path, model: Path, out: Path) -> tuple[dict, dict]:
+    assert main(["features", "--data", str(data), "--out", str(out)]) == 0
+    assert main(["predict", "--model", str(model), "--data", str(data), "--out", str(out)]) == 0
+    return _rows_by_team(out / "features.csv"), _rows_by_team(out / "predictions.csv")
+
+
+@pytest.fixture(scope="module")
+def team_model_outputs(team_model, tmp_path_factory):
+    corpus, model_path = team_model
+    return _features_and_predictions(corpus, model_path, tmp_path_factory.mktemp("roster_order"))
+
+
+_TEAMS = 14  # the team_model corpus's
+
+
+# Training is not order-invariant: bootstrap and fold draws follow row order. So
+# only the commands that apply a trained model are held to the roster's order.
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(order=list(reversed(range(_TEAMS))), swaps=[True] * _TEAMS)
+@given(
+    order=st.permutations(range(_TEAMS)),
+    swaps=st.lists(st.booleans(), min_size=_TEAMS, max_size=_TEAMS),
+)
+def test_features_and_predictions_do_not_depend_on_roster_order(team_model, team_model_outputs, order, swaps):
+    corpus, model_path = team_model
+    header, *rows = (corpus / "roster.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    teams = [rows[i : i + 2] for i in range(0, len(rows), 2)]
+    assert len(teams) == _TEAMS and all(a.split(",")[0] == b.split(",")[0] for a, b in teams)
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "data"
+        data.mkdir()
+        for name in ("commits.jsonl", "labels.jsonl"):
+            shutil.copy(corpus / name, data / name)
+        members = [teams[t][::-1] if swap else teams[t] for t, swap in zip(order, swaps)]
+        (data / "roster.csv").write_text(header + "".join(sum(members, [])), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()):
+            outputs = _features_and_predictions(data, model_path, Path(tmp) / "out")
+    assert outputs == team_model_outputs
+
+
 def test_train_commits_manifest_counts_distinct_messages(cascade_model):
     with open(cascade_model.parent / "tagged.csv", newline="", encoding="utf-8") as fh:
         messages = [row["message"] for row in csv.DictReader(fh)]
@@ -549,6 +614,7 @@ BAD_INPUT = [
     # run (passed as --config, or where {file} stands), exit code, stderr
     (["synth", "--commits", "abc"], None, 2, "--commits"),
     (["synth", "--mix", "a,b,c"], None, 2, "--mix"),
+    (["synth", "--mix", "nan,0,0"], None, 2, "style_mix must sum to 1"),
     (["eval-commits", "--tagged", "{tagged}", "--folds", "0"], None, 1, "at least 2"),
     (["eval-commits", "--tagged", "{tagged}", "--folds", "1"], None, 1, "at least 2"),
     (["eval-teams", "--data", "{data}", "--folds", "1"], None, 1, "at least 2"),
@@ -563,6 +629,8 @@ BAD_INPUT = [
     (["synth"], ("cfg.json", '{"teams": "4"}'), 2, "'teams'"),
     (["synth"], ("cfg.toml", "teams = 4.0"), 2, "'teams'"),
     (["train-teams", "--data", "{data}"], ("cfg.json", '{"k_features": 0}'), 2, "'k_features'"),
+    (["ingest", "--gitlog", "{tagged}", "--roster", "{data}/roster.csv"], ("cfg.json", '{"jsonl": "c.jsonl"}'), 2,
+     "cfg.json: options --gitlog and --jsonl cannot be combined"),
     (["synth", "--teams", "-3"], None, 1, "at least 1"),
     (["synth", "--pair-rate", "7"], None, 2, "pair_rate must be within [0, 1]"),
     (["kappa", "--a", "{file}", "--b", "{tagged}"], ("short-row.csv", "id,label\na,x\nb\n"), 2,

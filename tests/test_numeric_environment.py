@@ -6,7 +6,8 @@
 threads, with numpy's runtime SIMD dispatch turned off
 (``NPY_DISABLE_CPU_FEATURES`` naming every dispatched feature the CPU has),
 and with OpenBLAS held to its Haswell and Sandybridge kernels
-(``OPENBLAS_CORETYPE``; skipped when numpy is not built on OpenBLAS). On the
+(``OPENBLAS_CORETYPE``; skipped when numpy is not built on OpenBLAS). The
+pipelines run in a module fixture, at most four at a time. On the
 40-team corpus most RFE rounds have more columns than training teams, so
 their Newton directions take the dual form. Model bytes may differ in the
 last bits of a logistic weight between these runs; the labels, the
@@ -22,6 +23,7 @@ import os
 import shutil
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy
@@ -49,17 +51,25 @@ def _numpy_uses_openblas() -> bool:
     return "openblas" in blas.get("name", "").lower()
 
 
+_CASES = ["2-threads", "no-dispatch", "Haswell", "Sandybridge"]
+
+
+def _skip_reason(name: str) -> str | None:
+    if name in ("Haswell", "Sandybridge") and not _numpy_uses_openblas():
+        return "numpy is not built on OpenBLAS"
+    if name == "no-dispatch" and not _dispatched_features():
+        return "numpy dispatches no CPU feature at run time on this CPU"
+    return None
+
+
 def _environment(name: str) -> dict[str, str]:
+    if name == "1-thread":
+        return {"OPENBLAS_NUM_THREADS": "1"}
     if name == "2-threads":
         return {"OPENBLAS_NUM_THREADS": "2"}
     if name in ("Haswell", "Sandybridge"):
-        if not _numpy_uses_openblas():
-            pytest.skip("numpy is not built on OpenBLAS")
         return {"OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": name}
-    features = _dispatched_features()
-    if not features:
-        pytest.skip("numpy dispatches no CPU feature at run time on this CPU")
-    return {"OPENBLAS_NUM_THREADS": "1", "NPY_DISABLE_CPU_FEATURES": features}
+    return {"OPENBLAS_NUM_THREADS": "1", "NPY_DISABLE_CPU_FEATURES": _dispatched_features()}
 
 
 @pytest.fixture(scope="module")
@@ -115,12 +125,22 @@ def _run_pipeline(course, out: Path, extra_env: dict[str, str]) -> dict:
 
 
 @pytest.fixture(scope="module")
-def one_thread(course, tmp_path_factory):
-    return _run_pipeline(course, tmp_path_factory.mktemp("one_thread"), {"OPENBLAS_NUM_THREADS": "1"})
+def runs(course, tmp_path_factory):
+    """The one-thread pipeline and each case that is not skipped, run at most
+    ``min(4, cpus)`` at a time, as futures of their outputs."""
+    names = ["1-thread"] + [name for name in _CASES if _skip_reason(name) is None]
+    with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
+        return {
+            name: pool.submit(_run_pipeline, course, tmp_path_factory.mktemp(name), _environment(name))
+            for name in names
+        }
 
 
-@pytest.mark.parametrize("name", ["2-threads", "no-dispatch", "Haswell", "Sandybridge"])
-def test_commit_decisions_do_not_depend_on_the_numeric_environment(course, one_thread, tmp_path, name):
-    outputs = _run_pipeline(course, tmp_path, _environment(name))
-    for key, expected in one_thread.items():
+@pytest.mark.parametrize("name", _CASES)
+def test_commit_decisions_do_not_depend_on_the_numeric_environment(runs, name):
+    reason = _skip_reason(name)
+    if reason is not None:
+        pytest.skip(reason)
+    outputs = runs[name].result()
+    for key, expected in runs["1-thread"].result().items():
         assert outputs[key] == expected, key

@@ -116,6 +116,9 @@ def test_style_mix_counts_follow_largest_remainder():
 def test_config_validation():
     with pytest.raises(ValueError, match="sum to 1"):
         GenConfig(style_mix=(0.5, 0.5, 0.5))
+    for mix in [(float("nan"), 0.0, 0.0), (float("inf"), 0.0, 0.0), (float("inf"), float("-inf"), 1.0)]:
+        with pytest.raises(ValueError, match="sum to 1"):
+            GenConfig(style_mix=mix)
     with pytest.raises(ValueError, match="commits_per_team"):
         GenConfig(commits_per_team=(10, 5))
     with pytest.raises(ValueError, match="noise_rate"):
