@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__, commitcls, synthgen, teamfeat, teamstyle
 from .commitcls import CascadeModel, CommitCategory
-from .errors import DataError, SchemaError, csv_rows, in_file, jsonl_values, open_text
+from .errors import DataError, SchemaError, csv_rows, in_file, jsonl_line, jsonl_values, open_text
 from .ingest import (
     dump_commits_jsonl,
     dump_roster,
@@ -201,6 +201,8 @@ def _apply_config(args: argparse.Namespace) -> None:
         except ValueError as exc:
             # undecodable text, JSON and TOML syntax errors
             raise DataError(str(exc)) from None
+        except RecursionError:
+            raise DataError("nested too deeply") from None
         if not isinstance(overrides, dict):
             raise DataError("config must be a mapping")
         actions = {a.dest: a for a in args.subparser._actions if a.dest not in ("help", "config")}
@@ -326,13 +328,20 @@ def _read_tagged(path) -> list[tuple[str, CommitCategory]]:
     return _read_pairs(path, ("message", "category"), CommitCategory, keyed=False)
 
 
+# each category's name in labels.jsonl, to its scope code
+_SCOPE_OF_NAME = {category.value: code for category, code in teamfeat.SCOPE_CODE.items()}
+
+
 def _read_labels(path) -> dict[str, tuple[int, bool]]:
     """Each labelled sha's (scope code, pair-programming flag)."""
     labels = {}
     with open_text(path) as fh:
         for line, raw in jsonl_values(fh):
             try:
-                scope = teamfeat.SCOPE_CODE[CommitCategory(raw["category"])]
+                category = raw["category"]
+                scope = _SCOPE_OF_NAME.get(category) if type(category) is str else None
+                if scope is None:
+                    raise ValueError(f"{category!r} is not a valid CommitCategory")
                 pair, sha = raw["pair_programming"], raw["sha"]
                 duplicate = sha in labels
             except (KeyError, TypeError, ValueError) as exc:
@@ -519,12 +528,7 @@ def cmd_label_commits(args, outdir):
     labels_path = outdir / "labels.jsonl"
     with open(labels_path, "w", encoding="utf-8") as fh:
         for sha, category, pair in zip(table.sha, categories, pairs):
-            fh.write(
-                json.dumps(
-                    {"sha": sha, "category": category.value, "pair_programming": pair},
-                    sort_keys=True,
-                )
-            )
+            fh.write(jsonl_line({"sha": sha, "category": category.value, "pair_programming": pair}))
             fh.write("\n")
 
     distribution = commitcls.category_distribution(categories)
@@ -544,8 +548,8 @@ def cmd_features(args, outdir):
     with open(features_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["team_id"] + build.registry)
-        for team_id, row in zip(build.team_ids, build.raw):
-            writer.writerow([team_id] + [repr(float(v)) for v in row])
+        for team_id, row in zip(build.team_ids, build.raw.tolist()):
+            writer.writerow([team_id, *map(repr, row)])
     registry_path = outdir / "registry.json"
     registry_path.write_text(_registry_json() + "\n", encoding="utf-8")
     print(f"wrote {len(build.team_ids)}x{len(build.registry)} feature matrix to {features_path}")

@@ -1,4 +1,5 @@
-"""Exception types shared across the toolchain, and the readers of input text.
+"""Exception types shared across the toolchain, the readers of input text,
+and the writer of JSON Lines records.
 
 ``DataError`` covers everything caused by bad input data (malformed logs,
 schema violations, inconsistent rosters); callers that need a process exit
@@ -66,16 +67,41 @@ def open_text(path, newline=None):
             raise DataError(f"not UTF-8 text ({exc.reason})") from None
 
 
+# The C scanner behind json.loads, with the same hooks; called on a line
+# stripped of JSON whitespace, it reads what json.loads reads and skips only
+# json.loads's per-call set-up.
+_scan = json.JSONDecoder().scan_once
+_JSON_WHITESPACE = " \t\n\r"
+
+# one JSON Lines record, without its newline: ``json.dumps(value,
+# sort_keys=True)`` from one encoder instead of a new one per call
+jsonl_line = json.JSONEncoder(sort_keys=True).encode
+
+
 def jsonl_values(fh):
-    """(line, value) for each non-blank line of JSON Lines text."""
+    """(line, value) for each non-blank line of JSON Lines text, the value
+    being what ``json.loads`` reads from the line."""
     for line, text in enumerate(fh, start=1):
         if not text.strip():
             continue
+        body = text.strip(_JSON_WHITESPACE)
         try:
-            value = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", line=line) from None
+            value, end = _scan(body, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = None
+        if end != len(body):  # refused, or data after the value
+            value = _json_loads(text, line)
         yield line, value
+
+
+def _json_loads(text: str, line: int):
+    """``json.loads(text)``, a refusal raised as a ParseError at ``line``."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # JSON syntax, and integers over the digit limit
+        raise ParseError(f"invalid JSON: {exc}", line=line) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", line=line) from None
 
 
 def csv_rows(fh):

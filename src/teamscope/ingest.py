@@ -25,14 +25,13 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
-import json
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import AmbiguousAuthorError, ParseError, SchemaError, csv_rows, jsonl_values, open_text
+from .errors import AmbiguousAuthorError, ParseError, SchemaError, csv_rows, jsonl_line, jsonl_values, open_text
 
 COMMIT_HEADER_MARK = "\x01"
 GIT_LOG_COMMAND = (
@@ -243,7 +242,7 @@ def dump_commits_jsonl(commits: Iterable[CommitRecord], path) -> None:
     """Write commits to a JSONL file, one interchange record per line."""
     with open(path, "w", encoding="utf-8") as fh:
         for commit in commits:
-            fh.write(json.dumps(commit_to_json(commit), sort_keys=True))
+            fh.write(jsonl_line(commit_to_json(commit)))
             fh.write("\n")
 
 

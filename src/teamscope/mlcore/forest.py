@@ -64,7 +64,9 @@ class Tree:
         return {k: getattr(self, k).tolist() for k in _TREE_ARRAYS}
 
     @classmethod
-    def from_dict(cls, raw: dict, n_features: int) -> "Tree":
+    def from_dict(cls, raw: dict) -> "Tree":
+        """A tree whose arrays have one length; :meth:`ForestModel.from_dict`
+        checks how its nodes link."""
         tree = cls(
             feature=integers(raw["feature"], "tree feature"),
             threshold=numbers(raw["threshold"], "tree threshold"),
@@ -72,19 +74,8 @@ class Tree:
             right=integers(raw["right"], "tree right"),
             counts=integers(raw["counts"], "tree counts", pairs=True),
         )
-        # children after their parent keep every descent finite
         n = len(tree.feature)
-        nodes = np.arange(n)
-        split = tree.feature >= 0
-        if (
-            n == 0
-            or any(getattr(tree, k).shape[:1] != (n,) for k in _TREE_ARRAYS)
-            or np.any(tree.feature >= n_features)
-            or np.any(tree.left[split] <= nodes[split])
-            or np.any(tree.right[split] <= nodes[split])
-            or np.any(tree.left[split] >= n)
-            or np.any(tree.right[split] >= n)
-        ):
+        if n == 0 or any(getattr(tree, k).shape[:1] != (n,) for k in _TREE_ARRAYS):
             raise SchemaError("malformed tree: inconsistent node arrays")
         return tree
 
@@ -100,9 +91,26 @@ class ForestModel:
     @classmethod
     def from_dict(cls, raw: dict) -> "ForestModel":
         n_features = integer(raw["n_features"], "forest n_features")
-        trees = [Tree.from_dict(t, n_features) for t in raw["trees"]]
+        trees = [Tree.from_dict(t) for t in raw["trees"]]
         if not trees:
             raise SchemaError("forest has no trees")
+        # all trees' nodes at once: a split reads one of the columns, and its
+        # children come after it inside its tree, which keeps every descent finite
+        sizes = np.array([len(t.feature) for t in trees])
+        feature = np.concatenate([t.feature for t in trees])
+        split = feature >= 0
+        node = (np.arange(len(feature)) - np.repeat(np.cumsum(sizes) - sizes, sizes))[split]
+        end = np.repeat(sizes, sizes)[split]
+        left = np.concatenate([t.left for t in trees])[split]
+        right = np.concatenate([t.right for t in trees])[split]
+        if (
+            np.any(feature >= n_features)
+            or np.any(left <= node)
+            or np.any(right <= node)
+            or np.any(left >= end)
+            or np.any(right >= end)
+        ):
+            raise SchemaError("malformed tree: inconsistent node arrays")
         return cls(trees=trees, n_features=n_features)
 
 

@@ -81,6 +81,11 @@ def integer(value, name: str) -> int:
     return _listed([value], _INTEGER, name, "one JSON integer")[0]
 
 
+def string(value, name: str) -> str:
+    """A field holding one JSON string."""
+    return _listed([value], {str}, name, "one JSON string")[0]
+
+
 def numbers(value, name: str) -> np.ndarray:
     """A field holding a list of JSON numbers, as a float64 array."""
     return np.array(_listed(value, _NUMBER, name, "JSON numbers"), dtype=np.float64)
@@ -109,6 +114,8 @@ def load_model(path, expected_kind: str) -> dict:
         except ValueError as exc:
             # undecodable bytes, and JSON syntax errors such as a truncated file
             raise SchemaError(f"not a {FORMAT_NAME} file ({exc})") from None
+        except RecursionError:
+            raise SchemaError(f"not a {FORMAT_NAME} file (nested too deeply)") from None
         if not isinstance(raw, dict) or raw.get("format") != FORMAT_NAME:
             raise SchemaError(f"not a {FORMAT_NAME} file")
         if raw.get("version") != FORMAT_VERSION:

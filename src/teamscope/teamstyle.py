@@ -46,7 +46,7 @@ from .mlcore import (
     train_forest,
     train_logreg,
 )
-from .mlcore.serialize import integers, numbers
+from .mlcore.serialize import integers, numbers, string
 from .teamfeat import REGISTRY, REGISTRY_VERSION, MatrixBuild, build_matrix
 
 
@@ -174,8 +174,9 @@ class TeamStyleModel:
                 f"{raw['registry_version']!r}, this teamscope extracts version "
                 f"{REGISTRY_VERSION!r}; retrain the model"
             )
-        if raw["algorithm"] not in STAGE_MODELS:
-            raise SchemaError(f"unknown algorithm {raw['algorithm']!r}")
+        algorithm = string(raw["algorithm"], "algorithm")
+        if algorithm not in STAGE_MODELS:
+            raise SchemaError(f"unknown algorithm {algorithm!r}")
         if len(raw["stages"]) != len(STAGE_ORDER):
             raise SchemaError(
                 f"expected {len(STAGE_ORDER)} stages ({', '.join(s.value for s in STAGE_ORDER)}), "
@@ -185,7 +186,7 @@ class TeamStyleModel:
         stds = numbers(raw["stds"], "stds")
         if stds.shape != means.shape:
             raise SchemaError("means and stds must be lists of numbers of one length")
-        model_cls = STAGE_MODELS[raw["algorithm"]]
+        model_cls = STAGE_MODELS[algorithm]
         stages = []
         for style, s in zip(STAGE_ORDER, raw["stages"]):
             model = model_cls.from_dict(s["model"])
@@ -198,7 +199,7 @@ class TeamStyleModel:
                 )
             stages.append(StyleStage(selected=selected.tolist(), model=model))
         return cls(
-            algorithm=raw["algorithm"],
+            algorithm=algorithm,
             stages=stages,
             means=means,
             stds=stds,

@@ -437,11 +437,13 @@ _STAGE_COUNT = "altered.json: expected 3 stages (SoloSubmit, Cooperative, Collab
         (_first_split("right", 2.0), "altered.json: tree right must hold JSON integers, got 2.0"),
         (_first_split("counts", False, column=0), "altered.json: tree counts must hold JSON integers, got False"),
         (_logistic([0.1, 0.2]), "altered.json: bias must hold one JSON number, got [0.1, 0.2]"),
+        (lambda raw: raw["model"].update(algorithm=["forest"]),
+         "altered.json: algorithm must hold one JSON string, got ['forest']"),
     ],
     ids=["format-v1", "foreign-registry", "narrow-means", "unknown-algorithm", "algorithm-model_type-mismatch",
          "no-stages", "two-stages", "nan-mean", "string-mean", "boolean-column", "number-selected",
          "n_features-float", "split-feature-boolean", "split-feature-float", "split-right-float",
-         "split-counts-boolean", "logistic-list-bias"],
+         "split-counts-boolean", "logistic-list-bias", "list-algorithm"],
 )
 @pytest.mark.parametrize("command", ["predict", "flag"])
 def test_unfit_model_is_data_error(team_model, tmp_path, capsys, command, alter, message):
@@ -609,6 +611,8 @@ def test_non_json_label_line_is_data_error(tmp_path, capsys):
 
 # a field over the csv module's limit of 131,072 characters
 _LONG = "x" * 200_000
+# JSON nested deeper than the interpreter's recursion limit
+_DEEP = 200_000
 BAD_INPUT = [
     # argv ({data}/{tagged}: a labeled corpus and its tagged CSV), a file written for the
     # run (passed as --config, or where {file} stands), exit code, stderr
@@ -665,6 +669,10 @@ BAD_INPUT = [
      "stopwords.txt line 3: word 'Foo' is not lowercase"),
     (["train-commits", "--tagged", "{tagged}", "--english-words", "{file}"], ("english.txt", "# words\nFix\n"), 2,
      "english.txt line 2: word 'Fix' is not lowercase"),
+    (["eval-commits", "--tagged", "{tagged}", "--config", "{file}"], ("deep.json", "[" * _DEEP), 2,
+     "deep.json: nested too deeply"),
+    (["eval-commits", "--tagged", "{tagged}", "--config", "{file}"], ("deep.toml", "folds = " + "[" * _DEEP), 2,
+     "deep.toml: nested too deeply"),
 ]
 
 
@@ -811,6 +819,15 @@ UNREADABLE = {
                              "history.gitlog line 1: content before first commit header"),
     "gitlog-bad-numstat": ("history.gitlog", lambda data: data + b"x\t1\tsrc/B.java\n", _GITLOG,
                            "history.gitlog line 3: malformed numstat line: 'x\\t1\\tsrc/B.java'"),
+    "commit-nested-deep": ("corpus/commits.jsonl", lambda data: b"[" * _DEEP + b"\n" + data, _FEATURES,
+                           "commits.jsonl line 1: invalid JSON: nested too deeply"),
+    "labels-nested-deep": ("corpus/labels.jsonl",
+                           lambda data: data.replace(b"\n", b'\n{"sha": ' + b"[" * _DEEP + b"\n", 1),
+                           _FEATURES, "labels.jsonl line 2: invalid JSON: nested too deeply"),
+    "model-nested-deep": ("corpus/models/teams_forest.json", lambda data: b"[" * _DEEP, _PREDICT,
+                          "teams_forest.json: not a teamscope-model file (nested too deeply)"),
+    "commit-int-too-long": ("corpus/commits.jsonl", lambda data: b'{"ts": ' + b"1" * 5000 + b"}\n" + data,
+                            _FEATURES, "commits.jsonl line 1: invalid JSON: Exceeds the limit (4300 digits)"),
 }
 
 

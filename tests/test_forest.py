@@ -173,7 +173,7 @@ def _assert_matches_reference(X, y, n_trees, seed):
     model = train_forest(X, y, n_trees=n_trees, seed=seed)
     trees, classes, importances = oracle_forest.train_forest(X, y, n_trees, seed)
     assert classes == [0, 1]
-    expected = [Tree.from_dict(oracle_forest.flatten(t), X.shape[1]) for t in trees]
+    expected = [Tree.from_dict(oracle_forest.flatten(t)) for t in trees]
     assert model.trees == expected
     # the oracle sums each split's decrease as it grows the tree; the model reads them from the counts
     total = importances.sum()
@@ -251,4 +251,19 @@ def test_malformed_tree_is_schema_error(change):
     assert raw["trees"][0]["feature"] == [0, -1, -1]
     raw["trees"][0].update(change)
     with pytest.raises(SchemaError):
+        ForestModel.from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "tree, change",
+    [(0, {"right": [3, -1, -1]}), (1, {"right": [3, -1, -1]}), (1, {"feature": [1, -1, -1]})],
+)
+def test_children_are_checked_within_their_own_tree(tree, change):
+    # the trees are checked on concatenated arrays: a child must stay inside
+    # its own tree, not only inside the forest's nodes
+    X = np.array([[0.0], [1.0]])
+    raw = train_forest(X, [0, 1], n_trees=2, seed=1).to_dict()
+    assert [t["feature"] for t in raw["trees"]] == [[0, -1, -1]] * 2
+    raw["trees"][tree].update(change)
+    with pytest.raises(SchemaError, match="malformed tree: inconsistent node arrays"):
         ForestModel.from_dict(raw)
