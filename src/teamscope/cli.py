@@ -11,8 +11,13 @@ error, 3 internal error.
 ``main`` is the one driver: it parses the command line, applies
 ``--config``, creates the output directory and writes the manifest. A
 ``cmd_*`` function computes and writes its own files, then returns its
-manifest's command-specific config, inputs and outputs (or ``None`` when it
-writes nothing).
+manifest's command-specific config, inputs and outputs, and the digests of
+the inputs it already hashed (or ``None`` when it writes nothing).
+
+The commands that read a dataset's feature matrix take the one that
+``features`` wrote while ``manifest_features.json`` still records the
+sha256 of the dataset files and of the files read (see
+:func:`_recorded_matrix`); ``features`` itself always computes it.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -229,7 +235,11 @@ def _apply_config(args: argparse.Namespace) -> None:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return _digest(path.read_bytes())
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def _outdir(args) -> Path | None:
@@ -244,12 +254,17 @@ def _outdir(args) -> Path | None:
     return outdir
 
 
-def _write_manifest(outdir: Path, args, config: dict, inputs: dict, outputs: list[Path]) -> None:
+def _write_manifest(
+    outdir: Path, args, config: dict, inputs: dict, outputs: list[Path], digests: dict | None = None
+) -> None:
+    """``inputs`` are paths hashed here; ``digests`` are the sha256 of inputs the command hashed."""
+    hashed = {name: _sha256(Path(p)) for name, p in inputs.items()}
+    hashed.update(digests or {})
     manifest = {
         "command": args.command,
         "version": __version__,
         "config": {"seed": args.seed, **config},
-        "inputs": {name: _sha256(Path(p)) for name, p in sorted(inputs.items())},
+        "inputs": dict(sorted(hashed.items())),
         "outputs": {p.name: _sha256(p) for p in sorted(outputs)},
     }
     path = outdir / f"manifest_{args.command}.json"
@@ -337,39 +352,98 @@ def _read_labels(path) -> dict[str, tuple[int, bool]]:
     labels = {}
     with open_text(path) as fh:
         for line, raw in jsonl_values(fh):
+            if not isinstance(raw, dict):
+                raise DataError("not a JSON object", line=line)
             try:
                 category = raw["category"]
                 scope = _SCOPE_OF_NAME.get(category) if type(category) is str else None
                 if scope is None:
                     raise ValueError(f"{category!r} is not a valid CommitCategory")
                 pair, sha = raw["pair_programming"], raw["sha"]
-                duplicate = sha in labels
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, ValueError) as exc:
                 raise DataError(str(exc), line=line) from None
+            if type(sha) is not str:
+                raise DataError(f"sha must be a string, got {sha!r}", line=line)
             if type(pair) is not bool:
                 raise DataError(f"pair_programming must be true or false, got {pair!r}", line=line)
-            if duplicate:
+            if sha in labels:
                 raise DataError(f"duplicate sha {sha}", line=line)
             labels[sha] = (scope, pair)
     return labels
 
 
-def _load_dataset(data_dir):
-    """The dataset's feature matrix and the dataset files read, by manifest name.
+# the dataset files a feature matrix is computed from, by manifest name
+_DATASET_FILES = {"commits": "commits.jsonl", "roster": "roster.csv", "labels": "labels.jsonl"}
 
-    Each file is read once: the commits into a column table, whose authors
-    locate each commit's team row and member slot, and the labels joined to
-    the commits on a team by sha.
+
+def _load_dataset(data_dir, reuse: bool = True):
+    """The dataset's feature matrix and the sha256 of each dataset file, by manifest name.
+
+    With ``reuse``, the matrix that ``features`` recorded in the directory is
+    taken while it is still current (:func:`_recorded_matrix`); otherwise, and
+    on any miss, it is computed from the files.
     """
     data = Path(data_dir)
-    inputs = {
-        "commits": data / "commits.jsonl",
-        "roster": data / "roster.csv",
-        "labels": data / "labels.jsonl",
+    files = {name: data / file for name, file in _DATASET_FILES.items()}
+    try:
+        digests = {name: _sha256(path) for name, path in files.items()}
+    except OSError:
+        _compute_matrix(files)  # refuses the unreadable file with its usual message
+        raise
+    matrix = _recorded_matrix(data, digests) if reuse else None
+    if matrix is None:
+        matrix = _compute_matrix(files)
+    return matrix, digests
+
+
+def _recorded_matrix(data: Path, digests: dict) -> teamfeat.FeatureMatrix | None:
+    """The matrix in ``data/features.csv`` while ``manifest_features.json`` vouches for it, else None.
+
+    A verifying trace: the manifest must be this version's ``features``
+    manifest, its inputs ``digests`` (the dataset files' sha256 now) and its
+    outputs the sha256 of the ``features.csv`` and ``registry.json`` bytes
+    read here. ``registry.json`` must be this registry's, and the CSV a
+    finite matrix under its columns. A missing, unreadable or malformed file
+    is a miss like any other.
+    """
+    try:
+        manifest = json.loads((data / "manifest_features.json").read_bytes())
+        table = (data / "features.csv").read_bytes()
+        registry = (data / "registry.json").read_bytes()
+    except (OSError, ValueError, RecursionError):
+        return None
+    recorded = {
+        "command": "features",
+        "version": __version__,
+        "inputs": digests,
+        "outputs": {"features.csv": _digest(table), "registry.json": _digest(registry)},
     }
-    table = load_commit_table(inputs["commits"])
-    roster = load_roster(inputs["roster"])
-    labels = _read_labels(inputs["labels"])
+    if not isinstance(manifest, dict) or any(manifest.get(k) != v for k, v in recorded.items()):
+        return None
+    if registry != (_registry_json() + "\n").encode("utf-8"):
+        return None
+    try:
+        header, *rows = csv.reader(io.StringIO(table.decode("utf-8"), newline=""))
+        if header != ["team_id", *teamfeat.REGISTRY] or not rows or any(len(r) != len(header) for r in rows):
+            return None
+        raw = np.array([[float(v) for v in row[1:]] for row in rows], dtype=np.float64)
+    except (ValueError, csv.Error):
+        return None
+    if not np.isfinite(raw).all():
+        return None
+    return teamfeat.FeatureMatrix([row[0] for row in rows], teamfeat.REGISTRY, raw)
+
+
+def _compute_matrix(files: dict[str, Path]) -> teamfeat.MatrixBuild:
+    """The feature matrix of the dataset ``files``, each read once.
+
+    The commits go into a column table, whose authors locate each commit's
+    team row and member slot, and the labels are joined to the commits on a
+    team by sha.
+    """
+    table = load_commit_table(files["commits"])
+    roster = load_roster(files["roster"])
+    labels = _read_labels(files["labels"])
     team_row, slot = locate_authors(table.author, roster)
     on_team = np.flatnonzero(team_row >= 0)
     joined = [labels.get(table.sha[i]) for i in on_team.tolist()]
@@ -377,10 +451,10 @@ def _load_dataset(data_dir):
         # name the first unlabelled commit in roster order, then file order
         missing = [i for i, label in zip(on_team.tolist(), joined) if label is None]
         row, first = min((team_row[i], i) for i in missing)
-        with in_file(inputs["labels"]):
+        with in_file(files["labels"]):
             raise DataError(f"no label for commit {table.sha[first]} (team {roster[row].team_id})")
     scope, pair = np.array(joined, dtype=np.int64).reshape(-1, 2).T
-    build = teamfeat.matrix_from_columns(
+    return teamfeat.matrix_from_columns(
         roster,
         team_row[on_team],
         slot[on_team],
@@ -391,20 +465,20 @@ def _load_dataset(data_dir):
         table.files[on_team],
         table.msg_len[on_team],
     )
-    return build, inputs
 
 
 def _load_styled_dataset(args):
-    """The feature matrix, each team's style (``--styles`` or the rubric oracle), and the inputs read."""
-    build, inputs = _load_dataset(args.data)
+    """The feature matrix, each team's style (``--styles`` or the rubric oracle), and
+    the dataset files' digests; plus the styles file when given, as a manifest input."""
+    build, digests = _load_dataset(args.data)
     if not args.styles:
-        return build, teamstyle.oracle_labels(build), inputs
+        return build, teamstyle.oracle_labels(build), {}, digests
     with in_file(args.styles):
         styles = dict(_read_pairs(args.styles, ("team_id", "style"), TeamStyle))
         missing = [t for t in build.team_ids if t not in styles]
         if missing:
             raise DataError(f"styles file lacks entries for teams: {missing[:5]}")
-    return build, [styles[t] for t in build.team_ids], {**inputs, "styles": args.styles}
+    return build, [styles[t] for t in build.team_ids], {"styles": args.styles}, digests
 
 
 def _report_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -543,7 +617,8 @@ def _count_distinct(messages) -> int:
 
 
 def cmd_features(args, outdir):
-    build, inputs = _load_dataset(args.data)
+    # the producer of the recorded matrix: it never reads its own earlier output
+    build, digests = _load_dataset(args.data, reuse=False)
     features_path = outdir / "features.csv"
     with open(features_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -555,24 +630,25 @@ def cmd_features(args, outdir):
     print(f"wrote {len(build.team_ids)}x{len(build.registry)} feature matrix to {features_path}")
     return (
         {"teams": len(build.team_ids), "columns": len(build.registry)},
-        inputs,
+        {},
         [features_path, registry_path],
+        digests,
     )
 
 
 def cmd_train_teams(args, outdir):
-    build, styles, inputs = _load_styled_dataset(args)
+    build, styles, inputs, digests = _load_styled_dataset(args)
     model = teamstyle.train_team_model(
         build.raw, styles, algorithm=args.algorithm, k_features=args.k_features, seed=args.seed
     )
     model_path = outdir / f"teams_{args.algorithm}.json"
     save_model(model_path, "teamstyle", model.to_dict())
     print(f"trained {args.algorithm} team-style model -> {model_path}")
-    return {"algorithm": args.algorithm, "k_features": args.k_features}, inputs, [model_path]
+    return {"algorithm": args.algorithm, "k_features": args.k_features}, inputs, [model_path], digests
 
 
 def cmd_eval_teams(args, outdir):
-    build, styles, inputs = _load_styled_dataset(args)
+    build, styles, inputs, digests = _load_styled_dataset(args)
     result = teamstyle.evaluate_team_model(
         build.raw,
         styles,
@@ -603,11 +679,11 @@ def cmd_eval_teams(args, outdir):
         "k_features": args.k_features,
         "format": args.format,
     }
-    return config, inputs, [report_path]
+    return config, inputs, [report_path], digests
 
 
 def cmd_predict(args, outdir):
-    build, inputs = _load_dataset(args.data)
+    build, digests = _load_dataset(args.data)
     model = _read_model(args.model, "teamstyle", teamstyle.TeamStyleModel)
     predictions = teamstyle.predict_style_with_confidence(model, build.raw)
     predictions_path = outdir / "predictions.csv"
@@ -617,11 +693,11 @@ def cmd_predict(args, outdir):
         for team_id, (style, confidence) in zip(build.team_ids, predictions):
             writer.writerow([team_id, style.value, repr(confidence)])
     print(f"wrote predictions for {len(build.team_ids)} teams to {predictions_path}")
-    return {}, {"model": args.model, **inputs}, [predictions_path]
+    return {}, {"model": args.model}, [predictions_path], digests
 
 
 def cmd_flag(args, outdir):
-    build, inputs = _load_dataset(args.data)
+    build, digests = _load_dataset(args.data)
     model = _read_model(args.model, "teamstyle", teamstyle.TeamStyleModel)
     flags = teamstyle.flag_solo_submitters(model, build.raw, build.team_ids)
     flags_path = outdir / "flags.json"
@@ -636,7 +712,7 @@ def cmd_flag(args, outdir):
     ]
     flags_path.write_text(canonical_json(payload) + "\n", encoding="utf-8")
     print(f"flagged {len(flags)} team(s) as solo-submit -> {flags_path}")
-    return {}, {"model": args.model, **inputs}, [flags_path]
+    return {}, {"model": args.model}, [flags_path], digests
 
 
 def cmd_kappa(args, outdir) -> None:

@@ -93,12 +93,18 @@ class TeamFeatureVector:
 
 
 @dataclass
-class MatrixBuild:
-    """The raw feature matrix, one row per team, and each row's (user 0, user 1)."""
+class FeatureMatrix:
+    """The raw feature matrix, one row per team, under the registry's columns."""
 
     team_ids: list[str]
     registry: list[str]
     raw: np.ndarray
+
+
+@dataclass
+class MatrixBuild(FeatureMatrix):
+    """A computed feature matrix and each row's (user 0, user 1)."""
+
     users: list[tuple[str, str]]
 
 

@@ -47,7 +47,7 @@ from .mlcore import (
     train_logreg,
 )
 from .mlcore.serialize import integers, numbers, string
-from .teamfeat import REGISTRY, REGISTRY_VERSION, MatrixBuild, build_matrix
+from .teamfeat import REGISTRY, REGISTRY_VERSION, FeatureMatrix, build_matrix
 
 
 class TeamStyle(str, enum.Enum):
@@ -83,7 +83,7 @@ LOGISTIC_DEFAULT_K = 26
 STAGE_MODELS = {"forest": ForestModel, "logistic_rfe": LogisticModel}
 
 
-def oracle_labels(build: MatrixBuild) -> list[TeamStyle]:
+def oracle_labels(build: FeatureMatrix) -> list[TeamStyle]:
     """Apply the contribution-share rubric to every row of a feature matrix.
 
     A rubric part is active when both users together churned at least

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import random
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from teamscope import cli
 from teamscope.cli import main
 from teamscope.errors import SchemaError
 from teamscope.ingest import load_commits_jsonl
@@ -828,6 +830,14 @@ UNREADABLE = {
                           "teams_forest.json: not a teamscope-model file (nested too deeply)"),
     "commit-int-too-long": ("corpus/commits.jsonl", lambda data: b'{"ts": ' + b"1" * 5000 + b"}\n" + data,
                             _FEATURES, "commits.jsonl line 1: invalid JSON: Exceeds the limit (4300 digits)"),
+    "labels-list-line": ("corpus/labels.jsonl", lambda data: b"[1, 2]\n" + data, _FEATURES,
+                         "labels.jsonl line 1: not a JSON object"),
+    "labels-string-line": ("corpus/labels.jsonl", lambda data: b'\n"sha"\n' + data, _FEATURES,
+                           "labels.jsonl line 2: not a JSON object"),
+    "labels-sha-int": ("corpus/labels.jsonl", _first_commit(sha=5), _FEATURES,
+                       "labels.jsonl line 1: sha must be a string, got 5"),
+    "labels-sha-list": ("corpus/labels.jsonl", _first_commit(sha=["x"]), _FEATURES,
+                        "labels.jsonl line 1: sha must be a string, got ['x']"),
 }
 
 
@@ -939,3 +949,233 @@ def test_boolean_timestamp_or_line_count_is_a_schema_error(team_model, field, fl
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(SchemaError, match=f"line {i + 1}: "):
             load_commits_jsonl(path)
+
+
+# --- predict, flag, train-teams and eval-teams reuse a current features.csv ----
+
+# what predict and flag write
+_APPLIED = ("predictions.csv", "flags.json", "manifest_predict.json", "manifest_flag.json")
+
+
+@pytest.fixture
+def loads(monkeypatch):
+    """The path of each ``load_commit_table`` call the CLI makes: the matrix was computed."""
+    calls = []
+    real = cli.load_commit_table
+
+    def counted(path):
+        calls.append(path)
+        return real(path)
+
+    monkeypatch.setattr(cli, "load_commit_table", counted)
+    return calls
+
+
+def _apply(data: Path, model: Path, out: Path, capsys) -> tuple:
+    """predict then flag on ``data``: (exit codes, stderr, the bytes of what they wrote)."""
+    codes = [main([cmd, "--model", str(model), "--data", str(data), "--out", str(out)]) for cmd in ("predict", "flag")]
+    written = {name: (out / name).read_bytes() for name in _APPLIED if (out / name).exists()}
+    return codes, capsys.readouterr().err, written
+
+
+def _computed(data: Path, model: Path, out: Path, capsys) -> tuple:
+    """What :func:`_apply` gives on a copy of ``data`` without a features manifest,
+    its messages naming ``data``."""
+    bare = out.with_name(out.name + "_bare")
+    shutil.copytree(data, bare)
+    (bare / "manifest_features.json").unlink(missing_ok=True)
+    codes, err, written = _apply(bare, model, out.with_name(out.name + "_computed"), capsys)
+    return codes, err.replace(str(bare), str(data)), written
+
+
+@pytest.fixture
+def featured(team_model, tmp_path, capsys):
+    """A copy of the labeled corpus on which ``features`` ran."""
+    corpus, _ = team_model
+    data = tmp_path / "data"
+    shutil.copytree(corpus, data)
+    assert main(["features", "--data", str(data)]) == 0
+    capsys.readouterr()
+    return data
+
+
+def test_current_recorded_matrix_is_reused(team_model, featured, loads, tmp_path, capsys):
+    _, model = team_model
+    reused = _apply(featured, model, tmp_path / "out", capsys)
+    assert loads == [] and reused[0] == [0, 0]
+    assert reused == _computed(featured, model, tmp_path / "out", capsys)
+    assert len(loads) == 2  # the copy without a manifest computed it, once per command
+
+
+def _rewrite_manifest(**fields):
+    def alter(data: Path) -> None:
+        path = data / "manifest_features.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), **fields}), encoding="utf-8")
+
+    return alter
+
+
+def _forge_digest(data: Path, name: str) -> None:
+    """Record the sha256 of ``name`` as it is now in the features manifest."""
+    manifest = json.loads((data / "manifest_features.json").read_text())
+    manifest["outputs"][name] = hashlib.sha256((data / name).read_bytes()).hexdigest()
+    (data / "manifest_features.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def _edit_features(edit, forge=False, rows=1):
+    """An alteration that edits the first ``rows`` team rows of features.csv with
+    ``edit``; with ``forge``, the manifest then records the edited file's sha256."""
+
+    def alter(data: Path) -> None:
+        path = data / "features.csv"
+        header, *lines = path.read_bytes().decode("utf-8").split("\r\n")
+        lines[:rows] = map(edit, lines[:rows])
+        path.write_bytes("\r\n".join([header, *lines]).encode("utf-8"))
+        if forge:
+            _forge_digest(data, "features.csv")
+
+    return alter
+
+
+def _other_registry(data: Path) -> None:
+    path = data / "registry.json"
+    path.write_text(path.read_text(encoding="utf-8").replace('"version": "1"', '"version": "0"'), encoding="utf-8")
+    _forge_digest(data, "registry.json")
+
+
+def _bump_first_value(row: str) -> str:
+    team_id, value, rest = row.split(",", 2)
+    return f"{team_id},{int(value[0]) + 1 if value[0] != '9' else 8}{value[1:]},{rest}"
+
+
+def _nan_first_value(row: str) -> str:
+    team_id, _, rest = row.split(",", 2)
+    return f"{team_id},nan,{rest}"
+
+
+def _relabel_first(data: Path) -> None:
+    path = data / "labels.jsonl"
+    first, rest = path.read_text(encoding="utf-8").split("\n", 1)
+    label = json.loads(first)
+    label["category"] = "Documentation" if label["category"] != "Documentation" else "Test"
+    path.write_text(json.dumps(label) + "\n" + rest, encoding="utf-8")
+
+
+STALE = {
+    "labels-edited": _relabel_first,
+    "features-digit": _edit_features(_bump_first_value),
+    "registry-deleted": lambda data: (data / "registry.json").unlink(),
+    "other-command": _rewrite_manifest(command="predict"),
+    "other-version": _rewrite_manifest(version="0.0.0"),
+    "manifest-not-json": lambda data: (data / "manifest_features.json").write_text("{oops", encoding="utf-8"),
+    "forged-nan": _edit_features(_nan_first_value, forge=True),
+    "forged-short-row": _edit_features(lambda row: row.rsplit(",", 1)[0], forge=True),
+    "forged-short-rows": _edit_features(lambda row: row.rsplit(",", 1)[0], forge=True, rows=_TEAMS),
+    "forged-registry": _other_registry,
+}
+
+
+@pytest.mark.parametrize("alter", STALE.values(), ids=STALE.keys())
+def test_stale_recorded_matrix_is_computed_again(team_model, featured, loads, tmp_path, capsys, alter):
+    _, model = team_model
+    alter(featured)
+    applied = _apply(featured, model, tmp_path / "out", capsys)
+    assert len(loads) == 2 and applied[0] == [0, 0]
+    assert applied == _computed(featured, model, tmp_path / "out", capsys)
+
+
+def test_removed_label_after_features_is_refused_as_before(team_model, featured, loads, tmp_path, capsys):
+    _, model = team_model
+    path = featured / "labels.jsonl"
+    path.write_bytes(path.read_bytes().split(b"\n", 1)[1])
+    applied = _apply(featured, model, tmp_path / "out", capsys)
+    assert applied[0] == [2, 2] and applied[2] == {} and len(loads) == 2
+    assert applied[1].count("labels.jsonl: no label for commit ") == 2
+    assert applied == _computed(featured, model, tmp_path / "out", capsys)
+
+
+def test_features_written_elsewhere_is_not_reused(team_model, tmp_path, loads, capsys):
+    corpus, model = team_model
+    data = tmp_path / "data"
+    shutil.copytree(corpus, data)
+    assert main(["features", "--data", str(data), "--out", str(tmp_path / "elsewhere")]) == 0
+    assert len(loads) == 1  # features computes
+    applied = _apply(data, model, tmp_path / "out", capsys)
+    assert len(loads) == 3 and applied[0] == [0, 0]
+    assert applied == _computed(data, model, tmp_path / "out", capsys)
+
+
+def test_features_always_computes(featured, loads):
+    before = {name: (featured / name).read_bytes() for name in ("features.csv", "registry.json")}
+    assert main(["features", "--data", str(featured)]) == 0
+    assert len(loads) == 1
+    assert before == {name: (featured / name).read_bytes() for name in before}
+
+
+def _pipeline(corpus: Path, work: Path, with_features: bool) -> dict:
+    """Every file a labeled corpus's team-style pipeline writes, by path under ``work``."""
+    data = work / "data"
+    shutil.copytree(corpus, data)
+    steps = [["features", "--data", str(data)]] if with_features else []
+    for algorithm in ("forest", "logistic_rfe"):
+        steps.append(["train-teams", "--data", str(data), "--algorithm", algorithm, "--seed", "3"])
+    for fmt in ("json", "csv"):
+        steps.append(["eval-teams", "--data", str(data), "--folds", "3", "--seed", "3", "--format", fmt,
+                      "--out", str(work / "reports")])
+    for command in ("predict", "flag"):
+        steps.append([command, "--model", str(data / "models" / "teams_forest.json"), "--data", str(data)])
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in steps:
+            assert main(argv) == 0, argv
+    return {str(p.relative_to(work)): p.read_bytes() for p in sorted(work.rglob("*")) if p.is_file()}
+
+
+def test_pipeline_writes_the_same_bytes_with_or_without_features(team_model, tmp_path, loads):
+    corpus, _ = team_model
+    computed = _pipeline(corpus, tmp_path / "computed", with_features=False)
+    assert len(loads) == 6
+    reused = _pipeline(corpus, tmp_path / "reused", with_features=True)
+    assert len(loads) == 7  # only features read the commits
+    for name in ("features.csv", "registry.json", "manifest_features.json"):
+        del reused[f"data/{name}"]
+    assert reused == computed
+
+
+@settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(copies=[0], at=[0], author="stranger")
+@given(
+    copies=st.lists(st.integers(0, 10_000), min_size=1, max_size=6),
+    at=st.lists(st.integers(0, 10_000), min_size=6, max_size=6),
+    author=st.sampled_from(["stranger", "NoBody@Elsewhere.edu", "s000", ""]),
+)
+def test_commits_no_member_claims_change_only_the_unmatched_count(
+    team_model, cascade_model, tmp_path_factory, copies, at, author
+):
+    corpus, model = team_model
+    lines = (corpus / "commits.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    extended = list(lines)
+    for n, (i, where) in enumerate(zip(copies, at)):
+        commit = json.loads(lines[i % len(lines)])
+        commit.update(author=author, sha=f"{n:040x}")
+        extended.insert(where % (len(extended) + 1), json.dumps(commit) + "\n")
+    results = []
+    work = tmp_path_factory.mktemp("unclaimed")
+    for name, text in (("base", lines), ("extended", extended)):
+        source = work / f"{name}.jsonl"
+        source.write_text("".join(text), encoding="utf-8")
+        data = work / name
+        steps = [
+            ["ingest", "--jsonl", str(source), "--roster", str(corpus / "roster.csv"), "--out", str(data)],
+            ["label-commits", "--model", str(cascade_model), "--data", str(data)],
+            ["features", "--data", str(data)],
+            ["predict", "--model", str(model), "--data", str(data)],
+            ["flag", "--model", str(model), "--data", str(data)],
+        ]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert [main(argv) for argv in steps] == [0] * len(steps)
+        ingest = json.loads((data / "manifest_ingest.json").read_text())["config"]
+        results.append((ingest, [(data / n).read_bytes() for n in ("features.csv", "predictions.csv", "flags.json")]))
+    (base, base_files), (extended_config, extended_files) = results
+    assert base == {"seed": 0, "unmatched": 0}
+    assert extended_config == {"seed": 0, "unmatched": len(copies)}
+    assert extended_files == base_files
