@@ -5,14 +5,17 @@ Datasets are directories with conventional file names (``commits.jsonl``,
 stay decoupled. Every command writes a ``manifest_<command>.json`` beside
 its outputs recording the effective configuration, seed, and content
 digests of inputs and outputs; reruns with identical inputs and seed
-produce byte-identical files. Exit codes: 0 success, 1 usage error, 2 data
-error, 3 internal error.
+produce byte-identical files (model files only under the same BLAS build
+and thread count). Exit codes: 0 success, 1 usage error, 2 data error, 3
+internal error.
 
 ``main`` is the one driver: it parses the command line, applies
-``--config``, creates the output directory and writes the manifest. A
-``cmd_*`` function computes and writes its own files, then returns its
-manifest's command-specific config, inputs and outputs, and the digests of
-the inputs it already hashed (or ``None`` when it writes nothing).
+``--config``, hashes the input files the command declares, creates the
+output directory, runs the command and writes the manifest. A ``cmd_*``
+function parses each input once, writes its own files and returns its
+manifest's command-specific config and outputs (``None`` when it writes
+nothing). Hashing before parsing records the bytes that were read, even
+when an output overwrites an input.
 
 The commands that read a dataset's feature matrix take the one that
 ``features`` wrote while ``manifest_features.json`` still records the
@@ -27,6 +30,8 @@ import csv
 import hashlib
 import io
 import json
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -57,10 +62,11 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         _apply_config(args)
+        digests = {name: _input_digest(path) for name, path in _inputs(args).items()}
         outdir = _outdir(args)
-        manifest = args.func(args, outdir)
+        manifest = args.func(args, outdir, digests)
         if manifest is not None:
-            _write_manifest(outdir, args, *manifest)
+            _write_manifest(outdir, args, digests, *manifest)
         return 0
     except (DataError, OSError) as exc:
         # bad content and unreadable/missing inputs are both data problems
@@ -91,6 +97,10 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
         if action.default is None:
             return action.help
         return super()._get_help_string(action)
+
+
+# the dataset files a feature matrix is computed from, by manifest name
+_DATASET_FILES = {"commits": "commits.jsonl", "roster": "roster.csv", "labels": "labels.jsonl"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -125,8 +135,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     style_model.add_argument("--styles", help="CSV team_id,style (default: rubric oracle labels)")
 
-    def add(name, help_text, func, *parents, out=None):
-        """A subcommand; ``out`` is its default output directory, where "{data}" stands for --data."""
+    def add(name, help_text, func, *parents, out=None, reads=()):
+        """A subcommand; ``out`` is its default output directory, where "{data}" stands for
+        --data, and ``reads`` names the files its manifest records (see :func:`_inputs`)."""
         p = sub.add_parser(
             name,
             help=help_text,
@@ -136,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if out is not None:
             shown = out.replace("{data}", "DATA")
             p.add_argument("--out", help=f"output directory (default: {shown})")
-        p.set_defaults(func=func, default_out=out, subparser=p)
+        p.set_defaults(func=func, default_out=out, reads=reads, subparser=p)
         return p
 
     p = add("synth", "generate a synthetic corpus", cmd_synth, out="synth_corpus")
@@ -146,37 +157,39 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--commits", default="35,75", help="per-team commit count range LO,HI")
     p.add_argument("--pair-rate", type=float, default=0.05, help="pair-programming mention rate")
 
-    p = add("ingest", "normalize a git log or jsonl export into a dataset", cmd_ingest, out="dataset")
+    p = add("ingest", "normalize a git log or jsonl export into a dataset", cmd_ingest,
+            out="dataset", reads=("gitlog", "jsonl", "roster"))
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--gitlog", help="output of the fixed git log export command")
     src.add_argument("--jsonl", help="commit interchange file")
     p.add_argument("--roster", required=True, help="roster CSV path")
 
     p = add("train-commits", "train the commit classification cascade", cmd_train_commits,
-            tagged, out="models")
+            tagged, out="models", reads=("tagged", "english_words", "domain_words", "stopwords"))
     p.add_argument("--english-words", help="override the bundled English word list")
     p.add_argument("--domain-words", help="override the bundled domain word list")
     p.add_argument("--stopwords", help="override the bundled stopword list")
 
     add("eval-commits", "cross-validate the cascade on tagged messages", cmd_eval_commits,
-        tagged, evaluation, out="reports")
+        tagged, evaluation, out="reports", reads=("tagged",))
 
     p = add("label-commits", "label a dataset's commits with a trained cascade", cmd_label_commits,
-            dataset, out="{data}")
+            dataset, out="{data}", reads=("model", "commits"))
     p.add_argument("--model", required=True, help="cascade model file")
 
-    add("features", "compute the per-team feature matrix", cmd_features, dataset, out="{data}")
+    add("features", "compute the per-team feature matrix", cmd_features, dataset, out="{data}",
+        reads=tuple(_DATASET_FILES))
     add("train-teams", "train the team-style classifier cascade", cmd_train_teams,
-        dataset, style_model, out="{data}/models")
+        dataset, style_model, out="{data}/models", reads=(*_DATASET_FILES, "styles"))
     add("eval-teams", "cross-validate team-style prediction", cmd_eval_teams,
-        dataset, style_model, evaluation, out="reports")
+        dataset, style_model, evaluation, out="reports", reads=(*_DATASET_FILES, "styles"))
 
     p = add("predict", "predict styles for a dataset's teams", cmd_predict,
-            dataset, out="{data}")
+            dataset, out="{data}", reads=("model", *_DATASET_FILES))
     p.add_argument("--model", required=True, help="team-style model file")
 
     p = add("flag", "report teams predicted solo-submit", cmd_flag,
-            dataset, out="{data}")
+            dataset, out="{data}", reads=("model", *_DATASET_FILES))
     p.add_argument("--model", required=True, help="team-style model file")
 
     p = add("kappa", "Cohen's kappa between two label CSVs", cmd_kappa)
@@ -234,6 +247,25 @@ def _apply_config(args: argparse.Namespace) -> None:
 # manifest and small shared I/O helpers
 
 
+def _inputs(args) -> dict[str, Path]:
+    """The files the command reads, by manifest name: each name in its ``reads`` is the
+    file of the option of that name, skipped when not given, or else that dataset file."""
+    return {
+        name: Path(getattr(args, name)) if hasattr(args, name) else Path(args.data) / _DATASET_FILES[name]
+        for name in args.reads
+        if getattr(args, name, True)
+    }
+
+
+def _input_digest(path: Path) -> str:
+    """The sha256 of an input file. Anything but a regular file is refused
+    unopened: hashing would drain a pipe and leave the command nothing to parse."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        with in_file(path):
+            raise DataError("not a regular file")
+    return _sha256(path)
+
+
 def _sha256(path: Path) -> str:
     return _digest(path.read_bytes())
 
@@ -254,17 +286,13 @@ def _outdir(args) -> Path | None:
     return outdir
 
 
-def _write_manifest(
-    outdir: Path, args, config: dict, inputs: dict, outputs: list[Path], digests: dict | None = None
-) -> None:
-    """``inputs`` are paths hashed here; ``digests`` are the sha256 of inputs the command hashed."""
-    hashed = {name: _sha256(Path(p)) for name, p in inputs.items()}
-    hashed.update(digests or {})
+def _write_manifest(outdir: Path, args, inputs: dict, config: dict, outputs: list[Path]) -> None:
+    """``inputs`` are the sha256 of the command's input files, taken before it ran."""
     manifest = {
         "command": args.command,
         "version": __version__,
         "config": {"seed": args.seed, **config},
-        "inputs": dict(sorted(hashed.items())),
+        "inputs": dict(sorted(inputs.items())),
         "outputs": {p.name: _sha256(p) for p in sorted(outputs)},
     }
     path = outdir / f"manifest_{args.command}.json"
@@ -372,28 +400,16 @@ def _read_labels(path) -> dict[str, tuple[int, bool]]:
     return labels
 
 
-# the dataset files a feature matrix is computed from, by manifest name
-_DATASET_FILES = {"commits": "commits.jsonl", "roster": "roster.csv", "labels": "labels.jsonl"}
-
-
-def _load_dataset(data_dir, reuse: bool = True):
-    """The dataset's feature matrix and the sha256 of each dataset file, by manifest name.
-
-    With ``reuse``, the matrix that ``features`` recorded in the directory is
-    taken while it is still current (:func:`_recorded_matrix`); otherwise, and
-    on any miss, it is computed from the files.
-    """
+def _load_dataset(data_dir, digests: dict | None = None):
+    """The dataset's feature matrix. Given ``digests`` (the sha256 of the inputs, by
+    manifest name), the one ``features`` recorded is taken while it is still current
+    (:func:`_recorded_matrix`); without them, and on any miss, it is computed."""
     data = Path(data_dir)
-    files = {name: data / file for name, file in _DATASET_FILES.items()}
-    try:
-        digests = {name: _sha256(path) for name, path in files.items()}
-    except OSError:
-        _compute_matrix(files)  # refuses the unreadable file with its usual message
-        raise
-    matrix = _recorded_matrix(data, digests) if reuse else None
-    if matrix is None:
-        matrix = _compute_matrix(files)
-    return matrix, digests
+    if digests is not None:
+        matrix = _recorded_matrix(data, {name: digests[name] for name in _DATASET_FILES})
+        if matrix is not None:
+            return matrix
+    return _compute_matrix({name: data / file for name, file in _DATASET_FILES.items()})
 
 
 def _recorded_matrix(data: Path, digests: dict) -> teamfeat.FeatureMatrix | None:
@@ -467,18 +483,17 @@ def _compute_matrix(files: dict[str, Path]) -> teamfeat.MatrixBuild:
     )
 
 
-def _load_styled_dataset(args):
-    """The feature matrix, each team's style (``--styles`` or the rubric oracle), and
-    the dataset files' digests; plus the styles file when given, as a manifest input."""
-    build, digests = _load_dataset(args.data)
+def _load_styled_dataset(args, digests: dict):
+    """The feature matrix and each team's style (``--styles`` or the rubric oracle)."""
+    build = _load_dataset(args.data, digests)
     if not args.styles:
-        return build, teamstyle.oracle_labels(build), {}, digests
+        return build, teamstyle.oracle_labels(build)
     with in_file(args.styles):
         styles = dict(_read_pairs(args.styles, ("team_id", "style"), TeamStyle))
         missing = [t for t in build.team_ids if t not in styles]
         if missing:
             raise DataError(f"styles file lacks entries for teams: {missing[:5]}")
-    return build, [styles[t] for t in build.team_ids], {"styles": args.styles}, digests
+    return build, [styles[t] for t in build.team_ids]
 
 
 def _report_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -504,7 +519,7 @@ def _numbers(option: str, text, convert, count: int) -> list:
 # commands
 
 
-def cmd_synth(args, outdir):
+def cmd_synth(args, outdir, digests):
     mix = tuple(_numbers("--mix", args.mix, float, 3))
     lo, hi = _numbers("--commits", args.commits, int, 2)
     try:
@@ -530,19 +545,16 @@ def cmd_synth(args, outdir):
             "commits": [lo, hi],
             "pair_rate": args.pair_rate,
         },
-        {},
         [outdir / n for n in ("commits.jsonl", "roster.csv", "truth_commits.csv", "truth_teams.csv")],
     )
 
 
-def cmd_ingest(args, outdir):
+def cmd_ingest(args, outdir, digests):
     if args.gitlog:
         with open_text(args.gitlog) as fh:
             commits = parse_git_log(fh.read())
-        source = {"gitlog": args.gitlog}
     else:
         commits = load_commits_jsonl(args.jsonl)
-        source = {"jsonl": args.jsonl}
     roster = load_roster(args.roster)
     team_row, _ = locate_authors([c.author_key for c in commits], roster)
     unmatched = int((team_row < 0).sum())
@@ -553,14 +565,10 @@ def cmd_ingest(args, outdir):
         f"normalized {len(commits)} commits across {len(roster)} teams "
         f"({unmatched} unmatched authors) into {outdir}"
     )
-    return (
-        {"unmatched": unmatched},
-        {**source, "roster": args.roster},
-        [outdir / "commits.jsonl", outdir / "roster.csv"],
-    )
+    return {"unmatched": unmatched}, [outdir / "commits.jsonl", outdir / "roster.csv"]
 
 
-def cmd_train_commits(args, outdir):
+def cmd_train_commits(args, outdir, digests):
     tagged = _read_tagged(args.tagged)
     lexicon = None
     if args.english_words or args.domain_words or args.stopwords:
@@ -570,16 +578,12 @@ def cmd_train_commits(args, outdir):
     cascade = commitcls.train_cascade(tagged, lexicon=lexicon)
     model_path = outdir / "cascade.json"
     save_model(model_path, "cascade", cascade.to_dict())
-    inputs = {"tagged": args.tagged}
-    for name in ("english_words", "domain_words", "stopwords"):
-        if getattr(args, name):
-            inputs[name] = getattr(args, name)
     print(f"trained cascade on {len(tagged)} messages -> {model_path}")
     config = {"messages": len(tagged), "distinct_messages": _count_distinct(m for m, _ in tagged)}
-    return config, inputs, [model_path]
+    return config, [model_path]
 
 
-def cmd_eval_commits(args, outdir):
+def cmd_eval_commits(args, outdir, digests):
     tagged = _read_tagged(args.tagged)
     reports = commitcls.evaluate_cascade(tagged, k=args.folds, seed=args.seed)
     report_path = _write_report(
@@ -590,13 +594,12 @@ def cmd_eval_commits(args, outdir):
         "category",
         list(reports.items()),
     )
-    return {"folds": args.folds, "format": args.format}, {"tagged": args.tagged}, [report_path]
+    return {"folds": args.folds, "format": args.format}, [report_path]
 
 
-def cmd_label_commits(args, outdir):
-    data = Path(args.data)
+def cmd_label_commits(args, outdir, digests):
     cascade = _read_model(args.model, "cascade", CascadeModel)
-    table = load_commit_table(data / "commits.jsonl")
+    table = load_commit_table(Path(args.data) / "commits.jsonl")
     categories, pairs = commitcls.label_messages(cascade, table.msg)
 
     labels_path = outdir / "labels.jsonl"
@@ -609,16 +612,16 @@ def cmd_label_commits(args, outdir):
     rows = [[name, str(count), f"{ratio:.2f}"] for name, (count, ratio) in distribution.items()]
     print(_report_table(["category", "count", "ratio"], rows))
     config = {"messages": len(table.msg), "distinct_messages": _count_distinct(table.msg)}
-    return config, {"model": args.model, "commits": data / "commits.jsonl"}, [labels_path]
+    return config, [labels_path]
 
 
 def _count_distinct(messages) -> int:
     return len(commitcls.distinct_messages(messages)[0])
 
 
-def cmd_features(args, outdir):
+def cmd_features(args, outdir, digests):
     # the producer of the recorded matrix: it never reads its own earlier output
-    build, digests = _load_dataset(args.data, reuse=False)
+    build = _load_dataset(args.data)
     features_path = outdir / "features.csv"
     with open(features_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -628,27 +631,22 @@ def cmd_features(args, outdir):
     registry_path = outdir / "registry.json"
     registry_path.write_text(_registry_json() + "\n", encoding="utf-8")
     print(f"wrote {len(build.team_ids)}x{len(build.registry)} feature matrix to {features_path}")
-    return (
-        {"teams": len(build.team_ids), "columns": len(build.registry)},
-        {},
-        [features_path, registry_path],
-        digests,
-    )
+    return {"teams": len(build.team_ids), "columns": len(build.registry)}, [features_path, registry_path]
 
 
-def cmd_train_teams(args, outdir):
-    build, styles, inputs, digests = _load_styled_dataset(args)
+def cmd_train_teams(args, outdir, digests):
+    build, styles = _load_styled_dataset(args, digests)
     model = teamstyle.train_team_model(
         build.raw, styles, algorithm=args.algorithm, k_features=args.k_features, seed=args.seed
     )
     model_path = outdir / f"teams_{args.algorithm}.json"
     save_model(model_path, "teamstyle", model.to_dict())
     print(f"trained {args.algorithm} team-style model -> {model_path}")
-    return {"algorithm": args.algorithm, "k_features": args.k_features}, inputs, [model_path], digests
+    return {"algorithm": args.algorithm, "k_features": args.k_features}, [model_path]
 
 
-def cmd_eval_teams(args, outdir):
-    build, styles, inputs, digests = _load_styled_dataset(args)
+def cmd_eval_teams(args, outdir, digests):
+    build, styles = _load_styled_dataset(args, digests)
     result = teamstyle.evaluate_team_model(
         build.raw,
         styles,
@@ -679,11 +677,11 @@ def cmd_eval_teams(args, outdir):
         "k_features": args.k_features,
         "format": args.format,
     }
-    return config, inputs, [report_path], digests
+    return config, [report_path]
 
 
-def cmd_predict(args, outdir):
-    build, digests = _load_dataset(args.data)
+def cmd_predict(args, outdir, digests):
+    build = _load_dataset(args.data, digests)
     model = _read_model(args.model, "teamstyle", teamstyle.TeamStyleModel)
     predictions = teamstyle.predict_style_with_confidence(model, build.raw)
     predictions_path = outdir / "predictions.csv"
@@ -693,11 +691,11 @@ def cmd_predict(args, outdir):
         for team_id, (style, confidence) in zip(build.team_ids, predictions):
             writer.writerow([team_id, style.value, repr(confidence)])
     print(f"wrote predictions for {len(build.team_ids)} teams to {predictions_path}")
-    return {}, {"model": args.model}, [predictions_path], digests
+    return {}, [predictions_path]
 
 
-def cmd_flag(args, outdir):
-    build, digests = _load_dataset(args.data)
+def cmd_flag(args, outdir, digests):
+    build = _load_dataset(args.data, digests)
     model = _read_model(args.model, "teamstyle", teamstyle.TeamStyleModel)
     flags = teamstyle.flag_solo_submitters(model, build.raw, build.team_ids)
     flags_path = outdir / "flags.json"
@@ -712,10 +710,10 @@ def cmd_flag(args, outdir):
     ]
     flags_path.write_text(canonical_json(payload) + "\n", encoding="utf-8")
     print(f"flagged {len(flags)} team(s) as solo-submit -> {flags_path}")
-    return {}, {"model": args.model}, [flags_path], digests
+    return {}, [flags_path]
 
 
-def cmd_kappa(args, outdir) -> None:
+def cmd_kappa(args, outdir, digests) -> None:
     a = dict(_read_pairs(args.a))
     b = dict(_read_pairs(args.b))
     if set(a) != set(b):
@@ -732,14 +730,14 @@ def _registry_json() -> str:
     return canonical_json({"version": teamfeat.REGISTRY_VERSION, "names": teamfeat.REGISTRY})
 
 
-def cmd_registry(args, outdir):
+def cmd_registry(args, outdir, digests):
     if outdir is None:
         print(_registry_json())
         return None
     path = outdir / "registry.json"
     path.write_text(_registry_json() + "\n", encoding="utf-8")
     print(f"wrote {len(teamfeat.REGISTRY)} feature names to {path}")
-    return {}, {}, [path]
+    return {}, [path]
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ import json
 import random
 import re
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -13,10 +14,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from teamscope import cli
+import teamscope
+from teamscope import cli, errors
 from teamscope.cli import main
 from teamscope.errors import SchemaError
 from teamscope.ingest import load_commits_jsonl
+from teamscope.mlcore import canonical_json
 
 SHA_A = "a" * 40
 GIT_LOG = (
@@ -1179,3 +1182,148 @@ def test_commits_no_member_claims_change_only_the_unmatched_count(
     assert base == {"seed": 0, "unmatched": 0}
     assert extended_config == {"seed": 0, "unmatched": len(copies)}
     assert extended_files == base_files
+
+
+# --- main hashes each declared input once, before the command reads it ---------
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_ingest_over_its_input_records_the_bytes_it_read(tmp_path):
+    corpus = _synth(tmp_path, teams=4, seed=2)
+    commits = corpus / "commits.jsonl"
+    # the same commits with their keys reversed, which is not the form ingest writes
+    lines = commits.read_text(encoding="utf-8").splitlines()
+    commits.write_text("".join(json.dumps(dict(reversed(json.loads(line).items()))) + "\n" for line in lines),
+                       encoding="utf-8")
+    read = {"jsonl": _sha256(commits), "roster": _sha256(corpus / "roster.csv")}
+    argv = ["ingest", "--jsonl", str(commits), "--roster", str(corpus / "roster.csv"), "--out", str(corpus)]
+    assert main(argv) == 0
+    manifest = json.loads((corpus / "manifest_ingest.json").read_text())
+    assert manifest["inputs"] == read
+    assert manifest["outputs"]["commits.jsonl"] == _sha256(commits) != read["jsonl"]
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["ingest", "--gitlog", "/dev/null", "--roster", "{work}/roster.csv"], "/dev/null"),
+        (["predict", "--model", "{work}/corpus", "--data", "{work}/corpus"], "{work}/corpus"),
+    ],
+    ids=["gitlog-device", "model-directory"],
+)
+def test_input_that_is_not_a_regular_file_is_data_error(work, capsys, argv, path):
+    out = work / "out"
+    assert main([arg.format(work=work) for arg in argv] + ["--out", str(out)]) == 2
+    assert f"error: {path.format(work=work)}: not a regular file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_CORPUS = "{work}/corpus"
+DECLARED = {
+    # id: argv of a command that writes a manifest, each input parsed
+    "ingest-gitlog": _GITLOG,
+    "ingest-jsonl": ["ingest", "--jsonl", f"{_CORPUS}/commits.jsonl", "--roster", f"{_CORPUS}/roster.csv"],
+    "train-commits": ["train-commits", "--tagged", "{work}/tagged.csv"],
+    "train-commits-domain": ["train-commits", "--tagged", "{work}/tagged.csv", "--domain-words", "{work}/domain.txt"],
+    "eval-commits": ["eval-commits", "--tagged", "{work}/tagged.csv", "--folds", "2"],
+    "label-commits": ["label-commits", "--model", "{cascade}", "--data", _CORPUS],
+    "features": _FEATURES,
+    "train-teams": ["train-teams", "--data", _CORPUS],
+    "train-teams-styles": ["train-teams", "--data", _CORPUS, "--styles", f"{_CORPUS}/truth_teams.csv"],
+    "eval-teams": ["eval-teams", "--data", _CORPUS, "--folds", "2"],
+    "predict": _PREDICT,
+    "flag": ["flag", *_PREDICT[1:]],
+    "registry": ["registry"],
+}
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """The path of each file the CLI opens through ``open_text``, but the bundled data files."""
+    paths = []
+    real = errors.open_text
+    bundled = Path(teamscope.__file__).parent / "data"
+
+    def recording(path, *args, **kwargs):
+        if Path(path).parent != bundled:
+            paths.append(Path(path))
+        return real(path, *args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("teamscope") and getattr(module, "open_text", None) is real:
+            monkeypatch.setattr(module, "open_text", recording)
+    return paths
+
+
+@pytest.mark.parametrize("argv", DECLARED.values(), ids=DECLARED.keys())
+def test_manifest_inputs_are_the_files_the_command_read(work, cascade_model, opened, monkeypatch, argv):
+    _write(work / "domain.txt", "bbtp\nts\njavadoc\npmd\ncheckstyle\nspotbugs\ngui\ntodo\n")
+    hashed = []
+    real = cli._sha256
+    monkeypatch.setattr(cli, "_sha256", lambda path: hashed.append(path) or real(path))
+    out = work / "out"
+    assert main([arg.format(work=work, cascade=cascade_model) for arg in argv] + ["--out", str(out)]) == 0
+    manifest = json.loads((out / f"manifest_{argv[0]}.json").read_text())
+    assert sorted(_sha256(path) for path in opened) == sorted(manifest["inputs"].values())
+    # each input hashed once, then each output
+    assert len(set(hashed)) == len(hashed) == len(manifest["inputs"]) + len(manifest["outputs"])
+
+
+# --- author keys match in any case, and team ids only name rows ---------------
+
+_CASES = [str.upper, str.lower, str.swapcase, str.title]
+
+
+def _applied_pipeline(data: Path, cascade: Path, model: Path) -> tuple:
+    """label-commits, features, predict and flag on ``data``: the feature and
+    prediction rows by team, and the flags."""
+    steps = [["label-commits", "--model", str(cascade), "--data", str(data)], ["features", "--data", str(data)]]
+    steps += [[command, "--model", str(model), "--data", str(data)] for command in ("predict", "flag")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert [main(argv) for argv in steps] == [0] * len(steps)
+    flags = json.loads((data / "flags.json").read_text(encoding="utf-8"))
+    return _rows_by_team(data / "features.csv"), _rows_by_team(data / "predictions.csv"), flags
+
+
+@pytest.fixture(scope="module")
+def applied_outputs(team_model, cascade_model, tmp_path_factory):
+    corpus, model = team_model
+    data = tmp_path_factory.mktemp("applied") / "data"
+    data.mkdir()
+    for name in ("commits.jsonl", "roster.csv"):
+        shutil.copy(corpus / name, data / name)
+    return _applied_pipeline(data, cascade_model, model)
+
+
+@settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(cases=[str.upper], names=[f"T{i}" for i in range(_TEAMS)])
+@given(
+    cases=st.lists(st.sampled_from(_CASES), min_size=1, max_size=6),
+    names=st.lists(st.text(st.characters(whitelist_categories=("L", "N")), min_size=1, max_size=8),
+                   min_size=_TEAMS, max_size=_TEAMS, unique=True),
+)
+def test_author_key_case_and_team_ids_do_not_change_what_is_applied(
+    team_model, cascade_model, applied_outputs, cases, names
+):
+    corpus, model = team_model
+    commits = []
+    for i, line in enumerate((corpus / "commits.jsonl").read_text(encoding="utf-8").splitlines()):
+        commit = json.loads(line)
+        commits.append(json.dumps({**commit, "author": cases[i % len(cases)](commit["author"])}) + "\n")
+    with open(corpus / "roster.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    rename = dict(zip(dict.fromkeys(row[0] for row in rows), names))
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp)
+        (data / "commits.jsonl").write_text("".join(commits), encoding="utf-8")
+        with open(data / "roster.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header] + [[rename[row[0]], *row[1:]] for row in rows])
+        features, predictions, flags = _applied_pipeline(data, cascade_model, model)
+    base_features, base_predictions, base_flags = applied_outputs
+    for got, base in ((features, base_features), (predictions, base_predictions)):
+        assert got == {rename[t]: {**row, "team_id": rename[t]} for t, row in base.items()}
+    renamed = [{**flag, "team_id": rename[flag["team_id"]]} for flag in base_flags]
+    assert sorted(map(canonical_json, flags)) == sorted(map(canonical_json, renamed))

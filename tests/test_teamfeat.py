@@ -400,7 +400,7 @@ def test_loaded_dataset_matrix_equals_record_path_and_oracle(n_teams, commits):
     with tempfile.TemporaryDirectory() as tmp:
         data = Path(tmp)
         _write_dataset(data, n_teams, commits)
-        build, _ = _load_dataset(data)
+        build = _load_dataset(data)
         labels = {}
         with open(data / "labels.jsonl", encoding="utf-8") as fh:
             for line in fh:
