@@ -420,12 +420,13 @@ def _recorded_matrix(data: Path, digests: dict) -> teamfeat.FeatureMatrix | None
     outputs the sha256 of the ``features.csv`` and ``registry.json`` bytes
     read here. ``registry.json`` must be this registry's, and the CSV a
     finite matrix under its columns. A missing, unreadable or malformed file
-    is a miss like any other.
+    is a miss like any other, and so is one that is not a regular file,
+    which is left unopened: a read could block on a pipe.
     """
     try:
-        manifest = json.loads((data / "manifest_features.json").read_bytes())
-        table = (data / "features.csv").read_bytes()
-        registry = (data / "registry.json").read_bytes()
+        manifest = json.loads(_regular_file_bytes(data / "manifest_features.json"))
+        table = _regular_file_bytes(data / "features.csv")
+        registry = _regular_file_bytes(data / "registry.json")
     except (OSError, ValueError, RecursionError):
         return None
     recorded = {
@@ -448,6 +449,12 @@ def _recorded_matrix(data: Path, digests: dict) -> teamfeat.FeatureMatrix | None
     if not np.isfinite(raw).all():
         return None
     return teamfeat.FeatureMatrix([row[0] for row in rows], teamfeat.REGISTRY, raw)
+
+
+def _regular_file_bytes(path: Path) -> bytes:
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise OSError(f"{path}: not a regular file")
+    return path.read_bytes()
 
 
 def _compute_matrix(files: dict[str, Path]) -> teamfeat.MatrixBuild:
@@ -600,18 +607,19 @@ def cmd_eval_commits(args, outdir, digests):
 def cmd_label_commits(args, outdir, digests):
     cascade = _read_model(args.model, "cascade", CascadeModel)
     table = load_commit_table(Path(args.data) / "commits.jsonl")
-    categories, pairs = commitcls.label_messages(cascade, table.msg)
+    distinct, at = commitcls.distinct_messages(table.msg)
+    categories, pairs = commitcls.label_distinct(cascade, distinct)
 
     labels_path = outdir / "labels.jsonl"
     with open(labels_path, "w", encoding="utf-8") as fh:
-        for sha, category, pair in zip(table.sha, categories, pairs):
-            fh.write(jsonl_line({"sha": sha, "category": category.value, "pair_programming": pair}))
+        for sha, i in zip(table.sha, at):
+            fh.write(jsonl_line({"sha": sha, "category": categories[i].value, "pair_programming": pairs[i]}))
             fh.write("\n")
 
-    distribution = commitcls.category_distribution(categories)
+    distribution = commitcls.category_distribution([categories[i] for i in at])
     rows = [[name, str(count), f"{ratio:.2f}"] for name, (count, ratio) in distribution.items()]
     print(_report_table(["category", "count", "ratio"], rows))
-    config = {"messages": len(table.msg), "distinct_messages": _count_distinct(table.msg)}
+    config = {"messages": len(table.msg), "distinct_messages": len(distinct)}
     return config, [labels_path]
 
 

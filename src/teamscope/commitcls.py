@@ -28,7 +28,7 @@ that index. ``classify`` is a one-row batch.
 A message's category and pair flag depend on its text alone, and course
 histories repeat messages. So each distinct message is normalized and run
 through the static rules once, and its result is mapped back to every commit
-that carries it. ``label_messages`` classifies the distinct messages in
+that carries it. ``label_distinct`` classifies the distinct messages in
 batches of 2,048, which bounds the matrices' size. Training and
 cross-validation index the n-grams of the distinct tagged messages once and
 take that index with a row per tagged message, so document frequencies count
@@ -227,13 +227,22 @@ def label_messages(
 ) -> tuple[list[CommitCategory], list[bool]]:
     """Each raw message's cascade category and pair-programming flag."""
     distinct, at = distinct_messages(messages)
+    categories, pairs = label_distinct(cascade, distinct)
+    return [categories[i] for i in at], [pairs[i] for i in at]
+
+
+def label_distinct(
+    cascade: CascadeModel, distinct: Sequence[str]
+) -> tuple[list[CommitCategory], list[bool]]:
+    """:func:`label_messages` of messages already distinct, as
+    :func:`distinct_messages` gives them."""
     categories: list[CommitCategory] = []
     pairs: list[bool] = []
     for start in range(0, len(distinct), _LABEL_BLOCK):
         docs = [cascade.prepare(m) for m in distinct[start : start + _LABEL_BLOCK]]
         categories += classify_tokens(cascade, docs)
         pairs += map(detect_pair_programming, docs)
-    return [categories[i] for i in at], [pairs[i] for i in at]
+    return categories, pairs
 
 
 def label_commits(cascade: CascadeModel, commits: Iterable[CommitRecord]) -> list[LabeledCommit]:

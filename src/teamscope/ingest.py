@@ -155,10 +155,12 @@ class TeamRecord:
 def parse_git_log(text: str) -> list[CommitRecord]:
     """Parse the output of the fixed ``git log`` export command.
 
-    Each 0x01-prefixed block yields one record, in input order. Binary
-    numstat entries (``-\\t-\\tPATH``) contribute zero lines; commits with no
-    numstat lines at all (pure merges under this command) get an empty file
-    list, so ``is_merge_shape`` holds for them.
+    Each block that a 0x01 at the start of a line opens yields one record,
+    in input order. A 0x01 anywhere else, as in a subject, is refused: it
+    would open a commit the log does not have. Binary numstat entries
+    (``-\\t-\\tPATH``) contribute zero lines; commits with no numstat lines
+    at all (pure merges under this command) get an empty file list, so
+    ``is_merge_shape`` holds for them.
     """
     text = text.replace("\r\n", "\n")  # tolerate CRLF exports
     if not text.strip(COMMIT_HEADER_MARK + " \t\r\n"):
@@ -167,6 +169,11 @@ def parse_git_log(text: str) -> list[CommitRecord]:
     first, *blocks = text.split(COMMIT_HEADER_MARK)
     if first.strip():
         raise ParseError("content before first commit header", line=1)
+    # a mark opens a commit only at the start of a line
+    if text.count("\n" + COMMIT_HEADER_MARK) + (not first) != len(blocks):
+        stray = re.search("[^\n]" + COMMIT_HEADER_MARK, text).end()
+        raise ParseError("0x01 inside a line; a commit header's 0x01 must start its line",
+                         line=1 + text.count("\n", 0, stray))
     line_no = 1 + first.count("\n")
     for block in blocks:
         lines = block.split("\n")

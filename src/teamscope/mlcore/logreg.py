@@ -38,16 +38,27 @@ grows without bound); its gradient still reaches ``GRAD_TOL`` near
 |bias| = 28, and a step cap backs that up.
 
 Warm start. Without ``start``, training begins at zero weights, so it is
-deterministic. Recursive feature elimination refits after dropping one
-column and passes the previous optimum without that column as ``start``:
-the optimum is the same as from zero, and a few steps reach it.
+deterministic. Recursive feature elimination (Guyon et al., "Gene selection
+for cancer classification using support vector machines", Machine Learning
+46, 2002) drops the weakest weight j (:func:`weakest_weight`) and refits,
+and with ``eliminate`` a fit returns where that refit starts. Every Newton
+system of such a fit also solves N H u = e_j for its current iterate's
+weakest weight, on the same factorisation. When the fit's final weakest
+weight is the j of its last system, the refit starts at theta - u theta_j /
+u_j without column j: the minimiser of the quadratic model at the optimum
+theta with theta_j held at zero, the Optimal Brain Surgeon step (Hassibi &
+Stork, NIPS 1992). Otherwise, or when u is not finite or u_j <= 0, it
+starts at theta without column j. Either way the start is only a start: the
+objective is strictly convex, the stopping rule is the same from any start,
+so the refit ends at the optimum it would reach from zero, to rounding,
+only in fewer steps.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -63,6 +74,9 @@ _MAX_STEPS = 100
 # a dual-form direction is kept only while its residual is this small
 # relative to ||H|| ||step|| + ||rhs||; LU on the (d+1) system stays near 1e-16
 _DUAL_BACKWARD_ERROR = 1e-12
+# duplicate columns have equal weights at the optimum, but the solve returns
+# them equal only up to rounding, so weights this close count as tied
+TIE_RTOL = 1e-9
 
 
 @dataclass
@@ -120,7 +134,16 @@ def logistic_loss_and_grad(
     return _objective(weights, bias, X, y, l2_lambda)[:3]
 
 
-def _newton_direction(X, p, grad_w, grad_b, l2_lambda, gram=None) -> np.ndarray:
+def weakest_weight(weights: np.ndarray) -> int:
+    """The position of the smallest |weight|, the one RFE drops. Magnitudes
+    within a relative ``TIE_RTOL`` of the smallest tie with it, and a tie
+    goes to the last position."""
+    magnitudes = np.abs(weights)
+    tied = magnitudes <= magnitudes.min() * (1.0 + TIE_RTOL)
+    return int(np.flatnonzero(tied)[-1])
+
+
+def _newton_direction(X, p, grad_w, grad_b, l2_lambda, gram=None, weakest=None):
     """Solve H step = -grad for the Hessian H of the objective at p = sigmoid(z).
 
     N H = [[A, b], [b^T, sum s]] with A = X^T S X + l2 I, b = X^T s,
@@ -128,19 +151,28 @@ def _newton_direction(X, p, grad_w, grad_b, l2_lambda, gram=None) -> np.ndarray:
     from the n x n dual form, unless that form cannot give it within a
     backward error of ``_DUAL_BACKWARD_ERROR``; otherwise, and without
     ``gram``, the (d+1) system is solved as it stands.
+
+    Given ``weakest`` = j, the result is (step, u) with N H u = e_j solved on
+    the same factorisation; only the step is held to the backward error.
     """
     s = p * (1.0 - p)
     rhs = -X.shape[0] * np.append(grad_w, grad_b)
+    unit = None
+    if weakest is not None:
+        unit = np.zeros_like(rhs)
+        unit[weakest] = 1.0
     if gram is not None:
-        step = _dual_solve(X, s, rhs, l2_lambda, gram)
-        if step is not None:
-            return step
-    return _primal_solve(X, s, rhs, l2_lambda)
+        solved = _dual_solve(X, s, rhs, l2_lambda, gram, unit)
+        if solved is not None:
+            return solved
+    if unit is None:
+        return _primal_solve(X, s, rhs, l2_lambda)
+    return tuple(_primal_solve(X, s, np.column_stack([rhs, unit]), l2_lambda).T)
 
 
 def _primal_solve(X, s, rhs, l2_lambda) -> np.ndarray:
     """The step from the (d+1)x(d+1) Hessian, built blockwise so X never gets
-    a bias column copied onto it."""
+    a bias column copied onto it; a matrix ``rhs`` gives a step per column."""
     d = X.shape[1]
     Xs = X * s[:, None]
     hessian = np.empty((d + 1, d + 1))
@@ -156,10 +188,10 @@ def _primal_solve(X, s, rhs, l2_lambda) -> np.ndarray:
         return np.linalg.lstsq(hessian, rhs, rcond=None)[0]
 
 
-def _dual_solve(X, s, rhs, l2_lambda, gram) -> np.ndarray | None:
+def _dual_solve(X, s, rhs, l2_lambda, gram, unit=None):
     """The step with the bias eliminated blockwise and A^-1 applied by
     Woodbury, A^-1 = (I - X^T R M^-1 R X) / l2 with R = S^1/2 and the n x n
-    M = l2 I + R G R.
+    M = l2 I + R G R; given ``unit`` = e_j, (step, u) with N H u = e_j.
 
     ``None`` when the bias's Schur complement sum s - b^T A^-1 b is not
     positive (every probability saturated), or when the step's normwise
@@ -171,21 +203,28 @@ def _dual_solve(X, s, rhs, l2_lambda, gram) -> np.ndarray | None:
     m = root[:, None] * gram * root
     m.flat[:: n + 1] += l2_lambda
     b = s @ X
-    # A^-1 applied to the weight part of rhs and to b at once
-    z = np.column_stack([rhs[:d], b])
+    # A^-1 applied to the weight parts of rhs and e_j, and to b, at once
+    z = np.column_stack([rhs[:d], b] if unit is None else [rhs[:d], b, unit[:d]])
     correction = X.T @ (root[:, None] * np.linalg.solve(m, root[:, None] * (X @ z)))
-    a_inv_r, a_inv_b = ((z - correction) / l2_lambda).T
+    a_inv_r, a_inv_b, *a_inv_e = ((z - correction) / l2_lambda).T
     schur = s.sum() - b @ a_inv_b
     if not schur > 0:
         return None
-    step_b = (rhs[d] - b @ a_inv_r) / schur
-    step = np.append(a_inv_r - step_b * a_inv_b, step_b)
+
+    def with_bias(a_inv_w, rhs_b):
+        # the bias part from its Schur complement, then the weights given it
+        step_b = (rhs_b - b @ a_inv_w) / schur
+        return np.append(a_inv_w - step_b * a_inv_b, step_b)
+
+    step = with_bias(a_inv_r, rhs[d])
     # A has M's eigenvalues and d - n more equal to l2, so ||A||_F comes from ||M||_F
     h_norm = np.sqrt(np.vdot(m, m) + (d - n) * l2_lambda**2 + 2.0 * (b @ b) + s.sum() ** 2)
-    t = s * (X @ step[:d] + step_b)
+    t = s * (X @ step[:d] + step[d])
     residual = rhs - np.append(l2_lambda * step[:d] + X.T @ t, t.sum())
     backward = np.linalg.norm(residual) / (h_norm * np.linalg.norm(step) + np.linalg.norm(rhs))
-    return step if backward <= _DUAL_BACKWARD_ERROR else None
+    if backward > _DUAL_BACKWARD_ERROR:
+        return None
+    return step if unit is None else (step, with_bias(a_inv_e[0], unit[d]))
 
 
 def _max_abs(grad_w: np.ndarray, grad_b: float) -> float:
@@ -211,49 +250,85 @@ def _armijo_step(X, y, l2_lambda, weights, bias, loss, step, slope):
     return None
 
 
+class Iterate(NamedTuple):
+    """A point of the Newton loop."""
+
+    weights: np.ndarray
+    bias: float
+    # None at a closing full step, whose objective nothing reads
+    loss: float | None
+    gmax: float | None
+    # (j, u) with N H u = e_j, from the system whose step reached this point;
+    # j is the weakest weight of the point that system was built at
+    unit_solve: tuple[int, np.ndarray] | None
+
+
 def _newton_iterates(
-    X: np.ndarray, y: np.ndarray, l2_lambda: float, weights: np.ndarray, bias: float
-) -> Iterator[tuple[np.ndarray, float, float, float]]:
-    """Yield (weights, bias, loss, max |gradient|) from the start to the stop.
+    X: np.ndarray,
+    y: np.ndarray,
+    l2_lambda: float,
+    weights: np.ndarray,
+    bias: float,
+    *,
+    eliminate: bool = False,
+) -> Iterator[Iterate]:
+    """Yield each point from the start to the stop, with its loss and max |gradient|.
 
     Every point after the first is a damped Newton step with a lower loss
     than the point before, except a final full step taken at the optimum to
-    rounding, whose loss is within rounding of the one before.
+    rounding, whose loss is within rounding of the one before; that point's
+    objective is not computed. With ``eliminate``, each system also solves
+    for e_j at the weakest weight j of the point it is built at.
     """
     n, d = X.shape
     # the dual form needs the penalty to make the weight block invertible,
     # and it is the cheaper form once the columns outnumber the rows
     gram = X @ X.T if d > n and l2_lambda > 0 else None
     loss, grad_w, grad_b, p = _objective(weights, bias, X, y, l2_lambda)
+    unit_solve = None
     for _ in range(_MAX_STEPS):
         gmax = _max_abs(grad_w, grad_b)
-        yield weights, bias, loss, gmax
+        yield Iterate(weights, bias, loss, gmax, unit_solve)
         if gmax <= GRAD_TOL:
             return
-        step = _newton_direction(X, p, grad_w, grad_b, l2_lambda, gram)
+        if eliminate:
+            j = weakest_weight(weights)
+            step, u = _newton_direction(X, p, grad_w, grad_b, l2_lambda, gram, j)
+            unit_solve = (j, u)
+        else:
+            step = _newton_direction(X, p, grad_w, grad_b, l2_lambda, gram)
         slope = float(grad_w @ step[:d]) + grad_b * float(step[d])
         accepted = None
         # the quadratic model predicts that the full step lowers the loss by -slope / 2
         if -slope > _ROUNDING_ULPS * np.spacing(loss):
             accepted = _armijo_step(X, y, l2_lambda, weights, bias, loss, step, slope)
         if accepted is None:
-            weights, bias = weights + step[:d], bias + float(step[d])
-            loss, grad_w, grad_b, _ = _objective(weights, bias, X, y, l2_lambda)
-            yield weights, bias, loss, _max_abs(grad_w, grad_b)
+            yield Iterate(weights + step[:d], bias + float(step[d]), None, None, unit_solve)
             return
         weights, bias, (loss, grad_w, grad_b, p) = accepted
 
 
+class Elimination(NamedTuple):
+    """What one RFE round needs of its fit."""
+
+    # the position of the weakest weight, the column the round drops
+    drop: int
+    # where the refit without that column starts
+    start: LogisticModel
+
+
 def train_logreg(
-    X, y, l2_lambda: float = 1.0, *, start: LogisticModel | None = None
-) -> LogisticModel:
+    X, y, l2_lambda: float = 1.0, *, start: LogisticModel | None = None, eliminate: bool = False
+) -> LogisticModel | Elimination:
     """Minimise the regularized cross-entropy by damped Newton steps.
 
     The steps start from zero weights, or from the weights and bias of
-    ``start``; the optimum is the same either way.
+    ``start``; the optimum is the same either way. With ``eliminate``, the
+    result is the :class:`Elimination` of the optimum's weakest weight, not
+    the model.
     """
     X, y = check_training_set(X, y)
-    if len(np.unique(y)) < 2:
+    if y.min() == y.max():
         warnings.warn("training labels contain a single class", stacklevel=2)
     if start is None:
         weights, bias = np.zeros(X.shape[1]), 0.0
@@ -261,9 +336,24 @@ def train_logreg(
         raise ValueError(f"start has {len(start.weights)} weights for {X.shape[1]} columns")
     else:
         weights, bias = np.asarray(start.weights, dtype=np.float64), float(start.bias)
-    for weights, bias, _, _ in _newton_iterates(X, y, l2_lambda, weights, bias):
+    for point in _newton_iterates(X, y, l2_lambda, weights, bias, eliminate=eliminate):
         pass
-    return LogisticModel(weights=weights, bias=bias, l2_lambda=l2_lambda)
+    if not eliminate:
+        return LogisticModel(weights=point.weights, bias=point.bias, l2_lambda=l2_lambda)
+    return _eliminate_weakest(point, l2_lambda)
+
+
+def _eliminate_weakest(point: Iterate, l2_lambda: float) -> Elimination:
+    """Drop the optimum's weakest weight j, starting the refit at the surgeon
+    point theta - u theta_j / u_j when the last system solved for that j."""
+    theta = np.append(point.weights, point.bias)
+    j = weakest_weight(point.weights)
+    if point.unit_solve is not None and point.unit_solve[0] == j:
+        u = point.unit_solve[1]
+        if np.isfinite(u).all() and u[j] > 0:
+            theta = theta - u * (theta[j] / u[j])
+    theta = np.delete(theta, j)
+    return Elimination(j, LogisticModel(weights=theta[:-1], bias=float(theta[-1]), l2_lambda=l2_lambda))
 
 
 def predict_proba(model: LogisticModel, x):

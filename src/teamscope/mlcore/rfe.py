@@ -4,20 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .logreg import LogisticModel, train_logreg
-
-# duplicate columns have equal weights at the optimum, but the solve returns
-# them equal only up to rounding, so weights this close count as tied
-TIE_RTOL = 1e-9
+from .logreg import train_logreg
 
 
 def rfe_select(X, y, target_k: int, l2_lambda: float = 1.0) -> list[int]:
     """Drop the weakest-|weight| feature one at a time until ``target_k`` remain.
 
-    Ties on |weight| (within a relative ``TIE_RTOL``) drop the feature with
-    the larger original index. The surviving original indices are returned
-    in ascending order. Each refit starts from the previous fit's optimum
-    without the dropped column.
+    Ties on |weight| (within a relative ``logreg.TIE_RTOL``) drop the feature
+    with the larger original index. The surviving original indices are
+    returned in ascending order. Each refit starts where the previous fit's
+    :class:`~.logreg.Elimination` says: at the Optimal Brain Surgeon point
+    of the previous optimum with the dropped weight held at zero, or at that
+    optimum without the dropped column. The start changes only the number
+    of Newton steps, not the optimum a refit reaches.
     """
     X = np.asarray(X, dtype=np.float64)
     d = X.shape[1]
@@ -29,11 +28,6 @@ def rfe_select(X, y, target_k: int, l2_lambda: float = 1.0) -> list[int]:
     surviving = list(range(d))
     start = None
     while len(surviving) > target_k:
-        model = train_logreg(X[:, surviving], y, l2_lambda=l2_lambda, start=start)
-        magnitudes = np.abs(model.weights)
-        tied = magnitudes <= magnitudes.min() * (1.0 + TIE_RTOL)
-        # last position among the minima = largest original index
-        drop_pos = int(np.flatnonzero(tied)[-1])
-        surviving.pop(drop_pos)
-        start = LogisticModel(np.delete(model.weights, drop_pos), model.bias, l2_lambda)
+        drop, start = train_logreg(X[:, surviving], y, l2_lambda=l2_lambda, start=start, eliminate=True)
+        surviving.pop(drop)
     return surviving

@@ -3,9 +3,11 @@ import csv
 import hashlib
 import io
 import json
+import os
 import random
 import re
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -151,6 +153,16 @@ def test_ingest_malformed_gitlog_is_data_error(tmp_path, capsys):
     roster = _write(tmp_path / "roster.csv", ROSTER)
     assert main(["ingest", "--gitlog", log, "--roster", roster, "--out", str(tmp_path / "d")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_ingest_refuses_0x01_inside_a_subject(tmp_path, capsys):
+    sneaky = f"fix \x01{'b' * 40}|Bob|bob@x.edu|200|sneaky"
+    log = _write(tmp_path / "history.log", GIT_LOG.replace("Fixed logout", sneaky))
+    roster = _write(tmp_path / "roster.csv", ROSTER)
+    out = tmp_path / "d"
+    assert main(["ingest", "--gitlog", log, "--roster", roster, "--out", str(out)]) == 2
+    assert f"{log} line 1: 0x01 inside a line" in capsys.readouterr().err
+    assert not (out / "commits.jsonl").exists()
 
 
 def test_missing_input_file_is_data_error(tmp_path, capsys):
@@ -1085,6 +1097,27 @@ def test_stale_recorded_matrix_is_computed_again(team_model, featured, loads, tm
     applied = _apply(featured, model, tmp_path / "out", capsys)
     assert len(loads) == 2 and applied[0] == [0, 0]
     assert applied == _computed(featured, model, tmp_path / "out", capsys)
+
+
+@pytest.mark.parametrize("name", ["manifest_features.json", "features.csv", "registry.json"])
+def test_recorded_file_that_is_not_a_regular_file_is_a_miss(team_model, featured, tmp_path, capsys, name):
+    _, model = team_model
+    _, _, reused = _apply(featured, model, tmp_path / "reused", capsys)
+    (featured / name).unlink()
+    os.mkfifo(featured / name)
+    # a read of the FIFO would block, so the command runs in a child that a
+    # timeout ends, failing the test rather than hanging the suite
+    argv = ["predict", "--model", str(model), "--data", str(featured), "--out", str(tmp_path / "out")]
+    src = str(Path(teamscope.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "teamscope", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "predictions.csv").read_bytes() == reused["predictions.csv"]
 
 
 def test_removed_label_after_features_is_refused_as_before(team_model, featured, loads, tmp_path, capsys):

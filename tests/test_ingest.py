@@ -100,6 +100,23 @@ def test_parse_git_log_subject_may_contain_pipes():
     assert record.message == "fix a|b|c"
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        # a subject holding a header: read as two commits, the first would lose its numstat
+        (f"\x01{SHA_A}|alice|a@x|100|fix \x01{SHA_B}|bob|b@x|200|sneaky\n3\t1\tsrc/A.java\n", 1),
+        (GIT_LOG_FIXTURE.replace("Add logo", "Add \x01logo"), 4),
+        (GIT_LOG_FIXTURE.replace("\x01", "\x01\x01", 1), 1),
+        (" " + GIT_LOG_FIXTURE, 1),
+    ],
+    ids=["subject-with-header", "second-subject", "doubled-mark", "space-before-mark"],
+)
+def test_parse_git_log_refuses_0x01_inside_a_line(text, line):
+    with pytest.raises(ParseError, match="0x01 inside a line") as raised:
+        parse_git_log(text)
+    assert raised.value.line == line
+
+
 def test_parse_git_log_tolerates_crlf():
     crlf = GIT_LOG_FIXTURE.replace("\n", "\r\n")
     assert parse_git_log(crlf) == parse_git_log(GIT_LOG_FIXTURE)

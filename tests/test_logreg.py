@@ -39,6 +39,13 @@ def numerical_gradient(weights, bias, X, y, l2, eps=1e-6):
     return grad_w, grad_b
 
 
+def _gmax(point, X, y, l2):
+    """max |gradient| at an iterate of the Newton loop, computed here: the
+    loop leaves it None at a closing full step."""
+    _, grad_w, grad_b = logistic_loss_and_grad(point.weights, point.bias, X, y, l2)
+    return max(np.max(np.abs(grad_w), initial=0.0), abs(grad_b))
+
+
 def test_zero_weight_model_predicts_half():
     model = LogisticModel(weights=np.zeros(3), bias=0.0, l2_lambda=0.0)
     assert predict_proba(model, np.zeros(3)) == pytest.approx(0.5)
@@ -76,14 +83,16 @@ def test_loss_decreases_over_damped_newton_iterates():
     assert logistic_loss_and_grad(start + step[:4], step[4], X, y, 1.0)[0] > loss0
 
     iterates = list(_newton_iterates(X, y, 1.0, start, 0.0))
-    losses = [logistic_loss_and_grad(w, b, X, y, 1.0)[0] for w, b, _, _ in iterates]
-    assert [loss for _, _, loss, _ in iterates] == losses
+    losses = [logistic_loss_and_grad(it.weights, it.bias, X, y, 1.0)[0] for it in iterates]
+    # the loop leaves only a closing full step's loss uncomputed
+    assert [it.loss for it in iterates[:-1]] == losses[:-1]
+    assert iterates[-1].loss in (None, losses[-1])
     assert len(losses) > 3
     # every damped step lowers the loss; only a closing full step at the
     # optimum may land within rounding above its predecessor
     assert all(b < a for a, b in zip(losses[:-2], losses[1:-1]))
     assert losses[-1] <= losses[-2] + 8 * np.spacing(losses[-2])
-    assert iterates[-1][3] <= GRAD_TOL
+    assert _gmax(iterates[-1], X, y, 1.0) <= GRAD_TOL
 
 
 @st.composite
@@ -240,9 +249,9 @@ def test_single_class_in_the_dual_form_stops_as_the_primal_does(monkeypatch):
     with pytest.warns(UserWarning, match="single class"):
         model = train_logreg(X, y)
     iterates = list(_newton_iterates(X, y, 1.0, np.zeros(8), 0.0))
-    weights, bias, _, gmax = iterates[-1]
+    weights, bias = iterates[-1].weights, iterates[-1].bias
     assert dual_steps and all(step is not None for step in dual_steps)
-    assert len(iterates) < _MAX_STEPS and gmax <= GRAD_TOL
+    assert len(iterates) < _MAX_STEPS and _gmax(iterates[-1], X, y, 1.0) <= GRAD_TOL
     assert np.all(np.isfinite(weights)) and 27.0 < bias < 29.0
     assert np.array_equal(model.weights, weights) and model.bias == bias
 
@@ -291,7 +300,7 @@ def test_single_class_warns():
         model = train_logreg(X, y)
     assert predict_proba(model, X[0]) > 0.999
     iterates = list(_newton_iterates(X, y.astype(float), 1.0, np.zeros(1), 0.0))
-    assert len(iterates) < _MAX_STEPS and iterates[-1][3] <= GRAD_TOL
+    assert len(iterates) < _MAX_STEPS and _gmax(iterates[-1], X, y, 1.0) <= GRAD_TOL
 
 
 def test_training_is_deterministic():

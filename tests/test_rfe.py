@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teamscope.mlcore import rfe_select
+from teamscope.mlcore import logreg, rfe_select, train_logreg
+from teamscope.mlcore.logreg import weakest_weight
 
 
 def _three_strength_data(seed=0, n=80):
@@ -110,3 +111,56 @@ def test_survivors_returned_ascending():
     y = (X[:, 4] - X[:, 1] > 0).astype(float)
     survivors = rfe_select(X, y, target_k=3)
     assert survivors == sorted(survivors)
+
+
+def _reference_rfe(X, y, target_k, l2):
+    """RFE that refits every round from zero weights, under the same tie rule."""
+    surviving = list(range(X.shape[1]))
+    while len(surviving) > target_k:
+        model = train_logreg(X[:, surviving], y, l2_lambda=l2)
+        surviving.pop(weakest_weight(model.weights))
+    return surviving
+
+
+@st.composite
+def _rfe_problems(draw):
+    """A problem with d <= n or d > n columns, one of them perhaps a copy of
+    another, and a target size."""
+    n = draw(st.integers(6, 16))
+    d = draw(st.one_of(st.integers(2, n), st.integers(n + 1, 2 * n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, d))
+    if draw(st.booleans()):
+        original, copy = sorted(rng.choice(d, size=2, replace=False))
+        X[:, copy] = X[:, original]
+    y = (X @ rng.normal(size=d) + rng.normal(size=n) > 0).astype(float)
+    y[0], y[-1] = 0.0, 1.0
+    return X, y, draw(st.integers(1, d)), draw(st.floats(0.1, 2.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_rfe_problems())
+def test_selection_equals_refitting_every_round_from_zero(problem):
+    # where a refit starts changes its steps, not its optimum
+    X, y, k, l2 = problem
+    assert rfe_select(X, y, target_k=k, l2_lambda=l2) == _reference_rfe(X, y, k, l2)
+
+
+def test_refits_take_fewer_than_three_newton_directions_each(monkeypatch):
+    # 75 refits with more columns than rows: starting each at the previous
+    # optimum without the dropped column took 262 directions, starting at its
+    # surgeon point takes 181
+    directions = []
+    newton_direction = logreg._newton_direction
+
+    def counted(*args, **kwargs):
+        directions.append(args[0].shape)
+        return newton_direction(*args, **kwargs)
+
+    monkeypatch.setattr(logreg, "_newton_direction", counted)
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(30, 80))
+    y = (X[:, :5].sum(axis=1) + rng.normal(size=30) > 0).astype(float)
+    assert rfe_select(X, y, target_k=5) == [1, 3, 16, 18, 74]
+    assert len({shape[1] for shape in directions}) == 80 - 5
+    assert len(directions) < 3 * (80 - 5)
