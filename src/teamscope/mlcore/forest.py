@@ -9,13 +9,16 @@ lockstep: each step takes the next depth-first split candidate of every
 unfinished tree and scores them together, in batched split searches of at
 most ``_CELL_BUDGET`` (feature, sample) cells each. A tree's draws come in
 the order it would make them growing alone, so neither the lockstep nor the
-batching changes a tree. A tree is a set of parallel
-per-node arrays (the layout of scikit-learn's ``Tree``), used as is for
-fitting, prediction and the model file. Leaves store the counts of classes
-0 and 1; tree and forest predictions are majority votes with ties going to
-class 0. Those counts are all a forest's importances need, so a model file
-holds only the trees and the number of feature columns: the class list, the
-depth rule and the tree count belong to the code or follow from the trees.
+batching changes a tree. A forest is one set of parallel per-node arrays
+over all its trees (the layout of scikit-learn's ``Tree``, applied to the
+whole forest), with child indices across the forest and each tree's root
+in ``trees``: fitting builds it, and prediction and importances read it in
+whole-forest passes. Leaves store the counts of classes 0 and 1; tree and
+forest predictions are majority votes with ties going to class 0. Those
+counts are all a forest's importances need, so a model file holds only the
+trees and the number of feature columns: the class list, the depth rule
+and the tree count belong to the code or follow from the trees. The file
+lists each tree's node arrays with child indices local to that tree, and
 ``from_dict`` reads them through :mod:`.serialize`'s readers.
 """
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +35,6 @@ from ..errors import DataError, SchemaError
 from .evaluation import check_training_set, seed_sequence
 from .serialize import integer, integers, numbers
 
-_TREE_ARRAYS = ("feature", "threshold", "left", "right", "counts")
 # Most cells (candidate feature x node sample) one batched split search holds.
 # It bounds the search's working memory (about 50 bytes a cell) whatever the
 # number of trees, and is large enough that numpy's per-call cost is small.
@@ -39,14 +42,17 @@ _CELL_BUDGET = 1 << 14
 
 
 @dataclass(eq=False)
-class Tree:
-    """One fitted tree as parallel arrays over its nodes, in pre-order (root 0).
+class ForestModel:
+    """A fitted forest as parallel arrays over the nodes of all its trees.
 
-    ``feature[i]`` is -1 at a leaf. At a split node, rows with
-    ``x[feature[i]] <= threshold[i]`` continue at ``left[i]`` and the others
-    at ``right[i]``; both children come after their parent. ``counts[i]`` holds
-    the counts of classes 0 and 1 among the bootstrap samples that reached
-    node i, and a leaf votes for the larger, class 0 on a tie.
+    Tree t's nodes run in pre-order from its root ``trees[t]`` to the next
+    tree's root, so ``len(trees)`` is the tree count. ``feature[i]`` is -1 at
+    a leaf, whose ``left[i]`` and ``right[i]`` are -1 too. At a split node,
+    rows with ``x[feature[i]] <= threshold[i]`` continue at node ``left[i]``
+    and the others at ``right[i]``, both after node i in its tree; the model
+    file counts them from the tree's root instead. ``counts[i]`` holds the
+    counts of classes 0 and 1 among the bootstrap samples that reached node
+    i, and a leaf votes for the larger, class 0 on a tie.
     """
 
     feature: np.ndarray  # int64, -1 at leaves
@@ -54,64 +60,67 @@ class Tree:
     left: np.ndarray  # int64, -1 at leaves
     right: np.ndarray  # int64, -1 at leaves
     counts: np.ndarray  # int64, nodes x 2
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Tree):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, k), getattr(other, k)) for k in _TREE_ARRAYS)
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k).tolist() for k in _TREE_ARRAYS}
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "Tree":
-        """A tree whose arrays have one length; :meth:`ForestModel.from_dict`
-        checks how its nodes link."""
-        tree = cls(
-            feature=integers(raw["feature"], "tree feature"),
-            threshold=numbers(raw["threshold"], "tree threshold"),
-            left=integers(raw["left"], "tree left"),
-            right=integers(raw["right"], "tree right"),
-            counts=integers(raw["counts"], "tree counts", pairs=True),
-        )
-        n = len(tree.feature)
-        if n == 0 or any(getattr(tree, k).shape[:1] != (n,) for k in _TREE_ARRAYS):
-            raise SchemaError("malformed tree: inconsistent node arrays")
-        return tree
-
-
-@dataclass
-class ForestModel:
-    trees: list[Tree]
+    trees: np.ndarray  # int64, each tree's root node
     n_features: int
 
     def to_dict(self) -> dict:
-        return {"trees": [tree.to_dict() for tree in self.trees], "n_features": self.n_features}
+        sizes = np.diff(self.trees, append=len(self.feature))
+        base = np.repeat(self.trees, sizes)
+        split = self.feature >= 0
+        arrays = {
+            "feature": self.feature.tolist(),
+            "threshold": self.threshold.tolist(),
+            "left": np.where(split, self.left - base, -1).tolist(),
+            "right": np.where(split, self.right - base, -1).tolist(),
+            "counts": self.counts.tolist(),
+        }
+        bounds = zip(self.trees.tolist(), (self.trees + sizes).tolist())
+        trees = [{k: v[lo:hi] for k, v in arrays.items()} for lo, hi in bounds]
+        return {"trees": trees, "n_features": self.n_features}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ForestModel":
         n_features = integer(raw["n_features"], "forest n_features")
-        trees = [Tree.from_dict(t) for t in raw["trees"]]
-        if not trees:
+        per_tree = [_read_tree(t) for t in raw["trees"]]
+        if not per_tree:
             raise SchemaError("forest has no trees")
-        # all trees' nodes at once: a split reads one of the columns, and its
-        # children come after it inside its tree, which keeps every descent finite
-        sizes = np.array([len(t.feature) for t in trees])
-        feature = np.concatenate([t.feature for t in trees])
-        split = feature >= 0
-        node = (np.arange(len(feature)) - np.repeat(np.cumsum(sizes) - sizes, sizes))[split]
-        end = np.repeat(sizes, sizes)[split]
-        left = np.concatenate([t.left for t in trees])[split]
-        right = np.concatenate([t.right for t in trees])[split]
-        if (
-            np.any(feature >= n_features)
-            or np.any(left <= node)
-            or np.any(right <= node)
-            or np.any(left >= end)
-            or np.any(right >= end)
-        ):
+        sizes = np.array([len(t[0]) for t in per_tree])
+        feature, threshold, left, right, counts = (np.concatenate(a) for a in zip(*per_tree))
+        # a split reads one of the columns, and its children come after it
+        # inside its tree, which keeps every descent finite; a leaf links nowhere
+        node = np.arange(len(feature)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        end = np.repeat(sizes, sizes)
+        inside = (node < left) & (left < end) & (node < right) & (right < end)
+        linked = np.where(feature >= 0, inside, (left == -1) & (right == -1))
+        if np.any(feature >= n_features) or not np.all(linked):
             raise SchemaError("malformed tree: inconsistent node arrays")
-        return cls(trees=trees, n_features=n_features)
+        return _forest(feature, threshold, left, right, counts, sizes, n_features)
+
+
+def _read_tree(raw: dict) -> tuple:
+    """One tree's feature, threshold, left, right and counts arrays, all of one length."""
+    arrays = (
+        integers(raw["feature"], "tree feature"),
+        numbers(raw["threshold"], "tree threshold"),
+        integers(raw["left"], "tree left"),
+        integers(raw["right"], "tree right"),
+        integers(raw["counts"], "tree counts", pairs=True),
+    )
+    n = len(arrays[0])
+    if n == 0 or any(a.shape[:1] != (n,) for a in arrays):
+        raise SchemaError("malformed tree: inconsistent node arrays")
+    return arrays
+
+
+def _forest(feature, threshold, left, right, counts, sizes, n_features) -> ForestModel:
+    """The forest whose trees of ``sizes`` nodes come one after another in the
+    node arrays, with child indices counted from each tree's root."""
+    trees = np.cumsum(sizes) - sizes
+    base = np.repeat(trees, sizes)
+    split = feature >= 0
+    left = np.where(split, left + base, -1)
+    right = np.where(split, right + base, -1)
+    return ForestModel(feature, threshold, left, right, counts, trees, n_features)
 
 
 def _weighted_gini(counts: np.ndarray, size: np.ndarray) -> np.ndarray:
@@ -261,8 +270,8 @@ def _chunks(batch, k_features):
         yield chunk
 
 
-def _grow_trees(X, y, rngs):
-    """One tree per generator, all grown in lockstep.
+def _grow_trees(X, y, rngs) -> ForestModel:
+    """The forest of one tree per generator, all grown in lockstep.
 
     Every tree grows depth first, left subtree before right, so its nodes
     come out in pre-order. Each step takes the next split candidate of every
@@ -335,19 +344,10 @@ def _grow_trees(X, y, rngs):
                 stacks[t].append((start + n_l, end, r_counts, r_gini, node, 3))
                 stacks[t].append((start, start + n_l, l_counts, l_gini, node, 2))
 
-    trees = []
-    for tree in nodes:
-        feature, threshold, left, right, counts = zip(*tree)
-        trees.append(
-            Tree(
-                feature=np.array(feature, dtype=np.int64),
-                threshold=np.array(threshold, dtype=np.float64),
-                left=np.array(left, dtype=np.int64),
-                right=np.array(right, dtype=np.int64),
-                counts=np.array(counts, dtype=np.int64),
-            )
-        )
-    return trees
+    sizes = np.array([len(tree) for tree in nodes], dtype=np.int64)
+    columns = zip(*chain.from_iterable(nodes))  # feature, threshold, left, right, counts
+    dtypes = (np.int64, np.float64, np.int64, np.int64, np.int64)
+    return _forest(*(np.array(c, dtype=t) for c, t in zip(columns, dtypes)), sizes, d)
 
 
 def train_forest(X, y: Sequence, n_trees: int = 100, seed: int = 0) -> ForestModel:
@@ -362,7 +362,7 @@ def train_forest(X, y: Sequence, n_trees: int = 100, seed: int = 0) -> ForestMod
 
     rngs = [np.random.default_rng(seed_sequence(seed, t)) for t in range(n_trees)]
     # int32 labels keep the split search's prefix sums int32
-    return ForestModel(trees=_grow_trees(X, y.astype(np.int32), rngs), n_features=X.shape[1])
+    return _grow_trees(X, y.astype(np.int32), rngs)
 
 
 def forest_votes(model: ForestModel, X) -> np.ndarray:
@@ -373,17 +373,12 @@ def forest_votes(model: ForestModel, X) -> np.ndarray:
     """
     X = np.asarray(X, dtype=np.float64)
     m = X.shape[0]
-    trees = model.trees
-    offsets = np.cumsum([0] + [len(t.feature) for t in trees[:-1]])
-    feature = np.concatenate([t.feature for t in trees])
-    threshold = np.concatenate([t.threshold for t in trees])
-    left = np.concatenate([t.left + off for t, off in zip(trees, offsets)])
-    right = np.concatenate([t.right + off for t, off in zip(trees, offsets)])
+    feature, threshold, left, right = model.feature, model.threshold, model.left, model.right
     # argmax takes the first max: ties go to class 0
-    leaf_vote = np.concatenate([t.counts for t in trees]).argmax(axis=1)
+    leaf_vote = model.counts.argmax(axis=1)
 
-    node = np.repeat(offsets, m)  # tree-major: entry t*m + r is row r in tree t
-    row = np.tile(np.arange(m), len(trees))
+    node = np.repeat(model.trees, m)  # tree-major: entry t*m + r is row r in tree t
+    row = np.tile(np.arange(m), len(model.trees))
     active = np.flatnonzero(feature[node] >= 0)
     while active.size:
         at = node[active]
@@ -403,18 +398,18 @@ def feature_importances(model: ForestModel) -> np.ndarray:
     Each tree's decreases per feature are normalized to sum to 1 (a tree
     without splits adds nothing), and the trees' shares are averaged.
     """
-    importance_sum = np.zeros(model.n_features, dtype=np.float64)
-    for tree in model.trees:
-        size = tree.counts.sum(axis=1)
-        weighted = size * _gini(tree.counts.T)
-        split = np.flatnonzero(tree.feature >= 0)
-        decrease = (weighted[split] - weighted[tree.left[split]] - weighted[tree.right[split]]) / size[0]
-        imp = np.zeros(model.n_features, dtype=np.float64)
-        np.add.at(imp, tree.feature[split], decrease)  # in pre-order
-        total = imp.sum()
-        if total > 0:
-            importance_sum += imp / total
-    raw = importance_sum / len(model.trees)
+    n_trees = len(model.trees)
+    size = model.counts.sum(axis=1)
+    weighted = size * _gini(model.counts.T)
+    split = np.flatnonzero(model.feature >= 0)
+    tree = np.searchsorted(model.trees, split, side="right") - 1
+    decrease = weighted[split] - weighted[model.left[split]] - weighted[model.right[split]]
+    decrease /= size[model.trees[tree]]
+    per_tree = np.zeros((n_trees, model.n_features), dtype=np.float64)
+    np.add.at(per_tree, (tree, model.feature[split]), decrease)  # each tree's in pre-order
+    total = per_tree.sum(axis=1)
+    used = total > 0
+    raw = (per_tree[used] / total[used, None]).sum(axis=0) / n_trees
     total = raw.sum()
     if total <= 0:
         return np.zeros_like(raw)

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import numpy as np
-
+from .evaluation import check_training_set
 from .logreg import train_logreg
 
 
@@ -16,14 +15,18 @@ def rfe_select(X, y, target_k: int, l2_lambda: float = 1.0) -> list[int]:
     :class:`~.logreg.Elimination` says: at the Optimal Brain Surgeon point
     of the previous optimum with the dropped weight held at zero, or at that
     optimum without the dropped column. The start changes only the number
-    of Newton steps, not the optimum a refit reaches.
+    of Newton steps, not the optimum a refit reaches. ``y`` must hold both
+    classes: with one class alone the objective has no finite optimum, so
+    the weights RFE ranks would depend on where each fit starts.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X, y = check_training_set(X, y)
     d = X.shape[1]
     if target_k < 1:
         raise ValueError("target_k must be >= 1")
     if target_k > d:
         raise ValueError(f"target_k={target_k} exceeds feature count {d}")
+    if y.min() == y.max():
+        raise ValueError(f"y holds class {y[0]:.0f} alone; RFE needs both classes, 0 and 1")
 
     surviving = list(range(d))
     start = None

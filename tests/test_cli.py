@@ -607,6 +607,38 @@ def test_features_and_predictions_do_not_depend_on_roster_order(team_model, team
     assert outputs == team_model_outputs
 
 
+@pytest.fixture(scope="module")
+def team_model_flags(team_model, tmp_path_factory) -> bytes:
+    corpus, model_path = team_model
+    out = tmp_path_factory.mktemp("flags")
+    assert main(["flag", "--model", str(model_path), "--data", str(corpus), "--out", str(out)]) == 0
+    return (out / "flags.json").read_bytes()
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_features_predictions_and_flags_do_not_depend_on_label_line_order(
+    team_model, team_model_outputs, team_model_flags, data
+):
+    corpus, model_path = team_model
+    lines = (corpus / "labels.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    lines = data.draw(st.permutations(lines), label="labels")
+    blanks = st.tuples(st.integers(0, len(lines)), st.sampled_from(["\n", "  \n", "\t\n"]))
+    for at, blank in data.draw(st.lists(blanks, max_size=6), label="blank lines"):
+        lines.insert(at, blank)
+    with tempfile.TemporaryDirectory() as tmp:
+        data_dir, out = Path(tmp) / "data", Path(tmp) / "out"
+        data_dir.mkdir()
+        for name in ("commits.jsonl", "roster.csv"):
+            shutil.copy(corpus / name, data_dir / name)
+        (data_dir / "labels.jsonl").write_text("".join(lines), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()):
+            outputs = _features_and_predictions(data_dir, model_path, out)
+            assert main(["flag", "--model", str(model_path), "--data", str(data_dir), "--out", str(out)]) == 0
+        assert outputs == team_model_outputs
+        assert (out / "flags.json").read_bytes() == team_model_flags
+
+
 def test_train_commits_manifest_counts_distinct_messages(cascade_model):
     with open(cascade_model.parent / "tagged.csv", newline="", encoding="utf-8") as fh:
         messages = [row["message"] for row in csv.DictReader(fh)]

@@ -12,18 +12,14 @@ from teamscope.mlcore import (
     train_forest,
 )
 from teamscope.mlcore import forest as forest_module
-from teamscope.mlcore.forest import ForestModel, Tree
+from teamscope.mlcore.forest import ForestModel
 
 
-def _leaf(counts) -> Tree:
-    """A one-node tree that votes for the largest of ``counts``."""
-    return Tree(
-        feature=np.array([-1]),
-        threshold=np.array([0.0]),
-        left=np.array([-1]),
-        right=np.array([-1]),
-        counts=np.array([counts]),
-    )
+def _leaves(*counts) -> ForestModel:
+    """A forest of one-node trees over one column, each voting for the largest of its ``counts``."""
+    leaf = {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1]}
+    trees = [dict(leaf, counts=[c]) for c in counts]
+    return ForestModel.from_dict({"trees": trees, "n_features": 1})
 
 
 def _winners(model, X) -> list:
@@ -34,7 +30,7 @@ def _winners(model, X) -> list:
 def test_pure_single_class_input_predicts_that_class():
     X = np.arange(12.0).reshape(6, 2)
     model = train_forest(X, [0] * 6, n_trees=5, seed=1)
-    assert all(len(tree.feature) == 1 for tree in model.trees)  # one leaf each
+    assert all(len(tree["feature"]) == 1 for tree in model.to_dict()["trees"])  # one leaf each
     assert _winners(model, X) == [0] * 6
 
 
@@ -105,9 +101,7 @@ def test_importances_rank_informative_over_noise():
 
 def test_majority_vote_tie_goes_to_smaller_class_index():
     # single-leaf trees: two that disagree and one whose leaf counts tie
-    X = np.array([[0.0], [1.0]])
-    combined = train_forest(X, [0, 1], n_trees=2, seed=1)
-    combined.trees = [_leaf([1, 0]), _leaf([0, 1]), _leaf([2, 2])]
+    combined = _leaves([1, 0], [0, 1], [2, 2])
     # the tied leaf votes for class index 0
     assert forest_votes(combined, np.array([[0.0]])).tolist() == [[2, 1]]
 
@@ -117,7 +111,8 @@ def test_bootstrap_per_tree_differs():
     X = rng.normal(size=(30, 3))
     y = (X[:, 0] > 0).astype(int)
     model = train_forest(X, y, n_trees=2, seed=42)
-    assert model.trees[0] != model.trees[1]
+    first, second = model.to_dict()["trees"]
+    assert first != second
 
 
 def test_tree_randomness_is_per_tree_not_sequential():
@@ -128,7 +123,7 @@ def test_tree_randomness_is_per_tree_not_sequential():
     y = (X[:, 2] > 0).astype(int)
     small = train_forest(X, y, n_trees=3, seed=17)
     large = train_forest(X, y, n_trees=6, seed=17)
-    assert large.trees[:3] == small.trees
+    assert large.to_dict()["trees"][:3] == small.to_dict()["trees"]
 
 
 def test_non_binary_labels_are_data_error():
@@ -173,8 +168,7 @@ def _assert_matches_reference(X, y, n_trees, seed):
     model = train_forest(X, y, n_trees=n_trees, seed=seed)
     trees, classes, importances = oracle_forest.train_forest(X, y, n_trees, seed)
     assert classes == [0, 1]
-    expected = [Tree.from_dict(oracle_forest.flatten(t)) for t in trees]
-    assert model.trees == expected
+    assert model.to_dict()["trees"] == [oracle_forest.flatten(t) for t in trees]
     # the oracle sums each split's decrease as it grows the tree; the model reads them from the counts
     total = importances.sum()
     assert np.array_equal(feature_importances(model), importances / total if total > 0 else importances)
@@ -216,7 +210,7 @@ def test_midpoint_rounding_onto_the_next_value_matches_reference():
     y = [0, 0, 0, 1, 1, 1, 1, 1]
     _assert_matches_reference(X, y, n_trees=5, seed=2)
     model = train_forest(X, y, n_trees=5, seed=2)
-    thresholds = [t for tree in model.trees for t in tree.threshold[tree.feature >= 0]]
+    thresholds = model.threshold[model.feature >= 0].tolist()
     assert a in thresholds and b not in thresholds
 
 
@@ -231,7 +225,9 @@ def test_tree_arrays_round_trip_through_dict():
     X = rng.normal(size=(30, 4))
     model = train_forest(X, (X[:, 1] > 0).astype(int), n_trees=3, seed=5)
     clone = ForestModel.from_dict(model.to_dict())
-    assert clone.trees == model.trees
+    # the tree count is len(trees): stage vote shares and traced counts read it
+    assert len(model.trees) == len(clone.trees) == 3
+    assert clone.to_dict() == model.to_dict()
     assert np.array_equal(forest_votes(clone, X), forest_votes(model, X))
 
 
@@ -242,6 +238,8 @@ def test_tree_arrays_round_trip_through_dict():
         {"right": [3, -1, -1]},  # a child past the last node
         {"feature": [7, -1, -1]},  # beyond the model's columns
         {"counts": [[1, 1], [1, 0]]},  # fewer count rows than nodes
+        {"left": [1, 2, -1]},  # a leaf given a child
+        {"right": [2, -1, 0]},  # a leaf given a child
         {"threshold": "x"},
     ],
 )

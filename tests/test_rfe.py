@@ -35,6 +35,14 @@ def test_target_k_below_one_errors():
         rfe_select(X, y, target_k=4)
 
 
+@pytest.mark.parametrize("label", [0.0, 1.0])
+def test_single_class_target_is_refused(label):
+    # one class has no finite optimum: the ranked weights would depend on the start
+    X, _ = _three_strength_data()
+    with pytest.raises(ValueError, match=f"class {label:.0f} alone; RFE needs both classes, 0 and 1"):
+        rfe_select(X, np.full(len(X), label), target_k=2)
+
+
 def _duplicated_informative_fixture(seed=100):
     rng = np.random.default_rng(seed)
     informative = rng.normal(size=100)

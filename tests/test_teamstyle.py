@@ -15,7 +15,6 @@ from teamscope.mlcore import (
     logistic_loss_and_grad,
     predict_proba,
 )
-from teamscope.mlcore.forest import Tree
 from teamscope.synthgen import GenConfig, generate_corpus, truth_labeled_commits
 from teamscope.teamfeat import REGISTRY, build_matrix, order_users
 from teamscope.teamstyle import (
@@ -34,15 +33,11 @@ from teamscope.teamstyle import (
 )
 
 
-def _leaf(counts) -> Tree:
-    """A one-node tree that votes for the largest of ``counts``."""
-    return Tree(
-        feature=np.array([-1]),
-        threshold=np.array([0.0]),
-        left=np.array([-1]),
-        right=np.array([-1]),
-        counts=np.array([counts]),
-    )
+def _leaves(*counts, n_features=1) -> ForestModel:
+    """A forest of one-node trees, each voting for the largest of its ``counts``."""
+    leaf = {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1]}
+    trees = [dict(leaf, counts=[c]) for c in counts]
+    return ForestModel.from_dict({"trees": trees, "n_features": n_features})
 
 
 def _team():
@@ -244,22 +239,22 @@ def test_predict_cascade_precedence_and_fallback(corpus):
 
     # force every stage negative: prediction falls back to Collaborative
     silent = TeamStyleModel.from_dict(model.to_dict())
-    for stage in silent.stages:
-        stage.model.trees = [_leaf([1, 0])] * len(stage.model.trees)  # all vote 0
+    for stage in silent.stages:  # every tree votes 0
+        stage.model = _leaves(*[[1, 0]] * len(stage.model.trees), n_features=len(stage.selected))
     ((style, confidence),) = predict_style_with_confidence(silent, build.raw[:1])
     assert style == TeamStyle.COLLABORATIVE
     assert 0.0 <= confidence <= 1.0
 
     # force the solo stage positive: precedence wins even if others would fire
     loud = TeamStyleModel.from_dict(model.to_dict())
-    for stage in loud.stages:
-        stage.model.trees = [_leaf([0, 1])] * len(stage.model.trees)  # all vote 1
+    for stage in loud.stages:  # every tree votes 1
+        stage.model = _leaves(*[[0, 1]] * len(stage.model.trees), n_features=len(stage.selected))
     assert predict_style_with_confidence(loud, build.raw[:1])[0][0] == TeamStyle.SOLO_SUBMIT
 
 
 def test_forest_stage_vote_tie_does_not_fire():
     # a 1-1 vote goes to the smaller class index, 0, so the stage stays silent
-    forest = ForestModel(trees=[_leaf([1, 0]), _leaf([0, 1])], n_features=1)
+    forest = _leaves([1, 0], [0, 1])
     stage = StyleStage(selected=[0], model=forest)
     fired, scores = stage.fires(np.zeros((1, 1)))
     assert fired.tolist() == [False]
