@@ -62,7 +62,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         _apply_config(args)
-        digests = {name: _input_digest(path) for name, path in _inputs(args).items()}
+        digests = {name: _sha256(path) for name, path in _inputs(args).items()}
         outdir = _outdir(args)
         manifest = args.func(args, outdir, digests)
         if manifest is not None:
@@ -257,17 +257,18 @@ def _inputs(args) -> dict[str, Path]:
     }
 
 
-def _input_digest(path: Path) -> str:
-    """The sha256 of an input file. Anything but a regular file is refused
-    unopened: hashing would drain a pipe and leave the command nothing to parse."""
+def _sha256(path: Path) -> str:
+    return _digest(_regular_file_bytes(path))
+
+
+def _regular_file_bytes(path: Path) -> bytes:
+    """The bytes of ``path``. Anything but a regular file is refused unopened
+    (``DataError``): a read would block on a pipe, or drain it and leave the
+    command nothing to parse."""
     if not stat.S_ISREG(os.stat(path).st_mode):
         with in_file(path):
             raise DataError("not a regular file")
-    return _sha256(path)
-
-
-def _sha256(path: Path) -> str:
-    return _digest(path.read_bytes())
+    return path.read_bytes()
 
 
 def _digest(data: bytes) -> str:
@@ -427,7 +428,7 @@ def _recorded_matrix(data: Path, digests: dict) -> teamfeat.FeatureMatrix | None
         manifest = json.loads(_regular_file_bytes(data / "manifest_features.json"))
         table = _regular_file_bytes(data / "features.csv")
         registry = _regular_file_bytes(data / "registry.json")
-    except (OSError, ValueError, RecursionError):
+    except (DataError, OSError, ValueError, RecursionError):
         return None
     recorded = {
         "command": "features",
@@ -449,12 +450,6 @@ def _recorded_matrix(data: Path, digests: dict) -> teamfeat.FeatureMatrix | None
     if not np.isfinite(raw).all():
         return None
     return teamfeat.FeatureMatrix([row[0] for row in rows], teamfeat.REGISTRY, raw)
-
-
-def _regular_file_bytes(path: Path) -> bytes:
-    if not stat.S_ISREG(os.stat(path).st_mode):
-        raise OSError(f"{path}: not a regular file")
-    return path.read_bytes()
 
 
 def _compute_matrix(files: dict[str, Path]) -> teamfeat.MatrixBuild:

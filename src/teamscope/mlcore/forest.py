@@ -92,7 +92,7 @@ class ForestModel:
         end = np.repeat(sizes, sizes)
         inside = (node < left) & (left < end) & (node < right) & (right < end)
         linked = np.where(feature >= 0, inside, (left == -1) & (right == -1))
-        if np.any(feature >= n_features) or not np.all(linked):
+        if np.any((feature < -1) | (feature >= n_features)) or not np.all(linked):
             raise SchemaError("malformed tree: inconsistent node arrays")
         return _forest(feature, threshold, left, right, counts, sizes, n_features)
 

@@ -6,17 +6,17 @@ the smoothed form ``ln((1 + N) / (1 + df)) + 1`` and transformed vectors are
 L2-normalized (zero vectors stay zero), one row per document of a batch.
 
 A corpus's n-grams are enumerated once, into an :class:`NgramIndex`: a
-term -> id dict and, for each document, one (row, id, count) entry per
-distinct n-gram, as int32 arrays (a document-term matrix in coordinate form,
-as behind scikit-learn's ``TfidfVectorizer``). Fitting and transforming work
-on those arrays, and ``take`` selects the documents of a fold or of a cascade
-stage's survivors without enumerating their n-grams again. Document
-frequencies are a ``bincount`` of the entries' ids, and a batch's counts
-are written into its matrix at (row, column) in one assignment. Each row's
-norm is the square root of its own dot product, taken as the stacked
-(1 x dim) @ (dim x 1) products of one ``matmul``: that is the kernel a
-row's ``vec @ vec`` uses, so a row's bytes do not depend on the batch it is
-in.
+term -> id dict and a document-term matrix in compressed sparse rows (as
+scikit-learn's ``CountVectorizer`` builds it), with one (id, count) entry
+per distinct n-gram of a document and document r's entries at the offsets
+``indptr[r]:indptr[r + 1]``. Fitting and transforming work on those arrays,
+and ``take`` gathers the documents of a fold or of a cascade stage's
+survivors without enumerating their n-grams again. Document frequencies are
+a ``bincount`` of the entries' ids, and a batch's counts are written into
+its matrix at (row, column) in one assignment. Each row's norm is the square
+root of its own dot product, taken as the stacked (1 x dim) @ (dim x 1)
+products of one ``matmul``: that is the kernel a row's ``vec @ vec`` uses,
+so a row's bytes do not depend on the batch it is in.
 
 An index does not record its n-gram range: the caller that builds it owns
 the range, and a model, fitted on one index, is applied to indexes of the
@@ -69,43 +69,34 @@ def iter_ngrams(tokens: Sequence[str], n_min: int, n_max: int):
 
 @dataclass(frozen=True, eq=False)
 class NgramIndex:
-    """The n-gram counts of a list of documents, as integer arrays.
+    """The n-gram counts of a list of documents, in compressed sparse rows.
 
-    Entry k says that term ``ids[k]`` occurs ``counts[k]`` times in document
-    ``rows[k]``; a (row, id) pair has one entry. ``terms`` maps each n-gram
-    to its id and may hold n-grams that no indexed document has.
+    Document r's entries are ``ids[indptr[r]:indptr[r + 1]]`` (int32 term
+    ids, one per distinct n-gram of the document) and the int32 ``counts``
+    at the same offsets; ``indptr`` holds one offset per document and a last
+    one. ``terms`` maps each n-gram to its id and may hold n-grams that no
+    indexed document has.
     """
 
     terms: dict[str, int]
-    rows: np.ndarray  # int32
+    indptr: np.ndarray  # int64
     ids: np.ndarray  # int32
     counts: np.ndarray  # int32
-    n_docs: int
+
+    @property
+    def n_docs(self) -> int:
+        return self.indptr.size - 1
 
     def take(self, rows: Sequence[int]) -> "NgramIndex":
-        """The documents ``rows``, in that order, as rows 0, 1, ...
-
-        A row may repeat: each copy becomes its own document, with its own
-        entries, so an index of distinct documents gives every occurrence of
-        a repeated document a row. The entries keep their order here, the
-        copies of an entry side by side in the order of ``rows``.
-        """
+        """The documents ``rows``, in that order, as rows 0, 1, ...; a row may repeat."""
         rows = np.asarray(rows, dtype=np.intp)
         if rows.size and (rows.min() < 0 or rows.max() >= self.n_docs):
             raise IndexError(f"rows must lie in [0, {self.n_docs})")
-        copies = np.bincount(rows, minlength=self.n_docs)
-        # the positions in ``rows`` of each document, grouped by document
-        by_doc = np.argsort(rows, kind="stable")
-        per_entry = copies[self.rows]
-        entry = np.repeat(np.arange(self.rows.size), per_entry)
-        # copy c of an entry of document d (the entry's copies start at out_k
-        # in the result) belongs to row by_doc[first[d] + c]
-        first = np.cumsum(copies) - copies
-        out_k = np.cumsum(per_entry) - per_entry
-        at = np.repeat(first[self.rows] - out_k, per_entry)
-        at += np.arange(entry.size)
-        new_rows = by_doc[at].astype(np.int32)
-        return NgramIndex(self.terms, new_rows, self.ids[entry], self.counts[entry], rows.size)
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        entry = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return NgramIndex(self.terms, indptr, self.ids[entry], self.counts[entry])
 
 
 def index_ngrams(docs: Sequence[Sequence[str]], n_min: int, n_max: int) -> NgramIndex:
@@ -119,13 +110,8 @@ def index_ngrams(docs: Sequence[Sequence[str]], n_min: int, n_max: int) -> Ngram
         ids += [terms.setdefault(gram, len(terms)) for gram in grams]
         counts += grams.values()
         lengths.append(len(grams))
-    return NgramIndex(
-        terms,
-        np.repeat(np.arange(len(docs), dtype=np.int32), lengths),
-        np.array(ids, dtype=np.int32),
-        np.array(counts, dtype=np.int32),
-        len(docs),
-    )
+    indptr = np.cumsum([0] + lengths)
+    return NgramIndex(terms, indptr, np.array(ids, dtype=np.int32), np.array(counts, dtype=np.int32))
 
 
 def fit_tfidf(index: NgramIndex, max_features: int) -> TfidfModel:
@@ -158,9 +144,12 @@ def tfidf_transform(model: TfidfModel, index: NgramIndex) -> np.ndarray:
         if at is not None:
             column[at] = col
     cols = column[index.ids]
-    hit = cols >= 0
+    # positions, not a mask: in document order hits and misses alternate,
+    # and a masked gather then costs several times a gather by position
+    hit = np.flatnonzero(cols >= 0)
+    rows = np.repeat(np.arange(index.n_docs), np.diff(index.indptr))
     X = np.zeros((index.n_docs, model.dim), dtype=np.float64)
-    X[index.rows[hit], cols[hit]] = index.counts[hit]
+    X[rows[hit], cols[hit]] = index.counts[hit]
     X *= model.idf
     norms = np.sqrt(np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0])
     np.divide(X, norms[:, None], out=X, where=(norms > 0.0)[:, None])

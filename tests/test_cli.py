@@ -13,7 +13,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
 import teamscope
@@ -580,31 +580,81 @@ def team_model_outputs(team_model, tmp_path_factory):
 
 
 _TEAMS = 14  # the team_model corpus's
+# The settings of the hypothesis tests that run CLI commands for each example.
+# A failing example is reported as drawn: shrinking it would rerun the commands
+# one candidate at a time.
+_CLI_EXAMPLES = settings(
+    deadline=None,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def _roster_reordered(corpus: Path, tmp: str, order, swaps) -> Path:
+    """A copy of ``corpus`` whose roster lists team ``order[i]`` i-th, its two members swapped where ``swaps[i]``."""
+    header, *rows = (corpus / "roster.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    teams = [rows[i : i + 2] for i in range(0, len(rows), 2)]
+    assert len(teams) == _TEAMS and all(a.split(",")[0] == b.split(",")[0] for a, b in teams)
+    data = Path(tmp) / "data"
+    data.mkdir()
+    for name in ("commits.jsonl", "labels.jsonl"):
+        shutil.copy(corpus / name, data / name)
+    members = [teams[t][::-1] if swap else teams[t] for t, swap in zip(order, swaps)]
+    (data / "roster.csv").write_text(header + "".join(sum(members, [])), encoding="utf-8")
+    return data
+
+
+_roster_orders = {
+    "order": st.permutations(range(_TEAMS)),
+    "swaps": st.lists(st.booleans(), min_size=_TEAMS, max_size=_TEAMS),
+}
 
 
 # Training is not order-invariant: bootstrap and fold draws follow row order. So
 # only the commands that apply a trained model are held to the roster's order.
-@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(_CLI_EXAMPLES, max_examples=10)
 @example(order=list(reversed(range(_TEAMS))), swaps=[True] * _TEAMS)
-@given(
-    order=st.permutations(range(_TEAMS)),
-    swaps=st.lists(st.booleans(), min_size=_TEAMS, max_size=_TEAMS),
-)
+@given(**_roster_orders)
 def test_features_and_predictions_do_not_depend_on_roster_order(team_model, team_model_outputs, order, swaps):
     corpus, model_path = team_model
-    header, *rows = (corpus / "roster.csv").read_text(encoding="utf-8").splitlines(keepends=True)
-    teams = [rows[i : i + 2] for i in range(0, len(rows), 2)]
-    assert len(teams) == _TEAMS and all(a.split(",")[0] == b.split(",")[0] for a, b in teams)
     with tempfile.TemporaryDirectory() as tmp:
-        data = Path(tmp) / "data"
-        data.mkdir()
-        for name in ("commits.jsonl", "labels.jsonl"):
-            shutil.copy(corpus / name, data / name)
-        members = [teams[t][::-1] if swap else teams[t] for t, swap in zip(order, swaps)]
-        (data / "roster.csv").write_text(header + "".join(sum(members, [])), encoding="utf-8")
+        data = _roster_reordered(corpus, tmp, order, swaps)
         with contextlib.redirect_stdout(io.StringIO()):
             outputs = _features_and_predictions(data, model_path, Path(tmp) / "out")
     assert outputs == team_model_outputs
+
+
+@pytest.fixture(scope="module")
+def logistic_team_model(team_model, tmp_path_factory):
+    """The logistic-RFE model of the team_model corpus, and its predictions.csv rows by team."""
+    corpus, _ = team_model
+    out = tmp_path_factory.mktemp("logistic")
+    styles = str(corpus / "truth_teams.csv")
+    argv = ["--data", str(corpus), "--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train-teams", *argv, "--styles", styles, "--algorithm", "logistic_rfe", "--seed", "9"]) == 0
+        model = out / "teams_logistic_rfe.json"
+        assert main(["predict", "--model", str(model), *argv]) == 0
+    return model, _rows_by_team(out / "predictions.csv")
+
+
+@settings(_CLI_EXAMPLES, max_examples=10)
+@example(order=list(reversed(range(_TEAMS))), swaps=[True] * _TEAMS)
+@given(**_roster_orders)
+def test_logistic_predictions_do_not_depend_on_roster_order(team_model, logistic_team_model, order, swaps):
+    corpus, _ = team_model
+    model, expected = logistic_team_model
+    with tempfile.TemporaryDirectory() as tmp:
+        data = _roster_reordered(corpus, tmp, order, swaps)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["predict", "--model", str(model), "--data", str(data), "--out", tmp]) == 0
+        predictions = _rows_by_team(Path(tmp) / "predictions.csv")
+    assert predictions.keys() == expected.keys()
+    for team, row in expected.items():
+        assert predictions[team]["style"] == row["style"]
+        # a team's row is at another place in the matrix product
+        confidence = float(predictions[team]["confidence"])
+        assert confidence == pytest.approx(float(row["confidence"]), rel=1e-12, abs=1e-15)
 
 
 @pytest.fixture(scope="module")
@@ -615,7 +665,7 @@ def team_model_flags(team_model, tmp_path_factory) -> bytes:
     return (out / "flags.json").read_bytes()
 
 
-@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(_CLI_EXAMPLES, max_examples=10)
 @given(data=st.data())
 def test_features_predictions_and_flags_do_not_depend_on_label_line_order(
     team_model, team_model_outputs, team_model_flags, data
@@ -1209,7 +1259,7 @@ def test_pipeline_writes_the_same_bytes_with_or_without_features(team_model, tmp
     assert reused == computed
 
 
-@settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(_CLI_EXAMPLES, max_examples=5)
 @example(copies=[0], at=[0], author="stranger")
 @given(
     copies=st.lists(st.integers(0, 10_000), min_size=1, max_size=6),
@@ -1363,7 +1413,7 @@ def applied_outputs(team_model, cascade_model, tmp_path_factory):
     return _applied_pipeline(data, cascade_model, model)
 
 
-@settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(_CLI_EXAMPLES, max_examples=5)
 @example(cases=[str.upper], names=[f"T{i}" for i in range(_TEAMS)])
 @given(
     cases=st.lists(st.sampled_from(_CASES), min_size=1, max_size=6),

@@ -241,6 +241,7 @@ def test_tree_arrays_round_trip_through_dict():
         {"left": [1, 2, -1]},  # a leaf given a child
         {"right": [2, -1, 0]},  # a leaf given a child
         {"threshold": "x"},
+        {"feature": [0, -5, -1]},  # a leaf marked with other than -1
     ],
 )
 def test_malformed_tree_is_schema_error(change):

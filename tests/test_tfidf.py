@@ -117,21 +117,22 @@ def test_vocabulary_capped_at_max_features():
 def test_index_counts_each_documents_distinct_grams():
     index = index_ngrams([["a", "b", "a"], [], ["b", "b"]], 1, 2)
     assert index.terms == {"a": 0, "b": 1, "a b": 2, "b a": 3, "b b": 4}
-    assert index.rows.tolist() == [0, 0, 0, 0, 2, 2]
+    assert index.indptr.tolist() == [0, 4, 4, 6]
     assert index.ids.tolist() == [0, 1, 2, 3, 1, 4]
     assert index.counts.tolist() == [2, 1, 1, 1, 2, 1]
     assert index.n_docs == 3
 
     sub = index.take([2, 0])
     assert sub.terms is index.terms and sub.n_docs == 2
-    assert sub.rows.tolist() == [1, 1, 1, 1, 0, 0]
-    assert sub.ids.tolist() == index.ids.tolist() and sub.counts.tolist() == index.counts.tolist()
-    assert index.take([1]).rows.size == 0 and index.take([]).n_docs == 0
+    assert sub.indptr.tolist() == [0, 2, 6]
+    assert sub.ids.tolist() == [1, 4, 0, 1, 2, 3] and sub.counts.tolist() == [2, 1, 2, 1, 1, 1]
+    assert index.take([1]).indptr.tolist() == [0, 0] and index.take([]).n_docs == 0
 
 
 def _triples(index):
     names = list(index.terms)
-    return [(r, names[i], c) for r, i, c in zip(index.rows.tolist(), index.ids.tolist(), index.counts.tolist())]
+    rows = np.repeat(np.arange(index.n_docs), np.diff(index.indptr))
+    return [(r, names[i], c) for r, i, c in zip(rows.tolist(), index.ids.tolist(), index.counts.tolist())]
 
 
 @settings(max_examples=150, deadline=None)
@@ -147,9 +148,8 @@ def test_take_gives_each_copy_of_a_repeated_row_its_own_entries(docs, data):
     taken = index_ngrams(docs, 1, 2).take(rows)
     expected = index_ngrams([docs[r] for r in rows], 1, 2)
     assert taken.n_docs == expected.n_docs == len(rows)
-    assert {a.dtype for a in (taken.rows, taken.ids, taken.counts)} == {np.dtype(np.int32)}
-    got = _triples(taken)
-    assert len(got) == len(set(got)) and set(got) == set(_triples(expected))
+    assert {a.dtype for a in (taken.ids, taken.counts)} == {np.dtype(np.int32)}
+    assert _triples(taken) == _triples(expected)
 
 
 def test_take_refuses_rows_outside_the_index():
