@@ -401,16 +401,13 @@ def _read_labels(path) -> dict[str, tuple[int, bool]]:
     return labels
 
 
-def _load_dataset(data_dir, digests: dict | None = None):
-    """The dataset's feature matrix. Given ``digests`` (the sha256 of the inputs, by
-    manifest name), the one ``features`` recorded is taken while it is still current
-    (:func:`_recorded_matrix`); without them, and on any miss, it is computed."""
+def _load_dataset(data_dir, digests: dict):
+    """The dataset's feature matrix: the one ``features`` recorded while it is still
+    current against ``digests``, the sha256 of the inputs by manifest name
+    (:func:`_recorded_matrix`), and on any miss the one computed."""
     data = Path(data_dir)
-    if digests is not None:
-        matrix = _recorded_matrix(data, {name: digests[name] for name in _DATASET_FILES})
-        if matrix is not None:
-            return matrix
-    return _compute_matrix({name: data / file for name, file in _DATASET_FILES.items()})
+    matrix = _recorded_matrix(data, {name: digests[name] for name in _DATASET_FILES})
+    return _compute_matrix(data) if matrix is None else matrix
 
 
 def _recorded_matrix(data: Path, digests: dict) -> teamfeat.FeatureMatrix | None:
@@ -452,13 +449,14 @@ def _recorded_matrix(data: Path, digests: dict) -> teamfeat.FeatureMatrix | None
     return teamfeat.FeatureMatrix([row[0] for row in rows], teamfeat.REGISTRY, raw)
 
 
-def _compute_matrix(files: dict[str, Path]) -> teamfeat.MatrixBuild:
-    """The feature matrix of the dataset ``files``, each read once.
+def _compute_matrix(data_dir) -> teamfeat.MatrixBuild:
+    """The feature matrix of the dataset in ``data_dir``, each file read once.
 
     The commits go into a column table, whose authors locate each commit's
     team row and member slot, and the labels are joined to the commits on a
     team by sha.
     """
+    files = {name: Path(data_dir) / file for name, file in _DATASET_FILES.items()}
     table = load_commit_table(files["commits"])
     roster = load_roster(files["roster"])
     labels = _read_labels(files["labels"])
@@ -624,7 +622,7 @@ def _count_distinct(messages) -> int:
 
 def cmd_features(args, outdir, digests):
     # the producer of the recorded matrix: it never reads its own earlier output
-    build = _load_dataset(args.data)
+    build = _compute_matrix(args.data)
     features_path = outdir / "features.csv"
     with open(features_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -28,13 +28,13 @@ that index. ``classify`` is a one-row batch.
 A message's category and pair flag depend on its text alone, and course
 histories repeat messages. So each distinct message is normalized and run
 through the static rules once, and its result is mapped back to every commit
-that carries it. ``label_distinct`` classifies the distinct messages in
-batches of 2,048, which bounds the matrices' size. Training and
-cross-validation index the n-grams of the distinct tagged messages once and
-take that index with a row per tagged message, so document frequencies count
-commits and the logistic loss sums over commits; every fold and every
-stage's survivors are subsets of it. ``distinct_messages`` alone says which
-messages are the same: equal strings.
+that carries it. ``label_distinct`` classifies a course's distinct messages
+as one batch, with no block size. Training and cross-validation index the
+n-grams of the distinct tagged messages once and take that index with a row
+per tagged message, so document frequencies count commits and the logistic
+loss sums over commits; every fold and every stage's survivors are subsets
+of it. ``distinct_messages`` alone says which messages are the same: equal
+strings.
 """
 
 from __future__ import annotations
@@ -99,7 +99,6 @@ _KEYWORD_RULES = (
     ("documentation", CommitCategory.DOCUMENTATION),
     ("style", CommitCategory.STYLE),
 )
-_LABEL_BLOCK = 2048
 
 
 def default_keywords() -> dict[str, frozenset[str]]:
@@ -222,33 +221,21 @@ def distinct_messages(messages: Iterable[str]) -> tuple[list[str], list[int]]:
     return list(position), at
 
 
-def label_messages(
-    cascade: CascadeModel, messages: Sequence[str]
-) -> tuple[list[CommitCategory], list[bool]]:
-    """Each raw message's cascade category and pair-programming flag."""
-    distinct, at = distinct_messages(messages)
-    categories, pairs = label_distinct(cascade, distinct)
-    return [categories[i] for i in at], [pairs[i] for i in at]
-
-
 def label_distinct(
     cascade: CascadeModel, distinct: Sequence[str]
 ) -> tuple[list[CommitCategory], list[bool]]:
-    """:func:`label_messages` of messages already distinct, as
-    :func:`distinct_messages` gives them."""
-    categories: list[CommitCategory] = []
-    pairs: list[bool] = []
-    for start in range(0, len(distinct), _LABEL_BLOCK):
-        docs = [cascade.prepare(m) for m in distinct[start : start + _LABEL_BLOCK]]
-        categories += classify_tokens(cascade, docs)
-        pairs += map(detect_pair_programming, docs)
-    return categories, pairs
+    """Each message's cascade category and pair-programming flag. The messages
+    are distinct, as :func:`distinct_messages` gives them, and are classified
+    as one batch."""
+    docs = [cascade.prepare(m) for m in distinct]
+    return classify_tokens(cascade, docs), list(map(detect_pair_programming, docs))
 
 
 def label_commits(cascade: CascadeModel, commits: Iterable[CommitRecord]) -> list[LabeledCommit]:
     commits = list(commits)
-    categories, pairs = label_messages(cascade, [c.message for c in commits])
-    return list(map(LabeledCommit, commits, categories, pairs))
+    distinct, at = distinct_messages(c.message for c in commits)
+    categories, pairs = label_distinct(cascade, distinct)
+    return [LabeledCommit(c, categories[i], pairs[i]) for c, i in zip(commits, at)]
 
 
 def train_cascade(

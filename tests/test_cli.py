@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -1442,3 +1443,49 @@ def test_author_key_case_and_team_ids_do_not_change_what_is_applied(
         assert got == {rename[t]: {**row, "team_id": rename[t]} for t, row in base.items()}
     renamed = [{**flag, "team_id": rename[flag["team_id"]]} for flag in base_flags]
     assert sorted(map(canonical_json, flags)) == sorted(map(canonical_json, renamed))
+
+
+# --- the benchmark's tracer wraps the commands without changing them --------
+
+
+def _perfbench_tracer():
+    """``perfbench/tracer.py``, loaded from its file as the benchmark's traced runs use it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _model_pipeline(corpus: Path, tagged: str, work: Path, tracer=None) -> dict:
+    """Every file that training and applying both models writes, by path under ``work``."""
+    data, models = work / "data", work / "models"
+    data.mkdir(parents=True)
+    for name in ("commits.jsonl", "roster.csv", "truth_teams.csv"):
+        shutil.copy(corpus / name, data / name)
+    team_model = str(data / "models" / "teams_forest.json")
+    steps = [
+        ["train-commits", "--tagged", tagged, "--out", str(models)],
+        ["label-commits", "--model", str(models / "cascade.json"), "--data", str(data)],
+        ["train-teams", "--data", str(data), "--styles", str(data / "truth_teams.csv"), "--seed", "9"],
+        ["predict", "--model", team_model, "--data", str(data)],
+        ["flag", "--model", team_model, "--data", str(data)],
+    ]
+    with contextlib.redirect_stdout(io.StringIO()), tracer or contextlib.nullcontext():
+        for argv in steps:
+            assert cli.main(argv) == 0, argv  # looked up per call: the tracer rebinds it
+    return {str(p.relative_to(work)): p.read_bytes() for p in sorted(work.rglob("*")) if p.is_file()}
+
+
+def test_traced_commands_write_the_bytes_of_untraced_runs(team_model, cascade_model, tmp_path):
+    corpus, _ = team_model
+    tagged = str(cascade_model.parent / "tagged.csv")
+    tracer = _perfbench_tracer().Tracer()
+    untraced = _model_pipeline(corpus, tagged, tmp_path / "untraced")
+    assert _model_pipeline(corpus, tagged, tmp_path / "traced", tracer) == untraced
+    metrics = tracer.layer_metrics()
+    assert metrics["cli.main.calls"] == 5
+    # the tracer sizes each model file a command saves or loads
+    for name, calls in (("save_model", 2), ("load_model", 3)):
+        assert metrics[f"mlcore.serialize.{name}.calls"] == calls
+        assert metrics[f"mlcore.serialize.{name}.bytes"] > 0

@@ -1,3 +1,5 @@
+import itertools
+import random
 from collections import Counter
 
 import numpy as np
@@ -19,7 +21,7 @@ from teamscope.commitcls import (
     evaluate_cascade,
     is_gibberish,
     label_commits,
-    label_messages,
+    label_distinct,
     train_cascade,
 )
 from teamscope.commitcls import _static_category
@@ -281,13 +283,21 @@ def test_batch_classification_equals_one_row_calls(trained_cascade, docs, data):
         assert stage.fires(index).tolist() == [bool(stage.fires(index.take([i]))[0]) for i in range(len(docs))]
 
 
-def test_label_commits_in_blocks_equals_per_message(monkeypatch, trained_cascade, tagged_sample):
-    monkeypatch.setattr(commitcls, "_LABEL_BLOCK", 5)  # 42 commits: 8 full blocks and a partial one
-    messages = [m for m, _ in tagged_sample[:40]] + ["pair programmed the menu", "pp: fix logout"]
-    records = [
+def _commits(messages) -> list[CommitRecord]:
+    return [
         CommitRecord(sha=f"{i:040x}", author_key="a", timestamp=i + 1, message=m, files=())
         for i, m in enumerate(messages)
     ]
+
+
+def _labels(cascade, messages) -> list[tuple[CommitCategory, bool]]:
+    """Each message's category and pair flag, labelled as one commit history."""
+    return [(item.category, item.pair_programming) for item in label_commits(cascade, _commits(messages))]
+
+
+def test_label_commits_equals_per_message(trained_cascade, tagged_sample):
+    messages = [m for m, _ in tagged_sample[:40]] + ["pair programmed the menu", "pp: fix logout"]
+    records = _commits(messages)
     labeled = label_commits(trained_cascade, iter(records))
     assert [item.commit for item in labeled] == records
     for item in labeled:
@@ -298,8 +308,27 @@ def test_label_commits_in_blocks_equals_per_message(monkeypatch, trained_cascade
     assert label_commits(trained_cascade, []) == []
 
 
+def test_label_distinct_classifies_a_course_in_one_batch(monkeypatch, trained_cascade, tagged_sample):
+    # over 2,048 distinct messages, the block size labelling used to cut a course into
+    drawn = random.Random(3).sample(list(itertools.product(_WORDS, repeat=4)), 2100)
+    distinct = list(dict.fromkeys([m for m, _ in tagged_sample] + [" ".join(words) for words in drawn]))
+    assert len(distinct) > 2048
+    batches = []
+
+    def counting(cascade, docs):
+        batches.append(len(docs))
+        return classify_tokens(cascade, docs)
+
+    monkeypatch.setattr(commitcls, "classify_tokens", counting)
+    categories, pairs = label_distinct(trained_cascade, distinct)
+    assert len(batches) == 1
+    assert categories == [classify(trained_cascade, m) for m in distinct]
+    assert pairs == [detect_pair_programming(trained_cascade.prepare(m)) for m in distinct]
+    assert set(ML_CATEGORIES) <= set(categories)
+
+
 def test_evaluate_cascade_normalizes_each_message_once(monkeypatch, trained_cascade, tagged_sample):
-    # and so do train_cascade and label_messages: once per distinct message
+    # and so do train_cascade and label_commits: once per distinct message
     messages = [m for m, _ in tagged_sample]
     assert len(set(messages)) < len(messages)  # the sample repeats messages
     calls = []
@@ -313,7 +342,7 @@ def test_evaluate_cascade_normalizes_each_message_once(monkeypatch, trained_casc
     for run in (
         lambda: evaluate_cascade(tagged_sample, k=3, seed=5),
         lambda: train_cascade(tagged_sample),
-        lambda: label_messages(trained_cascade, messages),
+        lambda: label_commits(trained_cascade, _commits(messages)),
     ):
         calls.clear()
         run()
@@ -328,21 +357,14 @@ _MESSAGES = [
 
 
 @settings(max_examples=25, deadline=None)
-@given(
-    messages=st.lists(st.sampled_from(_MESSAGES), max_size=14),
-    block=st.integers(1, 4),
-    data=st.data(),
-)
-def test_labels_depend_on_each_message_alone(trained_cascade, messages, block, data):
+@given(messages=st.lists(st.sampled_from(_MESSAGES), max_size=14), data=st.data())
+def test_labels_depend_on_each_message_alone(trained_cascade, messages, data):
     permuted = data.draw(st.permutations(messages))
     copies = data.draw(st.lists(st.sampled_from(messages), max_size=4)) if messages else []
-    with pytest.MonkeyPatch.context() as patch:
-        # copies of one message fall into different blocks of distinct messages
-        patch.setattr(commitcls, "_LABEL_BLOCK", block)
-        categories, pairs = label_messages(trained_cascade, messages)
-        changed = label_messages(trained_cascade, permuted + copies)
-    for message, category, pair in zip(messages, categories, pairs, strict=True):
+    labels = _labels(trained_cascade, messages)
+    changed = _labels(trained_cascade, permuted + copies)
+    for message, (category, pair) in zip(messages, labels, strict=True):
         assert category == classify(trained_cascade, message)
         assert pair == detect_pair_programming(trained_cascade.prepare(message))
-    label = dict(zip(messages, zip(categories, pairs)))
-    assert list(zip(*changed)) == [label[m] for m in permuted + copies]
+    label = dict(zip(messages, labels))
+    assert changed == [label[m] for m in permuted + copies]
