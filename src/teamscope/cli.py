@@ -39,7 +39,7 @@ import numpy as np
 
 from . import __version__, commitcls, synthgen, teamfeat, teamstyle
 from .commitcls import CascadeModel, CommitCategory
-from .errors import DataError, SchemaError, csv_rows, in_file, jsonl_line, jsonl_values, open_text
+from .errors import DataError, csv_rows, in_file, jsonl_line, jsonl_values, open_text
 from .ingest import (
     dump_commits_jsonl,
     dump_roster,
@@ -229,14 +229,16 @@ def _apply_config(args: argparse.Namespace) -> None:
             action = actions.get(key.replace("-", "_"))
             if action is None:
                 raise DataError(f"unknown option {key!r}")
-            # the flag's own type and choices must read the value's spelling back as the value
+            # the flag's own type and choices must read the value's spelling back as the value;
+            # what the flag reads is what is recorded, so 0 for a float option is 0.0
             try:
-                valid = (action.type or str)(str(value)) == value
+                converted = (action.type or str)(str(value))
+                valid = converted == value
             except (ValueError, argparse.ArgumentTypeError):
                 valid = False
             if not valid or (action.choices is not None and value not in action.choices):
                 raise DataError(f"invalid value {value!r} for option {key!r}")
-            setattr(args, action.dest, value)
+            setattr(args, action.dest, converted)
         for group in args.subparser._mutually_exclusive_groups:
             given = [a.option_strings[0] for a in group._group_actions if getattr(args, a.dest) != a.default]
             if len(given) > 1:
@@ -331,9 +333,9 @@ def _read_model(path, kind: str, model_cls):
         try:
             return model_cls.from_dict(payload)
         except KeyError as exc:
-            raise SchemaError(f"the model has no key {exc}") from None
+            raise DataError(f"the model has no key {exc}") from None
         except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-            raise SchemaError(f"malformed model ({exc})") from None
+            raise DataError(f"malformed model ({exc})") from None
 
 
 def _read_pairs(path, names=None, convert=str, keyed=True) -> list[tuple]:

@@ -47,7 +47,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import textnorm
-from .errors import DataError, SchemaError
+from .errors import DataError
 from .ingest import CommitRecord
 from .mlcore import (
     EvalReport,
@@ -101,10 +101,6 @@ _KEYWORD_RULES = (
 )
 
 
-def default_keywords() -> dict[str, frozenset[str]]:
-    return {name: _load_keywords(name) for name, _ in _KEYWORD_RULES}
-
-
 def is_gibberish(tokens: Sequence[str], lexicon: Lexicon) -> bool:
     """True when too few tokens are recognizable words (or there are none)."""
     if not tokens:
@@ -150,7 +146,7 @@ class CascadeModel:
     @classmethod
     def from_dict(cls, raw: dict) -> "CascadeModel":
         if len(raw["stages"]) != len(ML_CATEGORIES):
-            raise SchemaError(
+            raise DataError(
                 f"expected {len(ML_CATEGORIES)} ML stages ({', '.join(c.value for c in ML_CATEGORIES)}), "
                 f"found {len(raw['stages'])}"
             )
@@ -159,7 +155,7 @@ class CascadeModel:
             tfidf = TfidfModel.from_dict(s["tfidf"])
             logreg = LogisticModel.from_dict(s["logreg"])
             if logreg.weights.shape != (tfidf.dim,):
-                raise SchemaError(f"the {category.value} stage needs one weight per term")
+                raise DataError(f"the {category.value} stage needs one weight per term")
             stages.append(MlStage(tfidf=tfidf, logreg=logreg))
         words = {}
         for key, name in _LEXICON_KEYS.items():

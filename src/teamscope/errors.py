@@ -1,10 +1,11 @@
-"""Exception types shared across the toolchain, the readers of input text,
-and the writer of JSON Lines records.
+"""The one input-refusal type, the readers of input text, and the writer of
+JSON Lines records.
 
-``DataError`` covers everything caused by bad input data (malformed logs,
-schema violations, inconsistent rosters); callers that need a process exit
-code map it to 2, leaving other exceptions as internal errors (3). Its
-message says where: ``FILE line N: what``.
+Every refusal of bad input (a malformed log, a schema violation, an
+inconsistent roster, a model file that is not one) is a ``DataError`` whose
+text says where: ``FILE line N: what``. The CLI maps it to exit 2 and any
+other exception to exit 3. Bad arguments to library functions stay
+``ValueError``.
 """
 
 import csv
@@ -27,22 +28,6 @@ class DataError(Exception):
         if self.line is not None:
             where = f"{where} line {self.line}".lstrip()
         return f"{where}: {self.what}" if where else self.what
-
-
-class ParseError(DataError):
-    """Raw text input could not be parsed."""
-
-
-class SchemaError(DataError):
-    """A structured record is missing fields or violates an invariant."""
-
-
-class AmbiguousAuthorError(DataError):
-    """A commit author key matches more than one roster member."""
-
-
-class InsufficientActivityError(DataError):
-    """A team has no project part with enough churn to apply the style rubric."""
 
 
 @contextmanager
@@ -95,13 +80,13 @@ def jsonl_values(fh):
 
 
 def _json_loads(text: str, line: int):
-    """``json.loads(text)``, a refusal raised as a ParseError at ``line``."""
+    """``json.loads(text)``, a refusal raised as a DataError at ``line``."""
     try:
         return json.loads(text)
     except ValueError as exc:  # JSON syntax, and integers over the digit limit
-        raise ParseError(f"invalid JSON: {exc}", line=line) from None
+        raise DataError(f"invalid JSON: {exc}", line=line) from None
     except RecursionError:
-        raise ParseError("invalid JSON: nested too deeply", line=line) from None
+        raise DataError("invalid JSON: nested too deeply", line=line) from None
 
 
 def csv_rows(fh):
@@ -113,4 +98,4 @@ def csv_rows(fh):
             if row:
                 yield reader.line_num, row
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
-        raise ParseError(str(exc), line=reader.line_num) from None
+        raise DataError(str(exc), line=reader.line_num) from None

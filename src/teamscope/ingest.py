@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import AmbiguousAuthorError, ParseError, SchemaError, csv_rows, jsonl_line, jsonl_values, open_text
+from .errors import DataError, csv_rows, jsonl_line, jsonl_values, open_text
 
 COMMIT_HEADER_MARK = "\x01"
 GIT_LOG_COMMAND = (
@@ -65,11 +65,11 @@ class FileStat:
 
     def __post_init__(self):
         if self.binary and (self.additions != 0 or self.deletions != 0):
-            raise SchemaError(
+            raise DataError(
                 f"binary file {self.path!r} must have zero additions/deletions"
             )
         if self.additions < 0 or self.deletions < 0:
-            raise SchemaError(f"negative line counts for {self.path!r}")
+            raise DataError(f"negative line counts for {self.path!r}")
 
 
 @dataclass(frozen=True)
@@ -100,10 +100,6 @@ class CommitRecord:
     def files_changed(self) -> int:
         return len(self.files)
 
-    @property
-    def churn(self) -> int:
-        return self.additions + self.deletions
-
 
 @dataclass(frozen=True)
 class RosterMember:
@@ -116,10 +112,10 @@ class RosterMember:
 
     def __post_init__(self):
         if not self.author_keys:
-            raise SchemaError(f"member {self.member_id!r} has no author keys")
+            raise DataError(f"member {self.member_id!r} has no author keys")
         for grade, name in ((self.exam1_grade, "exam1"), (self.project1_grade, "project1")):
             if not 0.0 <= grade <= 100.0:
-                raise SchemaError(
+                raise DataError(
                     f"member {self.member_id!r}: {name} grade {grade} outside [0, 100]"
                 )
 
@@ -136,14 +132,14 @@ class TeamRecord:
 
     def __post_init__(self):
         if len(self.members) != 2:
-            raise SchemaError(
+            raise DataError(
                 f"team {self.team_id!r} must have exactly two members, "
                 f"got {len(self.members)}"
             )
         ids = {m.member_id for m in self.members}
         for c in self.commits:
             if c.author_id is not None and c.author_id not in ids:
-                raise SchemaError(
+                raise DataError(
                     f"commit {c.sha} author {c.author_id!r} is not a member "
                     f"of team {self.team_id!r}"
                 )
@@ -168,12 +164,12 @@ def parse_git_log(text: str) -> list[CommitRecord]:
     records: list[CommitRecord] = []
     first, *blocks = text.split(COMMIT_HEADER_MARK)
     if first.strip():
-        raise ParseError("content before first commit header", line=1)
+        raise DataError("content before first commit header", line=1)
     # a mark opens a commit only at the start of a line
     if text.count("\n" + COMMIT_HEADER_MARK) + (not first) != len(blocks):
         stray = re.search("[^\n]" + COMMIT_HEADER_MARK, text).end()
-        raise ParseError("0x01 inside a line; a commit header's 0x01 must start its line",
-                         line=1 + text.count("\n", 0, stray))
+        raise DataError("0x01 inside a line; a commit header's 0x01 must start its line",
+                        line=1 + text.count("\n", 0, stray))
     line_no = 1 + first.count("\n")
     for block in blocks:
         lines = block.split("\n")
@@ -186,19 +182,19 @@ def _parse_commit_block(lines: list[str], start_line: int) -> CommitRecord:
     header = lines[0]
     parts = header.split("|", 4)
     if len(parts) != 5:
-        raise ParseError(
+        raise DataError(
             f"malformed commit header (expected sha|name|email|timestamp|subject): {header!r}",
             line=start_line,
         )
     sha, name, email, raw_ts, subject = parts
     if not _SHA_RE.match(sha):
-        raise ParseError(f"{sha!r} is not a 40-hex sha", line=start_line)
+        raise DataError(f"{sha!r} is not a 40-hex sha", line=start_line)
     try:
         timestamp = int(raw_ts)
     except ValueError:
-        raise ParseError(f"timestamp {raw_ts!r} is not an integer", line=start_line) from None
+        raise DataError(f"timestamp {raw_ts!r} is not an integer", line=start_line) from None
     if timestamp <= 0:
-        raise ParseError(f"timestamp must be positive, got {timestamp}", line=start_line)
+        raise DataError(f"timestamp must be positive, got {timestamp}", line=start_line)
 
     files = []
     for offset, line in enumerate(lines[1:], start=1):
@@ -218,10 +214,10 @@ def _parse_commit_block(lines: list[str], start_line: int) -> CommitRecord:
 def _parse_numstat_line(line: str, line_no: int) -> FileStat:
     m = _NUMSTAT_RE.match(line)
     if not m:
-        raise ParseError(f"malformed numstat line: {line!r}", line=line_no)
+        raise DataError(f"malformed numstat line: {line!r}", line=line_no)
     add, dele, path = m.groups()
     if (add == "-") != (dele == "-"):
-        raise ParseError(f"numstat mixes '-' and counts: {line!r}", line=line_no)
+        raise DataError(f"numstat mixes '-' and counts: {line!r}", line=line_no)
     if add == "-":
         return FileStat(path=path, additions=0, deletions=0, binary=True)
     return FileStat(path=path, additions=int(add), deletions=int(dele), binary=False)
@@ -256,7 +252,7 @@ def dump_commits_jsonl(commits: Iterable[CommitRecord], path) -> None:
 def load_commits_jsonl(path) -> list[CommitRecord]:
     """Load commits from a JSONL interchange file.
 
-    Schema violations and duplicate shas raise :class:`SchemaError` naming
+    Schema violations and duplicate shas raise :class:`DataError` naming
     the offending line (or sha).
     """
     return [
@@ -305,13 +301,13 @@ def load_commit_table(path) -> CommitTable:
 
 def _read_jsonl_commits(path) -> Iterator[tuple]:
     """Each commit of a JSONL interchange file, validated, in file order (see
-    :func:`_commit_from_json`); a repeated sha is a :class:`SchemaError`."""
+    :func:`_commit_from_json`); a repeated sha is a :class:`DataError`."""
     seen: set[str] = set()
     with open_text(path) as fh:
         for line, raw in jsonl_values(fh):
             commit = _commit_from_json(raw, line)
             if commit[0] in seen:
-                raise SchemaError(f"duplicate sha {commit[0]}", line=line)
+                raise DataError(f"duplicate sha {commit[0]}", line=line)
             seen.add(commit[0])
             yield commit
 
@@ -322,49 +318,48 @@ def _commit_from_json(raw, line: int) -> tuple:
     ``FileStat`` fields (path, additions, deletions, binary) and the line
     totals over the files. Every number fits in an int64 column."""
     if not isinstance(raw, dict):
-        raise SchemaError("not a JSON object", line=line)
+        raise DataError("not a JSON object", line=line)
     for key in ("sha", "author", "ts", "msg", "files"):
         if key not in raw:
-            raise SchemaError(f"missing {key!r} field", line=line)
+            raise DataError(f"missing {key!r} field", line=line)
     sha = raw["sha"]
     if not isinstance(sha, str) or not _SHA_RE.match(sha):
-        raise SchemaError(f"{sha!r} is not a 40-hex sha", line=line)
+        raise DataError(f"{sha!r} is not a 40-hex sha", line=line)
     ts = raw["ts"]
     if type(ts) is not int or ts <= 0:  # JSON true is a bool, an int subclass
-        raise SchemaError("ts must be a positive integer", line=line)
+        raise DataError("ts must be a positive integer", line=line)
     if ts >= _INT64_LIMIT:
-        raise SchemaError("ts must be below 2**63", line=line)
+        raise DataError("ts must be below 2**63", line=line)
     for key in ("author", "msg"):
         if not isinstance(raw[key], str):
-            raise SchemaError(f"{key} must be a string, got {raw[key]!r}", line=line)
+            raise DataError(f"{key} must be a string, got {raw[key]!r}", line=line)
     if not isinstance(raw["files"], list):
-        raise SchemaError("files must be a list", line=line)
+        raise DataError("files must be a list", line=line)
     files, additions, deletions = [], 0, 0
     for fraw in raw["files"]:
         if not isinstance(fraw, dict) or not isinstance(fraw.get("path"), str):
-            raise SchemaError(f"malformed file entry {fraw!r}", line=line)
+            raise DataError(f"malformed file entry {fraw!r}", line=line)
         add, dele = fraw.get("add"), fraw.get("del")
         if add is None and dele is None:
             files.append((fraw["path"], 0, 0, True))
         elif type(add) is int and type(dele) is int:
             if add < 0 or dele < 0:
-                raise SchemaError(f"negative line counts for {fraw['path']!r}", line=line)
+                raise DataError(f"negative line counts for {fraw['path']!r}", line=line)
             files.append((fraw["path"], add, dele, False))
             additions += add
             deletions += dele
         else:
-            raise SchemaError("file add/del must both be ints or both null", line=line)
+            raise DataError("file add/del must both be ints or both null", line=line)
     if additions + deletions >= _INT64_LIMIT:
-        raise SchemaError("line counts must total below 2**63", line=line)
+        raise DataError("line counts must total below 2**63", line=line)
     return sha.lower(), raw["author"], ts, raw["msg"], files, additions, deletions
 
 
 def author_map(roster: Sequence[TeamRecord]) -> dict[str, tuple[int, int]]:
     """Each lower-cased roster author key's (team row, member slot).
 
-    Author keys match case-insensitively. A key claimed by two members raises
-    :class:`AmbiguousAuthorError`; then a member listed in more than one team
-    is a :class:`SchemaError`.
+    Author keys match case-insensitively. A key claimed by two members, and
+    then a member listed in more than one team, is a :class:`DataError`.
     """
     owners: dict[str, tuple[int, int]] = {}
     for row, team in enumerate(roster):
@@ -375,7 +370,7 @@ def author_map(roster: Sequence[TeamRecord]) -> dict[str, tuple[int, int]]:
                 if owner is not None:
                     other = roster[owner[0]].members[owner[1]].member_id
                     if other != member.member_id:
-                        raise AmbiguousAuthorError(
+                        raise DataError(
                             f"author key {key!r} claimed by both {other!r} "
                             f"and {member.member_id!r}"
                         )
@@ -384,7 +379,7 @@ def author_map(roster: Sequence[TeamRecord]) -> dict[str, tuple[int, int]]:
     for team in roster:
         for member in team.members:
             if member.member_id in members:
-                raise SchemaError(
+                raise DataError(
                     f"member {member.member_id!r} appears in more than one team"
                 )
             members.add(member.member_id)
@@ -410,7 +405,7 @@ def load_roster(path) -> list[TeamRecord]:
     Expected header: ``team_id,project_id,member_id,exam1,project1,selected,
     author_keys`` with author keys semicolon-separated. Rows are grouped by
     (team_id, project_id); anything but exactly two members per group, or an
-    inconsistent ``selected`` flag, is a :class:`SchemaError`.
+    inconsistent ``selected`` flag, is a :class:`DataError`.
     """
     with open_text(path, newline="") as fh:
         return _roster_teams(fh)
@@ -420,13 +415,13 @@ def _roster_teams(fh) -> list[TeamRecord]:
     rows = csv_rows(fh)
     line, header = next(rows, (None, None))
     if header != ROSTER_COLUMNS:
-        raise SchemaError(
+        raise DataError(
             f"roster header must be {','.join(ROSTER_COLUMNS)!r}, got {header!r}", line=line
         )
     groups: dict[tuple[str, str], list[tuple[RosterMember, bool]]] = {}  # in file order
     for line, row in rows:
         if len(row) != len(ROSTER_COLUMNS):
-            raise SchemaError(f"expected {len(ROSTER_COLUMNS)} fields, got {len(row)}", line=line)
+            raise DataError(f"expected {len(ROSTER_COLUMNS)} fields, got {len(row)}", line=line)
         team_id, project_id, member_id, exam1, project1, selected, author_keys = row
         try:
             member = RosterMember(
@@ -437,17 +432,19 @@ def _roster_teams(fh) -> list[TeamRecord]:
             )
             flag = _BOOLEANS[selected.strip().lower()]
         except KeyError:
-            raise SchemaError(f"bad boolean {selected!r}", line=line) from None
-        except (ValueError, SchemaError) as exc:
-            raise SchemaError(str(exc), line=line) from None
+            raise DataError(f"bad boolean {selected!r}", line=line) from None
+        except (ValueError, DataError) as exc:
+            raise DataError(str(exc), line=line) from None
         groups.setdefault((team_id, project_id), []).append((member, flag))
+    if not groups:
+        raise DataError("no rows below the header")
 
     teams = []
     for (team_id, project_id), entries in groups.items():
         members, flags = zip(*entries)
         team = TeamRecord(team_id, project_id, members, selected=flags[0])  # two members or a refusal
         if len(set(flags)) > 1:
-            raise SchemaError(f"team {team_id!r}: members disagree on the selected flag")
+            raise DataError(f"team {team_id!r}: members disagree on the selected flag")
         teams.append(team)
     return teams
 

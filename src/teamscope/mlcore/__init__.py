@@ -27,35 +27,3 @@ from .logreg import (
 from .rfe import rfe_select
 from .serialize import canonical_json, dumps_model, load_model, save_model
 from .tfidf import NgramIndex, TfidfModel, fit_tfidf, index_ngrams, iter_ngrams, tfidf_transform
-
-__all__ = [
-    "EvalReport",
-    "ForestModel",
-    "LogisticModel",
-    "NgramIndex",
-    "TfidfModel",
-    "canonical_json",
-    "cohens_kappa",
-    "dumps_model",
-    "feature_importances",
-    "fit_tfidf",
-    "forest_votes",
-    "index_ngrams",
-    "iter_ngrams",
-    "load_model",
-    "logistic_loss_and_grad",
-    "mean_report",
-    "predict",
-    "predict_proba",
-    "prf1",
-    "rfe_select",
-    "save_model",
-    "seed_sequence",
-    "sigmoid",
-    "standardize_apply",
-    "standardize_fit",
-    "stratified_kfold",
-    "tfidf_transform",
-    "train_forest",
-    "train_logreg",
-]

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import DataError, SchemaError
+from ..errors import DataError
 from .evaluation import check_training_set, seed_sequence
 from .serialize import integer, integers, numbers
 
@@ -83,7 +83,7 @@ class ForestModel:
         n_features = integer(raw["n_features"], "forest n_features")
         per_tree = [_read_tree(t) for t in raw["trees"]]
         if not per_tree:
-            raise SchemaError("forest has no trees")
+            raise DataError("forest has no trees")
         sizes = np.array([len(t[0]) for t in per_tree])
         feature, threshold, left, right, counts = (np.concatenate(a) for a in zip(*per_tree))
         # a split reads one of the columns, and its children come after it
@@ -93,7 +93,7 @@ class ForestModel:
         inside = (node < left) & (left < end) & (node < right) & (right < end)
         linked = np.where(feature >= 0, inside, (left == -1) & (right == -1))
         if np.any((feature < -1) | (feature >= n_features)) or not np.all(linked):
-            raise SchemaError("malformed tree: inconsistent node arrays")
+            raise DataError("malformed tree: inconsistent node arrays")
         return _forest(feature, threshold, left, right, counts, sizes, n_features)
 
 
@@ -108,7 +108,7 @@ def _read_tree(raw: dict) -> tuple:
     )
     n = len(arrays[0])
     if n == 0 or any(a.shape[:1] != (n,) for a in arrays):
-        raise SchemaError("malformed tree: inconsistent node arrays")
+        raise DataError("malformed tree: inconsistent node arrays")
     return arrays
 
 

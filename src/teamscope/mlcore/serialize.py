@@ -22,7 +22,7 @@ from itertools import chain
 
 import numpy as np
 
-from ..errors import SchemaError, open_text
+from ..errors import DataError, open_text
 
 FORMAT_NAME = "teamscope-model"
 FORMAT_VERSION = 3
@@ -52,7 +52,7 @@ def save_model(path, kind: str, payload: dict) -> None:
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
-        raise SchemaError(f"non-finite number {text}")
+        raise DataError(f"non-finite number {text}")
     return value
 
 
@@ -64,10 +64,10 @@ _NUMBER, _INTEGER = frozenset((int, float)), frozenset((int,))
 def _listed(value, kinds, name: str, what: str) -> list:
     """``value``, a JSON list whose items' types are all in ``kinds``, found in one C-level pass."""
     if type(value) is not list:
-        raise SchemaError(f"{name} must be a list of {what}, got {reprlib.repr(value)}")
+        raise DataError(f"{name} must be a list of {what}, got {reprlib.repr(value)}")
     if not kinds.issuperset(map(type, value)):
         bad = next(v for v in value if type(v) not in kinds)
-        raise SchemaError(f"{name} must hold {what}, got {reprlib.repr(bad)}")
+        raise DataError(f"{name} must hold {what}, got {reprlib.repr(bad)}")
     return value
 
 
@@ -98,7 +98,7 @@ def integers(value, name: str, pairs: bool = False) -> np.ndarray:
         return np.array(_listed(value, _INTEGER, name, "JSON integers"), dtype=np.int64)
     rows = _listed(value, {list}, name, "pairs of JSON integers")
     if not {2}.issuperset(map(len, rows)):
-        raise SchemaError(f"{name} must hold pairs of JSON integers")
+        raise DataError(f"{name} must hold pairs of JSON integers")
     return integers(list(chain.from_iterable(rows)), name).reshape(-1, 2)
 
 
@@ -113,16 +113,16 @@ def load_model(path, expected_kind: str) -> dict:
             raw = json.load(fh, parse_float=_finite, parse_constant=_finite)
         except ValueError as exc:
             # undecodable bytes, and JSON syntax errors such as a truncated file
-            raise SchemaError(f"not a {FORMAT_NAME} file ({exc})") from None
+            raise DataError(f"not a {FORMAT_NAME} file ({exc})") from None
         except RecursionError:
-            raise SchemaError(f"not a {FORMAT_NAME} file (nested too deeply)") from None
+            raise DataError(f"not a {FORMAT_NAME} file (nested too deeply)") from None
         if not isinstance(raw, dict) or raw.get("format") != FORMAT_NAME:
-            raise SchemaError(f"not a {FORMAT_NAME} file")
+            raise DataError(f"not a {FORMAT_NAME} file")
         if raw.get("version") != FORMAT_VERSION:
-            raise SchemaError(
+            raise DataError(
                 f"unsupported model version {raw.get('version')!r} "
                 f"(this teamscope reads version {FORMAT_VERSION}); retrain the model"
             )
         if raw.get("kind") != expected_kind:
-            raise SchemaError(f"expected a {expected_kind!r} model, found {raw.get('kind')!r}")
+            raise DataError(f"expected a {expected_kind!r} model, found {raw.get('kind')!r}")
     return raw["model"]

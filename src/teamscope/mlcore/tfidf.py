@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import DataError, SchemaError
+from ..errors import DataError
 from .serialize import numbers, strings
 
 
@@ -56,7 +56,7 @@ class TfidfModel:
         terms = strings(raw["terms"], "terms")
         idf = numbers(raw["idf"], "idf")
         if len(set(terms)) != len(terms) or idf.shape != (len(terms),):
-            raise SchemaError("a tfidf model needs distinct terms and one idf value per term")
+            raise DataError("a tfidf model needs distinct terms and one idf value per term")
         return cls(vocabulary={t: i for i, t in enumerate(terms)}, idf=idf)
 
 

@@ -143,12 +143,6 @@ class _TemplatePools:
         return cls(by_category=by_category, fillers=fillers)
 
 
-def template_pools() -> dict[str, list[str]]:
-    """Public view of the bundled message templates, keyed by category name."""
-    pools = _TemplatePools.load()
-    return {cat.value: list(lines) for cat, lines in pools.by_category.items()}
-
-
 def _gibberish_token(rng: np.random.Generator, veto: frozenset[str]) -> str:
     for _ in range(100):
         length = int(rng.integers(4, 8))
@@ -159,10 +153,6 @@ def _gibberish_token(rng: np.random.Generator, veto: frozenset[str]) -> str:
         if token not in veto:
             return token
     raise RuntimeError("could not draw a non-word gibberish token")
-
-
-class _TeamPlanError(Exception):
-    """Internal: a sampled team failed the rubric re-check; retry."""
 
 
 def generate_corpus(config: GenConfig) -> tuple[list[TeamRecord], GroundTruth]:
@@ -187,12 +177,10 @@ def generate_corpus(config: GenConfig) -> tuple[list[TeamRecord], GroundTruth]:
     for team_idx, intended in enumerate(styles):
         for attempt in range(MAX_RETRIES):
             rng = np.random.default_rng(seed_sequence(config.seed, team_idx, attempt))
-            try:
-                team, categories = _generate_team(
-                    config, pools, veto, rng, team_idx, attempt, intended
-                )
-            except _TeamPlanError:
+            planned = _generate_team(config, pools, veto, rng, team_idx, attempt, intended)
+            if planned is None:
                 continue
+            team, categories = planned
             teams.append(team)
             truth_styles[team.team_id] = intended
             truth_categories.update(categories)
@@ -207,6 +195,7 @@ def generate_corpus(config: GenConfig) -> tuple[list[TeamRecord], GroundTruth]:
 
 
 def _generate_team(config, pools, veto, rng, team_idx, attempt, intended):
+    """The team and its commits' categories, or None if it misses ``intended``'s rubric."""
     team_id = f"t{team_idx:03d}"
     member_ids = (f"s{team_idx:03d}a", f"s{team_idx:03d}b")
     members = tuple(
@@ -286,10 +275,8 @@ def _generate_team(config, pools, veto, rng, team_idx, attempt, intended):
     try:
         verdict = oracle_label(team, labeled)
     except DataError:
-        raise _TeamPlanError
-    if verdict != intended:
-        raise _TeamPlanError
-    return team, categories
+        return None
+    return (team, categories) if verdict == intended else None
 
 
 def _plan_shares(rng, intended) -> dict[CommitCategory, float]:

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .commitcls import CommitCategory, LabeledCommit
-from .errors import DataError, InsufficientActivityError, SchemaError
+from .errors import DataError
 from .ingest import TeamRecord
 from .mlcore import (
     EvalReport,
@@ -87,8 +87,8 @@ def oracle_labels(build: FeatureMatrix) -> list[TeamStyle]:
     """Apply the contribution-share rubric to every row of a feature matrix.
 
     A rubric part is active when both users together churned at least
-    ``DEFAULT_MIN_PART_CHURN`` lines in it; a team with no active part is an
-    InsufficientActivityError naming the team.
+    ``DEFAULT_MIN_PART_CHURN`` lines in it; a team with no active part is a
+    DataError naming the team.
     """
     col = build.registry.index
     parts = [part.value.lower() for part in RUBRIC_PARTS]
@@ -99,7 +99,7 @@ def oracle_labels(build: FeatureMatrix) -> list[TeamStyle]:
     active = u0 + u1 >= DEFAULT_MIN_PART_CHURN
     idle = np.flatnonzero(~active.any(axis=1))
     if idle.size:
-        raise InsufficientActivityError(
+        raise DataError(
             f"team {build.team_ids[idle[0]]!r}: no project part reaches "
             f"{DEFAULT_MIN_PART_CHURN} churned lines; the style rubric does not apply"
         )
@@ -176,16 +176,16 @@ class TeamStyleModel:
             )
         algorithm = string(raw["algorithm"], "algorithm")
         if algorithm not in STAGE_MODELS:
-            raise SchemaError(f"unknown algorithm {algorithm!r}")
+            raise DataError(f"unknown algorithm {algorithm!r}")
         if len(raw["stages"]) != len(STAGE_ORDER):
-            raise SchemaError(
+            raise DataError(
                 f"expected {len(STAGE_ORDER)} stages ({', '.join(s.value for s in STAGE_ORDER)}), "
                 f"found {len(raw['stages'])}"
             )
         means = numbers(raw["means"], "means")
         stds = numbers(raw["stds"], "stds")
         if stds.shape != means.shape:
-            raise SchemaError("means and stds must be lists of numbers of one length")
+            raise DataError("means and stds must be lists of numbers of one length")
         model_cls = STAGE_MODELS[algorithm]
         stages = []
         for style, s in zip(STAGE_ORDER, raw["stages"]):
@@ -193,7 +193,7 @@ class TeamStyleModel:
             selected = integers(s["selected"], f"{style.value} selected")
             shape = (model.n_features,) if isinstance(model, ForestModel) else model.weights.shape
             if shape != selected.shape or np.any(selected < 0) or np.any(selected >= len(means)):
-                raise SchemaError(
+                raise DataError(
                     f"the {style.value} stage's selected columns do not fit "
                     f"its model and the {len(means)} feature columns"
                 )

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import teamscope
 from teamscope import cli, errors
 from teamscope.cli import main
-from teamscope.errors import SchemaError
+from teamscope.errors import DataError
 from teamscope.ingest import load_commits_jsonl
 from teamscope.mlcore import canonical_json
 
@@ -284,6 +284,16 @@ def test_config_file_overrides(tmp_path):
     assert manifest["config"]["noise"] == 0.0
 
 
+def test_config_value_is_recorded_as_its_flag_reads_it(tmp_path):
+    config = _write(tmp_path / "cfg.json", json.dumps({"noise": 0, "pair_rate": 0}))
+    by_flag, by_config = tmp_path / "flag", tmp_path / "config"
+    assert main(["synth", "--teams", "4", "--out", str(by_flag), "--noise", "0", "--pair-rate", "0"]) == 0
+    assert main(["synth", "--teams", "4", "--out", str(by_config), "--config", config]) == 0
+    manifest = (by_config / "manifest_synth.json").read_bytes()
+    assert manifest == (by_flag / "manifest_synth.json").read_bytes()
+    assert b'"noise": 0.0' in manifest
+
+
 def test_config_file_unknown_key_is_data_error(tmp_path, capsys):
     config = _write(tmp_path / "cfg.json", json.dumps({"bogus": 1}))
     assert main(["synth", "--out", str(tmp_path / "x"), "--config", config]) == 2
@@ -457,11 +467,14 @@ _STAGE_COUNT = "altered.json: expected 3 stages (SoloSubmit, Cooperative, Collab
         (_logistic([0.1, 0.2]), "altered.json: bias must hold one JSON number, got [0.1, 0.2]"),
         (lambda raw: raw["model"].update(algorithm=["forest"]),
          "altered.json: algorithm must hold one JSON string, got ['forest']"),
+        (lambda raw: raw["model"].update(stds=raw["model"]["stds"][:-1]),
+         "altered.json: means and stds must be lists of numbers of one length"),
+        (_forest_field("trees", []), "altered.json: forest has no trees"),
     ],
     ids=["format-v1", "foreign-registry", "narrow-means", "unknown-algorithm", "algorithm-model_type-mismatch",
          "no-stages", "two-stages", "nan-mean", "string-mean", "boolean-column", "number-selected",
          "n_features-float", "split-feature-boolean", "split-feature-float", "split-right-float",
-         "split-counts-boolean", "logistic-list-bias", "list-algorithm"],
+         "split-counts-boolean", "logistic-list-bias", "list-algorithm", "short-stds", "no-trees"],
 )
 @pytest.mark.parametrize("command", ["predict", "flag"])
 def test_unfit_model_is_data_error(team_model, tmp_path, capsys, command, alter, message):
@@ -493,6 +506,11 @@ def _stopwords(value):
     return alter
 
 
+def _repeat_first_term(raw):
+    terms = raw["model"]["stages"][0]["tfidf"]["terms"]
+    terms[1] = terms[0]
+
+
 _ML_STAGE_COUNT = "expected 3 ML stages (Implementation, Test, Bugfix), found "
 
 
@@ -513,10 +531,12 @@ _ML_STAGE_COUNT = "expected 3 ML stages (Implementation, Test, Bugfix), found "
         (_first_stage("logreg", "weights", "1e3", at=0), "weights must hold JSON numbers, got '1e3'"),
         (_first_stage("tfidf", "idf", True, at=0), "idf must hold JSON numbers, got True"),
         (_stopwords("fix"), "lexicon stopwords must be a list of JSON strings, got 'fix'"),
+        (_first_stage("logreg", "weights", [0.0]), "the Implementation stage needs one weight per term"),
+        (_repeat_first_term, "a tfidf model needs distinct terms and one idf value per term"),
     ],
     ids=["two-stages", "no-stages", "nan-idf", "minus-infinite-weight", "infinite-bias", "string-bias",
          "list-bias", "list-l2_lambda", "number-weights", "number-idf", "number-terms", "string-weight",
-         "boolean-idf", "string-stopwords"],
+         "boolean-idf", "string-stopwords", "one-weight", "repeated-term"],
 )
 def test_unfit_cascade_is_data_error(team_model, cascade_model, tmp_path, capsys, alter, message):
     corpus, _ = team_model
@@ -773,6 +793,14 @@ BAD_INPUT = [
      "deep.json: nested too deeply"),
     (["eval-commits", "--tagged", "{tagged}", "--config", "{file}"], ("deep.toml", "folds = " + "[" * _DEEP), 2,
      "deep.toml: nested too deeply"),
+    (["synth"], ("cfg.json", "[4]"), 2, "cfg.json: config must be a mapping"),
+    (["synth", "--mix=-0.5,1,0.5"], None, 2, "style_mix entries must be non-negative"),
+    (["train-commits", "--tagged", "{file}"], ("wrong-header.csv", "message,label\nfix bug,Bugfix\n"), 2,
+     "wrong-header.csv line 1: expected header message,category"),
+    (["train-commits", "--tagged", "{file}"], ("unknown-category.csv", "message,category\nclean up,Refactor\n"), 2,
+     "unknown-category.csv line 2: unknown category 'Refactor'"),
+    (["ingest", "--jsonl", "{data}/commits.jsonl", "--roster", "{file}"],
+     ("roster.csv", ROSTER.splitlines(keepends=True)[0]), 2, "roster.csv: no rows below the header"),
 ]
 
 
@@ -936,6 +964,20 @@ UNREADABLE = {
                        "labels.jsonl line 1: sha must be a string, got 5"),
     "labels-sha-list": ("corpus/labels.jsonl", _first_commit(sha=["x"]), _FEATURES,
                         "labels.jsonl line 1: sha must be a string, got ['x']"),
+    "labels-unknown-category": ("corpus/labels.jsonl", _first_commit(category="Refactor"), _FEATURES,
+                                "labels.jsonl line 1: 'Refactor' is not a valid CommitCategory"),
+    "gitlog-word-timestamp": ("history.gitlog", lambda data: data.replace(b"|1443657600|", b"|soon|"), _GITLOG,
+                              "history.gitlog line 1: timestamp 'soon' is not an integer"),
+    "gitlog-negative-timestamp": ("history.gitlog", lambda data: data.replace(b"|1443657600|", b"|-5|"), _GITLOG,
+                                  "history.gitlog line 1: timestamp must be positive, got -5"),
+    "gitlog-half-binary-numstat": ("history.gitlog", lambda data: data + b"-\t1\tsrc/B.java\n", _GITLOG,
+                                   "history.gitlog line 3: numstat mixes '-' and counts: '-\\t1\\tsrc/B.java'"),
+    "commit-short-sha": ("corpus/commits.jsonl", _first_commit(sha="abc"), _FEATURES,
+                         "commits.jsonl line 1: 'abc' is not a 40-hex sha"),
+    "commit-files-object": ("corpus/commits.jsonl", _first_commit(files={}), _FEATURES,
+                            "commits.jsonl line 1: files must be a list"),
+    "commit-file-no-path": ("corpus/commits.jsonl", _first_commit(files=[{"add": 1, "del": 0}]), _FEATURES,
+                            "commits.jsonl line 1: malformed file entry {'add': 1, 'del': 0}"),
 }
 
 
@@ -1045,7 +1087,7 @@ def test_boolean_timestamp_or_line_count_is_a_schema_error(team_model, field, fl
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "commits.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(SchemaError, match=f"line {i + 1}: "):
+        with pytest.raises(DataError, match=f"line {i + 1}: "):
             load_commits_jsonl(path)
 
 
@@ -1167,6 +1209,7 @@ STALE = {
     "other-version": _rewrite_manifest(version="0.0.0"),
     "manifest-not-json": lambda data: (data / "manifest_features.json").write_text("{oops", encoding="utf-8"),
     "forged-nan": _edit_features(_nan_first_value, forge=True),
+    "forged-word": _edit_features(lambda row: row.replace(",", ",x", 1), forge=True),
     "forged-short-row": _edit_features(lambda row: row.rsplit(",", 1)[0], forge=True),
     "forged-short-rows": _edit_features(lambda row: row.rsplit(",", 1)[0], forge=True, rows=_TEAMS),
     "forged-registry": _other_registry,

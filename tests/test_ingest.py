@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teamscope.errors import AmbiguousAuthorError, ParseError, SchemaError
+from teamscope.errors import DataError
 from teamscope.ingest import (
     CommitRecord,
     FileStat,
@@ -78,19 +78,19 @@ def test_parse_git_log_merge_has_empty_files():
 
 def test_parse_git_log_malformed_header_names_line():
     text = f"\x01{SHA_A}|alice|1443657600|no email field\n"
-    with pytest.raises(ParseError, match="line 1"):
+    with pytest.raises(DataError, match="line 1"):
         parse_git_log(text)
 
 
 def test_parse_git_log_bad_sha():
     text = "\x01zzzz|alice|a@x|1443657600|msg\n"
-    with pytest.raises(ParseError, match="40-hex"):
+    with pytest.raises(DataError, match="40-hex"):
         parse_git_log(text)
 
 
 def test_parse_git_log_names_numstat_line_number():
     text = f"\x01{SHA_A}|alice|a@x|100|msg\nnot-a-numstat\n"
-    with pytest.raises(ParseError, match="line 2"):
+    with pytest.raises(DataError, match="line 2"):
         parse_git_log(text)
 
 
@@ -112,7 +112,7 @@ def test_parse_git_log_subject_may_contain_pipes():
     ids=["subject-with-header", "second-subject", "doubled-mark", "space-before-mark"],
 )
 def test_parse_git_log_refuses_0x01_inside_a_line(text, line):
-    with pytest.raises(ParseError, match="0x01 inside a line") as raised:
+    with pytest.raises(DataError, match="0x01 inside a line") as raised:
         parse_git_log(text)
     assert raised.value.line == line
 
@@ -134,7 +134,7 @@ def test_file_additions_sum_to_record_totals():
 
 
 def test_binary_filestat_rejects_line_counts():
-    with pytest.raises(SchemaError):
+    with pytest.raises(DataError, match="^binary file 'x.png' must have zero additions/deletions$"):
         FileStat(path="x.png", additions=1, deletions=0, binary=True)
 
 
@@ -165,7 +165,7 @@ def test_jsonl_missing_message_field(tmp_path):
     del raw["msg"]
     path = tmp_path / "c.jsonl"
     path.write_text(json.dumps(raw) + "\n")
-    with pytest.raises(SchemaError, match="line 1.*'msg'"):
+    with pytest.raises(DataError, match="line 1.*'msg'"):
         load_commits_jsonl(path)
 
 
@@ -173,7 +173,7 @@ def test_jsonl_duplicate_sha_names_sha(tmp_path):
     line = json.dumps(commit_to_json(_commit()))
     path = tmp_path / "c.jsonl"
     path.write_text(line + "\n" + line + "\n")
-    with pytest.raises(SchemaError, match=SHA_A):
+    with pytest.raises(DataError, match=SHA_A):
         load_commits_jsonl(path)
 
 
@@ -242,7 +242,7 @@ def test_load_roster_rejects_single_member():
         "team_id,project_id,member_id,exam1,project1,selected,author_keys\n"
         "t1,P2,alice,80,90,true,alice\n"
     )
-    with pytest.raises(SchemaError, match="exactly two"):
+    with pytest.raises(DataError, match="exactly two"):
         roster_from_string(csv_text)
 
 
@@ -252,7 +252,7 @@ def test_load_roster_rejects_selected_disagreement():
         "t1,P2,alice,80,90,true,alice\n"
         "t1,P2,bob,70,65,false,bob\n"
     )
-    with pytest.raises(SchemaError, match="selected"):
+    with pytest.raises(DataError, match="selected"):
         roster_from_string(csv_text)
 
 
@@ -264,12 +264,12 @@ def test_load_roster_rejects_selected_disagreement():
 def test_roster_refusal_names_the_physical_line(tmp_path, first_member):
     header, _, _ = ROSTER_CSV.partition("\n")
     csv_text = f"{header}\n{first_member}t1,P2,bob,70,65,true,bob\nt2,P3,cara,60,70,maybe,cara\n"
-    with pytest.raises(SchemaError) as refused:
+    with pytest.raises(DataError) as refused:
         roster_from_string(csv_text)
     assert str(refused.value) == "line 5: bad boolean 'maybe'"
     path = tmp_path / "roster.csv"
     path.write_text(csv_text, encoding="utf-8")
-    with pytest.raises(SchemaError) as refused:
+    with pytest.raises(DataError) as refused:
         load_roster(path)
     assert str(refused.value) == f"{path} line 5: bad boolean 'maybe'"
 
@@ -284,13 +284,13 @@ def test_roster_refusal_names_the_physical_line(tmp_path, first_member):
     ids=["extra-field", "no-author-keys", "bad-grade"],
 )
 def test_roster_row_refusals_name_their_line(rows, message):
-    with pytest.raises(SchemaError) as refused:
+    with pytest.raises(DataError) as refused:
         roster_from_string(ROSTER_CSV.partition("\n")[0] + "\n" + rows)
     assert str(refused.value) == message
 
 
 def test_roster_grade_out_of_range():
-    with pytest.raises(SchemaError, match="outside"):
+    with pytest.raises(DataError, match="outside"):
         RosterMember(member_id="x", exam1_grade=101, project1_grade=50, author_keys=("x",))
 
 
@@ -315,7 +315,7 @@ def test_build_teams_refuses_ambiguous_key():
         "t1,P2,bob,70,65,true,shared\n"
     )
     roster = roster_from_string(csv_text)
-    with pytest.raises(AmbiguousAuthorError, match="shared"):
+    with pytest.raises(DataError, match="shared"):
         build_teams([_commit(author_key="shared")], roster)
 
 
@@ -351,22 +351,22 @@ def test_locate_authors_gives_team_row_and_member_slot():
 
 def test_member_in_two_teams_is_refused_after_ambiguous_keys():
     two_teams = ROSTER_CSV + "t2,P3,alice,80,90,true,alice\n" + "t2,P3,cara,60,70,true,cara\n"
-    with pytest.raises(SchemaError, match="member 'alice' appears in more than one team"):
+    with pytest.raises(DataError, match="member 'alice' appears in more than one team"):
         build_teams([], roster_from_string(two_teams))
-    with pytest.raises(SchemaError, match="member 'alice' appears in more than one team"):
+    with pytest.raises(DataError, match="member 'alice' appears in more than one team"):
         locate_authors([], roster_from_string(two_teams))
     ambiguous = two_teams.replace("cara\n", "cara;b@x\n")
-    with pytest.raises(AmbiguousAuthorError, match="'b@x' claimed by both 'bob' and 'cara'"):
+    with pytest.raises(DataError, match="'b@x' claimed by both 'bob' and 'cara'"):
         build_teams([], roster_from_string(ambiguous))
 
 
 def test_author_map_refuses_member_in_two_teams():
     two_teams = ROSTER_CSV + "t2,P3,cara,60,70,true,cara\n" + "t2,P3,bob,70,65,true,bob2\n"
-    with pytest.raises(SchemaError, match="member 'bob' appears in more than one team"):
+    with pytest.raises(DataError, match="member 'bob' appears in more than one team"):
         author_map(roster_from_string(two_teams))
 
 
 def test_team_record_requires_two_members():
     member = RosterMember("a", 50, 50, ("a",))
-    with pytest.raises(SchemaError):
+    with pytest.raises(DataError, match="^team 't' must have exactly two members, got 1$"):
         TeamRecord(team_id="t", project_id="p", members=(member,), selected=False)

@@ -6,7 +6,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teamscope.errors import ParseError, jsonl_line, jsonl_values
+from teamscope.errors import DataError, jsonl_line, jsonl_values
 from teamscope.ingest import CommitRecord, FileStat, commit_to_json, dump_commits_jsonl
 
 _SCALARS = st.one_of(
@@ -52,7 +52,7 @@ def _read(lines):
     try:
         for pair in jsonl_values(io.StringIO(text)):
             got.append(pair)
-    except ParseError as exc:
+    except DataError as exc:
         got_error = str(exc)
     expected, expected_error = [], None
     for number, line in enumerate(lines, start=1):

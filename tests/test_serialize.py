@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from teamscope.commitcls import CascadeModel, MlStage
-from teamscope.errors import SchemaError
+from teamscope.errors import DataError
 from teamscope.mlcore import (
     LogisticModel,
     TfidfModel,
@@ -32,14 +32,14 @@ def test_save_load_round_trip(tmp_path):
 def test_load_rejects_wrong_kind(tmp_path):
     path = tmp_path / "m.json"
     save_model(path, "demo", {})
-    with pytest.raises(SchemaError, match="expected"):
+    with pytest.raises(DataError, match="expected"):
         load_model(path, "other")
 
 
 def test_load_rejects_foreign_json(tmp_path):
     path = tmp_path / "m.json"
     path.write_text('{"hello": 1}')
-    with pytest.raises(SchemaError, match="not a"):
+    with pytest.raises(DataError, match="not a"):
         load_model(path, "demo")
 
 
@@ -48,7 +48,7 @@ def test_load_rejects_wrong_version(tmp_path):
     save_model(path, "demo", {})
     raw = path.read_text().replace(f'"version": {FORMAT_VERSION}', '"version": 99')
     path.write_text(raw)
-    with pytest.raises(SchemaError, match="version"):
+    with pytest.raises(DataError, match="version"):
         load_model(path, "demo")
 
 
@@ -58,7 +58,7 @@ def test_load_rejects_version_1_and_asks_for_retraining(tmp_path):
     current = path.read_text()
     for old in (1, 2):
         path.write_text(current.replace(f'"version": {FORMAT_VERSION}', f'"version": {old}'))
-        with pytest.raises(SchemaError, match="retrain"):
+        with pytest.raises(DataError, match="retrain"):
             load_model(path, "forest")
 
 
@@ -147,7 +147,7 @@ def test_serialized_form_is_stable_bytes(tmp_path):
     ],
 )
 def test_readers_refuse_other_json_types_and_name_the_field(reader, value):
-    with pytest.raises(SchemaError, match="^the field must "):
+    with pytest.raises(DataError, match="^the field must "):
         reader(value, "the field")
 
 

@@ -3,13 +3,12 @@ import json
 import pytest
 
 from teamscope import synthgen, textnorm
-from teamscope.commitcls import CommitCategory, default_keywords
+from teamscope.commitcls import CommitCategory, _load_keywords
 from teamscope.errors import DataError
 from teamscope.ingest import build_teams, load_commits_jsonl, load_roster
 from teamscope.synthgen import (
     GenConfig,
     generate_corpus,
-    template_pools,
     truth_labeled_commits,
     write_corpus,
 )
@@ -72,22 +71,21 @@ def test_oracle_matches_intended_style_for_every_team():
 
 
 def test_zero_noise_messages_match_templates_exactly():
-    pools = template_pools()
+    pools = synthgen._TemplatePools.load().by_category
     teams, truth = generate_corpus(GenConfig(seed=15, n_teams=6, noise_rate=0.0))
     for team in teams:
         for commit in team.commits:
             category = truth.commit_categories[commit.sha]
-            assert commit.message in pools[category.value]
+            assert commit.message in pools[category]
 
 
 def test_static_stages_recover_merge_doc_style():
-    keywords = default_keywords()
     lexicon = textnorm.default_lexicon()
     teams, truth = generate_corpus(GenConfig(seed=16, n_teams=10, noise_rate=0.3))
     static_map = {
-        CommitCategory.MERGE: keywords["merge"],
-        CommitCategory.DOCUMENTATION: keywords["documentation"],
-        CommitCategory.STYLE: keywords["style"],
+        CommitCategory.MERGE: _load_keywords("merge"),
+        CommitCategory.DOCUMENTATION: _load_keywords("documentation"),
+        CommitCategory.STYLE: _load_keywords("style"),
     }
     for team in teams:
         for commit in team.commits:
@@ -98,9 +96,9 @@ def test_static_stages_recover_merge_doc_style():
             assert tokens & static_map[category], commit.message
             # earlier cascade stages must not steal the commit
             if category != CommitCategory.MERGE:
-                assert not (tokens & keywords["merge"])
+                assert not (tokens & _load_keywords("merge"))
             if category == CommitCategory.STYLE:
-                assert not (tokens & keywords["documentation"])
+                assert not (tokens & _load_keywords("documentation"))
 
 
 def test_style_mix_counts_follow_largest_remainder():

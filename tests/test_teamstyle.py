@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teamscope.commitcls import CATEGORIES, CommitCategory, LabeledCommit
-from teamscope.errors import DataError, InsufficientActivityError
+from teamscope.errors import DataError
 from teamscope.ingest import CommitRecord, FileStat, RosterMember, TeamRecord
 from teamscope.mlcore import (
     ForestModel,
@@ -99,7 +99,7 @@ def test_oracle_solo_small_overall_share():
 
 def test_oracle_insufficient_activity():
     labeled = _labeled_split(impl_amy=3, impl_ben=4, test_amy=2, test_ben=1)
-    with pytest.raises(InsufficientActivityError):
+    with pytest.raises(DataError, match="no project part reaches 30 churned lines"):
         oracle_label(_team(), labeled)
 
 
@@ -129,7 +129,7 @@ def test_batched_rubric_names_the_idle_team():
     idle = _labeled_split(impl_amy=3, impl_ben=4, test_amy=2, test_ben=1)
     idle_team = dataclasses.replace(_team(), team_id="t-idle")
     build = build_matrix([(_team(), busy), (idle_team, idle), (_team(), busy)])
-    with pytest.raises(InsufficientActivityError, match="team 't-idle'"):
+    with pytest.raises(DataError, match="team 't-idle'"):
         oracle_labels(build)
 
 
@@ -140,9 +140,10 @@ def _rubric_reference(team, labeled):
     whole = [0, 0]
     for item in labeled:
         user = 0 if item.commit.author_id == user0 else 1
-        whole[user] += item.commit.churn
+        churn = item.commit.additions + item.commit.deletions
+        whole[user] += churn
         if item.category in parts:
-            parts[item.category][user] += item.commit.churn
+            parts[item.category][user] += churn
     active = [churn for churn in parts.values() if sum(churn) >= 30]
     if not active:
         return None
@@ -174,7 +175,7 @@ def test_batched_rubric_matches_one_loop_reference(teams):
     want = [_rubric_reference(team, labeled) for team, labeled in labeled_teams]
     build = build_matrix(labeled_teams)
     if None in want:
-        with pytest.raises(InsufficientActivityError, match=f"team 't{want.index(None)}'"):
+        with pytest.raises(DataError, match=f"team 't{want.index(None)}'"):
             oracle_labels(build)
     else:
         assert oracle_labels(build) == want
