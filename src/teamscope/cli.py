@@ -577,11 +577,12 @@ def cmd_train_commits(args, outdir, digests):
         from .textnorm import load_lexicon
 
         lexicon = load_lexicon(args.english_words, args.domain_words, args.stopwords)
-    cascade = commitcls.train_cascade(tagged, lexicon=lexicon)
+    distinct = commitcls.distinct_messages(m for m, _ in tagged)
+    cascade = commitcls.train_cascade(tagged, lexicon=lexicon, distinct=distinct)
     model_path = outdir / "cascade.json"
     save_model(model_path, "cascade", cascade.to_dict())
     print(f"trained cascade on {len(tagged)} messages -> {model_path}")
-    config = {"messages": len(tagged), "distinct_messages": _count_distinct(m for m, _ in tagged)}
+    config = {"messages": len(tagged), "distinct_messages": len(distinct[0])}
     return config, [model_path]
 
 
@@ -616,10 +617,6 @@ def cmd_label_commits(args, outdir, digests):
     print(_report_table(["category", "count", "ratio"], rows))
     config = {"messages": len(table.msg), "distinct_messages": len(distinct)}
     return config, [labels_path]
-
-
-def _count_distinct(messages) -> int:
-    return len(commitcls.distinct_messages(messages)[0])
 
 
 def cmd_features(args, outdir, digests):

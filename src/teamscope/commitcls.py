@@ -235,25 +235,28 @@ def label_commits(cascade: CascadeModel, commits: Iterable[CommitRecord]) -> lis
 
 
 def train_cascade(
-    tagged: Sequence[tuple[str, CommitCategory]], lexicon: Lexicon | None = None
+    tagged: Sequence[tuple[str, CommitCategory]],
+    lexicon: Lexicon | None = None,
+    distinct: tuple[list[str], list[int]] | None = None,
 ) -> CascadeModel:
     """Fit the ML stages on whatever the static stages leave behind.
 
     Stage k is trained on the messages not captured by the static rules or
     by stages 1..k-1, with positives being the messages tagged as stage k's
-    category; a stage with no surviving positives is an error.
+    category; a stage with no surviving positives is an error. ``distinct``
+    is the tagged messages' :func:`distinct_messages`, found here if not given.
     """
-    cascade, index, static = _prepare_tagged(tagged, lexicon)
+    cascade, index, static = _prepare_tagged(tagged, lexicon, distinct)
     survivors = [i for i, s in enumerate(static) if s is None]
     cascade.stages = _fit_stages(index.take(survivors), [tagged[i][1] for i in survivors])
     return cascade
 
 
-def _prepare_tagged(tagged, lexicon=None) -> tuple[CascadeModel, NgramIndex, list]:
+def _prepare_tagged(tagged, lexicon=None, distinct=None) -> tuple[CascadeModel, NgramIndex, list]:
     """A cascade without ML stages, and for the tagged messages, one row
     each, their n-gram index and static categories."""
     cascade = CascadeModel(lexicon=lexicon or textnorm.default_lexicon())
-    distinct, at = distinct_messages(message for message, _ in tagged)
+    distinct, at = distinct or distinct_messages(message for message, _ in tagged)
     docs = [cascade.prepare(message) for message in distinct]
     static = [_static_category(cascade, d) for d in docs]
     return cascade, _index(docs).take(at), [static[i] for i in at]

@@ -7,7 +7,11 @@ cooperative ones, a tiny share everywhere for solo-submit), commit sizes
 are drawn per category, and commits are dealt to the two users by a greedy
 fill that tracks the target. Every finished team is re-checked against the
 style rubric and regenerated with a fresh derived seed on mismatch, so
-emitted ground truth is consistent by construction. Messages come from
+emitted ground truth is consistent by construction. One feature matrix and
+one rubric pass check each attempt round (attempt a of every team not yet
+accepted); each (seed, team, attempt) has its own generator, so the rounds
+change no draw. Subsets are drawn bound for bound as ``Generator.choice``
+draws them, from cheaper calls, so corpora keep their bytes. Messages come from
 per-category template pools; the noise rate controls appended filler,
 cross-category, and gibberish tokens (never touching the keyword that makes
 merge/documentation/style templates statically recoverable).
@@ -27,7 +31,8 @@ from .commitcls import CommitCategory, LabeledCommit, detect_pair_programming
 from .errors import DataError
 from .ingest import CommitRecord, FileStat, RosterMember, TeamRecord, dump_commits_jsonl, dump_roster
 from .mlcore import seed_sequence
-from .teamstyle import RUBRIC_PARTS, TeamStyle, oracle_label
+from .teamfeat import build_matrix
+from .teamstyle import RUBRIC_PARTS, TeamStyle, rubric_styles
 
 # fraction of a team's commits per category, loosely shaped like real course data
 CATEGORY_MIX = {
@@ -170,32 +175,33 @@ def generate_corpus(config: GenConfig) -> tuple[list[TeamRecord], GroundTruth]:
     corpus_rng = np.random.default_rng(seed_sequence(config.seed))
     styles = [styles[i] for i in corpus_rng.permutation(len(styles))]
 
-    teams: list[TeamRecord] = []
-    truth_styles: dict[str, TeamStyle] = {}
-    truth_categories: dict[str, CommitCategory] = {}
-
-    for team_idx, intended in enumerate(styles):
-        for attempt in range(MAX_RETRIES):
-            rng = np.random.default_rng(seed_sequence(config.seed, team_idx, attempt))
-            planned = _generate_team(config, pools, veto, rng, team_idx, attempt, intended)
-            if planned is None:
-                continue
-            team, categories = planned
-            teams.append(team)
-            truth_styles[team.team_id] = intended
-            truth_categories.update(categories)
+    # round a plans attempt a of every team not yet accepted
+    plans: list = [None] * len(styles)
+    pending = list(range(len(styles)))
+    for attempt in range(MAX_RETRIES):
+        planned = [_plan_team(config, pools, veto, i, attempt, styles[i]) for i in pending]
+        for i, plan, verdict in zip(pending, planned, rubric_styles(build_matrix(planned))):
+            if verdict == styles[i]:
+                plans[i] = plan
+        pending = [i for i in pending if plans[i] is None]
+        if not pending:
             break
-        else:
-            raise DataError(
-                f"team {team_idx}: {MAX_RETRIES} attempts failed to "
-                f"satisfy the {intended.value} rubric"
-            )
+    else:
+        raise DataError(
+            f"team {pending[0]}: {MAX_RETRIES} attempts failed to "
+            f"satisfy the {styles[pending[0]].value} rubric"
+        )
 
+    teams = [team for team, _ in plans]
+    truth_styles = {team.team_id: style for team, style in zip(teams, styles)}
+    truth_categories = {item.commit.sha: item.category for _, labeled in plans for item in labeled}
     return teams, GroundTruth(team_styles=truth_styles, commit_categories=truth_categories)
 
 
-def _generate_team(config, pools, veto, rng, team_idx, attempt, intended):
-    """The team and its commits' categories, or None if it misses ``intended``'s rubric."""
+def _plan_team(config, pools, veto, team_idx, attempt, intended):
+    """Attempt ``attempt`` at team ``team_idx``, and its commits labeled with their
+    categories; the rubric may still find another style than ``intended``."""
+    rng = np.random.default_rng(seed_sequence(config.seed, team_idx, attempt))
     team_id = f"t{team_idx:03d}"
     member_ids = (f"s{team_idx:03d}a", f"s{team_idx:03d}b")
     members = tuple(
@@ -237,10 +243,9 @@ def _generate_team(config, pools, veto, rng, team_idx, attempt, intended):
 
     order = rng.permutation(len(commit_specs))
     timestamp = _BASE_TIMESTAMP + team_idx * 7 * 86400
-    commits: list[CommitRecord] = []
-    categories: dict[str, CommitCategory] = {}
-    for seq, spec_idx in enumerate(order):
-        user, cat, add, dele = commit_specs[int(spec_idx)]
+    labeled: list[LabeledCommit] = []
+    for seq, spec_idx in enumerate(order.tolist()):
+        user, cat, add, dele = commit_specs[spec_idx]
         timestamp += int(rng.integers(180, 14401))
         sha = hashlib.sha1(
             f"{config.seed}:{team_id}:{attempt}:{seq}".encode()
@@ -248,35 +253,24 @@ def _generate_team(config, pools, veto, rng, team_idx, attempt, intended):
         message = _render_message(rng, pools, veto, config, cat, intended)
         member = members[user]
         key = member.author_keys[int(rng.integers(0, len(member.author_keys)))]
-        commits.append(
-            CommitRecord(
-                sha=sha,
-                author_key=key,
-                author_id=member.member_id,
-                timestamp=timestamp,
-                message=message,
-                files=_render_files(rng, cat, add, dele),
-            )
+        commit = CommitRecord(
+            sha=sha,
+            author_key=key,
+            author_id=member.member_id,
+            timestamp=timestamp,
+            message=message,
+            files=_render_files(rng, cat, add, dele),
         )
-        categories[sha] = cat
+        labeled.append(LabeledCommit(commit=commit, category=cat, pair_programming=False))
 
     team = TeamRecord(
         team_id=team_id,
         project_id=PROJECT_ID,
         members=members,
         selected=selected,
-        commits=tuple(commits),
+        commits=tuple(item.commit for item in labeled),
     )
-
-    labeled = [
-        LabeledCommit(commit=c, category=categories[c.sha], pair_programming=False)
-        for c in commits
-    ]
-    try:
-        verdict = oracle_label(team, labeled)
-    except DataError:
-        return None
-    return (team, categories) if verdict == intended else None
+    return team, labeled
 
 
 def _plan_shares(rng, intended) -> dict[CommitCategory, float]:
@@ -284,7 +278,7 @@ def _plan_shares(rng, intended) -> dict[CommitCategory, float]:
     parts = list(RUBRIC_PARTS)
     if intended == TeamStyle.COLLABORATIVE:
         n_common = int(rng.integers(2, 5))
-        common = set(int(i) for i in rng.choice(len(parts), size=n_common, replace=False))
+        common = _sorted_subset(rng, len(parts), n_common)
         return {
             part: float(rng.uniform(0.40, 0.60))
             if i in common
@@ -302,11 +296,10 @@ def _plan_shares(rng, intended) -> dict[CommitCategory, float]:
 
 
 def _sized_commits(rng, churn_range, count) -> list[tuple[int, int]]:
+    """``count`` (additions, deletions) pairs, drawn add, delete, add, ..."""
     add_lo, add_hi, del_lo, del_hi = churn_range
-    return [
-        (int(rng.integers(add_lo, add_hi + 1)), int(rng.integers(del_lo, del_hi + 1)))
-        for _ in range(count)
-    ]
+    sizes = rng.integers((add_lo, del_lo), (add_hi + 1, del_hi + 1), size=(count, 2))
+    return list(map(tuple, sizes.tolist()))
 
 
 def _deal_to_users(specs, user0_share):
@@ -369,7 +362,7 @@ def _render_files(rng, cat, add, dele) -> tuple[FileStat, ...]:
         pool = _PATH_POOLS["src"]
     n_files = 1 + int(rng.random() < 0.45) + int(rng.random() < 0.15)
     n_files = min(n_files, len(pool))
-    chosen = sorted(int(i) for i in rng.choice(len(pool), size=n_files, replace=False))
+    chosen = _sorted_subset(rng, len(pool), n_files)
     adds = _split_lines(rng, add, n_files)
     dels = _split_lines(rng, dele, n_files)
     files = [
@@ -388,10 +381,24 @@ def _render_files(rng, cat, add, dele) -> tuple[FileStat, ...]:
     return tuple(files)
 
 
+def _sorted_subset(rng, n, k) -> list[int]:
+    """``sorted(rng.choice(n, k, replace=False))`` with the same draws: numpy's
+    ``choice`` runs Floyd's algorithm (Bentley & Floyd, CACM 30(9), 1987) and
+    then shuffles the k picks, one bounded draw per step; sorting discards the
+    shuffle, so its draws are made and dropped."""
+    chosen: set[int] = set()
+    for j in range(n - k, n):
+        t = int(rng.integers(0, j + 1))
+        chosen.add(j if t in chosen else t)
+    for i in range(k - 1, 0, -1):
+        rng.integers(0, i + 1)
+    return sorted(chosen)
+
+
 def _split_lines(rng, total, parts) -> list[int]:
     if parts == 1:
         return [total]
-    cuts = sorted(int(c) for c in rng.integers(0, total + 1, size=parts - 1))
+    cuts = sorted(int(rng.integers(0, total + 1)) for _ in range(parts - 1))
     bounds = [0] + cuts + [total]
     return [bounds[i + 1] - bounds[i] for i in range(parts)]
 

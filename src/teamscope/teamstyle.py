@@ -83,12 +83,11 @@ LOGISTIC_DEFAULT_K = 26
 STAGE_MODELS = {"forest": ForestModel, "logistic_rfe": LogisticModel}
 
 
-def oracle_labels(build: FeatureMatrix) -> list[TeamStyle]:
-    """Apply the contribution-share rubric to every row of a feature matrix.
+def rubric_styles(build: FeatureMatrix) -> list[TeamStyle | None]:
+    """The contribution-share rubric's style for every row of a feature matrix.
 
     A rubric part is active when both users together churned at least
-    ``DEFAULT_MIN_PART_CHURN`` lines in it; a team with no active part is a
-    DataError naming the team.
+    ``DEFAULT_MIN_PART_CHURN`` lines in it; a team with no active part gets None.
     """
     col = build.registry.index
     parts = [part.value.lower() for part in RUBRIC_PARTS]
@@ -97,20 +96,27 @@ def oracle_labels(build: FeatureMatrix) -> list[TeamStyle]:
         for column in ("u0_churn", "u1_churn", "u0_churn_share")
     )
     active = u0 + u1 >= DEFAULT_MIN_PART_CHURN
-    idle = np.flatnonzero(~active.any(axis=1))
-    if idle.size:
-        raise DataError(
-            f"team {build.team_ids[idle[0]]!r}: no project part reaches "
-            f"{DEFAULT_MIN_PART_CHURN} churned lines; the style rubric does not apply"
-        )
     low, high = DEFAULT_COLLAB_BAND
     balanced = (active & (low <= share) & (share <= high)).sum(axis=1)
-    # an active part has churn, so the whole-project share is never 0 / 0
+    # an active part has churn, so an active row's whole-project share is never 0 / 0
     solo = build.raw[:, col("u0_churn_share_whole")] < DEFAULT_SOLO_SHARE
     return [
-        TeamStyle.COLLABORATIVE if b >= 2 else TeamStyle.SOLO_SUBMIT if s else TeamStyle.COOPERATIVE
-        for b, s in zip(balanced, solo)
+        (TeamStyle.COLLABORATIVE if b >= 2 else TeamStyle.SOLO_SUBMIT if s else TeamStyle.COOPERATIVE)
+        if a else None
+        for a, b, s in zip(active.any(axis=1), balanced, solo)
     ]
+
+
+def oracle_labels(build: FeatureMatrix) -> list[TeamStyle]:
+    """``rubric_styles`` of every row; a team with no active part is a
+    DataError naming the team."""
+    styles = rubric_styles(build)
+    if None in styles:
+        raise DataError(
+            f"team {build.team_ids[styles.index(None)]!r}: no project part reaches "
+            f"{DEFAULT_MIN_PART_CHURN} churned lines; the style rubric does not apply"
+        )
+    return styles
 
 
 def oracle_label(team: TeamRecord, labeled: Sequence[LabeledCommit]) -> TeamStyle:

@@ -1,8 +1,12 @@
+import contextlib
+import hashlib
+import io
 import json
 
+import numpy as np
 import pytest
 
-from teamscope import synthgen, textnorm
+from teamscope import cli, synthgen, textnorm
 from teamscope.commitcls import CommitCategory, _load_keywords
 from teamscope.errors import DataError
 from teamscope.ingest import build_teams, load_commits_jsonl, load_roster
@@ -156,7 +160,7 @@ def test_unsatisfiable_config_raises_data_error(monkeypatch):
     # zero-churn everything makes every style plan fail its rubric re-check
     monkeypatch.setattr(synthgen, "CHURN_RANGES", {cat: (0, 0, 0, 0) for cat in CommitCategory})
     monkeypatch.setattr(synthgen, "MAX_RETRIES", 3)
-    with pytest.raises(DataError, match="3 attempts"):
+    with pytest.raises(DataError, match="^team 0: 3 attempts failed to satisfy the "):
         generate_corpus(GenConfig(seed=19, n_teams=2))
 
 
@@ -174,3 +178,83 @@ def test_pair_programming_mentions_appear_with_noise():
         for c in t.commits
     )
     assert found > 0
+
+
+# sha256 of the four corpus files of two synth runs: a change to the
+# generator's draws that alters a corpus fails here
+PINNED_CORPORA = [
+    (
+        ["--seed", "3", "--teams", "12"],
+        {
+            "commits.jsonl": "0a96fcfb755cea4a4fa3e49cb5e01af0791cf3e71222b9a458aad6ce7182da0f",
+            "roster.csv": "abb78c1f328b67b1637c1ccc102f8ed87e0d3df9194f7a35b18b17f4347b7f4b",
+            "truth_commits.csv": "5c7d9107a6cc8ce580b5404c930ac9bc4abbb9b955fc253a3d57243611e8d415",
+            "truth_teams.csv": "bac1c64c2a97dd2fd5aa4d235fcf7a583864fa6738a45d7709b52de776094b9d",
+        },
+    ),
+    (
+        ["--seed", "5", "--teams", "10", "--noise", "0.4", "--pair-rate", "0.3",
+         "--mix", "0.2,0.3,0.5", "--commits", "10,90"],
+        {
+            "commits.jsonl": "6554bcb8a946dd47711a0e8b74066581390cd03fe5e1bfc40c52403bafb6aa07",
+            "roster.csv": "f287b63a29e7d81416ce4f02fd373a1dcb01a519658c88b9339768780cfa8df2",
+            "truth_commits.csv": "e5727b9eb8a877630d55b4d996c2e4bb8eb3efdad47a48590d527688cbeb81f3",
+            "truth_teams.csv": "7a1cf1df8cde9d2336b2338e751434ce6252ed33151190f604fb87e78886eccf",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digests", PINNED_CORPORA)
+def test_synth_keeps_its_bytes(tmp_path, argv, digests):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["synth", *argv, "--out", str(tmp_path)]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests}
+    assert got == digests
+
+
+# The generator draws what numpy's Generator.choice and array-form integers
+# draw, with cheaper calls. If a numpy upgrade breaks these tests, the old
+# corpus bytes came from numpy's choice, not from teamscope.
+def _twins(seed):
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+def test_sorted_subset_draws_what_choice_draws():
+    for n in (3, 4, 8):
+        for k in range(1, min(n, 3) + 1):
+            for seed in range(200):
+                ours, numpys = _twins(seed)
+                got = synthgen._sorted_subset(ours, n, k)
+                assert got == sorted(numpys.choice(n, k, replace=False).tolist())
+                assert ours.bit_generator.state == numpys.bit_generator.state
+
+
+def test_sized_commits_draw_what_scalar_draws_draw():
+    for churn_range in [(20, 120, 0, 30), (2, 30, 1, 20), (0, 0, 0, 0), (5, 5, 0, 4), (0, 8, 3, 3)]:
+        add_lo, add_hi, del_lo, del_hi = churn_range
+        for seed in range(200):
+            ours, scalar = _twins(seed)
+            count = seed % 7
+            want = [
+                (int(scalar.integers(add_lo, add_hi + 1)), int(scalar.integers(del_lo, del_hi + 1)))
+                for _ in range(count)
+            ]
+            assert synthgen._sized_commits(ours, churn_range, count) == want
+            assert ours.bit_generator.state == scalar.bit_generator.state
+            if churn_range == (0, 0, 0, 0):  # zero-width ranges draw nothing
+                assert ours.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+
+
+def test_split_lines_draws_what_array_draws_draw():
+    for total in (0, 1, 7, 120):
+        for parts in (1, 2, 3):
+            for seed in range(200):
+                ours, array = _twins(seed)
+                cuts = sorted(array.integers(0, total + 1, size=parts - 1).tolist())
+                bounds = [0] + cuts + [total]
+                want = [bounds[i + 1] - bounds[i] for i in range(parts)]
+                assert synthgen._split_lines(ours, total, parts) == want
+                assert ours.bit_generator.state == array.bit_generator.state
+                if total == 0 or parts == 1:
+                    assert ours.bit_generator.state == np.random.default_rng(seed).bit_generator.state

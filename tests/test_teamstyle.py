@@ -29,6 +29,7 @@ from teamscope.teamstyle import (
     oracle_label,
     oracle_labels,
     predict_style_with_confidence,
+    rubric_styles,
     train_team_model,
 )
 
@@ -133,6 +134,26 @@ def test_batched_rubric_names_the_idle_team():
         oracle_labels(build)
 
 
+def test_row_wise_rubric_is_none_exactly_on_idle_rows():
+    busy = _labeled_split(impl_amy=50, impl_ben=50, test_amy=40, test_ben=40)
+    solo = _labeled_split(impl_amy=4, impl_ben=96, test_amy=0, test_ben=60)
+    idle = _labeled_split(impl_amy=3, impl_ben=4, test_amy=2, test_ben=1)
+    rows = [
+        (_team(), busy),
+        (dataclasses.replace(_team(), team_id="t-idle-1"), idle),
+        (_team(), solo),
+        (dataclasses.replace(_team(), team_id="t-idle-2"), idle),
+    ]
+    build = build_matrix(rows)
+    assert rubric_styles(build) == [TeamStyle.COLLABORATIVE, None, TeamStyle.SOLO_SUBMIT, None]
+    with pytest.raises(DataError) as refusal:
+        oracle_labels(build)
+    assert str(refusal.value) == (
+        "team 't-idle-1': no project part reaches 30 churned lines; "
+        "the style rubric does not apply"
+    )
+
+
 def _rubric_reference(team, labeled):
     """The rubric by one loop over the commits; None where no part is active."""
     user0 = order_users(team, labeled)[0]
@@ -174,6 +195,7 @@ def test_batched_rubric_matches_one_loop_reference(teams):
         labeled_teams.append((team, [_commit(*commit) for commit in commits]))
     want = [_rubric_reference(team, labeled) for team, labeled in labeled_teams]
     build = build_matrix(labeled_teams)
+    assert rubric_styles(build) == want
     if None in want:
         with pytest.raises(DataError, match=f"team 't{want.index(None)}'"):
             oracle_labels(build)
