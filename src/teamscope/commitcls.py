@@ -30,16 +30,20 @@ histories repeat messages. So each distinct message is normalized and run
 through the static rules once, and its result is mapped back to every commit
 that carries it. ``label_distinct`` classifies a course's distinct messages
 as one batch, with no block size. Training and cross-validation index the
-n-grams of the distinct tagged messages once and take that index with a row
-per tagged message, so document frequencies count commits and the logistic
-loss sums over commits; every fold and every stage's survivors are subsets
-of it. ``distinct_messages`` alone says which messages are the same: equal
-strings.
+n-grams of the distinct tagged messages once. A fit takes that index with
+one row per distinct (message, category) pair among its training commits,
+in the order of message text and then category, and counts each row with
+its number of commits: document frequencies count commits and the logistic
+loss sums over commits, as with one row per commit, and a stage's survivors
+keep their counts. So a trained cascade does not depend on the order of the
+tagged rows. Cross-validation scores one row per test commit.
+``distinct_messages`` alone says which messages are the same: equal strings.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -243,39 +247,52 @@ def train_cascade(
 
     Stage k is trained on the messages not captured by the static rules or
     by stages 1..k-1, with positives being the messages tagged as stage k's
-    category; a stage with no surviving positives is an error. ``distinct``
-    is the tagged messages' :func:`distinct_messages`, found here if not given.
+    category; a stage with no surviving positives is an error. The fits
+    see each distinct (message, category) pair once, counted with its
+    number of commits, so the model does not depend on the order of
+    ``tagged``. ``distinct`` is the tagged messages'
+    :func:`distinct_messages`, found here if not given.
     """
-    cascade, index, static = _prepare_tagged(tagged, lexicon, distinct)
-    survivors = [i for i, s in enumerate(static) if s is None]
-    cascade.stages = _fit_stages(index.take(survivors), [tagged[i][1] for i in survivors])
+    cascade, messages, index, static, at = _prepare_tagged(tagged, lexicon, distinct)
+    pairs = [(at[i], category) for i, (_, category) in enumerate(tagged) if static[at[i]] is None]
+    cascade.stages = _fit_stages(messages, index, pairs)
     return cascade
 
 
-def _prepare_tagged(tagged, lexicon=None, distinct=None) -> tuple[CascadeModel, NgramIndex, list]:
-    """A cascade without ML stages, and for the tagged messages, one row
-    each, their n-gram index and static categories."""
+def _prepare_tagged(tagged, lexicon=None, distinct=None) -> tuple[CascadeModel, list, NgramIndex, list, list]:
+    """A cascade without ML stages; the distinct tagged messages, their
+    n-gram index and static categories; and the position of each tagged
+    message among them."""
     cascade = CascadeModel(lexicon=lexicon or textnorm.default_lexicon())
-    distinct, at = distinct or distinct_messages(message for message, _ in tagged)
-    docs = [cascade.prepare(message) for message in distinct]
+    messages, at = distinct or distinct_messages(message for message, _ in tagged)
+    docs = [cascade.prepare(message) for message in messages]
     static = [_static_category(cascade, d) for d in docs]
-    return cascade, _index(docs).take(at), [static[i] for i in at]
+    return cascade, messages, _index(docs), static, at
 
 
-def _fit_stages(index: NgramIndex, tags: list) -> list[MlStage]:
-    """Train the ML stages in order on the messages the static stages left:
-    row i of ``index`` is a message tagged ``tags[i]``."""
+def _fit_stages(messages: list[str], index: NgramIndex, pairs: list) -> list[MlStage]:
+    """Train the ML stages in order on the tagged commits the static stages
+    left. ``pairs`` holds each commit's message, as a row of ``index`` (the
+    n-grams of ``messages``), and its category. The fits see each distinct
+    pair once, counted with its number of commits, in the order of message
+    text and then category."""
+    commits = Counter(pairs)
+    order = sorted(commits, key=lambda pair: (messages[pair[0]], pair[1].value))
+    index = index.take([message for message, _ in order])
+    tags = [category for _, category in order]
+    counts = np.array([commits[pair] for pair in order], dtype=np.float64)
     stages = []
     for stage_category in ML_CATEGORIES:
         if stage_category not in tags:
             raise DataError(f"no surviving positive examples for ML stage {stage_category.value}")
-        tfidf = fit_tfidf(index, DEFAULT_MAX_FEATURES)
+        tfidf = fit_tfidf(index, DEFAULT_MAX_FEATURES, counts)
         X = tfidf_transform(tfidf, index)
-        logreg = train_logreg(X, [cat == stage_category for cat in tags])
+        logreg = train_logreg(X, [cat == stage_category for cat in tags], counts=counts)
         stages.append(MlStage(tfidf=tfidf, logreg=logreg))
         left = np.flatnonzero(~predict(logreg, X))
         index = index.take(left)
         tags = [tags[i] for i in left.tolist()]
+        counts = counts[left]
     return stages
 
 
@@ -296,18 +313,19 @@ def evaluate_cascade(
     once after residual assignment picks up everything the ML stages left.
     The keys come in the report's row order.
     """
-    _, index, static = _prepare_tagged(tagged)
+    _, messages, index, static, at = _prepare_tagged(tagged)
     labels = [cat for _, cat in tagged]
     folds = stratified_kfold(labels, k, seed)
     per_key: dict[str, list[EvalReport]] = {}
 
     for test_idx in folds:
         test_set = set(test_idx)
-        train = [i for i, s in enumerate(static) if s is None and i not in test_set]
-        stages = _fit_stages(index.take(train), [labels[i] for i in train])
+        train = [(at[i], labels[i]) for i in range(len(tagged)) if i not in test_set and static[at[i]] is None]
+        stages = _fit_stages(messages, index, train)
         y_true = [labels[i] for i in test_idx]
-        static_pred = [static[i] for i in test_idx]
-        y_pred = _funnel(stages, index.take([i for i in test_idx if static[i] is None]), static_pred)
+        static_pred = [static[at[i]] for i in test_idx]
+        unlabelled = [at[i] for i, s in zip(test_idx, static_pred) if s is None]
+        y_pred = _funnel(stages, index.take(unlabelled), static_pred)
 
         C = CommitCategory
         scored = [(c.value, y_pred, c) for c in (C.MERGE, C.STYLE, C.DOCUMENTATION)]

@@ -1,5 +1,5 @@
-"""Seed sequences, the binary training-set check, cross-validation folds,
-precision/recall/F1, Cohen's kappa, z-scoring."""
+"""Seed sequences, the binary training-set and row-count checks,
+cross-validation folds, precision/recall/F1, Cohen's kappa, z-scoring."""
 
 from __future__ import annotations
 
@@ -36,6 +36,19 @@ def check_training_set(X, y) -> tuple[np.ndarray, np.ndarray]:
     if y.dtype.kind not in "biuf" or not np.all((y == 0) | (y == 1)):
         raise DataError("labels must be boolean (0/1)")
     return X, y.astype(np.float64)
+
+
+def check_counts(counts, n: int) -> np.ndarray:
+    """The multiplicities of n rows as float64, once each is positive and
+    finite; None counts every row once."""
+    if counts is None:
+        return np.ones(n)
+    counts = np.asarray(counts, dtype=np.float64)
+    if counts.shape != (n,):
+        raise DataError(f"{n} rows but counts of shape {counts.shape}")
+    if not (np.isfinite(counts) & (counts > 0)).all():
+        raise DataError("counts must be positive and finite")
+    return counts
 
 
 @dataclass

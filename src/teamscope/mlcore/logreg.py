@@ -2,19 +2,24 @@
 
 The objective is the mean cross-entropy plus an L2 penalty on the weights
 (bias excluded), scaled by 1/N so the penalty strength is independent of
-dataset size:
+dataset size. Row i may stand for c_i equal rows (the "covariate patterns"
+of Hosmer, Lemeshow & Sturdivant, Applied Logistic Regression, 2013):
 
-    loss(w, b) = mean_i[ log(1 + exp(z_i)) - y_i * z_i ] + l2 / (2N) * ||w||^2
+    loss(w, b) = sum_i c_i [ log(1 + exp(z_i)) - y_i * z_i ] / N + l2 / (2N) * ||w||^2
 
-with z = X w + b. Training evaluates every point through the function behind
-``logistic_loss_and_grad``, the one implementation of this objective.
+with z = X w + b and N = sum_i c_i. That is the objective of the rows
+repeated c_i times each, so it has the same optimum; c_i = 1 by default.
+The counts enter as factors of the sums' terms, so unit counts give the
+bytes of the plain mean. Training evaluates every point through the function
+behind ``logistic_loss_and_grad``, the one implementation of this objective.
 
 Newton method. Each step solves the (d+1)x(d+1) Hessian system for a
 direction, then halves the step length from 1 until the loss falls by at
 least 1e-4 of the decrease the gradient predicts (the Armijo rule). With
 l2 > 0 and both classes present, the objective has one optimum.
 
-Two forms of one direction. With no more columns than rows (d <= n), the
+Two forms of one direction. Here n counts the rows of X, each distinct
+row once, whatever its count. With no more columns than rows (d <= n), the
 Hessian is built and LU-solved as it stands, at O(n d^2 + d^3) a step. With
 more columns than rows and l2 > 0, as in recursive feature elimination on a
 course of tens to hundreds of teams, the bias is eliminated blockwise and
@@ -62,7 +67,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .evaluation import check_training_set
+from .evaluation import check_counts, check_training_set
 from .serialize import number, numbers
 
 GRAD_TOL = 1e-12
@@ -107,19 +112,21 @@ def sigmoid(z):
     return np.exp(z - np.logaddexp(0.0, z))
 
 
-def _objective(weights, bias, X, y, l2_lambda):
+def _objective(weights, bias, X, y, l2_lambda, counts):
     """(loss, grad_w, grad_b, p) where p = sigmoid(X w + b)."""
-    n = X.shape[0]
+    total = counts.sum()
     z = X @ weights
     z += bias
     # log(1 + e^z) - y z, computed stably via logaddexp
     softplus = np.logaddexp(0.0, z)
-    loss = float(np.mean(softplus - y * z))
-    loss += l2_lambda / (2.0 * n) * float(weights @ weights)
+    # counts enter as factors of the summands, not as a dot product, so unit
+    # counts sum exactly what the mean of the rows sums
+    loss = float(np.sum(counts * (softplus - y * z)) / total)
+    loss += l2_lambda / (2.0 * total) * float(weights @ weights)
     p = np.exp(z - softplus)
-    residual = p - y
-    grad_w = (X.T @ residual + l2_lambda * weights) / n
-    grad_b = float(np.mean(residual))
+    residual = counts * (p - y)
+    grad_w = (X.T @ residual + l2_lambda * weights) / total
+    grad_b = float(np.sum(residual) / total)
     return loss, grad_w, grad_b, p
 
 
@@ -130,8 +137,9 @@ def logistic_loss_and_grad(
     y: np.ndarray,
     l2_lambda: float,
 ) -> tuple[float, np.ndarray, float]:
-    """Return (loss, d_loss/d_weights, d_loss/d_bias) for the objective above."""
-    return _objective(weights, bias, X, y, l2_lambda)[:3]
+    """Return (loss, d_loss/d_weights, d_loss/d_bias) for the objective above,
+    each row counted once."""
+    return _objective(weights, bias, X, y, l2_lambda, np.ones(X.shape[0]))[:3]
 
 
 def weakest_weight(weights: np.ndarray) -> int:
@@ -143,11 +151,12 @@ def weakest_weight(weights: np.ndarray) -> int:
     return int(np.flatnonzero(tied)[-1])
 
 
-def _newton_direction(X, p, grad_w, grad_b, l2_lambda, gram=None, weakest=None):
+def _newton_direction(X, p, grad_w, grad_b, l2_lambda, gram=None, weakest=None, *, counts=None):
     """Solve H step = -grad for the Hessian H of the objective at p = sigmoid(z).
 
     N H = [[A, b], [b^T, sum s]] with A = X^T S X + l2 I, b = X^T s,
-    s = p (1 - p) and S = diag(s). With ``gram`` = X X^T the step comes
+    s = c p (1 - p) for the row counts c (ones without ``counts``), N = sum c
+    and S = diag(s). With ``gram`` = X X^T the step comes
     from the n x n dual form, unless that form cannot give it within a
     backward error of ``_DUAL_BACKWARD_ERROR``; otherwise, and without
     ``gram``, the (d+1) system is solved as it stands.
@@ -155,8 +164,10 @@ def _newton_direction(X, p, grad_w, grad_b, l2_lambda, gram=None, weakest=None):
     Given ``weakest`` = j, the result is (step, u) with N H u = e_j solved on
     the same factorisation; only the step is held to the backward error.
     """
-    s = p * (1.0 - p)
-    rhs = -X.shape[0] * np.append(grad_w, grad_b)
+    if counts is None:
+        counts = np.ones(X.shape[0])
+    s = counts * (p * (1.0 - p))
+    rhs = -counts.sum() * np.append(grad_w, grad_b)
     unit = None
     if weakest is not None:
         unit = np.zeros_like(rhs)
@@ -231,7 +242,7 @@ def _max_abs(grad_w: np.ndarray, grad_b: float) -> float:
     return max(float(np.max(np.abs(grad_w), initial=0.0)), abs(grad_b))
 
 
-def _armijo_step(X, y, l2_lambda, weights, bias, loss, step, slope):
+def _armijo_step(X, y, l2_lambda, counts, weights, bias, loss, step, slope):
     """(weights, bias, objective) after the longest of the steps t * step,
     t = 1, 1/2, 1/4, ..., that lowers the loss by the Armijo rule; ``None``
     when every step that still moves the point leaves the loss as high."""
@@ -243,7 +254,7 @@ def _armijo_step(X, y, l2_lambda, weights, bias, loss, step, slope):
     while np.any(np.abs(t * step) > still):
         trial_w = weights + t * step[:d]
         trial_b = bias + t * float(step[d])
-        trial = _objective(trial_w, trial_b, X, y, l2_lambda)
+        trial = _objective(trial_w, trial_b, X, y, l2_lambda, counts)
         if trial[0] < loss and trial[0] <= loss + _ARMIJO * t * slope:
             return trial_w, trial_b, trial
         t *= 0.5
@@ -270,6 +281,7 @@ def _newton_iterates(
     weights: np.ndarray,
     bias: float,
     *,
+    counts: np.ndarray | None = None,
     eliminate: bool = False,
 ) -> Iterator[Iterate]:
     """Yield each point from the start to the stop, with its loss and max |gradient|.
@@ -277,14 +289,17 @@ def _newton_iterates(
     Every point after the first is a damped Newton step with a lower loss
     than the point before, except a final full step taken at the optimum to
     rounding, whose loss is within rounding of the one before; that point's
-    objective is not computed. With ``eliminate``, each system also solves
-    for e_j at the weakest weight j of the point it is built at.
+    objective is not computed. Row i counts ``counts[i]`` times (once without
+    ``counts``). With ``eliminate``, each system also solves for e_j at the
+    weakest weight j of the point it is built at.
     """
     n, d = X.shape
+    if counts is None:
+        counts = np.ones(n)
     # the dual form needs the penalty to make the weight block invertible,
     # and it is the cheaper form once the columns outnumber the rows
     gram = X @ X.T if d > n and l2_lambda > 0 else None
-    loss, grad_w, grad_b, p = _objective(weights, bias, X, y, l2_lambda)
+    loss, grad_w, grad_b, p = _objective(weights, bias, X, y, l2_lambda, counts)
     unit_solve = None
     for _ in range(_MAX_STEPS):
         gmax = _max_abs(grad_w, grad_b)
@@ -293,15 +308,15 @@ def _newton_iterates(
             return
         if eliminate:
             j = weakest_weight(weights)
-            step, u = _newton_direction(X, p, grad_w, grad_b, l2_lambda, gram, j)
+            step, u = _newton_direction(X, p, grad_w, grad_b, l2_lambda, gram, j, counts=counts)
             unit_solve = (j, u)
         else:
-            step = _newton_direction(X, p, grad_w, grad_b, l2_lambda, gram)
+            step = _newton_direction(X, p, grad_w, grad_b, l2_lambda, gram, counts=counts)
         slope = float(grad_w @ step[:d]) + grad_b * float(step[d])
         accepted = None
         # the quadratic model predicts that the full step lowers the loss by -slope / 2
         if -slope > _ROUNDING_ULPS * np.spacing(loss):
-            accepted = _armijo_step(X, y, l2_lambda, weights, bias, loss, step, slope)
+            accepted = _armijo_step(X, y, l2_lambda, counts, weights, bias, loss, step, slope)
         if accepted is None:
             yield Iterate(weights + step[:d], bias + float(step[d]), None, None, unit_solve)
             return
@@ -318,16 +333,24 @@ class Elimination(NamedTuple):
 
 
 def train_logreg(
-    X, y, l2_lambda: float = 1.0, *, start: LogisticModel | None = None, eliminate: bool = False
+    X,
+    y,
+    l2_lambda: float = 1.0,
+    *,
+    counts=None,
+    start: LogisticModel | None = None,
+    eliminate: bool = False,
 ) -> LogisticModel | Elimination:
     """Minimise the regularized cross-entropy by damped Newton steps.
 
-    The steps start from zero weights, or from the weights and bias of
+    Row i stands for ``counts[i]`` rows (once each without ``counts``). The
+    steps start from zero weights, or from the weights and bias of
     ``start``; the optimum is the same either way. With ``eliminate``, the
     result is the :class:`Elimination` of the optimum's weakest weight, not
     the model.
     """
     X, y = check_training_set(X, y)
+    counts = check_counts(counts, X.shape[0])
     if y.min() == y.max():
         warnings.warn("training labels contain a single class", stacklevel=2)
     if start is None:
@@ -336,7 +359,7 @@ def train_logreg(
         raise ValueError(f"start has {len(start.weights)} weights for {X.shape[1]} columns")
     else:
         weights, bias = np.asarray(start.weights, dtype=np.float64), float(start.bias)
-    for point in _newton_iterates(X, y, l2_lambda, weights, bias, eliminate=eliminate):
+    for point in _newton_iterates(X, y, l2_lambda, weights, bias, counts=counts, eliminate=eliminate):
         pass
     if not eliminate:
         return LogisticModel(weights=point.weights, bias=point.bias, l2_lambda=l2_lambda)

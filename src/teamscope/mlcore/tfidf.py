@@ -12,11 +12,15 @@ per distinct n-gram of a document and document r's entries at the offsets
 ``indptr[r]:indptr[r + 1]``. Fitting and transforming work on those arrays,
 and ``take`` gathers the documents of a fold or of a cascade stage's
 survivors without enumerating their n-grams again. Document frequencies are
-a ``bincount`` of the entries' ids, and a batch's counts are written into
-its matrix at (row, column) in one assignment. Each row's norm is the square
-root of its own dot product, taken as the stacked (1 x dim) @ (dim x 1)
-products of one ``matmul``: that is the kernel a row's ``vec @ vec`` uses,
-so a row's bytes do not depend on the batch it is in.
+a ``bincount`` of the entries' ids. A fit may count each document with a
+multiplicity, in df and in the document total N alike, as if the index held
+it that many times; the multiplicities are whole numbers, so df, N and the
+idf are those of the repeated index to the byte. A batch's counts are
+written into its matrix at (row, column) in one assignment. Each row's norm
+is the square root of its own dot product, taken as the stacked
+(1 x dim) @ (dim x 1) products of one ``matmul``: that is the kernel a
+row's ``vec @ vec`` uses, so a row's bytes do not depend on the batch it is
+in.
 
 An index does not record its n-gram range: the caller that builds it owns
 the range, and a model, fitted on one index, is applied to indexes of the
@@ -33,6 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import DataError
+from .evaluation import check_counts
 from .serialize import numbers, strings
 
 
@@ -114,14 +119,20 @@ def index_ngrams(docs: Sequence[Sequence[str]], n_min: int, n_max: int) -> Ngram
     return NgramIndex(terms, indptr, np.array(ids, dtype=np.int32), np.array(counts, dtype=np.int32))
 
 
-def fit_tfidf(index: NgramIndex, max_features: int) -> TfidfModel:
-    """Fit a vocabulary of the ``max_features`` most document-frequent n-grams of ``index``."""
+def fit_tfidf(index: NgramIndex, max_features: int, counts=None) -> TfidfModel:
+    """Fit a vocabulary of the ``max_features`` most document-frequent n-grams
+    of ``index``, document r counted ``counts[r]`` times (once without ``counts``)."""
     if max_features < 1:
         raise ValueError("max_features must be >= 1")
     if index.n_docs == 0:
         raise DataError("cannot fit tf-idf on an empty document list")
+    counts = check_counts(counts, index.n_docs)
+    if not (counts == np.floor(counts)).all():
+        raise DataError("document counts must be whole numbers")
 
-    doc_freq = np.bincount(index.ids, minlength=len(index.terms))
+    # sums of whole numbers below 2**53 are exact in float64
+    entry_counts = np.repeat(counts, np.diff(index.indptr))
+    doc_freq = np.bincount(index.ids, entry_counts, minlength=len(index.terms)).astype(np.int64)
     present = np.flatnonzero(doc_freq)
     if not present.size:
         raise DataError("empty vocabulary: no document produced any n-gram")
@@ -129,7 +140,7 @@ def fit_tfidf(index: NgramIndex, max_features: int) -> TfidfModel:
     df = {names[i]: n for i, n in zip(present.tolist(), doc_freq[present].tolist())}
 
     kept = sorted(df, key=lambda g: (-df[g], g))[:max_features]
-    n_docs = index.n_docs
+    n_docs = int(counts.sum())
     idf = np.array(
         [math.log((1 + n_docs) / (1 + df[g])) + 1.0 for g in kept], dtype=np.float64
     )

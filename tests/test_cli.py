@@ -717,6 +717,36 @@ def test_train_commits_manifest_counts_distinct_messages(cascade_model):
     assert config["messages"] == len(messages) > config["distinct_messages"] == len(set(messages))
 
 
+def _train_commits(rows: list, out: Path) -> bytes:
+    """The cascade.json that train-commits writes for the tagged ``rows``."""
+    out.mkdir()
+    with open(out / "tagged.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([["message", "category"], *rows])
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train-commits", "--tagged", str(out / "tagged.csv"), "--out", str(out)]) == 0
+    return (out / "cascade.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def retagged(cascade_model, tmp_path_factory):
+    """The cascade_model corpus's tagged rows, one Implementation message
+    tagged Test as well, and the cascade.json trained on them."""
+    with open(cascade_model.parent / "tagged.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    message = next(m for m, category in rows if category == "Implementation")
+    rows.append([message, "Test"])
+    return rows, _train_commits(rows, tmp_path_factory.mktemp("retagged") / "out")
+
+
+@settings(_CLI_EXAMPLES, max_examples=10)
+@given(data=st.data())
+def test_trained_cascade_does_not_depend_on_tagged_row_order(retagged, data):
+    rows, cascade = retagged
+    rows = data.draw(st.permutations(rows), label="rows")
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _train_commits(rows, Path(tmp) / "out") == cascade
+
+
 def test_non_json_label_line_is_data_error(tmp_path, capsys):
     corpus = _synth(tmp_path, teams=4, seed=2)
     _write_truth_labels(corpus)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from teamscope import commitcls, textnorm
 from teamscope.commitcls import (
+    DEFAULT_MAX_FEATURES,
     ML_CATEGORIES,
     NGRAM_RANGE,
     CascadeModel,
@@ -30,6 +31,7 @@ from teamscope.ingest import CommitRecord
 from teamscope.mlcore import (
     LogisticModel,
     TfidfModel,
+    fit_tfidf,
     index_ngrams,
     logistic_loss_and_grad,
     predict_proba,
@@ -254,11 +256,16 @@ def test_four_hundred_message_benchmark_per_category():
 
 
 def test_ml_stages_are_at_their_optimum(trained_cascade, tagged_sample):
-    # each stage trained on the messages the static and earlier ML stages left
+    # each stage trained on the messages the static and earlier ML stages
+    # left, one row per commit: the fits count commits, not distinct messages
     prepared = [(trained_cascade.prepare(msg), cat) for msg, cat in tagged_sample]
     survivors = [row for row in prepared if _static_category(trained_cascade, row[0]) is None]
     for category, stage in zip(ML_CATEGORIES, trained_cascade.stages, strict=True):
-        X = tfidf_transform(stage.tfidf, index_ngrams([tokens for tokens, _ in survivors], *NGRAM_RANGE))
+        index = index_ngrams([tokens for tokens, _ in survivors], *NGRAM_RANGE)
+        tfidf = fit_tfidf(index, DEFAULT_MAX_FEATURES)
+        assert list(stage.tfidf.vocabulary) == list(tfidf.vocabulary)
+        assert stage.tfidf.idf.tobytes() == tfidf.idf.tobytes()
+        X = tfidf_transform(stage.tfidf, index)
         y = np.array([cat == category for _, cat in survivors], dtype=float)
         model = stage.logreg
         _, grad_w, grad_b = logistic_loss_and_grad(model.weights, model.bias, X, y, model.l2_lambda)

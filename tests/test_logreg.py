@@ -317,3 +317,62 @@ def test_batch_predict_proba_shape():
     probs = predict_proba(model, np.array([[1.0, 0.0], [0.0, 1.0]]))
     assert probs.shape == (2,)
     assert probs[0] > 0.5 > probs[1]
+
+
+def _repeated(problem, counts):
+    """The rows of a problem, row i repeated counts[i] times."""
+    X, y, _ = problem
+    rows = np.repeat(np.arange(len(y)), counts)
+    return X[rows], y[rows]
+
+
+_row_counts = st.lists(st.integers(1, 5), min_size=40, max_size=40)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_problems(), _row_counts)
+def test_counted_fit_is_the_fit_on_repeated_rows(problem, counts):
+    X, y, l2 = problem
+    counts = np.array(counts[: len(y)])
+    counted = train_logreg(X, y, l2_lambda=l2, counts=counts)
+    X_rep, y_rep = _repeated(problem, counts)
+    repeated = train_logreg(X_rep, y_rep, l2_lambda=l2)
+    assert np.max(np.abs(counted.weights - repeated.weights)) <= 1e-9
+    assert abs(counted.bias - repeated.bias) <= 1e-9
+    # the counted optimum is the optimum of the objective over the repeated rows
+    _, grad_w, grad_b = logistic_loss_and_grad(counted.weights, counted.bias, X_rep, y_rep, l2)
+    assert max(np.max(np.abs(grad_w)), abs(grad_b)) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(_problems())
+def test_unit_counts_give_the_bytes_of_the_plain_mean(problem):
+    X, y, l2 = problem
+    plain = train_logreg(X, y, l2_lambda=l2)
+    counted = train_logreg(X, y, l2_lambda=l2, counts=np.ones(len(y)))
+    assert counted.weights.tobytes() == plain.weights.tobytes() and counted.bias == plain.bias
+    # a unit count sums exactly what the mean over the rows sums
+    w, n = plain.weights, len(y)
+    z = X @ w + plain.bias
+    softplus = np.logaddexp(0.0, z)
+    residual = np.exp(z - softplus) - y
+    loss, grad_w, grad_b = logistic_loss_and_grad(w, plain.bias, X, y, l2)
+    assert loss == float(np.mean(softplus - y * z)) + l2 / (2.0 * n) * float(w @ w)
+    assert grad_w.tobytes() == ((X.T @ residual + l2 * w) / n).tobytes()
+    assert grad_b == float(np.mean(residual))
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ([1.0, 2.0], "3 rows but counts of shape"),
+        ([[1.0, 2.0, 3.0]], "3 rows but counts of shape"),
+        ([1.0, 0.0, 2.0], "positive and finite"),
+        ([1.0, -1.0, 2.0], "positive and finite"),
+        ([1.0, np.nan, 2.0], "positive and finite"),
+        ([1.0, np.inf, 2.0], "positive and finite"),
+    ],
+)
+def test_bad_counts_are_refused(counts, message):
+    with pytest.raises(DataError, match=message):
+        train_logreg(np.eye(3), np.array([0, 1, 1]), counts=counts)

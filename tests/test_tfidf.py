@@ -3,7 +3,7 @@ import math
 import numpy as np
 import oracle_tfidf
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from teamscope.errors import DataError
@@ -193,3 +193,41 @@ def test_index_fit_and_transform_equal_the_oracle(docs, ngram_min, extra, max_fe
         assert tfidf_transform(model, index).tobytes() == expected.tobytes()
         assert tfidf_transform(model, taken).tobytes() == expected[rows].tobytes()
         assert _transform(model, part, ngram_range).tobytes() == expected[rows].tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    docs=_corpora,
+    ngram_min=st.integers(1, 4),
+    max_features=st.integers(1, 30),
+    counts=st.lists(st.integers(1, 4), min_size=25, max_size=25),
+)
+def test_counted_fit_is_the_fit_on_repeated_documents(docs, ngram_min, max_features, counts):
+    assume(any(len(doc) >= ngram_min for doc in docs))
+    index = index_ngrams(docs, ngram_min, 4)
+    counts = np.array(counts[: len(docs)])
+    repeated = fit_tfidf(index.take(np.repeat(np.arange(len(docs)), counts)), max_features)
+    for model in fit_tfidf(index, max_features, counts=counts), fit_tfidf(index, max_features, counts=counts * 1.0):
+        assert list(model.vocabulary.items()) == list(repeated.vocabulary.items())
+        assert model.idf.tobytes() == repeated.idf.tobytes()
+    plain = fit_tfidf(index, max_features)
+    unit = fit_tfidf(index, max_features, counts=np.ones(len(docs), dtype=int))
+    assert list(unit.vocabulary.items()) == list(plain.vocabulary.items())
+    assert unit.idf.tobytes() == plain.idf.tobytes()
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ([1, 2], "3 rows but counts of shape"),
+        ([1, 0, 2], "positive and finite"),
+        ([1, -2, 2], "positive and finite"),
+        ([1.0, np.nan, 2.0], "positive and finite"),
+        ([1.0, np.inf, 2.0], "positive and finite"),
+        ([1.0, 1.5, 2.0], "whole numbers"),
+    ],
+)
+def test_bad_document_counts_are_refused(counts, message):
+    index = index_ngrams([["fix", "bug"], ["add", "test"], ["fix"]], 1, 2)
+    with pytest.raises(DataError, match=message):
+        fit_tfidf(index, 4, counts=counts)
