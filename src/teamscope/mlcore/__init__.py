@@ -2,10 +2,12 @@
 
 from .evaluation import (
     EvalReport,
+    choice_bounds,
     cohens_kappa,
     mean_report,
     prf1,
     seed_sequence,
+    sorted_choices,
     standardize_apply,
     standardize_fit,
     stratified_kfold,

@@ -1,5 +1,6 @@
-"""Seed sequences, the binary training-set and row-count checks,
-cross-validation folds, precision/recall/F1, Cohen's kappa, z-scoring."""
+"""Seed sequences and the draws of ``Generator.choice``, the binary
+training-set and row-count checks, cross-validation folds,
+precision/recall/F1, Cohen's kappa, z-scoring."""
 
 from __future__ import annotations
 
@@ -19,6 +20,37 @@ def seed_sequence(seed, *path: int) -> np.random.SeedSequence:
     """The random stream of a seed and a path of indices under it (a tree, a
     stage, a team). A seed enters as its low 64 bits, so a negative one works."""
     return np.random.SeedSequence([int(seed) & _U64, *path])
+
+
+def choice_bounds(n: int, k: int) -> np.ndarray:
+    """The bounds of the draws ``Generator.choice(n, k, replace=False)`` makes.
+
+    numpy picks k of range(n) by Floyd's algorithm (Bentley & Floyd, CACM
+    30(9), 1987), with one draw below each of n-k+1, ..., n, and then
+    shuffles the picks, with one draw below each of k, ..., 2. So
+    ``rng.integers(0, choice_bounds(n, k))`` makes the same draws and leaves
+    ``rng`` where ``choice`` leaves it, and so do tiled bounds after other
+    bounded draws. numpy takes another path for n above 10,000 with k above
+    n // 50, which none of the callers reach.
+    """
+    return np.concatenate([np.arange(n - k + 1, n + 1), np.arange(k, 1, -1)])
+
+
+def sorted_choices(draws: np.ndarray, n: int) -> np.ndarray:
+    """``sorted(choice(n, k, replace=False))`` from each row of ``draws``
+    (shape (..., k)): Floyd's k draws, the first k of ``choice_bounds(n, k)``.
+
+    Floyd's step j = n-k, ..., n-1 picks its draw, or j when the draw was
+    picked before; all rows take each step at once. Sorting undoes the
+    shuffle, so its draws are not needed.
+    """
+    k = draws.shape[-1]
+    picks = draws.copy()
+    for step in range(1, k):
+        pick = picks[..., step]
+        pick[(picks[..., :step] == pick[..., None]).any(axis=-1)] = n - k + step
+    picks.sort(axis=-1)
+    return picks
 
 
 def check_training_set(X, y) -> tuple[np.ndarray, np.ndarray]:

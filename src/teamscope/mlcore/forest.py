@@ -5,14 +5,27 @@ generator seeded by (seed, tree index), so forests are pure functions of
 (X, y, n_trees, seed) and no tree depends on another. A tree grows until
 each leaf is pure or holds one sample, without pruning (Breiman, "Random
 Forests", Machine Learning 45, 2001). All trees of a forest grow in
-lockstep: each step takes the next depth-first split candidate of every
-unfinished tree and scores them together, in batched split searches of at
-most ``_CELL_BUDGET`` (feature, sample) cells each. A tree's draws come in
-the order it would make them growing alone, so neither the lockstep nor the
-batching changes a tree. A forest is one set of parallel per-node arrays
-over all its trees (the layout of scikit-learn's ``Tree``, applied to the
-whole forest), with child indices across the forest and each tree's root
-in ``trees``: fitting builds it, and prediction and importances read it in
+lockstep, and their bookkeeping is array work per step, not Python work per
+node. Each tree keeps its pending split candidates (impure nodes) on a row
+of one array stack. A step pops the top candidate of every unfinished tree
+and scores them together, in batched split searches of at most
+``_CELL_BUDGET`` (feature, sample) cells each. A split pushes its impure
+right child and then its impure left child, so every tree grows depth
+first, left subtree before right, as it would alone.
+
+A tree's draws are those of ``Generator.choice``, made in blocks: one call
+per tree draws its bootstrap and ``_BLOCK`` feature subsets, and a tree that
+uses its block up draws the next. Floyd's picks of all the trees' blocks are
+found at once (:func:`.evaluation.sorted_choices`). The subsets come in the
+order the tree uses them, one per split candidate in pre-order, so neither
+the lockstep, the blocks nor the batching changes a tree; what a finished
+tree has drawn ahead is never read.
+
+Nodes are made in creation order and then renumbered into each tree's
+pre-order by one sort. A forest is one set of parallel per-node arrays over
+all its trees (the layout of scikit-learn's ``Tree``, applied to the whole
+forest), with child indices across the forest and each tree's root in
+``trees``: fitting builds it, and prediction and importances read it in
 whole-forest passes. Leaves store the counts of classes 0 and 1; tree and
 forest predictions are majority votes with ties going to class 0. Those
 counts are all a forest's importances need, so a model file holds only the
@@ -26,19 +39,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from ..errors import DataError
-from .evaluation import check_training_set, seed_sequence
+from .evaluation import check_training_set, choice_bounds, seed_sequence, sorted_choices
 from .serialize import integer, integers, numbers
 
 # Most cells (candidate feature x node sample) one batched split search holds.
-# It bounds the search's working memory (about 50 bytes a cell) whatever the
-# number of trees, and is large enough that numpy's per-call cost is small.
-_CELL_BUDGET = 1 << 14
+# It bounds the search's working memory, about 50 bytes a cell at its peak
+# (1.6 MB), whatever the number of trees, and is large enough that numpy's
+# per-call cost is small. A batch then has at most 1 << 14 segments, and its
+# sort keys (15 bits of segment, twice 8 bits of rank and row) stay int32 up
+# to 256 rows.
+_CELL_BUDGET = 1 << 15
+# Feature subsets a tree draws per call. The trees that eval-teams grows on
+# the 150-team corpus have 4.3 split candidates on average, and one in nine
+# has more than 8.
+_BLOCK = 8
 
 
 @dataclass(eq=False)
@@ -128,7 +147,10 @@ def _weighted_gini(counts: np.ndarray, size: np.ndarray) -> np.ndarray:
     where ``size`` (float) holds the columns' totals, none of them 0."""
     p = counts / size
     p *= p
-    return size * (1.0 - (p[0] + p[1]))
+    gini = p[0] + p[1]  # then in place: scoring is the split search's peak memory
+    np.subtract(1.0, gini, out=gini)
+    gini *= size
+    return gini
 
 
 def _gini(counts: np.ndarray) -> np.ndarray:
@@ -211,6 +233,7 @@ def _split_nodes(X, codes, shift, y, rows, sizes, features, node_counts):
     changes = key[1:] != key[:-1]
     changes[seg_ends[:-1] - 1] = False  # no cut between two segments
     cut = np.flatnonzero(changes)
+    del changes
     cut_seg = key[cut] >> shift
     n_left = cut + 1 - seg_starts.take(cut_seg)
     if cut.size == 0:
@@ -225,7 +248,10 @@ def _split_nodes(X, codes, shift, y, rows, sizes, features, node_counts):
     size_right = sizes.take(node) - size_left
     left = _range_counts(prefix, seg_starts.take(cut_seg), cut + 1)
     score = _weighted_gini(left, size_left)
-    score += _weighted_gini(node_counts.take(node, axis=1) - left, size_right)
+    right = node_counts.take(node, axis=1)
+    right -= left
+    score += _weighted_gini(right, size_right)
+    del right  # freed before the division's temporary, like ``changes`` above
     score /= size_left + size_right
 
     # the first lowest score of each node, in cell order
@@ -255,32 +281,19 @@ def _split_nodes(X, codes, shift, y, rows, sizes, features, node_counts):
     return split, feature, threshold, n_left, left_counts, ordered
 
 
-def _chunks(batch, k_features):
-    """Consecutive runs of ``batch`` holding at most ``_CELL_BUDGET`` cells each
-    (a node larger than the budget runs alone)."""
-    chunk, cells = [], 0
-    for item in batch:
-        size = (item[3] - item[2]) * k_features
-        if chunk and cells + size > _CELL_BUDGET:
-            yield chunk
-            chunk, cells = [], 0
-        chunk.append(item)
-        cells += size
-    if chunk:
-        yield chunk
-
-
 def _grow_trees(X, y, rngs) -> ForestModel:
     """The forest of one tree per generator, all grown in lockstep.
 
-    Every tree grows depth first, left subtree before right, so its nodes
-    come out in pre-order. Each step takes the next split candidate of every
-    unfinished tree, draws its candidate features from that tree's
-    generator, and scores the step's nodes in batched split searches. A
-    tree's draws thus come in the same order as when it grows alone: its
-    bootstrap, then one feature subset per split candidate in pre-order.
+    Every tree grows depth first, left subtree before right. Each step pops
+    the next split candidate (an impure node) of every unfinished tree,
+    gives it the tree's next feature subset, and scores the step's nodes in
+    batched split searches. A split pushes its impure right child and then
+    its impure left child onto its tree's stack. A tree's subsets thus come
+    in the order it would draw them growing alone: one per split candidate,
+    in pre-order, after its bootstrap.
     """
     n, d = X.shape
+    n_trees = len(rngs)
     k_features = max(1, math.isqrt(d))
     shift = max(1, (n - 1).bit_length())
     # a batch has at most budget / 2 segments (split candidates hold two or
@@ -291,63 +304,118 @@ def _grow_trees(X, y, rngs) -> ForestModel:
         raise DataError(f"{n} rows are more than a forest's 63-bit sort keys can order")
     key_type = np.int32 if key_bits < 32 else np.int64
     codes = _value_codes(X, shift, key_type)
+
+    # one call per tree draws its bootstrap and a block of feature subsets,
+    # and a tree that has used its block up draws the next one
+    block = np.tile(choice_bounds(d, k_features), _BLOCK)
+
+    def sorted_subsets(draws):  # (trees, _BLOCK, k_features) from each tree's block of draws
+        return sorted_choices(draws.reshape(len(draws), _BLOCK, -1)[..., :k_features], d)
+
+    highs = np.concatenate([np.full(n, n), block])
+    draws = np.stack([rng.integers(0, highs) for rng in rngs])
+    subsets = sorted_subsets(draws[:, n:])
+    used = np.zeros(n_trees, dtype=np.int64)
     # tree t's bootstrap rows fill flat[t * n : (t + 1) * n]; each node owns a
     # range of them, and a split reorders its range so the left child's come first
-    flat = np.concatenate([rng.integers(0, n, size=n) for rng in rngs])
-    root_counts = np.bincount(
-        np.repeat(np.arange(len(rngs)) * 2, n) + y[flat], minlength=len(rngs) * 2
-    ).reshape(len(rngs), 2)
-    root_gini = _gini(root_counts.T)
-    # per tree: node records [feature, threshold, left, right, counts] in pre-order
-    nodes: list[list[list]] = [[] for _ in rngs]
-    # per tree: pending nodes (start, end, counts, gini, parent, slot of the parent's link)
-    stacks = [[(t * n, (t + 1) * n, root_counts[t], root_gini[t], -1, 0)] for t in range(len(rngs))]
+    flat = draws[:, :n].ravel()
+    del draws
 
-    growing = range(len(rngs))
-    while growing:
-        batch = []
-        for t in growing:
-            stack, tree = stacks[t], nodes[t]
-            while stack:
-                start, end, counts, gini, parent, slot = stack.pop()
-                node = len(tree)
-                if parent >= 0:
-                    tree[parent][slot] = node
-                tree.append([-1, 0.0, -1, -1, counts])
-                if gini == 0.0:  # pure, as is every one-sample node
-                    continue
-                candidates = rngs[t].choice(d, size=k_features, replace=False)
-                batch.append((t, node, start, end, candidates))
-                break
-        growing = [item[0] for item in batch]
+    # the nodes in creation order, roots first: each one's range of flat and
+    # class-1 count, and each split's node, feature, threshold and children
+    roots = np.arange(n_trees)
+    starts, ends = [roots * n], [roots * n + n]
+    ones = [y.take(flat).reshape(n_trees, n).sum(axis=1)]
+    none = np.zeros(0, dtype=np.int64)
+    parents, features, thresholds, children = [none], [none], [np.zeros(0)], [none.reshape(2, 0)]
+    n_nodes = n_trees
+    # per tree, a stack of pending split candidates (start, end, ones, node);
+    # their ranges are disjoint and hold two or more samples each
+    stack = np.zeros((n_trees, n // 2 + 1, 4), dtype=np.int64)
+    stack[:, 0] = np.column_stack([starts[0], ends[0], ones[0], roots])
+    top = ((0 < ones[0]) & (ones[0] < n)).astype(np.int64)
 
-        for chunk in _chunks(batch, k_features):
-            _, _, starts, ends, candidates = (np.array(v) for v in zip(*chunk))
-            sizes = ends - starts
-            span = np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
-            node_counts = np.array([nodes[t][node][4] for t, node, *_ in chunk], dtype=np.int64).T
-            split, feature, threshold, n_left, left_counts, ordered = _split_nodes(
-                X, codes, shift, y, flat[span], sizes, np.sort(candidates, axis=1), node_counts
+    growing = np.flatnonzero(top)
+    while growing.size:
+        top[growing] -= 1
+        start, end, node_ones, node = stack[growing, top[growing]].T
+        spent = growing[used[growing] == _BLOCK]
+        if spent.size:
+            subsets[spent] = sorted_subsets(np.stack([rngs[t].integers(0, block) for t in spent.tolist()]))
+            used[spent] = 0
+        candidates = subsets[growing, used[growing]]
+        used[growing] += 1
+        sizes = end - start
+        node_counts = np.vstack([sizes - node_ones, node_ones])
+
+        # batches of consecutive nodes of at most _CELL_BUDGET cells each (a
+        # node larger than the budget goes alone)
+        cells = np.cumsum(sizes) * k_features
+        found = []
+        lo = 0
+        while lo < len(growing):
+            before = cells[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(cells, before + _CELL_BUDGET, side="right")))
+            batch_sizes = sizes[lo:hi]
+            span = np.arange(batch_sizes.sum()) + np.repeat(
+                start[lo:hi] - (np.cumsum(batch_sizes) - batch_sizes), batch_sizes
             )
-            is_split = np.zeros(len(chunk), dtype=bool)
+            split, *best, ordered = _split_nodes(
+                X, codes, shift, y, flat[span], batch_sizes, candidates[lo:hi], node_counts[:, lo:hi]
+            )
+            is_split = np.zeros(hi - lo, dtype=bool)
             is_split[split] = True
-            flat[span[np.repeat(is_split, sizes)]] = ordered
-            right_counts = node_counts.take(split, axis=1) - left_counts
-            for j, f, cut_value, n_l, l_counts, r_counts, l_gini, r_gini in zip(
-                split.tolist(), feature.tolist(), threshold.tolist(), n_left.tolist(),
-                left_counts.T, right_counts.T, _gini(left_counts).tolist(), _gini(right_counts).tolist(),
-            ):
-                t, node, start, end, _ = chunk[j]
-                record = nodes[t][node]
-                record[0] = f
-                record[1] = cut_value
-                stacks[t].append((start + n_l, end, r_counts, r_gini, node, 3))
-                stacks[t].append((start, start + n_l, l_counts, l_gini, node, 2))
+            flat[span[np.repeat(is_split, batch_sizes)]] = ordered
+            found.append((split + lo, *best))
+            lo = hi
+        split, feature, threshold, n_left, left_counts = (np.concatenate(v, axis=-1) for v in zip(*found))
 
-    sizes = np.array([len(tree) for tree in nodes], dtype=np.int64)
-    columns = zip(*chain.from_iterable(nodes))  # feature, threshold, left, right, counts
-    dtypes = (np.int64, np.float64, np.int64, np.int64, np.int64)
-    return _forest(*(np.array(c, dtype=t) for c, t in zip(columns, dtypes)), sizes, d)
+        # the step's children: the left child of each split, then the right ones
+        m = len(split)
+        left_start, right_end, cut = start[split], end[split], start[split] + n_left
+        child_start = np.concatenate([left_start, cut])
+        child_end = np.concatenate([cut, right_end])
+        child_ones = np.concatenate([left_counts[1], node_ones[split] - left_counts[1]])
+        child = np.arange(n_nodes, n_nodes + 2 * m)
+        n_nodes += 2 * m
+        starts.append(child_start)
+        ends.append(child_end)
+        ones.append(child_ones)
+        parents.append(node[split])
+        features.append(feature)
+        thresholds.append(threshold)
+        children.append(child.reshape(2, m))
+
+        # each split's tree pushes its impure right child, then its impure left child
+        tree = growing[split]
+        impure = (0 < child_ones) & (child_ones < child_end - child_start)
+        entries = np.column_stack([child_start, child_end, child_ones, child])
+        height = top[tree]
+        for side in (slice(m, None), slice(0, m)):
+            push = impure[side]
+            stack[tree[push], height[push]] = entries[side][push]
+            height += push
+        top[tree] = height
+        growing = np.flatnonzero(top)
+
+    start, end, one = (np.concatenate(v) for v in (starts, ends, ones))
+    parent, child = np.concatenate(parents), np.concatenate(children, axis=1)
+    # Pre-order sorts a tree's nodes by the start of their ranges, and puts a
+    # node before its descendants, whose ranges lie inside its own and are
+    # smaller. Tree t's ranges come before tree t + 1's in flat.
+    size = end - start
+    order = np.argsort(start * (n + 1) + (n - size))
+    at = np.empty(n_nodes, dtype=np.int64)  # each node's place in pre-order
+    at[order] = np.arange(n_nodes)
+    split_at = at[parent]
+    feature = np.full(n_nodes, -1, dtype=np.int64)
+    feature[split_at] = np.concatenate(features)
+    threshold = np.zeros(n_nodes)
+    threshold[split_at] = np.concatenate(thresholds)
+    left, right = np.full((2, n_nodes), -1, dtype=np.int64)
+    left[split_at], right[split_at] = at[child]
+    counts = np.column_stack([size - one, one])[order]
+    return ForestModel(feature, threshold, left, right, counts, at[roots], d)
 
 
 def train_forest(X, y: Sequence, n_trees: int = 100, seed: int = 0) -> ForestModel:

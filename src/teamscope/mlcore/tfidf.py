@@ -29,6 +29,7 @@ same range. A model file holds the terms, in column order, and their idf.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -139,7 +140,8 @@ def fit_tfidf(index: NgramIndex, max_features: int, counts=None) -> TfidfModel:
     names = list(index.terms)
     df = {names[i]: n for i, n in zip(present.tolist(), doc_freq[present].tolist())}
 
-    kept = sorted(df, key=lambda g: (-df[g], g))[:max_features]
+    # the terms of sorted(df, key=...)[:max_features], without sorting the rest
+    kept = heapq.nsmallest(max_features, df, key=lambda g: (-df[g], g))
     n_docs = int(counts.sum())
     idf = np.array(
         [math.log((1 + n_docs) / (1 + df[g])) + 1.0 for g in kept], dtype=np.float64

@@ -19,6 +19,7 @@ merge/documentation/style templates statically recoverable).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,7 +31,7 @@ from . import textnorm
 from .commitcls import CommitCategory, LabeledCommit, detect_pair_programming
 from .errors import DataError
 from .ingest import CommitRecord, FileStat, RosterMember, TeamRecord, dump_commits_jsonl, dump_roster
-from .mlcore import seed_sequence
+from .mlcore import choice_bounds, seed_sequence, sorted_choices
 from .teamfeat import build_matrix
 from .teamstyle import RUBRIC_PARTS, TeamStyle, rubric_styles
 
@@ -382,17 +383,23 @@ def _render_files(rng, cat, add, dele) -> tuple[FileStat, ...]:
 
 
 def _sorted_subset(rng, n, k) -> list[int]:
-    """``sorted(rng.choice(n, k, replace=False))`` with the same draws: numpy's
-    ``choice`` runs Floyd's algorithm (Bentley & Floyd, CACM 30(9), 1987) and
-    then shuffles the k picks, one bounded draw per step; sorting discards the
-    shuffle, so its draws are made and dropped."""
-    chosen: set[int] = set()
-    for j in range(n - k, n):
-        t = int(rng.integers(0, j + 1))
-        chosen.add(j if t in chosen else t)
-    for i in range(k - 1, 0, -1):
-        rng.integers(0, i + 1)
-    return sorted(chosen)
+    """``sorted(rng.choice(n, k, replace=False))`` with the same draws.
+
+    For synth's few picks, scalar draws cost less than one array draw.
+    """
+    bounds, picks = _choices(n, k)
+    draws = tuple([int(rng.integers(0, b)) for b in bounds])
+    return list(picks[draws[:k]])
+
+
+@functools.lru_cache(maxsize=None)
+def _choices(n, k) -> tuple[tuple[int, ...], dict]:
+    """The bounds of ``choice(n, k)``'s draws, and its sorted picks for each
+    possible tuple of Floyd's draws: n! / (n - k)! of them, at most a few
+    hundred for synth's pools."""
+    bounds = choice_bounds(n, k)
+    floyd = np.indices(bounds[:k]).reshape(k, -1).T
+    return tuple(bounds.tolist()), dict(zip(map(tuple, floyd.tolist()), sorted_choices(floyd, n).tolist()))
 
 
 def _split_lines(rng, total, parts) -> list[int]:

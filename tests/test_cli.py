@@ -1333,6 +1333,25 @@ def test_pipeline_writes_the_same_bytes_with_or_without_features(team_model, tmp
     assert reused == computed
 
 
+# sha256 of the forest model and forest report of a small seed-7 course: a
+# change to how forests draw or grow that alters a tree fails here
+PINNED_FOREST_FILES = {
+    "models/teams_forest.json": "3b1f34a347265b948bde0a3b9b8e7e2997fba49011e7e5b78fa46cefc11b7578",
+    "reports/team_eval_forest.json": "64a61146cb359dab69d3c5d40700ae9164358004ec1655079ea50221defc7195",
+}
+
+
+def test_forest_keeps_its_bytes(tmp_path):
+    corpus = _synth(tmp_path, teams=20, seed=7)
+    _write_truth_labels(corpus)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train-teams", "--data", str(corpus), "--algorithm", "forest", "--seed", "7"]) == 0
+        assert main(["eval-teams", "--data", str(corpus), "--algorithm", "forest", "--folds", "3",
+                     "--seed", "7", "--out", str(corpus / "reports")]) == 0
+    got = {name: hashlib.sha256((corpus / name).read_bytes()).hexdigest() for name in PINNED_FOREST_FILES}
+    assert got == PINNED_FOREST_FILES
+
+
 @settings(_CLI_EXAMPLES, max_examples=5)
 @example(copies=[0], at=[0], author="stranger")
 @given(

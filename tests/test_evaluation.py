@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -7,14 +8,38 @@ from hypothesis import strategies as st
 
 from teamscope.errors import DataError
 from teamscope.mlcore import (
+    choice_bounds,
     cohens_kappa,
     prf1,
+    sorted_choices,
     standardize_apply,
     standardize_fit,
     stratified_kfold,
 )
 from teamscope.synthgen import GenConfig, generate_corpus, truth_labeled_commits
 from teamscope.teamstyle import oracle_label
+
+
+# --- the draws of Generator.choice ------------------------------------------
+# If a numpy upgrade breaks this test, forests and corpora drawn before it
+# came from numpy's choice, not from teamscope.
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 12, 269, 10001])
+@pytest.mark.parametrize("prefix", [0, 120])
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_choice_draws_are_what_choice_draws(d, prefix, blocks):
+    # a forest's tree draws its bootstrap (the prefix) and blocks of feature subsets in one call
+    k = max(1, math.isqrt(d))
+    highs = np.concatenate([np.full(prefix, prefix), np.tile(choice_bounds(d, k), blocks)])
+    for seed in range(20):
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = ours.integers(0, highs)
+        if prefix:
+            assert np.array_equal(draws[:prefix], numpys.integers(0, prefix, size=prefix))
+        want = [np.sort(numpys.choice(d, k, replace=False)) for _ in range(blocks)]
+        assert np.array_equal(sorted_choices(draws[prefix:].reshape(blocks, -1)[:, :k], d), want)
+        assert ours.bit_generator.state == numpys.bit_generator.state
 
 
 # --- stratified k-fold ----------------------------------------------------

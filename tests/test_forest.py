@@ -200,6 +200,18 @@ def test_matches_reference_forest_beyond_one_batch(n_rows):
     _assert_matches_reference(X, y, n_trees=40, seed=8)
 
 
+def test_matches_reference_forest_beyond_one_block():
+    # noisy labels grow trees with more split candidates (impure nodes, one
+    # feature subset each) than two blocks of subsets hold
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(100, 9))
+    y = rng.integers(0, 2, size=100).tolist()
+    trees, _, _ = oracle_forest.train_forest(X, y, 12, 3)
+    candidates = [sum(min(c) > 0 for c in oracle_forest.flatten(t)["counts"]) for t in trees]
+    assert max(candidates) > 2 * forest_module._BLOCK
+    _assert_matches_reference(X, y, n_trees=12, seed=3)
+
+
 def test_midpoint_rounding_onto_the_next_value_matches_reference():
     # (a + b) / 2 rounds to b for adjacent floats a < b; the cut falls back to
     # a so that b's samples go right, and an unbounded tree ends
