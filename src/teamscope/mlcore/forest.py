@@ -22,17 +22,17 @@ the lockstep, the blocks nor the batching changes a tree; what a finished
 tree has drawn ahead is never read.
 
 Nodes are made in creation order and then renumbered into each tree's
-pre-order by one sort. A forest is one set of parallel per-node arrays over
-all its trees (the layout of scikit-learn's ``Tree``, applied to the whole
-forest), with child indices across the forest and each tree's root in
-``trees``: fitting builds it, and prediction and importances read it in
+pre-order by one sort. A tree is a set of parallel per-node arrays whose
+child indices count from the tree's root (the layout of scikit-learn's
+``Tree``), and a forest is its trees' arrays one after another, with each
+tree's root in ``trees``. The model file holds the same arrays cut per
+tree, so fitting builds them, ``to_dict`` slices them, ``from_dict`` checks
+and concatenates them, and prediction and importances read them in
 whole-forest passes. Leaves store the counts of classes 0 and 1; tree and
 forest predictions are majority votes with ties going to class 0. Those
 counts are all a forest's importances need, so a model file holds only the
 trees and the number of feature columns: the class list, the depth rule
-and the tree count belong to the code or follow from the trees. The file
-lists each tree's node arrays with child indices local to that tree, and
-``from_dict`` reads them through :mod:`.serialize`'s readers.
+and the tree count belong to the code or follow from the trees.
 """
 
 from __future__ import annotations
@@ -62,38 +62,35 @@ _BLOCK = 8
 
 @dataclass(eq=False)
 class ForestModel:
-    """A fitted forest as parallel arrays over the nodes of all its trees.
+    """A fitted forest as the model file's per-tree node arrays, concatenated.
 
     Tree t's nodes run in pre-order from its root ``trees[t]`` to the next
     tree's root, so ``len(trees)`` is the tree count. ``feature[i]`` is -1 at
     a leaf, whose ``left[i]`` and ``right[i]`` are -1 too. At a split node,
-    rows with ``x[feature[i]] <= threshold[i]`` continue at node ``left[i]``
-    and the others at ``right[i]``, both after node i in its tree; the model
-    file counts them from the tree's root instead. ``counts[i]`` holds the
+    rows with ``x[feature[i]] <= threshold[i]`` continue at its tree's node
+    ``left[i]`` and the others at its tree's node ``right[i]``, both counted
+    from the tree's root and both after node i. ``counts[i]`` holds the
     counts of classes 0 and 1 among the bootstrap samples that reached node
-    i, and a leaf votes for the larger, class 0 on a tie.
+    i, at least one, and a leaf votes for the larger, class 0 on a tie.
     """
 
     feature: np.ndarray  # int64, -1 at leaves
     threshold: np.ndarray  # float64, 0.0 at leaves
-    left: np.ndarray  # int64, -1 at leaves
-    right: np.ndarray  # int64, -1 at leaves
+    left: np.ndarray  # int64, from the tree's root, -1 at leaves
+    right: np.ndarray  # int64, from the tree's root, -1 at leaves
     counts: np.ndarray  # int64, nodes x 2
     trees: np.ndarray  # int64, each tree's root node
     n_features: int
 
     def to_dict(self) -> dict:
-        sizes = np.diff(self.trees, append=len(self.feature))
-        base = np.repeat(self.trees, sizes)
-        split = self.feature >= 0
         arrays = {
             "feature": self.feature.tolist(),
             "threshold": self.threshold.tolist(),
-            "left": np.where(split, self.left - base, -1).tolist(),
-            "right": np.where(split, self.right - base, -1).tolist(),
+            "left": self.left.tolist(),
+            "right": self.right.tolist(),
             "counts": self.counts.tolist(),
         }
-        bounds = zip(self.trees.tolist(), (self.trees + sizes).tolist())
+        bounds = zip(self.trees.tolist(), self.trees[1:].tolist() + [len(self.feature)])
         trees = [{k: v[lo:hi] for k, v in arrays.items()} for lo, hi in bounds]
         return {"trees": trees, "n_features": self.n_features}
 
@@ -105,15 +102,18 @@ class ForestModel:
             raise DataError("forest has no trees")
         sizes = np.array([len(t[0]) for t in per_tree])
         feature, threshold, left, right, counts = (np.concatenate(a) for a in zip(*per_tree))
+        trees = np.cumsum(sizes) - sizes
         # a split reads one of the columns, and its children come after it
-        # inside its tree, which keeps every descent finite; a leaf links nowhere
-        node = np.arange(len(feature)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        # inside its tree, which keeps every descent finite; a leaf links
+        # nowhere; and every node holds a sample, so it has an impurity
+        node = np.arange(len(feature)) - np.repeat(trees, sizes)
         end = np.repeat(sizes, sizes)
         inside = (node < left) & (left < end) & (node < right) & (right < end)
         linked = np.where(feature >= 0, inside, (left == -1) & (right == -1))
-        if np.any((feature < -1) | (feature >= n_features)) or not np.all(linked):
+        refused = (feature < -1) | (feature >= n_features) | np.any(counts < 0, axis=1) | ~counts.any(axis=1)
+        if np.any(refused) or not np.all(linked):
             raise DataError("malformed tree: inconsistent node arrays")
-        return _forest(feature, threshold, left, right, counts, sizes, n_features)
+        return cls(feature, threshold, left, right, counts, trees, n_features)
 
 
 def _read_tree(raw: dict) -> tuple:
@@ -131,35 +131,15 @@ def _read_tree(raw: dict) -> tuple:
     return arrays
 
 
-def _forest(feature, threshold, left, right, counts, sizes, n_features) -> ForestModel:
-    """The forest whose trees of ``sizes`` nodes come one after another in the
-    node arrays, with child indices counted from each tree's root."""
-    trees = np.cumsum(sizes) - sizes
-    base = np.repeat(trees, sizes)
-    split = feature >= 0
-    left = np.where(split, left + base, -1)
-    right = np.where(split, right + base, -1)
-    return ForestModel(feature, threshold, left, right, counts, trees, n_features)
-
-
 def _weighted_gini(counts: np.ndarray, size: np.ndarray) -> np.ndarray:
     """``size`` times the Gini impurity of each column of (2, n) counts,
-    where ``size`` (float) holds the columns' totals, none of them 0."""
+    where ``size`` holds the columns' totals, none of them 0."""
     p = counts / size
     p *= p
     gini = p[0] + p[1]  # then in place: scoring is the split search's peak memory
     np.subtract(1.0, gini, out=gini)
     gini *= size
     return gini
-
-
-def _gini(counts: np.ndarray) -> np.ndarray:
-    """Gini impurity of each column of (2, nodes) counts; 0 for an empty column."""
-    total = counts.sum(axis=0)
-    with np.errstate(invalid="ignore"):
-        p = counts / total
-    p *= p
-    return np.where(total > 0, 1.0 - (p[0] + p[1]), 0.0)
 
 
 def _value_codes(X: np.ndarray, shift: int, dtype) -> np.ndarray:
@@ -413,7 +393,8 @@ def _grow_trees(X, y, rngs) -> ForestModel:
     threshold = np.zeros(n_nodes)
     threshold[split_at] = np.concatenate(thresholds)
     left, right = np.full((2, n_nodes), -1, dtype=np.int64)
-    left[split_at], right[split_at] = at[child]
+    # tree t's range of flat starts at t * n, and its root is node t
+    left[split_at], right[split_at] = at[child] - at[start[child] // n]
     counts = np.column_stack([size - one, one])[order]
     return ForestModel(feature, threshold, left, right, counts, at[roots], d)
 
@@ -445,13 +426,14 @@ def forest_votes(model: ForestModel, X) -> np.ndarray:
     # argmax takes the first max: ties go to class 0
     leaf_vote = model.counts.argmax(axis=1)
 
-    node = np.repeat(model.trees, m)  # tree-major: entry t*m + r is row r in tree t
+    root = np.repeat(model.trees, m)  # tree-major: entry t*m + r is row r in tree t
     row = np.tile(np.arange(m), len(model.trees))
+    node = root.copy()
     active = np.flatnonzero(feature[node] >= 0)
     while active.size:
         at = node[active]
         goes_left = X[row[active], feature[at]] <= threshold[at]
-        node[active] = np.where(goes_left, left[at], right[at])
+        node[active] = root[active] + np.where(goes_left, left[at], right[at])
         active = active[feature[node[active]] >= 0]
 
     votes = np.bincount(row * 2 + leaf_vote[node], minlength=m * 2)
@@ -468,11 +450,12 @@ def feature_importances(model: ForestModel) -> np.ndarray:
     """
     n_trees = len(model.trees)
     size = model.counts.sum(axis=1)
-    weighted = size * _gini(model.counts.T)
+    weighted = _weighted_gini(model.counts.T, size)
     split = np.flatnonzero(model.feature >= 0)
     tree = np.searchsorted(model.trees, split, side="right") - 1
-    decrease = weighted[split] - weighted[model.left[split]] - weighted[model.right[split]]
-    decrease /= size[model.trees[tree]]
+    root = model.trees[tree]
+    decrease = weighted[split] - weighted[root + model.left[split]] - weighted[root + model.right[split]]
+    decrease /= size[root]
     per_tree = np.zeros((n_trees, model.n_features), dtype=np.float64)
     np.add.at(per_tree, (tree, model.feature[split]), decrease)  # each tree's in pre-order
     total = per_tree.sum(axis=1)

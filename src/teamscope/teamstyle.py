@@ -215,8 +215,8 @@ class TeamStyleModel:
 def _select_forest(Xs, y, k, seed) -> list[int]:
     selector = train_forest(Xs, y, seed=seed)
     importances = feature_importances(selector)
-    ranked = sorted(range(len(importances)), key=lambda i: (-importances[i], i))
-    return sorted(ranked[:k])
+    ranked = np.argsort(-importances, kind="stable")  # the lowest index first on ties
+    return sorted(ranked[:k].tolist())
 
 
 def _select_stages(X_raw, labels, algorithm, k_features, seed):

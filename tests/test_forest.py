@@ -168,7 +168,13 @@ def _assert_matches_reference(X, y, n_trees, seed):
     model = train_forest(X, y, n_trees=n_trees, seed=seed)
     trees, classes, importances = oracle_forest.train_forest(X, y, n_trees, seed)
     assert classes == [0, 1]
-    assert model.to_dict()["trees"] == [oracle_forest.flatten(t) for t in trees]
+    raw = model.to_dict()["trees"]
+    assert raw == [oracle_forest.flatten(t) for t in trees]
+    # in memory, the forest is the file's per-tree arrays one after another
+    for key in ("feature", "threshold", "left", "right", "counts"):
+        assert np.array_equal(getattr(model, key), np.concatenate([t[key] for t in raw]))
+    sizes = [len(t["feature"]) for t in raw]
+    assert model.trees.tolist() == np.cumsum([0] + sizes[:-1]).tolist()
     # the oracle sums each split's decrease as it grows the tree; the model reads them from the counts
     total = importances.sum()
     assert np.array_equal(feature_importances(model), importances / total if total > 0 else importances)
@@ -254,6 +260,8 @@ def test_tree_arrays_round_trip_through_dict():
         {"right": [2, -1, 0]},  # a leaf given a child
         {"threshold": "x"},
         {"feature": [0, -5, -1]},  # a leaf marked with other than -1
+        {"counts": [[1, 1], [2, -1], [0, 1]]},  # a negative class count
+        {"counts": [[1, 1], [1, 0], [0, 0]]},  # a node that no sample reached
     ],
 )
 def test_malformed_tree_is_schema_error(change):
