@@ -3,8 +3,8 @@
 Datasets are directories with conventional file names (``commits.jsonl``,
 ``roster.csv``, ``labels.jsonl``, ``features.csv``, ``models/``) so stages
 stay decoupled. Every command writes a ``manifest_<command>.json`` beside
-its outputs recording the effective configuration, seed, and content
-digests of inputs and outputs; reruns with identical inputs and seed
+its outputs recording the effective configuration, the code that ran, and
+content digests of inputs and outputs; reruns with identical inputs and seed
 produce byte-identical files (model files only under the same BLAS build
 and thread count). Exit codes: 0 success, 1 usage error, 2 data error, 3
 internal error.
@@ -12,10 +12,10 @@ internal error.
 ``main`` is the one driver: it parses the command line, applies
 ``--config``, hashes the input files the command declares, creates the
 output directory, runs the command and writes the manifest. A ``cmd_*``
-function parses each input once, writes its own files and returns its
-manifest's command-specific config and outputs (``None`` when it writes
-nothing). Hashing before parsing records the bytes that were read, even
-when an output overwrites an input.
+function parses each input once, writes its own files and returns what it
+computed and the files it wrote (``None`` when it writes nothing). Hashing
+before parsing records the bytes that were read, even when an output
+overwrites an input.
 
 The commands that read a dataset's feature matrix take the one that
 ``features`` wrote while ``manifest_features.json`` still records the
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -51,6 +52,7 @@ from .ingest import (
 )
 from .mlcore import canonical_json, cohens_kappa, load_model, save_model
 from .teamstyle import TeamStyle
+from .textnorm import load_lexicon
 
 
 def main(argv=None) -> int:
@@ -202,6 +204,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _options(args) -> dict[str, argparse.Action]:
+    """The subcommand's options by destination, but ``--help`` and ``--config``."""
+    return {a.dest: a for a in args.subparser._actions if a.dest not in ("help", "config")}
+
+
 def _apply_config(args: argparse.Namespace) -> None:
     """Override options from ``--config``; each value must be one its flag would give."""
     if not args.config:
@@ -224,7 +231,7 @@ def _apply_config(args: argparse.Namespace) -> None:
             raise DataError("nested too deeply") from None
         if not isinstance(overrides, dict):
             raise DataError("config must be a mapping")
-        actions = {a.dest: a for a in args.subparser._actions if a.dest not in ("help", "config")}
+        actions = _options(args)
         for key, value in overrides.items():
             action = actions.get(key.replace("-", "_"))
             if action is None:
@@ -289,13 +296,33 @@ def _outdir(args) -> Path | None:
     return outdir
 
 
-def _write_manifest(outdir: Path, args, inputs: dict, config: dict, outputs: list[Path]) -> None:
-    """``inputs`` are the sha256 of the command's input files, taken before it ran."""
+@functools.cache
+def _code_identity() -> str:
+    """The sha256 of the package's ``.py`` and ``.txt`` files: each one's path
+    under the package, as POSIX, and its bytes, both length-prefixed, in path order."""
+    root = Path(__file__).parent
+    files = sorted((p.relative_to(root).as_posix(), p) for p in root.rglob("*") if p.suffix in (".py", ".txt"))
+    digest = hashlib.sha256()
+    for name, path in files:
+        for part in (name.encode("utf-8"), path.read_bytes()):
+            digest.update(len(part).to_bytes(8, "big") + part)
+    return digest.hexdigest()
+
+
+def _stamp(command: str, inputs: dict) -> dict:
+    """What ran on what: the command, this teamscope's version and code, and ``inputs``,
+    the sha256 of its input files by manifest name (``canonical_json`` sorts them)."""
+    return {"command": command, "version": __version__, "code": _code_identity(), "inputs": inputs}
+
+
+def _write_manifest(outdir: Path, args, inputs: dict, facts: dict, outputs: list[Path]) -> None:
+    """``inputs`` are the sha256 of the command's input files, taken before it ran. The config is each
+    option but the input files and directories, as its flag read it, then the computed ``facts``."""
+    skipped = {*args.reads, "data", "out"}
+    options = {dest: getattr(args, dest) for dest in _options(args) if dest not in skipped}
     manifest = {
-        "command": args.command,
-        "version": __version__,
-        "config": {"seed": args.seed, **config},
-        "inputs": dict(sorted(inputs.items())),
+        **_stamp(args.command, inputs),
+        "config": {**options, **facts},
         "outputs": {p.name: _sha256(p) for p in sorted(outputs)},
     }
     path = outdir / f"manifest_{args.command}.json"
@@ -415,8 +442,8 @@ def _load_dataset(data_dir, digests: dict):
 def _recorded_matrix(data: Path, digests: dict) -> teamfeat.FeatureMatrix | None:
     """The matrix in ``data/features.csv`` while ``manifest_features.json`` vouches for it, else None.
 
-    A verifying trace: the manifest must be this version's ``features``
-    manifest, its inputs ``digests`` (the dataset files' sha256 now) and its
+    A verifying trace: the manifest must hold this code's :func:`_stamp` of
+    ``features`` on ``digests`` (the dataset files' sha256 now) and its
     outputs the sha256 of the ``features.csv`` and ``registry.json`` bytes
     read here. ``registry.json`` must be this registry's, and the CSV a
     finite matrix under its columns. A missing, unreadable or malformed file
@@ -430,9 +457,7 @@ def _recorded_matrix(data: Path, digests: dict) -> teamfeat.FeatureMatrix | None
     except (DataError, OSError, ValueError, RecursionError):
         return None
     recorded = {
-        "command": "features",
-        "version": __version__,
-        "inputs": digests,
+        **_stamp("features", digests),
         "outputs": {"features.csv": _digest(table), "registry.json": _digest(registry)},
     }
     if not isinstance(manifest, dict) or any(manifest.get(k) != v for k, v in recorded.items()):
@@ -536,19 +561,10 @@ def cmd_synth(args, outdir, digests):
     except ValueError as exc:
         raise DataError(str(exc)) from None
     teams, truth = synthgen.generate_corpus(config)
-    synthgen.write_corpus(teams, truth, outdir)
+    written = synthgen.write_corpus(teams, truth, outdir)
     n_commits = sum(len(t.commits) for t in teams)
     print(f"wrote {len(teams)} teams / {n_commits} commits to {outdir}")
-    return (
-        {
-            "teams": args.teams,
-            "noise": args.noise,
-            "mix": list(mix),
-            "commits": [lo, hi],
-            "pair_rate": args.pair_rate,
-        },
-        [outdir / n for n in ("commits.jsonl", "roster.csv", "truth_commits.csv", "truth_teams.csv")],
-    )
+    return {"mix": list(mix), "commits": [lo, hi]}, written
 
 
 def cmd_ingest(args, outdir, digests):
@@ -572,11 +588,7 @@ def cmd_ingest(args, outdir, digests):
 
 def cmd_train_commits(args, outdir, digests):
     tagged = _read_tagged(args.tagged)
-    lexicon = None
-    if args.english_words or args.domain_words or args.stopwords:
-        from .textnorm import load_lexicon
-
-        lexicon = load_lexicon(args.english_words, args.domain_words, args.stopwords)
+    lexicon = load_lexicon(args.english_words, args.domain_words, args.stopwords)
     distinct = commitcls.distinct_messages(m for m, _ in tagged)
     cascade = commitcls.train_cascade(tagged, lexicon=lexicon, distinct=distinct)
     model_path = outdir / "cascade.json"
@@ -597,12 +609,12 @@ def cmd_eval_commits(args, outdir, digests):
         "category",
         list(reports.items()),
     )
-    return {"folds": args.folds, "format": args.format}, [report_path]
+    return {}, [report_path]
 
 
 def cmd_label_commits(args, outdir, digests):
     cascade = _read_model(args.model, "cascade", CascadeModel)
-    table = load_commit_table(Path(args.data) / "commits.jsonl")
+    table = load_commit_table(Path(args.data) / _DATASET_FILES["commits"])
     distinct, at = commitcls.distinct_messages(table.msg)
     categories, pairs = commitcls.label_distinct(cascade, distinct)
 
@@ -642,7 +654,7 @@ def cmd_train_teams(args, outdir, digests):
     model_path = outdir / f"teams_{args.algorithm}.json"
     save_model(model_path, "teamstyle", model.to_dict())
     print(f"trained {args.algorithm} team-style model -> {model_path}")
-    return {"algorithm": args.algorithm, "k_features": args.k_features}, [model_path]
+    return {}, [model_path]
 
 
 def cmd_eval_teams(args, outdir, digests):
@@ -671,13 +683,7 @@ def cmd_eval_teams(args, outdir, digests):
         [(s.value, result.reports[s.value]) for s in teamstyle.STYLES],
     )
     print(f"macro-F1 {result.macro_f1:.3f} ({result.algorithm})")
-    config = {
-        "algorithm": args.algorithm,
-        "folds": args.folds,
-        "k_features": args.k_features,
-        "format": args.format,
-    }
-    return config, [report_path]
+    return {}, [report_path]
 
 
 def cmd_predict(args, outdir, digests):

@@ -118,11 +118,14 @@ def load_model(path, expected_kind: str) -> dict:
             raise DataError(f"not a {FORMAT_NAME} file (nested too deeply)") from None
         if not isinstance(raw, dict) or raw.get("format") != FORMAT_NAME:
             raise DataError(f"not a {FORMAT_NAME} file")
-        if raw.get("version") != FORMAT_VERSION:
+        # 3.0 == 3 in Python, but the version is the JSON integer 3
+        if type(raw.get("version")) is not int or raw["version"] != FORMAT_VERSION:
             raise DataError(
                 f"unsupported model version {raw.get('version')!r} "
                 f"(this teamscope reads version {FORMAT_VERSION}); retrain the model"
             )
         if raw.get("kind") != expected_kind:
             raise DataError(f"expected a {expected_kind!r} model, found {raw.get('kind')!r}")
+        if "model" not in raw:
+            raise DataError("the model has no key 'model'")
     return raw["model"]

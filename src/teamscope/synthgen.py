@@ -426,18 +426,21 @@ def truth_labeled_commits(team: TeamRecord, truth: GroundTruth) -> list[LabeledC
     return out
 
 
-def write_corpus(teams: Sequence[TeamRecord], truth: GroundTruth, outdir) -> None:
-    """Emit the ingest-facing dataset files plus ground-truth CSVs."""
+def write_corpus(teams: Sequence[TeamRecord], truth: GroundTruth, outdir) -> list[Path]:
+    """Emit the ingest-facing dataset files plus ground-truth CSVs; the paths written."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    paths = [outdir / name for name in ("commits.jsonl", "roster.csv", "truth_commits.csv", "truth_teams.csv")]
+    commits_path, roster_path, truth_commits_path, truth_teams_path = paths
     all_commits = [c for team in teams for c in team.commits]
-    dump_commits_jsonl(all_commits, outdir / "commits.jsonl")
-    dump_roster(teams, outdir / "roster.csv")
-    with open(outdir / "truth_commits.csv", "w", encoding="utf-8") as fh:
+    dump_commits_jsonl(all_commits, commits_path)
+    dump_roster(teams, roster_path)
+    with open(truth_commits_path, "w", encoding="utf-8") as fh:
         fh.write("sha,category\n")
         for c in all_commits:
             fh.write(f"{c.sha},{truth.commit_categories[c.sha].value}\n")
-    with open(outdir / "truth_teams.csv", "w", encoding="utf-8") as fh:
+    with open(truth_teams_path, "w", encoding="utf-8") as fh:
         fh.write("team_id,style\n")
         for team in teams:
             fh.write(f"{team.team_id},{truth.team_styles[team.team_id].value}\n")
+    return paths

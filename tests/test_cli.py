@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
 import teamscope
-from teamscope import cli, errors
+from teamscope import cli, errors, teamfeat
 from teamscope.cli import main
 from teamscope.errors import DataError
 from teamscope.ingest import load_commits_jsonl
@@ -881,6 +881,16 @@ def _model_without(*path):
     return alter
 
 
+def _envelope(**fields):
+    """An alteration that sets the model file's top-level ``fields``, deleting those given None."""
+
+    def alter(data: bytes) -> bytes:
+        raw = {**json.loads(data), **fields}
+        return json.dumps({key: value for key, value in raw.items() if value is not None}).encode()
+
+    return alter
+
+
 def _first_commit(**fields):
     def alter(data: bytes) -> bytes:
         first, rest = data.split(b"\n", 1)
@@ -921,6 +931,7 @@ def work(team_model, tmp_path):
     _tagged_csv_from(data, tmp_path / "tagged.csv")
     _write(tmp_path / "history.gitlog", GIT_LOG)
     _write(tmp_path / "roster.csv", ROSTER)
+    _write(tmp_path / "domain.txt", "bbtp\nts\njavadoc\npmd\ncheckstyle\nspotbugs\ngui\ntodo\n")
     return tmp_path
 
 
@@ -984,6 +995,10 @@ UNREADABLE = {
                            _FEATURES, "labels.jsonl line 2: invalid JSON: nested too deeply"),
     "model-nested-deep": ("corpus/models/teams_forest.json", lambda data: b"[" * _DEEP, _PREDICT,
                           "teams_forest.json: not a teamscope-model file (nested too deeply)"),
+    "model-no-model-key": ("corpus/models/teams_forest.json", _envelope(model=None), _PREDICT,
+                           "teams_forest.json: the model has no key 'model'"),
+    "model-version-float": ("corpus/models/teams_forest.json", _envelope(version=3.0), _PREDICT,
+                            "teams_forest.json: unsupported model version 3.0 "),
     "commit-int-too-long": ("corpus/commits.jsonl", lambda data: b'{"ts": ' + b"1" * 5000 + b"}\n" + data,
                             _FEATURES, "commits.jsonl line 1: invalid JSON: Exceeds the limit (4300 digits)"),
     "labels-list-line": ("corpus/labels.jsonl", lambda data: b"[1, 2]\n" + data, _FEATURES,
@@ -1237,6 +1252,7 @@ STALE = {
     "registry-deleted": lambda data: (data / "registry.json").unlink(),
     "other-command": _rewrite_manifest(command="predict"),
     "other-version": _rewrite_manifest(version="0.0.0"),
+    "other-code": _rewrite_manifest(code="0" * 64),
     "manifest-not-json": lambda data: (data / "manifest_features.json").write_text("{oops", encoding="utf-8"),
     "forged-nan": _edit_features(_nan_first_value, forge=True),
     "forged-word": _edit_features(lambda row: row.replace(",", ",x", 1), forge=True),
@@ -1250,6 +1266,17 @@ STALE = {
 def test_stale_recorded_matrix_is_computed_again(team_model, featured, loads, tmp_path, capsys, alter):
     _, model = team_model
     alter(featured)
+    applied = _apply(featured, model, tmp_path / "out", capsys)
+    assert len(loads) == 2 and applied[0] == [0, 0]
+    assert applied == _computed(featured, model, tmp_path / "out", capsys)
+
+
+def test_matrix_recorded_by_other_code_is_computed_again(team_model, featured, loads, tmp_path, capsys, monkeypatch):
+    # a feature's value changed after features ran; so did the code identity
+    _, model = team_model
+    ratio = teamfeat._ratio
+    monkeypatch.setattr(teamfeat, "_ratio", lambda num, den: 1 - ratio(num, den))
+    monkeypatch.setattr(cli, "_code_identity", lambda: "0" * 64, raising=False)
     applied = _apply(featured, model, tmp_path / "out", capsys)
     assert len(loads) == 2 and applied[0] == [0, 0]
     assert applied == _computed(featured, model, tmp_path / "out", capsys)
@@ -1468,7 +1495,6 @@ def opened(monkeypatch):
 
 @pytest.mark.parametrize("argv", DECLARED.values(), ids=DECLARED.keys())
 def test_manifest_inputs_are_the_files_the_command_read(work, cascade_model, opened, monkeypatch, argv):
-    _write(work / "domain.txt", "bbtp\nts\njavadoc\npmd\ncheckstyle\nspotbugs\ngui\ntodo\n")
     hashed = []
     real = cli._sha256
     monkeypatch.setattr(cli, "_sha256", lambda path: hashed.append(path) or real(path))
@@ -1478,6 +1504,32 @@ def test_manifest_inputs_are_the_files_the_command_read(work, cascade_model, ope
     assert sorted(_sha256(path) for path in opened) == sorted(manifest["inputs"].values())
     # each input hashed once, then each output
     assert len(set(hashed)) == len(hashed) == len(manifest["inputs"]) + len(manifest["outputs"])
+
+
+# each manifest's config keys: every option but the input files, --data and
+# --out, then what the command computed
+MANIFEST_CONFIG = {
+    "synth": {"seed", "teams", "noise", "mix", "commits", "pair_rate"},
+    "ingest": {"seed", "unmatched"},
+    "train-commits": {"seed", "messages", "distinct_messages"},
+    "eval-commits": {"seed", "folds", "format"},
+    "label-commits": {"seed", "messages", "distinct_messages"},
+    "features": {"seed", "teams", "columns"},
+    "train-teams": {"seed", "algorithm", "k_features"},
+    "eval-teams": {"seed", "algorithm", "folds", "format", "k_features"},
+    "predict": {"seed"},
+    "flag": {"seed"},
+    "registry": {"seed"},
+}
+
+
+@pytest.mark.parametrize("argv", [*DECLARED.values(), ["synth", "--teams", "2"]], ids=[*DECLARED, "synth"])
+def test_manifest_config_records_each_option_and_no_input_path(work, cascade_model, argv):
+    out = work / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([arg.format(work=work, cascade=cascade_model) for arg in argv] + ["--out", str(out)]) == 0
+    manifest = json.loads((out / f"manifest_{argv[0]}.json").read_text())
+    assert set(manifest["config"]) == MANIFEST_CONFIG[argv[0]]
 
 
 # --- author keys match in any case, and team ids only name rows ---------------
