@@ -40,15 +40,15 @@ import numpy as np
 
 from . import __version__, commitcls, synthgen, teamfeat, teamstyle
 from .commitcls import CascadeModel, CommitCategory
-from .errors import DataError, csv_rows, in_file, jsonl_line, jsonl_values, open_text
+from .errors import DataError, csv_rows, in_file, jsonl_values, open_text
 from .ingest import (
-    dump_commits_jsonl,
+    dump_commit_rows,
     dump_roster,
+    git_log_rows,
+    jsonl_rows,
     load_commit_table,
-    load_commits_jsonl,
     load_roster,
     locate_authors,
-    parse_git_log,
 )
 from .mlcore import canonical_json, cohens_kappa, load_model, save_model
 from .teamstyle import TeamStyle
@@ -210,7 +210,8 @@ def _options(args) -> dict[str, argparse.Action]:
 
 
 def _apply_config(args: argparse.Namespace) -> None:
-    """Override options from ``--config``; each value must be one its flag would give."""
+    """Override options from ``--config``; each value must be one its flag would give,
+    or null for an optional flag whose default is None."""
     if not args.config:
         return
     path = Path(args.config)
@@ -236,6 +237,9 @@ def _apply_config(args: argparse.Namespace) -> None:
             action = actions.get(key.replace("-", "_"))
             if action is None:
                 raise DataError(f"unknown option {key!r}")
+            if value is None and action.default is None and not action.required:
+                setattr(args, action.dest, None)  # null, as a manifest records it, is the default
+                continue
             # the flag's own type and choices must read the value's spelling back as the value;
             # what the flag reads is what is recorded, so 0 for a float option is 0.0
             try:
@@ -250,6 +254,9 @@ def _apply_config(args: argparse.Namespace) -> None:
             given = [a.option_strings[0] for a in group._group_actions if getattr(args, a.dest) != a.default]
             if len(given) > 1:
                 raise DataError(f"options {' and '.join(given)} cannot be combined")
+            if group.required and not given:
+                options = " or ".join(a.option_strings[0] for a in group._group_actions)
+                raise DataError(f"one of the options {options} is required")
 
 
 # ---------------------------------------------------------------------------
@@ -365,11 +372,12 @@ def _read_model(path, kind: str, model_cls):
             raise DataError(f"malformed model ({exc})") from None
 
 
-def _read_pairs(path, names=None, convert=str, keyed=True) -> list[tuple]:
+def _read_pairs(path, names=None, values=None, keyed=True) -> list[tuple]:
     """(key, value) per row of a CSV file of two columns, in file order.
 
     The header must be ``names`` in either order, or any two names when None;
-    the first name's column holds the key, and ``convert`` reads the other.
+    the first name's column holds the key, and the other holds the value: its
+    text, or with ``values`` the entry of that text there.
     There must be a row, every row must have exactly two fields, and in a
     ``keyed`` file a key may appear once.
     """
@@ -388,21 +396,46 @@ def _read_pairs(path, names=None, convert=str, keyed=True) -> list[tuple]:
             if keyed and key in seen:
                 raise DataError(f"repeated {key_name} {key!r}", line=line)
             seen.add(key)
-            try:
-                pairs.append((key, convert(text)))
-            except ValueError:
-                raise DataError(f"unknown {value_name} {text!r}", line=line) from None
+            value = text if values is None else values.get(text)
+            if value is None:
+                raise DataError(f"unknown {value_name} {text!r}", line=line)
+            pairs.append((key, value))
         if not pairs:
             raise DataError("no rows below the header")
     return pairs
 
 
+def _members(enum_cls) -> dict:
+    """Each member of an enum by its value."""
+    return {member.value: member for member in enum_cls}
+
+
 def _read_tagged(path) -> list[tuple[str, CommitCategory]]:
-    return _read_pairs(path, ("message", "category"), CommitCategory, keyed=False)
+    return _read_pairs(path, ("message", "category"), _members(CommitCategory), keyed=False)
 
 
 # each category's name in labels.jsonl, to its scope code
 _SCOPE_OF_NAME = {category.value: code for category, code in teamfeat.SCOPE_CODE.items()}
+
+
+# json.dumps's spelling of a string
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _label_lines(shas, labels):
+    """The ``labels.jsonl`` line of each sha and its (category name, pair flag),
+    newline included: ``json.dumps`` of ``{"sha", "category",
+    "pair_programming"}`` with sorted keys, byte for byte. The text before
+    the sha is encoded once per distinct label."""
+    prefixes = {}
+    for sha, label in zip(shas, labels):
+        prefix = prefixes.get(label)
+        if prefix is None:
+            category, pair = label
+            prefix = prefixes[label] = (
+                f'{{"category": {_quote(category)}, "pair_programming": {"true" if pair else "false"}, "sha": '
+            )
+        yield f"{prefix}{_quote(sha)}}}\n"
 
 
 def _read_labels(path) -> dict[str, tuple[int, bool]]:
@@ -516,7 +549,7 @@ def _load_styled_dataset(args, digests: dict):
     if not args.styles:
         return build, teamstyle.oracle_labels(build)
     with in_file(args.styles):
-        styles = dict(_read_pairs(args.styles, ("team_id", "style"), TeamStyle))
+        styles = dict(_read_pairs(args.styles, ("team_id", "style"), _members(TeamStyle)))
         missing = [t for t in build.team_ids if t not in styles]
         if missing:
             raise DataError(f"styles file lacks entries for teams: {missing[:5]}")
@@ -568,16 +601,17 @@ def cmd_synth(args, outdir, digests):
 
 
 def cmd_ingest(args, outdir, digests):
+    # either input gives the same rows, and one writer writes them
     if args.gitlog:
         with open_text(args.gitlog) as fh:
-            commits = parse_git_log(fh.read())
+            commits = git_log_rows(fh.read())
     else:
-        commits = load_commits_jsonl(args.jsonl)
+        commits = list(jsonl_rows(args.jsonl))
     roster = load_roster(args.roster)
-    team_row, _ = locate_authors([c.author_key for c in commits], roster)
+    team_row, _ = locate_authors([row[1] for row in commits], roster)
     unmatched = int((team_row < 0).sum())
 
-    dump_commits_jsonl(commits, outdir / "commits.jsonl")
+    dump_commit_rows(commits, outdir / "commits.jsonl")
     dump_roster(roster, outdir / "roster.csv")
     print(
         f"normalized {len(commits)} commits across {len(roster)} teams "
@@ -620,9 +654,7 @@ def cmd_label_commits(args, outdir, digests):
 
     labels_path = outdir / "labels.jsonl"
     with open(labels_path, "w", encoding="utf-8") as fh:
-        for sha, i in zip(table.sha, at):
-            fh.write(jsonl_line({"sha": sha, "category": categories[i].value, "pair_programming": pairs[i]}))
-            fh.write("\n")
+        fh.writelines(_label_lines(table.sha, ((categories[i].value, pairs[i]) for i in at)))
 
     distribution = commitcls.category_distribution([categories[i] for i in at])
     rows = [[name, str(count), f"{ratio:.2f}"] for name, (count, ratio) in distribution.items()]

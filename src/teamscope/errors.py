@@ -1,5 +1,4 @@
-"""The one input-refusal type, the readers of input text, and the writer of
-JSON Lines records.
+"""The one input-refusal type and the readers of input text.
 
 Every refusal of bad input (a malformed log, a schema violation, an
 inconsistent roster, a model file that is not one) is a ``DataError`` whose
@@ -57,10 +56,6 @@ def open_text(path, newline=None):
 # json.loads's per-call set-up.
 _scan = json.JSONDecoder().scan_once
 _JSON_WHITESPACE = " \t\n\r"
-
-# one JSON Lines record, without its newline: ``json.dumps(value,
-# sort_keys=True)`` from one encoder instead of a new one per call
-jsonl_line = json.JSONEncoder(sort_keys=True).encode
 
 
 def jsonl_values(fh):

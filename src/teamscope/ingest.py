@@ -10,8 +10,12 @@ header line, then zero or more ``ADD\\tDEL\\tPATH`` numstat lines. Normalized
 commits round-trip through a JSONL interchange format, and rosters arrive as
 CSV with one row per team member.
 
-A JSONL file is validated line by line by one function and read either into
-``CommitRecord`` objects or into a :class:`CommitTable` of columns. Author
+Both inputs read into one row shape, ``(sha, author, ts, msg, files,
+additions, deletions)`` with each file as ``(path, add, del, binary)``:
+:func:`git_log_rows` from the export, :func:`jsonl_rows` from a JSONL file,
+which one function validates line by line. One encoder,
+:func:`commit_line`, writes a row as an interchange line. ``CommitRecord``
+objects and the :class:`CommitTable` of columns are built from rows. Author
 keys resolve through one map, :func:`author_map`, whichever form the
 commits take.
 
@@ -25,13 +29,14 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import json
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataError, csv_rows, jsonl_line, jsonl_values, open_text
+from .errors import DataError, csv_rows, jsonl_values, open_text
 
 COMMIT_HEADER_MARK = "\x01"
 GIT_LOG_COMMAND = (
@@ -149,19 +154,47 @@ class TeamRecord:
 
 
 def parse_git_log(text: str) -> list[CommitRecord]:
-    """Parse the output of the fixed ``git log`` export command.
+    """The commits of the fixed ``git log`` export as records (see
+    :func:`git_log_rows`)."""
+    return _records(git_log_rows(text))
 
-    Each block that a 0x01 at the start of a line opens yields one record,
-    in input order. A 0x01 anywhere else, as in a subject, is refused: it
-    would open a commit the log does not have. Binary numstat entries
+
+def load_commits_jsonl(path) -> list[CommitRecord]:
+    """Load commits from a JSONL interchange file.
+
+    Schema violations and duplicate shas raise :class:`DataError` naming
+    the offending line (or sha).
+    """
+    return _records(jsonl_rows(path))
+
+
+def _records(rows: Iterable[tuple]) -> list[CommitRecord]:
+    return [
+        CommitRecord(
+            sha=sha,
+            author_key=author,
+            timestamp=ts,
+            message=msg,
+            files=tuple(FileStat(*f) for f in files),
+        )
+        for sha, author, ts, msg, files, _, _ in rows
+    ]
+
+
+def git_log_rows(text: str) -> list[tuple]:
+    """Parse the output of the fixed ``git log`` export command into rows of
+    the shape :func:`jsonl_rows` gives.
+
+    Each block that a 0x01 at the start of a line opens yields one row, in
+    input order. A 0x01 anywhere else, as in a subject, is refused: it would
+    open a commit the log does not have. Binary numstat entries
     (``-\\t-\\tPATH``) contribute zero lines; commits with no numstat lines
-    at all (pure merges under this command) get an empty file list, so
-    ``is_merge_shape`` holds for them.
+    at all (pure merges under this command) get an empty file list.
     """
     text = text.replace("\r\n", "\n")  # tolerate CRLF exports
     if not text.strip(COMMIT_HEADER_MARK + " \t\r\n"):
         return []
-    records: list[CommitRecord] = []
+    rows: list[tuple] = []
     first, *blocks = text.split(COMMIT_HEADER_MARK)
     if first.strip():
         raise DataError("content before first commit header", line=1)
@@ -173,12 +206,12 @@ def parse_git_log(text: str) -> list[CommitRecord]:
     line_no = 1 + first.count("\n")
     for block in blocks:
         lines = block.split("\n")
-        records.append(_parse_commit_block(lines, line_no))
+        rows.append(_git_log_row(lines, line_no))
         line_no += len(lines) - 1
-    return records
+    return rows
 
 
-def _parse_commit_block(lines: list[str], start_line: int) -> CommitRecord:
+def _git_log_row(lines: list[str], start_line: int) -> tuple:
     header = lines[0]
     parts = header.split("|", 4)
     if len(parts) != 5:
@@ -196,75 +229,64 @@ def _parse_commit_block(lines: list[str], start_line: int) -> CommitRecord:
     if timestamp <= 0:
         raise DataError(f"timestamp must be positive, got {timestamp}", line=start_line)
 
-    files = []
+    files, additions, deletions = [], 0, 0
     for offset, line in enumerate(lines[1:], start=1):
-        if not line.strip():
+        if not line:
             continue
-        files.append(_parse_numstat_line(line, start_line + offset))
+        m = _NUMSTAT_RE.match(line)
+        if m is None:
+            if not line.strip():  # a blank line never matches
+                continue
+            raise DataError(f"malformed numstat line: {line!r}", line=start_line + offset)
+        add, dele, path = m.groups()
+        if (add == "-") != (dele == "-"):
+            raise DataError(f"numstat mixes '-' and counts: {line!r}", line=start_line + offset)
+        if add == "-":
+            files.append((path, 0, 0, True))
+        else:
+            add, dele = int(add), int(dele)
+            files.append((path, add, dele, False))
+            additions += add
+            deletions += dele
+    return sha.lower(), email.strip() or name.strip(), timestamp, subject, files, additions, deletions
 
-    return CommitRecord(
-        sha=sha.lower(),
-        author_key=email.strip() or name.strip(),
-        timestamp=timestamp,
-        message=subject,
-        files=tuple(files),
+
+# the writer's string and integer spellings: json.dumps's own
+_quote = json.encoder.encode_basestring_ascii
+_int = int.__repr__
+
+
+def commit_line(row: tuple) -> str:
+    """The interchange line of a row's sha, author, ts, msg and files, its
+    first five fields, newline included: ``json.dumps(record, sort_keys=True)``
+    byte for byte, keys in the order ``author, files[add, del, path], msg,
+    sha, ts`` and ``null`` counts for a binary file."""
+    files = ", ".join([
+        f'{{"add": null, "del": null, "path": {_quote(path)}}}' if binary
+        else f'{{"add": {_int(add)}, "del": {_int(dele)}, "path": {_quote(path)}}}'
+        for path, add, dele, binary in row[4]
+    ])
+    return (
+        f'{{"author": {_quote(row[1])}, "files": [{files}], "msg": {_quote(row[3])}, '
+        f'"sha": {_quote(row[0])}, "ts": {_int(row[2])}}}\n'
     )
 
 
-def _parse_numstat_line(line: str, line_no: int) -> FileStat:
-    m = _NUMSTAT_RE.match(line)
-    if not m:
-        raise DataError(f"malformed numstat line: {line!r}", line=line_no)
-    add, dele, path = m.groups()
-    if (add == "-") != (dele == "-"):
-        raise DataError(f"numstat mixes '-' and counts: {line!r}", line=line_no)
-    if add == "-":
-        return FileStat(path=path, additions=0, deletions=0, binary=True)
-    return FileStat(path=path, additions=int(add), deletions=int(dele), binary=False)
-
-
-def commit_to_json(commit: CommitRecord) -> dict:
-    """Interchange form of one commit: ``sha, author, ts, msg, files``."""
-    return {
-        "sha": commit.sha,
-        "author": commit.author_key,
-        "ts": commit.timestamp,
-        "msg": commit.message,
-        "files": [
-            {
-                "path": f.path,
-                "add": None if f.binary else f.additions,
-                "del": None if f.binary else f.deletions,
-            }
-            for f in commit.files
-        ],
-    }
+def dump_commit_rows(rows: Iterable[tuple], path) -> None:
+    """Write rows to a JSONL interchange file, one :func:`commit_line` at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(map(commit_line, rows))
 
 
 def dump_commits_jsonl(commits: Iterable[CommitRecord], path) -> None:
-    """Write commits to a JSONL file, one interchange record per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for commit in commits:
-            fh.write(jsonl_line(commit_to_json(commit)))
-            fh.write("\n")
-
-
-def load_commits_jsonl(path) -> list[CommitRecord]:
-    """Load commits from a JSONL interchange file.
-
-    Schema violations and duplicate shas raise :class:`DataError` naming
-    the offending line (or sha).
-    """
-    return [
-        CommitRecord(
-            sha=sha,
-            author_key=author,
-            timestamp=ts,
-            message=msg,
-            files=tuple(FileStat(*f) for f in files),
-        )
-        for sha, author, ts, msg, files, _, _ in _read_jsonl_commits(path)
-    ]
+    """Write commit records to a JSONL interchange file (see :func:`dump_commit_rows`)."""
+    dump_commit_rows(
+        (
+            (c.sha, c.author_key, c.timestamp, c.message, [(f.path, f.additions, f.deletions, f.binary) for f in c.files])
+            for c in commits
+        ),
+        path,
+    )
 
 
 @dataclass(frozen=True)
@@ -290,7 +312,7 @@ def load_commit_table(path) -> CommitTable:
     """Load a JSONL interchange file into a :class:`CommitTable`, with the
     same validation and errors as :func:`load_commits_jsonl`."""
     sha, author, msg, numbers = [], [], [], []
-    for c_sha, c_author, _, c_msg, files, additions, deletions in _read_jsonl_commits(path):
+    for c_sha, c_author, _, c_msg, files, additions, deletions in jsonl_rows(path):
         sha.append(c_sha)
         author.append(c_author)
         msg.append(c_msg)
@@ -299,9 +321,10 @@ def load_commit_table(path) -> CommitTable:
     return CommitTable(sha, author, msg, *columns)
 
 
-def _read_jsonl_commits(path) -> Iterator[tuple]:
-    """Each commit of a JSONL interchange file, validated, in file order (see
-    :func:`_commit_from_json`); a repeated sha is a :class:`DataError`."""
+def jsonl_rows(path) -> Iterator[tuple]:
+    """Each commit of a JSONL interchange file as a row, validated, in file
+    order (see :func:`_commit_from_json`); a repeated sha is a
+    :class:`DataError`."""
     seen: set[str] = set()
     with open_text(path) as fh:
         for line, raw in jsonl_values(fh):

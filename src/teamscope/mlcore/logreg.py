@@ -297,8 +297,10 @@ def _newton_iterates(
     if counts is None:
         counts = np.ones(n)
     # the dual form needs the penalty to make the weight block invertible,
-    # and it is the cheaper form once the columns outnumber the rows
-    gram = X @ X.T if d > n and l2_lambda > 0 else None
+    # and it is the cheaper form once the columns outnumber the rows; its Gram
+    # matrix is built for the first direction, which a start at the optimum never needs
+    dual = d > n and l2_lambda > 0
+    gram = None
     loss, grad_w, grad_b, p = _objective(weights, bias, X, y, l2_lambda, counts)
     unit_solve = None
     for _ in range(_MAX_STEPS):
@@ -306,6 +308,8 @@ def _newton_iterates(
         yield Iterate(weights, bias, loss, gmax, unit_solve)
         if gmax <= GRAD_TOL:
             return
+        if dual and gram is None:
+            gram = X @ X.T
         if eliminate:
             j = weakest_weight(weights)
             step, u = _newton_direction(X, p, grad_w, grad_b, l2_lambda, gram, j, counts=counts)

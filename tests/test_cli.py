@@ -294,6 +294,18 @@ def test_config_value_is_recorded_as_its_flag_reads_it(tmp_path):
     assert b'"noise": 0.0' in manifest
 
 
+def test_config_null_is_the_default_of_an_option_whose_default_is_none(team_model, tmp_path):
+    corpus, _ = team_model
+    config = _write(tmp_path / "k.json", json.dumps({"k_features": None, "styles": None}))
+    written = []
+    for name, extra in (("flags", []), ("config", ["--config", config])):
+        out = tmp_path / name
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["eval-teams", "--data", str(corpus), "--folds", "2", "--out", str(out), *extra]) == 0
+        written.append([(out / file).read_bytes() for file in ("team_eval_forest.json", "manifest_eval-teams.json")])
+    assert written[0] == written[1]
+
+
 def test_config_file_unknown_key_is_data_error(tmp_path, capsys):
     config = _write(tmp_path / "cfg.json", json.dumps({"bogus": 1}))
     assert main(["synth", "--out", str(tmp_path / "x"), "--config", config]) == 2
@@ -785,6 +797,13 @@ BAD_INPUT = [
     (["train-teams", "--data", "{data}"], ("cfg.json", '{"k_features": 0}'), 2, "'k_features'"),
     (["ingest", "--gitlog", "{tagged}", "--roster", "{data}/roster.csv"], ("cfg.json", '{"jsonl": "c.jsonl"}'), 2,
      "cfg.json: options --gitlog and --jsonl cannot be combined"),
+    # null is the default only of an optional flag whose default is None
+    (["eval-commits", "--tagged", "{tagged}"], ("cfg.json", '{"folds": null}'), 2,
+     "cfg.json: invalid value None for option 'folds'"),
+    (["ingest", "--jsonl", "{data}/commits.jsonl", "--roster", "{data}/roster.csv"], ("cfg.json", '{"roster": null}'),
+     2, "cfg.json: invalid value None for option 'roster'"),
+    (["ingest", "--gitlog", "{tagged}", "--roster", "{data}/roster.csv"], ("cfg.json", '{"gitlog": null}'), 2,
+     "cfg.json: one of the options --gitlog or --jsonl is required"),
     (["synth", "--teams", "-3"], None, 1, "at least 1"),
     (["synth", "--pair-rate", "7"], None, 2, "pair_rate must be within [0, 1]"),
     (["kappa", "--a", "{file}", "--b", "{tagged}"], ("short-row.csv", "id,label\na,x\nb\n"), 2,

@@ -14,7 +14,6 @@ from teamscope.ingest import (
     TeamRecord,
     author_map,
     build_teams,
-    commit_to_json,
     dump_commits_jsonl,
     load_commit_table,
     load_commits_jsonl,
@@ -160,8 +159,13 @@ def test_jsonl_round_trip_field_identical(tmp_path):
     assert load_commits_jsonl(path) == commits
 
 
+def _record():
+    """The interchange record of ``_commit()``."""
+    return {"sha": SHA_A, "author": "alice", "ts": 100, "msg": "msg", "files": []}
+
+
 def test_jsonl_missing_message_field(tmp_path):
-    raw = commit_to_json(_commit())
+    raw = _record()
     del raw["msg"]
     path = tmp_path / "c.jsonl"
     path.write_text(json.dumps(raw) + "\n")
@@ -170,7 +174,7 @@ def test_jsonl_missing_message_field(tmp_path):
 
 
 def test_jsonl_duplicate_sha_names_sha(tmp_path):
-    line = json.dumps(commit_to_json(_commit()))
+    line = json.dumps(_record())
     path = tmp_path / "c.jsonl"
     path.write_text(line + "\n" + line + "\n")
     with pytest.raises(DataError, match=SHA_A):

@@ -1,13 +1,15 @@
-"""The JSON Lines reader and writer against ``json.loads`` and ``json.dumps``."""
+"""The JSON Lines reader and writers against ``json.loads`` and ``json.dumps``."""
 
+import contextlib
 import io
 import json
 
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from teamscope.errors import DataError, jsonl_line, jsonl_values
-from teamscope.ingest import CommitRecord, FileStat, commit_to_json, dump_commits_jsonl
+from teamscope.cli import _label_lines, main
+from teamscope.errors import DataError, jsonl_values
+from teamscope.ingest import COMMIT_HEADER_MARK, CommitRecord, FileStat, commit_line, dump_commits_jsonl
 
 _SCALARS = st.one_of(
     st.none(),
@@ -111,15 +113,103 @@ _COMMITS = st.builds(
 )
 
 
+def _record(commit: CommitRecord) -> dict:
+    """The interchange record of a commit, as the README documents it."""
+    return {
+        "sha": commit.sha,
+        "author": commit.author_key,
+        "ts": commit.timestamp,
+        "msg": commit.message,
+        "files": [
+            {"path": f.path, "add": None if f.binary else f.additions, "del": None if f.binary else f.deletions}
+            for f in commit.files
+        ],
+    }
+
+
+def _row(commit: CommitRecord) -> tuple:
+    files = [(f.path, f.additions, f.deletions, f.binary) for f in commit.files]
+    return (commit.sha, commit.author_key, commit.timestamp, commit.message, files)
+
+
+# a few category names drawn often, so that labels repeat
+_CATEGORIES = st.sampled_from(["Bugfix", "Test"]) | _TEXT
+
+
 @settings(max_examples=200, deadline=None)
-@given(commits=st.lists(_COMMITS, max_size=4), category=_TEXT, pair=st.booleans())
-def test_jsonl_line_writes_what_json_dumps_writes(tmp_path_factory, commits, category, pair):
-    label = {"sha": "a" * 40, "category": category, "pair_programming": pair}
-    assert jsonl_line(label) == json.dumps(label, sort_keys=True)
-    records = [commit_to_json(c) for c in commits]
-    for record in records:
-        assert jsonl_line(record) == json.dumps(record, sort_keys=True)
+@given(
+    commits=st.lists(_COMMITS, max_size=4),
+    labels=st.lists(st.tuples(st.sampled_from(["a" * 40, "b" * 40]) | _TEXT, _CATEGORIES, st.booleans()), max_size=6),
+)
+def test_jsonl_line_writes_what_json_dumps_writes(tmp_path_factory, commits, labels):
+    written = [
+        json.dumps({"sha": sha, "category": category, "pair_programming": pair}, sort_keys=True) + "\n"
+        for sha, category, pair in labels
+    ]
+    assert list(_label_lines([sha for sha, _, _ in labels], [label[1:] for label in labels])) == written
+    records = [json.dumps(_record(c), sort_keys=True) + "\n" for c in commits]
+    assert [commit_line(_row(c)) for c in commits] == records
     path = tmp_path_factory.mktemp("jsonl") / "commits.jsonl"
     dump_commits_jsonl(commits, path)
-    written = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-    assert path.read_bytes() == written.encode("utf-8")
+    assert path.read_bytes() == "".join(records).encode("utf-8")
+
+
+# What the export can hold: UTF-8 text without a line break (a lone carriage
+# return reads as one) or the 0x01 that opens a commit.
+def _export_text(excluded="", **kw):
+    return st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\n\r\x01" + excluded), **kw)
+
+
+# (sha, name, email, ts, subject, files), each file a path and its counts or None for a binary file
+_EXPORTED = st.lists(
+    st.tuples(
+        st.text("0123456789abcdefABCDEF", min_size=40, max_size=40),
+        _export_text("|", max_size=8),
+        _export_text("|", max_size=8),
+        st.integers(1, 2**63 - 1),
+        _export_text(max_size=12),
+        st.lists(
+            st.tuples(
+                _export_text("\t", min_size=1, max_size=8),
+                st.none() | st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+            ),
+            max_size=3,
+        ),
+    ),
+    max_size=4,
+    unique_by=lambda commit: commit[0].lower(),
+)
+
+
+@settings(max_examples=100, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(commits=_EXPORTED)
+def test_ingest_writes_the_same_interchange_from_either_input(tmp_path_factory, commits):
+    tmp = tmp_path_factory.mktemp("ingest")
+    log, records = [], []
+    for sha, name, email, ts, subject, files in commits:
+        log.append(f"{COMMIT_HEADER_MARK}{sha}|{name}|{email}|{ts}|{subject}\n")
+        log += [("-\t-" if counts is None else "%d\t%d" % counts) + f"\t{path}\n" for path, counts in files]
+        log.append("\n")
+        records.append({
+            "sha": sha.lower(),
+            "author": email.strip() or name.strip(),
+            "ts": ts,
+            "msg": subject,
+            "files": [{"path": path, "add": counts and counts[0], "del": counts and counts[1]} for path, counts in files],
+        })
+    (tmp / "history.log").write_text("".join(log), encoding="utf-8")
+    (tmp / "commits.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    (tmp / "roster.csv").write_text(
+        "team_id,project_id,member_id,exam1,project1,selected,author_keys\n"
+        "t1,P1,m1,80,90,true,a@x\nt1,P1,m2,70,65,true,b@x\n",
+        encoding="utf-8",
+    )
+    written = []
+    for source in ("--gitlog", "--jsonl"):
+        read = tmp / ("history.log" if source == "--gitlog" else "commits.jsonl")
+        out = tmp / source.strip("-")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["ingest", source, str(read), "--roster", str(tmp / "roster.csv"), "--out", str(out)]) == 0
+        written.append((out / "commits.jsonl").read_bytes())
+    expected = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    assert written == [expected.encode("utf-8")] * 2
