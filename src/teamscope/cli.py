@@ -359,17 +359,11 @@ def _write_report(outdir: Path, stem: str, fmt: str, payload, label: str, report
 
 
 def _read_model(path, kind: str, model_cls):
-    """The ``kind`` model in a model file, as ``model_cls``; a payload that lacks
-    a key, holds a value of the wrong type or is refused by ``from_dict`` is a
-    DataError naming the file."""
+    """The ``kind`` model in a model file, as ``model_cls``; ``from_dict``'s
+    refusals are DataErrors, which name the file."""
     payload = load_model(path, kind)
     with in_file(path):
-        try:
-            return model_cls.from_dict(payload)
-        except KeyError as exc:
-            raise DataError(f"the model has no key {exc}") from None
-        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-            raise DataError(f"malformed model ({exc})") from None
+        return model_cls.from_dict(payload)
 
 
 def _read_pairs(path, names=None, values=None, keyed=True) -> list[tuple]:
@@ -445,14 +439,13 @@ def _read_labels(path) -> dict[str, tuple[int, bool]]:
         for line, raw in jsonl_values(fh):
             if not isinstance(raw, dict):
                 raise DataError("not a JSON object", line=line)
-            try:
-                category = raw["category"]
-                scope = _SCOPE_OF_NAME.get(category) if type(category) is str else None
-                if scope is None:
-                    raise ValueError(f"{category!r} is not a valid CommitCategory")
-                pair, sha = raw["pair_programming"], raw["sha"]
-            except (KeyError, ValueError) as exc:
-                raise DataError(str(exc), line=line) from None
+            for key in ("sha", "category", "pair_programming"):
+                if key not in raw:
+                    raise DataError(f"missing {key!r} field", line=line)
+            sha, category, pair = raw["sha"], raw["category"], raw["pair_programming"]
+            scope = _SCOPE_OF_NAME.get(category) if type(category) is str else None
+            if scope is None:
+                raise DataError(f"{category!r} is not a valid CommitCategory", line=line)
             if type(sha) is not str:
                 raise DataError(f"sha must be a string, got {sha!r}", line=line)
             if type(pair) is not bool:

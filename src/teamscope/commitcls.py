@@ -67,7 +67,7 @@ from .mlcore import (
     tfidf_transform,
     train_logreg,
 )
-from .mlcore.serialize import strings
+from .mlcore.serialize import fields, nested, objects, strings
 from .textnorm import Lexicon
 
 
@@ -126,8 +126,17 @@ class MlStage:
         return predict(self.logreg, tfidf_transform(self.tfidf, index))
 
 
-# a model file's lexicon keys and the Lexicon fields they hold
+# a model file's lexicon keys and the Lexicon fields they hold, in field order
 _LEXICON_KEYS = {"english": "english_words", "domain": "domain_words", "stopwords": "stopwords"}
+
+
+def _read_lexicon(raw, name: str) -> Lexicon:
+    """A model file's lexicon: three word lists that pass the :class:`Lexicon` checks."""
+    words = fields(raw, "lexicon ", **dict.fromkeys(_LEXICON_KEYS, strings))
+    try:
+        return Lexicon(*map(frozenset, words))
+    except ValueError as exc:  # a word that is not lowercase, or a missing domain word
+        raise DataError(f"lexicon: {exc}") from None
 
 
 @dataclass
@@ -149,22 +158,19 @@ class CascadeModel:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "CascadeModel":
-        if len(raw["stages"]) != len(ML_CATEGORIES):
+        raw_stages, lexicon = fields(raw, "", stages=objects, lexicon=_read_lexicon)
+        if len(raw_stages) != len(ML_CATEGORIES):
             raise DataError(
                 f"expected {len(ML_CATEGORIES)} ML stages ({', '.join(c.value for c in ML_CATEGORIES)}), "
-                f"found {len(raw['stages'])}"
+                f"found {len(raw_stages)}"
             )
         stages = []
-        for category, s in zip(ML_CATEGORIES, raw["stages"]):
-            tfidf = TfidfModel.from_dict(s["tfidf"])
-            logreg = LogisticModel.from_dict(s["logreg"])
+        for category, s in zip(ML_CATEGORIES, raw_stages):
+            tfidf, logreg = fields(s, "", tfidf=nested(TfidfModel), logreg=nested(LogisticModel))
             if logreg.weights.shape != (tfidf.dim,):
                 raise DataError(f"the {category.value} stage needs one weight per term")
             stages.append(MlStage(tfidf=tfidf, logreg=logreg))
-        words = {}
-        for key, name in _LEXICON_KEYS.items():
-            words[name] = frozenset(strings(raw["lexicon"][key], f"lexicon {key}"))
-        return cls(lexicon=Lexicon(**words), stages=stages)
+        return cls(lexicon=lexicon, stages=stages)
 
 
 def _static_category(cascade: CascadeModel, tokens: Sequence[str]) -> CommitCategory | None:

@@ -12,8 +12,11 @@ CSV with one row per team member.
 
 Both inputs read into one row shape, ``(sha, author, ts, msg, files,
 additions, deletions)`` with each file as ``(path, add, del, binary)``:
-:func:`git_log_rows` from the export, :func:`jsonl_rows` from a JSONL file,
-which one function validates line by line. One encoder,
+:func:`git_log_rows` from the export, :func:`jsonl_rows` from a JSONL file.
+Each reader decodes a commit's fields from its own syntax, the export's
+numbers being ASCII digits, and hands them to one check of the values,
+:func:`_row`: a 40-hex sha, a timestamp and line counts that fit an int64
+column, with one text per fault whichever the input. One encoder,
 :func:`commit_line`, writes a row as an interchange line. ``CommitRecord``
 objects and the :class:`CommitTable` of columns are built from rows. Author
 keys resolve through one map, :func:`author_map`, whichever form the
@@ -54,8 +57,10 @@ ROSTER_COLUMNS = [
 
 # the spellings of the roster's selected flag
 _BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-_SHA_RE = re.compile(r"^[0-9a-fA-F]{40}$")
-_NUMSTAT_RE = re.compile(r"^(\d+|-)\t(\d+|-)\t(.+)$")
+_SHA_RE = re.compile(r"[0-9a-fA-F]{40}")
+# %at, and the numstat counts below, as git writes them: unsigned ASCII digits
+_DIGITS_RE = re.compile(r"[0-9]+")
+_NUMSTAT_RE = re.compile(r"^([0-9]+|-)\t([0-9]+|-)\t(.+)$")
 _INT64_LIMIT = 2**63
 
 
@@ -220,16 +225,10 @@ def _git_log_row(lines: list[str], start_line: int) -> tuple:
             line=start_line,
         )
     sha, name, email, raw_ts, subject = parts
-    if not _SHA_RE.match(sha):
-        raise DataError(f"{sha!r} is not a 40-hex sha", line=start_line)
-    try:
-        timestamp = int(raw_ts)
-    except ValueError:
-        raise DataError(f"timestamp {raw_ts!r} is not an integer", line=start_line) from None
-    if timestamp <= 0:
-        raise DataError(f"timestamp must be positive, got {timestamp}", line=start_line)
+    if not _DIGITS_RE.fullmatch(raw_ts):
+        raise DataError(f"timestamp {raw_ts!r} is not an integer", line=start_line)
 
-    files, additions, deletions = [], 0, 0
+    files = []
     for offset, line in enumerate(lines[1:], start=1):
         if not line:
             continue
@@ -244,11 +243,15 @@ def _git_log_row(lines: list[str], start_line: int) -> tuple:
         if add == "-":
             files.append((path, 0, 0, True))
         else:
-            add, dele = int(add), int(dele)
-            files.append((path, add, dele, False))
-            additions += add
-            deletions += dele
-    return sha.lower(), email.strip() or name.strip(), timestamp, subject, files, additions, deletions
+            files.append((path, _natural(add), _natural(dele), False))
+    return _row(sha, email.strip() or name.strip(), _natural(raw_ts), subject, files, start_line)
+
+
+def _natural(digits: str) -> int:
+    """The value of a run of ASCII digits; 2**63 for one of 20 or more
+    significant digits, which :func:`_row` refuses and ``int`` may not read."""
+    digits = digits.lstrip("0")
+    return int(digits or "0") if len(digits) < 20 else _INT64_LIMIT
 
 
 # the writer's string and integer spellings: json.dumps's own
@@ -336,46 +339,52 @@ def jsonl_rows(path) -> Iterator[tuple]:
 
 
 def _commit_from_json(raw, line: int) -> tuple:
-    """The one check of an interchange record. Returns (sha, author, ts, msg,
-    files, additions, deletions): the sha lower-cased, each file as
-    ``FileStat`` fields (path, additions, deletions, binary) and the line
-    totals over the files. Every number fits in an int64 column."""
+    """The row of an interchange record (see :func:`_row`)."""
     if not isinstance(raw, dict):
         raise DataError("not a JSON object", line=line)
     for key in ("sha", "author", "ts", "msg", "files"):
         if key not in raw:
             raise DataError(f"missing {key!r} field", line=line)
-    sha = raw["sha"]
-    if not isinstance(sha, str) or not _SHA_RE.match(sha):
-        raise DataError(f"{sha!r} is not a 40-hex sha", line=line)
-    ts = raw["ts"]
-    if type(ts) is not int or ts <= 0:  # JSON true is a bool, an int subclass
-        raise DataError("ts must be a positive integer", line=line)
-    if ts >= _INT64_LIMIT:
-        raise DataError("ts must be below 2**63", line=line)
     for key in ("author", "msg"):
         if not isinstance(raw[key], str):
             raise DataError(f"{key} must be a string, got {raw[key]!r}", line=line)
     if not isinstance(raw["files"], list):
         raise DataError("files must be a list", line=line)
-    files, additions, deletions = [], 0, 0
+    files = []
     for fraw in raw["files"]:
         if not isinstance(fraw, dict) or not isinstance(fraw.get("path"), str):
             raise DataError(f"malformed file entry {fraw!r}", line=line)
         add, dele = fraw.get("add"), fraw.get("del")
         if add is None and dele is None:
             files.append((fraw["path"], 0, 0, True))
-        elif type(add) is int and type(dele) is int:
-            if add < 0 or dele < 0:
-                raise DataError(f"negative line counts for {fraw['path']!r}", line=line)
+        elif type(add) is int and type(dele) is int:  # JSON true is a bool, an int subclass
             files.append((fraw["path"], add, dele, False))
-            additions += add
-            deletions += dele
         else:
             raise DataError("file add/del must both be ints or both null", line=line)
+    return _row(raw["sha"], raw["author"], raw["ts"], raw["msg"], files, line)
+
+
+def _row(sha, author: str, ts, msg: str, files: list, line: int) -> tuple:
+    """The one check of a commit's values, read from either input at ``line``.
+    Returns (sha, author, ts, msg, files, additions, deletions): the sha
+    lower-cased, each file as ``FileStat`` fields (path, additions,
+    deletions, binary) and the line totals over the files. Every number fits
+    in an int64 column."""
+    if type(sha) is not str or not _SHA_RE.fullmatch(sha):
+        raise DataError(f"{sha!r} is not a 40-hex sha", line=line)
+    if type(ts) is not int or ts <= 0:
+        raise DataError("ts must be a positive integer", line=line)
+    if ts >= _INT64_LIMIT:
+        raise DataError("ts must be below 2**63", line=line)
+    additions = deletions = 0
+    for path, add, dele, _ in files:
+        if add < 0 or dele < 0:
+            raise DataError(f"negative line counts for {path!r}", line=line)
+        additions += add
+        deletions += dele
     if additions + deletions >= _INT64_LIMIT:
         raise DataError("line counts must total below 2**63", line=line)
-    return sha.lower(), raw["author"], ts, raw["msg"], files, additions, deletions
+    return sha.lower(), author, ts, msg, files, additions, deletions
 
 
 def author_map(roster: Sequence[TeamRecord]) -> dict[str, tuple[int, int]]:

@@ -45,7 +45,7 @@ import numpy as np
 
 from ..errors import DataError
 from .evaluation import check_training_set, choice_bounds, seed_sequence, sorted_choices
-from .serialize import integer, integers, numbers
+from .serialize import fields, integer, integers, numbers, objects, pairs
 
 # Most cells (candidate feature x node sample) one batched split search holds.
 # It bounds the search's working memory, about 50 bytes a cell at its peak
@@ -96,8 +96,8 @@ class ForestModel:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ForestModel":
-        n_features = integer(raw["n_features"], "forest n_features")
-        per_tree = [_read_tree(t) for t in raw["trees"]]
+        n_features, raw_trees = fields(raw, "forest ", n_features=integer, trees=objects)
+        per_tree = [_read_tree(t) for t in raw_trees]
         if not per_tree:
             raise DataError("forest has no trees")
         sizes = np.array([len(t[0]) for t in per_tree])
@@ -118,12 +118,8 @@ class ForestModel:
 
 def _read_tree(raw: dict) -> tuple:
     """One tree's feature, threshold, left, right and counts arrays, all of one length."""
-    arrays = (
-        integers(raw["feature"], "tree feature"),
-        numbers(raw["threshold"], "tree threshold"),
-        integers(raw["left"], "tree left"),
-        integers(raw["right"], "tree right"),
-        integers(raw["counts"], "tree counts", pairs=True),
+    arrays = fields(
+        raw, "tree ", feature=integers, threshold=numbers, left=integers, right=integers, counts=pairs
     )
     n = len(arrays[0])
     if n == 0 or any(a.shape[:1] != (n,) for a in arrays):

@@ -68,7 +68,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .evaluation import check_counts, check_training_set
-from .serialize import number, numbers
+from .serialize import fields, number, numbers
 
 GRAD_TOL = 1e-12
 _ARMIJO = 1e-4
@@ -99,11 +99,7 @@ class LogisticModel:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "LogisticModel":
-        return cls(
-            weights=numbers(raw["weights"], "weights"),
-            bias=number(raw["bias"], "bias"),
-            l2_lambda=number(raw["l2_lambda"], "l2_lambda"),
-        )
+        return cls(*fields(raw, "", weights=numbers, bias=number, l2_lambda=number))
 
 
 def sigmoid(z):

@@ -9,8 +9,14 @@ weights, trees, standardization, selected columns and the lexicon. What the
 code fixes (stage order, gibberish threshold, n-gram range, forest shape) is
 not written. Files of any other version are refused and must be produced
 again by retraining. Numbers that ``json`` would read as non-finite floats
-(``NaN``, ``Infinity``, ``1e999``) are refused, and every ``from_dict``
-reads each field through this module's reader of the field's kind.
+(``NaN``, ``Infinity``, ``1e999``) are refused.
+
+Each object of a model file, the envelope included, is read by
+:func:`fields`, which declares its keys once: a missing key, or one it does
+not declare, is refused before any value is used. Each value is read by this
+module's reader of its kind, which refuses any other JSON type, an integer
+beyond int64 and a number beyond float64, so every refusal is a
+``DataError``.
 """
 
 from __future__ import annotations
@@ -71,14 +77,23 @@ def _listed(value, kinds, name: str, what: str) -> list:
     return value
 
 
+def _array(value, kinds, dtype, name: str, what: str) -> np.ndarray:
+    """``value`` as read by :func:`_listed`, as an array of ``dtype``, which holds every item."""
+    items = _listed(value, kinds, name, what)
+    try:
+        return np.array(items, dtype=dtype)
+    except OverflowError:  # a JSON integer beyond the dtype's range
+        raise DataError(f"{name} must hold {what} within {np.dtype(dtype).name} range") from None
+
+
 def number(value, name: str) -> float:
     """A field holding one JSON number, as a float."""
-    return float(_listed([value], _NUMBER, name, "one JSON number")[0])
+    return float(_array([value], _NUMBER, np.float64, name, "one JSON number")[0])
 
 
 def integer(value, name: str) -> int:
     """A field holding one JSON integer."""
-    return _listed([value], _INTEGER, name, "one JSON integer")[0]
+    return int(_array([value], _INTEGER, np.int64, name, "one JSON integer")[0])
 
 
 def string(value, name: str) -> str:
@@ -88,14 +103,16 @@ def string(value, name: str) -> str:
 
 def numbers(value, name: str) -> np.ndarray:
     """A field holding a list of JSON numbers, as a float64 array."""
-    return np.array(_listed(value, _NUMBER, name, "JSON numbers"), dtype=np.float64)
+    return _array(value, _NUMBER, np.float64, name, "JSON numbers")
 
 
-def integers(value, name: str, pairs: bool = False) -> np.ndarray:
-    """A field holding a list of JSON integers, as an int64 array; with
-    ``pairs``, a list of two-integer lists, as an (n, 2) array."""
-    if not pairs:
-        return np.array(_listed(value, _INTEGER, name, "JSON integers"), dtype=np.int64)
+def integers(value, name: str) -> np.ndarray:
+    """A field holding a list of JSON integers, as an int64 array."""
+    return _array(value, _INTEGER, np.int64, name, "JSON integers")
+
+
+def pairs(value, name: str) -> np.ndarray:
+    """A field holding a list of two-integer lists, as an (n, 2) int64 array."""
     rows = _listed(value, {list}, name, "pairs of JSON integers")
     if not {2}.issuperset(map(len, rows)):
         raise DataError(f"{name} must hold pairs of JSON integers")
@@ -105,6 +122,35 @@ def integers(value, name: str, pairs: bool = False) -> np.ndarray:
 def strings(value, name: str) -> list[str]:
     """A field holding a list of JSON strings."""
     return _listed(value, {str}, name, "JSON strings")
+
+
+def objects(value, name: str) -> list[dict]:
+    """A field holding a list of JSON objects, each to be read by :func:`fields`."""
+    return _listed(value, {dict}, name, "JSON objects")
+
+
+def nested(model_cls):
+    """The reader of a field holding one model object, read by ``model_cls.from_dict``."""
+    return lambda value, name: model_cls.from_dict(value)
+
+
+def fields(raw, prefix: str, **readers) -> list:
+    """The values of the JSON object ``raw``, in the order of ``readers``, each
+    read as ``reader(raw[key], prefix + key)``.
+
+    ``raw`` must hold each declared key and no other. Refused, in this order:
+    a value that is not a JSON object, the first declared key it lacks, and
+    a key it holds that is not declared.
+    """
+    if type(raw) is not dict:
+        raise DataError(f"expected a JSON object of {', '.join(readers)}, got {reprlib.repr(raw)}")
+    for key in readers:
+        if key not in raw:
+            raise DataError(f"the model has no key {key!r}")
+    if len(raw) > len(readers):
+        unknown = next(key for key in raw if key not in readers)
+        raise DataError(f"unknown key {unknown!r}")
+    return [reader(raw[key], prefix + key) for key, reader in readers.items()]
 
 
 def load_model(path, expected_kind: str) -> dict:
@@ -126,6 +172,6 @@ def load_model(path, expected_kind: str) -> dict:
             )
         if raw.get("kind") != expected_kind:
             raise DataError(f"expected a {expected_kind!r} model, found {raw.get('kind')!r}")
-        if "model" not in raw:
-            raise DataError("the model has no key 'model'")
-    return raw["model"]
+        # the payload is read by its model's from_dict
+        *_, payload = fields(raw, "", format=string, version=integer, kind=string, model=lambda value, name: value)
+    return payload

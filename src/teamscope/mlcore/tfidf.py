@@ -39,7 +39,7 @@ import numpy as np
 
 from ..errors import DataError
 from .evaluation import check_counts
-from .serialize import numbers, strings
+from .serialize import fields, numbers, strings
 
 
 @dataclass
@@ -59,8 +59,7 @@ class TfidfModel:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TfidfModel":
-        terms = strings(raw["terms"], "terms")
-        idf = numbers(raw["idf"], "idf")
+        terms, idf = fields(raw, "", terms=strings, idf=numbers)
         if len(set(terms)) != len(terms) or idf.shape != (len(terms),):
             raise DataError("a tfidf model needs distinct terms and one idf value per term")
         return cls(vocabulary={t: i for i, t in enumerate(terms)}, idf=idf)

@@ -46,7 +46,7 @@ from .mlcore import (
     train_forest,
     train_logreg,
 )
-from .mlcore.serialize import integers, numbers, string
+from .mlcore.serialize import fields, integers, nested, numbers, objects, string
 from .teamfeat import REGISTRY, REGISTRY_VERSION, FeatureMatrix, build_matrix
 
 
@@ -174,29 +174,29 @@ class TeamStyleModel:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TeamStyleModel":
-        if raw["registry_version"] != REGISTRY_VERSION:
+        # checked before the keys, which another registry version may not share
+        if type(raw) is dict and raw.get("registry_version", REGISTRY_VERSION) != REGISTRY_VERSION:
             raise DataError(
                 f"the model was trained on feature registry version "
                 f"{raw['registry_version']!r}, this teamscope extracts version "
                 f"{REGISTRY_VERSION!r}; retrain the model"
             )
-        algorithm = string(raw["algorithm"], "algorithm")
+        _, algorithm, raw_stages, means, stds = fields(
+            raw, "", registry_version=string, algorithm=string, stages=objects, means=numbers, stds=numbers
+        )
         if algorithm not in STAGE_MODELS:
             raise DataError(f"unknown algorithm {algorithm!r}")
-        if len(raw["stages"]) != len(STAGE_ORDER):
+        if len(raw_stages) != len(STAGE_ORDER):
             raise DataError(
                 f"expected {len(STAGE_ORDER)} stages ({', '.join(s.value for s in STAGE_ORDER)}), "
-                f"found {len(raw['stages'])}"
+                f"found {len(raw_stages)}"
             )
-        means = numbers(raw["means"], "means")
-        stds = numbers(raw["stds"], "stds")
         if stds.shape != means.shape:
             raise DataError("means and stds must be lists of numbers of one length")
-        model_cls = STAGE_MODELS[algorithm]
+        model_reader = nested(STAGE_MODELS[algorithm])
         stages = []
-        for style, s in zip(STAGE_ORDER, raw["stages"]):
-            model = model_cls.from_dict(s["model"])
-            selected = integers(s["selected"], f"{style.value} selected")
+        for style, s in zip(STAGE_ORDER, raw_stages):
+            model, selected = fields(s, f"{style.value} ", model=model_reader, selected=integers)
             shape = (model.n_features,) if isinstance(model, ForestModel) else model.weights.shape
             if shape != selected.shape or np.any(selected < 0) or np.any(selected >= len(means)):
                 raise DataError(

@@ -20,9 +20,11 @@ from hypothesis import strategies as st
 import teamscope
 from teamscope import cli, errors, teamfeat
 from teamscope.cli import main
+from teamscope.commitcls import CascadeModel
 from teamscope.errors import DataError
 from teamscope.ingest import load_commits_jsonl
-from teamscope.mlcore import canonical_json
+from teamscope.mlcore import canonical_json, load_model
+from teamscope.teamstyle import TeamStyleModel
 
 SHA_A = "a" * 40
 GIT_LOG = (
@@ -482,11 +484,15 @@ _STAGE_COUNT = "altered.json: expected 3 stages (SoloSubmit, Cooperative, Collab
         (lambda raw: raw["model"].update(stds=raw["model"]["stds"][:-1]),
          "altered.json: means and stds must be lists of numbers of one length"),
         (_forest_field("trees", []), "altered.json: forest has no trees"),
+        (_forest_field("trees", 5), "altered.json: forest trees must be a list of JSON objects, got 5"),
+        (_forest_field("n_tree", 3), "altered.json: unknown key 'n_tree'"),
+        (_first_split("left", 2**63), "altered.json: tree left must hold JSON integers within int64 range"),
     ],
     ids=["format-v1", "foreign-registry", "narrow-means", "unknown-algorithm", "algorithm-model_type-mismatch",
          "no-stages", "two-stages", "nan-mean", "string-mean", "boolean-column", "number-selected",
          "n_features-float", "split-feature-boolean", "split-feature-float", "split-right-float",
-         "split-counts-boolean", "logistic-list-bias", "list-algorithm", "short-stds", "no-trees"],
+         "split-counts-boolean", "logistic-list-bias", "list-algorithm", "short-stds", "no-trees",
+         "number-trees", "misspelt-forest-key", "split-left-beyond-int64"],
 )
 @pytest.mark.parametrize("command", ["predict", "flag"])
 def test_unfit_model_is_data_error(team_model, tmp_path, capsys, command, alter, message):
@@ -545,10 +551,15 @@ _ML_STAGE_COUNT = "expected 3 ML stages (Implementation, Test, Bugfix), found "
         (_stopwords("fix"), "lexicon stopwords must be a list of JSON strings, got 'fix'"),
         (_first_stage("logreg", "weights", [0.0]), "the Implementation stage needs one weight per term"),
         (_repeat_first_term, "a tfidf model needs distinct terms and one idf value per term"),
+        (_stopwords(["The"]), "lexicon: stopwords must be non-empty lowercase: ['The']"),
+        (_first_stage("tfidf", "idf_", [1.0]), "unknown key 'idf_'"),
+        (_first_stage("logreg", "bias", 10**400), "bias must hold one JSON number within float64 range"),
+        (_stages(lambda s: [{**s[0], "tfidf": 5}, *s[1:]]), "expected a JSON object of terms, idf, got 5"),
     ],
     ids=["two-stages", "no-stages", "nan-idf", "minus-infinite-weight", "infinite-bias", "string-bias",
          "list-bias", "list-l2_lambda", "number-weights", "number-idf", "number-terms", "string-weight",
-         "boolean-idf", "string-stopwords", "one-weight", "repeated-term"],
+         "boolean-idf", "string-stopwords", "one-weight", "repeated-term", "uppercase-stopword",
+         "misspelt-tfidf-key", "bias-beyond-float64", "number-tfidf"],
 )
 def test_unfit_cascade_is_data_error(team_model, cascade_model, tmp_path, capsys, alter, message):
     corpus, _ = team_model
@@ -928,6 +939,16 @@ def _first_file(**fields):
     return alter
 
 
+def _first_line_without(key: str):
+    def alter(data: bytes) -> bytes:
+        first, rest = data.split(b"\n", 1)
+        raw = json.loads(first)
+        del raw[key]
+        return json.dumps(raw).encode() + b"\n" + rest
+
+    return alter
+
+
 def _repeat_first_line(data: bytes) -> bytes:
     return data.split(b"\n", 1)[0] + b"\n" + data
 
@@ -976,7 +997,7 @@ UNREADABLE = {
     "model-mean-overflows": ("corpus/models/teams_forest.json", _first_mean(b"1e999"), _PREDICT,
                              "teams_forest.json: non-finite number 1e999"),
     "model-mean-huge-int": ("corpus/models/teams_forest.json", _first_mean(b"1" + b"0" * 400), _PREDICT,
-                            "teams_forest.json: malformed model (int too large to convert to float)"),
+                            "teams_forest.json: means must hold JSON numbers within float64 range"),
     "commit-msg-null": ("corpus/commits.jsonl", _first_commit(msg=None), _FEATURES,
                         "commits.jsonl line 1: msg must be a string"),
     "commit-author-int": ("corpus/commits.jsonl", _first_commit(author=5), _FEATURES,
@@ -1028,12 +1049,31 @@ UNREADABLE = {
                        "labels.jsonl line 1: sha must be a string, got 5"),
     "labels-sha-list": ("corpus/labels.jsonl", _first_commit(sha=["x"]), _FEATURES,
                         "labels.jsonl line 1: sha must be a string, got ['x']"),
+    "labels-no-sha": ("corpus/labels.jsonl", _first_line_without("sha"), _FEATURES,
+                      "labels.jsonl line 1: missing 'sha' field"),
+    "labels-no-category": ("corpus/labels.jsonl", _first_line_without("category"), _FEATURES,
+                           "labels.jsonl line 1: missing 'category' field"),
+    "labels-no-pair_programming": ("corpus/labels.jsonl", _first_line_without("pair_programming"), _FEATURES,
+                                   "labels.jsonl line 1: missing 'pair_programming' field"),
     "labels-unknown-category": ("corpus/labels.jsonl", _first_commit(category="Refactor"), _FEATURES,
                                 "labels.jsonl line 1: 'Refactor' is not a valid CommitCategory"),
     "gitlog-word-timestamp": ("history.gitlog", lambda data: data.replace(b"|1443657600|", b"|soon|"), _GITLOG,
                               "history.gitlog line 1: timestamp 'soon' is not an integer"),
     "gitlog-negative-timestamp": ("history.gitlog", lambda data: data.replace(b"|1443657600|", b"|-5|"), _GITLOG,
-                                  "history.gitlog line 1: timestamp must be positive, got -5"),
+                                  "history.gitlog line 1: timestamp '-5' is not an integer"),
+    "gitlog-timestamp-too-large": ("history.gitlog",
+                                   lambda data: data.replace(b"|1443657600|", b"|9223372036854775808|"), _GITLOG,
+                                   "history.gitlog line 1: ts must be below 2**63"),
+    "gitlog-timestamp-underscore": ("history.gitlog", lambda data: data.replace(b"|1443657600|", b"|+1_000|"),
+                                    _GITLOG, "history.gitlog line 1: timestamp '+1_000' is not an integer"),
+    "gitlog-non-ascii-digit": ("history.gitlog", lambda data: data.replace(b"3\t1\t", "\u0661\t1\t".encode()),
+                               _GITLOG, "history.gitlog line 2: malformed numstat line: "),
+    "gitlog-line-counts-too-large": ("history.gitlog", lambda data: data + b"9223372036854775807\t1\tsrc/B.java\n",
+                                     _GITLOG, "history.gitlog line 1: line counts must total below 2**63"),
+    "gitlog-count-over-int-digit-limit": ("history.gitlog", lambda data: data + b"1" * 5000 + b"\t1\tsrc/B.java\n",
+                                          _GITLOG, "history.gitlog line 1: line counts must total below 2**63"),
+    "commit-sha-newline": ("corpus/commits.jsonl", _first_commit(sha=SHA_A + "\n"), _FEATURES,
+                           f"commits.jsonl line 1: '{SHA_A}\\n' is not a 40-hex sha"),
     "gitlog-half-binary-numstat": ("history.gitlog", lambda data: data + b"-\t1\tsrc/B.java\n", _GITLOG,
                                    "history.gitlog line 3: numstat mixes '-' and counts: '-\\t1\\tsrc/B.java'"),
     "commit-short-sha": ("corpus/commits.jsonl", _first_commit(sha="abc"), _FEATURES,
@@ -1064,7 +1104,7 @@ def cascade_model(team_model, tmp_path_factory):
     return out / "cascade.json"
 
 
-_JUNK = st.sampled_from([None, True, False, -3, 1.5, "x", [], {}, [1, "a"]])
+_JUNK = st.sampled_from([None, True, False, -3, 1.5, "x", [], {}, [1, "a"], 2**63, 10**400])
 _CSV_JUNK = st.sampled_from(["", "abc", "-5", "1e999", "nan", ";", "true"])
 
 
@@ -1096,13 +1136,69 @@ def _wrong_type(name: str, text: str, data) -> str:
     return json.dumps(_replace_somewhere(json.loads(text), data))
 
 
+def _containers(value, kind):
+    """Each list (``kind`` list) or each non-empty object (``kind`` dict)
+    inside a JSON value, ``value`` first."""
+    if isinstance(value, kind) and (value or kind is list):
+        yield value
+    if isinstance(value, (dict, list)):
+        for child in value.values() if isinstance(value, dict) else value:
+            yield from _containers(child, kind)
+
+
+def _edit_model(kind: str, text: str, data) -> str:
+    """The model file ``text`` with one key deleted or added, or one list
+    made an item longer or shorter, at a drawn place."""
+    raw = json.loads(text)
+    nodes = list(_containers(raw, list if kind == "resize list" else dict))
+    node = nodes[data.draw(st.integers(0, len(nodes) - 1))]
+    if kind == "resize list":
+        at = data.draw(st.integers(0, len(node)))
+        if node and (at == len(node) or data.draw(st.booleans())):
+            del node[min(at, len(node) - 1)]
+        else:
+            node.insert(at, node[at - 1] if node else data.draw(_JUNK))
+    else:
+        key = data.draw(st.sampled_from(sorted(node)))
+        if kind == "delete key":
+            del node[key]
+        else:  # a misspelling of a key beside it, such as "n_tree"
+            node[key[:-1] if key[:-1] not in node else key + "_"] = node[key]
+    return json.dumps(raw)
+
+
+def _as_read(payload, cascade: bool):
+    """A model payload's JSON with every number as a float64, and a cascade's
+    lexicon word lists as sets: the form in which ``from_dict`` keeps them."""
+
+    def walk(value):
+        if type(value) in (int, float):
+            return float(value)
+        if isinstance(value, list):
+            return [walk(v) for v in value]
+        if isinstance(value, dict):
+            return {key: walk(v) for key, v in value.items()}
+        return value
+
+    read = walk(payload)
+    if cascade:
+        read["lexicon"] = {key: set(words) for key, words in read["lexicon"].items()}
+    return read
+
+
+_MODEL_EDITS = ["delete key", "add key", "resize list"]
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     name=st.sampled_from(["commits.jsonl", "roster.csv", "labels.jsonl", "teams.json", "cascade.json"]),
-    kind=st.sampled_from(["truncate", "0xff", "delete line", "wrong type"]),
     data=st.data(),
 )
-def test_corrupted_inputs_never_exit_internal_error(team_model, cascade_model, name, kind, data):
+def test_corrupted_inputs_never_exit_internal_error(team_model, cascade_model, name, data):
+    # a refusal names the file in one line, and a model file that loads holds
+    # nothing its model does not read back
+    kinds = ["truncate", "0xff", "delete line", "wrong type"] + (_MODEL_EDITS if name.endswith(".json") else [])
+    kind = data.draw(st.sampled_from(kinds))
     corpus, team_path = team_model
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -1120,6 +1216,8 @@ def test_corrupted_inputs_never_exit_internal_error(team_model, cascade_model, n
             lines = raw.split(b"\n")
             del lines[data.draw(st.integers(0, len(lines) - 1))]
             raw = b"\n".join(lines)
+        elif kind in _MODEL_EDITS:
+            raw = _edit_model(kind, raw.decode("utf-8"), data).encode("utf-8")
         else:
             raw = _wrong_type(name, raw.decode("utf-8"), data).encode("utf-8")
         path.write_bytes(raw)
@@ -1131,7 +1229,15 @@ def test_corrupted_inputs_never_exit_internal_error(team_model, cascade_model, n
         stderr = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             code = main(argv + ["--data", str(work / "corpus"), "--out", str(work / "out")])
-        assert code in (0, 2), stderr.getvalue()
+        err = stderr.getvalue()
+        assert code in (0, 2), err
+        if code == 2:
+            assert re.fullmatch(rf"error: {re.escape(str(work))}/\S+( line [1-9][0-9]*)?: [^\n]+\n", err), err
+        elif name.endswith(".json"):
+            cascade = name == "cascade.json"
+            model_kind, model_cls = ("cascade", CascadeModel) if cascade else ("teamstyle", TeamStyleModel)
+            payload = load_model(path, model_kind)
+            assert _as_read(model_cls.from_dict(payload).to_dict(), cascade) == _as_read(payload, cascade)
 
 
 @settings(max_examples=40, deadline=None)

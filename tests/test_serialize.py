@@ -18,7 +18,7 @@ from teamscope.mlcore import (
     train_logreg,
 )
 from teamscope.mlcore.forest import ForestModel
-from teamscope.mlcore.serialize import FORMAT_VERSION, integer, integers, number, numbers, strings
+from teamscope.mlcore.serialize import FORMAT_VERSION, integer, integers, number, numbers, objects, pairs, strings
 from teamscope.teamstyle import StyleStage, TeamStyleModel
 from teamscope.textnorm import default_lexicon
 
@@ -140,10 +140,11 @@ def test_serialized_form_is_stable_bytes(tmp_path):
         (numbers, 1.0), (numbers, [1.0, True]), (numbers, [[1.0]]),
         (integers, 3), (integers, [1, 1.0]), (integers, [1, False]),
         (strings, "fix"), (strings, ["fix", 1]), (strings, {"fix": 1}),
-        (lambda v, name: integers(v, name, pairs=True), [1, 2]),
-        (lambda v, name: integers(v, name, pairs=True), [[1, 2], [3]]),
-        (lambda v, name: integers(v, name, pairs=True), [[1, 2], [3, 4, 5]]),
-        (lambda v, name: integers(v, name, pairs=True), [[1, True]]),
+        (lambda v, name: pairs(v, name), [1, 2]),
+        (lambda v, name: pairs(v, name), [[1, 2], [3]]),
+        (lambda v, name: pairs(v, name), [[1, 2], [3, 4, 5]]),
+        (lambda v, name: pairs(v, name), [[1, True]]),
+        (objects, {}), (objects, [{}, []]),
     ],
 )
 def test_readers_refuse_other_json_types_and_name_the_field(reader, value):
@@ -156,6 +157,6 @@ def test_readers_keep_the_values_they_accept():
     assert integer(7, "x") == 7
     assert numbers([1, 2.5], "x").tolist() == [1.0, 2.5] and numbers([], "x").dtype == np.float64
     assert integers([-1, 4], "x").tolist() == [-1, 4] and integers([-1, 4], "x").dtype == np.int64
-    assert integers([[1, 2], [3, 4]], "x", pairs=True).tolist() == [[1, 2], [3, 4]]
-    assert integers([], "x", pairs=True).shape == (0, 2)
+    assert pairs([[1, 2], [3, 4]], "x").tolist() == [[1, 2], [3, 4]]
+    assert pairs([], "x").shape == (0, 2)
     assert strings(["a", "b"], "x") == ["a", "b"]
