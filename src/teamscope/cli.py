@@ -505,19 +505,20 @@ def _recorded_matrix(data: Path, digests: dict) -> teamfeat.FeatureMatrix | None
 def _compute_matrix(data_dir) -> teamfeat.MatrixBuild:
     """The feature matrix of the dataset in ``data_dir``, each file read once.
 
-    The commits go into a column table, whose authors locate each commit's
-    team row and member slot, and the labels are joined to the commits on a
-    team by sha.
+    The teams go in (team_id, project_id) order, whatever the roster's row
+    order. The commits go into a column table, whose authors locate each
+    commit's team row and member slot, and the labels are joined to the
+    commits on a team by sha.
     """
     files = {name: Path(data_dir) / file for name, file in _DATASET_FILES.items()}
     table = load_commit_table(files["commits"])
-    roster = load_roster(files["roster"])
+    roster = sorted(load_roster(files["roster"]), key=lambda team: (team.team_id, team.project_id))
     labels = _read_labels(files["labels"])
     team_row, slot = locate_authors(table.author, roster)
     on_team = np.flatnonzero(team_row >= 0)
     joined = [labels.get(table.sha[i]) for i in on_team.tolist()]
     if None in joined:
-        # name the first unlabelled commit in roster order, then file order
+        # name the first unlabelled commit in team order, then file order
         missing = [i for i, label in zip(on_team.tolist(), joined) if label is None]
         row, first = min((team_row[i], i) for i in missing)
         with in_file(files["labels"]):
@@ -573,19 +574,21 @@ def _numbers(option: str, text, convert, count: int) -> list:
 
 
 def cmd_synth(args, outdir, digests):
-    mix = tuple(_numbers("--mix", args.mix, float, 3))
-    lo, hi = _numbers("--commits", args.commits, int, 2)
-    try:
-        config = synthgen.GenConfig(
-            seed=args.seed,
-            n_teams=args.teams,
-            style_mix=mix,
-            commits_per_team=(lo, hi),
-            noise_rate=args.noise,
-            pair_rate=args.pair_rate,
-        )
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    # a --config file's values win over the flags, so a refusal of the options names it
+    with in_file(args.config):
+        mix = tuple(_numbers("--mix", args.mix, float, 3))
+        lo, hi = _numbers("--commits", args.commits, int, 2)
+        try:
+            config = synthgen.GenConfig(
+                seed=args.seed,
+                n_teams=args.teams,
+                style_mix=mix,
+                commits_per_team=(lo, hi),
+                noise_rate=args.noise,
+                pair_rate=args.pair_rate,
+            )
+        except ValueError as exc:
+            raise DataError(str(exc)) from None
     teams, truth = synthgen.generate_corpus(config)
     written = synthgen.write_corpus(teams, truth, outdir)
     n_commits = sum(len(t.commits) for t in teams)

@@ -7,10 +7,10 @@ each leaf is pure or holds one sample, without pruning (Breiman, "Random
 Forests", Machine Learning 45, 2001). All trees of a forest grow in
 lockstep, and their bookkeeping is array work per step, not Python work per
 node. Each tree keeps its pending split candidates (impure nodes) on a row
-of one array stack. A step pops the top candidate of every unfinished tree
-and scores them together, in batched split searches of at most
-``_CELL_BUDGET`` (feature, sample) cells each. A split pushes its impure
-right child and then its impure left child, so every tree grows depth
+of one array stack. A step pops the top candidates of the first unfinished
+trees, as many as fit in ``_CELL_BUDGET`` (feature, sample) cells and at
+least one, and scores them together in one split search. A split pushes its
+impure right child and then its impure left child, so every tree grows depth
 first, left subtree before right, as it would alone.
 
 A tree's draws are those of ``Generator.choice``, made in blocks: one call
@@ -18,8 +18,8 @@ per tree draws its bootstrap and ``_BLOCK`` feature subsets, and a tree that
 uses its block up draws the next. Floyd's picks of all the trees' blocks are
 found at once (:func:`.evaluation.sorted_choices`). The subsets come in the
 order the tree uses them, one per split candidate in pre-order, so neither
-the lockstep, the blocks nor the batching changes a tree; what a finished
-tree has drawn ahead is never read.
+the lockstep, the blocks nor the trees a step takes changes a tree; what a
+finished tree has drawn ahead is never read.
 
 Nodes are made in creation order and then renumbered into each tree's
 pre-order by one sort. A tree is a set of parallel per-node arrays whose
@@ -47,12 +47,12 @@ from ..errors import DataError
 from .evaluation import check_training_set, choice_bounds, seed_sequence, sorted_choices
 from .serialize import fields, integer, integers, numbers, objects, pairs
 
-# Most cells (candidate feature x node sample) one batched split search holds.
-# It bounds the search's working memory, about 50 bytes a cell at its peak
-# (1.6 MB), whatever the number of trees, and is large enough that numpy's
-# per-call cost is small. A batch then has at most 1 << 14 segments, and its
-# sort keys (15 bits of segment, twice 8 bits of rank and row) stay int32 up
-# to 256 rows.
+# Most cells (candidate feature x node sample) the split search of one
+# lockstep step holds, unless its one node has more. It bounds the search's
+# working memory, about 50 bytes a cell at its peak (1.6 MB), whatever the
+# number of trees, and is large enough that numpy's per-call cost is small. A
+# step then has at most 1 << 14 segments, and its sort keys (15 bits of
+# segment, twice 8 bits of rank and row) stay int32 up to 256 rows.
 _CELL_BUDGET = 1 << 15
 # Feature subsets a tree draws per call. The trees that eval-teams grows on
 # the 150-team corpus have 4.3 split candidates on average, and one in nine
@@ -143,22 +143,26 @@ def _value_codes(X: np.ndarray, shift: int, dtype) -> np.ndarray:
 
     A rank is the value's dense rank within its column: equal values share
     one and ranks follow the values' order, so sorting a node's codes sorts
-    its values and keeps each sample's row. Columns go in blocks of at most
-    ``_CELL_BUDGET`` values.
+    its values and keeps each sample's row. One sort ranks every column.
     """
-    n, d = X.shape
-    codes = np.empty((d, n), dtype=dtype)
-    step = max(1, _CELL_BUDGET // n)
-    for lo in range(0, d, step):
-        columns = X[:, lo : lo + step].T
-        order = np.argsort(columns, axis=1)
-        values = np.take_along_axis(columns, order, axis=1)
-        rank = np.zeros(order.shape, dtype=dtype)
-        np.cumsum(values[:, 1:] != values[:, :-1], axis=1, out=rank[:, 1:])
-        rank <<= shift
-        rank |= order
-        np.put_along_axis(codes[lo : lo + step], order, rank, axis=1)
+    columns = X.T
+    order = np.argsort(columns, axis=1)
+    values = np.take_along_axis(columns, order, axis=1)
+    rank = np.zeros(order.shape, dtype=dtype)
+    np.cumsum(values[:, 1:] != values[:, :-1], axis=1, out=rank[:, 1:])
+    del values  # the codes are made without it, which keeps the pass's peak memory down
+    rank <<= shift
+    rank |= order
+    codes = np.empty_like(rank)
+    np.put_along_axis(codes, order, rank, axis=1)
     return codes
+
+
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The ranges [start, start + size) of each pair, one after another."""
+    at = np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+    at += np.arange(len(at))  # in place: the split search's index arrays are large
+    return at
 
 
 def _range_counts(prefix: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -168,15 +172,15 @@ def _range_counts(prefix: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     return np.vstack([hi - lo - ones, ones])
 
 
-def _split_nodes(X, codes, shift, y, rows, sizes, features, node_counts):
-    """Best split of every node of a batch, all scored in one pass.
+def _split_nodes(X, codes, shift, y, flat, starts, sizes, features, node_counts):
+    """Best split of every node of a step, all scored in one pass.
 
-    Node j owns the next ``sizes[j]`` entries of ``rows`` (bootstrap row
-    indices, repeats allowed), the class counts ``node_counts[:, j]`` and the
-    sorted candidate features ``features[j]``; ``y[row]`` is a row's 0/1
-    label. Each (node, feature) pair is a segment with one cell per sample,
-    and one sort of the keys ``segment << 2 shift | code`` orders every
-    segment by value. Cut i of a segment puts its first i+1 samples on the
+    Node j owns the ``sizes[j]`` entries of ``flat`` from ``starts[j]``
+    (bootstrap row indices, repeats allowed), the class counts
+    ``node_counts[:, j]`` and the sorted candidate features ``features[j]``;
+    ``y[row]`` is a row's 0/1 label. Each (node, feature) pair is a segment
+    with one cell per sample, and one sort of the keys ``segment << 2 shift
+    | code`` orders every segment by value. Cut i of a segment puts its first i+1 samples on the
     left. It is valid between two distinct values, and only valid cuts are
     scored. A node takes its lowest-scoring cut, the first in (feature, cut)
     order on ties: the lowest feature index, then the lowest threshold. The
@@ -185,8 +189,8 @@ def _split_nodes(X, codes, shift, y, rows, sizes, features, node_counts):
 
     Returns, for the nodes that have a valid cut (their indices ``split``),
     the feature, threshold, left child size and left child class counts
-    (2 x nodes), and their rows concatenated, each node's ordered by
-    its chosen feature so that the left child's rows come first.
+    (2 x nodes). Each of them has its entries of ``flat`` reordered by its
+    chosen feature, so that the left child's rows come first.
     """
     n = X.shape[0]
     m, k = features.shape
@@ -194,10 +198,7 @@ def _split_nodes(X, codes, shift, y, rows, sizes, features, node_counts):
     seg_ends = np.cumsum(seg_sizes)
     seg_starts = seg_ends - seg_sizes
     n_cells = int(seg_ends[-1])
-    node_starts = np.cumsum(sizes) - sizes
-    at = np.repeat(np.repeat(node_starts, k) - seg_starts, seg_sizes)
-    at += np.arange(n_cells)
-    at = rows[at]  # the row of every cell
+    at = flat[_ranges(np.repeat(starts, k), seg_sizes)]  # the row of every cell
     at += np.repeat(features.ravel() * n, seg_sizes)
     key = np.repeat(np.arange(m * k, dtype=codes.dtype) << (2 * shift), seg_sizes)
     key |= codes.take(at)
@@ -214,7 +215,7 @@ def _split_nodes(X, codes, shift, y, rows, sizes, features, node_counts):
     n_left = cut + 1 - seg_starts.take(cut_seg)
     if cut.size == 0:
         empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, np.zeros(0), empty, np.zeros((2, 0), dtype=np.int64), empty
+        return empty, empty, np.zeros(0), empty, np.zeros((2, 0), dtype=np.int64)
 
     # prefix[i]: cells of class 1 before cell i
     prefix = np.zeros(n_cells + 1, dtype=y.dtype)
@@ -248,31 +249,30 @@ def _split_nodes(X, codes, shift, y, rows, sizes, features, node_counts):
     # a midpoint can round up onto the next value; the lower value keeps that value's samples right
     threshold = np.where(threshold == above, below, threshold)
     n_left = n_left[best]
-    starts = seg_starts[best_seg]
-    left_counts = _range_counts(prefix, starts, starts + n_left)
-
+    lo = seg_starts[best_seg]  # each chosen segment's first cell
+    left_counts = _range_counts(prefix, lo, lo + n_left)
     split_sizes = sizes[split]
-    out_starts = np.cumsum(split_sizes) - split_sizes
-    ordered = cell_rows[np.arange(split_sizes.sum()) + np.repeat(starts - out_starts, split_sizes)]
-    return split, feature, threshold, n_left, left_counts, ordered
+    flat[_ranges(starts[split], split_sizes)] = cell_rows[_ranges(lo, split_sizes)]
+    return split, feature, threshold, n_left, left_counts
 
 
 def _grow_trees(X, y, rngs) -> ForestModel:
     """The forest of one tree per generator, all grown in lockstep.
 
     Every tree grows depth first, left subtree before right. Each step pops
-    the next split candidate (an impure node) of every unfinished tree,
-    gives it the tree's next feature subset, and scores the step's nodes in
-    batched split searches. A split pushes its impure right child and then
-    its impure left child onto its tree's stack. A tree's subsets thus come
-    in the order it would draw them growing alone: one per split candidate,
-    in pre-order, after its bootstrap.
+    the next split candidate (an impure node) of the first unfinished trees
+    that fit in ``_CELL_BUDGET`` cells, gives it the tree's next feature
+    subset, and scores the step's nodes in one split search. A split pushes
+    its impure right child and then its impure left child onto its tree's
+    stack. A tree's subsets thus come in the order it would draw them
+    growing alone: one per split candidate, in pre-order, after its
+    bootstrap.
     """
     n, d = X.shape
     n_trees = len(rngs)
     k_features = max(1, math.isqrt(d))
     shift = max(1, (n - 1).bit_length())
-    # a batch has at most budget / 2 segments (split candidates hold two or
+    # a step has at most budget / 2 segments (split candidates hold two or
     # more samples), or k_features when one node exceeds the budget alone
     segments = max(_CELL_BUDGET // 2, k_features)
     key_bits = segments.bit_length() + 2 * shift
@@ -313,8 +313,15 @@ def _grow_trees(X, y, rngs) -> ForestModel:
 
     growing = np.flatnonzero(top)
     while growing.size:
-        top[growing] -= 1
-        start, end, node_ones, node = stack[growing, top[growing]].T
+        # the first unfinished trees whose next candidates fit in _CELL_BUDGET
+        # cells together, and always one; the others keep theirs for a later step
+        height = top[growing] - 1
+        pending = stack[growing, height]
+        cells = np.cumsum(pending[:, 1] - pending[:, 0]) * k_features
+        taken = max(1, int(np.searchsorted(cells, _CELL_BUDGET, side="right")))
+        growing = growing[:taken]
+        top[growing] = height[:taken]
+        start, end, node_ones, node = pending[:taken].T
         spent = growing[used[growing] == _BLOCK]
         if spent.size:
             subsets[spent] = sorted_subsets(np.stack([rngs[t].integers(0, block) for t in spent.tolist()]))
@@ -323,28 +330,9 @@ def _grow_trees(X, y, rngs) -> ForestModel:
         used[growing] += 1
         sizes = end - start
         node_counts = np.vstack([sizes - node_ones, node_ones])
-
-        # batches of consecutive nodes of at most _CELL_BUDGET cells each (a
-        # node larger than the budget goes alone)
-        cells = np.cumsum(sizes) * k_features
-        found = []
-        lo = 0
-        while lo < len(growing):
-            before = cells[lo - 1] if lo else 0
-            hi = max(lo + 1, int(np.searchsorted(cells, before + _CELL_BUDGET, side="right")))
-            batch_sizes = sizes[lo:hi]
-            span = np.arange(batch_sizes.sum()) + np.repeat(
-                start[lo:hi] - (np.cumsum(batch_sizes) - batch_sizes), batch_sizes
-            )
-            split, *best, ordered = _split_nodes(
-                X, codes, shift, y, flat[span], batch_sizes, candidates[lo:hi], node_counts[:, lo:hi]
-            )
-            is_split = np.zeros(hi - lo, dtype=bool)
-            is_split[split] = True
-            flat[span[np.repeat(is_split, batch_sizes)]] = ordered
-            found.append((split + lo, *best))
-            lo = hi
-        split, feature, threshold, n_left, left_counts = (np.concatenate(v, axis=-1) for v in zip(*found))
+        split, feature, threshold, n_left, left_counts = _split_nodes(
+            X, codes, shift, y, flat, start, sizes, candidates, node_counts
+        )
 
         # the step's children: the left child of each split, then the right ones
         m = len(split)

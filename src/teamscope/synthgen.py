@@ -111,6 +111,12 @@ class GenConfig:
             raise ValueError(f"empty commits_per_team range {self.commits_per_team}")
         if self.n_teams < 1:
             raise ValueError(f"n_teams must be at least 1, got {self.n_teams}")
+        # about ten times the largest course measured; checked before any size becomes a float or a list
+        if self.n_teams * hi > 1_000_000:
+            raise ValueError(
+                f"n_teams (--teams) {self.n_teams} times the most commits_per_team (the HI of --commits) "
+                f"{hi} allows more than 1000000 commits"
+            )
         if not 0.0 <= self.noise_rate <= 1.0:
             raise ValueError("noise_rate must be within [0, 1]")
         if not 0.0 <= self.pair_rate <= 1.0:

@@ -639,12 +639,17 @@ def _roster_reordered(corpus: Path, tmp: str, order, swaps) -> Path:
     header, *rows = (corpus / "roster.csv").read_text(encoding="utf-8").splitlines(keepends=True)
     teams = [rows[i : i + 2] for i in range(0, len(rows), 2)]
     assert len(teams) == _TEAMS and all(a.split(",")[0] == b.split(",")[0] for a, b in teams)
-    data = Path(tmp) / "data"
+    members = [teams[t][::-1] if swap else teams[t] for t, swap in zip(order, swaps)]
+    return _with_roster(corpus, Path(tmp), header + "".join(sum(members, [])))
+
+
+def _with_roster(corpus: Path, work: Path, roster: str) -> Path:
+    """A dataset in ``work``: the commits and labels of ``corpus`` with ``roster`` as its roster."""
+    data = work / "data"
     data.mkdir()
     for name in ("commits.jsonl", "labels.jsonl"):
         shutil.copy(corpus / name, data / name)
-    members = [teams[t][::-1] if swap else teams[t] for t, swap in zip(order, swaps)]
-    (data / "roster.csv").write_text(header + "".join(sum(members, [])), encoding="utf-8")
+    (data / "roster.csv").write_text(roster, encoding="utf-8")
     return data
 
 
@@ -654,8 +659,6 @@ _roster_orders = {
 }
 
 
-# Training is not order-invariant: bootstrap and fold draws follow row order. So
-# only the commands that apply a trained model are held to the roster's order.
 @settings(_CLI_EXAMPLES, max_examples=10)
 @example(order=list(reversed(range(_TEAMS))), swaps=[True] * _TEAMS)
 @given(**_roster_orders)
@@ -699,6 +702,42 @@ def test_logistic_predictions_do_not_depend_on_roster_order(team_model, logistic
         # a team's row is at another place in the matrix product
         confidence = float(predictions[team]["confidence"])
         assert confidence == pytest.approx(float(row["confidence"]), rel=1e-12, abs=1e-15)
+
+
+_TEAM_OUTPUTS = ("features.csv", "teams_forest.json", "team_eval_forest.json", "predictions.csv", "flags.json")
+
+
+def _team_outputs(data: Path, styles: Path, out: Path) -> dict:
+    """The bytes of each team command's output on the dataset in ``data``, which holds no features.csv."""
+    argv = ["--data", str(data), "--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["features", *argv]) == 0
+        assert main(["train-teams", *argv, "--styles", str(styles), "--seed", "9"]) == 0
+        assert main(["eval-teams", *argv, "--styles", str(styles), "--seed", "9", "--folds", "3"]) == 0
+        for command in ("predict", "flag"):
+            assert main([command, "--model", str(out / "teams_forest.json"), *argv]) == 0
+    return {name: (out / name).read_bytes() for name in _TEAM_OUTPUTS}
+
+
+@pytest.fixture(scope="module")
+def team_outputs(team_model, tmp_path_factory) -> dict:
+    corpus, _ = team_model
+    work = tmp_path_factory.mktemp("team_outputs")
+    data = _with_roster(corpus, work, (corpus / "roster.csv").read_text(encoding="utf-8"))
+    return _team_outputs(data, corpus / "truth_teams.csv", work / "out")
+
+
+@settings(_CLI_EXAMPLES, max_examples=10)
+@example(order=list(reversed(range(2 * _TEAMS))))
+@given(order=st.permutations(range(2 * _TEAMS)))
+def test_team_models_and_reports_do_not_depend_on_roster_row_order(team_model, team_outputs, order):
+    # the teams are taken in team-id order: bootstrap and fold draws follow it
+    corpus, _ = team_model
+    header, *rows = (corpus / "roster.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        data = _with_roster(corpus, Path(tmp), header + "".join(rows[i] for i in order))
+        outputs = _team_outputs(data, corpus / "truth_teams.csv", Path(tmp) / "out")
+    assert outputs == team_outputs
 
 
 @pytest.fixture(scope="module")
@@ -817,6 +856,11 @@ BAD_INPUT = [
      "cfg.json: one of the options --gitlog or --jsonl is required"),
     (["synth", "--teams", "-3"], None, 1, "at least 1"),
     (["synth", "--pair-rate", "7"], None, 2, "pair_rate must be within [0, 1]"),
+    # a course beyond 1,000,000 commits is refused before any of it is built
+    (["synth", "--teams", str(2**63 - 1)], None, 2, "(--teams) 9223372036854775807 times"),
+    (["synth"], ("cfg.json", f'{{"teams": {10**400}}}'), 2, "allows more than 1000000 commits"),
+    (["synth", "--teams", "4", "--commits", f"1,{2**63 - 1}"], None, 2,
+     "(the HI of --commits) 9223372036854775807 allows more than 1000000 commits"),
     (["kappa", "--a", "{file}", "--b", "{tagged}"], ("short-row.csv", "id,label\na,x\nb\n"), 2,
      "short-row.csv line 3: expected 2 fields, got 1"),
     (["kappa", "--a", "{file}", "--b", "{tagged}"], ("extra-field.csv", "id,label\na,x,zzz\n"), 2,
@@ -1120,6 +1164,11 @@ def _replace_somewhere(value, data):
 
 
 def _wrong_type(name: str, text: str, data) -> str:
+    if name == "cfg.json":  # a value, not the mapping: an empty one would synthesize the default 150 teams
+        config = json.loads(text)
+        key = data.draw(st.sampled_from(sorted(config)))
+        config[key] = data.draw(_JUNK)
+        return json.dumps(config)
     if name.endswith(".csv"):
         rows = list(csv.reader(io.StringIO(text)))
         row = data.draw(st.integers(0, len(rows) - 1))
@@ -1187,17 +1236,41 @@ def _as_read(payload, cascade: bool):
 
 
 _MODEL_EDITS = ["delete key", "add key", "resize list"]
+# every synth option at a cheap value, as are the flags synth runs with: a deleted key never means 150 teams
+_SYNTH_CONFIG = {"seed": 1, "teams": 3, "commits": "20,30", "mix": "0.5,0.3,0.2", "noise": 0.1, "pair_rate": 0.05}
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+class _Draws:
+    """Stands in for hypothesis's ``data`` in an explicit example: each draw is the next of ``values``."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def draw(self, strategy, label=None):
+        return self.values.pop(0)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
+    suppress_health_check=[HealthCheck.too_slow],
+)
+# junk that only a size bound refuses, where the size becomes a float or a list
+@example(name="cfg.json", data=_Draws("wrong type", "teams", 2**63))
+@example(name="cfg.json", data=_Draws("wrong type", "teams", 10**400))
 @given(
-    name=st.sampled_from(["commits.jsonl", "roster.csv", "labels.jsonl", "teams.json", "cascade.json"]),
+    name=st.sampled_from(["commits.jsonl", "roster.csv", "labels.jsonl", "teams.json", "cascade.json", "cfg.json"]),
     data=st.data(),
 )
 def test_corrupted_inputs_never_exit_internal_error(team_model, cascade_model, name, data):
     # a refusal names the file in one line, and a model file that loads holds
-    # nothing its model does not read back
-    kinds = ["truncate", "0xff", "delete line", "wrong type"] + (_MODEL_EDITS if name.endswith(".json") else [])
+    # nothing its model does not read back; a synth --config file loses a
+    # key, gains a misspelt one or holds a junk value
+    if name == "cfg.json":
+        kinds = ["delete key", "add key", "wrong type"]
+    else:
+        kinds = ["truncate", "0xff", "delete line", "wrong type"] + (_MODEL_EDITS if name.endswith(".json") else [])
     kind = data.draw(st.sampled_from(kinds))
     corpus, team_path = team_model
     with tempfile.TemporaryDirectory() as tmp:
@@ -1205,6 +1278,7 @@ def test_corrupted_inputs_never_exit_internal_error(team_model, cascade_model, n
         shutil.copytree(corpus, work / "corpus")
         shutil.copy(team_path, work / "teams.json")
         shutil.copy(cascade_model, work / "cascade.json")
+        (work / "cfg.json").write_text(json.dumps(_SYNTH_CONFIG), encoding="utf-8")
         path = work / name if name.endswith(".json") else work / "corpus" / name
         raw = path.read_bytes()
         if kind == "truncate":
@@ -1222,18 +1296,20 @@ def test_corrupted_inputs_never_exit_internal_error(team_model, cascade_model, n
             raw = _wrong_type(name, raw.decode("utf-8"), data).encode("utf-8")
         path.write_bytes(raw)
 
-        if name == "cascade.json":
-            argv = ["label-commits", "--model", str(work / name)]
+        if name == "cfg.json":
+            argv = ["synth", "--teams", "3", "--commits", "20,30", "--config", str(path)]
+        elif name == "cascade.json":
+            argv = ["label-commits", "--model", str(path), "--data", str(work / "corpus")]
         else:
-            argv = ["predict", "--model", str(work / "teams.json")]
+            argv = ["predict", "--model", str(work / "teams.json"), "--data", str(work / "corpus")]
         stderr = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            code = main(argv + ["--data", str(work / "corpus"), "--out", str(work / "out")])
+            code = main(argv + ["--out", str(work / "out")])
         err = stderr.getvalue()
         assert code in (0, 2), err
         if code == 2:
             assert re.fullmatch(rf"error: {re.escape(str(work))}/\S+( line [1-9][0-9]*)?: [^\n]+\n", err), err
-        elif name.endswith(".json"):
+        elif name in ("teams.json", "cascade.json"):
             cascade = name == "cascade.json"
             model_kind, model_cls = ("cascade", CascadeModel) if cascade else ("teamstyle", TeamStyleModel)
             payload = load_model(path, model_kind)

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,17 +189,24 @@ def _assert_matches_reference(X, y, n_trees, seed):
 
 
 @settings(max_examples=120, deadline=None)
-@given(data=_forest_inputs(), n_trees=st.integers(1, 40), seed=st.integers(0, 2**32))
-def test_matches_reference_forest(data, n_trees, seed):
-    # trees finish after different numbers of lockstep steps: ragged batches
+@given(
+    data=_forest_inputs(),
+    n_trees=st.integers(1, 40),
+    seed=st.integers(0, 2**32),
+    budget=st.sampled_from([8, 64, forest_module._CELL_BUDGET]),
+)
+def test_matches_reference_forest(data, n_trees, seed, budget):
+    # trees finish after different numbers of lockstep steps, and a small
+    # budget leaves trees waiting for a later step on every shape
     X, y = data
-    _assert_matches_reference(X, y, n_trees, seed)
+    with mock.patch.object(forest_module, "_CELL_BUDGET", budget):
+        _assert_matches_reference(X, y, n_trees, seed)
 
 
 @pytest.mark.parametrize("n_rows", [150, 300])  # 300 rows need 64-bit sort keys
 def test_matches_reference_forest_beyond_one_batch(n_rows):
-    # the first lockstep step (40 roots x n_rows samples x 6 features) is
-    # split into several batched split searches
+    # the 40 roots (n_rows samples x 6 features each) exceed one step's
+    # budget, so they take several lockstep steps
     rng = np.random.default_rng(21)
     X = rng.integers(0, 6, size=(n_rows, 40)).astype(np.float64)  # integer ties
     X[:, [4, 19, 33]] = 2.0  # constant columns
