@@ -9,13 +9,12 @@ produce byte-identical files (model files only under the same BLAS build
 and thread count). Exit codes: 0 success, 1 usage error, 2 data error, 3
 internal error.
 
-``main`` is the one driver: it parses the command line, applies
-``--config``, hashes the input files the command declares, creates the
-output directory, runs the command and writes the manifest. A ``cmd_*``
-function parses each input once, writes its own files and returns what it
-computed and the files it wrote (``None`` when it writes nothing). Hashing
-before parsing records the bytes that were read, even when an output
-overwrites an input.
+``main`` is the one driver and the one reader of a command's input files: it parses the
+command line, applies ``--config``, reads and hashes each declared input file once,
+creates the output directory, runs the command and writes the manifest, which so records
+the bytes that were parsed. A ``cmd_*`` function is handed each input's path and bytes and
+pops each one as it parses it, so the bytes go once parsed; it writes its own files and
+returns what it computed and the files it wrote (``None`` when it writes nothing).
 
 The commands that read a dataset's feature matrix take the one that
 ``features`` wrote while ``manifest_features.json`` still records the
@@ -29,10 +28,7 @@ import argparse
 import csv
 import functools
 import hashlib
-import io
 import json
-import os
-import stat
 import sys
 from pathlib import Path
 
@@ -40,15 +36,15 @@ import numpy as np
 
 from . import __version__, commitcls, synthgen, teamfeat, teamstyle
 from .commitcls import CascadeModel, CommitCategory
-from .errors import DataError, csv_rows, in_file, jsonl_values, open_text
+from .errors import DataError, csv_rows, in_file, jsonl_values, open_text, read_input
 from .ingest import (
     dump_commit_rows,
     dump_roster,
     git_log_rows,
     jsonl_rows,
     load_commit_table,
-    load_roster,
     locate_authors,
+    read_roster,
 )
 from .mlcore import canonical_json, cohens_kappa, load_model, save_model
 from .teamstyle import TeamStyle
@@ -64,9 +60,10 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         _apply_config(args)
-        digests = {name: _sha256(path) for name, path in _inputs(args).items()}
+        inputs = {name: (path, read_input(path)) for name, path in _inputs(args).items()}
+        digests = {name: _digest(data) for name, (_, data) in inputs.items()}
         outdir = _outdir(args)
-        manifest = args.func(args, outdir, digests)
+        manifest = args.func(args, outdir, digests, inputs)
         if manifest is not None:
             _write_manifest(outdir, args, digests, *manifest)
         return 0
@@ -194,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
             dataset, out="{data}", reads=("model", *_DATASET_FILES))
     p.add_argument("--model", required=True, help="team-style model file")
 
-    p = add("kappa", "Cohen's kappa between two label CSVs", cmd_kappa)
+    p = add("kappa", "Cohen's kappa between two label CSVs", cmd_kappa, reads=("a", "b"))
     p.add_argument("--a", required=True, help="first labeling (id,label CSV)")
     p.add_argument("--b", required=True, help="second labeling (id,label CSV)")
 
@@ -215,7 +212,7 @@ def _apply_config(args: argparse.Namespace) -> None:
     if not args.config:
         return
     path = Path(args.config)
-    with open_text(path) as fh:
+    with open_text(path, read_input(path)) as fh:
         try:
             if path.suffix == ".toml":
                 try:
@@ -273,20 +270,6 @@ def _inputs(args) -> dict[str, Path]:
     }
 
 
-def _sha256(path: Path) -> str:
-    return _digest(_regular_file_bytes(path))
-
-
-def _regular_file_bytes(path: Path) -> bytes:
-    """The bytes of ``path``. Anything but a regular file is refused unopened
-    (``DataError``): a read would block on a pipe, or drain it and leave the
-    command nothing to parse."""
-    if not stat.S_ISREG(os.stat(path).st_mode):
-        with in_file(path):
-            raise DataError("not a regular file")
-    return path.read_bytes()
-
-
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -323,14 +306,14 @@ def _stamp(command: str, inputs: dict) -> dict:
 
 
 def _write_manifest(outdir: Path, args, inputs: dict, facts: dict, outputs: list[Path]) -> None:
-    """``inputs`` are the sha256 of the command's input files, taken before it ran. The config is each
+    """``inputs`` are the sha256 of the bytes of the command's input files it parsed. The config is each
     option but the input files and directories, as its flag read it, then the computed ``facts``."""
     skipped = {*args.reads, "data", "out"}
     options = {dest: getattr(args, dest) for dest in _options(args) if dest not in skipped}
     manifest = {
         **_stamp(args.command, inputs),
         "config": {**options, **facts},
-        "outputs": {p.name: _sha256(p) for p in sorted(outputs)},
+        "outputs": {p.name: _digest(p.read_bytes()) for p in sorted(outputs)},
     }
     path = outdir / f"manifest_{args.command}.json"
     path.write_text(canonical_json(manifest) + "\n", encoding="utf-8")
@@ -358,16 +341,16 @@ def _write_report(outdir: Path, stem: str, fmt: str, payload, label: str, report
     return path
 
 
-def _read_model(path, kind: str, model_cls):
-    """The ``kind`` model in a model file, as ``model_cls``; ``from_dict``'s
-    refusals are DataErrors, which name the file."""
-    payload = load_model(path, kind)
+def _read_model(path, data: bytes, kind: str, model_cls):
+    """The ``kind`` model in the model file ``data`` read from ``path``, as
+    ``model_cls``; ``from_dict``'s refusals are DataErrors, which name the file."""
+    payload = load_model(path, data, kind)
     with in_file(path):
         return model_cls.from_dict(payload)
 
 
-def _read_pairs(path, names=None, values=None, keyed=True) -> list[tuple]:
-    """(key, value) per row of a CSV file of two columns, in file order.
+def _read_pairs(path, data: bytes, names=None, values=None, keyed=True) -> list[tuple]:
+    """(key, value) per row of the CSV file of two columns ``data`` read from ``path``, in file order.
 
     The header must be ``names`` in either order, or any two names when None;
     the first name's column holds the key, and the other holds the value: its
@@ -376,7 +359,7 @@ def _read_pairs(path, names=None, values=None, keyed=True) -> list[tuple]:
     ``keyed`` file a key may appear once.
     """
     pairs, seen = [], set()
-    with open_text(path, newline="") as fh:
+    with open_text(path, data, newline="") as fh:
         rows = csv_rows(fh)
         line, header = next(rows, (None, []))
         if len(header) != 2 or (names is not None and set(header) != set(names)):
@@ -404,8 +387,8 @@ def _members(enum_cls) -> dict:
     return {member.value: member for member in enum_cls}
 
 
-def _read_tagged(path) -> list[tuple[str, CommitCategory]]:
-    return _read_pairs(path, ("message", "category"), _members(CommitCategory), keyed=False)
+def _read_tagged(path, data: bytes) -> list[tuple[str, CommitCategory]]:
+    return _read_pairs(path, data, ("message", "category"), _members(CommitCategory), keyed=False)
 
 
 # each category's name in labels.jsonl, to its scope code
@@ -432,10 +415,10 @@ def _label_lines(shas, labels):
         yield f"{prefix}{_quote(sha)}}}\n"
 
 
-def _read_labels(path) -> dict[str, tuple[int, bool]]:
-    """Each labelled sha's (scope code, pair-programming flag)."""
+def _read_labels(path, data: bytes) -> dict[str, tuple[int, bool]]:
+    """Each labelled sha's (scope code, pair-programming flag) in the labels file ``data`` read from ``path``."""
     labels = {}
-    with open_text(path) as fh:
+    with open_text(path, data) as fh:
         for line, raw in jsonl_values(fh):
             if not isinstance(raw, dict):
                 raise DataError("not a JSON object", line=line)
@@ -456,13 +439,13 @@ def _read_labels(path) -> dict[str, tuple[int, bool]]:
     return labels
 
 
-def _load_dataset(data_dir, digests: dict):
+def _load_dataset(data_dir, digests: dict, inputs: dict):
     """The dataset's feature matrix: the one ``features`` recorded while it is still
     current against ``digests``, the sha256 of the inputs by manifest name
-    (:func:`_recorded_matrix`), and on any miss the one computed."""
-    data = Path(data_dir)
-    matrix = _recorded_matrix(data, {name: digests[name] for name in _DATASET_FILES})
-    return _compute_matrix(data) if matrix is None else matrix
+    (:func:`_recorded_matrix`), and on any miss the one computed from ``inputs``."""
+    files = {name: inputs.pop(name) for name in _DATASET_FILES}
+    matrix = _recorded_matrix(Path(data_dir), {name: digests[name] for name in _DATASET_FILES})
+    return _compute_matrix(files) if matrix is None else matrix
 
 
 def _recorded_matrix(data: Path, digests: dict) -> teamfeat.FeatureMatrix | None:
@@ -471,15 +454,14 @@ def _recorded_matrix(data: Path, digests: dict) -> teamfeat.FeatureMatrix | None
     A verifying trace: the manifest must hold this code's :func:`_stamp` of
     ``features`` on ``digests`` (the dataset files' sha256 now) and its
     outputs the sha256 of the ``features.csv`` and ``registry.json`` bytes
-    read here. ``registry.json`` must be this registry's, and the CSV a
-    finite matrix under its columns. A missing, unreadable or malformed file
-    is a miss like any other, and so is one that is not a regular file,
-    which is left unopened: a read could block on a pipe.
+    read here. ``registry.json`` must be this registry's, and the CSV, turned into floats a
+    row at a time as it is decoded, a finite matrix under its columns. A missing, unreadable
+    or malformed file is a miss like any other, and so is one that is not a regular file.
     """
     try:
-        manifest = json.loads(_regular_file_bytes(data / "manifest_features.json"))
-        table = _regular_file_bytes(data / "features.csv")
-        registry = _regular_file_bytes(data / "registry.json")
+        manifest = json.loads(read_input(data / "manifest_features.json"))
+        table = read_input(data / "features.csv")
+        registry = read_input(data / "registry.json")
     except (DataError, OSError, ValueError, RecursionError):
         return None
     recorded = {
@@ -491,29 +473,31 @@ def _recorded_matrix(data: Path, digests: dict) -> teamfeat.FeatureMatrix | None
     if registry != (_registry_json() + "\n").encode("utf-8"):
         return None
     try:
-        header, *rows = csv.reader(io.StringIO(table.decode("utf-8"), newline=""))
-        if header != ["team_id", *teamfeat.REGISTRY] or not rows or any(len(r) != len(header) for r in rows):
-            return None
-        raw = np.array([[float(v) for v in row[1:]] for row in rows], dtype=np.float64)
-    except (ValueError, csv.Error):
+        with open_text(data / "features.csv", table, newline="") as fh:
+            rows = csv.reader(fh)
+            header = next(rows, None)
+            teams = [(team_id, np.array([float(v) for v in row])) for team_id, *row in rows]
+        raw = np.array([values for _, values in teams], dtype=np.float64)
+    except (DataError, ValueError, csv.Error):
         return None
-    if not np.isfinite(raw).all():
+    shape = (len(teams), len(teamfeat.REGISTRY))
+    if header != ["team_id", *teamfeat.REGISTRY] or raw.shape != shape or not np.isfinite(raw).all():
         return None
-    return teamfeat.FeatureMatrix([row[0] for row in rows], teamfeat.REGISTRY, raw)
+    return teamfeat.FeatureMatrix([team_id for team_id, _ in teams], teamfeat.REGISTRY, raw)
 
 
-def _compute_matrix(data_dir) -> teamfeat.MatrixBuild:
-    """The feature matrix of the dataset in ``data_dir``, each file read once.
+def _compute_matrix(files: dict) -> teamfeat.MatrixBuild:
+    """The feature matrix of a dataset's files, each its path and bytes by manifest name.
 
     The teams go in (team_id, project_id) order, whatever the roster's row
     order. The commits go into a column table, whose authors locate each
     commit's team row and member slot, and the labels are joined to the
     commits on a team by sha.
     """
-    files = {name: Path(data_dir) / file for name, file in _DATASET_FILES.items()}
-    table = load_commit_table(files["commits"])
-    roster = sorted(load_roster(files["roster"]), key=lambda team: (team.team_id, team.project_id))
-    labels = _read_labels(files["labels"])
+    table = load_commit_table(*files.pop("commits"))
+    roster = sorted(read_roster(*files.pop("roster")), key=lambda team: (team.team_id, team.project_id))
+    labels_path = files["labels"][0]
+    labels = _read_labels(*files.pop("labels"))
     team_row, slot = locate_authors(table.author, roster)
     on_team = np.flatnonzero(team_row >= 0)
     joined = [labels.get(table.sha[i]) for i in on_team.tolist()]
@@ -521,7 +505,7 @@ def _compute_matrix(data_dir) -> teamfeat.MatrixBuild:
         # name the first unlabelled commit in team order, then file order
         missing = [i for i, label in zip(on_team.tolist(), joined) if label is None]
         row, first = min((team_row[i], i) for i in missing)
-        with in_file(files["labels"]):
+        with in_file(labels_path):
             raise DataError(f"no label for commit {table.sha[first]} (team {roster[row].team_id})")
     scope, pair = np.array(joined, dtype=np.int64).reshape(-1, 2).T
     return teamfeat.matrix_from_columns(
@@ -537,13 +521,13 @@ def _compute_matrix(data_dir) -> teamfeat.MatrixBuild:
     )
 
 
-def _load_styled_dataset(args, digests: dict):
+def _load_styled_dataset(args, digests: dict, inputs: dict):
     """The feature matrix and each team's style (``--styles`` or the rubric oracle)."""
-    build = _load_dataset(args.data, digests)
+    build = _load_dataset(args.data, digests, inputs)
     if not args.styles:
         return build, teamstyle.oracle_labels(build)
     with in_file(args.styles):
-        styles = dict(_read_pairs(args.styles, ("team_id", "style"), _members(TeamStyle)))
+        styles = dict(_read_pairs(*inputs.pop("styles"), ("team_id", "style"), _members(TeamStyle)))
         missing = [t for t in build.team_ids if t not in styles]
         if missing:
             raise DataError(f"styles file lacks entries for teams: {missing[:5]}")
@@ -573,7 +557,7 @@ def _numbers(option: str, text, convert, count: int) -> list:
 # commands
 
 
-def cmd_synth(args, outdir, digests):
+def cmd_synth(args, outdir, digests, inputs):
     # a --config file's values win over the flags, so a refusal of the options names it
     with in_file(args.config):
         mix = tuple(_numbers("--mix", args.mix, float, 3))
@@ -596,14 +580,14 @@ def cmd_synth(args, outdir, digests):
     return {"mix": list(mix), "commits": [lo, hi]}, written
 
 
-def cmd_ingest(args, outdir, digests):
+def cmd_ingest(args, outdir, digests, inputs):
     # either input gives the same rows, and one writer writes them
     if args.gitlog:
-        with open_text(args.gitlog) as fh:
+        with open_text(*inputs.pop("gitlog")) as fh:
             commits = git_log_rows(fh.read())
     else:
-        commits = list(jsonl_rows(args.jsonl))
-    roster = load_roster(args.roster)
+        commits = list(jsonl_rows(*inputs.pop("jsonl")))
+    roster = read_roster(*inputs.pop("roster"))
     team_row, _ = locate_authors([row[1] for row in commits], roster)
     unmatched = int((team_row < 0).sum())
 
@@ -616,9 +600,9 @@ def cmd_ingest(args, outdir, digests):
     return {"unmatched": unmatched}, [outdir / "commits.jsonl", outdir / "roster.csv"]
 
 
-def cmd_train_commits(args, outdir, digests):
-    tagged = _read_tagged(args.tagged)
-    lexicon = load_lexicon(args.english_words, args.domain_words, args.stopwords)
+def cmd_train_commits(args, outdir, digests, inputs):
+    tagged = _read_tagged(*inputs.pop("tagged"))
+    lexicon = load_lexicon(*(inputs.pop(name, None) for name in ("english_words", "domain_words", "stopwords")))
     distinct = commitcls.distinct_messages(m for m, _ in tagged)
     cascade = commitcls.train_cascade(tagged, lexicon=lexicon, distinct=distinct)
     model_path = outdir / "cascade.json"
@@ -628,8 +612,8 @@ def cmd_train_commits(args, outdir, digests):
     return config, [model_path]
 
 
-def cmd_eval_commits(args, outdir, digests):
-    tagged = _read_tagged(args.tagged)
+def cmd_eval_commits(args, outdir, digests, inputs):
+    tagged = _read_tagged(*inputs.pop("tagged"))
     reports = commitcls.evaluate_cascade(tagged, k=args.folds, seed=args.seed)
     report_path = _write_report(
         outdir,
@@ -642,9 +626,9 @@ def cmd_eval_commits(args, outdir, digests):
     return {}, [report_path]
 
 
-def cmd_label_commits(args, outdir, digests):
-    cascade = _read_model(args.model, "cascade", CascadeModel)
-    table = load_commit_table(Path(args.data) / _DATASET_FILES["commits"])
+def cmd_label_commits(args, outdir, digests, inputs):
+    cascade = _read_model(*inputs.pop("model"), "cascade", CascadeModel)
+    table = load_commit_table(*inputs.pop("commits"))
     distinct, at = commitcls.distinct_messages(table.msg)
     categories, pairs = commitcls.label_distinct(cascade, distinct)
 
@@ -659,9 +643,9 @@ def cmd_label_commits(args, outdir, digests):
     return config, [labels_path]
 
 
-def cmd_features(args, outdir, digests):
+def cmd_features(args, outdir, digests, inputs):
     # the producer of the recorded matrix: it never reads its own earlier output
-    build = _compute_matrix(args.data)
+    build = _compute_matrix(inputs)
     features_path = outdir / "features.csv"
     with open(features_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -674,8 +658,8 @@ def cmd_features(args, outdir, digests):
     return {"teams": len(build.team_ids), "columns": len(build.registry)}, [features_path, registry_path]
 
 
-def cmd_train_teams(args, outdir, digests):
-    build, styles = _load_styled_dataset(args, digests)
+def cmd_train_teams(args, outdir, digests, inputs):
+    build, styles = _load_styled_dataset(args, digests, inputs)
     model = teamstyle.train_team_model(
         build.raw, styles, algorithm=args.algorithm, k_features=args.k_features, seed=args.seed
     )
@@ -685,8 +669,8 @@ def cmd_train_teams(args, outdir, digests):
     return {}, [model_path]
 
 
-def cmd_eval_teams(args, outdir, digests):
-    build, styles = _load_styled_dataset(args, digests)
+def cmd_eval_teams(args, outdir, digests, inputs):
+    build, styles = _load_styled_dataset(args, digests, inputs)
     result = teamstyle.evaluate_team_model(
         build.raw,
         styles,
@@ -714,9 +698,9 @@ def cmd_eval_teams(args, outdir, digests):
     return {}, [report_path]
 
 
-def cmd_predict(args, outdir, digests):
-    build = _load_dataset(args.data, digests)
-    model = _read_model(args.model, "teamstyle", teamstyle.TeamStyleModel)
+def cmd_predict(args, outdir, digests, inputs):
+    build = _load_dataset(args.data, digests, inputs)
+    model = _read_model(*inputs.pop("model"), "teamstyle", teamstyle.TeamStyleModel)
     predictions = teamstyle.predict_style_with_confidence(model, build.raw)
     predictions_path = outdir / "predictions.csv"
     with open(predictions_path, "w", encoding="utf-8", newline="") as fh:
@@ -728,9 +712,9 @@ def cmd_predict(args, outdir, digests):
     return {}, [predictions_path]
 
 
-def cmd_flag(args, outdir, digests):
-    build = _load_dataset(args.data, digests)
-    model = _read_model(args.model, "teamstyle", teamstyle.TeamStyleModel)
+def cmd_flag(args, outdir, digests, inputs):
+    build = _load_dataset(args.data, digests, inputs)
+    model = _read_model(*inputs.pop("model"), "teamstyle", teamstyle.TeamStyleModel)
     flags = teamstyle.flag_solo_submitters(model, build.raw, build.team_ids)
     flags_path = outdir / "flags.json"
     payload = [
@@ -747,9 +731,9 @@ def cmd_flag(args, outdir, digests):
     return {}, [flags_path]
 
 
-def cmd_kappa(args, outdir, digests) -> None:
-    a = dict(_read_pairs(args.a))
-    b = dict(_read_pairs(args.b))
+def cmd_kappa(args, outdir, digests, inputs) -> None:
+    a = dict(_read_pairs(*inputs.pop("a")))
+    b = dict(_read_pairs(*inputs.pop("b")))
     if set(a) != set(b):
         only_a = sorted(set(a) - set(b))[:3]
         only_b = sorted(set(b) - set(a))[:3]
@@ -764,7 +748,7 @@ def _registry_json() -> str:
     return canonical_json({"version": teamfeat.REGISTRY_VERSION, "names": teamfeat.REGISTRY})
 
 
-def cmd_registry(args, outdir, digests):
+def cmd_registry(args, outdir, digests, inputs):
     if outdir is None:
         print(_registry_json())
         return None

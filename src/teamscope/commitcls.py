@@ -94,7 +94,7 @@ NGRAM_RANGE = (1, 4)
 
 @lru_cache(maxsize=None)
 def _load_keywords(name: str) -> frozenset[str]:
-    return frozenset(textnorm.read_entries(textnorm._data_dir() / f"keywords_{name}.txt"))
+    return frozenset(textnorm.read_entries(f"keywords_{name}.txt"))
 
 
 # the keyword stages in cascade order: (keyword list, category it assigns)

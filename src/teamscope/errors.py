@@ -1,4 +1,4 @@
-"""The one input-refusal type and the readers of input text.
+"""The one input-refusal type, the one opener of input files, and the decoders of their bytes.
 
 Every refusal of bad input (a malformed log, a schema violation, an
 inconsistent roster, a model file that is not one) is a ``DataError`` whose
@@ -8,7 +8,10 @@ other exception to exit 3. Bad arguments to library functions stay
 """
 
 import csv
+import io
 import json
+import os
+import stat
 from contextlib import contextmanager
 
 
@@ -40,11 +43,29 @@ def in_file(path):
         raise
 
 
+def open_input(path):
+    """The regular file ``path``, opened for binary reading without blocking and checked through that
+    descriptor: anything else is refused unread (``DataError``), as a read would block on a pipe."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        os.close(fd)
+        with in_file(path):
+            raise DataError("not a regular file")
+    return open(fd, "rb")
+
+
+def read_input(path) -> bytes:
+    """The bytes of the regular file ``path`` (see :func:`open_input`)."""
+    with open_input(path) as fh:
+        return fh.read()
+
+
 @contextmanager
-def open_text(path, newline=None):
-    """Open an input file as UTF-8 text; a DataError raised in the block names
-    the file (see :func:`in_file`), and bytes that do not decode raise one."""
-    with in_file(path), open(path, "r", encoding="utf-8", newline=newline) as fh:
+def open_text(path, data, newline=None):
+    """``data``, the bytes read from ``path`` or the binary file open on it, as UTF-8 text decoded as ``open``
+    decodes it; a DataError raised in the block names the file, and bytes that do not decode raise one."""
+    binary = io.BytesIO(data) if isinstance(data, bytes) else data
+    with in_file(path), io.TextIOWrapper(binary, encoding="utf-8", newline=newline) as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

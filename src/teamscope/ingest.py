@@ -23,8 +23,8 @@ keys resolve through one map, :func:`author_map`, whichever form the
 commits take.
 
 A refusal says ``line N: what``, N being the line on which the offending
-record ends; read from a file opened by :func:`teamscope.errors.open_text`,
-it says ``FILE line N: what``.
+record ends. A file reader parses what :mod:`teamscope.errors` read from a path, its
+bytes or the file open on it, and its refusals say ``FILE line N: what``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataError, csv_rows, jsonl_values, open_text
+from .errors import DataError, csv_rows, jsonl_values, open_input, open_text
 
 COMMIT_HEADER_MARK = "\x01"
 GIT_LOG_COMMAND = (
@@ -165,12 +165,9 @@ def parse_git_log(text: str) -> list[CommitRecord]:
 
 
 def load_commits_jsonl(path) -> list[CommitRecord]:
-    """Load commits from a JSONL interchange file.
-
-    Schema violations and duplicate shas raise :class:`DataError` naming
-    the offending line (or sha).
-    """
-    return _records(jsonl_rows(path))
+    """Load the commits of a JSONL interchange file as records, parsed as it is read (see :func:`jsonl_rows`)."""
+    with open_input(path) as fh:
+        return _records(jsonl_rows(path, fh))
 
 
 def _records(rows: Iterable[tuple]) -> list[CommitRecord]:
@@ -311,11 +308,10 @@ class CommitTable:
     msg_len: np.ndarray
 
 
-def load_commit_table(path) -> CommitTable:
-    """Load a JSONL interchange file into a :class:`CommitTable`, with the
-    same validation and errors as :func:`load_commits_jsonl`."""
+def load_commit_table(path, data: bytes) -> CommitTable:
+    """The JSONL interchange file ``data`` read from ``path`` as a :class:`CommitTable` (see :func:`jsonl_rows`)."""
     sha, author, msg, numbers = [], [], [], []
-    for c_sha, c_author, _, c_msg, files, additions, deletions in jsonl_rows(path):
+    for c_sha, c_author, _, c_msg, files, additions, deletions in jsonl_rows(path, data):
         sha.append(c_sha)
         author.append(c_author)
         msg.append(c_msg)
@@ -324,12 +320,11 @@ def load_commit_table(path) -> CommitTable:
     return CommitTable(sha, author, msg, *columns)
 
 
-def jsonl_rows(path) -> Iterator[tuple]:
-    """Each commit of a JSONL interchange file as a row, validated, in file
-    order (see :func:`_commit_from_json`); a repeated sha is a
-    :class:`DataError`."""
+def jsonl_rows(path, data) -> Iterator[tuple]:
+    """Each commit of the JSONL interchange file ``data`` read from ``path`` (see :func:`open_text`) as a row,
+    validated, in file order (see :func:`_commit_from_json`); a repeated sha is a :class:`DataError`."""
     seen: set[str] = set()
-    with open_text(path) as fh:
+    with open_text(path, data) as fh:
         for line, raw in jsonl_values(fh):
             commit = _commit_from_json(raw, line)
             if commit[0] in seen:
@@ -432,14 +427,20 @@ def locate_authors(
 
 
 def load_roster(path) -> list[TeamRecord]:
-    """Load a roster CSV into two-member team records (no commits attached).
+    """Load a roster CSV file (see :func:`read_roster`), parsed as it is read."""
+    with open_input(path) as fh:
+        return read_roster(path, fh)
+
+
+def read_roster(path, data) -> list[TeamRecord]:
+    """The roster CSV ``data`` read from ``path`` as two-member team records (no commits attached).
 
     Expected header: ``team_id,project_id,member_id,exam1,project1,selected,
     author_keys`` with author keys semicolon-separated. Rows are grouped by
     (team_id, project_id); anything but exactly two members per group, or an
     inconsistent ``selected`` flag, is a :class:`DataError`.
     """
-    with open_text(path, newline="") as fh:
+    with open_text(path, data, newline="") as fh:
         return _roster_teams(fh)
 
 

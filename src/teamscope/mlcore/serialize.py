@@ -153,8 +153,8 @@ def fields(raw, prefix: str, **readers) -> list:
     return [reader(raw[key], prefix + key) for key, reader in readers.items()]
 
 
-def load_model(path, expected_kind: str) -> dict:
-    with open_text(path) as fh:
+def load_model(path, data: bytes, expected_kind: str) -> dict:
+    with open_text(path, data) as fh:
         try:
             raw = json.load(fh, parse_float=_finite, parse_constant=_finite)
         except ValueError as exc:

@@ -146,12 +146,8 @@ class _TemplatePools:
 
     @classmethod
     def load(cls) -> "_TemplatePools":
-        data = textnorm._data_dir()
-        by_category = {
-            cat: textnorm.read_entries(data / f"templates_{cat.value.lower()}.txt")
-            for cat in CommitCategory
-        }
-        fillers = textnorm.read_entries(data / "noise_fillers.txt")
+        by_category = {cat: textnorm.read_entries(f"templates_{cat.value.lower()}.txt") for cat in CommitCategory}
+        fillers = textnorm.read_entries("noise_fillers.txt")
         return cls(by_category=by_category, fillers=fillers)
 
 

@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .errors import DataError, open_text
+from .errors import DataError, open_text, read_input
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
@@ -104,10 +104,10 @@ def normalize(message: str, lexicon: Lexicon) -> list[str]:
 # bundled word lists
 
 
-def read_entries(path) -> list[str]:
-    """The entries of a data file (word list, keyword list, template pool), in
-    file order: one per line, stripped, skipping blank lines and ``#`` lines."""
-    with open_text(path) as fh:
+def read_entries(name: str) -> list[str]:
+    """The entries of the bundled data file ``name`` (word list, keyword list, template pool),
+    in file order: one per line, stripped, skipping blank lines and ``#`` lines."""
+    with open_text(*_bundled(name)) as fh:
         return [entry for _, entry in _entries(fh)]
 
 
@@ -119,11 +119,11 @@ def _entries(fh):
             yield line, entry
 
 
-def _read_words(path, required=frozenset()) -> frozenset[str]:
-    """A word-list file's words: a word that is not lowercase, or a missing
-    ``required`` word, would fail :class:`Lexicon`'s checks, so it is refused."""
+def _read_words(path, data: bytes, required=frozenset()) -> frozenset[str]:
+    """The words of the word-list file ``data`` read from ``path``: a word that is not lowercase,
+    or a missing ``required`` word, would fail :class:`Lexicon`'s checks, so it is refused."""
     words = set()
-    with open_text(path) as fh:
+    with open_text(path, data) as fh:
         for line, word in _entries(fh):
             if word != word.lower():
                 raise DataError(f"word {word!r} is not lowercase", line=line)
@@ -134,19 +134,17 @@ def _read_words(path, required=frozenset()) -> frozenset[str]:
     return frozenset(words)
 
 
-def _data_dir() -> Path:
-    return Path(resources.files("teamscope") / "data")
+def _bundled(name: str) -> tuple[Path, bytes]:
+    path = Path(resources.files("teamscope") / "data" / name)
+    return path, read_input(path)
 
 
-def load_lexicon(
-    english_path=None, domain_path=None, stopword_path=None
-) -> Lexicon:
-    """Build a lexicon from word-list files, bundled ones by default."""
-    data = _data_dir()
+def load_lexicon(english=None, domain=None, stopwords=None) -> Lexicon:
+    """A lexicon of three word-list files, each its path and the bytes read from it, or None for the bundled one."""
     return Lexicon(
-        english_words=_read_words(english_path or data / "english_words.txt"),
-        domain_words=_read_words(domain_path or data / "domain_words.txt", REQUIRED_DOMAIN_WORDS),
-        stopwords=_read_words(stopword_path or data / "stopwords.txt"),
+        english_words=_read_words(*(english or _bundled("english_words.txt"))),
+        domain_words=_read_words(*(domain or _bundled("domain_words.txt")), REQUIRED_DOMAIN_WORDS),
+        stopwords=_read_words(*(stopwords or _bundled("stopwords.txt"))),
     )
 
 
@@ -159,7 +157,7 @@ def default_lexicon() -> Lexicon:
 def lemma_table() -> dict[str, str]:
     """The bundled surface-form -> lemma table (two words per line)."""
     table: dict[str, str] = {}
-    for entry in read_entries(_data_dir() / "lemma_table.txt"):
+    for entry in read_entries("lemma_table.txt"):
         surface, lemma = entry.split()
         table[surface] = lemma
     return table

@@ -1,3 +1,4 @@
+import builtins
 import contextlib
 import csv
 import hashlib
@@ -18,7 +19,7 @@ from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
 import teamscope
-from teamscope import cli, errors, teamfeat
+from teamscope import cli, teamfeat
 from teamscope.cli import main
 from teamscope.commitcls import CascadeModel
 from teamscope.errors import DataError
@@ -1312,7 +1313,7 @@ def test_corrupted_inputs_never_exit_internal_error(team_model, cascade_model, n
         elif name in ("teams.json", "cascade.json"):
             cascade = name == "cascade.json"
             model_kind, model_cls = ("cascade", CascadeModel) if cascade else ("teamstyle", TeamStyleModel)
-            payload = load_model(path, model_kind)
+            payload = load_model(path, path.read_bytes(), model_kind)
             assert _as_read(model_cls.from_dict(payload).to_dict(), cascade) == _as_read(payload, cascade)
 
 
@@ -1349,9 +1350,9 @@ def loads(monkeypatch):
     calls = []
     real = cli.load_commit_table
 
-    def counted(path):
+    def counted(path, data):
         calls.append(path)
-        return real(path)
+        return real(path, data)
 
     monkeypatch.setattr(cli, "load_commit_table", counted)
     return calls
@@ -1492,14 +1493,7 @@ def test_recorded_file_that_is_not_a_regular_file_is_a_miss(team_model, featured
     # a read of the FIFO would block, so the command runs in a child that a
     # timeout ends, failing the test rather than hanging the suite
     argv = ["predict", "--model", str(model), "--data", str(featured), "--out", str(tmp_path / "out")]
-    src = str(Path(teamscope.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-m", "teamscope", *argv],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    done = _child(argv, timeout=60)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "out" / "predictions.csv").read_bytes() == reused["predictions.csv"]
 
@@ -1620,7 +1614,7 @@ def test_commits_no_member_claims_change_only_the_unmatched_count(
     assert extended_files == base_files
 
 
-# --- main hashes each declared input once, before the command reads it ---------
+# --- main reads each declared input once, and the command parses those bytes ---
 
 
 def _sha256(path) -> str:
@@ -1676,35 +1670,76 @@ DECLARED = {
 }
 
 
+# the files through which a command reuses the recorded feature matrix: read, but not inputs
+_RECORDED = ("manifest_features.json", "features.csv", "registry.json")
+
+
 @pytest.fixture
-def opened(monkeypatch):
-    """The path of each file the CLI opens through ``open_text``, but the bundled data files."""
-    paths = []
-    real = errors.open_text
-    bundled = Path(teamscope.__file__).parent / "data"
+def opened(work, monkeypatch):
+    """(path, caller) of each open of a file under the work directory for
+    reading, at the level of ``os.open`` and ``io.open``; the caller is the
+    function that opened it, as ``module.function``."""
+    reads = []
 
-    def recording(path, *args, **kwargs):
-        if Path(path).parent != bundled:
-            paths.append(Path(path))
-        return real(path, *args, **kwargs)
+    def recording(real, reading):
+        def open_(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file).is_relative_to(work) and reading(*args, **kwargs):
+                caller = sys._getframe(1)
+                reads.append((Path(file), f"{caller.f_globals['__name__']}.{caller.f_code.co_name}"))
+            return real(file, *args, **kwargs)
 
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("teamscope") and getattr(module, "open_text", None) is real:
-            monkeypatch.setattr(module, "open_text", recording)
-    return paths
+        return open_
+
+    text_mode = recording(io.open, lambda mode="r", *args, **kwargs: "r" in mode)
+    monkeypatch.setattr(io, "open", text_mode)
+    monkeypatch.setattr(builtins, "open", text_mode)
+    monkeypatch.setattr(os, "open", recording(os.open, lambda flags, *args, **kwargs: flags & os.O_ACCMODE == os.O_RDONLY))
+    return reads
 
 
 @pytest.mark.parametrize("argv", DECLARED.values(), ids=DECLARED.keys())
-def test_manifest_inputs_are_the_files_the_command_read(work, cascade_model, opened, monkeypatch, argv):
-    hashed = []
-    real = cli._sha256
-    monkeypatch.setattr(cli, "_sha256", lambda path: hashed.append(path) or real(path))
+def test_manifest_inputs_are_the_files_the_command_read(work, cascade_model, opened, argv):
+    cascade = shutil.copy(cascade_model, work / "cascade.json")
     out = work / "out"
-    assert main([arg.format(work=work, cascade=cascade_model) for arg in argv] + ["--out", str(out)]) == 0
+    assert main([arg.format(work=work, cascade=cascade) for arg in argv] + ["--out", str(out)]) == 0
+    reads = [(path, caller) for path, caller in opened if not path.is_relative_to(out) and path.name not in _RECORDED]
     manifest = json.loads((out / f"manifest_{argv[0]}.json").read_text())
-    assert sorted(_sha256(path) for path in opened) == sorted(manifest["inputs"].values())
-    # each input hashed once, then each output
-    assert len(set(hashed)) == len(hashed) == len(manifest["inputs"]) + len(manifest["outputs"])
+    paths = [path for path, _ in reads]
+    # each declared input opened once, by the one reader, and recorded as the bytes read
+    assert len(set(paths)) == len(paths) == len(manifest["inputs"]), reads
+    assert {caller for _, caller in reads} <= {"teamscope.errors.open_input"}, reads
+    assert sorted(_sha256(path) for path in paths) == sorted(manifest["inputs"].values())
+
+
+def _child(argv: list, timeout: float) -> subprocess.CompletedProcess:
+    """``teamscope ARGV`` run in a child interpreter, which the timeout ends: a
+    read that blocks fails the test rather than hanging the suite."""
+    src = str(Path(teamscope.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "teamscope", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kappa", "--a", "{fifo}", "--b", "{work}/a.csv"],
+        ["kappa", "--a", "{work}/a.csv", "--b", "{fifo}"],
+        ["eval-commits", "--tagged", "{work}/tagged.csv", "--config", "{fifo}", "--out", "{work}/out"],
+    ],
+    ids=["kappa-a", "kappa-b", "config"],
+)
+def test_fifo_input_is_refused_without_blocking(work, argv):
+    fifo = work / "fifo"
+    os.mkfifo(fifo)
+    _write(work / "a.csv", "id,label\n1,x\n")
+    done = _child([arg.format(work=work, fifo=fifo) for arg in argv], timeout=30)
+    assert done.returncode == 2, done.stderr
+    assert f"error: {fifo}: not a regular file" in done.stderr
 
 
 # each manifest's config keys: every option but the input files, --data and

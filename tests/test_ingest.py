@@ -217,7 +217,7 @@ def test_jsonl_round_trip_property(tmp_path_factory, shas, files, message, ts):
     path = tmp_path_factory.mktemp("rt") / "c.jsonl"
     dump_commits_jsonl(commits, path)
     assert load_commits_jsonl(path) == commits
-    table = load_commit_table(path)
+    table = load_commit_table(path, path.read_bytes())
     assert (table.sha, table.author, table.msg) == tuple(
         [getattr(c, name) for c in commits] for name in ("sha", "author_key", "message")
     )

@@ -26,21 +26,21 @@ from teamscope.textnorm import default_lexicon
 def test_save_load_round_trip(tmp_path):
     path = tmp_path / "m.json"
     save_model(path, "demo", {"a": 1, "b": [1.5, 2.5]})
-    assert load_model(path, "demo") == {"a": 1, "b": [1.5, 2.5]}
+    assert load_model(path, path.read_bytes(), "demo") == {"a": 1, "b": [1.5, 2.5]}
 
 
 def test_load_rejects_wrong_kind(tmp_path):
     path = tmp_path / "m.json"
     save_model(path, "demo", {})
     with pytest.raises(DataError, match="expected"):
-        load_model(path, "other")
+        load_model(path, path.read_bytes(), "other")
 
 
 def test_load_rejects_foreign_json(tmp_path):
     path = tmp_path / "m.json"
     path.write_text('{"hello": 1}')
     with pytest.raises(DataError, match="not a"):
-        load_model(path, "demo")
+        load_model(path, path.read_bytes(), "demo")
 
 
 def test_load_rejects_wrong_version(tmp_path):
@@ -49,7 +49,7 @@ def test_load_rejects_wrong_version(tmp_path):
     raw = path.read_text().replace(f'"version": {FORMAT_VERSION}', '"version": 99')
     path.write_text(raw)
     with pytest.raises(DataError, match="version"):
-        load_model(path, "demo")
+        load_model(path, path.read_bytes(), "demo")
 
 
 def test_load_rejects_version_1_and_asks_for_retraining(tmp_path):
@@ -59,7 +59,7 @@ def test_load_rejects_version_1_and_asks_for_retraining(tmp_path):
     for old in (1, 2):
         path.write_text(current.replace(f'"version": {FORMAT_VERSION}', f'"version": {old}'))
         with pytest.raises(DataError, match="retrain"):
-            load_model(path, "forest")
+            load_model(path, path.read_bytes(), "forest")
 
 
 def test_model_dicts_hold_the_format_3_keys():
@@ -89,7 +89,7 @@ def test_logistic_reload_bit_identical_predictions(tmp_path):
     model = train_logreg(X, y)
     path = tmp_path / "lr.json"
     save_model(path, "logreg", model.to_dict())
-    clone = LogisticModel.from_dict(load_model(path, "logreg"))
+    clone = LogisticModel.from_dict(load_model(path, path.read_bytes(), "logreg"))
     assert np.array_equal(clone.weights, model.weights)
     probs = predict_proba(model, X)
     assert np.array_equal(predict_proba(clone, X), probs)
@@ -102,7 +102,7 @@ def test_forest_reload_bit_identical_predictions(tmp_path):
     model = train_forest(X, y, n_trees=12, seed=3)
     path = tmp_path / "rf.json"
     save_model(path, "forest", model.to_dict())
-    clone = ForestModel.from_dict(load_model(path, "forest"))
+    clone = ForestModel.from_dict(load_model(path, path.read_bytes(), "forest"))
     assert np.array_equal(forest_votes(clone, X), forest_votes(model, X))
     assert np.array_equal(feature_importances(clone), feature_importances(model))
 
@@ -113,7 +113,7 @@ def test_tfidf_reload_bit_identical_vectors(tmp_path):
     model = fit_tfidf(index, max_features=8)
     path = tmp_path / "tfidf.json"
     save_model(path, "tfidf", model.to_dict())
-    clone = TfidfModel.from_dict(load_model(path, "tfidf"))
+    clone = TfidfModel.from_dict(load_model(path, path.read_bytes(), "tfidf"))
     X = tfidf_transform(model, index)
     assert X.shape == (len(docs), model.dim) and np.count_nonzero(X) > 0
     assert np.array_equal(tfidf_transform(clone, index), X)

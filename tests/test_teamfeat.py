@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle_features import brute_force_vector
-from teamscope.cli import _compute_matrix
+from teamscope.cli import _DATASET_FILES, _compute_matrix
 from teamscope.commitcls import CATEGORIES, CommitCategory, LabeledCommit
 from teamscope.errors import DataError
 from teamscope.ingest import (
@@ -400,7 +400,7 @@ def test_loaded_dataset_matrix_equals_record_path_and_oracle(n_teams, commits):
     with tempfile.TemporaryDirectory() as tmp:
         data = Path(tmp)
         _write_dataset(data, n_teams, commits)
-        build = _compute_matrix(data)
+        build = _compute_matrix({name: (data / file, (data / file).read_bytes()) for name, file in _DATASET_FILES.items()})
         labels = {}
         with open(data / "labels.jsonl", encoding="utf-8") as fh:
             for line in fh:
