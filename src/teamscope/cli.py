@@ -13,8 +13,9 @@ internal error.
 command line, applies ``--config``, reads and hashes each declared input file once,
 creates the output directory, runs the command and writes the manifest, which so records
 the bytes that were parsed. A ``cmd_*`` function is handed each input's path and bytes and
-pops each one as it parses it, so the bytes go once parsed; it writes its own files and
-returns what it computed and the files it wrote (``None`` when it writes nothing).
+pops each one as it parses it, so the bytes go once parsed; it writes its own files with
+``errors.write_output``, which hashes the bytes as it writes them, and returns what it computed
+and the sha256 of each file it wrote by path (``None`` when it writes nothing): no output is read back.
 
 The commands that read a dataset's feature matrix take the one that
 ``features`` wrote while ``manifest_features.json`` still records the
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import __version__, commitcls, synthgen, teamfeat, teamstyle
 from .commitcls import CascadeModel, CommitCategory
-from .errors import DataError, csv_rows, in_file, jsonl_values, open_text, read_input
+from .errors import DataError, csv_lines, csv_rows, in_file, jsonl_values, open_text, read_input, write_output
 from .ingest import (
     dump_commit_rows,
     dump_roster,
@@ -305,22 +306,21 @@ def _stamp(command: str, inputs: dict) -> dict:
     return {"command": command, "version": __version__, "code": _code_identity(), "inputs": inputs}
 
 
-def _write_manifest(outdir: Path, args, inputs: dict, facts: dict, outputs: list[Path]) -> None:
-    """``inputs`` are the sha256 of the bytes of the command's input files it parsed. The config is each
-    option but the input files and directories, as its flag read it, then the computed ``facts``."""
+def _write_manifest(outdir: Path, args, inputs: dict, facts: dict, outputs: dict[Path, str]) -> None:
+    """``inputs`` and ``outputs`` are the sha256 of the bytes the command parsed and wrote, by name and by path.
+    The config is each option but the input files and directories, as its flag read it, then the ``facts``."""
     skipped = {*args.reads, "data", "out"}
     options = {dest: getattr(args, dest) for dest in _options(args) if dest not in skipped}
     manifest = {
         **_stamp(args.command, inputs),
         "config": {**options, **facts},
-        "outputs": {p.name: _digest(p.read_bytes()) for p in sorted(outputs)},
+        "outputs": {p.name: digest for p, digest in sorted(outputs.items())},
     }
-    path = outdir / f"manifest_{args.command}.json"
-    path.write_text(canonical_json(manifest) + "\n", encoding="utf-8")
+    write_output(outdir / f"manifest_{args.command}.json", [canonical_json(manifest), "\n"])
 
 
-def _write_report(outdir: Path, stem: str, fmt: str, payload, label: str, reports) -> Path:
-    """Print a per-class score table, then save it as ``stem.csv`` or ``payload`` as ``stem.json``.
+def _write_report(outdir: Path, stem: str, fmt: str, payload, label: str, reports) -> dict[Path, str]:
+    """Print a per-class score table, then save it as ``stem.csv`` or ``payload`` as ``stem.json`` (sha256 by path).
 
     ``reports`` is the table's (name, EvalReport) rows in order.
     """
@@ -331,14 +331,9 @@ def _write_report(outdir: Path, stem: str, fmt: str, payload, label: str, report
     print(_report_table([label, "F1", "precision", "recall", "support"], rows))
     path = outdir / f"{stem}.{fmt}"
     if fmt == "json":
-        path.write_text(canonical_json(payload) + "\n", encoding="utf-8")
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([label, "f1", "precision", "recall", "support"])
-            for name, r in reports:
-                writer.writerow([name, repr(r.f1), repr(r.precision), repr(r.recall), r.support])
-    return path
+        return {path: write_output(path, [canonical_json(payload), "\n"])}
+    table = ([name, repr(r.f1), repr(r.precision), repr(r.recall), r.support] for name, r in reports)
+    return {path: write_output(path, csv_lines([label, "f1", "precision", "recall", "support"], table))}
 
 
 def _read_model(path, data: bytes, kind: str, model_cls):
@@ -591,13 +586,13 @@ def cmd_ingest(args, outdir, digests, inputs):
     team_row, _ = locate_authors([row[1] for row in commits], roster)
     unmatched = int((team_row < 0).sum())
 
-    dump_commit_rows(commits, outdir / "commits.jsonl")
-    dump_roster(roster, outdir / "roster.csv")
+    commits_path, roster_path = outdir / "commits.jsonl", outdir / "roster.csv"
+    written = {commits_path: dump_commit_rows(commits, commits_path), roster_path: dump_roster(roster, roster_path)}
     print(
         f"normalized {len(commits)} commits across {len(roster)} teams "
         f"({unmatched} unmatched authors) into {outdir}"
     )
-    return {"unmatched": unmatched}, [outdir / "commits.jsonl", outdir / "roster.csv"]
+    return {"unmatched": unmatched}, written
 
 
 def cmd_train_commits(args, outdir, digests, inputs):
@@ -606,16 +601,16 @@ def cmd_train_commits(args, outdir, digests, inputs):
     distinct = commitcls.distinct_messages(m for m, _ in tagged)
     cascade = commitcls.train_cascade(tagged, lexicon=lexicon, distinct=distinct)
     model_path = outdir / "cascade.json"
-    save_model(model_path, "cascade", cascade.to_dict())
+    written = {model_path: save_model(model_path, "cascade", cascade.to_dict())}
     print(f"trained cascade on {len(tagged)} messages -> {model_path}")
     config = {"messages": len(tagged), "distinct_messages": len(distinct[0])}
-    return config, [model_path]
+    return config, written
 
 
 def cmd_eval_commits(args, outdir, digests, inputs):
     tagged = _read_tagged(*inputs.pop("tagged"))
     reports = commitcls.evaluate_cascade(tagged, k=args.folds, seed=args.seed)
-    report_path = _write_report(
+    return {}, _write_report(
         outdir,
         "commit_eval",
         args.format,
@@ -623,7 +618,6 @@ def cmd_eval_commits(args, outdir, digests, inputs):
         "category",
         list(reports.items()),
     )
-    return {}, [report_path]
 
 
 def cmd_label_commits(args, outdir, digests, inputs):
@@ -633,29 +627,27 @@ def cmd_label_commits(args, outdir, digests, inputs):
     categories, pairs = commitcls.label_distinct(cascade, distinct)
 
     labels_path = outdir / "labels.jsonl"
-    with open(labels_path, "w", encoding="utf-8") as fh:
-        fh.writelines(_label_lines(table.sha, ((categories[i].value, pairs[i]) for i in at)))
+    labels = _label_lines(table.sha, ((categories[i].value, pairs[i]) for i in at))
+    written = {labels_path: write_output(labels_path, labels)}
 
     distribution = commitcls.category_distribution([categories[i] for i in at])
     rows = [[name, str(count), f"{ratio:.2f}"] for name, (count, ratio) in distribution.items()]
     print(_report_table(["category", "count", "ratio"], rows))
     config = {"messages": len(table.msg), "distinct_messages": len(distinct)}
-    return config, [labels_path]
+    return config, written
 
 
 def cmd_features(args, outdir, digests, inputs):
     # the producer of the recorded matrix: it never reads its own earlier output
     build = _compute_matrix(inputs)
-    features_path = outdir / "features.csv"
-    with open(features_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["team_id"] + build.registry)
-        for team_id, row in zip(build.team_ids, build.raw.tolist()):
-            writer.writerow([team_id, *map(repr, row)])
-    registry_path = outdir / "registry.json"
-    registry_path.write_text(_registry_json() + "\n", encoding="utf-8")
+    features_path, registry_path = outdir / "features.csv", outdir / "registry.json"
+    rows = ([team_id, *map(repr, row)] for team_id, row in zip(build.team_ids, build.raw.tolist()))
+    written = {
+        features_path: write_output(features_path, csv_lines(["team_id", *build.registry], rows)),
+        registry_path: write_output(registry_path, [_registry_json(), "\n"]),
+    }
     print(f"wrote {len(build.team_ids)}x{len(build.registry)} feature matrix to {features_path}")
-    return {"teams": len(build.team_ids), "columns": len(build.registry)}, [features_path, registry_path]
+    return {"teams": len(build.team_ids), "columns": len(build.registry)}, written
 
 
 def cmd_train_teams(args, outdir, digests, inputs):
@@ -664,9 +656,9 @@ def cmd_train_teams(args, outdir, digests, inputs):
         build.raw, styles, algorithm=args.algorithm, k_features=args.k_features, seed=args.seed
     )
     model_path = outdir / f"teams_{args.algorithm}.json"
-    save_model(model_path, "teamstyle", model.to_dict())
+    written = {model_path: save_model(model_path, "teamstyle", model.to_dict())}
     print(f"trained {args.algorithm} team-style model -> {model_path}")
-    return {}, [model_path]
+    return {}, written
 
 
 def cmd_eval_teams(args, outdir, digests, inputs):
@@ -686,7 +678,7 @@ def cmd_eval_teams(args, outdir, digests, inputs):
         "styles": {k: v.to_dict() for k, v in result.reports.items()},
         "selected_features": result.selected_features,
     }
-    report_path = _write_report(
+    written = _write_report(
         outdir,
         f"team_eval_{args.algorithm}",
         args.format,
@@ -695,7 +687,7 @@ def cmd_eval_teams(args, outdir, digests, inputs):
         [(s.value, result.reports[s.value]) for s in teamstyle.STYLES],
     )
     print(f"macro-F1 {result.macro_f1:.3f} ({result.algorithm})")
-    return {}, [report_path]
+    return {}, written
 
 
 def cmd_predict(args, outdir, digests, inputs):
@@ -703,13 +695,10 @@ def cmd_predict(args, outdir, digests, inputs):
     model = _read_model(*inputs.pop("model"), "teamstyle", teamstyle.TeamStyleModel)
     predictions = teamstyle.predict_style_with_confidence(model, build.raw)
     predictions_path = outdir / "predictions.csv"
-    with open(predictions_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["team_id", "style", "confidence"])
-        for team_id, (style, confidence) in zip(build.team_ids, predictions):
-            writer.writerow([team_id, style.value, repr(confidence)])
+    rows = ([team, style.value, repr(confidence)] for team, (style, confidence) in zip(build.team_ids, predictions))
+    written = {predictions_path: write_output(predictions_path, csv_lines(["team_id", "style", "confidence"], rows))}
     print(f"wrote predictions for {len(build.team_ids)} teams to {predictions_path}")
-    return {}, [predictions_path]
+    return {}, written
 
 
 def cmd_flag(args, outdir, digests, inputs):
@@ -726,9 +715,9 @@ def cmd_flag(args, outdir, digests, inputs):
         }
         for f in flags
     ]
-    flags_path.write_text(canonical_json(payload) + "\n", encoding="utf-8")
+    written = {flags_path: write_output(flags_path, [canonical_json(payload), "\n"])}
     print(f"flagged {len(flags)} team(s) as solo-submit -> {flags_path}")
-    return {}, [flags_path]
+    return {}, written
 
 
 def cmd_kappa(args, outdir, digests, inputs) -> None:
@@ -753,9 +742,9 @@ def cmd_registry(args, outdir, digests, inputs):
         print(_registry_json())
         return None
     path = outdir / "registry.json"
-    path.write_text(_registry_json() + "\n", encoding="utf-8")
+    written = {path: write_output(path, [_registry_json(), "\n"])}
     print(f"wrote {len(teamfeat.REGISTRY)} feature names to {path}")
-    return {}, [path]
+    return {}, written
 
 
 if __name__ == "__main__":

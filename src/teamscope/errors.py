@@ -1,4 +1,4 @@
-"""The one input-refusal type, the one opener of input files, and the decoders of their bytes.
+"""The input-refusal type, the one input opener and output writer, and the decoders of input bytes.
 
 Every refusal of bad input (a malformed log, a schema violation, an
 inconsistent roster, a model file that is not one) is a ``DataError`` whose
@@ -8,11 +8,13 @@ other exception to exit 3. Bad arguments to library functions stay
 """
 
 import csv
+import hashlib
 import io
 import json
 import os
 import stat
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 
 class DataError(Exception):
@@ -70,6 +72,23 @@ def open_text(path, data, newline=None):
             yield fh
         except UnicodeDecodeError as exc:
             raise DataError(f"not UTF-8 text ({exc.reason})") from None
+
+
+def write_output(path, chunks) -> str:
+    """Write each text chunk to ``path`` as UTF-8 as it comes, newlines untranslated; the bytes' sha256."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for data in (chunk.encode("utf-8") for chunk in chunks):
+            digest.update(data)
+            fh.write(data)
+    return digest.hexdigest()
+
+
+def csv_lines(header, rows):
+    """The text ``csv.writer`` writes for ``header`` and each row, ``\\r\\n`` included; ``writerow`` returns it."""
+    writerow = csv.writer(SimpleNamespace(write=str)).writerow
+    yield writerow(header)
+    yield from map(writerow, rows)
 
 
 # The C scanner behind json.loads, with the same hooks; called on a line

@@ -29,7 +29,6 @@ bytes or the file open on it, and its refusals say ``FILE line N: what``.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import io
 import json
@@ -39,7 +38,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataError, csv_rows, jsonl_values, open_input, open_text
+from .errors import DataError, csv_lines, csv_rows, jsonl_values, open_input, open_text, write_output
 
 COMMIT_HEADER_MARK = "\x01"
 GIT_LOG_COMMAND = (
@@ -272,15 +271,14 @@ def commit_line(row: tuple) -> str:
     )
 
 
-def dump_commit_rows(rows: Iterable[tuple], path) -> None:
-    """Write rows to a JSONL interchange file, one :func:`commit_line` at a time."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(map(commit_line, rows))
+def dump_commit_rows(rows: Iterable[tuple], path) -> str:
+    """Write rows to a JSONL interchange file, one :func:`commit_line` at a time; the sha256 of its bytes."""
+    return write_output(path, map(commit_line, rows))
 
 
-def dump_commits_jsonl(commits: Iterable[CommitRecord], path) -> None:
-    """Write commit records to a JSONL interchange file (see :func:`dump_commit_rows`)."""
-    dump_commit_rows(
+def dump_commits_jsonl(commits: Iterable[CommitRecord], path) -> str:
+    """Write commit records to a JSONL interchange file; the sha256 of its bytes (see :func:`dump_commit_rows`)."""
+    return dump_commit_rows(
         (
             (c.sha, c.author_key, c.timestamp, c.message, [(f.path, f.additions, f.deletions, f.binary) for f in c.files])
             for c in commits
@@ -482,24 +480,22 @@ def _roster_teams(fh) -> list[TeamRecord]:
     return teams
 
 
-def dump_roster(teams: Sequence[TeamRecord], path) -> None:
-    """Write teams back out in the roster CSV format."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ROSTER_COLUMNS)
-        for team in teams:
-            for member in team.members:
-                writer.writerow(
-                    [
-                        team.team_id,
-                        team.project_id,
-                        member.member_id,
-                        repr(member.exam1_grade),
-                        repr(member.project1_grade),
-                        "true" if team.selected else "false",
-                        ";".join(member.author_keys),
-                    ]
-                )
+def dump_roster(teams: Sequence[TeamRecord], path) -> str:
+    """Write teams back out in the roster CSV format; the sha256 of its bytes."""
+    members = (
+        [
+            team.team_id,
+            team.project_id,
+            member.member_id,
+            repr(member.exam1_grade),
+            repr(member.project1_grade),
+            "true" if team.selected else "false",
+            ";".join(member.author_keys),
+        ]
+        for team in teams
+        for member in team.members
+    )
+    return write_output(path, csv_lines(ROSTER_COLUMNS, members))
 
 
 @dataclass

@@ -28,7 +28,7 @@ from itertools import chain
 
 import numpy as np
 
-from ..errors import DataError, open_text
+from ..errors import DataError, open_text, write_output
 
 FORMAT_NAME = "teamscope-model"
 FORMAT_VERSION = 3
@@ -49,10 +49,9 @@ def dumps_model(kind: str, payload: dict) -> str:
     )
 
 
-def save_model(path, kind: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_model(kind, payload))
-        fh.write("\n")
+def save_model(path, kind: str, payload: dict) -> str:
+    """Write the ``kind`` model file of ``payload`` to ``path``; the sha256 of its bytes."""
+    return write_output(path, [dumps_model(kind, payload), "\n"])
 
 
 def _finite(text: str) -> float:

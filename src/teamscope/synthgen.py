@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import textnorm
 from .commitcls import CommitCategory, LabeledCommit, detect_pair_programming
-from .errors import DataError
+from .errors import DataError, write_output
 from .ingest import CommitRecord, FileStat, RosterMember, TeamRecord, dump_commits_jsonl, dump_roster
 from .mlcore import choice_bounds, seed_sequence, sorted_choices
 from .teamfeat import build_matrix
@@ -428,21 +429,18 @@ def truth_labeled_commits(team: TeamRecord, truth: GroundTruth) -> list[LabeledC
     return out
 
 
-def write_corpus(teams: Sequence[TeamRecord], truth: GroundTruth, outdir) -> list[Path]:
-    """Emit the ingest-facing dataset files plus ground-truth CSVs; the paths written."""
+def write_corpus(teams: Sequence[TeamRecord], truth: GroundTruth, outdir) -> dict[Path, str]:
+    """Emit the ingest-facing dataset files plus ground-truth CSVs; the sha256 of each file by its path."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = [outdir / name for name in ("commits.jsonl", "roster.csv", "truth_commits.csv", "truth_teams.csv")]
     commits_path, roster_path, truth_commits_path, truth_teams_path = paths
     all_commits = [c for team in teams for c in team.commits]
-    dump_commits_jsonl(all_commits, commits_path)
-    dump_roster(teams, roster_path)
-    with open(truth_commits_path, "w", encoding="utf-8") as fh:
-        fh.write("sha,category\n")
-        for c in all_commits:
-            fh.write(f"{c.sha},{truth.commit_categories[c.sha].value}\n")
-    with open(truth_teams_path, "w", encoding="utf-8") as fh:
-        fh.write("team_id,style\n")
-        for team in teams:
-            fh.write(f"{team.team_id},{truth.team_styles[team.team_id].value}\n")
-    return paths
+    commit_truth = (f"{c.sha},{truth.commit_categories[c.sha].value}\n" for c in all_commits)
+    team_truth = (f"{team.team_id},{truth.team_styles[team.team_id].value}\n" for team in teams)
+    return {
+        commits_path: dump_commits_jsonl(all_commits, commits_path),
+        roster_path: dump_roster(teams, roster_path),
+        truth_commits_path: write_output(truth_commits_path, chain(["sha,category\n"], commit_truth)),
+        truth_teams_path: write_output(truth_teams_path, chain(["team_id,style\n"], team_truth)),
+    }
