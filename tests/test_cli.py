@@ -1674,27 +1674,39 @@ DECLARED = {
 _RECORDED = ("manifest_features.json", "features.csv", "registry.json")
 
 
+def _io_access(mode="r", *args, **kwargs) -> str:
+    return "r" * ("r" in mode or "+" in mode) + "w" * bool(set(mode) & set("wax+"))
+
+
+def _os_access(flags, *args, **kwargs) -> str:
+    access = flags & os.O_ACCMODE
+    writes = access != os.O_RDONLY or flags & (os.O_CREAT | os.O_TRUNC | os.O_APPEND)
+    return "r" * (access != os.O_WRONLY) + "w" * bool(writes)
+
+
 @pytest.fixture
 def opened(work, monkeypatch):
-    """(path, caller) of each open of a file under the work directory for
-    reading, at the level of ``os.open`` and ``io.open``; the caller is the
-    function that opened it, as ``module.function``."""
-    reads = []
+    """(path, caller, access) of each open of a file under the work directory,
+    at the level of ``os.open`` and ``io.open``: the caller is the function
+    that opened it, as ``module.function``, and the access is "r" for
+    reading, "w" for writing and "rw" for both."""
+    opens = []
 
-    def recording(real, reading):
+    def recording(real, access):
         def open_(file, *args, **kwargs):
-            if isinstance(file, (str, os.PathLike)) and Path(file).is_relative_to(work) and reading(*args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file).is_relative_to(work):
                 caller = sys._getframe(1)
-                reads.append((Path(file), f"{caller.f_globals['__name__']}.{caller.f_code.co_name}"))
+                name = f"{caller.f_globals['__name__']}.{caller.f_code.co_name}"
+                opens.append((Path(file), name, access(*args, **kwargs)))
             return real(file, *args, **kwargs)
 
         return open_
 
-    text_mode = recording(io.open, lambda mode="r", *args, **kwargs: "r" in mode)
-    monkeypatch.setattr(io, "open", text_mode)
-    monkeypatch.setattr(builtins, "open", text_mode)
-    monkeypatch.setattr(os, "open", recording(os.open, lambda flags, *args, **kwargs: flags & os.O_ACCMODE == os.O_RDONLY))
-    return reads
+    io_open = recording(io.open, _io_access)
+    monkeypatch.setattr(io, "open", io_open)
+    monkeypatch.setattr(builtins, "open", io_open)
+    monkeypatch.setattr(os, "open", recording(os.open, _os_access))
+    return opens
 
 
 @pytest.mark.parametrize("argv", DECLARED.values(), ids=DECLARED.keys())
@@ -1702,13 +1714,36 @@ def test_manifest_inputs_are_the_files_the_command_read(work, cascade_model, ope
     cascade = shutil.copy(cascade_model, work / "cascade.json")
     out = work / "out"
     assert main([arg.format(work=work, cascade=cascade) for arg in argv] + ["--out", str(out)]) == 0
-    reads = [(path, caller) for path, caller in opened if not path.is_relative_to(out) and path.name not in _RECORDED]
+    reads = [
+        (path, caller)
+        for path, caller, access in opened
+        if "r" in access and not path.is_relative_to(out) and path.name not in _RECORDED
+    ]
     manifest = json.loads((out / f"manifest_{argv[0]}.json").read_text())
     paths = [path for path, _ in reads]
     # each declared input opened once, by the one reader, and recorded as the bytes read
     assert len(set(paths)) == len(paths) == len(manifest["inputs"]), reads
     assert {caller for _, caller in reads} <= {"teamscope.errors.open_input"}, reads
     assert sorted(_sha256(path) for path in paths) == sorted(manifest["inputs"].values())
+
+
+WRITERS = {**DECLARED, "synth": ["synth", "--teams", "2"]}
+
+
+@pytest.mark.parametrize("argv", WRITERS.values(), ids=WRITERS.keys())
+def test_manifest_outputs_are_the_bytes_the_command_wrote(work, cascade_model, opened, argv):
+    cascade = shutil.copy(cascade_model, work / "cascade.json")
+    out = work / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([arg.format(work=work, cascade=cascade) for arg in argv] + ["--out", str(out)]) == 0
+    at_out = [entry for entry in opened if entry[0].is_relative_to(out)]
+    files = sorted(path for path in out.rglob("*") if path.is_file())
+    # each output opened once, for writing only, by the one writer, and none read back
+    assert sorted(path for path, _, _ in at_out) == files, at_out
+    assert {(caller, access) for _, caller, access in at_out} == {("teamscope.errors.write_output", "w")}, at_out
+    manifest_path = out / f"manifest_{argv[0]}.json"
+    outputs = {path.name: _sha256(path) for path in files if path != manifest_path}
+    assert json.loads(manifest_path.read_text(encoding="utf-8"))["outputs"] == outputs
 
 
 def _child(argv: list, timeout: float) -> subprocess.CompletedProcess:
