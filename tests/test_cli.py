@@ -1777,6 +1777,49 @@ def test_fifo_input_is_refused_without_blocking(work, argv):
     assert f"error: {fifo}: not a regular file" in done.stderr
 
 
+# `python -m teamscope --version` in a child, which prints the BLAS thread
+# variables as they stood when numpy began to load
+_THREADS_AT_NUMPY = """
+import json, os, runpy, sys
+seen = []
+def hook(event, args):
+    if event == "import" and args[0] == "numpy" and not seen:
+        seen.append({name: os.environ.get(name) for name in %r})
+sys.addaudithook(hook)
+sys.argv = ["teamscope", "--version"]
+try:
+    runpy.run_module("teamscope", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+print(json.dumps(seen))
+"""
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize(
+    "given", [{}, {"OPENBLAS_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "3"}], ids=["unset", "openblas", "omp"]
+)
+def test_the_command_pins_each_unset_blas_thread_count_before_numpy_loads(given):
+    src = str(Path(teamscope.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key not in _THREAD_VARIABLES}
+    done = subprocess.run(
+        [sys.executable, "-c", _THREADS_AT_NUMPY % (_THREAD_VARIABLES,)],
+        env={**env, **given, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [{**dict.fromkeys(_THREAD_VARIABLES, "1"), **given}]
+
+
+def test_the_installed_command_is_the_entry_module():
+    pyproject = Path(teamscope.__file__).resolve().parents[2] / "pyproject.toml"
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"teamscope": "teamscope.entry:main"}
+
+
 # each manifest's config keys: every option but the input files, --data and
 # --out, then what the command computed
 MANIFEST_CONFIG = {
