@@ -3,12 +3,14 @@
 The git side of the pipeline is a fixed text contract rather than a live
 repository reader: histories are exported with
 
-    git log --numstat --date=unix --pretty=format:%x01%H|%an|%ae|%at|%s
+    git log --numstat --date=unix --pretty=format:%x01%H%x00%an%x00%ae%x00%at%x00%s
 
-so every commit block starts with a 0x01 byte followed by a pipe-separated
-header line, then zero or more ``ADD\\tDEL\\tPATH`` numstat lines. Normalized
-commits round-trip through a JSONL interchange format, and rosters arrive as
-CSV with one row per team member.
+so every commit block starts with a 0x01 byte followed by a header line of
+sha, name, email, timestamp and subject separated by NUL bytes, then zero or
+more ``ADD\\tDEL\\tPATH`` numstat lines. A header that holds no NUL splits on
+``|``, as the older export ``%x01%H|%an|%ae|%at|%s`` wrote it, which a ``|``
+in a name breaks. Normalized commits round-trip through a JSONL interchange
+format, and rosters arrive as CSV with one row per team member.
 
 Both inputs read into one row shape, ``(sha, author, ts, msg, files,
 additions, deletions)`` with each file as ``(path, add, del, binary)``:
@@ -42,7 +44,7 @@ from .errors import DataError, csv_lines, csv_rows, jsonl_values, open_input, op
 
 COMMIT_HEADER_MARK = "\x01"
 GIT_LOG_COMMAND = (
-    "git log --numstat --date=unix --pretty=format:%x01%H|%an|%ae|%at|%s"
+    "git log --numstat --date=unix --pretty=format:%x01%H%x00%an%x00%ae%x00%at%x00%s"
 )
 ROSTER_COLUMNS = [
     "team_id",
@@ -214,10 +216,10 @@ def git_log_rows(text: str) -> list[tuple]:
 
 def _git_log_row(lines: list[str], start_line: int) -> tuple:
     header = lines[0]
-    parts = header.split("|", 4)
+    parts = header.split("\0" if "\0" in header else "|", 4)
     if len(parts) != 5:
         raise DataError(
-            f"malformed commit header (expected sha|name|email|timestamp|subject): {header!r}",
+            f"malformed commit header (expected sha, name, email, timestamp and subject): {header!r}",
             line=start_line,
         )
     sha, name, email, raw_ts, subject = parts

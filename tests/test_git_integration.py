@@ -53,15 +53,26 @@ def test_export_command_round_trips_through_parser(tmp_path):
         date="1443661200 +0000",
     )
 
+    # a | in a name, which the NUL-separated header keeps apart from the other fields
+    (repo / "README").write_text("notes\n")
+    _git(repo, "add", "README")
+    _git(repo, "commit", "-q", "-m", "docs | readme", name="Ann|Lee", email="ann@example.edu", date="1443664800 +0000")
+
     out = subprocess.run(
         ["git", "-C", str(repo), *GIT_LOG_COMMAND.split()[1:]],
         check=True,
         capture_output=True,
         text=True,
     )
+    assert "Ann|Lee" in out.stdout
     records = parse_git_log(out.stdout)
-    assert len(records) == 2
-    newest, oldest = records  # git log lists newest first
+    assert len(records) == 3
+    piped, newest, oldest = records  # git log lists newest first
+
+    assert piped.message == "docs | readme"
+    assert piped.author_key == "ann@example.edu"
+    assert piped.timestamp == 1443664800
+    assert [(f.path, f.additions, f.deletions) for f in piped.files] == [("README", 1, 0)]
 
     assert oldest.message == "Fixed logout"
     assert oldest.author_key == "alice@example.edu"

@@ -4,7 +4,7 @@ import contextlib
 import io
 import json
 
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from teamscope.cli import _label_lines, main
@@ -160,34 +160,42 @@ def _export_text(excluded="", **kw):
     return st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\n\r\x01" + excluded), **kw)
 
 
-# (sha, name, email, ts, subject, files), each file a path and its counts or None for a binary file
-_EXPORTED = st.lists(
-    st.tuples(
-        st.text("0123456789abcdefABCDEF", min_size=40, max_size=40),
-        _export_text("|", max_size=8),
-        _export_text("|", max_size=8),
-        st.integers(1, 2**63 - 1),
-        _export_text(max_size=12),
-        st.lists(
-            st.tuples(
-                _export_text("\t", min_size=1, max_size=8),
-                st.none() | st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+def _exported(separator: str):
+    """Commits (sha, name, email, ts, subject, files) of an export whose header fields
+    ``separator`` splits, each file a path and its counts or None for a binary file."""
+    return st.lists(
+        st.tuples(
+            st.text("0123456789abcdefABCDEF", min_size=40, max_size=40),
+            _export_text("\0" + separator, max_size=8),
+            _export_text("\0" + separator, max_size=8),
+            st.integers(1, 2**63 - 1),
+            _export_text("\0", max_size=12),
+            st.lists(
+                st.tuples(
+                    _export_text("\t", min_size=1, max_size=8),
+                    st.none() | st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+                ),
+                max_size=3,
             ),
-            max_size=3,
         ),
-    ),
-    max_size=4,
-    unique_by=lambda commit: commit[0].lower(),
-)
+        max_size=4,
+        unique_by=lambda commit: commit[0].lower(),
+    )
+
+
+# the NUL-separated export, whose names may hold a |, and the older |-separated one
+_EXPORTED = st.sampled_from(["\0", "|"]).flatmap(lambda separator: st.tuples(st.just(separator), _exported(separator)))
 
 
 @settings(max_examples=100, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
-@given(commits=_EXPORTED)
-def test_ingest_writes_the_same_interchange_from_either_input(tmp_path_factory, commits):
+@example(export=("\0", [("a" * 40, "Ann|Lee", "", 1, "fix | merge", [("A|B.java", (1, 2))])]))
+@given(export=_EXPORTED)
+def test_ingest_writes_the_same_interchange_from_either_input(tmp_path_factory, export):
     tmp = tmp_path_factory.mktemp("ingest")
+    separator, commits = export
     log, records = [], []
     for sha, name, email, ts, subject, files in commits:
-        log.append(f"{COMMIT_HEADER_MARK}{sha}|{name}|{email}|{ts}|{subject}\n")
+        log.append(COMMIT_HEADER_MARK + separator.join([sha, name, email, str(ts), subject]) + "\n")
         log += [("-\t-" if counts is None else "%d\t%d" % counts) + f"\t{path}\n" for path, counts in files]
         log.append("\n")
         records.append({

@@ -53,7 +53,7 @@ def write_sites(source: str, module: str) -> list[str]:
     writers = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "write_output"]
     allowed = {id(node) for writer in writers for node in ast.walk(writer)}
     calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and id(node) not in allowed]
-    return [f"{module}:{node.lineno}" for node in sorted(calls, key=lambda node: node.lineno) if opens_for_writing(node)]
+    return sorted(f"{module}:{node.lineno}" for node in calls if opens_for_writing(node))
 
 
 def test_only_write_output_opens_a_file_for_writing():
