@@ -37,7 +37,9 @@ import numpy as np
 
 from . import __version__, commitcls, synthgen, teamfeat, teamstyle
 from .commitcls import CascadeModel, CommitCategory
-from .errors import DataError, csv_lines, csv_rows, in_file, jsonl_values, open_text, read_input, write_output
+from .errors import (
+    DataError, csv_lines, csv_rows, in_file, json_quote, jsonl_records, open_text, read_input, write_output
+)
 from .ingest import (
     dump_commit_rows,
     dump_roster,
@@ -390,36 +392,22 @@ def _read_tagged(path, data: bytes) -> list[tuple[str, CommitCategory]]:
 _SCOPE_OF_NAME = {category.value: code for category, code in teamfeat.SCOPE_CODE.items()}
 
 
-# json.dumps's spelling of a string
-_quote = json.encoder.encode_basestring_ascii
-
-
 def _label_lines(shas, labels):
     """The ``labels.jsonl`` line of each sha and its (category name, pair flag),
     newline included: ``json.dumps`` of ``{"sha", "category",
-    "pair_programming"}`` with sorted keys, byte for byte. The text before
-    the sha is encoded once per distinct label."""
-    prefixes = {}
-    for sha, label in zip(shas, labels):
-        prefix = prefixes.get(label)
-        if prefix is None:
-            category, pair = label
-            prefix = prefixes[label] = (
-                f'{{"category": {_quote(category)}, "pair_programming": {"true" if pair else "false"}, "sha": '
-            )
-        yield f"{prefix}{_quote(sha)}}}\n"
+    "pair_programming"}`` with sorted keys, byte for byte."""
+    for sha, (category, pair) in zip(shas, labels):
+        yield (
+            f'{{"category": {json_quote(category)}, "pair_programming": {"true" if pair else "false"}, '
+            f'"sha": {json_quote(sha)}}}\n'
+        )
 
 
 def _read_labels(path, data: bytes) -> dict[str, tuple[int, bool]]:
     """Each labelled sha's (scope code, pair-programming flag) in the labels file ``data`` read from ``path``."""
     labels = {}
     with open_text(path, data) as fh:
-        for line, raw in jsonl_values(fh):
-            if not isinstance(raw, dict):
-                raise DataError("not a JSON object", line=line)
-            for key in ("sha", "category", "pair_programming"):
-                if key not in raw:
-                    raise DataError(f"missing {key!r} field", line=line)
+        for line, raw in jsonl_records(fh, ("sha", "category", "pair_programming")):
             sha, category, pair = raw["sha"], raw["category"], raw["pair_programming"]
             scope = _SCOPE_OF_NAME.get(category) if type(category) is str else None
             if scope is None:

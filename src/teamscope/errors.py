@@ -114,6 +114,22 @@ def jsonl_values(fh):
         yield line, value
 
 
+def jsonl_records(fh, keys: tuple):
+    """(line, object) for each value of :func:`jsonl_values`, which must be a JSON object
+    holding each of ``keys``; refused are a value that is not one, then the first key it lacks."""
+    required = frozenset(keys)
+    for line, raw in jsonl_values(fh):
+        if type(raw) is not dict:
+            raise DataError("not a JSON object", line=line)
+        if not raw.keys() >= required:  # one C-level set test per record
+            raise DataError(f"missing {next(key for key in keys if key not in raw)!r} field", line=line)
+        yield line, raw
+
+
+# json.dumps's spelling of a string, for the JSON Lines writers
+json_quote = json.encoder.encode_basestring_ascii
+
+
 def _json_loads(text: str, line: int):
     """``json.loads(text)``, a refusal raised as a DataError at ``line``."""
     try:

@@ -33,14 +33,15 @@ from __future__ import annotations
 
 import dataclasses
 import io
-import json
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataError, csv_lines, csv_rows, jsonl_values, open_input, open_text, write_output
+from .errors import (
+    DataError, csv_lines, csv_rows, json_quote, jsonl_records, open_input, open_text, write_output
+)
 
 COMMIT_HEADER_MARK = "\x01"
 GIT_LOG_COMMAND = (
@@ -252,8 +253,7 @@ def _natural(digits: str) -> int:
     return int(digits or "0") if len(digits) < 20 else _INT64_LIMIT
 
 
-# the writer's string and integer spellings: json.dumps's own
-_quote = json.encoder.encode_basestring_ascii
+# the writer's integer spelling: json.dumps's own
 _int = int.__repr__
 
 
@@ -263,13 +263,13 @@ def commit_line(row: tuple) -> str:
     byte for byte, keys in the order ``author, files[add, del, path], msg,
     sha, ts`` and ``null`` counts for a binary file."""
     files = ", ".join([
-        f'{{"add": null, "del": null, "path": {_quote(path)}}}' if binary
-        else f'{{"add": {_int(add)}, "del": {_int(dele)}, "path": {_quote(path)}}}'
+        f'{{"add": null, "del": null, "path": {json_quote(path)}}}' if binary
+        else f'{{"add": {_int(add)}, "del": {_int(dele)}, "path": {json_quote(path)}}}'
         for path, add, dele, binary in row[4]
     ])
     return (
-        f'{{"author": {_quote(row[1])}, "files": [{files}], "msg": {_quote(row[3])}, '
-        f'"sha": {_quote(row[0])}, "ts": {_int(row[2])}}}\n'
+        f'{{"author": {json_quote(row[1])}, "files": [{files}], "msg": {json_quote(row[3])}, '
+        f'"sha": {json_quote(row[0])}, "ts": {_int(row[2])}}}\n'
     )
 
 
@@ -325,7 +325,7 @@ def jsonl_rows(path, data) -> Iterator[tuple]:
     validated, in file order (see :func:`_commit_from_json`); a repeated sha is a :class:`DataError`."""
     seen: set[str] = set()
     with open_text(path, data) as fh:
-        for line, raw in jsonl_values(fh):
+        for line, raw in jsonl_records(fh, ("sha", "author", "ts", "msg", "files")):
             commit = _commit_from_json(raw, line)
             if commit[0] in seen:
                 raise DataError(f"duplicate sha {commit[0]}", line=line)
@@ -334,12 +334,7 @@ def jsonl_rows(path, data) -> Iterator[tuple]:
 
 
 def _commit_from_json(raw, line: int) -> tuple:
-    """The row of an interchange record (see :func:`_row`)."""
-    if not isinstance(raw, dict):
-        raise DataError("not a JSON object", line=line)
-    for key in ("sha", "author", "ts", "msg", "files"):
-        if key not in raw:
-            raise DataError(f"missing {key!r} field", line=line)
+    """The row of an interchange record, a JSON object holding each field (see :func:`_row`)."""
     for key in ("author", "msg"):
         if not isinstance(raw[key], str):
             raise DataError(f"{key} must be a string, got {raw[key]!r}", line=line)

@@ -8,15 +8,16 @@ holds what fitting learned and what the training inputs chose: terms, idf,
 weights, trees, standardization, selected columns and the lexicon. What the
 code fixes (stage order, gibberish threshold, n-gram range, forest shape) is
 not written. Files of any other version are refused and must be produced
-again by retraining. Numbers that ``json`` would read as non-finite floats
-(``NaN``, ``Infinity``, ``1e999``) are refused.
+again by retraining.
 
 Each object of a model file, the envelope included, is read by
 :func:`fields`, which declares its keys once: a missing key, or one it does
 not declare, is refused before any value is used. Each value is read by this
 module's reader of its kind, which refuses any other JSON type, an integer
-beyond int64 and a number beyond float64, so every refusal is a
-``DataError``.
+beyond int64, a number beyond float64 and a non-finite number (``NaN``,
+``Infinity``, ``-Infinity``, or a literal such as ``1e999`` that ``json``
+reads as infinite), naming the field (``idf must be finite, got NaN``), so
+every refusal is a ``DataError``.
 """
 
 from __future__ import annotations
@@ -54,13 +55,6 @@ def save_model(path, kind: str, payload: dict) -> str:
     return write_output(path, [dumps_model(kind, payload), "\n"])
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise DataError(f"non-finite number {text}")
-    return value
-
-
 # json reads true/false as bool, a subclass of int, so the readers compare
 # types exactly: a boolean is never read as 1/0, nor 1.5 as an integer
 _NUMBER, _INTEGER = frozenset((int, float)), frozenset((int,))
@@ -77,12 +71,16 @@ def _listed(value, kinds, name: str, what: str) -> list:
 
 
 def _array(value, kinds, dtype, name: str, what: str) -> np.ndarray:
-    """``value`` as read by :func:`_listed`, as an array of ``dtype``, which holds every item."""
+    """``value`` as read by :func:`_listed`, as an array of ``dtype`` that holds every item, each finite."""
     items = _listed(value, kinds, name, what)
     try:
-        return np.array(items, dtype=dtype)
+        array = np.array(items, dtype=dtype)
     except OverflowError:  # a JSON integer beyond the dtype's range
         raise DataError(f"{name} must hold {what} within {np.dtype(dtype).name} range") from None
+    if array.dtype.kind == "f" and not np.isfinite(array).all():
+        bad = next(v for v in items if not math.isfinite(v))
+        raise DataError(f"{name} must be finite, got {json.dumps(bad)}")
+    return array
 
 
 def number(value, name: str) -> float:
@@ -155,7 +153,7 @@ def fields(raw, prefix: str, **readers) -> list:
 def load_model(path, data: bytes, expected_kind: str) -> dict:
     with open_text(path, data) as fh:
         try:
-            raw = json.load(fh, parse_float=_finite, parse_constant=_finite)
+            raw = json.load(fh)
         except ValueError as exc:
             # undecodable bytes, and JSON syntax errors such as a truncated file
             raise DataError(f"not a {FORMAT_NAME} file ({exc})") from None

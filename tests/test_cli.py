@@ -468,7 +468,7 @@ _STAGE_COUNT = "altered.json: expected 3 stages (SoloSubmit, Cooperative, Collab
         (lambda raw: raw["model"].update(algorithm="logistic_rfe"), "altered.json: the model has no key 'weights'"),
         (_stages(lambda s: []), f"{_STAGE_COUNT}0"),
         (_stages(lambda s: s[:2]), f"{_STAGE_COUNT}2"),
-        (_mean(float("nan")), "altered.json: non-finite number NaN"),
+        (_mean(float("nan")), "altered.json: means must be finite, got NaN"),
         (_mean("0.5"), "altered.json: means must hold JSON numbers, got '0.5'"),
         (_boolean_column, "altered.json: SoloSubmit selected must hold JSON integers, got True"),
         (_stages(lambda s: [{**s[0], "selected": 3}, *s[1:]]),
@@ -538,9 +538,9 @@ _ML_STAGE_COUNT = "expected 3 ML stages (Implementation, Test, Bugfix), found "
     [
         (_stages(lambda s: s[:2]), f"{_ML_STAGE_COUNT}2"),
         (_stages(lambda s: []), f"{_ML_STAGE_COUNT}0"),
-        (_first_stage("tfidf", "idf", float("nan"), at=0), "non-finite number NaN"),
-        (_first_stage("logreg", "weights", float("-inf"), at=0), "non-finite number -Infinity"),
-        (_first_stage("logreg", "bias", float("inf")), "non-finite number Infinity"),
+        (_first_stage("tfidf", "idf", float("nan"), at=0), "idf must be finite, got NaN"),
+        (_first_stage("logreg", "weights", float("-inf"), at=0), "weights must be finite, got -Infinity"),
+        (_first_stage("logreg", "bias", float("inf")), "bias must be finite, got Infinity"),
         (_first_stage("logreg", "bias", "0.5"), "bias must hold one JSON number, got '0.5'"),
         (_first_stage("logreg", "bias", [0.1, 0.2]), "bias must hold one JSON number, got [0.1, 0.2]"),
         (_first_stage("logreg", "l2_lambda", [1, 2]), "l2_lambda must hold one JSON number, got [1, 2]"),
@@ -703,6 +703,48 @@ def test_logistic_predictions_do_not_depend_on_roster_order(team_model, logistic
         # a team's row is at another place in the matrix product
         confidence = float(predictions[team]["confidence"])
         assert confidence == pytest.approx(float(row["confidence"]), rel=1e-12, abs=1e-15)
+
+
+def _float_places(value, place=()):
+    """The place (keys and list indices) of each JSON float inside ``value``."""
+    if type(value) is float:
+        yield place
+    elif isinstance(value, (dict, list)):
+        for step, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _float_places(item, (*place, step))
+
+
+# each non-finite literal, and its JSON spelling once read as a float
+_NON_FINITE = {"NaN": "NaN", "Infinity": "Infinity", "-Infinity": "-Infinity", "1e999": "Infinity"}
+# the name a refusal gives a number field, where its reader adds a prefix to the key
+_FIELD_NAMES = {"threshold": "tree threshold"}
+
+
+@settings(_CLI_EXAMPLES, max_examples=100)
+@given(model=st.sampled_from(["cascade", "forest", "logistic"]), literal=st.sampled_from(list(_NON_FINITE)),
+       data=st.data())
+def test_non_finite_number_in_a_model_names_its_field(
+    team_model, cascade_model, logistic_team_model, model, literal, data
+):
+    corpus, forest = team_model
+    path = {"cascade": cascade_model, "forest": forest, "logistic": logistic_team_model[0]}[model]
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    place = data.draw(st.sampled_from(list(_float_places(raw["model"]))), label="place")
+    node = raw["model"]
+    for step in place[:-1]:
+        node = node[step]
+    node[place[-1]] = "@number@"
+    key = next(step for step in reversed(place) if type(step) is str)
+    command = "label-commits" if model == "cascade" else "predict"
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        altered = Path(tmp) / "altered.json"
+        altered.write_text(json.dumps(raw).replace('"@number@"', literal), encoding="utf-8")
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--model", str(altered), "--data", str(corpus), "--out", str(Path(tmp) / "out")])
+    assert code == 2
+    field = _FIELD_NAMES.get(key, key)
+    assert err.getvalue() == f"error: {altered}: {field} must be finite, got {_NON_FINITE[literal]}\n"
 
 
 _TEAM_OUTPUTS = ("features.csv", "teams_forest.json", "team_eval_forest.json", "predictions.csv", "flags.json")
@@ -1040,7 +1082,7 @@ UNREADABLE = {
     "model-no-n_features": ("corpus/models/teams_forest.json",
                             _model_without("stages", 0, "model", "n_features"), _PREDICT, "no key 'n_features'"),
     "model-mean-overflows": ("corpus/models/teams_forest.json", _first_mean(b"1e999"), _PREDICT,
-                             "teams_forest.json: non-finite number 1e999"),
+                             "teams_forest.json: means must be finite, got Infinity"),
     "model-mean-huge-int": ("corpus/models/teams_forest.json", _first_mean(b"1" + b"0" * 400), _PREDICT,
                             "teams_forest.json: means must hold JSON numbers within float64 range"),
     "commit-msg-null": ("corpus/commits.jsonl", _first_commit(msg=None), _FEATURES,
@@ -1067,6 +1109,9 @@ UNREADABLE = {
                               "corpus/labels.jsonl: no label for commit "),
     "commit-not-object": ("corpus/commits.jsonl", lambda data: b"[1, 2]\n" + data, _FEATURES,
                           "commits.jsonl line 1: not a JSON object"),
+    # the first missing key in the declared order, not in the file's sorted one
+    "commit-no-msg-nor-ts": ("corpus/commits.jsonl", lambda data: _first_line_without("ts")(
+        _first_line_without("msg")(data)), _FEATURES, "commits.jsonl line 1: missing 'ts' field"),
     "commit-not-json": ("corpus/commits.jsonl", lambda data: b"\n\n{oops\n" + data, _FEATURES,
                         "commits.jsonl line 3: invalid JSON: "),
     "gitlog-before-header": ("history.gitlog", lambda data: b"stray text\n" + data, _GITLOG,

@@ -2,14 +2,15 @@
 
 ``train-commits``, ``eval-commits`` and ``label-commits``, then
 ``train-teams`` and ``eval-teams`` with both algorithms on those labels,
-``predict`` and ``flag`` run in fresh interpreters under one and two OpenBLAS
-threads, with numpy's runtime SIMD dispatch turned off
-(``NPY_DISABLE_CPU_FEATURES`` naming every dispatched feature the CPU has),
-and with OpenBLAS held to its Haswell and Sandybridge kernels
-(``OPENBLAS_CORETYPE``; skipped when numpy is not built on OpenBLAS). The
-pipelines run in a module fixture, at most four at a time. On the
-40-team corpus most RFE rounds have more columns than training teams, so
-their Newton directions take the dual form. Model bytes may differ in the
+``predict`` and ``flag`` run one after another through
+``teamscope.entry.main`` in one fresh interpreter per environment, started
+under that environment's variables: one and two OpenBLAS threads, numpy's
+runtime SIMD dispatch turned off (``NPY_DISABLE_CPU_FEATURES`` naming every
+dispatched feature the CPU has), and OpenBLAS held to its Haswell and
+Sandybridge kernels (``OPENBLAS_CORETYPE``; skipped when numpy is not built
+on OpenBLAS). The pipelines run in a module fixture, at most four at a
+time. On the 40-team corpus most RFE rounds have more columns than training
+teams, so their Newton directions take the dual form. Model bytes may differ in the
 last bits of a logistic weight between these runs; the labels, the
 evaluation reports, the predictions, the flags and every team stage's
 selected columns must not.
@@ -89,6 +90,16 @@ def course(tmp_path_factory):
     return corpus, tagged
 
 
+# each command line of the JSON list in argv[1], run by the installed command's entry point
+_CHILD = """
+import json, sys
+from teamscope.entry import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+"""
+
+
 def _run_pipeline(course, out: Path, extra_env: dict[str, str]) -> dict:
     """Each decision-bearing output of the pipeline run under ``extra_env``."""
     corpus, tagged = course
@@ -102,7 +113,7 @@ def _run_pipeline(course, out: Path, extra_env: dict[str, str]) -> dict:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     env.update(extra_env)
     forest = str(out / "teams_forest.json")
-    for argv in (
+    commands = [
         ["train-commits", "--tagged", str(tagged), "--out", str(out)],
         ["eval-commits", "--tagged", str(tagged), "--folds", "5", "--out", str(out)],
         ["label-commits", "--model", str(out / "cascade.json"), "--data", str(data), "--out", str(data)],
@@ -112,8 +123,8 @@ def _run_pipeline(course, out: Path, extra_env: dict[str, str]) -> dict:
         ["flag", "--model", forest, "--data", str(data), "--out", str(out)],
         ["eval-teams", "--data", str(data), "--algorithm", "forest", "--folds", "3", "--out", str(out)],
         ["eval-teams", "--data", str(data), "--algorithm", "logistic_rfe", "--folds", "3", "--out", str(out)],
-    ):
-        subprocess.run([sys.executable, "-m", "teamscope", *argv], env=env, check=True, capture_output=True)
+    ]
+    subprocess.run([sys.executable, "-c", _CHILD, json.dumps(commands)], env=env, check=True, capture_output=True)
     outputs = {name: (out / name).read_bytes() for name in (
         "commit_eval.json", "predictions.csv", "flags.json", "team_eval_forest.json",
         "team_eval_logistic_rfe.json")}

@@ -145,6 +145,7 @@ def test_serialized_form_is_stable_bytes(tmp_path):
         (lambda v, name: pairs(v, name), [[1, 2], [3, 4, 5]]),
         (lambda v, name: pairs(v, name), [[1, True]]),
         (objects, {}), (objects, [{}, []]),
+        (number, float("nan")), (number, float("-inf")), (numbers, [1.0, float("inf")]),
     ],
 )
 def test_readers_refuse_other_json_types_and_name_the_field(reader, value):
