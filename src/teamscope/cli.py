@@ -4,10 +4,12 @@ Datasets are directories with conventional file names (``commits.jsonl``,
 ``roster.csv``, ``labels.jsonl``, ``features.csv``, ``models/``) so stages
 stay decoupled. Every command writes a ``manifest_<command>.json`` beside
 its outputs recording the effective configuration, the code that ran, and
-content digests of inputs and outputs; reruns with identical inputs and seed
-produce byte-identical files (model files only under the same BLAS build
-and thread count). Exit codes: 0 success, 1 usage error, 2 data error, 3
-internal error.
+content digests of inputs and outputs; a team-style run whose
+``--algorithm`` is not forest writes ``manifest_<command>_<algorithm>.json``,
+so the runs of two algorithms into one directory each keep their own.
+Reruns with identical inputs and seed produce byte-identical files (model
+files only under the same BLAS build and thread count). Exit codes: 0
+success, 1 usage error, 2 data error, 3 internal error.
 
 ``main`` is the one driver and the one reader of a command's input files: it parses the
 command line, applies ``--config``, reads and hashes each declared input file once,
@@ -103,6 +105,8 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
 
 # the dataset files a feature matrix is computed from, by manifest name
 _DATASET_FILES = {"commits": "commits.jsonl", "roster": "roster.csv", "labels": "labels.jsonl"}
+# the team-style algorithm whose runs write the plain manifest_<command>.json
+_DEFAULT_ALGORITHM = "forest"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -127,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     evaluation.add_argument("--folds", type=_int_at_least(2), default=5, help="cross-validation folds")
     evaluation.add_argument("--format", choices=["csv", "json"], default="json", help="report file format")
     style_model = argparse.ArgumentParser(add_help=False)
-    style_model.add_argument("--algorithm", choices=list(teamstyle.STAGE_MODELS), default="forest")
+    style_model.add_argument("--algorithm", choices=list(teamstyle.STAGE_MODELS), default=_DEFAULT_ALGORITHM)
     style_model.add_argument(
         "--k-features",
         type=_int_at_least(1),
@@ -318,7 +322,9 @@ def _write_manifest(outdir: Path, args, inputs: dict, facts: dict, outputs: dict
         "config": {**options, **facts},
         "outputs": {p.name: digest for p, digest in sorted(outputs.items())},
     }
-    write_output(outdir / f"manifest_{args.command}.json", [canonical_json(manifest), "\n"])
+    algorithm = getattr(args, "algorithm", _DEFAULT_ALGORITHM)
+    name = args.command if algorithm == _DEFAULT_ALGORITHM else f"{args.command}_{algorithm}"
+    write_output(outdir / f"manifest_{name}.json", [canonical_json(manifest), "\n"])
 
 
 def _write_report(outdir: Path, stem: str, fmt: str, payload, label: str, reports) -> dict[Path, str]:

@@ -25,19 +25,19 @@ Nodes are made in creation order and then renumbered into each tree's
 pre-order by one sort. A tree is a set of parallel per-node arrays whose
 child indices count from the tree's root (the layout of scikit-learn's
 ``Tree``), and a forest is its trees' arrays one after another, with each
-tree's root in ``trees``. The model file holds the same arrays cut per
-tree, so fitting builds them, ``to_dict`` slices them, ``from_dict`` checks
-and concatenates them, and prediction and importances read them in
-whole-forest passes. Leaves store the counts of classes 0 and 1; tree and
-forest predictions are majority votes with ties going to class 0. Those
-counts are all a forest's importances need, so a model file holds only the
-trees and the number of feature columns: the class list, the depth rule
-and the tree count belong to the code or follow from the trees.
+tree's root in ``trees``. Fitting builds those arrays, the model file holds
+them whole, and prediction and importances read them in whole-forest
+passes. Leaves store the counts of classes 0 and 1; tree and forest
+predictions are majority votes with ties going to class 0. Those counts are
+all a forest's importances need, so a model file holds only the node
+arrays, the roots and the number of feature columns: the class list, the
+depth rule and the tree count belong to the code or follow from the trees.
 """
 
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,7 +45,7 @@ import numpy as np
 
 from ..errors import DataError
 from .evaluation import check_training_set, choice_bounds, seed_sequence, sorted_choices
-from .serialize import fields, integer, integers, numbers, objects, pairs
+from .serialize import fields, integer, integers, numbers, pairs
 
 # Most cells (candidate feature x node sample) the split search of one
 # lockstep step holds, unless its one node has more. It bounds the search's
@@ -62,7 +62,7 @@ _BLOCK = 8
 
 @dataclass(eq=False)
 class ForestModel:
-    """A fitted forest as the model file's per-tree node arrays, concatenated.
+    """A fitted forest: its trees' node arrays one after another, as the model file holds them.
 
     Tree t's nodes run in pre-order from its root ``trees[t]`` to the next
     tree's root, so ``len(trees)`` is the tree count. ``feature[i]`` is -1 at
@@ -83,30 +83,26 @@ class ForestModel:
     n_features: int
 
     def to_dict(self) -> dict:
-        arrays = {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "counts": self.counts.tolist(),
-        }
-        bounds = zip(self.trees.tolist(), self.trees[1:].tolist() + [len(self.feature)])
-        trees = [{k: v[lo:hi] for k, v in arrays.items()} for lo, hi in bounds]
-        return {"trees": trees, "n_features": self.n_features}
+        arrays = ("feature", "threshold", "left", "right", "counts", "trees")
+        return {key: getattr(self, key).tolist() for key in arrays} | {"n_features": self.n_features}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ForestModel":
-        n_features, raw_trees = fields(raw, "forest ", n_features=integer, trees=objects)
-        per_tree = [_read_tree(t) for t in raw_trees]
-        if not per_tree:
-            raise DataError("forest has no trees")
-        sizes = np.array([len(t[0]) for t in per_tree])
-        feature, threshold, left, right, counts = (np.concatenate(a) for a in zip(*per_tree))
-        trees = np.cumsum(sizes) - sizes
+        feature, threshold, left, right, counts, trees, n_features = fields(
+            raw, "forest ", feature=integers, threshold=numbers, left=integers, right=integers, counts=pairs,
+            trees=integers, n_features=integer,
+        )
+        n = len(feature)
+        if any(len(a) != n for a in (threshold, left, right, counts)):
+            raise DataError("forest feature, threshold, left, right and counts must be of one length")
+        if trees.size == 0 or trees[0] != 0 or (np.diff(trees) <= 0).any() or trees[-1] >= n:
+            got = reprlib.repr(trees.tolist())
+            raise DataError(f"forest trees must rise strictly from 0 and stay below the node count {n}, got {got}")
         # a split reads one of the columns, and its children come after it
         # inside its tree, which keeps every descent finite; a leaf links
         # nowhere; and every node holds a sample, so it has an impurity
-        node = np.arange(len(feature)) - np.repeat(trees, sizes)
+        sizes = np.diff(trees, append=n)
+        node = np.arange(n) - np.repeat(trees, sizes)
         end = np.repeat(sizes, sizes)
         inside = (node < left) & (left < end) & (node < right) & (right < end)
         linked = np.where(feature >= 0, inside, (left == -1) & (right == -1))
@@ -114,17 +110,6 @@ class ForestModel:
         if np.any(refused) or not np.all(linked):
             raise DataError("malformed tree: inconsistent node arrays")
         return cls(feature, threshold, left, right, counts, trees, n_features)
-
-
-def _read_tree(raw: dict) -> tuple:
-    """One tree's feature, threshold, left, right and counts arrays, all of one length."""
-    arrays = fields(
-        raw, "tree ", feature=integers, threshold=numbers, left=integers, right=integers, counts=pairs
-    )
-    n = len(arrays[0])
-    if n == 0 or any(a.shape[:1] != (n,) for a in arrays):
-        raise DataError("malformed tree: inconsistent node arrays")
-    return arrays
 
 
 def _weighted_gini(counts: np.ndarray, size: np.ndarray) -> np.ndarray:

@@ -1,14 +1,15 @@
 """Versioned JSON envelopes for fitted models.
 
-Every model file is ``{"format": "teamscope-model", "version": 3, "kind":
+Every model file is ``{"format": "teamscope-model", "version": 4, "kind":
 <kind>, "model": <payload>}`` dumped with sorted keys, so identical models
 serialize to identical bytes and reloading reproduces bit-identical
-predictions (JSON round-trips Python floats exactly). A version 3 payload
+predictions (JSON round-trips Python floats exactly). A version 4 payload
 holds what fitting learned and what the training inputs chose: terms, idf,
-weights, trees, standardization, selected columns and the lexicon. What the
-code fixes (stage order, gibberish threshold, n-gram range, forest shape) is
-not written. Files of any other version are refused and must be produced
-again by retraining.
+weights, standardization, selected columns, the lexicon, and each forest as
+the node arrays and tree roots it has in memory. What the code fixes (stage
+order, gibberish threshold, n-gram range, forest shape) is not written.
+Files of any other version are refused and must be produced again by
+retraining.
 
 Each object of a model file, the envelope included, is read by
 :func:`fields`, which declares its keys once: a missing key, or one it does
@@ -32,7 +33,7 @@ import numpy as np
 from ..errors import DataError, open_text, write_output
 
 FORMAT_NAME = "teamscope-model"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def canonical_json(payload) -> str:
@@ -161,7 +162,7 @@ def load_model(path, data: bytes, expected_kind: str) -> dict:
             raise DataError(f"not a {FORMAT_NAME} file (nested too deeply)") from None
         if not isinstance(raw, dict) or raw.get("format") != FORMAT_NAME:
             raise DataError(f"not a {FORMAT_NAME} file")
-        # 3.0 == 3 in Python, but the version is the JSON integer 3
+        # 4.0 == 4 in Python, but the version is the JSON integer 4
         if type(raw.get("version")) is not int or raw["version"] != FORMAT_VERSION:
             raise DataError(
                 f"unsupported model version {raw.get('version')!r} "

@@ -410,15 +410,25 @@ def _forest_field(key, value):
 
 
 def _first_split(key, value, column=None):
-    """Set ``key`` (item ``column`` of it, when given) of the first tree's first split node to ``value``."""
+    """Set ``key`` (item ``column`` of it, when given) of the first stage forest's first split node to ``value``."""
 
     def alter(raw):
-        tree = raw["model"]["stages"][0]["model"]["trees"][0]
-        node = next(i for i, f in enumerate(tree["feature"]) if f >= 0)
+        forest = raw["model"]["stages"][0]["model"]
+        node = next(i for i, f in enumerate(forest["feature"]) if f >= 0)
         if column is None:
-            tree[key][node] = value
+            forest[key][node] = value
         else:
-            tree[key][node][column] = value
+            forest[key][node][column] = value
+
+    return alter
+
+
+def _forest_trees(pick):
+    """An alteration that replaces the first stage forest's ``trees`` with ``pick(trees, node count)``."""
+
+    def alter(raw):
+        forest = raw["model"]["stages"][0]["model"]
+        forest["trees"] = pick(forest["trees"], len(forest["feature"]))
 
     return alter
 
@@ -456,6 +466,7 @@ def _logistic(bias):
 
 
 _STAGE_COUNT = "altered.json: expected 3 stages (SoloSubmit, Cooperative, Collaborative), found "
+_TREES = "altered.json: forest trees must rise strictly from 0 and stay below the node count "
 
 
 @pytest.mark.parametrize(
@@ -475,25 +486,33 @@ _STAGE_COUNT = "altered.json: expected 3 stages (SoloSubmit, Cooperative, Collab
          "altered.json: SoloSubmit selected must be a list of JSON integers, got 3"),
         (_forest_field("n_features", 12.0),
          "altered.json: forest n_features must hold one JSON integer, got 12.0"),
-        (_first_split("feature", True), "altered.json: tree feature must hold JSON integers, got True"),
-        (_first_split("feature", 0.5), "altered.json: tree feature must hold JSON integers, got 0.5"),
-        (_first_split("right", 2.0), "altered.json: tree right must hold JSON integers, got 2.0"),
-        (_first_split("counts", False, column=0), "altered.json: tree counts must hold JSON integers, got False"),
+        (_first_split("feature", True), "altered.json: forest feature must hold JSON integers, got True"),
+        (_first_split("feature", 0.5), "altered.json: forest feature must hold JSON integers, got 0.5"),
+        (_first_split("right", 2.0), "altered.json: forest right must hold JSON integers, got 2.0"),
+        (_first_split("counts", False, column=0), "altered.json: forest counts must hold JSON integers, got False"),
         (_logistic([0.1, 0.2]), "altered.json: bias must hold one JSON number, got [0.1, 0.2]"),
         (lambda raw: raw["model"].update(algorithm=["forest"]),
          "altered.json: algorithm must hold one JSON string, got ['forest']"),
         (lambda raw: raw["model"].update(stds=raw["model"]["stds"][:-1]),
          "altered.json: means and stds must be lists of numbers of one length"),
-        (_forest_field("trees", []), "altered.json: forest has no trees"),
-        (_forest_field("trees", 5), "altered.json: forest trees must be a list of JSON objects, got 5"),
+        (_forest_field("trees", []), _TREES),
+        (_forest_field("trees", 5), "altered.json: forest trees must be a list of JSON integers, got 5"),
         (_forest_field("n_tree", 3), "altered.json: unknown key 'n_tree'"),
-        (_first_split("left", 2**63), "altered.json: tree left must hold JSON integers within int64 range"),
+        (_first_split("left", 2**63), "altered.json: forest left must hold JSON integers within int64 range"),
+        (lambda raw: raw.update(version=3), "unsupported model version 3 (this teamscope reads version 4); retrain"),
+        (_forest_trees(lambda trees, n: trees[1:]), _TREES),
+        (_forest_trees(lambda trees, n: [0, *trees]), _TREES),
+        (_forest_trees(lambda trees, n: [*trees, n]), _TREES),
+        (_forest_trees(lambda trees, n: [*trees[:-1], n + 1]), _TREES),
+        (_forest_field("threshold", [0.0]),
+         "altered.json: forest feature, threshold, left, right and counts must be of one length"),
     ],
     ids=["format-v1", "foreign-registry", "narrow-means", "unknown-algorithm", "algorithm-model_type-mismatch",
          "no-stages", "two-stages", "nan-mean", "string-mean", "boolean-column", "number-selected",
          "n_features-float", "split-feature-boolean", "split-feature-float", "split-right-float",
          "split-counts-boolean", "logistic-list-bias", "list-algorithm", "short-stds", "no-trees",
-         "number-trees", "misspelt-forest-key", "split-left-beyond-int64"],
+         "number-trees", "misspelt-forest-key", "split-left-beyond-int64", "format-v3", "trees-not-from-0",
+         "trees-repeated-root", "trees-root-at-node-count", "trees-root-past-node-count", "short-threshold"],
 )
 @pytest.mark.parametrize("command", ["predict", "flag"])
 def test_unfit_model_is_data_error(team_model, tmp_path, capsys, command, alter, message):
@@ -717,7 +736,7 @@ def _float_places(value, place=()):
 # each non-finite literal, and its JSON spelling once read as a float
 _NON_FINITE = {"NaN": "NaN", "Infinity": "Infinity", "-Infinity": "-Infinity", "1e999": "Infinity"}
 # the name a refusal gives a number field, where its reader adds a prefix to the key
-_FIELD_NAMES = {"threshold": "tree threshold"}
+_FIELD_NAMES = {"threshold": "forest threshold"}
 
 
 @settings(_CLI_EXAMPLES, max_examples=100)
@@ -1127,8 +1146,8 @@ UNREADABLE = {
                           "teams_forest.json: not a teamscope-model file (nested too deeply)"),
     "model-no-model-key": ("corpus/models/teams_forest.json", _envelope(model=None), _PREDICT,
                            "teams_forest.json: the model has no key 'model'"),
-    "model-version-float": ("corpus/models/teams_forest.json", _envelope(version=3.0), _PREDICT,
-                            "teams_forest.json: unsupported model version 3.0 "),
+    "model-version-float": ("corpus/models/teams_forest.json", _envelope(version=4.0), _PREDICT,
+                            "teams_forest.json: unsupported model version 4.0 "),
     "commit-int-too-long": ("corpus/commits.jsonl", lambda data: b'{"ts": ' + b"1" * 5000 + b"}\n" + data,
                             _FEATURES, "commits.jsonl line 1: invalid JSON: Exceeds the limit (4300 digits)"),
     "labels-list-line": ("corpus/labels.jsonl", lambda data: b"[1, 2]\n" + data, _FEATURES,
@@ -1603,7 +1622,7 @@ def test_pipeline_writes_the_same_bytes_with_or_without_features(team_model, tmp
 # sha256 of the forest model and forest report of a small seed-7 course: a
 # change to how forests draw or grow that alters a tree fails here
 PINNED_FOREST_FILES = {
-    "models/teams_forest.json": "3b1f34a347265b948bde0a3b9b8e7e2997fba49011e7e5b78fa46cefc11b7578",
+    "models/teams_forest.json": "8fb2ac7bc584eda1b0846a0e4cc3612b1caba38df3b97c6b70b5959e492c7c42",
     "reports/team_eval_forest.json": "64a61146cb359dab69d3c5d40700ae9164358004ec1655079ea50221defc7195",
 }
 
@@ -1789,6 +1808,25 @@ def test_manifest_outputs_are_the_bytes_the_command_wrote(work, cascade_model, o
     manifest_path = out / f"manifest_{argv[0]}.json"
     outputs = {path.name: _sha256(path) for path in files if path != manifest_path}
     assert json.loads(manifest_path.read_text(encoding="utf-8"))["outputs"] == outputs
+
+
+@pytest.mark.parametrize("command, stem", [("train-teams", "teams"), ("eval-teams", "team_eval")])
+def test_each_algorithm_keeps_its_manifest_in_one_out(team_model, tmp_path, command, stem):
+    # forest, the default, keeps the plain name that earlier runs and readers know
+    corpus, _ = team_model
+    out = tmp_path / "out"
+    argv = [command, "--data", str(corpus), "--styles", str(corpus / "truth_teams.csv"), "--out", str(out),
+            "--seed", "9", *(["--folds", "3"] if command == "eval-teams" else [])]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for algorithm in ("forest", "logistic_rfe"):
+            assert main([*argv, "--algorithm", algorithm]) == 0
+    manifests = {"forest": f"manifest_{command}.json", "logistic_rfe": f"manifest_{command}_logistic_rfe.json"}
+    assert sorted(p.name for p in out.glob("manifest_*")) == sorted(manifests.values())
+    for algorithm, name in manifests.items():
+        manifest = json.loads((out / name).read_text(encoding="utf-8"))
+        output = out / f"{stem}_{algorithm}.json"
+        assert manifest["config"]["algorithm"] == algorithm
+        assert manifest["outputs"] == {output.name: _sha256(output)}
 
 
 def _child(argv: list, timeout: float) -> subprocess.CompletedProcess:

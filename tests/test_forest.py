@@ -1,3 +1,4 @@
+import json
 from unittest import mock
 
 import numpy as np
@@ -17,11 +18,21 @@ from teamscope.mlcore import forest as forest_module
 from teamscope.mlcore.forest import ForestModel
 
 
+_NODE_ARRAYS = ("feature", "threshold", "left", "right", "counts")
+
+
 def _leaves(*counts) -> ForestModel:
     """A forest of one-node trees over one column, each voting for the largest of its ``counts``."""
-    leaf = {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1]}
-    trees = [dict(leaf, counts=[c]) for c in counts]
-    return ForestModel.from_dict({"trees": trees, "n_features": 1})
+    n = len(counts)
+    leaves = {"feature": [-1] * n, "threshold": [0.0] * n, "left": [-1] * n, "right": [-1] * n}
+    return ForestModel.from_dict({**leaves, "counts": list(counts), "trees": list(range(n)), "n_features": 1})
+
+
+def _per_tree(model: ForestModel) -> list:
+    """Each tree's node arrays as lists, cut from the model file's arrays at the tree roots."""
+    raw = model.to_dict()
+    bounds = zip(raw["trees"], raw["trees"][1:] + [len(raw["feature"])])
+    return [{key: raw[key][lo:hi] for key in _NODE_ARRAYS} for lo, hi in bounds]
 
 
 def _winners(model, X) -> list:
@@ -32,7 +43,7 @@ def _winners(model, X) -> list:
 def test_pure_single_class_input_predicts_that_class():
     X = np.arange(12.0).reshape(6, 2)
     model = train_forest(X, [0] * 6, n_trees=5, seed=1)
-    assert all(len(tree["feature"]) == 1 for tree in model.to_dict()["trees"])  # one leaf each
+    assert [len(tree["feature"]) for tree in _per_tree(model)] == [1] * 5  # one leaf each
     assert _winners(model, X) == [0] * 6
 
 
@@ -113,7 +124,7 @@ def test_bootstrap_per_tree_differs():
     X = rng.normal(size=(30, 3))
     y = (X[:, 0] > 0).astype(int)
     model = train_forest(X, y, n_trees=2, seed=42)
-    first, second = model.to_dict()["trees"]
+    first, second = _per_tree(model)
     assert first != second
 
 
@@ -125,7 +136,7 @@ def test_tree_randomness_is_per_tree_not_sequential():
     y = (X[:, 2] > 0).astype(int)
     small = train_forest(X, y, n_trees=3, seed=17)
     large = train_forest(X, y, n_trees=6, seed=17)
-    assert large.to_dict()["trees"][:3] == small.to_dict()["trees"]
+    assert _per_tree(large)[:3] == _per_tree(small)
 
 
 def test_non_binary_labels_are_data_error():
@@ -170,13 +181,14 @@ def _assert_matches_reference(X, y, n_trees, seed):
     model = train_forest(X, y, n_trees=n_trees, seed=seed)
     trees, classes, importances = oracle_forest.train_forest(X, y, n_trees, seed)
     assert classes == [0, 1]
-    raw = model.to_dict()["trees"]
-    assert raw == [oracle_forest.flatten(t) for t in trees]
-    # in memory, the forest is the file's per-tree arrays one after another
-    for key in ("feature", "threshold", "left", "right", "counts"):
-        assert np.array_equal(getattr(model, key), np.concatenate([t[key] for t in raw]))
-    sizes = [len(t["feature"]) for t in raw]
+    flat = [oracle_forest.flatten(t) for t in trees]
+    assert _per_tree(model) == flat
+    sizes = [len(t["feature"]) for t in flat]
     assert model.trees.tolist() == np.cumsum([0] + sizes[:-1]).tolist()
+    # the model file holds the arrays the forest has in memory
+    raw = model.to_dict()
+    for key in (*_NODE_ARRAYS, "trees"):
+        assert np.array_equal(getattr(model, key), raw[key])
     # the oracle sums each split's decrease as it grows the tree; the model reads them from the counts
     total = importances.sum()
     assert np.array_equal(feature_importances(model), importances / total if total > 0 else importances)
@@ -247,14 +259,19 @@ def test_votes_of_no_rows():
     assert forest_votes(model, np.zeros((0, 1))).shape == (0, 2)
 
 
-def test_tree_arrays_round_trip_through_dict():
-    rng = np.random.default_rng(3)
-    X = rng.normal(size=(30, 4))
-    model = train_forest(X, (X[:, 1] > 0).astype(int), n_trees=3, seed=5)
-    clone = ForestModel.from_dict(model.to_dict())
+@settings(max_examples=40, deadline=None)
+@given(data=_forest_inputs(), n_trees=st.integers(1, 12), seed=st.integers(0, 2**32))
+def test_tree_arrays_round_trip_through_dict(data, n_trees, seed):
+    X, y = data
+    model = train_forest(X, y, n_trees=n_trees, seed=seed)
+    text = dumps_model("forest", model.to_dict())
+    clone = ForestModel.from_dict(json.loads(text)["model"])
+    for key in (*_NODE_ARRAYS, "trees"):
+        assert np.array_equal(getattr(clone, key), getattr(model, key))
+        assert getattr(clone, key).dtype == getattr(model, key).dtype
     # the tree count is len(trees): stage vote shares and traced counts read it
-    assert len(model.trees) == len(clone.trees) == 3
-    assert clone.to_dict() == model.to_dict()
+    assert len(clone.trees) == n_trees and clone.n_features == model.n_features
+    assert dumps_model("forest", clone.to_dict()) == text
     assert np.array_equal(forest_votes(clone, X), forest_votes(model, X))
 
 
@@ -274,15 +291,26 @@ def test_tree_arrays_round_trip_through_dict():
     ],
 )
 def test_malformed_tree_is_schema_error(change):
+    # a one-tree forest's arrays are its tree's
     X = np.array([[0.0], [1.0]])
     raw = train_forest(X, [0, 1], n_trees=1, seed=1).to_dict()
-    assert raw["trees"][0]["feature"] == [0, -1, -1]
-    raw["trees"][0].update(change)
+    assert raw["feature"] == [0, -1, -1] and raw["trees"] == [0]
+    raw.update(change)
     with pytest.raises(
         DataError,
-        match=r"^(malformed tree: inconsistent node arrays|tree threshold must be a list of JSON numbers, got 'x')$",
+        match=r"^(malformed tree: inconsistent node arrays"
+        r"|forest feature, threshold, left, right and counts must be of one length"
+        r"|forest threshold must be a list of JSON numbers, got 'x')$",
     ):
         ForestModel.from_dict(raw)
+
+
+def _two_stumps() -> dict:
+    """The model dict of two stumps over one column: nodes 0-2 and 3-5."""
+    X = np.array([[0.0], [1.0]])
+    raw = train_forest(X, [0, 1], n_trees=2, seed=1).to_dict()
+    assert raw["feature"] == [0, -1, -1] * 2 and raw["trees"] == [0, 3]
+    return raw
 
 
 @pytest.mark.parametrize(
@@ -290,11 +318,23 @@ def test_malformed_tree_is_schema_error(change):
     [(0, {"right": [3, -1, -1]}), (1, {"right": [3, -1, -1]}), (1, {"feature": [1, -1, -1]})],
 )
 def test_children_are_checked_within_their_own_tree(tree, change):
-    # the trees are checked on concatenated arrays: a child must stay inside
-    # its own tree, not only inside the forest's nodes
-    X = np.array([[0.0], [1.0]])
-    raw = train_forest(X, [0, 1], n_trees=2, seed=1).to_dict()
-    assert [t["feature"] for t in raw["trees"]] == [[0, -1, -1]] * 2
-    raw["trees"][tree].update(change)
+    # a child must stay inside its own tree, not only inside the forest's
+    # nodes: the first tree's right child 3 is the second tree's root
+    raw = _two_stumps()
+    root = raw["trees"][tree]
+    for key, values in change.items():
+        raw[key][root : root + len(values)] = values
     with pytest.raises(DataError, match="malformed tree: inconsistent node arrays"):
+        ForestModel.from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [[], [1, 3], [0, 0, 3], [0, 3, 2], [0, 6], [0, 3, 7]],
+    ids=["empty", "not-from-0", "repeated", "falling", "at-node-count", "past-node-count"],
+)
+def test_trees_are_rising_roots_below_the_node_count(roots):
+    raw = _two_stumps()
+    raw["trees"] = roots
+    with pytest.raises(DataError, match=r"^forest trees must rise strictly from 0 and stay below the node count 6, "):
         ForestModel.from_dict(raw)

@@ -13,7 +13,8 @@ A change that alters output bytes on purpose regenerates the ledger with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-and names each changed file, and why it changed, in CHANGES.md.
+which prints each entry it adds, removes or changes, one line each, and
+names each of them, and why it changed, in CHANGES.md.
 """
 
 import contextlib
@@ -113,7 +114,12 @@ def test_every_output_keeps_its_bytes(tmp_path):
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--write"]:
+        pinned = json.loads(LEDGER.read_text(encoding="utf-8")) if LEDGER.exists() else {}
         with tempfile.TemporaryDirectory() as tmp:
-            LEDGER.write_text(json.dumps(ledger(Path(tmp)), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+            got = ledger(Path(tmp))
+        for name in sorted(pinned.keys() | got.keys()):
+            if pinned.get(name) != got.get(name):
+                print("added" if name not in pinned else "removed" if name not in got else "changed", name)
+        LEDGER.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     else:
         print(json.dumps(_run(Path(sys.argv[1]))))

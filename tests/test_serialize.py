@@ -1,3 +1,7 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -56,13 +60,13 @@ def test_load_rejects_version_1_and_asks_for_retraining(tmp_path):
     path = tmp_path / "m.json"
     save_model(path, "forest", {})
     current = path.read_text()
-    for old in (1, 2):
+    for old in range(1, FORMAT_VERSION):
         path.write_text(current.replace(f'"version": {FORMAT_VERSION}', f'"version": {old}'))
         with pytest.raises(DataError, match="retrain"):
             load_model(path, path.read_bytes(), "forest")
 
 
-def test_model_dicts_hold_the_format_3_keys():
+def test_model_dicts_hold_their_format_keys():
     # what fitting learned or the training inputs chose, and nothing the code fixes
     X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0]])
     forest = train_forest(X, [0, 1, 1], n_trees=2, seed=1)
@@ -71,8 +75,9 @@ def test_model_dicts_hold_the_format_3_keys():
     cascade = CascadeModel(default_lexicon(), [MlStage(tfidf, logreg)] * 3)
     team = TeamStyleModel("forest", [StyleStage([0, 1], forest)] * 3, np.zeros(2), np.ones(2))
 
-    assert set(forest.to_dict()) == {"trees", "n_features"}
-    assert set(forest.to_dict()["trees"][0]) == {"feature", "threshold", "left", "right", "counts"}
+    # a forest's file holds its arrays as they are in memory
+    assert set(forest.to_dict()) == {"feature", "threshold", "left", "right", "counts", "trees", "n_features"}
+    assert {f.name for f in dataclasses.fields(forest)} == set(forest.to_dict())
     assert set(tfidf.to_dict()) == {"terms", "idf"}
     assert set(logreg.to_dict()) == {"weights", "bias", "l2_lambda"}
     assert set(cascade.to_dict()) == {"lexicon", "stages"}
@@ -161,3 +166,12 @@ def test_readers_keep_the_values_they_accept():
     assert pairs([[1, 2], [3, 4]], "x").tolist() == [[1, 2], [3, 4]]
     assert pairs([], "x").shape == (0, 2)
     assert strings(["a", "b"], "x") == ["a", "b"]
+
+
+def test_readme_states_the_format_version():
+    # the version it writes, the versions it refuses, and the version field it reads
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").split())
+    v = FORMAT_VERSION
+    assert re.findall(r"Model files are format version (\d+)\.", readme) == [str(v)]
+    assert re.findall(r"Files of format versions 1 to (\d+) are refused", readme) == [str(v - 1)]
+    assert re.findall(r"a `version` other than the JSON integer (\d+) \(`(\d+)\.0` too\)", readme) == [(str(v),) * 2]

@@ -36,9 +36,9 @@ from teamscope.teamstyle import (
 
 def _leaves(*counts, n_features=1) -> ForestModel:
     """A forest of one-node trees, each voting for the largest of its ``counts``."""
-    leaf = {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1]}
-    trees = [dict(leaf, counts=[c]) for c in counts]
-    return ForestModel.from_dict({"trees": trees, "n_features": n_features})
+    n = len(counts)
+    leaves = {"feature": [-1] * n, "threshold": [0.0] * n, "left": [-1] * n, "right": [-1] * n}
+    return ForestModel.from_dict({**leaves, "counts": list(counts), "trees": list(range(n)), "n_features": n_features})
 
 
 def _team():
