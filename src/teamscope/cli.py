@@ -28,11 +28,13 @@ sha256 of the dataset files and of the files read (see
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import hashlib
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -64,13 +66,14 @@ def main(argv=None) -> int:
         # argparse exits 0 for --help, 2 for usage problems; we use 1 for usage
         return 0 if exc.code == 0 else 1
     try:
-        _apply_config(args)
-        inputs = {name: (path, read_input(path)) for name, path in _inputs(args).items()}
-        digests = {name: _digest(data) for name, (_, data) in inputs.items()}
-        outdir = _outdir(args)
-        manifest = args.func(args, outdir, digests, inputs)
-        if manifest is not None:
-            _write_manifest(outdir, args, digests, *manifest)
+        with _warnings_as_lines():
+            _apply_config(args)
+            inputs = {name: (path, read_input(path)) for name, path in _inputs(args).items()}
+            digests = {name: _digest(data) for name, (_, data) in inputs.items()}
+            outdir = _outdir(args)
+            manifest = args.func(args, outdir, digests, inputs)
+            if manifest is not None:
+                _write_manifest(outdir, args, digests, *manifest)
         return 0
     except (DataError, OSError) as exc:
         # bad content and unreadable/missing inputs are both data problems
@@ -79,6 +82,17 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - last-resort boundary
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+
+
+@contextlib.contextmanager
+def _warnings_as_lines():
+    """Print each distinct warning raised inside once, as a ``warning:`` line on stderr, also on failure."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            yield
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {message}", file=sys.stderr)
 
 
 def _int_at_least(minimum: int):
@@ -480,34 +494,26 @@ def _compute_matrix(files: dict) -> teamfeat.MatrixBuild:
 
     The teams go in (team_id, project_id) order, whatever the roster's row
     order. The commits go into a column table, whose authors locate each
-    commit's team row and member slot, and the labels are joined to the
-    commits on a team by sha.
+    commit's team row and member slot; the labels are joined to the commits
+    on a team by sha, and each such commit is one row of the block that
+    :func:`teamfeat.matrix_from_columns` sums.
     """
     table = load_commit_table(*files.pop("commits"))
     roster = sorted(read_roster(*files.pop("roster")), key=lambda team: (team.team_id, team.project_id))
     labels_path = files["labels"][0]
     labels = _read_labels(*files.pop("labels"))
-    team_row, slot = locate_authors(table.author, roster)
-    on_team = np.flatnonzero(team_row >= 0)
+    located = locate_authors(table.author, roster)
+    on_team = np.flatnonzero(located[:, 0] >= 0)
     joined = [labels.get(table.sha[i]) for i in on_team.tolist()]
     if None in joined:
         # name the first unlabelled commit in team order, then file order
         missing = [i for i, label in zip(on_team.tolist(), joined) if label is None]
-        row, first = min((team_row[i], i) for i in missing)
+        row, first = min((located[i, 0], i) for i in missing)
         with in_file(labels_path):
             raise DataError(f"no label for commit {table.sha[first]} (team {roster[row].team_id})")
-    scope, pair = np.array(joined, dtype=np.int64).reshape(-1, 2).T
-    return teamfeat.matrix_from_columns(
-        roster,
-        team_row[on_team],
-        slot[on_team],
-        scope,
-        pair,
-        table.additions[on_team],
-        table.deletions[on_team],
-        table.files[on_team],
-        table.msg_len[on_team],
-    )
+    return teamfeat.matrix_from_columns(roster, np.column_stack(
+        [located[on_team], np.array(joined, dtype=np.int64).reshape(-1, 2), table.counts[on_team]]
+    ))
 
 
 def _load_styled_dataset(args, digests: dict, inputs: dict):
@@ -566,7 +572,7 @@ def cmd_synth(args, outdir, digests, inputs):
     written = synthgen.write_corpus(teams, truth, outdir)
     n_commits = sum(len(t.commits) for t in teams)
     print(f"wrote {len(teams)} teams / {n_commits} commits to {outdir}")
-    return {"mix": list(mix), "commits": [lo, hi]}, written
+    return {}, written
 
 
 def cmd_ingest(args, outdir, digests, inputs):
@@ -577,8 +583,7 @@ def cmd_ingest(args, outdir, digests, inputs):
     else:
         commits = list(jsonl_rows(*inputs.pop("jsonl")))
     roster = read_roster(*inputs.pop("roster"))
-    team_row, _ = locate_authors([row[1] for row in commits], roster)
-    unmatched = int((team_row < 0).sum())
+    unmatched = int((locate_authors([row[1] for row in commits], roster)[:, 0] < 0).sum())
 
     commits_path, roster_path = outdir / "commits.jsonl", outdir / "roster.csv"
     written = {commits_path: dump_commit_rows(commits, commits_path), roster_path: dump_roster(roster, roster_path)}

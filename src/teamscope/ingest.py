@@ -20,9 +20,10 @@ numbers being ASCII digits, and hands them to one check of the values,
 :func:`_row`: a 40-hex sha, a timestamp and line counts that fit an int64
 column, with one text per fault whichever the input. One encoder,
 :func:`commit_line`, writes a row as an interchange line. ``CommitRecord``
-objects and the :class:`CommitTable` of columns are built from rows. Author
-keys resolve through one map, :func:`author_map`, whichever form the
-commits take.
+objects and the :class:`CommitTable` of columns, whose integer facts are one
+int64 row per commit, are built from rows. Author keys resolve through one
+map, :func:`author_map`, whichever form the commits take; :func:`locate_authors`
+gives each key's (team row, member slot) as one int64 row.
 
 A refusal says ``line N: what``, N being the line on which the offending
 record ends. A file reader parses what :mod:`teamscope.errors` read from a path, its
@@ -293,19 +294,15 @@ def dump_commits_jsonl(commits: Iterable[CommitRecord], path) -> str:
 class CommitTable:
     """The commits of a JSONL interchange file as columns, in file order.
 
-    Entry ``i`` of every column is commit ``i``: the idea of the Apache Arrow
-    columnar layout, without per-commit or per-file objects. Shas are
-    lower-cased; line counts and file counts include binary files as zero
-    lines, one file.
+    Entry ``i`` of every column is commit ``i``, as in the Apache Arrow columnar
+    layout. Shas are lower-cased. Row ``i`` of ``counts`` is commit ``i``'s additions,
+    deletions, file count and message length, a binary file being zero lines, one file.
     """
 
     sha: list[str]
     author: list[str]
     msg: list[str]
-    additions: np.ndarray  # int64, like the other columns below
-    deletions: np.ndarray
-    files: np.ndarray
-    msg_len: np.ndarray
+    counts: np.ndarray  # (n, 4) int64
 
 
 def load_commit_table(path, data: bytes) -> CommitTable:
@@ -316,8 +313,7 @@ def load_commit_table(path, data: bytes) -> CommitTable:
         author.append(c_author)
         msg.append(c_msg)
         numbers.append((additions, deletions, len(files), len(c_msg)))
-    columns = np.array(numbers, dtype=np.int64).reshape(-1, 4).T
-    return CommitTable(sha, author, msg, *columns)
+    return CommitTable(sha, author, msg, np.array(numbers, dtype=np.int64).reshape(-1, 4))
 
 
 def jsonl_rows(path, data) -> Iterator[tuple]:
@@ -408,17 +404,12 @@ def author_map(roster: Sequence[TeamRecord]) -> dict[str, tuple[int, int]]:
     return owners
 
 
-def locate_authors(
-    author_keys: Sequence[str], roster: Sequence[TeamRecord]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The int64 (team row, member slot) of each author key in ``roster``,
-    both -1 for a key no member claims; the roster is checked by
+def locate_authors(author_keys: Sequence[str], roster: Sequence[TeamRecord]) -> np.ndarray:
+    """The (n, 2) int64 block of each author key's (team row, member slot) in
+    ``roster``, -1 -1 for a key no member claims; the roster is checked by
     :func:`author_map`."""
     owners = author_map(roster)
-    rows_slots = np.array(
-        [owners.get(key.lower(), (-1, -1)) for key in author_keys], dtype=np.int64
-    ).reshape(-1, 2)
-    return rows_slots[:, 0], rows_slots[:, 1]
+    return np.array([owners.get(key.lower(), (-1, -1)) for key in author_keys], dtype=np.int64).reshape(-1, 2)
 
 
 def load_roster(path) -> list[TeamRecord]:
@@ -509,9 +500,9 @@ def build_teams(
     Commits whose author matches no roster key are left out of every team
     and reported in the ``unmatched`` tally.
     """
-    team_row, slot = locate_authors([c.author_key for c in commits], roster)
+    located = locate_authors([c.author_key for c in commits], roster)
     per_team: list[list[CommitRecord]] = [[] for _ in roster]
-    for commit, row, member in zip(commits, team_row.tolist(), slot.tolist()):
+    for commit, (row, member) in zip(commits, located.tolist()):
         if row >= 0:
             member_id = roster[row].members[member].member_id
             per_team[row].append(dataclasses.replace(commit, author_id=member_id))
@@ -519,7 +510,7 @@ def build_teams(
         dataclasses.replace(team, commits=tuple(team_commits))
         for team, team_commits in zip(roster, per_team)
     ]
-    return TeamAssembly(teams=teams, unmatched=int((team_row < 0).sum()))
+    return TeamAssembly(teams=teams, unmatched=int((located[:, 0] < 0).sum()))
 
 
 def roster_from_string(text: str) -> list[TeamRecord]:

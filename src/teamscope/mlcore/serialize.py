@@ -7,9 +7,9 @@ predictions (JSON round-trips Python floats exactly). A version 4 payload
 holds what fitting learned and what the training inputs chose: terms, idf,
 weights, standardization, selected columns, the lexicon, and each forest as
 the node arrays and tree roots it has in memory. What the code fixes (stage
-order, gibberish threshold, n-gram range, forest shape) is not written.
-Files of any other version are refused and must be produced again by
-retraining.
+order, gibberish threshold, n-gram range, forest shape) is not written, but
+for each logistic model's ``l2_lambda``: every CLI fit uses the code's 1.0.
+Files of any other version are refused and must be produced by retraining.
 
 Each object of a model file, the envelope included, is read by
 :func:`fields`, which declares its keys once: a missing key, or one it does

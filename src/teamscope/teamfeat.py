@@ -8,8 +8,9 @@ Users are canonically ordered so that user 0 is the member with fewer total
 added lines, making vectors independent of roster row order.
 
 ``matrix_from_columns`` computes every team's row in one batched pass from
-per-commit integer columns. ``build_matrix`` feeds it labeled commit
-records; ``extract_features`` and ``order_users`` are its one-team calls.
+one int64 block, a row per commit. ``build_matrix`` builds that block from
+labeled commit records; ``extract_features`` and ``order_users`` are its
+one-team calls.
 """
 
 from __future__ import annotations
@@ -111,11 +112,9 @@ class MatrixBuild(FeatureMatrix):
 def build_matrix(
     labeled_teams: Sequence[tuple[TeamRecord, Sequence[LabeledCommit]]],
 ) -> MatrixBuild:
-    """Compute the full registry for every team; all commits must be resolved.
-
-    The commits become :func:`matrix_from_columns`' columns, one row each.
-    """
-    columns = []
+    """Compute the full registry for every team (see :func:`matrix_from_columns`);
+    all commits must be resolved."""
+    commits = []
     for row, (team, labeled) in enumerate(labeled_teams):
         slots = {member: slot for slot, member in enumerate(team.member_ids())}
         for item in labeled:
@@ -126,41 +125,28 @@ def build_matrix(
                     f"commit {c.sha} is not resolved to a member of "
                     f"team {team.team_id!r}"
                 )
-            columns.append((
+            commits.append((
                 row, slot, SCOPE_CODE[item.category], item.pair_programming,
                 c.additions, c.deletions, len(c.files), len(c.message),
             ))
-    return matrix_from_columns(
-        [team for team, _ in labeled_teams],
-        *np.array(columns, dtype=np.int64).reshape(-1, 8).T,
-    )
+    return matrix_from_columns([team for team, _ in labeled_teams], np.array(commits, dtype=np.int64).reshape(-1, 8))
 
 
-def matrix_from_columns(
-    teams: Sequence[TeamRecord],
-    team_row: np.ndarray,
-    slot: np.ndarray,
-    scope: np.ndarray,
-    pair: np.ndarray,
-    additions: np.ndarray,
-    deletions: np.ndarray,
-    files: np.ndarray,
-    msg_len: np.ndarray,
-) -> MatrixBuild:
-    """Compute the full registry for every team from per-commit columns.
+def matrix_from_columns(teams: Sequence[TeamRecord], commits: np.ndarray) -> MatrixBuild:
+    """Compute the full registry for every team from an (n, 8) int64 block.
 
-    Entry ``i`` of each column describes one commit on a team: its row in
-    ``teams``, its author's member slot there (roster order), its scope
-    (``SCOPE_CODE``), its pair-programming flag, its line counts, its file
-    count and its message length. ``np.add.at`` sums them per (team, member,
-    scope), and every registry column is then computed elementwise. Integer
-    sums are exact, so a row does not depend on commit order, and each
-    average or share is one IEEE division.
+    Row ``i`` of ``commits`` describes one commit on a team. Its columns, in
+    order: the team's row in ``teams``, its author's member slot there
+    (roster order), its scope (``SCOPE_CODE``), its pair-programming flag,
+    its additions, deletions, file count and message length. ``np.add.at``
+    sums them per (team, member, scope), and every registry column is then
+    computed elementwise. Integer sums are exact, so a row does not depend on
+    commit order, and each average or share is one IEEE division.
     """
     if not teams:
         raise DataError("no teams to build a feature matrix from")
     n = len(teams)
-    sums, pairs = _member_sums(n, team_row, slot, scope, pair, additions, deletions, files, msg_len)
+    sums, pairs = _member_sums(n, commits)
 
     # user 0 has fewer added lines, then fewer commits, then the smaller member id
     ids = [team.member_ids() for team in teams]
@@ -204,11 +190,12 @@ def matrix_from_columns(
     )
 
 
-def _member_sums(n, team_row, slot, scope, pair, additions, deletions, files, msg_len):
+def _member_sums(n, commits):
     """Per team and member slot (roster order), the int64 sums[team, slot, scope]
     of commits, additions, deletions, files, churn and message length, and the
     pair-programming commits. A function of its own so that the stacked
     per-commit values are freed before the float columns are built."""
+    team_row, slot, scope, pair, additions, deletions, files, msg_len = commits.T
     stacked = np.column_stack(
         [np.ones_like(additions), additions, deletions, files, additions + deletions, msg_len]
     )

@@ -325,6 +325,10 @@ def evaluate_team_model(
     """Stratified k-fold evaluation with fold-internal selection and scaling."""
     X_raw = np.asarray(X_raw, dtype=np.float64)
     labels = list(labels)
+    # stratified_kfold deals a style's teams into different folds: with 2, every fold trains on one
+    scarce = [f"{s.value} has {labels.count(s)}" for s in STYLES if labels.count(s) < 2]
+    if scarce:
+        raise DataError("cross-validation needs at least 2 teams of each style; " + ", ".join(scarce))
     folds = stratified_kfold(labels, k, seed)
     per_style: dict[TeamStyle, list[EvalReport]] = {s: [] for s in STYLES}
 

@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -967,6 +968,11 @@ BAD_INPUT = [
      "unknown-category.csv line 2: unknown category 'Refactor'"),
     (["ingest", "--jsonl", "{data}/commits.jsonl", "--roster", "{file}"],
      ("roster.csv", ROSTER.splitlines(keepends=True)[0]), 2, "roster.csv: no rows below the header"),
+    # the fold that tests a style's one team would train on none of it
+    (["eval-teams", "--data", "{data}", "--styles", "{file}", "--folds", "3"],
+     ("one-solo.csv", "team_id,style\nt000,SoloSubmit\n"
+      + "".join(f"t{t:03d},{('Collaborative', 'Cooperative')[t % 2]}\n" for t in range(1, 14))), 2,
+     "error: cross-validation needs at least 2 teams of each style; SoloSubmit has 1\n"),
 ]
 
 
@@ -1927,6 +1933,80 @@ def test_manifest_config_records_each_option_and_no_input_path(work, cascade_mod
         assert main([arg.format(work=work, cascade=cascade_model) for arg in argv] + ["--out", str(out)]) == 0
     manifest = json.loads((out / f"manifest_{argv[0]}.json").read_text())
     assert set(manifest["config"]) == MANIFEST_CONFIG[argv[0]]
+
+
+# the facts a command's manifest records beside its options
+_FACTS = {
+    "ingest": ("unmatched",),
+    "train-commits": ("messages", "distinct_messages"),
+    "label-commits": ("messages", "distinct_messages"),
+    "features": ("teams", "columns"),
+}
+_TEAM_DATA = ["--data", _CORPUS, "--styles", f"{_CORPUS}/truth_teams.csv"]
+REPLAYED = {
+    # id: (argv of the input files, the options a replay takes from the manifest)
+    "synth": (["synth"], ["--teams", "4", "--seed", "2", "--mix", "0.5,0.25,0.25"]),
+    "ingest-gitlog": (_GITLOG, []),
+    "ingest-jsonl": (DECLARED["ingest-jsonl"], []),
+    "train-commits": (DECLARED["train-commits"], ["--seed", "3"]),
+    "eval-commits": (DECLARED["eval-commits"][:3], ["--folds", "2", "--format", "csv"]),
+    "label-commits": (DECLARED["label-commits"], []),
+    "features": (_FEATURES, []),
+    "train-teams-forest": (["train-teams", *_TEAM_DATA], ["--seed", "9", "--k-features", "6"]),
+    "train-teams-logistic_rfe": (["train-teams", *_TEAM_DATA], ["--algorithm", "logistic_rfe"]),
+    "eval-teams-forest": (["eval-teams", *_TEAM_DATA], ["--folds", "2", "--seed", "4"]),
+    "eval-teams-logistic_rfe": (["eval-teams", *_TEAM_DATA], ["--folds", "2", "--algorithm", "logistic_rfe"]),
+    "predict": (_PREDICT, []),
+    "flag": (["flag", *_PREDICT[1:]], []),
+    "registry": (["registry"], []),
+}
+
+
+def _written(out: Path) -> dict:
+    return {path.relative_to(out).as_posix(): path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("inputs, options", REPLAYED.values(), ids=REPLAYED.keys())
+def test_manifest_config_replays_to_the_same_bytes(work, cascade_model, inputs, options):
+    # a manifest's config, less the facts, is a --config that runs the command again
+    argv = [arg.format(work=work, cascade=cascade_model) for arg in inputs]
+    first, replay = work / "first", work / "replay"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, *options, "--out", str(first)]) == 0
+        (manifest,) = first.glob("manifest_*.json")
+        config = json.loads(manifest.read_text(encoding="utf-8"))["config"]
+        for fact in _FACTS.get(argv[0], ()):
+            del config[fact]
+        assert main([*argv, "--config", _write(work / "replay.json", json.dumps(config)), "--out", str(replay)]) == 0
+    assert _written(replay) == _written(first)
+
+
+def test_warnings_print_as_one_line_each(team_model, tmp_path, capsys):
+    corpus, _ = team_model
+    styles = str(corpus / "truth_teams.csv")
+    argv = ["eval-teams", "--data", str(corpus), "--styles", styles, "--folds", "4", "--out", str(tmp_path / "r")]
+    assert main(argv) == 0
+    warning = "warning: fewer members than the 4 folds, so some folds score F1 = 0 for: SoloSubmit (3)\n"
+    assert capsys.readouterr().err == warning
+    # a warning, then a refusal: the warning comes first
+    rows = "".join(f"implement part {i},Implementation\n" for i in range(7))
+    tagged = _write(tmp_path / "tagged.csv", "message,category\n" + rows)
+    assert main(["train-commits", "--tagged", tagged, "--out", str(tmp_path / "m")]) == 2
+    assert capsys.readouterr().err == (
+        "warning: training labels contain a single class\n"
+        "error: no surviving positive examples for ML stage Test\n"
+    )
+
+
+def test_each_distinct_warning_prints_once(monkeypatch, capsys):
+    def warns(*args):
+        warnings.warn("first")
+        warnings.warn("second")
+        warnings.warn("first")
+
+    monkeypatch.setattr(cli, "cmd_registry", warns)
+    assert main(["registry"]) == 0
+    assert capsys.readouterr().err == "warning: first\nwarning: second\n"
 
 
 # --- author keys match in any case, and team ids only name rows ---------------

@@ -221,13 +221,10 @@ def test_jsonl_round_trip_property(tmp_path_factory, shas, files, message, ts):
     assert (table.sha, table.author, table.msg) == tuple(
         [getattr(c, name) for c in commits] for name in ("sha", "author_key", "message")
     )
-    for column, values in (
-        (table.additions, [c.additions for c in commits]),
-        (table.deletions, [c.deletions for c in commits]),
-        (table.files, [len(c.files) for c in commits]),
-        (table.msg_len, [len(c.message) for c in commits]),
-    ):
-        assert column.dtype == np.int64 and column.tolist() == values
+    assert table.counts.dtype == np.int64 and table.counts.shape == (len(commits), 4)
+    assert table.counts.tolist() == [
+        [c.additions, c.deletions, len(c.files), len(c.message)] for c in commits
+    ]
 
 
 # --- roster and author resolution ----------------------------------------
@@ -348,9 +345,9 @@ def test_locate_authors_gives_team_row_and_member_slot():
     roster = roster_from_string(
         ROSTER_CSV + "t2,P2,cara,60,70,false,cara\n" + "t2,P2,dan,75,80,false,dan;D@Y\n"
     )
-    team_row, slot = locate_authors(["d@y", "ALICE", "stranger", "cara", "b@x"], roster)
-    assert team_row.tolist() == [1, 0, -1, 1, 0]
-    assert slot.tolist() == [1, 0, -1, 0, 1]
+    located = locate_authors(["d@y", "ALICE", "stranger", "cara", "b@x"], roster)
+    assert located.dtype == np.int64
+    assert located.tolist() == [[1, 1], [0, 0], [-1, -1], [1, 0], [0, 1]]
 
 
 def test_member_in_two_teams_is_refused_after_ambiguous_keys():

@@ -317,6 +317,21 @@ def test_evaluate_reports_per_style_and_macro(corpus):
         assert len(report.folds) == 4
 
 
+def test_evaluation_needs_two_teams_of_each_style(corpus):
+    _, _, styles, build = corpus
+    solo = [i for i, s in enumerate(styles) if s == TeamStyle.SOLO_SUBMIT]
+    rows = [i for i, s in enumerate(styles) if s != TeamStyle.SOLO_SUBMIT] + solo[:1]
+    # the fold that tests the one SoloSubmit team would train on none
+    for algorithm in ("forest", "logistic_rfe"):
+        with pytest.raises(DataError, match="^cross-validation needs at least 2 teams of each style; SoloSubmit has 1$"):
+            evaluate_team_model(build.raw[rows], [styles[i] for i in rows], algorithm=algorithm, k=3, seed=0)
+    # two are dealt into different folds, so every fold trains on one
+    rows += solo[1:2]
+    with pytest.warns(UserWarning, match="fewer members than the 3 folds"):
+        result = evaluate_team_model(build.raw[rows], [styles[i] for i in rows], algorithm="forest", k=3, seed=0)
+    assert len(result.reports["SoloSubmit"].folds) == 3
+
+
 def test_evaluation_fits_folds_on_training_rows_only(corpus, monkeypatch):
     import teamscope.teamstyle as ts
 
